@@ -18,9 +18,6 @@
 
 namespace esteem::bench {
 
-inline constexpr instr_t kPaperInstrPerCore = validation::kPaperInstrPerCore;
-inline constexpr double kPaperIntervalCycles = validation::kPaperIntervalCycles;
-
 /// Per-core instruction budget for bench runs (ESTEEM_INSTR).
 inline instr_t instr_per_core() { return validation::bench_scale().instr_per_core; }
 
@@ -36,21 +33,15 @@ inline unsigned threads() { return validation::bench_scale().threads; }
 
 inline std::uint64_t seed() { return validation::bench_scale().seed; }
 
-/// Scales the reconfiguration interval with the instruction budget.
-/// `interval_factor` expresses Table 3's 5M/15M rows as 0.5x/1.5x of the
-/// 10M-cycle default; ESTEEM_INTERVAL_FACTOR additionally lengthens the
-/// scaled interval (see validation/scale.hpp).
-inline cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr,
-                               double interval_factor = 1.0) {
-  return validation::scaled_interval(
-      cfg, instr, validation::bench_scale().interval_env_factor, interval_factor);
+/// Applies the scaled interval and churn damping for `instr` instructions
+/// per core. `interval_factor` expresses Table 3's 5M/15M rows as 0.5x/1.5x
+/// of the 10M-cycle default; ESTEEM_INTERVAL_FACTOR additionally lengthens
+/// the scaled interval (see common/config.hpp).
+inline void apply_bench_interval(SystemConfig& cfg, instr_t instr,
+                                 double interval_factor = 1.0) {
+  apply_scaled_interval(cfg, instr, validation::bench_scale().interval_env_factor,
+                        interval_factor);
 }
-
-/// Reconfiguration-churn damping used by the bench configurations (the
-/// paper's proposed hysteresis extension, §7.2 — see validation/scale.hpp).
-inline constexpr std::uint32_t kBenchHysteresis = validation::kScaledHysteresis;
-inline constexpr std::uint32_t kBenchShrinkConfirm =
-    validation::kScaledShrinkConfirm;
 
 /// Paper single-core configuration with the bench-scaled interval.
 inline SystemConfig scaled_single(instr_t instr, double interval_factor = 1.0) {

@@ -79,9 +79,7 @@ void run_section(bool dual, instr_t instr, std::uint64_t stride) {
   for (const Row& row : parameter_rows(dual)) {
     SystemConfig cfg = dual ? SystemConfig::dual_core() : SystemConfig::single_core();
     row.mutate(cfg);
-    cfg.esteem.interval_cycles = bench::scaled_interval(cfg, instr, row.interval_factor);
-    cfg.esteem.hysteresis_intervals = bench::kBenchHysteresis;
-    cfg.esteem.shrink_confirm_intervals = bench::kBenchShrinkConfirm;
+    bench::apply_bench_interval(cfg, instr, row.interval_factor);
     cfg.validate();
 
     sim::SweepSpec spec;

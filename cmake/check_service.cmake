@@ -46,11 +46,12 @@ if(NOT rc EQUAL 0)
 endif()
 
 # 3. Two chaos-armed workers: each completes one row, claims the next, and
-#    SIGKILLs itself holding the lease. A crash is the *expected* outcome —
-#    a clean exit means the chaos hook failed to arm.
+#    SIGKILLs itself holding the lease (hit 1 of the 0-based crashpoint is
+#    the second claim). A crash is the *expected* outcome — a clean exit
+#    means the crashpoint failed to arm.
 foreach(i RANGE 1 2)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E env ESTEEM_CHAOS=1
-                          ESTEEM_CRASH_AFTER_ROWS=1
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env
+                          ESTEEM_CHAOS_SCHEDULE=worker.crash.after_claim@1=crash
                           ${WORKERD} --worker ${WORKDIR}/svc --owner chaos-${i}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(rc EQUAL 0)

@@ -18,12 +18,10 @@ int main(int argc, char** argv) {
                                         : 4'000'000;
 
   // Paper single-core setup: 4 MB 16-way eDRAM L2, 50 us retention,
-  // alpha = 0.97, A_min = 3, 8 modules, R_s = 64. We shrink the
-  // reconfiguration interval in proportion to the shortened run.
+  // alpha = 0.97, A_min = 3, 8 modules, R_s = 64. The reconfiguration
+  // interval shrinks with the shortened run, by the same rule the CLI uses.
   SystemConfig cfg = SystemConfig::single_core();
-  cfg.esteem.interval_cycles =
-      std::max<cycle_t>(cfg.retention_cycles(),
-                        static_cast<cycle_t>(10e6 * instructions / 400e6));
+  apply_scaled_interval(cfg, instructions);
 
   sim::RunSpec spec;
   spec.config = cfg;

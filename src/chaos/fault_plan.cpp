@@ -26,9 +26,10 @@ const std::vector<PointInfo>& injection_points() {
   // One row per seam call site. Domains: "sweep" = the sweep journal the CLI
   // resumes from, "lease" = the service lease table, "sidecar" = observer
   // per-worker telemetry journals, "memo" = the run-memo cache store path,
-  // "lock" = the lock-file lease fallback. A plain JournalFile outside those
-  // subsystems uses the default "journal" domain, which is deliberately not
-  // registered (nothing durable ships with it).
+  // "lock" = the lock-file lease fallback, "worker" = the service worker
+  // loop. A plain JournalFile outside those subsystems uses the default
+  // "journal" domain, which is deliberately not registered (nothing durable
+  // ships with it).
   static const std::vector<PointInfo> kPoints = {
       {"sweep.open", OpKind::kOpen, "open/create the sweep journal"},
       {"sweep.append.write", OpKind::kWrite, "append a sweep journal record"},
@@ -61,6 +62,8 @@ const std::vector<PointInfo>& injection_points() {
        "die right after the memo file is published"},
       {"lock.open", OpKind::kOpen, "create the lease lock file (O_EXCL)"},
       {"lock.crash.held", OpKind::kCrash, "die while holding the lock file"},
+      {"worker.crash.after_claim", OpKind::kCrash,
+       "die holding a freshly claimed service lease"},
   };
   return kPoints;
 }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace esteem {
 
@@ -140,6 +141,19 @@ inline std::optional<std::string> from_hex(const std::string& hex) {
     out.push_back(static_cast<char>((hi << 4) | lo));
   }
   return out;
+}
+
+/// FNV-1a offset basis: the starting `h` for fnv1a().
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `h`. Chaining calls over
+/// pieces equals one call over their concatenation.
+inline std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 }  // namespace esteem

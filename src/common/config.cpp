@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -85,6 +86,21 @@ void SystemConfig::validate() const {
   require(faults.disable_threshold >= 1, "fault disable threshold must be >= 1");
   require(faults.max_tracked_extension >= 1,
           "fault max tracked extension must be >= 1");
+}
+
+cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr, double env_factor,
+                        double interval_factor) {
+  const auto cycles =
+      static_cast<cycle_t>(kPaperIntervalCycles * env_factor * interval_factor *
+                           static_cast<double>(instr) / static_cast<double>(kPaperInstrPerCore));
+  return std::max<cycle_t>(cycles, cfg.retention_cycles());
+}
+
+void apply_scaled_interval(SystemConfig& cfg, instr_t instr, double env_factor,
+                           double interval_factor) {
+  cfg.esteem.interval_cycles = scaled_interval(cfg, instr, env_factor, interval_factor);
+  cfg.esteem.hysteresis_intervals = kScaledHysteresis;
+  cfg.esteem.shrink_confirm_intervals = kScaledShrinkConfirm;
 }
 
 }  // namespace esteem

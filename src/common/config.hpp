@@ -177,12 +177,6 @@ struct ServiceConfig {
   /// Idle poll period: how often a worker with nothing claimable (and the
   /// waiting coordinator) re-reads the service journal.
   std::uint32_t poll_ms = 500;
-  /// Chaos hook: a worker self-SIGKILLs right after claiming its next row
-  /// once it has completed this many rows — mid-lease, the way a real crash
-  /// lands. 0 = off. Only armed when the ESTEEM_CHAOS environment variable
-  /// is set (and ESTEEM_CRASH_AFTER_ROWS overrides the value per process),
-  /// so a stray config file can never kill production workers.
-  std::uint32_t crash_after_rows = 0;
   /// How lease-journal appends are serialized: "append" relies on O_APPEND
   /// write atomicity (correct on local POSIX filesystems); "lockfile" takes
   /// an advisory lock file around every append for filesystems that do not
@@ -290,5 +284,33 @@ struct SystemConfig {
   /// Throws std::invalid_argument on inconsistent parameters.
   void validate() const;
 };
+
+/// The paper's measured instructions per core and reconfiguration interval
+/// (§7). Shorter runs shrink the interval with the instruction count.
+inline constexpr instr_t kPaperInstrPerCore = 400'000'000;
+inline constexpr double kPaperIntervalCycles = 10'000'000.0;
+/// Default interval lengthening for the synthetic workloads' lower IPC
+/// (ESTEEM_INTERVAL_FACTOR; DESIGN.md §5).
+inline constexpr double kIntervalEnvFactor = 4.0;
+/// Reconfiguration-churn damping used by all scaled runs: the paper's
+/// proposed hysteresis extension (§7.2) with a 2-interval window, because at
+/// scaled intervals a one-way flush is ~50x more expensive relative to the
+/// interval than at the paper's 10M cycles.
+inline constexpr std::uint32_t kScaledHysteresis = 2;
+inline constexpr std::uint32_t kScaledShrinkConfirm = 2;
+
+/// The one interval-scaling rule (DESIGN.md §5): the 10M-cycle interval
+/// scaled to `instr` instructions per core, times `env_factor` and
+/// `interval_factor` (Table 3's 5M/15M rows are 0.5x/1.5x), floored at one
+/// retention period. Multiplies before dividing by kPaperInstrPerCore.
+cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr,
+                        double env_factor = kIntervalEnvFactor,
+                        double interval_factor = 1.0);
+
+/// Sets `cfg`'s interval to scaled_interval() and applies the scaled-run
+/// hysteresis and shrink-confirm defaults.
+void apply_scaled_interval(SystemConfig& cfg, instr_t instr,
+                           double env_factor = kIntervalEnvFactor,
+                           double interval_factor = 1.0);
 
 }  // namespace esteem

@@ -328,10 +328,6 @@ std::vector<ConfigKeySpec> build_schema() {
                       "Idle poll period in ms for workers with nothing claimable and the waiting coordinator",
                       [](SystemConfig& c, std::uint64_t v) { c.service.poll_ms = static_cast<std::uint32_t>(v); },
                       [](const SystemConfig& c) -> std::uint64_t { return c.service.poll_ms; }));
-  s.push_back(int_key("service", "crash_after_rows",
-                      "Chaos hook: worker self-SIGKILLs mid-lease after completing N rows (0 = off; armed only with ESTEEM_CHAOS set)",
-                      [](SystemConfig& c, std::uint64_t v) { c.service.crash_after_rows = static_cast<std::uint32_t>(v); },
-                      [](const SystemConfig& c) -> std::uint64_t { return c.service.crash_after_rows; }));
   s.push_back(str_key("service", "lock_mode",
                       "Lease-journal append serialization: append (O_APPEND atomicity) or lockfile (advisory lock for NFS/SMB)",
                       [](SystemConfig& c, std::string v) { c.service.lock_mode = std::move(v); },

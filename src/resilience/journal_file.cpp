@@ -2,13 +2,12 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "chaos/file_ops.hpp"
 #include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "resilience/crc32.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -30,35 +29,6 @@ std::string crc_hex(std::uint32_t crc) {
   return buf;
 }
 
-/// Scans `"key":"value"` at `pos` (expects it to start exactly there);
-/// advances pos past the pair. Values are raw (no escape handling, matching
-/// the writer's contract).
-bool scan_pair(const std::string& s, std::size_t& pos, std::string& key,
-               std::string& value) {
-  if (pos >= s.size() || s[pos] != '"') return false;
-  const std::size_t key_end = s.find('"', pos + 1);
-  if (key_end == std::string::npos) return false;
-  key = s.substr(pos + 1, key_end - pos - 1);
-  if (s.compare(key_end, 3, "\":\"") != 0) return false;
-  const std::size_t val_begin = key_end + 3;
-  const std::size_t val_end = s.find('"', val_begin);
-  if (val_end == std::string::npos) return false;
-  value = s.substr(val_begin, val_end - val_begin);
-  pos = val_end + 1;
-  return true;
-}
-
-/// Journal field values may not contain '"', '\\', or control bytes; labels
-/// (severity/source) come from code and CLI flags, so scrub rather than
-/// trust.
-std::string scrub_label(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '_';
-  }
-  return out;
-}
-
 }  // namespace
 
 JournalRecord EventRecord::to_journal() const {
@@ -68,8 +38,8 @@ JournalRecord EventRecord::to_journal() const {
   rec.kind = "evt";
   rec.fields = {{"t", std::to_string(t_ms)},
                 {"sim", sim},
-                {"sev", scrub_label(severity)},
-                {"src", scrub_label(source)},
+                {"sev", json::scrub(severity)},
+                {"src", json::scrub(source)},
                 {"lease", hex_u64(lease_id)},
                 {"row", std::to_string(row)},
                 {"msg", to_hex(message)}};
@@ -79,27 +49,14 @@ JournalRecord EventRecord::to_journal() const {
 bool EventRecord::from_journal(const JournalRecord& rec, EventRecord& out) {
   if (rec.kind != "evt") return false;
   EventRecord ev;
-  {
-    const std::string& t = rec.field("t");
-    char* end = nullptr;
-    ev.t_ms = std::strtoll(t.c_str(), &end, 10);
-    if (t.empty() || end != t.c_str() + t.size()) return false;
-  }
-  {
-    const std::string& sim = rec.field("sim");
-    char* end = nullptr;
-    ev.sim_us = std::strtod(sim.c_str(), &end);
-    if (sim.empty() || end != sim.c_str() + sim.size()) return false;
+  if (!json::parse_i64(rec.field("t"), ev.t_ms) ||
+      !json::parse_f64(rec.field("sim"), ev.sim_us) ||
+      !parse_hex_u64(rec.field("lease"), ev.lease_id) ||
+      !json::parse_u64(rec.field("row"), ev.row)) {
+    return false;
   }
   ev.severity = rec.field("sev");
   ev.source = rec.field("src");
-  if (!parse_hex_u64(rec.field("lease"), ev.lease_id)) return false;
-  {
-    const std::string& row = rec.field("row");
-    char* end = nullptr;
-    ev.row = std::strtoull(row.c_str(), &end, 10);
-    if (row.empty() || end != row.c_str() + row.size()) return false;
-  }
   const auto msg = from_hex(rec.field("msg"));
   if (!msg) return false;
   ev.message = *msg;
@@ -115,12 +72,10 @@ const std::string& JournalRecord::field(const std::string& key) const {
 }
 
 std::string JournalFile::encode(const JournalRecord& record) {
-  std::ostringstream os;
-  os << "{\"v\":1,\"kind\":\"" << record.kind << '"';
+  std::string body = "{\"v\":1,\"kind\":\"" + json::escape(record.kind) + '"';
   for (const auto& [k, v] : record.fields) {
-    os << ",\"" << k << "\":\"" << v << '"';
+    body += ",\"" + json::escape(k) + "\":\"" + json::escape(v) + '"';
   }
-  std::string body = os.str();
   const std::uint32_t crc = crc32(body);
   body += ",\"crc\":\"";
   body += crc_hex(crc);
@@ -150,23 +105,20 @@ bool JournalFile::decode(const std::string& line, JournalRecord& out) {
   }
   if (crc32(line.data(), crc_pos) != stored) return false;
 
-  // Body parse: kind, then remaining "key":"value" pairs.
+  // Body parse: members are "v", "kind", the fields, then "crc"; every one
+  // after "v" is a string. Only the exact bytes encode() writes are accepted.
+  const auto doc = json::try_parse(line);
+  if (!doc || doc->size() < 3) return false;
   JournalRecord rec;
-  std::size_t pos = std::string("{\"v\":1,").size();
-  std::string key, value;
-  while (pos < crc_pos) {
-    if (!scan_pair(line, pos, key, value)) return false;
-    if (key == "kind") {
-      rec.kind = value;
+  for (std::size_t i = 1; i + 1 < doc->size(); ++i) {
+    if (!doc->item(i).is_string()) return false;
+    if (i == 1) {
+      rec.kind = doc->item(i).text();
     } else {
-      rec.fields.emplace_back(std::move(key), std::move(value));
-    }
-    if (pos < crc_pos) {
-      if (line[pos] != ',') return false;
-      ++pos;
+      rec.fields.emplace_back(doc->key(i), doc->item(i).text());
     }
   }
-  if (rec.kind.empty()) return false;
+  if (rec.kind.empty() || encode(rec) != line) return false;
   out = std::move(rec);
   return true;
 }

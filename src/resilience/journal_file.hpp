@@ -1,8 +1,8 @@
 // Crash-safe record log: append-only, fsync'd, per-line-checksummed JSONL.
 //
-// Each record is one line of flat JSON whose values are plain strings (the
-// caller hex-encodes anything binary), closed by a CRC-32 of everything
-// before the crc field:
+// Each record is one line of flat JSON whose values are strings (the caller
+// hex-encodes anything binary), closed by a CRC-32 of everything before the
+// crc field:
 //
 //   {"v":1,"kind":"row","workload":"mcf","payload":"9a3f...","crc":"8d21c4f0"}
 //
@@ -36,9 +36,9 @@
 namespace esteem::resilience {
 
 /// One journal record: a kind tag plus ordered (key, value) string fields.
-/// Values must not contain '"' or '\\' — the writer does not escape (callers
-/// hex-encode arbitrary data); a value that breaks this renders only its own
-/// line unparseable, which the loader treats as corruption.
+/// Keys and values are JSON-escaped by the writer (common/json), so any
+/// bytes survive; callers still hex-encode binary payloads so lines stay
+/// short and readable.
 struct JournalRecord {
   std::string kind;
   std::vector<std::pair<std::string, std::string>> fields;
@@ -53,8 +53,7 @@ struct JournalRecord {
 /// service can decode each other's events: a severity, both clock domains
 /// (wall milliseconds always; simulated microseconds when the event came
 /// from inside a run, else negative), the emitting source, an optional
-/// lease/row context, and a free-form message (hex-encoded on the wire —
-/// journal values may not contain quotes or backslashes).
+/// lease/row context, and a free-form message (hex-encoded on the wire).
 struct EventRecord {
   /// `row` value meaning "no row context".
   static constexpr std::uint64_t kNoRow = ~0ULL;

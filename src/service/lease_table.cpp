@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "resilience/lock_file.hpp"
 #include "service/wire.hpp"
 #include "sim/run_cache.hpp"
@@ -23,34 +24,10 @@ void tick(const char* name, std::uint64_t n = 1) {
 
 std::string dec(std::uint64_t v) { return std::to_string(v); }
 
-bool parse_dec_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
-/// Journal field values may not contain '"' or '\' (resilience contract);
-/// owner strings come from hostnames/CLI flags, so scrub rather than trust.
-std::string sanitize_owner(const std::string& owner) {
-  std::string out = owner.empty() ? std::string("anon") : owner;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '_';
-  }
-  return out;
-}
-
-/// FNV-1a over a byte string, continuing from `h`.
-std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+/// Journal owner labels are scrubbed like every other journal label; an
+/// empty owner becomes "anon".
+std::string owner_label(const std::string& owner) {
+  return owner.empty() ? std::string("anon") : json::scrub(owner);
 }
 
 }  // namespace
@@ -122,7 +99,7 @@ bool LeaseTable::write_header() {
 bool LeaseTable::create(const std::string& dir, const sim::SweepSpec& spec,
                         const std::string& owner) {
   dir_ = dir;
-  owner_ = sanitize_owner(owner);
+  owner_ = owner_label(owner);
   spec_ = spec;
   // The journal/resume/thread plumbing belongs to the process that built the
   // spec, not to the sweep's identity; rows are computed one lease at a time.
@@ -162,7 +139,7 @@ bool LeaseTable::create(const std::string& dir, const sim::SweepSpec& spec,
 
 bool LeaseTable::open(const std::string& dir, const std::string& owner) {
   dir_ = dir;
-  owner_ = sanitize_owner(owner);
+  owner_ = owner_label(owner);
   const std::string path = journal_path(dir_);
 
   const auto loaded = resilience::JournalFile::load(path);
@@ -233,13 +210,13 @@ TableState LeaseTable::load_state() const {
     }
 
     std::uint64_t row = 0;
-    if (!parse_dec_u64(rec.field("row"), row) || row >= st.rows.size()) continue;
+    if (!json::parse_u64(rec.field("row"), row) || row >= st.rows.size()) continue;
     RowState& r = st.rows[row];
 
     if (rec.kind == "lease") {
       std::uint64_t id = 0, gen = 0, ttl = 0, t = 0;
-      if (!parse_hex_u64(rec.field("id"), id) || !parse_dec_u64(rec.field("gen"), gen) ||
-          !parse_dec_u64(rec.field("ttl"), ttl) || !parse_dec_u64(rec.field("t"), t)) {
+      if (!parse_hex_u64(rec.field("id"), id) || !json::parse_u64(rec.field("gen"), gen) ||
+          !json::parse_u64(rec.field("ttl"), ttl) || !json::parse_u64(rec.field("t"), t)) {
         continue;
       }
       r.lease_id = id;
@@ -249,7 +226,7 @@ TableState LeaseTable::load_state() const {
       r.lease_expires_ms = static_cast<std::int64_t>(t + ttl);
     } else if (rec.kind == "hb") {
       std::uint64_t id = 0, t = 0;
-      if (!parse_hex_u64(rec.field("id"), id) || !parse_dec_u64(rec.field("t"), t)) continue;
+      if (!parse_hex_u64(rec.field("id"), id) || !json::parse_u64(rec.field("t"), t)) continue;
       // A heartbeat from a superseded lease must not resurrect it.
       if (id == r.lease_id && r.lease_id != 0) {
         r.lease_expires_ms = static_cast<std::int64_t>(t) + r.lease_ttl_ms;
@@ -295,8 +272,7 @@ TableState LeaseTable::load_state() const {
 
 std::uint64_t LeaseTable::next_lease_id(std::int64_t now_ms) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t h = 14695981039346656037ULL;
-  h = fnv1a(h, owner_);
+  std::uint64_t h = fnv1a(kFnv1aBasis, owner_);
   h = fnv1a(h, dec(static_cast<std::uint64_t>(now_ms)));
   h = fnv1a(h, dec(++lease_counter_));
   return h == 0 ? 1 : h;

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_emitter.hpp"
 
@@ -21,21 +22,10 @@ void tick(const char* name, std::uint64_t n = 1) {
 
 std::string dec(std::uint64_t v) { return std::to_string(v); }
 
-bool parse_dec_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
 constexpr char kSidecarSuffix[] = ".sidecar.jsonl";
 
 std::string json_str(const std::string& s) {
-  return '"' + telemetry::TraceEmitter::json_escape(s) + '"';
+  return '"' + json::escape(s) + '"';
 }
 
 /// Row index rendered for JSON: kNoRow becomes -1.
@@ -226,12 +216,12 @@ FleetStatus collect_fleet_status(const LeaseTable& table, const TableState& stat
       resilience::JournalFile::load(LeaseTable::journal_path(table.dir()));
   for (const auto& rec : loaded.records) {
     std::uint64_t row = 0, t = 0;
-    const bool has_row = parse_dec_u64(rec.field("row"), row) && row < fs.rows;
-    const bool has_t = parse_dec_u64(rec.field("t"), t);
+    const bool has_row = json::parse_u64(rec.field("row"), row) && row < fs.rows;
+    const bool has_t = json::parse_u64(rec.field("t"), t);
     if (rec.kind == "lease" && has_row && has_t) {
       std::uint64_t id = 0, gen = 0;
       if (!parse_hex_u64(rec.field("id"), id) ||
-          !parse_dec_u64(rec.field("gen"), gen)) {
+          !json::parse_u64(rec.field("gen"), gen)) {
         continue;
       }
       const std::string& owner = rec.field("owner");
@@ -458,14 +448,14 @@ bool write_merged_trace(const std::string& dir, const std::string& out_path,
   std::set<std::string> owners;
   for (const auto& rec : loaded.records) {
     std::uint64_t row = 0, t = 0;
-    const bool has_row = parse_dec_u64(rec.field("row"), row) && row < n_rows;
-    const bool has_t = parse_dec_u64(rec.field("t"), t);
+    const bool has_row = json::parse_u64(rec.field("row"), row) && row < n_rows;
+    const bool has_t = json::parse_u64(rec.field("t"), t);
     if (has_t) widen(static_cast<std::int64_t>(t));
     if (rec.kind == "svc" && has_t && plan_ms < 0) {
       plan_ms = static_cast<std::int64_t>(t);
     } else if (rec.kind == "lease" && has_row && has_t) {
       std::uint64_t gen = 0;
-      parse_dec_u64(rec.field("gen"), gen);
+      json::parse_u64(rec.field("gen"), gen);
       owners.insert(rec.field("owner"));
       leases[row].push_back(
           LeaseEv{static_cast<std::int64_t>(t), rec.field("owner"), gen});

@@ -64,7 +64,6 @@ void put_config(ByteWriter& w, const SystemConfig& c) {
   w.u32(c.service.lease_ttl_ms);
   w.u32(c.service.heartbeat_ms);
   w.u32(c.service.poll_ms);
-  w.u32(c.service.crash_after_rows);
   w.str(c.service.lock_mode);
   w.u32(c.observability.flush_ms);
   w.u32(c.observability.events_max);
@@ -103,7 +102,7 @@ bool get_config(ByteReader& r, SystemConfig& c) {
          r.u32(c.resilience.max_retries) && r.u32(c.resilience.backoff_ms) &&
          r.u32(c.resilience.max_consecutive_errors) &&
          r.u32(c.service.lease_ttl_ms) && r.u32(c.service.heartbeat_ms) &&
-         r.u32(c.service.poll_ms) && r.u32(c.service.crash_after_rows) &&
+         r.u32(c.service.poll_ms) &&
          r.str(c.service.lock_mode) &&
          r.u32(c.observability.flush_ms) && r.u32(c.observability.events_max) &&
          r.str(c.observability.metrics_path);

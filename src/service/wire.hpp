@@ -25,7 +25,8 @@ namespace esteem::service {
 /// v2: [observability] joined the execution-policy sections.
 /// v3: [sampling] joined the config.
 /// v4: resilience.max_consecutive_errors and service.lock_mode.
-inline constexpr std::uint32_t kWireVersion = 4;
+/// v5: service.crash_after_rows left the config.
+inline constexpr std::uint32_t kWireVersion = 5;
 
 std::string encode_sweep_spec(const sim::SweepSpec& spec);
 

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -16,7 +14,7 @@
 #include <unistd.h>
 #endif
 
-#include "common/env.hpp"
+#include "chaos/file_ops.hpp"
 #include "resilience/shutdown.hpp"
 #include "service/lease_table.hpp"
 #include "service/observer.hpp"
@@ -114,16 +112,6 @@ void poll_sleep(std::uint32_t poll_ms) {
   }
 }
 
-[[noreturn]] void chaos_die(const std::string& owner, std::size_t rows_done) {
-  std::fprintf(stderr, "[esteem_workerd] chaos: %s self-SIGKILLs after %zu rows (mid-lease)\n",
-               owner.c_str(), rows_done);
-  std::fflush(stderr);
-#if !defined(_WIN32)
-  ::kill(::getpid(), SIGKILL);
-#endif
-  std::abort();  // Unreachable on POSIX; keeps [[noreturn]] honest elsewhere.
-}
-
 }  // namespace
 
 std::string default_owner() {
@@ -134,12 +122,6 @@ std::string default_owner() {
   if (::gethostname(host, sizeof(host) - 1) != 0) host[0] = '\0';
   return std::string(host[0] != '\0' ? host : "host") + ":" + std::to_string(::getpid());
 #endif
-}
-
-std::uint32_t resolve_crash_after_rows(const SystemConfig& config) {
-  if (env_str("ESTEEM_CHAOS", "").empty()) return 0;
-  return static_cast<std::uint32_t>(
-      env_u64("ESTEEM_CRASH_AFTER_ROWS", config.service.crash_after_rows));
 }
 
 WorkerReport run_worker(const WorkerOptions& opts) {
@@ -181,12 +163,6 @@ WorkerReport run_worker(const WorkerOptions& opts) {
         (std::filesystem::path(opts.dir) / "memo").string());
   }
 
-  // Explicit option wins (tests inject it directly); otherwise the env-gated
-  // [service] crash_after_rows from the planned sweep applies.
-  const std::uint32_t crash_after = opts.crash_after_rows != 0
-                                        ? opts.crash_after_rows
-                                        : resolve_crash_after_rows(spec.config);
-
   // End-of-row bookkeeping for the sidecar: worker.* gauges mirror the
   // report so the fleet status can show per-worker progress live, and a
   // snapshot is flushed at every row boundary (the heartbeat thread covers
@@ -200,7 +176,6 @@ WorkerReport run_worker(const WorkerOptions& opts) {
     observer.flush_snapshot();
   };
 
-  std::size_t resolved_by_me = 0;
   while (true) {
     if (resilience::shutdown_requested()) {
       rep.interrupted = true;
@@ -224,9 +199,10 @@ WorkerReport run_worker(const WorkerOptions& opts) {
       continue;
     }
 
-    if (crash_after != 0 && resolved_by_me >= crash_after) {
-      chaos_die(owner, resolved_by_me);  // Dies holding the fresh lease.
-    }
+    // Chaos drills die here holding the fresh lease, the way a real crash
+    // lands mid-row (e.g. ESTEEM_CHAOS_SCHEDULE=worker.crash.after_claim@1=crash
+    // completes one row and dies on the second claim).
+    chaos::crashpoint("worker.crash.after_claim");
 
     rep.rows_stolen += claim->stolen ? 1 : 0;
     const trace::Workload& wl = table.row_workload(claim->row);
@@ -261,7 +237,6 @@ WorkerReport run_worker(const WorkerOptions& opts) {
         comparison ? table.complete(*claim, *comparison) : table.fail(*claim, error);
     switch (status) {
       case AppendStatus::kOk:
-        ++resolved_by_me;
         if (comparison) {
           ++rep.rows_completed;
           observer.event("info", "completed " + wl.name + "/" + tech_name,
@@ -274,7 +249,6 @@ WorkerReport run_worker(const WorkerOptions& opts) {
         }
         break;
       case AppendStatus::kDuplicate:
-        ++resolved_by_me;  // Row is resolved either way; chaos still advances.
         break;
       case AppendStatus::kFenced:
         ++rep.fenced;  // Stalled past TTL; the thief owns the row now.

@@ -15,18 +15,11 @@
 #include <cstdint>
 #include <string>
 
-#include "common/config.hpp"
-
 namespace esteem::service {
 
 struct WorkerOptions {
   std::string dir;    ///< Planned service directory.
   std::string owner;  ///< Worker identity; "" = default_owner().
-  /// Chaos: self-SIGKILL right after claiming the next row once this many
-  /// rows were resolved by this process. 0 = defer to the env-gated
-  /// resolve_crash_after_rows() of the planned sweep's config; nonzero
-  /// forces the crash (tests).
-  std::uint32_t crash_after_rows = 0;
   bool quiet = false;  ///< Suppress per-row stderr progress lines.
 };
 
@@ -43,12 +36,6 @@ struct WorkerReport {
 
 /// "<hostname>:<pid>" — unique per worker process on a shared filesystem.
 std::string default_owner();
-
-/// The effective chaos row count for this process: 0 unless the ESTEEM_CHAOS
-/// environment variable is set (a stray config file must never kill
-/// production workers); when armed, ESTEEM_CRASH_AFTER_ROWS overrides the
-/// sweep's [service] crash_after_rows so a drill can crash specific workers.
-std::uint32_t resolve_crash_after_rows(const SystemConfig& config);
 
 /// Blocking worker loop. Returns when every row is resolved, shutdown is
 /// requested, or a fatal service error occurs (see WorkerReport::error).

@@ -302,12 +302,7 @@ std::string run_spec_fingerprint(const RunSpec& spec) {
 }
 
 std::uint64_t fingerprint_hash(const std::string& fingerprint) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (unsigned char byte : fingerprint) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a(kFnv1aBasis, fingerprint);
 }
 
 std::shared_ptr<const RunOutcome> run_experiment_cached(const RunSpec& spec) {

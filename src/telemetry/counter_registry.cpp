@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/json.hpp"
 
 namespace esteem::telemetry {
 
@@ -241,13 +242,11 @@ std::string CounterRegistry::to_json() const {
   std::ostringstream os;
   os << '{';
   bool first = true;
-  char buf[64];
   for (const MetricSample& s : snapshot()) {
     if (!first) os << ',';
     first = false;
-    os << '"' << s.name << "\":{\"kind\":\"" << to_string(s.kind) << '"';
-    std::snprintf(buf, sizeof buf, "%.17g", s.value);
-    os << ",\"value\":" << buf;
+    os << '"' << json::escape(s.name) << "\":{\"kind\":\"" << to_string(s.kind) << '"';
+    os << ",\"value\":" << json::number(s.value);
     if (s.kind == MetricKind::Histogram) {
       os << ",\"count\":" << s.count << ",\"buckets\":[";
       for (std::size_t b = 0; b < s.buckets.size(); ++b) {

@@ -2,124 +2,56 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/json.hpp"
 
 namespace esteem::telemetry {
 
 namespace {
 
-/// The line formats carry values raw (no escape handling), so bytes that
-/// would break a line are scrubbed, mirroring the journal-field contract.
-std::string scrub(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '_';
+/// Snapshot lines have a fixed layout: exactly the members `keys`, in order.
+bool has_keys(const json::Value& v, std::initializer_list<std::string_view> keys) {
+  if (!v.is_object() || v.size() != keys.size()) return false;
+  std::size_t i = 0;
+  for (const std::string_view k : keys) {
+    if (v.key(i++) != k) return false;
   }
-  return out;
+  return true;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Strict cursor over one encoded line.
-struct Scan {
-  const std::string& s;
-  std::size_t pos = 0;
-
-  bool lit(const char* l) {
-    const std::size_t n = std::char_traits<char>::length(l);
-    if (s.compare(pos, n, l) != 0) return false;
-    pos += n;
-    return true;
-  }
-  /// Scans up to the next '"' (values are scrubbed, so no escapes exist).
-  bool quoted(std::string& out) {
-    const std::size_t end = s.find('"', pos);
-    if (end == std::string::npos) return false;
-    out = s.substr(pos, end - pos);
-    pos = end + 1;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') return false;
-    v = 0;
-    std::size_t digits = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      if (++digits > 20) return false;
-      v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
-      ++pos;
-    }
-    return true;
-  }
-  bool i64(std::int64_t& v) {
-    const bool neg = pos < s.size() && s[pos] == '-';
-    if (neg) ++pos;
-    std::uint64_t u = 0;
-    if (!u64(u)) return false;
-    v = neg ? -static_cast<std::int64_t>(u) : static_cast<std::int64_t>(u);
-    return true;
-  }
-  /// Floating token: everything up to the next ',' or '}' through strtod.
-  bool num(double& v) {
-    const std::size_t end = s.find_first_of(",}", pos);
-    if (end == std::string::npos || end == pos) return false;
-    const std::string token = s.substr(pos, end - pos);
-    char* stop = nullptr;
-    v = std::strtod(token.c_str(), &stop);
-    if (stop != token.c_str() + token.size()) return false;
-    pos = end;
-    return true;
-  }
-  bool done() const { return pos == s.size(); }
-};
-
-bool decode_metric_line(const std::string& line, MetricSample& out) {
-  // quoted() consumes the value's closing quote, so the literals that follow
-  // a quoted field start at the comma.
-  Scan sc{line};
+/// One metric line; json::Error when a member has the wrong kind.
+MetricSample decode_metric_line(const json::Value& line) {
   MetricSample m;
-  std::string kind;
-  if (!sc.lit("{\"name\":\"") || !sc.quoted(m.name) || !sc.lit(",\"kind\":\"") ||
-      !sc.quoted(kind)) {
-    return false;
-  }
-  if (kind == "counter") {
+  m.name = line.at("name").as_string();
+  const std::string& kind = line.at("kind").as_string();
+  if (kind == "counter" && has_keys(line, {"name", "kind", "total"})) {
     m.kind = MetricKind::Counter;
-    if (!sc.lit(",\"total\":") || !sc.u64(m.raw) || !sc.lit("}") || !sc.done()) return false;
+    m.raw = line.item(2).as_u64();
     m.value = static_cast<double>(m.raw);
-  } else if (kind == "gauge") {
+  } else if (kind == "gauge" && has_keys(line, {"name", "kind", "value"})) {
     m.kind = MetricKind::Gauge;
-    if (!sc.lit(",\"value\":") || !sc.num(m.value) || !sc.lit("}") || !sc.done()) return false;
-  } else if (kind == "histogram") {
+    m.value = line.item(2).as_f64();
+  } else if (kind == "histogram" &&
+             has_keys(line, {"name", "kind", "count", "sum", "buckets"})) {
     m.kind = MetricKind::Histogram;
-    if (!sc.lit(",\"count\":") || !sc.u64(m.count) || !sc.lit(",\"sum\":") ||
-        !sc.u64(m.raw) || !sc.lit(",\"buckets\":[")) {
-      return false;
+    m.count = line.item(2).as_u64();
+    m.raw = line.item(3).as_u64();
+    const std::vector<json::Value>& buckets = line.item(4).as_array();
+    if (buckets.size() > CounterRegistry::kHistBuckets) {
+      throw json::Error("snapshot: too many histogram buckets");
     }
-    if (!sc.lit("]")) {  // Non-empty bucket list.
-      while (true) {
-        std::uint64_t b = 0;
-        if (!sc.u64(b)) return false;
-        if (m.buckets.size() >= CounterRegistry::kHistBuckets) return false;
-        m.buckets.push_back(b);
-        if (sc.lit("]")) break;
-        if (!sc.lit(",")) return false;
-      }
-    }
-    if (!sc.lit("}") || !sc.done()) return false;
+    for (const json::Value& b : buckets) m.buckets.push_back(b.as_u64());
     m.value = static_cast<double>(m.raw);
   } else {
-    return false;
+    throw json::Error("snapshot: unknown metric line layout");
   }
-  out = std::move(m);
-  return true;
+  return m;
 }
 
 /// `esteem_` + the dotted name with every non-alphanumeric byte as '_'.
@@ -144,24 +76,24 @@ Snapshot take_snapshot(const CounterRegistry& reg, std::int64_t t_ms,
                        const std::string& source) {
   Snapshot snap;
   snap.t_ms = t_ms;
-  snap.source = scrub(source);
+  snap.source = json::scrub(source);
   snap.metrics = reg.snapshot();
-  for (MetricSample& m : snap.metrics) m.name = scrub(m.name);
+  for (MetricSample& m : snap.metrics) m.name = json::scrub(m.name);
   return snap;
 }
 
 std::string encode_snapshot_jsonl(const Snapshot& snap) {
   std::ostringstream os;
   os << "{\"v\":1,\"kind\":\"snapshot\",\"t\":" << snap.t_ms << ",\"source\":\""
-     << scrub(snap.source) << "\",\"n\":" << snap.metrics.size() << "}\n";
+     << json::scrub(snap.source) << "\",\"n\":" << snap.metrics.size() << "}\n";
   for (const MetricSample& m : snap.metrics) {
-    os << "{\"name\":\"" << scrub(m.name) << "\",\"kind\":\"" << to_string(m.kind) << '"';
+    os << "{\"name\":\"" << json::scrub(m.name) << "\",\"kind\":\"" << to_string(m.kind) << '"';
     switch (m.kind) {
       case MetricKind::Counter:
         os << ",\"total\":" << m.raw;
         break;
       case MetricKind::Gauge:
-        os << ",\"value\":" << fmt_double(m.value);
+        os << ",\"value\":" << json::number(m.value);
         break;
       case MetricKind::Histogram:
         os << ",\"count\":" << m.count << ",\"sum\":" << m.raw << ",\"buckets\":[";
@@ -179,27 +111,28 @@ std::string encode_snapshot_jsonl(const Snapshot& snap) {
 bool decode_snapshot_jsonl(const std::string& text, Snapshot& out) {
   Snapshot snap;
   std::uint64_t n = 0;
-  std::size_t begin = 0;
   bool saw_header = false;
-  while (begin < text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();  // Tolerate a missing final newline.
-    const std::string line = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (line.empty()) return false;
-    if (!saw_header) {
-      Scan sc{line};
-      if (!sc.lit("{\"v\":1,\"kind\":\"snapshot\",\"t\":") || !sc.i64(snap.t_ms) ||
-          !sc.lit(",\"source\":\"") || !sc.quoted(snap.source) || !sc.lit(",\"n\":") ||
-          !sc.u64(n) || !sc.lit("}") || !sc.done()) {
+  try {
+    for (std::size_t begin = 0; begin < text.size();) {
+      std::size_t end = text.find('\n', begin);
+      if (end == std::string::npos) end = text.size();  // Tolerate a missing final newline.
+      const json::Value line = json::parse(std::string_view(text).substr(begin, end - begin));
+      begin = end + 1;
+      if (saw_header) {
+        snap.metrics.push_back(decode_metric_line(line));
+        continue;
+      }
+      if (!has_keys(line, {"v", "kind", "t", "source", "n"}) || line.item(0).as_u64() != 1 ||
+          line.item(1).as_string() != "snapshot") {
         return false;
       }
+      snap.t_ms = line.item(2).as_i64();
+      snap.source = line.item(3).as_string();
+      n = line.item(4).as_u64();
       saw_header = true;
-      continue;
     }
-    MetricSample m;
-    if (!decode_metric_line(line, m)) return false;
-    snap.metrics.push_back(std::move(m));
+  } catch (const json::Error&) {
+    return false;
   }
   if (!saw_header || snap.metrics.size() != n) return false;
   out = std::move(snap);
@@ -273,7 +206,7 @@ std::string to_openmetrics(const Snapshot& snap) {
         os << fam << "_total " << m.raw << '\n';
         break;
       case MetricKind::Gauge:
-        os << fam << ' ' << fmt_double(m.value) << '\n';
+        os << fam << ' ' << json::number(m.value) << '\n';
         break;
       case MetricKind::Histogram: {
         std::uint64_t cum = 0;

@@ -1,51 +1,12 @@
 #include "telemetry/interval_recorder.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace esteem::telemetry {
-
-namespace {
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-/// Advances past `expected` or throws; whitespace is not tolerated because
-/// only our own writer output is accepted.
-void expect(const std::string& line, std::size_t& pos, char expected) {
-  if (pos >= line.size() || line[pos] != expected) {
-    throw std::runtime_error("interval jsonl: expected '" + std::string(1, expected) +
-                             "' at column " + std::to_string(pos));
-  }
-  ++pos;
-}
-
-std::string parse_key(const std::string& line, std::size_t& pos) {
-  expect(line, pos, '"');
-  const std::size_t end = line.find('"', pos);
-  if (end == std::string::npos) throw std::runtime_error("interval jsonl: unterminated key");
-  std::string key = line.substr(pos, end - pos);
-  pos = end + 1;
-  expect(line, pos, ':');
-  return key;
-}
-
-double parse_number(const std::string& line, std::size_t& pos) {
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) throw std::runtime_error("interval jsonl: expected a number");
-  pos += static_cast<std::size_t>(end - start);
-  return v;
-}
-
-}  // namespace
 
 IntervalRecorder::IntervalRecorder(std::vector<std::string> columns)
     : columns_(std::move(columns)), series_(columns_.size()) {}
@@ -75,9 +36,9 @@ void IntervalRecorder::write_jsonl(std::ostream& os) const {
     line += std::to_string(cycles_[r]);
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       line += ",\"";
-      line += columns_[c];
+      line += json::escape(columns_[c]);
       line += "\":";
-      append_number(line, series_[c][r]);
+      line += json::number(series_[c][r]);
     }
     line += "}\n";
     os << line;
@@ -95,7 +56,7 @@ void IntervalRecorder::write_csv(std::ostream& os) const {
     line = std::to_string(cycles_[r]);
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       line += ',';
-      append_number(line, series_[c][r]);
+      line += json::number(series_[c][r]);
     }
     os << line << '\n';
   }
@@ -116,35 +77,27 @@ IntervalRecorder IntervalRecorder::read_jsonl(std::istream& is) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    std::size_t pos = 0;
-    expect(line, pos, '{');
-    bool first = true;
+    const json::Value row = json::parse(line);
+    if (!row.is_object()) throw std::runtime_error("interval jsonl: row is not an object");
     std::vector<std::string> keys;
-    std::vector<double> row;
-    std::uint64_t cycle = 0;
-    bool have_cycle = false;
-    while (pos < line.size() && line[pos] != '}') {
-      if (!first) expect(line, pos, ',');
-      first = false;
-      const std::string key = parse_key(line, pos);
-      const double v = parse_number(line, pos);
-      if (key == "cycle") {
-        cycle = static_cast<std::uint64_t>(v);
-        have_cycle = true;
+    std::vector<double> vals;
+    std::optional<std::uint64_t> cycle;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (row.key(i) == "cycle") {
+        cycle = row.item(i).as_u64();
       } else {
-        keys.push_back(key);
-        row.push_back(v);
+        keys.push_back(row.key(i));
+        vals.push_back(row.item(i).as_f64());
       }
     }
-    expect(line, pos, '}');
-    if (!have_cycle) throw std::runtime_error("interval jsonl: row without \"cycle\"");
-    if (columns.empty() && cycles.empty()) {
+    if (!cycle) throw std::runtime_error("interval jsonl: row without \"cycle\"");
+    if (cycles.empty()) {
       columns = keys;
     } else if (keys != columns) {
       throw std::runtime_error("interval jsonl: inconsistent columns across rows");
     }
-    cycles.push_back(cycle);
-    values.push_back(std::move(row));
+    cycles.push_back(*cycle);
+    values.push_back(std::move(vals));
   }
 
   IntervalRecorder rec(std::move(columns));

@@ -3,8 +3,8 @@
 // per-row allocation. The memory system records a row at every
 // tick_interval() when a run sink is attached (gated off by default);
 // exports are JSONL (one object per interval, self-describing keys) and
-// CSV. read_jsonl() parses exactly what write_jsonl() emits — values are
-// printed with %.17g so the round-trip is bit-exact.
+// CSV. Both go through common/json (%.17g values), and read_jsonl() parses
+// write_jsonl() output back bit-exactly, keeping the column order.
 #pragma once
 
 #include <cstdint>

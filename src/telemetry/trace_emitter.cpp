@@ -6,6 +6,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace esteem::telemetry {
 
 namespace {
@@ -42,29 +44,6 @@ double TraceEmitter::wall_now_us() noexcept {
       .count();
 }
 
-std::string TraceEmitter::json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void TraceEmitter::push(Event e) {
   const std::lock_guard<std::mutex> lock(mutex_);
   events_.push_back(std::move(e));
@@ -72,13 +51,13 @@ void TraceEmitter::push(Event e) {
 
 void TraceEmitter::set_process_name(std::uint32_t pid, std::string_view name) {
   push(Event{'M', pid, 0, 0.0, 0.0, "process_name",
-             "{\"name\":\"" + json_escape(name) + "\"}"});
+             "{\"name\":\"" + json::escape(name) + "\"}"});
 }
 
 void TraceEmitter::set_thread_name(std::uint32_t pid, std::uint32_t tid,
                                    std::string_view name) {
   push(Event{'M', pid, tid, 0.0, 0.0, "thread_name",
-             "{\"name\":\"" + json_escape(name) + "\"}"});
+             "{\"name\":\"" + json::escape(name) + "\"}"});
 }
 
 void TraceEmitter::complete(std::uint32_t pid, std::uint32_t tid, std::string_view name,
@@ -129,7 +108,7 @@ void TraceEmitter::write_json(std::ostream& os) const {
     line += ",\"tid\":";
     line += std::to_string(e.tid);
     line += ",\"name\":\"";
-    line += json_escape(e.name);
+    line += json::escape(e.name);
     line += '"';
     if (e.ph != 'M') {
       line += ",\"ts\":";

@@ -61,9 +61,6 @@ class TraceEmitter {
   /// Microseconds of steady_clock since process start (wall-clock ts).
   static double wall_now_us() noexcept;
 
-  /// Escapes a string for embedding inside JSON quotes.
-  static std::string json_escape(std::string_view s);
-
  private:
   struct Event {
     char ph;  // 'X' | 'i' | 'C' | 'M'

@@ -1,262 +1,37 @@
 #include "validation/golden.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/json.hpp"
 
 namespace esteem::validation {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Writer: stable key order, %.17g doubles so a load/save round-trip is exact.
-// ---------------------------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+// Writer: stable key order and the common/json string and number forms, so a
+// load/save round-trip is exact.
 
 void write_series(std::ostringstream& os, const char* key,
                   const std::vector<double>& v, const char* indent) {
   os << indent << '"' << key << "\": [";
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i != 0) os << ", ";
-    os << num(v[i]);
+    os << json::number(v[i]);
   }
   os << ']';
 }
 
-// ---------------------------------------------------------------------------
-// Parser: a recursive-descent reader for the subset the writer emits.
-// Unknown keys are skipped, so adding fields stays backward compatible
-// within a golden version.
-// ---------------------------------------------------------------------------
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  // JSON value parsed into a tagged tree (doubles, strings, arrays, objects).
-  struct Value {
-    enum class Kind { Number, String, Array, Object } kind = Kind::Number;
-    double number = 0.0;
-    std::string str;
-    std::vector<Value> array;
-    std::map<std::string, Value> object;
-
-    const Value* find(const std::string& key) const {
-      auto it = object.find(key);
-      return it == object.end() ? nullptr : &it->second;
-    }
-  };
-
-  Value parse() {
-    Value v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    std::ostringstream os;
-    os << "golden JSON parse error at byte " << pos_ << ": " << why;
-    throw std::runtime_error(os.str());
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  Value value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      Value v;
-      v.kind = Value::Kind::String;
-      v.str = string();
-      return v;
-    }
-    return number();
-  }
-
-  Value object() {
-    expect('{');
-    Value v;
-    v.kind = Value::Kind::Object;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = string();
-      expect(':');
-      v.object.emplace(std::move(key), value());
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Value array() {
-    expect('[');
-    Value v;
-    v.kind = Value::Kind::Array;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        default: fail("unsupported escape");
-      }
-    }
-  }
-
-  Value number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '+' ||
-          c == '.' || c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    Value v;
-    v.kind = Value::Kind::Number;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-double get_num(const Parser::Value& obj, const std::string& key) {
-  const Parser::Value* v = obj.find(key);
-  if (v == nullptr || v->kind != Parser::Value::Kind::Number) {
-    throw std::runtime_error("golden JSON: missing numeric key '" + key + "'");
-  }
-  return v->number;
-}
-
-std::string get_str(const Parser::Value& obj, const std::string& key) {
-  const Parser::Value* v = obj.find(key);
-  if (v == nullptr || v->kind != Parser::Value::Kind::String) {
-    throw std::runtime_error("golden JSON: missing string key '" + key + "'");
-  }
-  return v->str;
-}
-
-std::vector<double> get_series(const Parser::Value& obj, const std::string& key) {
-  const Parser::Value* v = obj.find(key);
-  if (v == nullptr || v->kind != Parser::Value::Kind::Array) {
-    throw std::runtime_error("golden JSON: missing array key '" + key + "'");
-  }
+std::vector<double> get_series(const json::Value& obj, const char* key) {
   std::vector<double> out;
-  out.reserve(v->array.size());
-  for (const Parser::Value& e : v->array) {
-    if (e.kind != Parser::Value::Kind::Number) {
-      throw std::runtime_error("golden JSON: non-numeric entry in '" + key + "'");
-    }
-    out.push_back(e.number);
-  }
+  for (const json::Value& e : obj.at(key).as_array()) out.push_back(e.as_f64());
   return out;
 }
 
-std::vector<std::string> get_strings(const Parser::Value& obj,
-                                     const std::string& key) {
-  const Parser::Value* v = obj.find(key);
-  if (v == nullptr || v->kind != Parser::Value::Kind::Array) {
-    throw std::runtime_error("golden JSON: missing array key '" + key + "'");
-  }
+std::vector<std::string> get_strings(const json::Value& obj, const char* key) {
   std::vector<std::string> out;
-  out.reserve(v->array.size());
-  for (const Parser::Value& e : v->array) {
-    if (e.kind != Parser::Value::Kind::String) {
-      throw std::runtime_error("golden JSON: non-string entry in '" + key + "'");
-    }
-    out.push_back(e.str);
-  }
+  for (const json::Value& e : obj.at(key).as_array()) out.push_back(e.as_string());
   return out;
 }
 
@@ -290,32 +65,32 @@ std::string golden_to_json(const GoldenFile& file) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"version\": " << file.version << ",\n";
-  os << "  \"generator\": \"" << json_escape(file.generator) << "\",\n";
+  os << "  \"generator\": \"" << json::escape(file.generator) << "\",\n";
   os << "  \"scales\": [";
   for (std::size_t si = 0; si < file.scales.size(); ++si) {
     const GoldenScale& s = file.scales[si];
     os << (si == 0 ? "\n" : ",\n");
     os << "    {\n";
-    os << "      \"fingerprint\": \"" << json_escape(s.fingerprint) << "\",\n";
-    os << "      \"label\": \"" << json_escape(s.label) << "\",\n";
+    os << "      \"fingerprint\": \"" << json::escape(s.fingerprint) << "\",\n";
+    os << "      \"label\": \"" << json::escape(s.label) << "\",\n";
     os << "      \"figures\": [";
     for (std::size_t fi = 0; fi < s.figures.size(); ++fi) {
       const GoldenFigure& f = s.figures[fi];
       os << (fi == 0 ? "\n" : ",\n");
       os << "        {\n";
-      os << "          \"id\": \"" << json_escape(f.id) << "\",\n";
-      os << "          \"esteem_energy_pct\": " << num(f.esteem_energy_pct) << ",\n";
-      os << "          \"rpv_energy_pct\": " << num(f.rpv_energy_pct) << ",\n";
-      os << "          \"esteem_ws\": " << num(f.esteem_ws) << ",\n";
-      os << "          \"rpv_ws\": " << num(f.rpv_ws) << ",\n";
-      os << "          \"esteem_rpki_dec\": " << num(f.esteem_rpki_dec) << ",\n";
-      os << "          \"rpv_rpki_dec\": " << num(f.rpv_rpki_dec) << ",\n";
-      os << "          \"esteem_mpki_inc\": " << num(f.esteem_mpki_inc) << ",\n";
-      os << "          \"esteem_active_pct\": " << num(f.esteem_active_pct) << ",\n";
+      os << "          \"id\": \"" << json::escape(f.id) << "\",\n";
+      os << "          \"esteem_energy_pct\": " << json::number(f.esteem_energy_pct) << ",\n";
+      os << "          \"rpv_energy_pct\": " << json::number(f.rpv_energy_pct) << ",\n";
+      os << "          \"esteem_ws\": " << json::number(f.esteem_ws) << ",\n";
+      os << "          \"rpv_ws\": " << json::number(f.rpv_ws) << ",\n";
+      os << "          \"esteem_rpki_dec\": " << json::number(f.esteem_rpki_dec) << ",\n";
+      os << "          \"rpv_rpki_dec\": " << json::number(f.rpv_rpki_dec) << ",\n";
+      os << "          \"esteem_mpki_inc\": " << json::number(f.esteem_mpki_inc) << ",\n";
+      os << "          \"esteem_active_pct\": " << json::number(f.esteem_active_pct) << ",\n";
       os << "          \"workloads\": [";
       for (std::size_t wi = 0; wi < f.workloads.size(); ++wi) {
         if (wi != 0) os << ", ";
-        os << '"' << json_escape(f.workloads[wi]) << '"';
+        os << '"' << json::escape(f.workloads[wi]) << '"';
       }
       os << "],\n";
       write_series(os, "esteem_energy_savings", f.esteem_energy_savings,
@@ -332,15 +107,10 @@ std::string golden_to_json(const GoldenFile& file) {
   return os.str();
 }
 
-GoldenFile golden_from_json(const std::string& json) {
-  Parser parser(json);
-  const Parser::Value root = parser.parse();
-  if (root.kind != Parser::Value::Kind::Object) {
-    throw std::runtime_error("golden JSON: document is not an object");
-  }
-
+GoldenFile golden_from_json(const std::string& text) {
+  const json::Value root = json::parse(text);
   GoldenFile file;
-  file.version = static_cast<int>(get_num(root, "version"));
+  file.version = static_cast<int>(root.at("version").as_f64());
   if (file.version != kGoldenVersion) {
     std::ostringstream os;
     os << "golden file version " << file.version << " does not match this "
@@ -348,31 +118,23 @@ GoldenFile golden_from_json(const std::string& json) {
        << "; regenerate with `esteem_validate --update-golden`";
     throw std::runtime_error(os.str());
   }
-  file.generator = get_str(root, "generator");
+  file.generator = root.at("generator").as_string();
 
-  const Parser::Value* scales = root.find("scales");
-  if (scales == nullptr || scales->kind != Parser::Value::Kind::Array) {
-    throw std::runtime_error("golden JSON: missing 'scales' array");
-  }
-  for (const Parser::Value& sv : scales->array) {
+  for (const json::Value& sv : root.at("scales").as_array()) {
     GoldenScale scale;
-    scale.fingerprint = get_str(sv, "fingerprint");
-    scale.label = get_str(sv, "label");
-    const Parser::Value* figures = sv.find("figures");
-    if (figures == nullptr || figures->kind != Parser::Value::Kind::Array) {
-      throw std::runtime_error("golden JSON: missing 'figures' array");
-    }
-    for (const Parser::Value& fv : figures->array) {
+    scale.fingerprint = sv.at("fingerprint").as_string();
+    scale.label = sv.at("label").as_string();
+    for (const json::Value& fv : sv.at("figures").as_array()) {
       GoldenFigure fig;
-      fig.id = get_str(fv, "id");
-      fig.esteem_energy_pct = get_num(fv, "esteem_energy_pct");
-      fig.rpv_energy_pct = get_num(fv, "rpv_energy_pct");
-      fig.esteem_ws = get_num(fv, "esteem_ws");
-      fig.rpv_ws = get_num(fv, "rpv_ws");
-      fig.esteem_rpki_dec = get_num(fv, "esteem_rpki_dec");
-      fig.rpv_rpki_dec = get_num(fv, "rpv_rpki_dec");
-      fig.esteem_mpki_inc = get_num(fv, "esteem_mpki_inc");
-      fig.esteem_active_pct = get_num(fv, "esteem_active_pct");
+      fig.id = fv.at("id").as_string();
+      fig.esteem_energy_pct = fv.at("esteem_energy_pct").as_f64();
+      fig.rpv_energy_pct = fv.at("rpv_energy_pct").as_f64();
+      fig.esteem_ws = fv.at("esteem_ws").as_f64();
+      fig.rpv_ws = fv.at("rpv_ws").as_f64();
+      fig.esteem_rpki_dec = fv.at("esteem_rpki_dec").as_f64();
+      fig.rpv_rpki_dec = fv.at("rpv_rpki_dec").as_f64();
+      fig.esteem_mpki_inc = fv.at("esteem_mpki_inc").as_f64();
+      fig.esteem_active_pct = fv.at("esteem_active_pct").as_f64();
       fig.workloads = get_strings(fv, "workloads");
       fig.esteem_energy_savings = get_series(fv, "esteem_energy_savings");
       fig.rpv_energy_savings = get_series(fv, "rpv_energy_savings");

@@ -1,6 +1,5 @@
 #include "validation/scale.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -26,7 +25,7 @@ ScaleSpec smoke_scale() {
   s.instr_per_core = 300'000;
   s.warmup_per_core = 60'000;
   s.seed = 42;
-  s.interval_env_factor = 4.0;
+  s.interval_env_factor = kIntervalEnvFactor;
   s.threads = 0;
   return s;
 }
@@ -65,23 +64,12 @@ std::string scale_fingerprint(const ScaleSpec& scale) {
   return os.str();
 }
 
-cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr,
-                        double env_factor, double interval_factor) {
-  const double scale = static_cast<double>(instr) / kPaperInstrPerCore;
-  const auto cycles = static_cast<cycle_t>(kPaperIntervalCycles * scale *
-                                           env_factor * interval_factor);
-  return std::max<cycle_t>(cycles, cfg.retention_cycles());
-}
-
 namespace {
 
 SystemConfig apply_scale(SystemConfig cfg, const ScaleSpec& scale,
                          double interval_factor) {
-  cfg.esteem.interval_cycles =
-      scaled_interval(cfg, scale.instr_per_core, scale.interval_env_factor,
-                      interval_factor);
-  cfg.esteem.hysteresis_intervals = kScaledHysteresis;
-  cfg.esteem.shrink_confirm_intervals = kScaledShrinkConfirm;
+  apply_scaled_interval(cfg, scale.instr_per_core, scale.interval_env_factor,
+                        interval_factor);
   cfg.sampling = scale.sampling;
   return cfg;
 }

@@ -18,16 +18,6 @@
 
 namespace esteem::validation {
 
-inline constexpr instr_t kPaperInstrPerCore = 400'000'000;
-inline constexpr double kPaperIntervalCycles = 10'000'000.0;
-
-/// Reconfiguration-churn damping used by all scaled runs: the paper's
-/// proposed hysteresis extension (§7.2) with a 2-interval window, because at
-/// scaled intervals a one-way flush is ~50x more expensive relative to the
-/// interval than at the paper's 10M cycles.
-inline constexpr std::uint32_t kScaledHysteresis = 2;
-inline constexpr std::uint32_t kScaledShrinkConfirm = 2;
-
 /// Everything that determines the inputs of a scaled figure run (except the
 /// system configuration itself, which each figure derives from this).
 struct ScaleSpec {
@@ -37,7 +27,7 @@ struct ScaleSpec {
   std::uint64_t seed = 42;
   /// ESTEEM_INTERVAL_FACTOR: lengthens the proportionally-scaled interval
   /// (see DESIGN.md §5).
-  double interval_env_factor = 4.0;
+  double interval_env_factor = kIntervalEnvFactor;
   /// Sweep worker threads (0 = hardware concurrency). Not part of the
   /// fingerprint: serial and threaded sweeps are bit-identical.
   unsigned threads = 0;
@@ -66,12 +56,6 @@ ScaleSpec paper_scale();
 /// "v1;instr=300000;warmup=60000;seed=42;ifactor=4;hyst=2;shrink=2".
 /// Golden entries are keyed by this string.
 std::string scale_fingerprint(const ScaleSpec& scale);
-
-/// Scales the 10M-cycle reconfiguration interval to `instr` instructions
-/// (`interval_factor` expresses Table 3's 5M/15M rows as 0.5x/1.5x), floored
-/// at one retention period so refresh accounting stays sane.
-cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr,
-                        double env_factor, double interval_factor = 1.0);
 
 /// Paper single-core / dual-core configurations with the scaled interval and
 /// the churn damping applied.

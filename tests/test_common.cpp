@@ -1,15 +1,22 @@
 // Unit tests for src/common: rng, stats, config, table, csv, env, types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "common/bytes.hpp"
 #include "common/config.hpp"
 #include "common/csv.hpp"
 #include "common/env.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -236,6 +243,197 @@ TEST(Env, ReadsAndFallsBack) {
   EXPECT_EQ(env_u64("ESTEEM_TEST_ENV_U64", 7), 7u);
   ::unsetenv("ESTEEM_TEST_ENV_U64");
   EXPECT_EQ(env_str("ESTEEM_TEST_ENV_STR", "dflt"), "dflt");
+}
+
+// ---------------------------------------------------------------------------
+// common/json
+
+TEST(Json, EscapeParseRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all += static_cast<char>(c);
+  all += '\0';
+  const std::string quoted = '"' + json::escape(all) + '"';
+  EXPECT_EQ(json::parse(quoted).as_string(), all);
+  // Quotes, backslashes and control bytes are escaped; the short forms win.
+  EXPECT_EQ(json::escape("a\\b\"c\n\t\r"), "a\\\\b\\\"c\\n\\t\\r");
+  EXPECT_EQ(json::escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json::escape("plain/utf8 \xc3\xa9"), "plain/utf8 \xc3\xa9");
+  // Foreign escapes decode too, surrogate pairs to UTF-8.
+  EXPECT_EQ(json::parse(R"("\/\b\f\u00e9\ud83d\ude00")").as_string(),
+            "/\b\f\xc3\xa9\xf0\x9f\x98\x80");
+}
+
+TEST(Json, NumbersRoundTripExactly) {
+  for (const double v : {1.0 / 3.0, 0.1, -7.02e-17, 1.2345678901234567e18, 123456789.123456789,
+                         5e-324, std::numeric_limits<double>::max(), -0.0, 0.0}) {
+    const double back = json::parse(json::number(v)).as_f64();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back), std::bit_cast<std::uint64_t>(v))
+        << json::number(v);
+  }
+  EXPECT_TRUE(std::isinf(json::parse(json::number(HUGE_VAL)).as_f64()));
+  EXPECT_TRUE(std::isnan(json::parse(json::number(std::nan(""))).as_f64()));
+
+  // A u64 above 2^53 keeps its raw token, so it survives exactly.
+  const std::uint64_t big = 0x8000000000000001ULL;
+  const json::Value v = json::parse("[" + std::to_string(big) + "]").as_array()[0];
+  EXPECT_EQ(v.text(), "9223372036854775809");
+  EXPECT_EQ(v.as_u64(), big);
+  EXPECT_NE(static_cast<std::uint64_t>(v.as_f64()), big);
+  EXPECT_EQ(json::parse("-9223372036854775808").as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW((void)json::parse("1.5").as_u64(), json::Error);
+  EXPECT_THROW((void)json::parse("\"1\"").as_f64(), json::Error);
+}
+
+TEST(Json, ObjectKeyOrderIsPreserved) {
+  const json::Value v = json::parse(R"({"z":1, "a":[true,false,null], "m":{"k":"v"}, "a":2})");
+  ASSERT_TRUE(v.is_object());
+  ASSERT_EQ(v.size(), 4u);
+  EXPECT_EQ(v.key(0), "z");
+  EXPECT_EQ(v.key(1), "a");
+  EXPECT_EQ(v.key(2), "m");
+  EXPECT_EQ(v.key(3), "a");
+  EXPECT_EQ(v.at("a").size(), 3u);  // find() returns the first duplicate
+  EXPECT_TRUE(v.at("a").item(0).boolean());
+  EXPECT_EQ(v.at("a").item(2).kind(), json::Value::Kind::kNull);
+  EXPECT_EQ(v.at("m").at("k").as_string(), "v");
+  EXPECT_EQ(v.find("missing"), nullptr);
+  EXPECT_THROW((void)v.at("missing"), json::Error);
+  EXPECT_THROW((void)v.at("z").at("x"), json::Error);
+}
+
+TEST(Json, RejectsTruncatedTrailingAndBadInput) {
+  const std::string doc = R"({"a":[1,2.5e-3,"x\n"],"b":{"c":-0.5}})";
+  ASSERT_NO_THROW((void)json::parse(doc));
+  for (std::size_t n = 0; n < doc.size(); ++n) {
+    EXPECT_THROW((void)json::parse(doc.substr(0, n)), json::Error) << doc.substr(0, n);
+  }
+  for (const char* bad :
+       {"{} x", "{}{}", "[1,]", "{\"a\"}", "{\"a\":1,}", "{a:1}", "\"\\x\"", "\"\\u12\"",
+        "\"\\ud800\"", "\"\\udc00\"", "\"tab\there\"", "01", "1.", "+1", ".5", "0x10", "1e",
+        "inf1", "tru", "nul", "[1 2]"}) {
+    EXPECT_THROW((void)json::parse(bad), json::Error) << bad;
+    EXPECT_FALSE(json::try_parse(bad).has_value()) << bad;
+  }
+  // Deep nesting is refused instead of exhausting the stack.
+  EXPECT_THROW((void)json::parse(std::string(10000, '[')), json::Error);
+  EXPECT_NO_THROW((void)json::parse(std::string(64, '[') + std::string(64, ']')));
+}
+
+// Totality: parse never crashes, hangs or accepts a value it cannot render
+// back to an equal tree, over deterministic byte mutations of a real line.
+TEST(Json, ParseIsTotalOverMutatedBytes) {
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  auto next = [&rng]() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  const std::string line =
+      R"({"cycle":100,"ratio":0.33333333333333331,"s":"a\"b\u0001","xs":[1,[2,{}]],"t":true})";
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string m = line;
+    for (int e = 0, edits = 1 + static_cast<int>(next() % 3); e < edits; ++e) {
+      switch (next() % 3) {
+        case 0: m[next() % m.size()] = static_cast<char>(next() & 0xFF); break;
+        case 1: m.resize(next() % (m.size() + 1)); break;
+        default:
+          m.insert(m.begin() + static_cast<std::ptrdiff_t>(next() % (m.size() + 1)),
+                   static_cast<char>(next() & 0xFF));
+      }
+      if (m.empty()) m = "x";
+    }
+    const auto v = json::try_parse(m);
+    if (!v) continue;
+    ++accepted;
+    if (v->is_string()) {
+      EXPECT_EQ(json::parse('"' + json::escape(v->text()) + '"').text(), v->text());
+    }
+  }
+  EXPECT_GT(accepted, 0u);  // Some mutants (e.g. changed digits) stay valid.
+}
+
+TEST(Json, StrictTokenParsers) {
+  std::uint64_t u = 0;
+  EXPECT_TRUE(json::parse_u64("18446744073709551615", u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "18446744073709551616", "-1", " 1", "1 ", "+1", "1e3", "0x1"}) {
+    EXPECT_FALSE(json::parse_u64(bad, u)) << bad;
+  }
+  std::int64_t i = 0;
+  EXPECT_TRUE(json::parse_i64("-42", i));
+  EXPECT_EQ(i, -42);
+  EXPECT_FALSE(json::parse_i64("9223372036854775808", i));
+  EXPECT_FALSE(json::parse_i64("-", i));
+  double d = 0.0;
+  EXPECT_TRUE(json::parse_f64("-1.000", d));
+  EXPECT_EQ(d, -1.0);
+  for (const char* bad : {"", "1e", "abc", " 1", "1 ", "0x10", "nan(1)"}) {
+    EXPECT_FALSE(json::parse_f64(bad, d)) << bad;
+  }
+}
+
+TEST(Json, ScrubReplacesUnsafeBytes) {
+  EXPECT_EQ(json::scrub("a\"b\\c\nd\x01" "e"), "a_b_c_d_e");
+  EXPECT_EQ(json::scrub("host-1:42"), "host-1:42");
+}
+
+// ---------------------------------------------------------------------------
+// One interval-scaling rule
+
+TEST(ScaledInterval, MatchesTheCliFormulaForEveryInstr) {
+  const SystemConfig base = SystemConfig::single_core();
+  for (instr_t instr = 1; instr <= 20'000'000; instr += 997) {
+    SystemConfig cfg = base;
+    apply_scaled_interval(cfg, instr);
+    // The CLI's historical default-config formula.
+    const cycle_t cli = std::max<cycle_t>(
+        base.retention_cycles(),
+        static_cast<cycle_t>(10e6 * 4.0 * static_cast<double>(instr) / 400e6));
+    ASSERT_EQ(cfg.esteem.interval_cycles, cli) << "instr=" << instr;
+    ASSERT_EQ(cfg.esteem.hysteresis_intervals, kScaledHysteresis);
+    ASSERT_EQ(cfg.esteem.shrink_confirm_intervals, kScaledShrinkConfirm);
+  }
+  // Multiply-before-divide: divide-first rounds 1 cycle lower here.
+  EXPECT_EQ(scaled_interval(base, 1'011'000), 101'100u);
+}
+
+TEST(ScaledInterval, MatchesTheGoldenScalesDivideFirstForm) {
+  SystemConfig retention40 = SystemConfig::single_core();
+  retention40.edram.retention_us = 40.0;
+  for (const SystemConfig& cfg : {SystemConfig::single_core(), SystemConfig::dual_core(),
+                                  retention40}) {
+    struct Case {
+      instr_t instr;
+      double env;
+      double factor;
+    };
+    for (const Case c : {Case{300'000, 4, 1}, Case{400'000, 4, 1}, Case{200'000, 4, 1},
+                         Case{8'000'000, 4, 0.5}, Case{8'000'000, 4, 1},
+                         Case{8'000'000, 4, 1.5}, Case{kPaperInstrPerCore, 1, 1}}) {
+      const double scale = static_cast<double>(c.instr) / kPaperInstrPerCore;
+      const cycle_t divide_first = std::max<cycle_t>(
+          cfg.retention_cycles(),
+          static_cast<cycle_t>(kPaperIntervalCycles * scale * c.env * c.factor));
+      EXPECT_EQ(scaled_interval(cfg, c.instr, c.env, c.factor), divide_first)
+          << c.instr << " x" << c.factor;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One FNV-1a
+
+TEST(Fnv1a, ChainedPiecesEqualTheConcatenation) {
+  EXPECT_EQ(fnv1a(kFnv1aBasis, ""), kFnv1aBasis);
+  EXPECT_EQ(fnv1a(kFnv1aBasis, "a"), 0xaf63dc4c8601ec8cULL);  // published vector
+  const std::string owner = "host:4242", t = "1722988800123", n = "7";
+  std::uint64_t chained = fnv1a(kFnv1aBasis, owner);
+  chained = fnv1a(chained, t);
+  chained = fnv1a(chained, n);
+  EXPECT_EQ(chained, fnv1a(kFnv1aBasis, owner + t + n));
 }
 
 }  // namespace

@@ -367,13 +367,9 @@ constexpr const char* kPinnedCsv =
 TEST(ExhaustiveCsv, ByteIdenticalToPrePaperSamplingPin) {
   constexpr instr_t kInstr = 200'000;
   // The CLI's paper-default policy for a single-core sweep: scale the
-  // 10M-cycle interval to the shortened run (tools/sweep_cli_common.hpp).
+  // 10M-cycle interval to the shortened run.
   SystemConfig cfg = SystemConfig::single_core();
-  cfg.esteem.interval_cycles = std::max<cycle_t>(
-      cfg.retention_cycles(),
-      static_cast<cycle_t>(10e6 * 4.0 * static_cast<double>(kInstr) / 400e6));
-  cfg.esteem.hysteresis_intervals = 2;
-  cfg.esteem.shrink_confirm_intervals = 2;
+  apply_scaled_interval(cfg, kInstr);
 
   SweepSpec spec;
   spec.config = cfg;

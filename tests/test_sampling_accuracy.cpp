@@ -32,14 +32,10 @@ constexpr instr_t kWarmup = 1'600'000;
 constexpr double kBiasAllowancePct = 2.0;
 
 SweepSpec bench_spec(bool sampled) {
-  // The CLI's paper-default policy for a single-core sweep at this length
-  // (tools/sweep_cli_common.hpp): interval scaled to the shortened run.
+  // The CLI's paper-default policy for a single-core sweep at this length:
+  // interval scaled to the shortened run.
   SystemConfig cfg = SystemConfig::single_core();
-  cfg.esteem.interval_cycles = std::max<cycle_t>(
-      cfg.retention_cycles(),
-      static_cast<cycle_t>(10e6 * 4.0 * static_cast<double>(kInstr) / 400e6));
-  cfg.esteem.hysteresis_intervals = 2;
-  cfg.esteem.shrink_confirm_intervals = 2;
+  apply_scaled_interval(cfg, kInstr);
   if (sampled) {
     cfg.sampling.enabled = true;
     cfg.sampling.window_instr = 40'000;

@@ -4,13 +4,17 @@
 // byte-identity against run_sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/fault_plan.hpp"
 #include "common/bytes.hpp"
 #include "resilience/journal_file.hpp"
 #include "resilience/shutdown.hpp"
@@ -772,19 +776,51 @@ TEST(FleetStatusView, MetricsWriterExplainsMissingSidecars) {
 
 // ----------------------------------------------------------------- chaos gate
 
-TEST(ServiceChaos, CrashKnobIsEnvGated) {
-  SystemConfig cfg = tiny();
-  cfg.service.crash_after_rows = 7;
-  ::unsetenv("ESTEEM_CHAOS");
-  ::unsetenv("ESTEEM_CRASH_AFTER_ROWS");
-  EXPECT_EQ(resolve_crash_after_rows(cfg), 0u);  // config alone never arms it
+/// Records every injection point consulted; injects nothing.
+class RecordingPlan final : public chaos::FaultPlan {
+ public:
+  explicit RecordingPlan(std::vector<std::string>& seen) : seen_(seen) {}
+  chaos::Injection at(const std::string& point) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    seen_.push_back(point);
+    return {};
+  }
 
-  ::setenv("ESTEEM_CHAOS", "1", 1);
-  EXPECT_EQ(resolve_crash_after_rows(cfg), 7u);
-  ::setenv("ESTEEM_CRASH_AFTER_ROWS", "2", 1);
-  EXPECT_EQ(resolve_crash_after_rows(cfg), 2u);
-  ::unsetenv("ESTEEM_CHAOS");
-  ::unsetenv("ESTEEM_CRASH_AFTER_ROWS");
+ private:
+  std::mutex mutex_;
+  std::vector<std::string>& seen_;
+};
+
+TEST(ServiceChaos, AfterClaimCrashpointFiresOncePerClaim) {
+  // The explorer derives a crash leg from every registered kCrash point.
+  bool registered = false;
+  for (const chaos::PointInfo& p : chaos::injection_points()) {
+    if (std::string(p.name) == "worker.crash.after_claim") {
+      registered = p.kind == chaos::OpKind::kCrash;
+    }
+  }
+  EXPECT_TRUE(registered);
+
+  const TempDir dir("after-claim");
+  const sim::SweepSpec spec = tiny_sweep({"gamess", "gobmk"}, {sim::Technique::RefrintRPV});
+  std::string plan_error;
+  ASSERT_TRUE(plan_service(dir.str(), spec, plan_error)) << plan_error;
+
+  resilience::clear_shutdown();
+  const std::string saved_memo = sim::RunCache::instance().disk_dir();
+  std::vector<std::string> seen;
+  chaos::install_plan(std::make_unique<RecordingPlan>(seen));
+  WorkerOptions wopts;
+  wopts.dir = dir.str();
+  wopts.owner = "recorder";
+  wopts.quiet = true;
+  const WorkerReport rep = run_worker(wopts);
+  chaos::disarm();
+  sim::RunCache::instance().set_disk_dir(saved_memo);
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  EXPECT_EQ(rep.rows_completed, 2u);
+  // Hit i is the (i+1)-th claim, so "@1=crash" dies holding the second lease.
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), "worker.crash.after_claim"), 2);
 }
 
 }  // namespace

@@ -385,9 +385,6 @@ TEST(TraceEmitter, EmitsChromeTraceEvents) {
   EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
   EXPECT_NE(json.find("\"hits\":12"), std::string::npos);
   EXPECT_NE(json.find("mcf.esteem.s42"), std::string::npos);
-
-  // Quotes, backslashes and control characters must be escaped for embedding.
-  EXPECT_EQ(TraceEmitter::json_escape("a\\b\"c\n"), "a\\\\b\\\"c\\n");
 }
 
 TEST(PhaseProfiler, ScopedTimerAccumulates) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "validation/fidelity.hpp"
 #include "validation/figures.hpp"
@@ -140,6 +143,15 @@ TEST(Golden, SerializationIsStable) {
   // Render -> parse -> render must be byte-identical (CI diffs the file).
   const std::string once = golden_to_json(sample_golden());
   EXPECT_EQ(golden_to_json(golden_from_json(once)), once);
+}
+
+TEST(Golden, CommittedFileReserializesByteIdentical) {
+  const std::string path = std::string(ESTEEM_SOURCE_DIR) + "/validation/golden.json";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(golden_to_json(load_golden(path)), bytes.str());
 }
 
 TEST(Golden, VersionMismatchIsRejected) {

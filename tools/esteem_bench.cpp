@@ -147,11 +147,7 @@ int main(int argc, char** argv) {
   spec.warmup_instr_per_core = warmup;
   spec.threads = jobs;
   // Same interval scaling rule as the CLI's default sweep configuration.
-  spec.config.esteem.interval_cycles = std::max<cycle_t>(
-      spec.config.retention_cycles(),
-      static_cast<cycle_t>(10e6 * 4.0 * static_cast<double>(instr) / 400e6));
-  spec.config.esteem.hysteresis_intervals = 2;
-  spec.config.esteem.shrink_confirm_intervals = 2;
+  apply_scaled_interval(spec.config, instr);
 
   const unsigned threads = sim::TaskPool::resolve_threads(jobs);
   const std::size_t runs_per_sweep =

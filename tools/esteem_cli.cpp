@@ -408,11 +408,7 @@ int main(int argc, char** argv) {
       cfg = benchmarks.size() >= 2 ? SystemConfig::dual_core()
                                    : SystemConfig::single_core();
       cfg.ncores = static_cast<std::uint32_t>(benchmarks.size());
-      cfg.esteem.interval_cycles = std::max<cycle_t>(
-          cfg.retention_cycles(),
-          static_cast<cycle_t>(10e6 * 4.0 * static_cast<double>(instr) / 400e6));
-      cfg.esteem.hysteresis_intervals = 2;
-      cfg.esteem.shrink_confirm_intervals = 2;
+      apply_scaled_interval(cfg, instr);
     }
     if (benchmarks.size() != cfg.ncores) {
       usage("workload count must match the configured core count");

@@ -39,9 +39,9 @@
 // | 5 interrupted (SIGINT/SIGTERM) | 6 integrity conflict (differing cell
 // digests) | 7 --timeout-ms elapsed unresolved.
 //
-// Chaos drills: setting ESTEEM_CHAOS arms [service] crash_after_rows (and
-// ESTEEM_CRASH_AFTER_ROWS overrides it per process); an armed worker
-// self-SIGKILLs mid-lease after completing that many rows.
+// Chaos drills: ESTEEM_CHAOS_SCHEDULE="worker.crash.after_claim@1=crash"
+// makes a worker complete one row, claim the next and SIGKILL itself
+// holding that lease (hit indices are 0-based).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -51,11 +51,7 @@ inline SystemConfig default_sweep_config(const trace::Workload& first, instr_t i
                                                   : SystemConfig::single_core();
   cfg.ncores =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, first.benchmarks.size()));
-  cfg.esteem.interval_cycles = std::max<cycle_t>(
-      cfg.retention_cycles(),
-      static_cast<cycle_t>(10e6 * 4.0 * static_cast<double>(instr) / 400e6));
-  cfg.esteem.hysteresis_intervals = 2;
-  cfg.esteem.shrink_confirm_intervals = 2;
+  apply_scaled_interval(cfg, instr);
   return cfg;
 }
 
