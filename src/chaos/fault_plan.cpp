@@ -23,21 +23,14 @@ std::atomic<std::uint64_t> g_injections{0};
 }  // namespace
 
 const std::vector<PointInfo>& injection_points() {
-  // One row per seam call site. Domains: "sweep" = the sweep journal the CLI
-  // resumes from, "lease" = the service lease table, "sidecar" = observer
-  // per-worker telemetry journals, "memo" = the run-memo cache store path,
+  // One row per seam call site. Domains: "lease" = the service lease table,
+  // "sidecar" = observer per-worker telemetry journals, "memo" = the run-memo
+  // cache store path (which a resumed CLI sweep restores from),
   // "lock" = the lock-file lease fallback, "worker" = the service worker
   // loop. A plain JournalFile outside those subsystems uses the default
   // "journal" domain, which is deliberately not registered (nothing durable
   // ships with it).
   static const std::vector<PointInfo> kPoints = {
-      {"sweep.open", OpKind::kOpen, "open/create the sweep journal"},
-      {"sweep.append.write", OpKind::kWrite, "append a sweep journal record"},
-      {"sweep.append.fsync", OpKind::kFsync, "fsync after a sweep append"},
-      {"sweep.crash.before_append", OpKind::kCrash,
-       "die before a sweep record is written"},
-      {"sweep.crash.after_append", OpKind::kCrash,
-       "die after a sweep record is durable"},
       {"lease.open", OpKind::kOpen, "open/create the service lease journal"},
       {"lease.append.write", OpKind::kWrite, "append a lease-table record"},
       {"lease.append.fsync", OpKind::kFsync, "fsync after a lease append"},

@@ -1,5 +1,6 @@
 // Canonical little-endian byte codec shared by every subsystem that
-// serializes binary records (the RunOutcome memo cache, the sweep journal).
+// serializes binary records (the RunOutcome memo cache, the service wire and
+// cell codecs).
 // One encoding means a fingerprint computed by one layer and a payload
 // written by another can never disagree about field layout.
 //

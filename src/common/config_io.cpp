@@ -460,7 +460,7 @@ std::string config_doc_markdown(const SystemConfig& defaults) {
      << "Each section is classified as **semantic** or **execution policy**:\n"
      << "semantic keys determine what a run computes, so they are part of the\n"
      << "memo-cache fingerprint and the sweep hash (changing one invalidates\n"
-     << "cached outcomes and resume journals). Execution-policy keys only\n"
+     << "cached outcomes and service journals). Execution-policy keys only\n"
      << "govern how runs execute or are watched — deadlines, leases, telemetry\n"
      << "flushes — and are excluded from both: changing them never changes\n"
      << "result bytes. The `[sampling]` section is semantic even though it\n"

@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the integrity checksum used
-// by the sweep journal (per record line) and the disk memo cache (per file
+// by the journal files (per record line) and the disk memo cache (per file
 // payload). A CRC is enough here: the threat model is torn writes, truncated
 // files and bit rot, not an adversary.
 #pragma once

@@ -22,8 +22,8 @@
 // an intact record that a missing newline glued onto a torn fragment —
 // instead of refusing the journal.
 //
-// This layer knows nothing about sweeps; sim/sweep_journal.hpp gives the
-// records their meaning.
+// This layer knows nothing about sweeps; service/lease_table.hpp and
+// service/observer.hpp give the records their meaning.
 #pragma once
 
 #include <cstddef>
@@ -89,7 +89,7 @@ class JournalFile {
   /// `d` consults `d.open`, `d.append.write`, `d.append.fsync`,
   /// `d.crash.before_append`, `d.crash.after_append`. Call before open();
   /// the default domain is "journal" (unregistered — fault plans target the
-  /// registered domains: "sweep", "lease", "sidecar").
+  /// registered domains: "lease", "sidecar").
   void set_domain(const std::string& domain);
 
   /// Opens `path` for appending. `truncate` starts a fresh journal;

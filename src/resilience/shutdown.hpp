@@ -6,8 +6,9 @@
 // we need) and then re-arms the signal to its default disposition, so a
 // *second* Ctrl-C force-kills a process that is stuck draining. The sweep
 // scheduler polls shutdown_requested() at every task boundary: queued tasks
-// drain without executing, in-flight simulations finish, the journal and
-// telemetry are flushed, and the caller exits with kExitInterrupted.
+// drain without executing, in-flight simulations finish (and land in the
+// memo directory), telemetry is flushed, and the caller exits with
+// kExitInterrupted.
 //
 // request_shutdown()/clear_shutdown() expose the same flag to tests and to
 // embedding code that wants cooperative cancellation without signals.

@@ -7,8 +7,8 @@
 
 #include "resilience/shutdown.hpp"
 #include "service/observer.hpp"
+#include "service/wire.hpp"
 #include "sim/report.hpp"
-#include "sim/sweep_journal.hpp"
 
 namespace esteem::service {
 
@@ -55,7 +55,7 @@ sim::SweepResult aggregate_rows(const LeaseTable& table, const TableState& state
         continue;
       }
       std::vector<sim::TechniqueComparison> decoded;
-      if (!sim::decode_comparisons(cell.data, 1, decoded)) {
+      if (!decode_comparisons(cell.data, 1, decoded)) {
         all_done = false;  // Undecodable despite a valid CRC: binary skew.
         continue;
       }

@@ -9,7 +9,6 @@
 #include "resilience/lock_file.hpp"
 #include "service/wire.hpp"
 #include "sim/run_cache.hpp"
-#include "sim/sweep_journal.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace esteem::service {
@@ -101,12 +100,10 @@ bool LeaseTable::create(const std::string& dir, const sim::SweepSpec& spec,
   dir_ = dir;
   owner_ = owner_label(owner);
   spec_ = spec;
-  // The journal/resume/thread plumbing belongs to the process that built the
-  // spec, not to the sweep's identity; rows are computed one lease at a time.
-  spec_.journal = nullptr;
-  spec_.resume = nullptr;
+  // The thread count belongs to the process that built the spec, not to the
+  // sweep's identity; rows are computed one lease at a time.
   spec_.threads = 1;
-  sweep_hash_ = sim::sweep_fingerprint_hash(spec_);
+  sweep_hash_ = sweep_fingerprint_hash(spec_);
 
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -166,7 +163,7 @@ bool LeaseTable::open(const std::string& dir, const std::string& owner) {
     return false;
   }
   std::uint64_t stored_hash = 0;
-  sweep_hash_ = sim::sweep_fingerprint_hash(spec_);
+  sweep_hash_ = sweep_fingerprint_hash(spec_);
   if (!parse_hex_u64(header->field("hash"), stored_hash) || stored_hash != sweep_hash_) {
     // The decoded spec does not hash to what the planner recorded: either
     // the codec dropped a field or the binaries disagree about the
@@ -352,7 +349,7 @@ bool LeaseTable::renew(const LeaseClaim& claim, std::int64_t now_ms) {
 
 AppendStatus LeaseTable::complete(const LeaseClaim& claim,
                                   const sim::TechniqueComparison& comparison) {
-  const std::string data = sim::encode_comparisons({comparison});
+  const std::string data = encode_comparisons({comparison});
   const std::uint64_t digest = sim::fingerprint_hash(data);
 
   const TableState st = load_state();

@@ -1,11 +1,12 @@
-// Canonical byte codec for shipping a SweepSpec through the service
-// journal, so N worker processes reconstruct the coordinator's sweep
-// bit-exactly (INI round-trips truncate floats; this codec is f64-exact).
+// Canonical byte codecs of the service journal: the SweepSpec in the `svc`
+// header, so N worker processes reconstruct the coordinator's sweep
+// bit-exactly (INI round-trips truncate floats; this codec is f64-exact),
+// the sweep identity hash stored beside it, and the comparison bytes of
+// each `cell` record.
 //
 // Only result-determining fields plus the execution-policy sections
-// ([resilience], [service], [observability]) are encoded; the journal/resume
-// pointers and the thread count are deliberately excluded — they never
-// change a row's bytes.
+// ([resilience], [service], [observability]) are encoded; the thread count
+// is deliberately excluded — it never changes a row's bytes.
 //
 // Skew guard: the service header stores both these bytes and the sweep's
 // fingerprint hash. A worker recomputes the hash from the *decoded* spec and
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/runner.hpp"
 
@@ -33,5 +35,16 @@ std::string encode_sweep_spec(const sim::SweepSpec& spec);
 /// Inverse of encode_sweep_spec into a default-constructed spec; false on
 /// truncation, trailing bytes, or a version mismatch.
 bool decode_sweep_spec(const std::string& bytes, sim::SweepSpec& out);
+
+/// Stable identity of a sweep, stored in the service header: a hash over
+/// everything that determines a cell's bytes (config, techniques, seed,
+/// budgets) except the workload list.
+std::uint64_t sweep_fingerprint_hash(const sim::SweepSpec& spec);
+
+/// Canonical byte encoding of a comparison vector — the `data` of a service
+/// `cell` record.
+std::string encode_comparisons(const std::vector<sim::TechniqueComparison>& comparisons);
+bool decode_comparisons(const std::string& bytes, std::size_t n_techniques,
+                        std::vector<sim::TechniqueComparison>& out);
 
 }  // namespace esteem::service

@@ -80,7 +80,7 @@ std::string figure_report(const SweepResult& result, const std::string& title) {
     std::size_t skipped = 0;
     for (const WorkloadRow& row : result.rows) skipped += row.skipped ? 1 : 0;
     os << "interrupted: shutdown requested; " << skipped
-       << " workload(s) skipped (resume with --resume)\n";
+       << " workload(s) skipped (rerun with the same --journal DIR to resume)\n";
   }
   if (!result.errors.empty()) {
     os << "errors (" << result.errors.size() << "):\n";

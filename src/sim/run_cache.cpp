@@ -486,9 +486,15 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
   const std::string dir = disk_dir();
   if (dir.empty()) return;
 
+  // Persistence never fails the run — the in-memory entry stands — but a
+  // spill that does not land is counted: the memo directory is what a
+  // resumed sweep restores from.
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  if (ec) return;  // persistence is best-effort; the in-memory entry stands
+  if (ec) {
+    note_store_error(ec.message().c_str());
+    return;
+  }
 
   ByteWriter payload_w;
   payload_w.str(fingerprint);
@@ -511,7 +517,10 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
 #if defined(_WIN32)
   {
     std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
-    if (!outf.good()) return;
+    if (!outf.good()) {
+      note_store_error("cannot open temp file");
+      return;
+    }
     outf.write(file.data(), static_cast<std::streamsize>(file.size()));
     if (!outf.good()) {
       outf.close();
@@ -523,7 +532,10 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
 #else
   {
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) return;
+    if (fd < 0) {
+      note_store_error(std::strerror(errno));
+      return;
+    }
     std::size_t off = 0;
     while (off < file.size()) {
       const ssize_t n = chaos::px_write("memo.tmp.write", fd,

@@ -22,6 +22,13 @@
 // and the `memo.quarantined` telemetry counter, and the outcome is
 // transparently recomputed and re-stored. Delete the directory after
 // changing simulator behaviour — the fingerprint hashes inputs, not code.
+//
+// The memo directory is also the sweep resume format (DESIGN.md §11):
+// `esteem_cli --journal DIR` points it at DIR, every finished run is
+// published durably (fsync before the rename), and rerunning the same
+// command restores those runs as disk hits. A failed spill is therefore
+// never silent: it is counted in stats().store_errors, the
+// `memo.store_errors` counter and a stderr line.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +49,9 @@ std::string run_spec_fingerprint(const RunSpec& spec);
 /// log lines.
 std::uint64_t fingerprint_hash(const std::string& fingerprint);
 
-/// FNV-1a over the canonical serialized form of a RunOutcome. Journal
-/// records carry this digest so a resume can assert that a replayed row
-/// matches what the interrupted process computed, bit for bit.
+/// FNV-1a over the canonical serialized form of a RunOutcome: a short,
+/// bit-exact identity for comparing outcomes across processes (the
+/// benchmark harness pins its result digests with it).
 std::uint64_t outcome_digest(const RunOutcome& outcome);
 
 struct RunCacheStats {
@@ -83,7 +90,7 @@ class RunCache {
   void reset_stats();
 
   /// Enables ("" disables) on-disk persistence. The directory is created on
-  /// first store.
+  /// first store; failing to create it counts as a store error.
   void set_disk_dir(std::string dir);
   std::string disk_dir() const;
 

@@ -6,7 +6,9 @@
 // run instead of slowest_workload x (1 + |techniques|). Every run goes
 // through the process-wide RunOutcome memo cache (sim/run_cache.hpp), so
 // repeated sweeps — and other benches in the same process — never recompute
-// an identical experiment.
+// an identical experiment. With a memo directory set, that cache is also how
+// a killed sweep resumes: every finished run is already on disk, and a rerun
+// over the same directory restores it instead of simulating (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -19,9 +21,6 @@
 
 namespace esteem::sim {
 
-class SweepJournal;
-struct SweepResumeState;
-
 struct SweepSpec {
   SystemConfig config;
   std::vector<trace::Workload> workloads;
@@ -32,13 +31,6 @@ struct SweepSpec {
   instr_t warmup_instr_per_core = 0;
   /// 0 = use hardware concurrency.
   unsigned threads = 0;
-  /// Optional crash-safe journal (sim/sweep_journal.hpp): every completed
-  /// workload row is appended (and fsync'd) the moment its last technique
-  /// finishes. Not owned.
-  SweepJournal* journal = nullptr;
-  /// Optional resume state loaded from a prior journal: workloads found
-  /// there are restored bit-exactly instead of re-run. Not owned.
-  const SweepResumeState* resume = nullptr;
 };
 
 struct WorkloadRow {
@@ -52,8 +44,6 @@ struct WorkloadRow {
   /// True when the row was never evaluated because shutdown was requested
   /// mid-sweep; such rows carry no error and re-run on resume.
   bool skipped = false;
-  /// True when the row was restored from a resume journal instead of run.
-  bool resumed = false;
 };
 
 /// One failed workload evaluation, recorded instead of terminating the sweep.
@@ -103,13 +93,11 @@ RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
 
 /// run_experiment_cached under the sweep's resilience policy: a per-attempt
 /// watchdog deadline (a late result is discarded and surfaces as
-/// resilience::DeadlineExceeded), transient failures retried with capped
-/// exponential backoff, and — when `journal` is non-null — a durable
-/// (fingerprint -> outcome digest) audit record per completed run. Shared by
-/// the in-process scheduler and the service worker.
+/// resilience::DeadlineExceeded, though the memo cache keeps it) and
+/// transient failures retried with capped exponential backoff. Shared by the
+/// in-process scheduler and the service worker.
 std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& spec,
-                                              const std::string& label,
-                                              SweepJournal* journal);
+                                              const std::string& label);
 
 /// Maps the in-flight exception (rethrown internally) to a structured
 /// RunError for `workload`/`technique` — phase "deadline" for watchdog

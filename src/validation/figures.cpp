@@ -8,7 +8,6 @@
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
-#include "sim/sweep_journal.hpp"
 #include "trace/workloads.hpp"
 
 namespace esteem::validation {
@@ -101,8 +100,7 @@ SystemConfig figure_config(const FigureSpec& spec, const ScaleSpec& scale) {
 }
 
 FigureResult run_figure(const FigureSpec& spec, const ScaleSpec& scale,
-                        const std::function<void(SystemConfig&)>& mutate_config,
-                        const FigureRunOptions& options) {
+                        const std::function<void(SystemConfig&)>& mutate_config) {
   FigureResult result;
   result.spec = &spec;
   result.scale = scale;
@@ -122,34 +120,7 @@ FigureResult run_figure(const FigureSpec& spec, const ScaleSpec& scale,
   sweep.seed = scale.seed;
   sweep.threads = scale.threads;
 
-  // Crash safety: one journal per figure next to the validator's output.
-  // A resume restores completed rows bit-exactly; an incompatible journal
-  // (different config/scale) is ignored so the figure re-runs cleanly.
-  sim::SweepJournal journal;
-  sim::ResumeLoad resume;
-  if (!options.journal_dir.empty()) {
-    const std::string path = options.journal_dir + "/" + spec.id + ".journal";
-    if (options.resume) {
-      resume = sim::load_resume_state(path, sweep);
-      if (resume.ok) {
-        sweep.resume = &resume.state;
-        std::fprintf(stderr, "%s: resumed %zu row(s) from %s\n", spec.id.c_str(),
-                     resume.state.rows.size(), path.c_str());
-      } else {
-        std::fprintf(stderr, "%s: not resuming (%s)\n", spec.id.c_str(),
-                     resume.error.c_str());
-      }
-    }
-    if (journal.open(path, sweep)) {
-      sweep.journal = &journal;
-    } else {
-      std::fprintf(stderr, "%s: journaling disabled (%s)\n", spec.id.c_str(),
-                   journal.last_error().c_str());
-    }
-  }
-
   result.sweep = sim::run_sweep(sweep);
-  journal.close();
   bool any_completed = false;
   for (const sim::WorkloadRow& row : result.sweep.rows) {
     any_completed |= row.completed;

@@ -61,25 +61,13 @@ struct FigureResult {
 /// recompute-interval-after-retention-change order).
 SystemConfig figure_config(const FigureSpec& spec, const ScaleSpec& scale);
 
-/// Crash-safety options for run_figure (see sim/sweep_journal.hpp).
-struct FigureRunOptions {
-  /// When nonempty, each figure journals its completed rows to
-  /// `<journal_dir>/<figure-id>.journal` as it runs.
-  std::string journal_dir;
-  /// Restore rows from an existing journal before running (a journal
-  /// recorded by a different configuration is ignored with a warning — the
-  /// figure then simply re-runs from scratch).
-  bool resume = false;
-};
-
 /// Runs one figure through the memoized sweep scheduler. Summary averages
 /// cover completed workloads (std::runtime_error only if every row failed);
 /// callers that score the figure must gate on sweep.ok(). `mutate_config`
 /// (optional) perturbs the configuration before the run — the validator's
 /// deliberate-drift hook.
 FigureResult run_figure(const FigureSpec& spec, const ScaleSpec& scale,
-                        const std::function<void(SystemConfig&)>& mutate_config = {},
-                        const FigureRunOptions& options = {});
+                        const std::function<void(SystemConfig&)>& mutate_config = {});
 
 /// The full text a fig3-fig6 bench binary prints for this result: scale
 /// banner, per-workload figure report, and the paper-vs-measured summary

@@ -78,17 +78,17 @@ sim::RunSpec tiny_run(const std::string& workload) {
 TEST(SchedulePlan, ParsesEntriesHitsAndActions) {
   std::string error;
   auto plan = ScheduleFaultPlan::parse(
-      "sweep.append.write@2=enospc;memo.rename=dup;lease.append.fsync@*=eio;"
+      "lease.append.write@2=enospc;memo.rename=dup;lease.append.fsync@*=eio;"
       "memo.tmp.write@0=short:7", error);
   ASSERT_NE(plan, nullptr) << error;
 
   // hit 0 and 1 clean, hit 2 fails, hit 3 clean again.
-  EXPECT_TRUE(plan->at("sweep.append.write").none());
-  EXPECT_TRUE(plan->at("sweep.append.write").none());
-  const Injection inj = plan->at("sweep.append.write");
+  EXPECT_TRUE(plan->at("lease.append.write").none());
+  EXPECT_TRUE(plan->at("lease.append.write").none());
+  const Injection inj = plan->at("lease.append.write");
   EXPECT_EQ(inj.action, Injection::Action::kErrno);
   EXPECT_EQ(inj.err, ENOSPC);
-  EXPECT_TRUE(plan->at("sweep.append.write").none());
+  EXPECT_TRUE(plan->at("lease.append.write").none());
 
   // No '@hit' means hit 0.
   EXPECT_EQ(plan->at("memo.rename").action, Injection::Action::kRenameDuplicate);
@@ -122,20 +122,20 @@ TEST(SchedulePlan, RejectsMalformedSchedules) {
 TEST(SchedulePlan, InstallArmAndCountLifecycle) {
   Disarmed cleanup;
   EXPECT_FALSE(armed());
-  EXPECT_TRUE(consult("sweep.append.write").none());
+  EXPECT_TRUE(consult("lease.append.write").none());
 
   std::string error;
-  install_plan(ScheduleFaultPlan::parse("sweep.append.write@0=eio", error));
+  install_plan(ScheduleFaultPlan::parse("lease.append.write@0=eio", error));
   EXPECT_TRUE(armed());
   EXPECT_EQ(injection_count(), 0u);
-  EXPECT_EQ(consult("sweep.append.write").action, Injection::Action::kErrno);
+  EXPECT_EQ(consult("lease.append.write").action, Injection::Action::kErrno);
   EXPECT_EQ(injection_count(), 1u);
-  EXPECT_TRUE(consult("sweep.append.write").none());
+  EXPECT_TRUE(consult("lease.append.write").none());
   EXPECT_EQ(injection_count(), 1u);
 
   disarm();
   EXPECT_FALSE(armed());
-  EXPECT_TRUE(consult("sweep.append.write").none());
+  EXPECT_TRUE(consult("lease.append.write").none());
 }
 
 TEST(SchedulePlan, InstallFromEnvironment) {
@@ -144,7 +144,7 @@ TEST(SchedulePlan, InstallFromEnvironment) {
   EXPECT_FALSE(install_from_env());
   EXPECT_FALSE(armed());
 
-  ::setenv("ESTEEM_CHAOS_SCHEDULE", "sweep.append.write@0=eio", 1);
+  ::setenv("ESTEEM_CHAOS_SCHEDULE", "lease.append.write@0=eio", 1);
   EXPECT_TRUE(install_from_env());
   EXPECT_TRUE(armed());
   ::unsetenv("ESTEEM_CHAOS_SCHEDULE");
@@ -158,8 +158,8 @@ TEST(SchedulePlan, InstallFromEnvironment) {
 
 TEST(RandomPlan, DeterministicPerSeedAndBudgetCapped) {
   const std::vector<std::string> points = {
-      "sweep.append.write", "lease.append.fsync", "memo.rename",
-      "sidecar.open",       "sweep.append.write", "memo.tmp.write"};
+      "lease.append.write", "lease.append.fsync", "memo.rename",
+      "sidecar.open",       "lease.append.write", "memo.tmp.write"};
   auto run_plan = [&](std::uint64_t seed) {
     RandomFaultPlan plan(seed, /*rate_percent=*/60, /*max_injections=*/4);
     std::vector<Injection> out;
@@ -200,7 +200,7 @@ TEST(ZeroOverheadSeam, ArmedQuietPlanWritesIdenticalJournalBytes) {
   TempDir dir("seam-pin");
   auto write_journal = [&](const std::string& name) {
     resilience::JournalFile journal;
-    journal.set_domain("sweep");
+    journal.set_domain("lease");
     const std::string path = (dir.path / name).string();
     EXPECT_TRUE(journal.open(path, /*truncate=*/true));
     for (int i = 0; i < 5; ++i) {
@@ -308,9 +308,9 @@ TEST(JournalSeam, ShortWriteTearsLineAndLoaderSalvages) {
   const std::string path = (dir.path / "torn.jsonl").string();
 
   std::string error;
-  install_plan(ScheduleFaultPlan::parse("sweep.append.write@0=short:5", error));
+  install_plan(ScheduleFaultPlan::parse("lease.append.write@0=short:5", error));
   resilience::JournalFile journal;
-  journal.set_domain("sweep");
+  journal.set_domain("lease");
   ASSERT_TRUE(journal.open(path, /*truncate=*/true));
   resilience::JournalRecord rec;
   rec.kind = "row";
@@ -357,16 +357,16 @@ TEST(ChaosDeathTest, CrashpointKillsWithSigkill) {
       {
         std::string error;
         install_plan(
-            ScheduleFaultPlan::parse("sweep.crash.before_append@0=crash", error));
+            ScheduleFaultPlan::parse("lease.crash.before_append@0=crash", error));
         TempDir dir("death");
         resilience::JournalFile journal;
-        journal.set_domain("sweep");
+        journal.set_domain("lease");
         journal.open((dir.path / "j.jsonl").string(), true);
         resilience::JournalRecord rec;
         rec.kind = "row";
         journal.append(rec);
       },
-      ::testing::KilledBySignal(SIGKILL), "crash at sweep.crash.before_append");
+      ::testing::KilledBySignal(SIGKILL), "crash at lease.crash.before_append");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Tests for the RunOutcome memo cache: fingerprint stability/sensitivity,
-// hit-equals-fresh-run, exception semantics, and disk persistence.
+// hit-equals-fresh-run, exception semantics, disk persistence, and counted
+// store failures.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -258,6 +260,46 @@ TEST(RunCacheHealing, BadMagicIsQuarantinedAndRecomputed) {
     const char garbage[8] = {'n', 'o', 't', 'a', 'm', 'e', 'm', 'o'};
     io.write(garbage, sizeof garbage);
   });
+}
+
+// A spill that cannot land must be counted, not dropped silently: the memo
+// directory is what a resumed sweep restores from. A directory squatting on
+// the temp-file name makes open() fail with EISDIR, even for root.
+TEST(RunCacheStore, UnopenableTempFileIsCountedAndOutcomeReturned) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "esteem-memo-store-tmp";
+  fs::remove_all(dir);
+  const RunSpec spec = tiny_spec("gamess");
+  char name[48];
+  std::snprintf(name, sizeof name, "esteem-memo-%016llx.bin.tmp",
+                static_cast<unsigned long long>(
+                    fingerprint_hash(run_spec_fingerprint(spec))));
+  fs::create_directories(dir / name);
+
+  RunCache cache;
+  cache.set_disk_dir(dir.string());
+  const auto outcome = cache.get_or_run(spec);
+  ASSERT_NE(outcome, nullptr);
+  EXPECT_EQ(cache.stats().store_errors, 1u);
+  EXPECT_EQ(cache.stats().disk_stores, 0u);
+  expect_same_outcome(*outcome, run_experiment(spec));
+  fs::remove_all(dir);
+}
+
+// The memo directory itself cannot be created (its parent is a regular
+// file): counted as a store error, and the run still succeeds.
+TEST(RunCacheStore, UncreatableDirIsCountedAndOutcomeReturned) {
+  namespace fs = std::filesystem;
+  const fs::path blocker = fs::temp_directory_path() / "esteem-memo-store-blocker";
+  fs::remove_all(blocker);
+  std::ofstream(blocker) << "not a directory";
+
+  RunCache cache;
+  cache.set_disk_dir((blocker / "memo").string());
+  ASSERT_NE(cache.get_or_run(tiny_spec("gamess")), nullptr);
+  EXPECT_EQ(cache.stats().store_errors, 1u);
+  EXPECT_EQ(cache.stats().disk_stores, 0u);
+  fs::remove(blocker);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for the multi-process sweep service: spec wire codec, lease
+// Tests for the multi-process sweep service: spec wire codec, sweep
+// identity hash and cell comparison codec, lease
 // claim/renew/expiry/steal with injected clocks, zombie fencing, duplicate
 // dedupe, digest-conflict detection, and in-process worker/coordinator
 // byte-identity against run_sweep.
@@ -28,7 +29,6 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep_journal.hpp"
 
 namespace esteem::service {
 namespace {
@@ -62,7 +62,8 @@ SystemConfig tiny() {
 }
 
 sim::SweepSpec tiny_sweep(std::vector<std::string> workloads,
-                          std::vector<sim::Technique> techniques) {
+                          std::vector<sim::Technique> techniques = {
+                              sim::Technique::Esteem, sim::Technique::RefrintRPV}) {
   sim::SweepSpec spec;
   spec.config = tiny();
   for (const std::string& w : workloads) spec.workloads.push_back({w, {w}});
@@ -125,7 +126,7 @@ TEST(ServiceWire, RoundTripIsExact) {
   ASSERT_EQ(out.techniques.size(), 2u);
   EXPECT_EQ(out.techniques[0], sim::Technique::Esteem);
   // Decoded specs must hash identically — the service header's skew guard.
-  EXPECT_EQ(sim::sweep_fingerprint_hash(out), sim::sweep_fingerprint_hash(spec));
+  EXPECT_EQ(sweep_fingerprint_hash(out), sweep_fingerprint_hash(spec));
 }
 
 TEST(ServiceWire, RejectsTruncationTrailingBytesAndForeignVersion) {
@@ -224,6 +225,112 @@ TEST(ServiceWireFuzz, DecodeIsTotalAndAcceptedSpecsAreSelfConsistent) {
     for (int b = 0; b < 8; ++b) m[at + b] = static_cast<char>(0xFF);
     check(m);
   }
+}
+
+// --------------------------------------------- sweep hash and cell codec
+
+// Every field of a comparison set to a distinct value, so a codec that drops
+// or reorders one fails the round trip.
+sim::TechniqueComparison codec_comparison(double salt) {
+  sim::TechniqueComparison c;
+  c.workload = "mcf";
+  c.technique = sim::Technique::RefrintRPV;
+  c.energy_saving_pct = 12.25 + salt;
+  c.weighted_speedup = 1.0625;
+  c.fair_speedup = 1.03125;
+  c.rpki_base = 400.5;
+  c.rpki_tech = 100.125;
+  c.rpki_decrease = 300.375;
+  c.mpki_base = 2.5;
+  c.mpki_tech = 2.75;
+  c.mpki_increase = 0.25;
+  c.active_ratio_pct = 87.5;
+  c.ecc_corrected_reads = 11;
+  c.fault_refetches = 22;
+  c.fault_data_loss = 33;
+  c.fault_disabled_lines = 44;
+  c.correction_rpki = 0.0078125;
+  return c;
+}
+
+void expect_same_comparison(const sim::TechniqueComparison& a,
+                            const sim::TechniqueComparison& b) {
+  EXPECT_EQ(a.workload, b.workload);
+  EXPECT_EQ(a.technique, b.technique);
+  // Exact double equality on purpose: cells must decode bit-identically.
+  EXPECT_EQ(a.energy_saving_pct, b.energy_saving_pct);
+  EXPECT_EQ(a.weighted_speedup, b.weighted_speedup);
+  EXPECT_EQ(a.fair_speedup, b.fair_speedup);
+  EXPECT_EQ(a.rpki_base, b.rpki_base);
+  EXPECT_EQ(a.rpki_tech, b.rpki_tech);
+  EXPECT_EQ(a.rpki_decrease, b.rpki_decrease);
+  EXPECT_EQ(a.mpki_base, b.mpki_base);
+  EXPECT_EQ(a.mpki_tech, b.mpki_tech);
+  EXPECT_EQ(a.mpki_increase, b.mpki_increase);
+  EXPECT_EQ(a.active_ratio_pct, b.active_ratio_pct);
+  EXPECT_EQ(a.ecc_corrected_reads, b.ecc_corrected_reads);
+  EXPECT_EQ(a.fault_refetches, b.fault_refetches);
+  EXPECT_EQ(a.fault_data_loss, b.fault_data_loss);
+  EXPECT_EQ(a.fault_disabled_lines, b.fault_disabled_lines);
+  EXPECT_EQ(a.correction_rpki, b.correction_rpki);
+}
+
+TEST(SweepJournalCodec, ComparisonsRoundTripBitExactly) {
+  const std::vector<sim::TechniqueComparison> original{codec_comparison(0.0),
+                                                       codec_comparison(1.0)};
+  const std::string bytes = encode_comparisons(original);
+  std::vector<sim::TechniqueComparison> decoded;
+  ASSERT_TRUE(decode_comparisons(bytes, 2, decoded));
+  ASSERT_EQ(decoded.size(), 2u);
+  expect_same_comparison(decoded[0], original[0]);
+  expect_same_comparison(decoded[1], original[1]);
+}
+
+TEST(SweepJournalCodec, RejectsWrongArityAndTruncation) {
+  const std::vector<sim::TechniqueComparison> original{codec_comparison(0.0),
+                                                       codec_comparison(1.0)};
+  const std::string bytes = encode_comparisons(original);
+  std::vector<sim::TechniqueComparison> decoded;
+  EXPECT_FALSE(decode_comparisons(bytes, 3, decoded));
+  EXPECT_FALSE(decode_comparisons(bytes.substr(0, bytes.size() / 2), 2, decoded));
+  EXPECT_FALSE(decode_comparisons("", 1, decoded));
+}
+
+TEST(SweepJournalHash, IgnoresWorkloadListOnly) {
+  const sim::SweepSpec base = tiny_sweep({"gamess", "gobmk"});
+  const std::uint64_t h = sweep_fingerprint_hash(base);
+
+  // Sweeping a different workload subset is the SAME sweep: the service
+  // header identifies the config, not the row list.
+  EXPECT_EQ(sweep_fingerprint_hash(tiny_sweep({"gamess"})), h);
+  EXPECT_EQ(sweep_fingerprint_hash(tiny_sweep({"libquantum", "omnetpp"})), h);
+
+  // Everything that changes a row's bytes changes the hash.
+  sim::SweepSpec s = tiny_sweep({"gamess", "gobmk"});
+  s.seed = 43;
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+
+  s = tiny_sweep({"gamess", "gobmk"});
+  s.instr_per_core += 1;
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+
+  s = tiny_sweep({"gamess", "gobmk"});
+  s.techniques = {sim::Technique::RefrintRPV};
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+
+  s = tiny_sweep({"gamess", "gobmk"});
+  s.techniques = {sim::Technique::RefrintRPV, sim::Technique::Esteem};  // order matters
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+
+  s = tiny_sweep({"gamess", "gobmk"});
+  s.config.edram.retention_us += 1.0;
+  EXPECT_NE(sweep_fingerprint_hash(s), h);
+
+  // Thread count does NOT change row bytes (the runner promises
+  // schedule-independence), so it must not change the sweep's identity.
+  s = tiny_sweep({"gamess", "gobmk"});
+  s.threads = 8;
+  EXPECT_EQ(sweep_fingerprint_hash(s), h);
 }
 
 // ---------------------------------------------------------------- lease table
@@ -353,7 +460,7 @@ TEST(LeaseTable, ConflictingDigestsAreAHardIntegrityError) {
   // Forge what a mismatched binary would do: a second success cell for the
   // same row with a different digest (the append/append race the fence
   // cannot close is resolved at read time).
-  const std::string data = sim::encode_comparisons({sample_comparison(99.0)});
+  const std::string data = encode_comparisons({sample_comparison(99.0)});
   resilience::JournalFile raw;
   ASSERT_TRUE(raw.open(LeaseTable::journal_path(dir.str()), /*truncate=*/false));
   resilience::JournalRecord rec;

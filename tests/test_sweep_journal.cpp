@@ -1,20 +1,24 @@
-// Tests for the crash-safe sweep journal: row byte codec, sweep identity
-// hashing, journal-then-resume bit-identity, shutdown draining, and the
-// refuse-foreign-journal rule.
+// Tests for crash-safe sweeps: the run-memo directory is the journal. A
+// sweep run over a memo directory leaves every finished run there, and a
+// rerun over the same directory restores those runs as disk hits. These
+// tests pin subset -> superset resume, kill-and-resume, runs written under a
+// different seed or energy scale restoring nothing, damaged memo files, and
+// the deadline-on-resume rule, each against the CSV bytes of a fresh sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/fault_plan.hpp"
 #include "resilience/shutdown.hpp"
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep_journal.hpp"
 
 namespace esteem::sim {
 namespace {
@@ -46,51 +50,6 @@ SweepSpec tiny_sweep(std::vector<std::string> workloads) {
   return spec;
 }
 
-TechniqueComparison sample_comparison(double salt) {
-  TechniqueComparison c;
-  c.workload = "mcf";
-  c.technique = Technique::RefrintRPV;
-  c.energy_saving_pct = 12.25 + salt;
-  c.weighted_speedup = 1.0625;
-  c.fair_speedup = 1.03125;
-  c.rpki_base = 400.5;
-  c.rpki_tech = 100.125;
-  c.rpki_decrease = 300.375;
-  c.mpki_base = 2.5;
-  c.mpki_tech = 2.75;
-  c.mpki_increase = 0.25;
-  c.active_ratio_pct = 87.5;
-  c.ecc_corrected_reads = 11;
-  c.fault_refetches = 22;
-  c.fault_data_loss = 33;
-  c.fault_disabled_lines = 44;
-  c.correction_rpki = 0.0078125;
-  return c;
-}
-
-void expect_same_comparison(const TechniqueComparison& a,
-                            const TechniqueComparison& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.technique, b.technique);
-  // Exact double equality on purpose: the journal promises bit-identical
-  // restoration.
-  EXPECT_EQ(a.energy_saving_pct, b.energy_saving_pct);
-  EXPECT_EQ(a.weighted_speedup, b.weighted_speedup);
-  EXPECT_EQ(a.fair_speedup, b.fair_speedup);
-  EXPECT_EQ(a.rpki_base, b.rpki_base);
-  EXPECT_EQ(a.rpki_tech, b.rpki_tech);
-  EXPECT_EQ(a.rpki_decrease, b.rpki_decrease);
-  EXPECT_EQ(a.mpki_base, b.mpki_base);
-  EXPECT_EQ(a.mpki_tech, b.mpki_tech);
-  EXPECT_EQ(a.mpki_increase, b.mpki_increase);
-  EXPECT_EQ(a.active_ratio_pct, b.active_ratio_pct);
-  EXPECT_EQ(a.ecc_corrected_reads, b.ecc_corrected_reads);
-  EXPECT_EQ(a.fault_refetches, b.fault_refetches);
-  EXPECT_EQ(a.fault_data_loss, b.fault_data_loss);
-  EXPECT_EQ(a.fault_disabled_lines, b.fault_disabled_lines);
-  EXPECT_EQ(a.correction_rpki, b.correction_rpki);
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream os;
@@ -98,203 +57,149 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-TEST(SweepJournalCodec, ComparisonsRoundTripBitExactly) {
-  const std::vector<TechniqueComparison> original{sample_comparison(0.0),
-                                                  sample_comparison(1.0)};
-  const std::string bytes = encode_comparisons(original);
-  std::vector<TechniqueComparison> decoded;
-  ASSERT_TRUE(decode_comparisons(bytes, 2, decoded));
-  ASSERT_EQ(decoded.size(), 2u);
-  expect_same_comparison(decoded[0], original[0]);
-  expect_same_comparison(decoded[1], original[1]);
+/// A scratch memo directory installed as the process-wide cache's disk
+/// tier. clear() between legs stands in for a fresh process: the in-memory
+/// map and the counters go, the files stay.
+class MemoDir {
+ public:
+  explicit MemoDir(const std::string& tag)
+      : path_(fs::temp_directory_path() / ("esteem-sweep-resume-" + tag)) {
+    fs::remove_all(path_);
+    RunCache::instance().clear();
+    RunCache::instance().set_disk_dir(path_.string());
+  }
+  ~MemoDir() {
+    RunCache::instance().set_disk_dir("");
+    RunCache::instance().clear();
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  const fs::path& path() const { return path_; }
+
+  std::vector<fs::path> memo_files() const {
+    std::vector<fs::path> out;
+    if (!fs::exists(path_)) return out;
+    for (const auto& entry : fs::directory_iterator(path_)) {
+      if (entry.is_regular_file()) out.push_back(entry.path());
+    }
+    return out;
+  }
+
+  /// The sweep's CSV bytes (written next to the memo files, not in them).
+  std::string csv(const SweepResult& result, const std::string& name) const {
+    const std::string file = (path_.parent_path() / (path_.filename().string() +
+                                                     "-" + name + ".csv"))
+                                 .string();
+    write_csv(result, file);
+    std::string bytes = read_file(file);
+    fs::remove(file);
+    return bytes;
+  }
+
+ private:
+  fs::path path_;
+};
+
+/// CSV bytes of `spec` swept in a cold process with no memo directory.
+std::string fresh_csv(const SweepSpec& spec, const MemoDir& dir) {
+  const std::string memo = RunCache::instance().disk_dir();
+  RunCache::instance().set_disk_dir("");
+  RunCache::instance().clear();
+  const SweepResult result = run_sweep(spec);
+  EXPECT_TRUE(result.ok());
+  RunCache::instance().set_disk_dir(memo);
+  RunCache::instance().clear();
+  return dir.csv(result, "fresh");
 }
 
-TEST(SweepJournalCodec, RejectsWrongArityAndTruncation) {
-  const std::vector<TechniqueComparison> original{sample_comparison(0.0),
-                                                  sample_comparison(1.0)};
-  const std::string bytes = encode_comparisons(original);
-  std::vector<TechniqueComparison> decoded;
-  EXPECT_FALSE(decode_comparisons(bytes, 3, decoded));
-  EXPECT_FALSE(decode_comparisons(bytes.substr(0, bytes.size() / 2), 2, decoded));
-  EXPECT_FALSE(decode_comparisons("", 1, decoded));
-}
+/// Requests a graceful shutdown right after the memo store with index
+/// `after` (0-based) is published: a SIGTERM landing mid-sweep, at a point
+/// that is the same on every run.
+class ShutdownAfterStore final : public chaos::FaultPlan {
+ public:
+  explicit ShutdownAfterStore(int after) : remaining_(after) {}
+  chaos::Injection at(const std::string& point) override {
+    if (point == "memo.crash.after_rename" && remaining_-- == 0) {
+      resilience::request_shutdown();
+    }
+    return {};
+  }
 
-TEST(SweepJournalHash, IgnoresWorkloadListOnly) {
-  const SweepSpec base = tiny_sweep({"gamess", "gobmk"});
-  const std::uint64_t h = sweep_fingerprint_hash(base);
-
-  // Sweeping a different workload subset is the SAME sweep: a journal from
-  // a partial run must be able to seed a superset resume.
-  EXPECT_EQ(sweep_fingerprint_hash(tiny_sweep({"gamess"})), h);
-  EXPECT_EQ(sweep_fingerprint_hash(tiny_sweep({"libquantum", "omnetpp"})), h);
-
-  // Everything that changes a row's bytes changes the hash.
-  SweepSpec s = tiny_sweep({"gamess", "gobmk"});
-  s.seed = 43;
-  EXPECT_NE(sweep_fingerprint_hash(s), h);
-
-  s = tiny_sweep({"gamess", "gobmk"});
-  s.instr_per_core += 1;
-  EXPECT_NE(sweep_fingerprint_hash(s), h);
-
-  s = tiny_sweep({"gamess", "gobmk"});
-  s.techniques = {Technique::RefrintRPV};
-  EXPECT_NE(sweep_fingerprint_hash(s), h);
-
-  s = tiny_sweep({"gamess", "gobmk"});
-  s.techniques = {Technique::RefrintRPV, Technique::Esteem};  // order matters
-  EXPECT_NE(sweep_fingerprint_hash(s), h);
-
-  s = tiny_sweep({"gamess", "gobmk"});
-  s.config.edram.retention_us += 1.0;
-  EXPECT_NE(sweep_fingerprint_hash(s), h);
-
-  // Thread count does NOT change row bytes (the runner promises
-  // schedule-independence), so it must not poison a resume.
-  s = tiny_sweep({"gamess", "gobmk"});
-  s.threads = 8;
-  EXPECT_EQ(sweep_fingerprint_hash(s), h);
-}
+ private:
+  int remaining_;
+};
 
 TEST(SweepJournal, JournaledSweepRestoresRowsBitExactly) {
-  const fs::path path = fs::temp_directory_path() / "esteem-sweep-journal-1.jsonl";
-  fs::remove(path);
+  const MemoDir dir("rerun");
+  const SweepSpec spec = tiny_sweep({"gamess", "gobmk"});
+  const SweepResult first = run_sweep(spec);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(RunCache::instance().stats().disk_stores, 6u);
+  EXPECT_EQ(dir.memo_files().size(), 6u);
 
-  SweepSpec spec = tiny_sweep({"gamess", "gobmk"});
-  SweepJournal journal;
-  ASSERT_TRUE(journal.open(path.string(), spec));
-  spec.journal = &journal;
-  const SweepResult result = run_sweep(spec);
-  journal.close();
-  ASSERT_TRUE(result.ok());
-
-  const ResumeLoad resume = load_resume_state(path.string(), spec);
-  ASSERT_TRUE(resume.ok) << resume.error;
-  EXPECT_EQ(resume.state.sweep_hash, sweep_fingerprint_hash(spec));
-  EXPECT_EQ(resume.state.n_techniques, 2u);
-  EXPECT_EQ(resume.state.corrupt_lines, 0u);
-  ASSERT_EQ(resume.state.rows.size(), 2u);
-  for (const WorkloadRow& row : result.rows) {
-    const std::vector<TechniqueComparison>* restored =
-        resume.state.find(row.workload);
-    ASSERT_NE(restored, nullptr) << row.workload;
-    ASSERT_EQ(restored->size(), row.comparisons.size());
-    for (std::size_t t = 0; t < restored->size(); ++t) {
-      expect_same_comparison((*restored)[t], row.comparisons[t]);
-    }
-  }
-  EXPECT_EQ(resume.state.find("no-such-workload"), nullptr);
-  fs::remove(path);
+  RunCache::instance().clear();
+  const SweepResult again = run_sweep(spec);
+  ASSERT_TRUE(again.ok());
+  const RunCacheStats stats = RunCache::instance().stats();
+  EXPECT_EQ(stats.disk_hits, 6u);  // every run restored, none simulated
+  EXPECT_EQ(stats.disk_stores, 0u);
+  EXPECT_EQ(dir.csv(again, "again"), dir.csv(first, "first"));
 }
 
-TEST(SweepJournal, ResumeRefusesForeignJournalAndMissingFile) {
-  const fs::path path = fs::temp_directory_path() / "esteem-sweep-journal-2.jsonl";
-  fs::remove(path);
+// Subset -> superset: the runs of a sweep over some workloads seed a later
+// sweep over more of them, because a run's identity is its RunSpec, not the
+// sweep it belonged to.
+TEST(SweepJournal, SubsetThenSupersetMatchesFreshSweep) {
+  const MemoDir dir("superset");
+  const SweepSpec full = tiny_sweep({"gamess", "gobmk", "libquantum"});
+  const std::string reference = fresh_csv(full, dir);
 
-  EXPECT_FALSE(load_resume_state(path.string(), tiny_sweep({"gamess"})).ok);
+  ASSERT_TRUE(run_sweep(tiny_sweep({"gamess"})).ok());
+  EXPECT_EQ(RunCache::instance().stats().disk_stores, 3u);
 
-  SweepSpec spec = tiny_sweep({"gamess"});
-  SweepJournal journal;
-  ASSERT_TRUE(journal.open(path.string(), spec));
-  journal.close();
-
-  // Same file, different sweep identity: results from another configuration
-  // must never leak into a resume.
-  SweepSpec other = tiny_sweep({"gamess"});
-  other.seed = 99;
-  const ResumeLoad load = load_resume_state(path.string(), other);
-  EXPECT_FALSE(load.ok);
-  EXPECT_NE(load.error.find("different sweep"), std::string::npos);
-
-  // The matching sweep is accepted (header only, no rows yet).
-  EXPECT_TRUE(load_resume_state(path.string(), spec).ok);
-  fs::remove(path);
-}
-
-// The acceptance property: a sweep interrupted after a subset of rows and
-// then resumed over the full workload list produces a byte-identical CSV to
-// one uninterrupted run.
-TEST(SweepJournal, InterruptedThenResumedCsvIsByteIdentical) {
-  const fs::path dir = fs::temp_directory_path() / "esteem-sweep-resume-test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string journal_path = (dir / "sweep.journal").string();
-
-  const std::vector<std::string> all{"gamess", "gobmk", "libquantum"};
-
-  // Reference: the uninterrupted sweep.
   RunCache::instance().clear();
-  const SweepResult reference = run_sweep(tiny_sweep(all));
-  ASSERT_TRUE(reference.ok());
-
-  // "Interrupted" leg: only the first workload completed before the crash —
-  // exactly what the journal of a killed process would hold.
-  {
-    SweepSpec partial = tiny_sweep({"gamess"});
-    SweepJournal journal;
-    ASSERT_TRUE(journal.open(journal_path, partial));
-    partial.journal = &journal;
-    ASSERT_TRUE(run_sweep(partial).ok());
-    journal.close();
-  }
-
-  // Resume over the full list; drop the memo cache so the restored row
-  // provably comes from the journal bytes, not recomputation.
-  RunCache::instance().clear();
-  SweepSpec full = tiny_sweep(all);
-  const ResumeLoad resume = load_resume_state(journal_path, full);
-  ASSERT_TRUE(resume.ok) << resume.error;
-  ASSERT_EQ(resume.state.rows.size(), 1u);
-  full.resume = &resume.state;
-
-  SweepJournal journal;
-  ASSERT_TRUE(journal.open(journal_path, full));
-  full.journal = &journal;
   const SweepResult resumed = run_sweep(full);
-  journal.close();
   ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(RunCache::instance().stats().disk_hits, 3u);  // gamess x 3 runs
+  EXPECT_EQ(RunCache::instance().stats().misses, 9u);
+  EXPECT_EQ(dir.csv(resumed, "resumed"), reference);
+}
 
-  ASSERT_EQ(resumed.rows.size(), reference.rows.size());
-  EXPECT_TRUE(resumed.rows[0].resumed);
-  EXPECT_FALSE(resumed.rows[1].resumed);
-  for (std::size_t w = 0; w < reference.rows.size(); ++w) {
-    EXPECT_EQ(resumed.rows[w].workload, reference.rows[w].workload);
-    EXPECT_TRUE(resumed.rows[w].completed);
-    ASSERT_EQ(resumed.rows[w].comparisons.size(),
-              reference.rows[w].comparisons.size());
-    for (std::size_t t = 0; t < reference.rows[w].comparisons.size(); ++t) {
-      expect_same_comparison(resumed.rows[w].comparisons[t],
-                             reference.rows[w].comparisons[t]);
-    }
+// The kill-and-resume property: a sweep cut short mid-row keeps every run
+// that finished, and the resume restores exactly those — finer than whole
+// rows, so the interrupted workload keeps its finished baseline.
+TEST(SweepJournal, InterruptedThenResumedCsvIsByteIdentical) {
+  const MemoDir dir("interrupted");
+  const SweepSpec spec = tiny_sweep({"gamess", "gobmk", "libquantum"});
+  const std::string reference = fresh_csv(spec, dir);
+
+  // Inline schedule: gamess baseline, gamess esteem, then the shutdown.
+  chaos::install_plan(std::make_unique<ShutdownAfterStore>(1));
+  const SweepResult cut = run_sweep(spec);
+  chaos::disarm();
+  resilience::clear_shutdown();
+  ASSERT_TRUE(cut.interrupted);
+  EXPECT_TRUE(cut.errors.empty());
+  for (const WorkloadRow& row : cut.rows) {
+    EXPECT_TRUE(row.skipped) << row.workload;
+    EXPECT_FALSE(row.completed) << row.workload;
   }
+  EXPECT_EQ(RunCache::instance().stats().disk_stores, 2u);
 
-  const std::string ref_csv = (dir / "reference.csv").string();
-  const std::string res_csv = (dir / "resumed.csv").string();
-  write_csv(reference, ref_csv);
-  write_csv(resumed, res_csv);
-  EXPECT_EQ(read_file(ref_csv), read_file(res_csv));
-
-  // The extended journal now covers every workload: a second resume would
-  // re-run nothing.
-  const ResumeLoad again = load_resume_state(journal_path, full);
-  ASSERT_TRUE(again.ok) << again.error;
-  EXPECT_EQ(again.state.rows.size(), all.size());
-  fs::remove_all(dir);
+  RunCache::instance().clear();
+  const SweepResult resumed = run_sweep(spec);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(RunCache::instance().stats().disk_hits, 2u);
+  EXPECT_EQ(dir.csv(resumed, "resumed"), reference);
 }
 
 TEST(SweepJournal, ShutdownRequestDrainsWithoutRunning) {
-  const fs::path path = fs::temp_directory_path() / "esteem-sweep-journal-3.jsonl";
-  fs::remove(path);
-
-  SweepSpec spec = tiny_sweep({"gamess", "gobmk"});
-  SweepJournal journal;
-  ASSERT_TRUE(journal.open(path.string(), spec));
-  spec.journal = &journal;
+  const MemoDir dir("drain");
+  const SweepSpec spec = tiny_sweep({"gamess", "gobmk"});
 
   resilience::request_shutdown();
   const SweepResult result = run_sweep(spec);
   resilience::clear_shutdown();
-  journal.close();
 
   EXPECT_TRUE(result.interrupted);
   EXPECT_FALSE(result.ok());
@@ -304,31 +209,76 @@ TEST(SweepJournal, ShutdownRequestDrainsWithoutRunning) {
     EXPECT_TRUE(row.skipped);
     EXPECT_FALSE(row.completed);
   }
-  // Nothing ran, so nothing beyond the header may have been journaled.
-  EXPECT_TRUE(load_resume_state(path.string(), spec).state.rows.empty());
-  fs::remove(path);
+  // Nothing ran, so nothing may have been stored.
+  EXPECT_EQ(RunCache::instance().stats().misses, 0u);
+  EXPECT_TRUE(dir.memo_files().empty());
 }
 
-TEST(SweepJournal, CorruptRowLineIsSkippedAndCounted) {
-  const fs::path path = fs::temp_directory_path() / "esteem-sweep-journal-4.jsonl";
-  fs::remove(path);
+// Runs written under another seed or another energy scale are different
+// RunSpecs: the directory restores nothing and the rerun matches a fresh
+// sweep of the new config — results from a different configuration never
+// leak in.
+TEST(SweepJournal, ForeignDirRestoresNothing) {
+  const MemoDir dir("foreign");
+  ASSERT_TRUE(run_sweep(tiny_sweep({"gamess"})).ok());
+  ASSERT_EQ(dir.memo_files().size(), 3u);
 
-  SweepSpec spec = tiny_sweep({"gamess"});
-  SweepJournal journal;
-  ASSERT_TRUE(journal.open(path.string(), spec));
-  spec.journal = &journal;
-  ASSERT_TRUE(run_sweep(spec).ok());
-  journal.close();
-
-  {
-    std::ofstream tail(path, std::ios::app | std::ios::binary);
-    tail << "{\"v\":1,\"kind\":\"row\",\"workload\":\"torn-tail";
+  SweepSpec reseeded = tiny_sweep({"gamess"});
+  reseeded.seed = 99;
+  SweepSpec rescaled = tiny_sweep({"gamess"});
+  rescaled.config.energy.refresh_scale = 2.0;
+  for (const SweepSpec& other : {reseeded, rescaled}) {
+    const std::string reference = fresh_csv(other, dir);
+    const SweepResult result = run_sweep(other);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(RunCache::instance().stats().disk_hits, 0u);
+    EXPECT_EQ(dir.csv(result, "other"), reference);
   }
-  const ResumeLoad load = load_resume_state(path.string(), spec);
-  ASSERT_TRUE(load.ok) << load.error;
-  EXPECT_EQ(load.state.rows.size(), 1u);
-  EXPECT_EQ(load.state.corrupt_lines, 1u);
-  fs::remove(path);
+}
+
+TEST(SweepJournal, TruncatedMemoFileIsQuarantinedAndRecomputed) {
+  const MemoDir dir("truncated");
+  const SweepSpec spec = tiny_sweep({"gamess"});
+  const SweepResult first = run_sweep(spec);
+  ASSERT_TRUE(first.ok());
+  const std::vector<fs::path> files = dir.memo_files();
+  ASSERT_EQ(files.size(), 3u);
+  fs::resize_file(files.front(), fs::file_size(files.front()) / 2);
+
+  RunCache::instance().clear();
+  const SweepResult healed = run_sweep(spec);
+  ASSERT_TRUE(healed.ok());
+  const RunCacheStats stats = RunCache::instance().stats();
+  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.disk_hits, 2u);
+  EXPECT_EQ(stats.disk_stores, 1u);  // the damaged run, recomputed
+  EXPECT_EQ(dir.csv(healed, "healed"), dir.csv(first, "first"));
+  EXPECT_FALSE(fs::is_empty(dir.path() / "corrupt"));
+}
+
+// run_guarded discards a result that arrives past [resilience]
+// run_deadline_ms, but the memo cache has already published it. A rerun
+// over the same directory therefore completes that row from disk, and the
+// deadline (a scheduling policy, outside the fingerprint) never changes
+// what the row contains.
+TEST(SweepJournal, DeadlineErrorRowCompletesFromDiskOnRerun) {
+  const MemoDir dir("deadline");
+  const SweepSpec relaxed = tiny_sweep({"gamess", "gobmk"});
+  const std::string reference = fresh_csv(relaxed, dir);
+
+  SweepSpec strict = relaxed;
+  strict.config.resilience.run_deadline_ms = 1;  // every run overshoots
+  const SweepResult late = run_sweep(strict);
+  ASSERT_FALSE(late.errors.empty());
+  for (const RunError& e : late.errors) EXPECT_EQ(e.phase, "deadline");
+  const std::uint64_t stored = RunCache::instance().stats().disk_stores;
+  EXPECT_GE(stored, 1u);
+
+  RunCache::instance().clear();
+  const SweepResult rerun = run_sweep(relaxed);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_EQ(RunCache::instance().stats().disk_hits, stored);
+  EXPECT_EQ(dir.csv(rerun, "rerun"), reference);
 }
 
 }  // namespace

@@ -44,9 +44,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
 #include "sim/task_pool.hpp"
+#include "sweep_cli_common.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/workloads.hpp"
 
@@ -64,22 +66,27 @@ using namespace esteem;
   std::exit(err ? 2 : 0);
 }
 
-std::vector<std::string> split_csv(const std::string& arg) {
-  std::vector<std::string> out;
-  std::istringstream is(arg);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 struct RepeatSample {
   double wall_seconds = 0.0;
   double minstr_per_s = 0.0;
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
 };
+
+/// Prints the result line on stdout and, when `json_path` is set, writes
+/// the same line to that file. Returns the process exit code.
+int emit_json(const std::string& line, const std::string& json_path) {
+  std::printf("%s\n", line.c_str());
+  if (json_path.empty()) return 0;
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  if (!f) {
+    std::fprintf(stderr, "esteem_bench: cannot write %s\n", json_path.c_str());
+    return 2;
+  }
+  std::fprintf(f, "%s\n", line.c_str());
+  std::fclose(f);
+  return 0;
+}
 
 }  // namespace
 
@@ -139,7 +146,7 @@ int main(int argc, char** argv) {
     spec.config = SystemConfig::single_core();
   }
   spec.techniques.clear();
-  for (const std::string& name : split_csv(techniques_arg)) {
+  for (const std::string& name : tools::split_csv(techniques_arg)) {
     spec.techniques.push_back(sim::parse_technique(name));
   }
   if (spec.techniques.empty()) usage("empty technique list");
@@ -198,28 +205,14 @@ int main(int argc, char** argv) {
     const double speedup = exhaustive_s / std::max(sampled_s, 1e-9);
     std::fprintf(stderr, "  sampled-vs-exhaustive speedup: %.2fx\n", speedup);
 
-    std::ostringstream json;
-    char buf[64];
-    json << "{\"mode\":\"sampling_speedup\",\"workloads\":" << spec.workloads.size()
+    std::ostringstream line;
+    line << "{\"mode\":\"sampling_speedup\",\"workloads\":" << spec.workloads.size()
          << ",\"instr_per_core\":" << instr << ",\"warmup_per_core\":" << warmup
-         << ",\"threads\":" << threads;
-    std::snprintf(buf, sizeof buf, "%.6f", exhaustive_s);
-    json << ",\"exhaustive_wall_seconds\":" << buf;
-    std::snprintf(buf, sizeof buf, "%.6f", sampled_s);
-    json << ",\"sampled_wall_seconds\":" << buf;
-    std::snprintf(buf, sizeof buf, "%.3f", speedup);
-    json << ",\"speedup\":" << buf << '}';
-    std::printf("%s\n", json.str().c_str());
-    if (!json_path.empty()) {
-      std::FILE* f = std::fopen(json_path.c_str(), "w");
-      if (!f) {
-        std::fprintf(stderr, "esteem_bench: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      std::fprintf(f, "%s\n", json.str().c_str());
-      std::fclose(f);
-    }
-    return 0;
+         << ",\"threads\":" << threads
+         << ",\"exhaustive_wall_seconds\":" << json::number(exhaustive_s)
+         << ",\"sampled_wall_seconds\":" << json::number(sampled_s)
+         << ",\"speedup\":" << json::number(speedup) << '}';
+    return emit_json(line.str(), json_path);
   }
 
   std::vector<RepeatSample> samples;
@@ -250,34 +243,21 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(s.memo_misses));
   }
 
-  std::ostringstream json;
-  json << "{\"workloads\":" << spec.workloads.size() << ",\"techniques\":[";
+  std::ostringstream line;
+  line << "{\"workloads\":" << spec.workloads.size() << ",\"techniques\":[";
   for (std::size_t t = 0; t < spec.techniques.size(); ++t) {
-    json << (t ? "," : "") << '"' << to_string(spec.techniques[t]) << '"';
+    line << (t ? "," : "") << '"' << json::escape(to_string(spec.techniques[t])) << '"';
   }
-  json << "],\"instr_per_core\":" << instr << ",\"warmup_per_core\":" << warmup
-       << ",\"threads\":" << threads << ",\"runs_per_sweep\":" << runs_per_sweep;
-  char buf[64];
-  json << ",\"repeats\":[";
+  line << "],\"instr_per_core\":" << instr << ",\"warmup_per_core\":" << warmup
+       << ",\"threads\":" << threads << ",\"runs_per_sweep\":" << runs_per_sweep
+       << ",\"repeats\":[";
   for (std::size_t r = 0; r < samples.size(); ++r) {
     const RepeatSample& s = samples[r];
-    std::snprintf(buf, sizeof buf, "%.6f", s.wall_seconds);
-    json << (r ? "," : "") << "{\"wall_seconds\":" << buf;
-    std::snprintf(buf, sizeof buf, "%.3f", s.minstr_per_s);
-    json << ",\"simulated_minstr_per_s\":" << buf << ",\"memo_hits\":" << s.memo_hits
-         << ",\"memo_misses\":" << s.memo_misses << '}';
+    line << (r ? "," : "") << "{\"wall_seconds\":" << json::number(s.wall_seconds)
+         << ",\"simulated_minstr_per_s\":" << json::number(s.minstr_per_s)
+         << ",\"memo_hits\":" << s.memo_hits << ",\"memo_misses\":" << s.memo_misses
+         << '}';
   }
-  json << "],\"phases\":" << telemetry::profiler().to_json() << '}';
-
-  std::printf("%s\n", json.str().c_str());
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "esteem_bench: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-    std::fprintf(f, "%s\n", json.str().c_str());
-    std::fclose(f);
-  }
-  return 0;
+  line << "],\"phases\":" << telemetry::profiler().to_json() << '}';
+  return emit_json(line.str(), json_path);
 }

@@ -15,8 +15,9 @@
 // `esteem_chaos --replay "<schedule>" --mode <m>` (or --random-replay SEED)
 // command that reproduces it deterministically.
 //
-// Scenarios by point domain: sweep.* / memo.* run a journaled CLI-style
-// sweep; lease.* / sidecar.* run the multi-process service path in BOTH
+// Scenarios by point domain: memo.* run a CLI-style sweep over a memo
+// directory (the resume format); lease.* / sidecar.* run the multi-process
+// service path in BOTH
 // lock modes ([service] lock_mode=append and =lockfile); lock.* points only
 // exist in lockfile mode. The service CSV is compared against the sweep
 // reference CSV on purpose — the coordinator documents byte-equality with
@@ -44,7 +45,6 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep_journal.hpp"
 
 namespace {
 
@@ -69,8 +69,8 @@ namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // The shared scenario spec: tiny enough that a full leg is sub-second, big
-// enough that every seam point is on the path (journal rows, memo stores,
-// leases, heartbeats, sidecar snapshots).
+// enough that every seam point is on the path (memo stores, leases,
+// heartbeats, sidecar snapshots).
 
 SystemConfig tiny_config() {
   SystemConfig cfg = SystemConfig::single_core();
@@ -119,47 +119,20 @@ std::string read_file(const std::string& path) {
 
 constexpr unsigned kLegTimeoutSec = 120;
 
-/// Sweep chaos leg: journaled sweep with faults armed. Failures here are
-/// expected and fine — recovery is what gets judged.
-void sweep_chaos_leg(const std::string& dir, const std::string& memo_dir) {
+/// Sweep chaos leg: a sweep over the memo directory with faults armed.
+/// Failures here are expected and fine — recovery is what gets judged.
+void sweep_chaos_leg(const std::string& memo_dir) {
   sim::RunCache::instance().set_disk_dir(memo_dir);
-  sim::SweepSpec spec = base_spec("append");
-  sim::SweepJournal journal;
-  if (journal.open((fs::path(dir) / "sweep.journal").string(), spec)) {
-    spec.journal = &journal;
-    sim::run_sweep(spec);
-    journal.close();
-  }
+  sim::run_sweep(base_spec("append"));
 }
 
-/// Sweep recovery leg: no faults; resume from whatever the chaos leg left
-/// behind and demand a complete, journaled result. Exit codes name the
-/// broken invariant for the parent's failure message.
-int sweep_recover_leg(const std::string& dir, const std::string& memo_dir,
-                      const std::string& csv_out) {
+/// Sweep recovery leg: no faults; rerun over whatever memo directory the
+/// chaos leg left behind (the resume) and demand a complete result. Exit
+/// codes name the broken invariant for the parent's failure message.
+int sweep_recover_leg(const std::string& memo_dir, const std::string& csv_out) {
   sim::RunCache::instance().set_disk_dir(memo_dir);
-  sim::SweepSpec spec = base_spec("append");
-  const std::string journal_path = (fs::path(dir) / "sweep.journal").string();
-
-  sim::ResumeLoad resume;
-  if (fs::exists(journal_path)) {
-    resume = sim::load_resume_state(journal_path, spec);
-    // A journal with no intact header (chaos died before the first append)
-    // is not resumable; starting fresh over the same file must still work.
-    if (!resume.ok) {
-      std::fprintf(stderr, "resume unavailable (%s); running full sweep\n",
-                   resume.error.c_str());
-    }
-  }
-  sim::SweepJournal journal;
-  if (!journal.open(journal_path, spec)) {
-    std::fprintf(stderr, "cannot reopen journal: %s\n", journal_path.c_str());
-    return 2;
-  }
-  if (resume.ok) spec.resume = &resume.state;
-  spec.journal = &journal;
+  const sim::SweepSpec spec = base_spec("append");
   const sim::SweepResult result = sim::run_sweep(spec);
-  journal.close();
 
   if (!result.ok()) {
     for (const sim::RunError& e : result.errors) {
@@ -339,7 +312,7 @@ std::vector<std::string> actions_for(chaos::OpKind kind) {
 }
 
 bool point_is_sweep_scenario(const std::string& point) {
-  return point.rfind("sweep.", 0) == 0 || point.rfind("memo.", 0) == 0;
+  return point.rfind("memo.", 0) == 0;
 }
 
 bool point_is_lock(const std::string& point) {
@@ -424,7 +397,7 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
       run_child((fs::path(dir) / "chaos.log").string(), [&]() {
         install_leg_plan(leg);
         if (leg.sweep_scenario) {
-          sweep_chaos_leg(dir, memo_dir);
+          sweep_chaos_leg(memo_dir);
         } else {
           service_chaos_leg(dir, leg.lock_mode);
         }
@@ -460,7 +433,7 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
   const ChildResult recover =
       run_child((fs::path(dir) / "recover.log").string(), [&]() {
         return leg.sweep_scenario
-                   ? sweep_recover_leg(dir, memo_dir, csv_out)
+                   ? sweep_recover_leg(memo_dir, csv_out)
                    : service_recover_leg(dir, leg.lock_mode, csv_out);
       });
   if (!recover.exited) {
@@ -469,7 +442,7 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
   }
   if (recover.exit_code != 0) {
     static const char* const kReasons[] = {
-        "", "", "journal/plan reopen failed", "recovery run errored",
+        "", "", "plan/table reopen failed", "recovery run errored",
         "rows lost, duplicated, conflicted or unresolved", "collect failed"};
     const char* why = recover.exit_code >= 2 && recover.exit_code <= 5
                           ? kReasons[recover.exit_code]
@@ -588,7 +561,7 @@ int main(int argc, char** argv) {
     fs::create_directories(ref_dir);
     const ChildResult ref =
         run_child((fs::path(ref_dir) / "ref.log").string(), [&]() {
-          return sweep_recover_leg(ref_dir, shared_memo, ref_csv_path);
+          return sweep_recover_leg(shared_memo, ref_csv_path);
         });
     if (!ref.exited || ref.exit_code != 0) {
       std::fprintf(stderr,

@@ -12,9 +12,9 @@
 //                              fails is reported at the end instead of
 //                              aborting the sweep; exit code 3 signals that
 //                              at least one workload errored. SIGINT/SIGTERM
-//                              drain the sweep gracefully (completed rows
-//                              are kept and journaled, queued work is
-//                              skipped) and exit with code 5.
+//                              drain the sweep gracefully (finished runs
+//                              are kept, queued work is skipped) and exit
+//                              with code 5.
 //     --serve DIR              sweep-as-a-service: plan the --sweep into DIR
 //                              and wait for `esteem_workerd --worker DIR`
 //                              processes to resolve the rows instead of
@@ -22,13 +22,13 @@
 //                              byte-identical to the in-process sweep. Exit
 //                              codes add 6 (integrity conflict) to the sweep
 //                              protocol.
-//     --journal FILE           crash-safe sweep journal: append every
-//                              completed workload row (fsync'd, CRC'd
-//                              JSONL) as it finishes
-//     --resume FILE            restore completed rows from FILE instead of
-//                              re-running them, then keep journaling to the
-//                              same file; refuses a journal recorded by a
-//                              different sweep (config/techniques/seed)
+//     --journal DIR            crash-safe sweep: use DIR as the run-memo
+//                              directory (overrides ESTEEM_MEMO_DIR), so
+//                              every finished run is published there
+//                              (fsync'd, CRC'd) as it completes. Rerunning
+//                              with the same --journal DIR is the resume:
+//                              finished runs are restored, not re-run; runs
+//                              of a different config/seed/budget never match
 //     --techniques A[,B]       techniques compared in sweep mode
 //                              (default: esteem,rpv)
 //     --jobs N                 sweep worker threads (0 = hardware
@@ -77,7 +77,6 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep_journal.hpp"
 #include "sim/task_pool.hpp"
 #include "sweep_cli_common.hpp"
 #include "telemetry/telemetry.hpp"
@@ -94,7 +93,7 @@ using esteem::tools::split_csv;
   std::fprintf(stderr,
                "usage: esteem_cli [--workload A[,B]] [--technique NAME]\n"
                "                  [--sweep WL[,WL]] [--techniques A[,B]]\n"
-               "                  [--serve DIR] [--journal FILE] [--resume FILE]\n"
+               "                  [--serve DIR] [--journal DIR]\n"
                "                  [--jobs N] [--csv FILE] [--config FILE]\n"
                "                  [--instr N] [--warmup N] [--seed N]\n"
                "                  [--compare] [--timeline FILE]\n"
@@ -142,39 +141,17 @@ void print_run(const sim::RunOutcome& out, bool faults_enabled) {
 int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
                    const std::string& techniques_arg, const std::string& csv_path,
                    instr_t instr, instr_t warmup, std::uint64_t seed,
-                   unsigned jobs, const std::string& journal_path,
-                   const std::string& resume_path) {
-  sim::SweepSpec spec =
+                   unsigned jobs, const std::string& journal_dir) {
+  const sim::SweepSpec spec =
       tools::build_sweep_spec(cfg, sweep_arg, techniques_arg, instr, warmup, seed, jobs);
   if (spec.workloads.empty()) usage("empty sweep workload list");
 
-  sim::ResumeLoad resume;
-  if (!resume_path.empty()) {
-    resume = sim::load_resume_state(resume_path, spec);
-    if (!resume.ok) {
-      std::fprintf(stderr, "error: %s\n", resume.error.c_str());
+  if (!journal_dir.empty()) {
+    std::string error;
+    if (!tools::use_journal_dir(journal_dir, error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
       return 2;
     }
-    spec.resume = &resume.state;
-    std::printf("resume: %zu row(s) restored from %s", resume.state.rows.size(),
-                resume_path.c_str());
-    if (resume.state.corrupt_lines > 0) {
-      std::printf(" (%zu damaged line(s) skipped)", resume.state.corrupt_lines);
-    }
-    std::printf("\n");
-  }
-
-  // A resumed sweep keeps journaling to the file it resumed from unless an
-  // explicit --journal overrides it.
-  sim::SweepJournal journal;
-  const std::string effective_journal =
-      !journal_path.empty() ? journal_path : resume_path;
-  if (!effective_journal.empty()) {
-    if (!journal.open(effective_journal, spec)) {
-      std::fprintf(stderr, "error: %s\n", journal.last_error().c_str());
-      return 2;
-    }
-    spec.journal = &journal;
   }
 
   // From here on SIGINT/SIGTERM drain the sweep instead of killing it.
@@ -186,7 +163,6 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
   const sim::RunCacheStats memo_before = sim::RunCache::instance().stats();
   const sim::SweepResult result = sim::run_sweep(spec);
   const sim::RunCacheStats memo_after = sim::RunCache::instance().stats();
-  journal.close();
   std::printf("%s", sim::figure_report(result, "sweep").c_str());
   // Parallelism header: the resolved worker count together with what the
   // memo cache actually absorbed during this sweep. Memo-file damage only
@@ -204,6 +180,12 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
                                                 memo_before.quarantined));
   }
   std::printf("\n");
+  if (!journal_dir.empty()) {
+    std::printf("resume: %llu run(s) restored from %s\n",
+                static_cast<unsigned long long>(memo_after.disk_hits -
+                                                memo_before.disk_hits),
+                journal_dir.c_str());
+  }
   const std::string phases = telemetry::profiler().to_line();
   if (!phases.empty()) std::printf("phases: %s\n", phases.c_str());
   if (!csv_path.empty()) {
@@ -225,6 +207,11 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
       }
     }
   }
+  // With ESTEEM_MEMO_DIR alone the runs are just as durable; --journal
+  // names the same directory explicitly.
+  const std::string memo_dir = sim::RunCache::instance().disk_dir();
+  const std::string rerun =
+      memo_dir.empty() ? "" : "rerun with the same --journal " + memo_dir;
   if (result.circuit_broken) {
     std::size_t skipped = 0;
     for (const sim::WorkloadRow& row : result.rows) skipped += row.skipped ? 1 : 0;
@@ -232,19 +219,14 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
                  "circuit breaker tripped after %u consecutive errors: "
                  "%zu workload(s) skipped%s\n",
                  spec.config.resilience.max_consecutive_errors, skipped,
-                 effective_journal.empty()
-                     ? ""
-                     : ("; fix the config and resume with --resume " +
-                        effective_journal)
-                           .c_str());
+                 rerun.empty() ? "" : ("; fix the config and " + rerun).c_str());
   }
   if (result.interrupted) {
     // Partial summary above is already on stdout; the dedicated exit code
     // lets wrappers distinguish "interrupted, resumable" from failure.
-    std::fprintf(stderr, "sweep interrupted: completed rows journaled%s\n",
-                 effective_journal.empty()
-                     ? " in memory only (use --journal to persist)"
-                     : ("; resume with --resume " + effective_journal).c_str());
+    std::fprintf(stderr, "sweep interrupted: finished runs kept%s\n",
+                 rerun.empty() ? " in memory only (use --journal DIR to persist)"
+                               : ("; " + rerun + " to resume").c_str());
     return resilience::kExitInterrupted;
   }
   return result.errors.empty() ? 0 : 3;
@@ -280,8 +262,7 @@ int main(int argc, char** argv) {
   std::string techniques_arg;
   std::string csv_path;
   std::string config_path;
-  std::string journal_path;
-  std::string resume_path;
+  std::string journal_dir;
   std::string timeline_path;
   std::string telemetry_dir;
   std::string trace_path;
@@ -306,8 +287,7 @@ int main(int argc, char** argv) {
     else if (arg == "--techniques") techniques_arg = value();
     else if (arg == "--csv") csv_path = value();
     else if (arg == "--config") config_path = value();
-    else if (arg == "--journal") journal_path = value();
-    else if (arg == "--resume") resume_path = value();
+    else if (arg == "--journal") journal_dir = value();
     else if (arg == "--instr") instr = std::strtoull(value().c_str(), nullptr, 10);
     else if (arg == "--warmup") warmup = std::strtoull(value().c_str(), nullptr, 10);
     else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
@@ -368,8 +348,8 @@ int main(int argc, char** argv) {
         // stderr progress heartbeat is the shared fleet line of
         // service::progress_line (the same view `esteem_workerd --status
         // --json` serializes), so the two surfaces cannot skew.
-        if (!journal_path.empty() || !resume_path.empty()) {
-          usage("--serve uses DIR/service.journal; drop --journal/--resume");
+        if (!journal_dir.empty()) {
+          usage("--serve uses DIR/service.journal; drop --journal");
         }
         const sim::SweepSpec spec = tools::build_sweep_spec(cfg, sweep_arg, techniques_arg,
                                                             instr, warmup, seed, jobs);
@@ -391,12 +371,12 @@ int main(int argc, char** argv) {
         return code;
       }
       const int code = run_sweep_mode(cfg, sweep_arg, techniques_arg, csv_path, instr,
-                                      warmup, seed, jobs, journal_path, resume_path);
+                                      warmup, seed, jobs, journal_dir);
       flush_telemetry();
       return code;
     }
-    if (!journal_path.empty() || !resume_path.empty() || !serve_dir.empty()) {
-      usage("--journal/--resume/--serve require --sweep");
+    if (!journal_dir.empty() || !serve_dir.empty()) {
+      usage("--journal/--serve require --sweep");
     }
 
     const std::vector<std::string> benchmarks = split_csv(workload);

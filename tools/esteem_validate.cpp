@@ -23,15 +23,15 @@
 //   --perturb-refresh-energy X      scale eDRAM refresh energy by X before
 //                       running — a deliberate-drift hook for testing that
 //                       the gate actually fails when the model moves
-//   --journal-dir DIR   crash-safe journaling: each figure appends its
-//                       completed rows to DIR/<figid>.journal as it runs
-//   --resume            restore rows from existing journals in
-//                       --journal-dir before running (incompatible journals
-//                       are ignored with a warning)
+//   --journal-dir DIR   crash safety: use DIR as the run-memo directory
+//                       (overrides ESTEEM_MEMO_DIR), so every finished run
+//                       is published there; rerunning with the same
+//                       --journal-dir DIR restores those runs instead of
+//                       simulating them again
 //
-// SIGINT/SIGTERM drain the figure matrix gracefully: completed rows stay
-// journaled and the process exits with code 5 instead of scoring partial
-// data.
+// SIGINT/SIGTERM drain the figure matrix gracefully: finished runs stay in
+// the memo directory and the process exits with code 5 instead of scoring
+// partial data.
 //
 // Paper-shape checks (signs, §7.2 bands) are gated at the bench and paper
 // scales: at tiny instruction budgets the reconfiguration machinery barely
@@ -49,6 +49,8 @@
 #include <vector>
 
 #include "resilience/shutdown.hpp"
+#include "sim/run_cache.hpp"
+#include "sweep_cli_common.hpp"
 #include "validation/figures.hpp"
 #include "validation/golden.hpp"
 #include "validation/results_book.hpp"
@@ -68,7 +70,6 @@ struct Options {
   std::vector<std::string> figure_ids{"fig3", "fig4", "fig5", "fig6"};
   double perturb_refresh = 1.0;
   std::string journal_dir;
-  bool resume = false;
   // Scale overrides (<0 = keep the scale's own value).
   long long instr = -1;
   long long warmup = -1;
@@ -83,20 +84,7 @@ void usage(std::FILE* to) {
                "                       [--instr N] [--warmup N] [--seed N] [--jobs N]\n"
                "                       [--figures fig3,fig4,...]\n"
                "                       [--perturb-refresh-energy X]\n"
-               "                       [--journal-dir DIR] [--resume]\n");
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::string tok = s.substr(start, comma - start);
-    if (!tok.empty()) out.push_back(tok);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
+               "                       [--journal-dir DIR]\n");
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -130,7 +118,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
     } else if (a == "--figures") {
       if (!need_value(i)) return false;
-      opt.figure_ids = split_csv(argv[++i]);
+      opt.figure_ids = tools::split_csv(argv[++i]);
       for (const std::string& id : opt.figure_ids) {
         if (find_figure(id) == nullptr) {
           std::fprintf(stderr, "unknown figure id '%s'\n", id.c_str());
@@ -140,8 +128,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--journal-dir") {
       if (!need_value(i)) return false;
       opt.journal_dir = argv[++i];
-    } else if (a == "--resume") {
-      opt.resume = true;
     } else if (a == "--perturb-refresh-energy") {
       if (!need_value(i)) return false;
       opt.perturb_refresh = std::atof(argv[++i]);
@@ -194,9 +180,7 @@ std::vector<FigureResult> run_matrix(const Options& opt, const ScaleSpec& scale,
     const double k = opt.perturb_refresh;
     mutate = [k](SystemConfig& cfg) { cfg.energy.refresh_scale = k; };
   }
-  FigureRunOptions run_opts;
-  run_opts.journal_dir = opt.journal_dir;
-  run_opts.resume = opt.resume;
+  const std::uint64_t disk_hits_before = sim::RunCache::instance().stats().disk_hits;
   std::vector<FigureResult> results;
   interrupted = false;
   for (const std::string& id : opt.figure_ids) {
@@ -208,8 +192,14 @@ std::vector<FigureResult> run_matrix(const Options& opt, const ScaleSpec& scale,
     std::fprintf(stderr, "running %s at scale '%s' (%llu instr/core)...\n",
                  id.c_str(), scale.label.c_str(),
                  static_cast<unsigned long long>(scale.instr_per_core));
-    results.push_back(run_figure(*spec, scale, mutate, run_opts));
+    results.push_back(run_figure(*spec, scale, mutate));
     interrupted |= results.back().sweep.interrupted;
+  }
+  if (!opt.journal_dir.empty()) {
+    std::fprintf(stderr, "resume: %llu run(s) restored from %s\n",
+                 static_cast<unsigned long long>(
+                     sim::RunCache::instance().stats().disk_hits - disk_hits_before),
+                 opt.journal_dir.c_str());
   }
   return results;
 }
@@ -228,7 +218,7 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
   const std::vector<FigureResult> results = run_matrix(opt, scale, interrupted);
   if (interrupted) {
     std::fprintf(stderr, "validation interrupted; not scoring partial data "
-                         "(re-run with --resume to continue)\n");
+                         "(rerun with the same --journal-dir DIR to continue)\n");
     return resilience::kExitInterrupted;
   }
   const bool paper_checks = scale.label == "bench" || scale.label == "paper";
@@ -337,6 +327,13 @@ int main(int argc, char** argv) {
   }
   try {
     if (opt.mode == Mode::List) return do_list();
+    if (!opt.journal_dir.empty()) {
+      std::string error;
+      if (!tools::use_journal_dir(opt.journal_dir, error)) {
+        std::fprintf(stderr, "esteem_validate: %s\n", error.c_str());
+        return 2;
+      }
+    }
     esteem::resilience::install_signal_handlers();
     const ScaleSpec scale = resolve_scale(opt);
     switch (opt.mode) {

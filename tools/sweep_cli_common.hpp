@@ -1,4 +1,6 @@
-// Sweep-spec construction shared by esteem_cli and esteem_workerd.
+// Sweep helpers shared by the tools: SweepSpec construction (esteem_cli and
+// esteem_workerd), comma-list splitting, and the --journal directory setup
+// (esteem_cli and esteem_validate).
 //
 // The multi-process service promises byte-identical output to a
 // single-process `esteem_cli --sweep` of the same flags, which only holds if
@@ -9,11 +11,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/config.hpp"
+#include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
 #include "sim/technique.hpp"
 #include "trace/workloads.hpp"
@@ -77,6 +82,25 @@ inline sim::SweepSpec build_sweep_spec(const SystemConfig& cfg, const std::strin
     }
   }
   return spec;
+}
+
+/// --journal DIR: makes DIR the run-memo directory (overriding
+/// ESTEEM_MEMO_DIR), so every finished run is published there durably and
+/// rerunning the same command restores it (DESIGN.md §11). DIR is created
+/// up front; false with `error` set when it cannot be (e.g. DIR names a
+/// regular file).
+inline bool use_journal_dir(const std::string& dir, std::string& error) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec && !std::filesystem::is_directory(dir, ec)) {
+    ec = std::make_error_code(std::errc::not_a_directory);
+  }
+  if (ec) {
+    error = "cannot use journal directory " + dir + ": " + ec.message();
+    return false;
+  }
+  sim::RunCache::instance().set_disk_dir(dir);
+  return true;
 }
 
 }  // namespace esteem::tools
