@@ -8,6 +8,8 @@
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "telemetry/interval_recorder.hpp"
+#include "validation/figures.hpp"
 
 int main() {
   using namespace esteem;
@@ -24,9 +26,9 @@ int main() {
   spec.instr_per_core = instr;
   spec.warmup_instr_per_core = bench::warmup_instr_per_core();
   spec.seed = bench::seed();
-  spec.record_timeline = true;
 
-  const sim::RunOutcome out = sim::run_experiment(spec);
+  telemetry::IntervalRecorder intervals;
+  const sim::RunOutcome out = sim::run_experiment(spec, &intervals);
 
   TextTable t;
   std::vector<std::string> header{"interval", "Mcycle", "active%"};
@@ -36,31 +38,28 @@ int main() {
   t.set_header(std::move(header));
 
   // Print at most ~40 evenly spaced samples so the table stays readable.
-  const auto& timeline = out.raw.timeline;
-  const std::size_t stride = timeline.empty() ? 1 : (timeline.size() + 39) / 40;
-  for (std::size_t i = 0; i < timeline.size(); i += stride) {
-    const auto& s = timeline[i];
+  const std::size_t rows = intervals.rows();
+  const std::size_t stride = rows == 0 ? 1 : (rows + 39) / 40;
+  for (std::size_t i = 0; i < rows; i += stride) {
     std::vector<std::string> row{std::to_string(i + 1),
-                                 fmt(static_cast<double>(s.cycle) / 1e6, 2),
-                                 fmt(100.0 * s.active_ratio, 1)};
-    for (std::uint32_t w : s.module_ways) row.push_back(std::to_string(w));
+                                 fmt(static_cast<double>(intervals.cycle(i)) / 1e6, 2),
+                                 fmt(100.0 * intervals.series("active_ratio")[i], 1)};
+    for (std::uint32_t m = 0; m < cfg.esteem.modules; ++m) {
+      const double w = intervals.series("module" + std::to_string(m) + "_active_ways")[i];
+      row.push_back(std::to_string(static_cast<std::uint32_t>(w)));
+    }
     t.add_row(std::move(row));
   }
   std::printf("%s\n", t.to_string().c_str());
 
   // The two properties Figure 2 illustrates.
-  bool module_diversity = false;
-  bool ratio_changes = false;
-  for (const auto& s : timeline) {
-    for (std::uint32_t w : s.module_ways) {
-      module_diversity |= (w != s.module_ways.front());
-    }
-    ratio_changes |= (s.active_ratio != timeline.front().active_ratio);
-  }
+  const validation::Fig2Result check =
+      validation::fig2_check(intervals, cfg.esteem.modules, out.raw.avg_active_ratio);
   std::printf("modules reconfigured independently : %s\n",
-              module_diversity ? "yes" : "no");
-  std::printf("active ratio varies over intervals : %s\n", ratio_changes ? "yes" : "no");
+              check.module_diversity ? "yes" : "no");
+  std::printf("active ratio varies over intervals : %s\n",
+              check.ratio_changes ? "yes" : "no");
   std::printf("run-average active ratio           : %.1f%%\n",
-              100.0 * out.raw.avg_active_ratio);
+              100.0 * check.avg_active_ratio);
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "cpu/interval_clock.hpp"
 #include "trace/file_trace.hpp"
 #include "trace/spec_profiles.hpp"
 
@@ -35,8 +36,6 @@ System::System(const SystemConfig& cfg, Technique technique,
 }
 
 RawRunResult System::run(const RunOptions& options) {
-  const cycle_t interval = cfg_.esteem.interval_cycles;
-
   // Warm-up: fill the caches at full associativity, then zero all counters
   // (the paper fast-forwards before measuring, §6.4).
   const instr_t warmup = options.warmup_instr_per_core;
@@ -57,10 +56,8 @@ RawRunResult System::run(const RunOptions& options) {
       }
     }
   }
-  cycle_t measure_start = cores_[0].cycles();
-  for (std::size_t c = 1; c < cores_.size(); ++c) {
-    measure_start = std::min(measure_start, cores_[c].cycles());
-  }
+  IntervalClock clock{mem_, cores_, cfg_.esteem.interval_cycles};
+  const cycle_t measure_start = clock.wall();
   mem_.reset_measurement(measure_start);
   if (options.telemetry != nullptr) {
     // Attached after the measurement reset so interval deltas and trace
@@ -82,7 +79,7 @@ RawRunResult System::run(const RunOptions& options) {
   std::vector<bool> recorded(cores_.size(), false);
   std::size_t unfinished = cores_.size();
 
-  cycle_t next_interval = measure_start + interval;
+  clock.arm(measure_start);
   while (unfinished > 0) {
     // Step the core with the smallest local clock for causal consistency.
     std::size_t next = 0;
@@ -99,21 +96,7 @@ RawRunResult System::run(const RunOptions& options) {
           static_cast<double>(core.cycles() - base_cycles[next]);
       --unfinished;
     }
-
-    // Wall clock = slowest core's position; interval boundaries fire when
-    // every core has passed them.
-    cycle_t wall = cores_[0].cycles();
-    for (std::size_t c = 1; c < cores_.size(); ++c) {
-      wall = std::min(wall, cores_[c].cycles());
-    }
-    while (wall >= next_interval) {
-      mem_.tick_interval(next_interval);
-      if (options.record_timeline) {
-        result.timeline.push_back(IntervalSample{
-            next_interval, mem_.active_fraction(), mem_.module_active_ways()});
-      }
-      next_interval += interval;
-    }
+    clock.pump();
   }
 
   cycle_t wall_end = 0;

@@ -21,13 +21,6 @@
 
 namespace esteem::cpu {
 
-/// One Figure 2 timeline sample, captured at an interval boundary.
-struct IntervalSample {
-  cycle_t cycle = 0;
-  double active_ratio = 1.0;
-  std::vector<std::uint32_t> module_ways;
-};
-
 struct RawRunResult {
   std::vector<double> ipc;             ///< Per-core IPC at its target crossing.
   instr_t instr_per_core = 0;
@@ -40,7 +33,6 @@ struct RawRunResult {
   double avg_active_ratio = 1.0;       ///< Time-weighted F_A.
   edram::FaultCounters faults;         ///< Fault-injection events (zero when off).
   std::uint64_t disabled_slots = 0;    ///< L2 slots retired by faults (state).
-  std::vector<IntervalSample> timeline;
 };
 
 struct RunOptions {
@@ -50,7 +42,6 @@ struct RunOptions {
   /// associativity; no reconfiguration intervals fire and no counters
   /// accumulate during it.
   instr_t warmup_instr_per_core = 0;
-  bool record_timeline = false;
   std::uint64_t seed = 42;
   /// Optional per-run telemetry sink (interval time-series + sim-time trace
   /// lanes); must outlive run(). Null = telemetry off.

@@ -2,49 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cpu/interval_clock.hpp"
+
 namespace esteem::sampling {
 
 namespace {
-
-constexpr cycle_t kNever = std::numeric_limits<cycle_t>::max();
-
-/// Drives the shared interval clock exactly as cpu::System::run does:
-/// boundaries fire once every core has passed them (wall = min core clock).
-/// Armed only for the measured region; `next = kNever` during warm-up.
-struct IntervalClock {
-  cpu::MemorySystem& mem;
-  std::vector<cpu::Core>& cores;
-  cpu::RawRunResult& result;
-  bool record_timeline;
-  cycle_t interval;
-  cycle_t next = kNever;
-
-  cycle_t wall() const {
-    cycle_t w = cores[0].cycles();
-    for (std::size_t c = 1; c < cores.size(); ++c) {
-      w = std::min(w, cores[c].cycles());
-    }
-    return w;
-  }
-
-  void pump() {
-    if (next == kNever) return;
-    const cycle_t w = wall();
-    while (w >= next) {
-      mem.tick_interval(next);
-      if (record_timeline) {
-        result.timeline.push_back(cpu::IntervalSample{
-            next, mem.active_fraction(), mem.module_active_ways()});
-      }
-      next += interval;
-    }
-  }
-};
 
 /// Lockstep-steps cores (smallest local clock first, as in System::run)
 /// until each has retired at least `targets[c]` instructions. Unlike the
@@ -53,7 +19,7 @@ struct IntervalClock {
 /// resulting loss of tail contention inside windows is a documented bias.
 template <typename StepFn>
 void run_segment(std::vector<cpu::Core>& cores,
-                 const std::vector<instr_t>& targets, IntervalClock& clock,
+                 const std::vector<instr_t>& targets, cpu::IntervalClock& clock,
                  StepFn&& step) {
   std::vector<bool> done(cores.size());
   std::size_t remaining = 0;
@@ -124,8 +90,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   result.ipc.assign(ncores, 0.0);
   mem.set_sampled_mode(true);
 
-  IntervalClock clock{mem, cores, result, options.record_timeline,
-                      sys.config().esteem.interval_cycles};
+  cpu::IntervalClock clock{mem, cores, sys.config().esteem.interval_cycles};
 
   // --- Warm-up: analytic skip, then a functional-warming tail that rebuilds
   // cache/refresh/profiler state before measurement (the refresh engine
@@ -147,15 +112,12 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   }
   align_clocks(cores);
 
-  cycle_t measure_start = cores[0].cycles();
-  for (std::size_t c = 1; c < ncores; ++c) {
-    measure_start = std::min(measure_start, cores[c].cycles());
-  }
+  const cycle_t measure_start = clock.wall();
   mem.reset_measurement(measure_start);
   if (options.telemetry != nullptr) {
     mem.set_telemetry(options.telemetry, measure_start);
   }
-  clock.next = measure_start + clock.interval;
+  clock.arm(measure_start);
 
   std::vector<instr_t> base_instr(ncores);
   for (std::size_t c = 0; c < ncores; ++c) base_instr[c] = cores[c].instret();

@@ -22,7 +22,8 @@ namespace {
 /// Publishes end-of-run aggregates into the global counter registry under
 /// the dotted hierarchy (`l2.*`, `mm.*`, `faults.*`, `esteem.*`). Counters
 /// sum across every run of the process; gauges carry the latest run.
-void publish_run_counters(const RunSpec& spec, const RunOutcome& outcome) {
+void publish_run_counters(const RunOutcome& outcome,
+                          const std::vector<std::uint32_t>& module_ways) {
   telemetry::CounterRegistry& reg = telemetry::registry();
   const cpu::RawRunResult& r = outcome.raw;
   reg.counter("runs.completed").add();
@@ -36,14 +37,9 @@ void publish_run_counters(const RunSpec& spec, const RunOutcome& outcome) {
   reg.counter("faults.uncorrectable").add(r.faults.uncorrectable());
   reg.histogram("run.wall_cycles").observe(r.wall_cycles);
   reg.gauge("run.last_active_ratio").set(r.avg_active_ratio);
-  if (spec.technique == Technique::Esteem) {
-    const std::size_t modules = r.timeline.empty()
-                                    ? 0
-                                    : r.timeline.back().module_ways.size();
-    for (std::size_t m = 0; m < modules; ++m) {
-      reg.gauge("esteem.module" + std::to_string(m) + ".active_ways")
-          .set(static_cast<double>(r.timeline.back().module_ways[m]));
-    }
+  for (std::size_t m = 0; m < module_ways.size(); ++m) {
+    reg.gauge("esteem.module" + std::to_string(m) + ".active_ways")
+        .set(static_cast<double>(module_ways[m]));
   }
   if (outcome.estimates.enabled) {
     reg.counter("sampling.runs").add();
@@ -110,7 +106,8 @@ sampling::Estimate ipc_estimate(const RunOutcome& o, std::size_t core) {
 
 }  // namespace
 
-RunOutcome run_experiment(const RunSpec& spec) {
+RunOutcome run_experiment(const RunSpec& spec,
+                          telemetry::IntervalRecorder* intervals) {
   telemetry::Telemetry& tel = telemetry::Telemetry::instance();
 
   // Per-run sink (null when telemetry is off): interval time-series columns
@@ -124,6 +121,13 @@ RunOutcome run_experiment(const RunSpec& spec) {
     sink = tel.begin_run(label, spec.config.freq_ghz,
                          telemetry::interval_columns(modules), 1 + modules);
   }
+  // A caller's series is the hub's recorder, or a private one when interval
+  // stats are off (end_run writes only the hub's).
+  if (intervals != nullptr && !(sink && sink->recorder)) {
+    if (!sink) sink = std::make_unique<telemetry::RunSink>();
+    sink->recorder = std::make_unique<telemetry::IntervalRecorder>(
+        telemetry::interval_columns(modules));
+  }
 
   const double wall_t0 =
       sink && sink->trace ? telemetry::TraceEmitter::wall_now_us() : 0.0;
@@ -133,7 +137,6 @@ RunOutcome run_experiment(const RunSpec& spec) {
   cpu::RunOptions options;
   options.instr_per_core = spec.instr_per_core;
   options.warmup_instr_per_core = spec.warmup_instr_per_core;
-  options.record_timeline = spec.record_timeline;
   options.seed = spec.seed;
   options.telemetry = sink.get();
 
@@ -180,7 +183,10 @@ RunOutcome run_experiment(const RunSpec& spec) {
     }
     tel.end_run(*sink);
   }
-  if (tel.active()) publish_run_counters(spec, outcome);
+  if (intervals != nullptr) *intervals = std::move(*sink->recorder);
+  if (tel.active()) {
+    publish_run_counters(outcome, system.memory().module_active_ways());
+  }
   return outcome;
 }
 
@@ -252,7 +258,6 @@ TechniqueComparison compare(const std::string& workload, Technique technique,
 TechniqueComparison run_and_compare(const RunSpec& technique_spec) {
   RunSpec base_spec = technique_spec;
   base_spec.technique = Technique::BaselinePeriodicAll;
-  base_spec.record_timeline = false;
 
   // Memoized: a series of run_and_compare calls over the same workload (the
   // ablation bench's variant grid) computes the baseline once.

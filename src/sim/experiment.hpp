@@ -13,6 +13,7 @@
 #include "energy/energy_model.hpp"
 #include "sampling/estimates.hpp"
 #include "sim/technique.hpp"
+#include "telemetry/interval_recorder.hpp"
 #include "trace/workloads.hpp"
 
 namespace esteem::sim {
@@ -25,7 +26,6 @@ struct RunSpec {
   instr_t instr_per_core = 8'000'000;
   /// Cache warm-up before measurement (paper: 10B-instruction fast-forward).
   instr_t warmup_instr_per_core = 0;
-  bool record_timeline = false;
 };
 
 struct RunOutcome {
@@ -45,8 +45,12 @@ std::string run_label(const RunSpec& spec);
 /// hub is active this also records the per-interval time-series, emits
 /// simulated-time trace spans, and publishes end-of-run aggregates into the
 /// counter registry; with telemetry off the run is bit-identical and pays no
-/// instrumentation cost.
-RunOutcome run_experiment(const RunSpec& spec);
+/// instrumentation cost. A non-null `intervals` receives the run's
+/// per-interval series (columns telemetry::interval_columns, with one
+/// module column per ESTEEM module) whether or not the hub is on — the
+/// Figure 2 timeline is read from it by column name.
+RunOutcome run_experiment(const RunSpec& spec,
+                          telemetry::IntervalRecorder* intervals = nullptr);
 
 /// run_experiment through the process-wide RunCache (sim/run_cache.hpp):
 /// identical specs are simulated once per process (or once ever, with

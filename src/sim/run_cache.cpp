@@ -107,13 +107,8 @@ void write_outcome(ByteWriter& w, const RunOutcome& o) {
   w.u64(f.disabled_lines);
   w.u64(r.disabled_slots);
 
-  w.u64(r.timeline.size());
-  for (const cpu::IntervalSample& s : r.timeline) {
-    w.u64(s.cycle);
-    w.f64(s.active_ratio);
-    w.u64(s.module_ways.size());
-    for (std::uint32_t ways : s.module_ways) w.u32(ways);
-  }
+  // Retired timeline count: keeps outcome digests and memo files byte-stable.
+  w.u64(0);
 
   const energy::EnergyBreakdown& e = o.energy;
   w.f64(e.leak_l2_j);
@@ -177,16 +172,8 @@ bool read_outcome(ByteReader& rd, RunOutcome& o) {
        rd.u64(r.disabled_slots);
   if (!ok) return false;
 
-  if (!rd.u64(n)) return false;
-  r.timeline.resize(n);
-  for (cpu::IntervalSample& s : r.timeline) {
-    std::uint64_t ways = 0;
-    if (!rd.u64(s.cycle) || !rd.f64(s.active_ratio) || !rd.u64(ways)) return false;
-    s.module_ways.resize(ways);
-    for (std::uint32_t& w : s.module_ways) {
-      if (!rd.u32(w)) return false;
-    }
-  }
+  // Retired timeline count: only the constant 0 is valid.
+  if (!rd.u64(n) || n != 0) return false;
 
   energy::EnergyBreakdown& e = o.energy;
   ok = rd.f64(e.leak_l2_j) && rd.f64(e.dyn_l2_j) && rd.f64(e.refresh_l2_j) &&
@@ -297,7 +284,8 @@ std::string run_spec_fingerprint(const RunSpec& spec) {
   w.u64(spec.seed);
   w.u64(spec.instr_per_core);
   w.u64(spec.warmup_instr_per_core);
-  w.u8(spec.record_timeline ? 1 : 0);
+  // Retired timeline flag: keeps memo keys, and so --journal resume, valid.
+  w.u8(0);
   return w.take();
 }
 

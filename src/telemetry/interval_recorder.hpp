@@ -16,7 +16,7 @@ namespace esteem::telemetry {
 
 class IntervalRecorder {
  public:
-  explicit IntervalRecorder(std::vector<std::string> columns);
+  explicit IntervalRecorder(std::vector<std::string> columns = {});
 
   const std::vector<std::string>& columns() const noexcept { return columns_; }
   std::size_t rows() const noexcept { return cycles_.size(); }

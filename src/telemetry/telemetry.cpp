@@ -64,7 +64,7 @@ std::string Telemetry::interval_series_path(const std::string& label) const {
 }
 
 std::string Telemetry::end_run(RunSink& sink) {
-  if (!sink.recorder) return {};
+  if (!sink.recorder || !interval_stats_enabled()) return {};
   std::string dir;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -51,7 +51,7 @@ struct TelemetryConfig {
 struct RunSink {
   std::string label;           ///< Sanitized "<workload>.<technique>.sN".
   double cycles_per_us = 1.0;  ///< freq_ghz * 1000; converts cycles to sim us.
-  std::unique_ptr<IntervalRecorder> recorder;  ///< Null unless interval_stats.
+  std::unique_ptr<IntervalRecorder> recorder;  ///< Null unless a series is recorded.
   TraceEmitter* trace = nullptr;               ///< Null unless tracing.
   std::uint32_t sim_tid = 0;  ///< First simulated-time lane of this run.
 
@@ -93,8 +93,9 @@ class Telemetry {
                                      std::vector<std::string> columns,
                                      std::uint32_t sim_lanes);
 
-  /// Finishes a run: writes the interval series into the configured dir.
-  /// Returns the written path ("" when nothing was written).
+  /// Finishes a run: writes the interval series into the configured dir
+  /// when interval stats are on. Returns the written path ("" when nothing
+  /// was written).
   std::string end_run(RunSink& sink);
 
   /// Interval-series file path for a run label under the current config.

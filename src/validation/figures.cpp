@@ -173,6 +173,18 @@ int figure_bench_main(const std::string& id) {
   return result.sweep.ok() ? 0 : 3;
 }
 
+Fig2Result fig2_check(const telemetry::IntervalRecorder& intervals,
+                      std::uint32_t modules, double avg_active_ratio) {
+  Fig2Result result{.avg_active_ratio = avg_active_ratio, .intervals = intervals.rows()};
+  const std::vector<double>& ratio = intervals.series("active_ratio");
+  for (double r : ratio) result.ratio_changes |= (r != ratio.front());
+  for (std::uint32_t m = 1; m < modules; ++m) {
+    const auto& ways = intervals.series("module" + std::to_string(m) + "_active_ways");
+    result.module_diversity |= ways != intervals.series("module0_active_ways");
+  }
+  return result;
+}
+
 Fig2Result run_fig2(const ScaleSpec& scale) {
   sim::RunSpec spec;
   spec.config = scaled_single(scale);
@@ -181,21 +193,11 @@ Fig2Result run_fig2(const ScaleSpec& scale) {
   spec.instr_per_core = scale.instr_per_core;
   spec.warmup_instr_per_core = scale.warmup_per_core;
   spec.seed = scale.seed;
-  spec.record_timeline = true;
 
-  const std::shared_ptr<const sim::RunOutcome> out = sim::run_experiment_cached(spec);
-
-  Fig2Result result;
-  result.avg_active_ratio = out->raw.avg_active_ratio;
-  result.intervals = out->raw.timeline.size();
-  for (const auto& s : out->raw.timeline) {
-    for (std::uint32_t w : s.module_ways) {
-      result.module_diversity |= (w != s.module_ways.front());
-    }
-    result.ratio_changes |=
-        (s.active_ratio != out->raw.timeline.front().active_ratio);
-  }
-  return result;
+  telemetry::IntervalRecorder intervals;
+  const sim::RunOutcome out = sim::run_experiment(spec, &intervals);
+  return fig2_check(intervals, spec.config.esteem.modules,
+                    out.raw.avg_active_ratio);
 }
 
 }  // namespace esteem::validation

@@ -5,11 +5,13 @@
 // "what the paper measured" lives in exactly one place.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/runner.hpp"
+#include "telemetry/interval_recorder.hpp"
 #include "validation/scale.hpp"
 
 namespace esteem::validation {
@@ -79,7 +81,7 @@ std::string figure_text(const FigureResult& result);
 int figure_bench_main(const std::string& id);
 
 /// Figure 2's two illustrated properties plus the run-average active ratio,
-/// checked on the h264ref timeline.
+/// checked on the h264ref interval series.
 struct Fig2Result {
   bool module_diversity = false;  ///< Modules reconfigured independently.
   bool ratio_changes = false;     ///< Active ratio varies over intervals.
@@ -87,6 +89,13 @@ struct Fig2Result {
   std::size_t intervals = 0;
 };
 
+/// Checks Figure 2's properties on an ESTEEM run's interval series, read by
+/// column name (`active_ratio`, `moduleK_active_ways` for K < `modules`).
+Fig2Result fig2_check(const telemetry::IntervalRecorder& intervals,
+                      std::uint32_t modules, double avg_active_ratio);
+
+/// Runs ESTEEM on h264ref at `scale` (uncached: the series is not part of
+/// the memoized outcome) and checks it with fig2_check.
 Fig2Result run_fig2(const ScaleSpec& scale);
 
 }  // namespace esteem::validation

@@ -1,10 +1,12 @@
 // End-to-end tests of the multi-core system simulator.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cpu/system.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/spec_profiles.hpp"
 
 namespace esteem::cpu {
@@ -28,12 +30,12 @@ SystemConfig tiny(std::uint32_t ncores = 1) {
 
 RawRunResult run_one(const SystemConfig& cfg, Technique tech,
                      const std::vector<std::string>& benchmarks,
-                     instr_t instr = 200'000, bool timeline = false,
-                     std::uint64_t seed = 42) {
+                     instr_t instr = 200'000, std::uint64_t seed = 42,
+                     telemetry::RunSink* sink = nullptr) {
   System system(cfg, tech, benchmarks, seed);
   RunOptions opt;
   opt.instr_per_core = instr;
-  opt.record_timeline = timeline;
+  opt.telemetry = sink;
   return system.run(opt);
 }
 
@@ -96,8 +98,8 @@ TEST(System, PeriodicValidBetweenBaselineAndRpv) {
 }
 
 TEST(System, DeterministicForSameSeed) {
-  const RawRunResult a = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, false, 7);
-  const RawRunResult b = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, false, 7);
+  const RawRunResult a = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, 7);
+  const RawRunResult b = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, 7);
   EXPECT_EQ(a.wall_cycles, b.wall_cycles);
   EXPECT_EQ(a.refreshes, b.refreshes);
   EXPECT_EQ(a.demand_misses, b.demand_misses);
@@ -106,8 +108,8 @@ TEST(System, DeterministicForSameSeed) {
 }
 
 TEST(System, SeedChangesRun) {
-  const RawRunResult a = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, false, 7);
-  const RawRunResult b = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, false, 8);
+  const RawRunResult a = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, 7);
+  const RawRunResult b = run_one(tiny(), Technique::Esteem, {"gcc"}, 150'000, 8);
   EXPECT_NE(a.wall_cycles, b.wall_cycles);
 }
 
@@ -132,13 +134,21 @@ TEST(System, DualCoreSharedCacheContends) {
 
 TEST(System, TimelineRecordsModuleWays) {
   const SystemConfig cfg = tiny();
-  const RawRunResult r = run_one(cfg, Technique::Esteem, {"h264ref"}, 400'000, true);
-  ASSERT_FALSE(r.timeline.empty());
-  for (const IntervalSample& s : r.timeline) {
-    EXPECT_EQ(s.module_ways.size(), cfg.esteem.modules);
-    EXPECT_GT(s.active_ratio, 0.0);
-    EXPECT_LE(s.active_ratio, 1.0);
-    for (std::uint32_t w : s.module_ways) {
+  telemetry::RunSink sink;
+  sink.recorder = std::make_unique<telemetry::IntervalRecorder>(
+      telemetry::interval_columns(cfg.esteem.modules));
+  (void)run_one(cfg, Technique::Esteem, {"h264ref"}, 400'000, 42, &sink);
+  const telemetry::IntervalRecorder& rec = *sink.recorder;
+  ASSERT_GT(rec.rows(), 0u);
+  for (const double ratio : rec.series("active_ratio")) {
+    EXPECT_GT(ratio, 0.0);
+    EXPECT_LE(ratio, 1.0);
+  }
+  for (std::uint32_t m = 0; m < cfg.esteem.modules; ++m) {
+    const std::vector<double>& ways =
+        rec.series("module" + std::to_string(m) + "_active_ways");
+    ASSERT_EQ(ways.size(), rec.rows());
+    for (const double w : ways) {
       EXPECT_GE(w, cfg.esteem.a_min);
       EXPECT_LE(w, cfg.l2.geom.ways);
     }

@@ -41,7 +41,8 @@
 //     --seed N                 workload generator seed
 //     --compare                also run the baseline and print the paper's
 //                              comparison metrics (energy saving, WS, ...)
-//     --timeline FILE.csv      dump the per-interval reconfiguration timeline
+//     --timeline FILE.csv      write the run's per-interval series as CSV
+//                              (the columns --interval-stats writes as JSONL)
 //     --telemetry-dir DIR      telemetry output directory: per-run interval
 //                              JSONL series plus a counters.json registry
 //                              dump land here
@@ -62,14 +63,15 @@
 // without the subsystem.
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
 #include "common/config_io.hpp"
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "resilience/shutdown.hpp"
 #include "service/coordinator.hpp"
@@ -406,36 +408,28 @@ int main(int argc, char** argv) {
     spec.instr_per_core = instr;
     spec.warmup_instr_per_core = warmup;
     spec.seed = seed;
-    spec.record_timeline = !timeline_path.empty();
 
     std::printf("workload %s | technique %s | %llu instr/core (+%llu warm-up)\n\n",
                 workload.c_str(), technique.c_str(),
                 static_cast<unsigned long long>(instr),
                 static_cast<unsigned long long>(warmup));
 
-    const sim::RunOutcome out = sim::run_experiment(spec);
+    telemetry::IntervalRecorder intervals;
+    const sim::RunOutcome out =
+        sim::run_experiment(spec, timeline_path.empty() ? nullptr : &intervals);
     print_run(out, cfg.faults.enabled);
 
     if (!timeline_path.empty()) {
-      CsvWriter csv(timeline_path);
-      std::vector<std::string> header{"cycle", "active_ratio"};
-      for (std::uint32_t m = 0; m < cfg.esteem.modules; ++m) {
-        header.push_back("module" + std::to_string(m));
-      }
-      csv.write_row(header);
-      for (const auto& s : out.raw.timeline) {
-        std::vector<std::string> row{std::to_string(s.cycle), fmt(s.active_ratio, 4)};
-        for (std::uint32_t w : s.module_ways) row.push_back(std::to_string(w));
-        csv.write_row(row);
-      }
+      std::ofstream csv(timeline_path, std::ios::trunc);
+      intervals.write_csv(csv);
+      if (!csv.good()) throw std::runtime_error("cannot write " + timeline_path);
       std::printf("\ntimeline written to %s (%zu intervals)\n", timeline_path.c_str(),
-                  out.raw.timeline.size());
+                  intervals.rows());
     }
 
     if (compare && spec.technique != sim::Technique::BaselinePeriodicAll) {
       sim::RunSpec base_spec = spec;
       base_spec.technique = sim::Technique::BaselinePeriodicAll;
-      base_spec.record_timeline = false;
       const sim::RunOutcome base = sim::run_experiment(base_spec);
       const sim::TechniqueComparison c =
           sim::compare(workload, spec.technique, base, out);
