@@ -115,7 +115,9 @@ MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
       fault_correctable_ = cfg_.edram.ecc_correctable;
     }
     faults_ = std::make_unique<edram::FaultInjector>(
-        cfg_.faults, l2_.sets(), l2_.ways(), cfg_.l2.geom.line_bytes * 8, model);
+        cfg_.faults,
+        edram::WeakCellMap::interned(cfg_.faults, l2_.sets(), l2_.ways(),
+                                     cfg_.l2.geom.line_bytes * 8, model));
     fault_epoch_cycles_ = retention * fault_extension_;
     fault_next_epoch_ = fault_epoch_cycles_;
   }

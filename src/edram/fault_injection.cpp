@@ -1,19 +1,47 @@
 #include "edram/fault_injection.hpp"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <compare>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 
 namespace esteem::edram {
 
-FaultInjector::FaultInjector(const FaultConfig& cfg, std::uint32_t sets,
-                             std::uint32_t ways, std::uint32_t bits_per_line,
-                             const CellRetentionModel& model)
-    : sets_(sets),
-      ways_(ways),
-      max_ext_(cfg.max_tracked_extension),
-      disable_threshold_(cfg.disable_threshold) {
+namespace {
+
+std::atomic<std::uint64_t> g_sampled{0};
+
+/// Everything a sampled map depends on. Doubles are compared by bit
+/// pattern, so equal keys always mean bit-identical sampling inputs.
+struct MapKey {
+  std::uint64_t seed;
+  std::uint64_t median_bits;
+  std::uint64_t sigma_bits;
+  std::uint32_t max_ext;
+  std::uint32_t sets;
+  std::uint32_t ways;
+  std::uint32_t bits_per_line;
+
+  auto operator<=>(const MapKey&) const = default;
+};
+
+struct InternEntry {
+  std::mutex build;  ///< Serialises the first sampling of this key.
+  std::weak_ptr<const WeakCellMap> map;
+};
+
+}  // namespace
+
+WeakCellMap::WeakCellMap(const FaultConfig& cfg, std::uint32_t sets,
+                         std::uint32_t ways, std::uint32_t bits_per_line,
+                         const CellRetentionModel& model)
+    : sets_(sets), ways_(ways), max_ext_(cfg.max_tracked_extension) {
   if (sets_ == 0 || ways_ == 0) {
     throw std::invalid_argument("fault injector: empty cache");
   }
@@ -23,11 +51,10 @@ FaultInjector::FaultInjector(const FaultConfig& cfg, std::uint32_t sets,
   if (max_ext_ == 0) {
     throw std::invalid_argument("fault injector: zero tracked extension");
   }
+  g_sampled.fetch_add(1, std::memory_order_relaxed);
 
   const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
   fail_at_.assign(slots * max_ext_, 0);
-  streak_.assign(slots, 0);
-  corrected_.assign(slots, 0);
 
   // Per-extension cell-failure probabilities; p_k[max_ext_-1] caps the weak
   // tail we materialise (cells above it never decay within tracked range).
@@ -64,11 +91,72 @@ FaultInjector::FaultInjector(const FaultConfig& cfg, std::uint32_t sets,
   }
 }
 
-std::uint32_t FaultInjector::failed_bits(std::uint32_t set, std::uint32_t way,
-                                         std::uint32_t extension) const {
-  if (extension == 0) return 0;
-  const std::uint32_t k = std::min(extension, max_ext_);
-  return fail_at_[slot(set, way) * max_ext_ + (k - 1)];
+std::shared_ptr<const WeakCellMap> WeakCellMap::interned(
+    const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
+    std::uint32_t bits_per_line, const CellRetentionModel& model) {
+  // Entries hold weak references, so a map dies with its last run; `recent`
+  // keeps the latest one alive across the gap between consecutive runs.
+  // Entries whose map has died are pruned, so at most one idle map and a
+  // handful of small entries outlive their users.
+  static std::mutex mu;
+  static std::map<MapKey, std::shared_ptr<InternEntry>> table;
+  static std::shared_ptr<const WeakCellMap> recent;
+
+  const MapKey key{cfg.seed,
+                   std::bit_cast<std::uint64_t>(model.median_multiple),
+                   std::bit_cast<std::uint64_t>(model.sigma),
+                   cfg.max_tracked_extension,
+                   sets,
+                   ways,
+                   bits_per_line};
+  std::shared_ptr<InternEntry> entry;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    std::shared_ptr<InternEntry>& slot = table[key];
+    if (!slot) slot = std::make_shared<InternEntry>();
+    entry = slot;
+  }
+  std::shared_ptr<const WeakCellMap> map;
+  {
+    const std::lock_guard<std::mutex> lock(entry->build);
+    map = entry->map.lock();
+    if (!map) {
+      map = std::make_shared<const WeakCellMap>(cfg, sets, ways, bits_per_line, model);
+      entry->map = map;
+    }
+  }
+  std::shared_ptr<const WeakCellMap> retired;  // freed outside the lock
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    retired = std::exchange(recent, map);
+    // An entry only this table references has no sampling in flight, so
+    // its weak pointer can be read here without the build lock.
+    std::erase_if(table, [](const auto& kv) {
+      return kv.second.use_count() == 1 && kv.second->map.expired();
+    });
+  }
+  return map;
+}
+
+std::uint64_t WeakCellMap::sampled_count() noexcept {
+  return g_sampled.load(std::memory_order_relaxed);
+}
+
+FaultInjector::FaultInjector(const FaultConfig& cfg, std::uint32_t sets,
+                             std::uint32_t ways, std::uint32_t bits_per_line,
+                             const CellRetentionModel& model)
+    : FaultInjector(cfg, std::make_shared<const WeakCellMap>(cfg, sets, ways,
+                                                             bits_per_line, model)) {}
+
+FaultInjector::FaultInjector(const FaultConfig& cfg,
+                             std::shared_ptr<const WeakCellMap> map)
+    : map_(std::move(map)),
+      sets_(map_->sets()),
+      ways_(map_->ways()),
+      disable_threshold_(cfg.disable_threshold) {
+  const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
+  streak_.assign(slots, 0);
+  corrected_.assign(slots, 0);
 }
 
 void FaultInjector::on_refresh_epoch(cache::SetAssocCache& l2,
@@ -76,43 +164,61 @@ void FaultInjector::on_refresh_epoch(cache::SetAssocCache& l2,
                                      std::uint32_t correctable, cycle_t now,
                                      const DropHook& on_drop) {
   ++counters_.scans;
+  if (listed_ext_ == extension) {
+    for (const std::uint32_t i : live_) {
+      (void)visit(l2, i / ways_, i % ways_, extension, correctable, now, on_drop);
+    }
+    return;
+  }
+  live_.clear();
   for (std::uint32_t set = 0; set < sets_; ++set) {
     for (std::uint32_t way = 0; way < ways_; ++way) {
-      const std::size_t i = slot(set, way);
-      if (l2.slot_disabled(set, way) || !l2.slot_valid(set, way)) {
-        corrected_[i] = 0;
-        continue;
-      }
-      const std::uint32_t failed = failed_bits(set, way, extension);
-      if (failed == 0) {
-        corrected_[i] = 0;
-        streak_[i] = 0;
-        continue;
-      }
-      if (failed <= correctable) {
-        ++counters_.corrected_lines;
-        corrected_[i] = 1;
-        streak_[i] = 0;
-        continue;
-      }
-      // Detected-uncorrectable: the line's content is gone. Clean lines can
-      // be re-fetched from memory; dirty ones cannot.
-      const block_t blk = l2.slot_block(set, way);
-      const bool l2_dirty = l2.slot_dirty(set, way);
-      l2.invalidate_slot(set, way, now);
-      corrected_[i] = 0;
-      const bool upper_dirty = on_drop ? on_drop(blk, l2_dirty) : false;
-      if (l2_dirty || upper_dirty) {
-        ++counters_.data_loss_events;
-      } else {
-        ++counters_.refetches;
-      }
-      if (streak_[i] < 0xFF) ++streak_[i];
-      if (streak_[i] >= disable_threshold_) {
-        if (l2.disable_slot(set, way, now)) ++counters_.disabled_lines;
+      if (visit(l2, set, way, extension, correctable, now, on_drop)) {
+        live_.push_back(static_cast<std::uint32_t>(slot(set, way)));
       }
     }
   }
+  listed_ext_ = extension;
+}
+
+bool FaultInjector::visit(cache::SetAssocCache& l2, std::uint32_t set,
+                          std::uint32_t way, std::uint32_t extension,
+                          std::uint32_t correctable, cycle_t now,
+                          const DropHook& on_drop) {
+  const std::size_t i = slot(set, way);
+  const std::uint32_t failed = failed_bits(set, way, extension);
+  if (l2.slot_disabled(set, way) || !l2.slot_valid(set, way)) {
+    corrected_[i] = 0;
+    return failed > 0 || streak_[i] != 0;
+  }
+  if (failed == 0) {
+    corrected_[i] = 0;
+    streak_[i] = 0;
+    return false;
+  }
+  if (failed <= correctable) {
+    ++counters_.corrected_lines;
+    corrected_[i] = 1;
+    streak_[i] = 0;
+    return true;
+  }
+  // Detected-uncorrectable: the line's content is gone. Clean lines can
+  // be re-fetched from memory; dirty ones cannot.
+  const block_t blk = l2.slot_block(set, way);
+  const bool l2_dirty = l2.slot_dirty(set, way);
+  l2.invalidate_slot(set, way, now);
+  corrected_[i] = 0;
+  const bool upper_dirty = on_drop ? on_drop(blk, l2_dirty) : false;
+  if (l2_dirty || upper_dirty) {
+    ++counters_.data_loss_events;
+  } else {
+    ++counters_.refetches;
+  }
+  if (streak_[i] < 0xFF) ++streak_[i];
+  if (streak_[i] >= disable_threshold_) {
+    if (l2.disable_slot(set, way, now)) ++counters_.disabled_lines;
+  }
+  return true;
 }
 
 bool FaultInjector::corrected_hit(std::uint32_t set, std::uint32_t way) {

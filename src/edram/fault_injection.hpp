@@ -5,11 +5,14 @@
 // ECC-extended refresh and graceful degradation can be stress-tested
 // end-to-end (the evaluation style of Wilkerson et al. and Agrawal et al.).
 //
-// A deterministic per-line weak-cell map is sampled once from the lognormal
-// CellRetentionModel (seeded, reproducible): for every (set, way) slot we
-// record how many of its cells lose charge when the line goes k nominal
-// retention periods without refresh, for k = 1..max_tracked_extension. At
-// every refresh-interval expiry the injector classifies each valid line:
+// A deterministic per-line weak-cell map (WeakCellMap) is sampled once from
+// the lognormal CellRetentionModel (seeded, reproducible): for every (set,
+// way) slot we record how many of its cells lose charge when the line goes k
+// nominal retention periods without refresh, for k = 1..max_tracked_extension.
+// The map is immutable and depends on no workload or technique, so one
+// process interns it per key and every run shares it; a FaultInjector holds
+// only the per-run state on top. At every refresh-interval expiry the
+// injector classifies each valid line:
 //
 //   failed bits == 0           -> clean
 //   0 < failed <= correctable  -> corrected   (reads pay an ECC penalty)
@@ -27,6 +30,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -51,16 +56,65 @@ struct FaultCounters {
   }
 };
 
+/// The sampled weak cells of one physical L2 array. Immutable once built.
+class WeakCellMap {
+ public:
+  /// Samples a fresh map. `bits_per_line` must be in [1, 65535].
+  WeakCellMap(const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
+              std::uint32_t bits_per_line, const CellRetentionModel& model);
+
+  /// The process-wide shared map for these parameters, sampled on first use.
+  /// The key is exactly what the sample depends on: cfg.seed, the bit
+  /// patterns of model.median_multiple and model.sigma,
+  /// cfg.max_tracked_extension, sets, ways and bits_per_line. Thread-safe:
+  /// concurrent first uses of one key sample it once. The cache keeps the
+  /// most recently interned map alive; any other map lives only while a
+  /// caller still holds it.
+  static std::shared_ptr<const WeakCellMap> interned(
+      const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
+      std::uint32_t bits_per_line, const CellRetentionModel& model);
+
+  /// Maps sampled by this process so far (interned or not); diagnostic.
+  static std::uint64_t sampled_count() noexcept;
+
+  /// Cells of `slot` (set * ways + way) that decay within `extension`
+  /// nominal retention periods (clamped to the tracked range).
+  std::uint32_t failed_bits(std::size_t slot, std::uint32_t extension) const {
+    if (extension == 0) return 0;
+    const std::uint32_t k = extension < max_ext_ ? extension : max_ext_;
+    return fail_at_[slot * max_ext_ + (k - 1)];
+  }
+
+  std::uint32_t sets() const noexcept { return sets_; }
+  std::uint32_t ways() const noexcept { return ways_; }
+  std::uint32_t max_tracked_extension() const noexcept { return max_ext_; }
+
+ private:
+  std::uint32_t sets_;
+  std::uint32_t ways_;
+  std::uint32_t max_ext_;
+  /// fail_at_[slot * max_ext_ + (k-1)] = cells failing within k periods
+  /// (cumulative in k).
+  std::vector<std::uint16_t> fail_at_;
+};
+
+/// Per-run fault state (failure streaks, corrected flags, event counters)
+/// over a shared WeakCellMap.
 class FaultInjector {
  public:
-  /// Samples the weak-cell map. `bits_per_line` must be < 65536.
+  /// Samples a fresh, un-interned weak-cell map for this injector alone.
   FaultInjector(const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
                 std::uint32_t bits_per_line, const CellRetentionModel& model);
+
+  /// Runs on an existing map, typically WeakCellMap::interned(...).
+  FaultInjector(const FaultConfig& cfg, std::shared_ptr<const WeakCellMap> map);
 
   /// Cells of slot (set, way) that decay within `extension` nominal
   /// retention periods (clamped to the tracked range).
   std::uint32_t failed_bits(std::uint32_t set, std::uint32_t way,
-                            std::uint32_t extension) const;
+                            std::uint32_t extension) const {
+    return map_->failed_bits(slot(set, way), extension);
+  }
 
   /// Called by the upper level when a fill drops an upper-level (L1) copy of
   /// `block`; returns true if that copy was dirty (so the loss of the line
@@ -72,6 +126,13 @@ class FaultInjector {
   /// Classifies each line, invalidates uncorrectable ones (calling
   /// `on_drop`, e.g. for inclusion back-invalidation), and disables slots
   /// whose uncorrectable streak reaches the configured threshold.
+  ///
+  /// An epoch at the same extension as the previous one visits only the
+  /// slots that epoch listed: those that can fail at this extension, plus
+  /// any still carrying a streak. Every other slot's full-scan action would
+  /// reset a corrected flag and streak that are already zero, so skipping it
+  /// leaves the same state. The first epoch and every change of extension
+  /// scan all slots and rebuild the list.
   void on_refresh_epoch(cache::SetAssocCache& l2, std::uint32_t extension,
                         std::uint32_t correctable, cycle_t now,
                         const DropHook& on_drop);
@@ -91,27 +152,48 @@ class FaultInjector {
   /// streaks, and disabled slots are physical state and persist.
   void reset_counters() noexcept { counters_ = {}; }
 
-  std::uint32_t max_tracked_extension() const noexcept { return max_ext_; }
+  std::uint32_t max_tracked_extension() const noexcept {
+    return map_->max_tracked_extension();
+  }
 
   /// Total weak cells in the map that decay within `extension` periods
   /// (diagnostic; sums failed_bits over all slots).
   std::uint64_t total_weak_cells(std::uint32_t extension) const;
+
+  const std::shared_ptr<const WeakCellMap>& map() const noexcept { return map_; }
+
+  /// Per-slot run state (diagnostic): consecutive uncorrectable epochs, and
+  /// whether the line currently holds corrected bits.
+  std::uint32_t streak(std::uint32_t set, std::uint32_t way) const {
+    return streak_[slot(set, way)];
+  }
+  bool corrected(std::uint32_t set, std::uint32_t way) const {
+    return corrected_[slot(set, way)] != 0;
+  }
 
  private:
   std::size_t slot(std::uint32_t set, std::uint32_t way) const noexcept {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
 
+  /// One slot's full-scan action; returns true when the slot may still need
+  /// a visit at this extension (it can fail, or it carries a streak).
+  bool visit(cache::SetAssocCache& l2, std::uint32_t set, std::uint32_t way,
+             std::uint32_t extension, std::uint32_t correctable, cycle_t now,
+             const DropHook& on_drop);
+
+  std::shared_ptr<const WeakCellMap> map_;
   std::uint32_t sets_;
   std::uint32_t ways_;
-  std::uint32_t max_ext_;
   std::uint32_t disable_threshold_;
 
-  /// fail_at_[slot * max_ext_ + (k-1)] = cells failing within k periods
-  /// (cumulative in k).
-  std::vector<std::uint16_t> fail_at_;
   std::vector<std::uint8_t> streak_;     ///< Consecutive uncorrectable epochs.
   std::vector<std::uint8_t> corrected_;  ///< Line currently holds corrected bits.
+
+  /// Slots the last full scan found possibly live (ascending), and the
+  /// extension it ran at (empty before the first epoch).
+  std::vector<std::uint32_t> live_;
+  std::optional<std::uint32_t> listed_ext_;
 
   FaultCounters counters_;
 };

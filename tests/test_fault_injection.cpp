@@ -1,19 +1,30 @@
 // Tests for the retention-fault injection subsystem: deterministic weak-cell
-// map, per-epoch line classification, graceful slot retirement, and the
+// map, its process-wide interning, per-epoch line classification (checked
+// against a reference full scan), graceful slot retirement, and the
 // end-to-end guarantees (bit-identical baseline at nominal refresh, seeded
 // reproducibility of corrections under ECC-extended refresh).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <future>
+#include <latch>
+#include <memory>
+#include <vector>
+
 #include "cache/cache.hpp"
+#include "common/rng.hpp"
 #include "edram/fault_injection.hpp"
 #include "sim/experiment.hpp"
+#include "sim/run_cache.hpp"
 
 namespace esteem {
 namespace {
 
 using cache::SetAssocCache;
 using edram::CellRetentionModel;
+using edram::FaultCounters;
 using edram::FaultInjector;
+using edram::WeakCellMap;
 
 /// Model so weak that at extension 16 nearly every cell decays: Phi(ln 16 -
 /// ln 2) ~ 0.98. Lets the classification tests exercise every path with a
@@ -178,6 +189,414 @@ TEST(FaultInjector, DisabledSetDegradesToBypass) {
 }
 
 // ---------------------------------------------------------------------------
+// Interned weak-cell maps.
+
+std::shared_ptr<const WeakCellMap> intern(const FaultConfig& cfg, std::uint32_t sets,
+                                          std::uint32_t ways, std::uint32_t bits) {
+  return WeakCellMap::interned(cfg, sets, ways, bits, model_of(cfg));
+}
+
+TEST(WeakCellMap, EqualKeysShareOneMap) {
+  const FaultConfig cfg = aggressive();
+  const auto a = intern(cfg, 16, 4, 512);
+  const auto b = intern(cfg, 16, 4, 512);
+  EXPECT_EQ(a.get(), b.get());
+
+  // Per-run knobs are not part of the sample, so they share the map too.
+  FaultConfig run_knobs = cfg;
+  run_knobs.disable_threshold = 7;
+  run_knobs.correction_latency_cycles = 9;
+  EXPECT_EQ(intern(run_knobs, 16, 4, 512).get(), a.get());
+}
+
+TEST(WeakCellMap, EveryKeyFieldSeparatesMaps) {
+  const FaultConfig cfg = aggressive();
+  const auto base = intern(cfg, 16, 4, 512);
+
+  std::vector<std::shared_ptr<const WeakCellMap>> others;
+  FaultConfig c = cfg;
+  c.seed += 1;
+  others.push_back(intern(c, 16, 4, 512));
+  c = cfg;
+  c.median_multiple = 2.5;
+  others.push_back(intern(c, 16, 4, 512));
+  c = cfg;
+  c.sigma = 1.25;
+  others.push_back(intern(c, 16, 4, 512));
+  c = cfg;
+  c.max_tracked_extension = 8;
+  others.push_back(intern(c, 16, 4, 512));
+  others.push_back(intern(cfg, 32, 4, 512));  // sets
+  others.push_back(intern(cfg, 16, 8, 512));  // ways
+  others.push_back(intern(cfg, 16, 4, 256));  // bits per line
+
+  // Doubles are keyed by bit pattern, down to the last ulp.
+  c = cfg;
+  c.sigma = std::nextafter(cfg.sigma, 2.0);
+  others.push_back(intern(c, 16, 4, 512));
+
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    EXPECT_NE(others[i].get(), base.get()) << "field " << i;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(others[i].get(), others[j].get()) << i << " vs " << j;
+    }
+  }
+}
+
+TEST(WeakCellMap, KeepsOnlyTheMostRecentIdleMap) {
+  FaultConfig a = aggressive();
+  a.seed = 0xA11CE;
+  FaultConfig b = aggressive();
+  b.seed = 0xB0B;
+  const std::uint64_t before = WeakCellMap::sampled_count();
+
+  // With no caller holding it, the latest map survives for the next run...
+  const std::weak_ptr<const WeakCellMap> first = intern(a, 16, 4, 512);
+  EXPECT_FALSE(first.expired());
+  EXPECT_EQ(intern(a, 16, 4, 512).get(), first.lock().get());
+  EXPECT_EQ(WeakCellMap::sampled_count() - before, 1u);
+
+  // ...until another key is interned: then nothing keeps it alive.
+  const auto other = intern(b, 16, 4, 512);
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(WeakCellMap::sampled_count() - before, 2u);
+}
+
+TEST(WeakCellMap, InternedMapMatchesFreshSample) {
+  const FaultConfig cfg = aggressive();
+  const auto shared = intern(cfg, 16, 4, 512);
+  const WeakCellMap fresh(cfg, 16, 4, 512, model_of(cfg));
+  ASSERT_NE(shared.get(), &fresh);
+  for (std::size_t slot = 0; slot < 16 * 4; ++slot) {
+    for (std::uint32_t ext = 0; ext <= cfg.max_tracked_extension + 1; ++ext) {
+      ASSERT_EQ(shared->failed_bits(slot, ext), fresh.failed_bits(slot, ext));
+    }
+  }
+}
+
+TEST(WeakCellMap, ConcurrentFirstUseSamplesOnce) {
+  FaultConfig cfg = aggressive();
+  cfg.seed = 0x5EED'0F'7E57ULL;  // a key no other test interns
+  constexpr int kThreads = 8;
+  const std::uint64_t before = WeakCellMap::sampled_count();
+  std::latch start(kThreads);
+  std::vector<std::future<std::shared_ptr<const WeakCellMap>>> got;
+  for (int t = 0; t < kThreads; ++t) {
+    got.push_back(std::async(std::launch::async, [&] {
+      start.arrive_and_wait();
+      return intern(cfg, 64, 8, 512);
+    }));
+  }
+  std::vector<std::shared_ptr<const WeakCellMap>> maps;
+  for (auto& f : got) maps.push_back(f.get());
+  EXPECT_EQ(WeakCellMap::sampled_count() - before, 1u);
+  for (const auto& m : maps) EXPECT_EQ(m.get(), maps[0].get());
+}
+
+// ---------------------------------------------------------------------------
+// Epoch scans against a reference full scan.
+
+/// The classification every epoch would perform if it visited every slot:
+/// the specification the listed (skipping) scan must reproduce exactly.
+class ReferenceInjector {
+ public:
+  ReferenceInjector(const FaultConfig& cfg, std::shared_ptr<const WeakCellMap> map)
+      : map_(std::move(map)),
+        threshold_(cfg.disable_threshold),
+        streak_(map_->sets() * map_->ways(), 0),
+        corrected_(map_->sets() * map_->ways(), 0) {}
+
+  void on_refresh_epoch(SetAssocCache& l2, std::uint32_t extension,
+                        std::uint32_t correctable, cycle_t now) {
+    ++counters_.scans;
+    for (std::uint32_t set = 0; set < map_->sets(); ++set) {
+      for (std::uint32_t way = 0; way < map_->ways(); ++way) {
+        const std::size_t i = slot(set, way);
+        if (l2.slot_disabled(set, way) || !l2.slot_valid(set, way)) {
+          corrected_[i] = 0;
+          continue;
+        }
+        const std::uint32_t failed = map_->failed_bits(i, extension);
+        if (failed == 0) {
+          corrected_[i] = 0;
+          streak_[i] = 0;
+          continue;
+        }
+        if (failed <= correctable) {
+          ++counters_.corrected_lines;
+          corrected_[i] = 1;
+          streak_[i] = 0;
+          continue;
+        }
+        const bool dirty = l2.slot_dirty(set, way);
+        l2.invalidate_slot(set, way, now);
+        corrected_[i] = 0;
+        ++(dirty ? counters_.data_loss_events : counters_.refetches);
+        if (streak_[i] < 0xFF) ++streak_[i];
+        if (streak_[i] >= threshold_ && l2.disable_slot(set, way, now)) {
+          ++counters_.disabled_lines;
+        }
+      }
+    }
+  }
+
+  bool corrected_hit(std::uint32_t set, std::uint32_t way) {
+    if (corrected_[slot(set, way)] == 0) return false;
+    ++counters_.corrected_reads;
+    return true;
+  }
+  void on_fill_slot(std::uint32_t set, std::uint32_t way) {
+    corrected_[slot(set, way)] = 0;
+  }
+
+  std::uint32_t streak(std::uint32_t set, std::uint32_t way) const {
+    return streak_[slot(set, way)];
+  }
+  bool corrected(std::uint32_t set, std::uint32_t way) const {
+    return corrected_[slot(set, way)] != 0;
+  }
+  const FaultCounters& counters() const { return counters_; }
+
+ private:
+  std::size_t slot(std::uint32_t set, std::uint32_t way) const {
+    return static_cast<std::size_t>(set) * map_->ways() + way;
+  }
+
+  std::shared_ptr<const WeakCellMap> map_;
+  std::uint32_t threshold_;
+  std::vector<std::uint8_t> streak_;
+  std::vector<std::uint8_t> corrected_;
+  FaultCounters counters_;
+};
+
+void expect_same_counters(const FaultCounters& a, const FaultCounters& b) {
+  EXPECT_EQ(a.scans, b.scans);
+  EXPECT_EQ(a.corrected_lines, b.corrected_lines);
+  EXPECT_EQ(a.corrected_reads, b.corrected_reads);
+  EXPECT_EQ(a.refetches, b.refetches);
+  EXPECT_EQ(a.data_loss_events, b.data_loss_events);
+  EXPECT_EQ(a.disabled_lines, b.disabled_lines);
+}
+
+/// Two (cache, injector) pairs driven by one script: `A` is the injector
+/// under test, `B` the one it must match.
+template <typename A, typename B>
+struct Twin {
+  SetAssocCache l2a;
+  SetAssocCache l2b;
+  A a;
+  B b;
+
+  /// One demand access on both sides; hits probe the corrected flag, fills
+  /// clear it, as MemorySystem does.
+  void access(block_t blk, bool store, cycle_t now) {
+    const auto oa = l2a.access(blk, store, now);
+    const auto ob = l2b.access(blk, store, now);
+    ASSERT_EQ(oa.hit, ob.hit);
+    ASSERT_EQ(oa.way, ob.way);
+    const std::uint32_t set = l2a.set_index_of(blk);
+    if (oa.hit) {
+      ASSERT_EQ(a.corrected_hit(set, oa.way), b.corrected_hit(set, ob.way));
+    } else if (oa.way != cache::kNoWay) {
+      a.on_fill_slot(set, oa.way);
+      b.on_fill_slot(set, ob.way);
+    }
+  }
+
+  void expect_same_state() {
+    expect_same_counters(a.counters(), b.counters());
+    ASSERT_EQ(l2a.valid_lines(), l2b.valid_lines());
+    ASSERT_EQ(l2a.disabled_slots(), l2b.disabled_slots());
+    for (std::uint32_t set = 0; set < l2a.sets(); ++set) {
+      for (std::uint32_t way = 0; way < l2a.ways(); ++way) {
+        ASSERT_EQ(l2a.slot_valid(set, way), l2b.slot_valid(set, way));
+        ASSERT_EQ(l2a.slot_disabled(set, way), l2b.slot_disabled(set, way));
+        if (l2a.slot_valid(set, way)) {
+          ASSERT_EQ(l2a.slot_block(set, way), l2b.slot_block(set, way));
+          ASSERT_EQ(l2a.slot_dirty(set, way), l2b.slot_dirty(set, way));
+        }
+        ASSERT_EQ(a.streak(set, way), b.streak(set, way)) << set << "/" << way;
+        ASSERT_EQ(a.corrected(set, way), b.corrected(set, way)) << set << "/" << way;
+      }
+    }
+  }
+};
+
+/// Weak enough that, at extension 16 over 64-bit lines, some slots fail by
+/// one or two cells and most by none; at extension 1 none fails.
+FaultConfig mixed() {
+  FaultConfig cfg;
+  cfg.enabled = true;
+  cfg.median_multiple = 60.0;
+  cfg.sigma = 0.5;
+  cfg.disable_threshold = 2;
+  return cfg;
+}
+
+constexpr std::uint32_t kSets = 64;
+constexpr std::uint32_t kWays = 4;
+constexpr std::uint32_t kBits = 64;
+
+/// Random fills, hits, stray invalidations (as decay and reconfiguration
+/// do) and epochs; extension and ECC strength per epoch from the choosers.
+template <typename Twin, typename ExtFn, typename EccFn>
+void drive(Twin& t, std::uint64_t seed, int epochs, ExtFn ext_of, EccFn ecc_of) {
+  Rng rng(seed);
+  cycle_t now = 0;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    const int ops = 20 + static_cast<int>(rng() % 200);
+    for (int op = 0; op < ops; ++op) {
+      ++now;
+      if (rng() % 16 == 0) {
+        const auto set = static_cast<std::uint32_t>(rng() % kSets);
+        const auto way = static_cast<std::uint32_t>(rng() % kWays);
+        t.l2a.invalidate_slot(set, way, now);
+        t.l2b.invalidate_slot(set, way, now);
+        continue;
+      }
+      const block_t blk = rng() % (3 * kSets * kWays);
+      t.access(blk, rng() % 4 == 0, now);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ++now;
+    const std::uint32_t ext = ext_of(epoch, rng);
+    const std::uint32_t ecc = ecc_of(epoch, rng);
+    t.a.on_refresh_epoch(t.l2a, ext, ecc, now, nullptr);
+    t.b.on_refresh_epoch(t.l2b, ext, ecc, now);
+    t.expect_same_state();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+using OracleTwin = Twin<FaultInjector, ReferenceInjector>;
+
+OracleTwin oracle_twin(const FaultConfig& cfg) {
+  auto map = std::make_shared<const WeakCellMap>(cfg, kSets, kWays, kBits, model_of(cfg));
+  return OracleTwin{SetAssocCache({kSets, kWays}, "a"), SetAssocCache({kSets, kWays}, "b"),
+                    FaultInjector(cfg, map), ReferenceInjector(cfg, map)};
+}
+
+TEST(FaultEpochScan, MixedMapHasLiveAndDeadSlots) {
+  // Guards the oracle tests below against a vacuous map.
+  const FaultConfig cfg = mixed();
+  const WeakCellMap map(cfg, kSets, kWays, kBits, model_of(cfg));
+  std::uint32_t weak = 0;
+  std::uint32_t multi = 0;
+  for (std::size_t s = 0; s < kSets * kWays; ++s) {
+    EXPECT_EQ(map.failed_bits(s, 1), 0u);
+    weak += map.failed_bits(s, 16) > 0;
+    multi += map.failed_bits(s, 16) > 1;
+  }
+  EXPECT_GT(weak, kSets * kWays / 10);
+  EXPECT_LT(weak, kSets * kWays / 2);
+  EXPECT_GT(multi, 0u);
+}
+
+TEST(FaultEpochScan, FixedExtensionMatchesFullScan) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    OracleTwin t = oracle_twin(mixed());
+    drive(t, seed, 60, [](int, Rng&) { return 16u; },
+          [](int, Rng& r) { return static_cast<std::uint32_t>(r() % 3); });
+    if (HasFatalFailure()) return;
+    // Every path fired: corrections, drops and retirements.
+    EXPECT_GT(t.a.counters().corrected_lines, 0u);
+    EXPECT_GT(t.a.counters().uncorrectable(), 0u);
+    EXPECT_GT(t.a.counters().disabled_lines, 0u);
+  }
+}
+
+TEST(FaultEpochScan, AlternatingExtensionsMatchFullScan) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    OracleTwin t = oracle_twin(mixed());
+    // Runs of each extension, so both the listed and the full scans repeat.
+    drive(t, seed, 80, [](int, Rng& r) { return r() % 3 == 0 ? 1u : 16u; },
+          [](int, Rng& r) { return static_cast<std::uint32_t>(r() % 2); });
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FaultEpochScan, CorrectedFlagClearsWhenExtensionDrops) {
+  const FaultConfig cfg = mixed();
+  OracleTwin t = oracle_twin(cfg);
+  // Fill every slot, then correct all weak lines at extension 16.
+  for (block_t blk = 0; blk < kSets * kWays; ++blk) t.access(blk, false, 1);
+  t.a.on_refresh_epoch(t.l2a, 16, 64, 2, nullptr);
+  t.b.on_refresh_epoch(t.l2b, 16, 64, 2);
+  t.expect_same_state();
+  std::uint32_t corrected = 0;
+  for (std::uint32_t set = 0; set < kSets; ++set) {
+    for (std::uint32_t way = 0; way < kWays; ++way) corrected += t.a.corrected(set, way);
+  }
+  ASSERT_GT(corrected, 0u);
+
+  // At extension 1 nothing fails: the first such epoch clears every flag,
+  // and later ones (the listed scan) keep them clear.
+  for (cycle_t now = 3; now < 6; ++now) {
+    t.a.on_refresh_epoch(t.l2a, 1, 64, now, nullptr);
+    t.b.on_refresh_epoch(t.l2b, 1, 64, now);
+    t.expect_same_state();
+    for (std::uint32_t set = 0; set < kSets; ++set) {
+      for (std::uint32_t way = 0; way < kWays; ++way) {
+        ASSERT_FALSE(t.a.corrected(set, way));
+        ASSERT_FALSE(t.a.corrected_hit(set, way));
+      }
+    }
+  }
+  // Back at 16 the weak lines are corrected again.
+  t.a.on_refresh_epoch(t.l2a, 16, 64, 7, nullptr);
+  t.b.on_refresh_epoch(t.l2b, 16, 64, 7);
+  t.expect_same_state();
+  EXPECT_EQ(t.a.counters().corrected_lines, 2 * static_cast<std::uint64_t>(corrected));
+}
+
+TEST(FaultEpochScan, NominalEpochsStillCountScans) {
+  // At extension 1 under the default model no slot can fail: after the
+  // first full scan every epoch is O(1) but still counts as a scan.
+  const FaultConfig cfg;
+  SetAssocCache l2({64, 8}, "l2");
+  FaultInjector inj(cfg, 64, 8, 512, model_of(cfg));
+  for (block_t blk = 0; blk < 64 * 8; ++blk) l2.access(blk, true, 0);
+  for (cycle_t now = 1; now <= 4; ++now) inj.on_refresh_epoch(l2, 1, 0, now, nullptr);
+  EXPECT_EQ(inj.counters().scans, 4u);
+  EXPECT_EQ(inj.counters().uncorrectable() + inj.counters().corrected_lines, 0u);
+  EXPECT_EQ(l2.valid_lines(), 64u * 8u);
+}
+
+TEST(WeakCellMap, InjectorOnInternedMapMatchesFreshInjector) {
+  FaultConfig cfg = mixed();
+  cfg.disable_threshold = 3;
+  using PairTwin = Twin<FaultInjector, FaultInjector>;
+  PairTwin t{SetAssocCache({kSets, kWays}, "a"), SetAssocCache({kSets, kWays}, "b"),
+             FaultInjector(cfg, intern(cfg, kSets, kWays, kBits)),
+             FaultInjector(cfg, kSets, kWays, kBits, model_of(cfg))};
+  ASSERT_NE(t.a.map().get(), t.b.map().get());
+  Rng rng(99);
+  cycle_t now = 0;
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    for (int op = 0; op < 150; ++op) {
+      t.access(rng() % (3 * kSets * kWays), rng() % 4 == 0, ++now);
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    const auto ecc = static_cast<std::uint32_t>(rng() % 3);
+    t.a.on_refresh_epoch(t.l2a, 16, ecc, ++now, nullptr);
+    t.b.on_refresh_epoch(t.l2b, 16, ecc, now, nullptr);
+    t.expect_same_state();
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  for (std::uint32_t set = 0; set < kSets; ++set) {
+    for (std::uint32_t way = 0; way < kWays; ++way) {
+      for (std::uint32_t ext = 1; ext <= 16; ++ext) {
+        ASSERT_EQ(t.a.failed_bits(set, way, ext), t.b.failed_bits(set, way, ext));
+      }
+    }
+  }
+  EXPECT_GT(t.a.counters().corrected_reads, 0u);
+  EXPECT_GT(t.a.counters().disabled_lines, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end guarantees through System/run_experiment.
 
 SystemConfig tiny() {
@@ -249,6 +668,36 @@ TEST(FaultIntegration, EccExtendedCorrectionsAreSeededAndReproducible) {
   EXPECT_GT(c.raw.faults.corrected_reads, 0u);
   EXPECT_GT(a.raw.wall_cycles, c.raw.wall_cycles);
   EXPECT_GT(a.energy.ecc_l2_j, 0.0);
+}
+
+TEST(FaultIntegration, ConcurrentRunsShareOneMapAndMatchSerialRuns) {
+  SystemConfig cfg = tiny();
+  cfg.faults.enabled = true;
+  cfg.faults.sigma = 0.5;
+  cfg.faults.seed = 0xC0C0'FA17ULL;  // a key no other test interns
+  const std::vector<cpu::Technique> techniques = {
+      cpu::Technique::BaselinePeriodicAll, cpu::Technique::EccExtended,
+      cpu::Technique::RefrintRPD, cpu::Technique::SmartRefresh,
+      cpu::Technique::CacheDecay};
+
+  const std::uint64_t before = edram::WeakCellMap::sampled_count();
+  std::vector<std::uint64_t> serial;
+  for (const cpu::Technique t : techniques) {
+    serial.push_back(sim::outcome_digest(run(cfg, t, 150'000)));
+  }
+  // Systems built on pool threads, as in `run_sweep --jobs N`.
+  std::vector<std::future<std::uint64_t>> pending;
+  for (const cpu::Technique t : techniques) {
+    pending.push_back(std::async(std::launch::async, [&cfg, t] {
+      return sim::outcome_digest(run(cfg, t, 150'000));
+    }));
+  }
+  std::vector<std::uint64_t> threaded;
+  for (auto& f : pending) threaded.push_back(f.get());
+
+  EXPECT_EQ(serial, threaded);
+  // One fault configuration, one sample for the whole process.
+  EXPECT_EQ(edram::WeakCellMap::sampled_count() - before, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "cpu/system.hpp"
 #include "trace/file_trace.hpp"
@@ -12,10 +15,18 @@
 namespace esteem::trace {
 namespace {
 
+/// Each case writes its own file (test name plus pid), so cases that ctest
+/// runs as concurrent processes never share a path.
+std::string per_test_trace_path() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string("test_trace_") + info->name() + "_" +
+         std::to_string(::getpid()) + ".etr";
+}
+
 class FileTraceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
-  const std::string path_ = "test_trace_tmp.etr";
+  const std::string path_ = per_test_trace_path();
 };
 
 TEST_F(FileTraceTest, RoundTripsReferences) {
