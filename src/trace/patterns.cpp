@@ -1,10 +1,44 @@
 #include "trace/patterns.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 namespace esteem::trace {
+
+std::uint64_t BlockRng::below(std::uint64_t bound) noexcept {
+  __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+  auto lo = static_cast<std::uint64_t>(m);
+  if (lo < bound) {
+    const std::uint64_t threshold = -bound % bound;
+    while (lo < threshold) {
+      m = static_cast<__uint128_t>((*this)()) * bound;
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+void BlockRng::refill() noexcept {
+  const std::size_t kept = kBlock - pos_;
+  std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(pos_), buf_.end(), buf_.begin());
+  for (std::size_t i = kept; i < kBlock; ++i) buf_[i] = rng_();
+  pos_ = 0;
+}
+
+namespace {
+
+// Index of the first cumulative weight above u: the same child
+// std::upper_bound picks, counted without a data-dependent branch. The last
+// weight is 1.0 > u, so the count stays below cumulative.size().
+std::size_t pick(const std::vector<double>& cumulative, double u) {
+  std::size_t idx = 0;
+  for (double c : cumulative) idx += (c <= u);
+  return idx;
+}
+
+}  // namespace
 
 StreamingPattern::StreamingPattern(block_t base, std::uint64_t region_blocks,
                                    std::uint64_t stride)
@@ -67,10 +101,7 @@ NestedWorkingSetPattern::NestedWorkingSetPattern(block_t base, std::uint64_t ws_
 }
 
 block_t NestedWorkingSetPattern::next_block() {
-  const double u = rng_.uniform();
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  const std::size_t lvl = std::min<std::size_t>(
-      static_cast<std::size_t>(it - cumulative_.begin()), level_size_.size() - 1);
+  const std::size_t lvl = pick(cumulative_, rng_.uniform());
   return base_ + rng_.below(level_size_[lvl]);
 }
 
@@ -190,12 +221,7 @@ MixturePattern::MixturePattern(std::vector<std::unique_ptr<BlockPattern>> childr
 }
 
 block_t MixturePattern::next_block() {
-  const double u = rng_.uniform();
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  const std::size_t idx =
-      std::min<std::size_t>(static_cast<std::size_t>(it - cumulative_.begin()),
-                            children_.size() - 1);
-  return children_[idx]->next_block();
+  return children_[pick(cumulative_, rng_.uniform())]->next_block();
 }
 
 void MixturePattern::skip(std::uint64_t n) {
@@ -270,19 +296,31 @@ TemporalReusePattern::TemporalReusePattern(std::unique_ptr<BlockPattern> child,
 }
 
 block_t TemporalReusePattern::next_block() {
+  const auto size = static_cast<std::uint32_t>(ring_.size());
   if (filled_ > 0 && rng_.chance(reuse_prob_)) {
-    // Geometric recency bias: halve the candidate range per coin flip.
-    std::uint32_t span = filled_;
-    while (span > 1 && rng_.chance(0.5)) span = (span + 1) / 2;
-    const std::uint32_t back = static_cast<std::uint32_t>(rng_.below(span));
-    const std::uint32_t idx = (head_ + ring_.size() - 1 - back) %
-                              static_cast<std::uint32_t>(ring_.size());
+    // Geometric recency bias: each successful coin flip (a draw with bit 63
+    // clear, i.e. chance(0.5)) halves the candidate range, rounding up,
+    // until a flip fails or the range is one line. k halvings leave
+    // ceil(filled / 2^k) lines, and `halvings` flips reach 1, so the first
+    // failing flip among the next `halvings` draws fixes the span. Flips
+    // are consumed up to and including the failing one, exactly as a loop
+    // drawing one flip per halving would.
+    const auto halvings = static_cast<unsigned>(std::bit_width(filled_ - 1));
+    const std::uint64_t* flips = rng_.peek(halvings);
+    std::uint64_t fails = std::uint64_t{1} << halvings;
+    for (unsigned i = 0; i < halvings; ++i) fails |= (flips[i] >> 63) << i;
+    const auto k = static_cast<unsigned>(std::countr_zero(fails));
+    rng_.consume(std::min(k + 1, halvings));
+    const std::uint32_t span = ((filled_ - 1) >> k) + 1;
+    const auto back = static_cast<std::uint32_t>(rng_.below(span));
+    std::uint32_t idx = head_ + size - 1 - back;
+    if (idx >= size) idx -= size;
     return ring_[idx];
   }
   const block_t b = child_->next_block();
   ring_[head_] = b;
-  head_ = (head_ + 1) % static_cast<std::uint32_t>(ring_.size());
-  filled_ = std::min<std::uint32_t>(filled_ + 1, static_cast<std::uint32_t>(ring_.size()));
+  if (++head_ == size) head_ = 0;
+  filled_ = std::min(filled_ + 1, size);
   return b;
 }
 
@@ -292,13 +330,13 @@ void TemporalReusePattern::skip(std::uint64_t n) {
   skip_carry_ = due - static_cast<double>(fresh);
   // Skip the bulk, then pull the tail through the ring so the recency window
   // holds the blocks a continuous run would have ended on.
-  const std::uint64_t warm = std::min<std::uint64_t>(fresh, ring_.size());
+  const auto size = static_cast<std::uint32_t>(ring_.size());
+  const std::uint64_t warm = std::min<std::uint64_t>(fresh, size);
   child_->skip(fresh - warm);
   for (std::uint64_t i = 0; i < warm; ++i) {
     ring_[head_] = child_->next_block();
-    head_ = (head_ + 1) % static_cast<std::uint32_t>(ring_.size());
-    filled_ = std::min<std::uint32_t>(filled_ + 1,
-                                      static_cast<std::uint32_t>(ring_.size()));
+    if (++head_ == size) head_ = 0;
+    filled_ = std::min(filled_ + 1, size);
   }
 }
 
@@ -307,6 +345,7 @@ InstructionMixer::InstructionMixer(std::unique_ptr<BlockPattern> pattern, double
     : pattern_(std::move(pattern)),
       mem_ratio_(mem_ratio),
       store_ratio_(store_ratio),
+      log_q_(std::log(1.0 - mem_ratio)),
       rng_(seed) {
   if (!pattern_) throw std::invalid_argument("InstructionMixer: null pattern");
   if (mem_ratio_ <= 0.0 || mem_ratio_ > 1.0) {
@@ -322,11 +361,12 @@ MemRef InstructionMixer::next() {
   ref.block = pattern_->next_block();
   ref.is_store = rng_.chance(store_ratio_);
   // Geometric gap with mean 1/mem_ratio - 1 (inversion method). Capped so a
-  // single op can never skip more than a few intervals' worth of work.
+  // single op can never skip more than a few intervals' worth of work. q is
+  // never negative, so truncation is the floor the inversion asks for.
   if (mem_ratio_ < 1.0) {
     const double u = std::max(rng_.uniform(), 1e-12);
-    const double g = std::floor(std::log(u) / std::log(1.0 - mem_ratio_));
-    ref.gap = static_cast<std::uint32_t>(std::min(g, 1e6));
+    const double q = std::log(u) / log_q_;
+    ref.gap = q >= 1e6 ? 1'000'000u : static_cast<std::uint32_t>(q);
   }
   return ref;
 }

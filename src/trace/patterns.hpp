@@ -3,6 +3,8 @@
 // profiling observes (paper §3.1).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -11,6 +13,46 @@
 #include "trace/access.hpp"
 
 namespace esteem::trace {
+
+/// Rng's exact sequence, drawn `kBlock` words at a time into a buffer. The
+/// refill loop keeps xoshiro's state in registers, and `peek`/`consume` let
+/// a caller resolve several upcoming draws at once without branching on
+/// each. Every pattern owns its generator and no `skip()` draws from it, so
+/// buffering never reorders a draw (DESIGN.md §16).
+class BlockRng {
+ public:
+  static constexpr std::size_t kBlock = 64;
+
+  explicit BlockRng(std::uint64_t seed) noexcept : rng_(seed) {}
+
+  std::uint64_t operator()() noexcept {
+    if (pos_ == kBlock) refill();
+    return buf_[pos_++];
+  }
+
+  /// The next `n` draws without consuming them. Precondition: n <= kBlock.
+  const std::uint64_t* peek(std::size_t n) noexcept {
+    if (kBlock - pos_ < n) refill();
+    return buf_.data() + pos_;
+  }
+
+  /// Consumes `n` draws. Precondition: a preceding peek(m) with m >= n.
+  void consume(std::size_t n) noexcept { pos_ += n; }
+
+  /// Same mappings as Rng::uniform, Rng::chance and Rng::below.
+  double uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
+  bool chance(double p) noexcept { return uniform() < p; }
+  std::uint64_t below(std::uint64_t bound) noexcept;
+
+ private:
+  void refill() noexcept;  ///< Keeps the unconsumed tail, draws the rest.
+
+  Rng rng_;
+  std::array<std::uint64_t, kBlock> buf_{};
+  std::size_t pos_ = kBlock;
+};
 
 /// Sequential sweep over a region of `region_blocks` blocks starting at
 /// `base`. Models streaming benchmarks (lbm, libquantum, milc, ...): per-set
@@ -47,7 +89,7 @@ class RandomWorkingSetPattern final : public BlockPattern {
   std::uint64_t ws_;
   std::uint64_t hot_;
   double hot_prob_;
-  Rng rng_;
+  BlockRng rng_;
 };
 
 /// Uniform random accesses over nested working-set levels: level i spans the
@@ -67,7 +109,7 @@ class NestedWorkingSetPattern final : public BlockPattern {
   block_t base_;
   std::vector<std::uint64_t> level_size_;
   std::vector<double> cumulative_;
-  Rng rng_;
+  BlockRng rng_;
 };
 
 /// Dependent-chain walk through a pseudo-random permutation of a power-of-two
@@ -128,7 +170,7 @@ class MixturePattern final : public BlockPattern {
   std::vector<std::unique_ptr<BlockPattern>> children_;
   std::vector<double> cumulative_;
   std::vector<double> skip_carry_;
-  Rng rng_;
+  BlockRng rng_;
 };
 
 /// Round-robin phase switcher: runs each child for `refs_per_phase` memory
@@ -173,7 +215,7 @@ class TemporalReusePattern final : public BlockPattern {
   std::uint32_t head_ = 0;
   std::uint32_t filled_ = 0;
   double skip_carry_ = 0.0;
-  Rng rng_;
+  BlockRng rng_;
 };
 
 /// Layers instruction gaps (geometric, mean = 1/mem_ratio - 1) and store
@@ -192,6 +234,7 @@ class InstructionMixer final : public AccessGenerator {
   std::unique_ptr<BlockPattern> pattern_;
   double mem_ratio_;
   double store_ratio_;
+  double log_q_;  ///< log(1 - mem_ratio), the geometric gap's denominator.
   double skip_carry_ = 0.0;
   Rng rng_;
 };

@@ -1,7 +1,11 @@
 // Unit + property tests for the set-associative cache and module map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -264,6 +268,188 @@ TEST_P(CacheProperty, MatchesReferenceOccupancy) {
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheProperty,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
+
+// Reference LRU model, written from the documented contract rather than the
+// implementation: each set is a recency list (front = MRU) of its valid
+// lines plus an active-way count and a retired-slot mask. A miss fills the
+// lowest free usable way, else evicts the list's tail; lru_pos is a hit
+// line's index in the list.
+class ReferenceLru {
+ public:
+  ReferenceLru(std::uint32_t sets, std::uint32_t ways)
+      : sets_(sets, Set{{}, ways, std::vector<bool>(ways, false)}) {}
+
+  AccessOutcome access(block_t blk, bool is_store) {
+    Set& s = sets_[blk % sets_.size()];
+    AccessOutcome out;
+    const auto it = find_block(s, blk);
+    if (it != s.lines.end()) {
+      out.hit = true;
+      out.way = it->way;
+      out.lru_pos = static_cast<std::uint32_t>(std::distance(s.lines.begin(), it));
+      it->dirty = it->dirty || is_store;
+      s.lines.splice(s.lines.begin(), s.lines, it);
+      return out;
+    }
+    std::uint32_t way = kNoWay;
+    for (std::uint32_t w = 0; w < s.active && way == kNoWay; ++w) {
+      if (!s.retired[w] && find_way(s, w) == s.lines.end()) way = w;
+    }
+    if (way == kNoWay) {
+      if (s.lines.empty()) return out;  // every active way retired: bypass
+      const Line& lru = s.lines.back();
+      out.victim = lru.block;
+      out.victim_dirty = lru.dirty;
+      way = lru.way;
+      s.lines.pop_back();
+    }
+    s.lines.push_front({blk, way, is_store});
+    out.way = way;
+    return out;
+  }
+
+  bool invalidate(block_t blk) {
+    Set& s = sets_[blk % sets_.size()];
+    return erase(s, find_block(s, blk));
+  }
+
+  bool invalidate_slot(std::uint32_t set, std::uint32_t way) {
+    return erase(sets_[set], find_way(sets_[set], way));
+  }
+
+  bool disable_slot(std::uint32_t set, std::uint32_t way) {
+    Set& s = sets_[set];
+    if (s.retired[way]) return false;
+    erase(s, find_way(s, way));
+    s.retired[way] = true;
+    return true;
+  }
+
+  /// Returns the (block, dirty) pairs a shrink flushes, in way order.
+  std::vector<std::pair<block_t, bool>> resize_set(std::uint32_t set, std::uint32_t active) {
+    Set& s = sets_[set];
+    std::vector<std::pair<block_t, bool>> flushed;
+    for (std::uint32_t w = active; w < s.active; ++w) {
+      const auto it = find_way(s, w);
+      if (it != s.lines.end()) flushed.emplace_back(it->block, it->dirty);
+      erase(s, it);
+    }
+    s.active = active;
+    return flushed;
+  }
+
+  std::uint64_t valid_lines() const {
+    std::uint64_t n = 0;
+    for (const Set& s : sets_) n += s.lines.size();
+    return n;
+  }
+
+ private:
+  struct Line {
+    block_t block;
+    std::uint32_t way;
+    bool dirty;
+  };
+  struct Set {
+    std::list<Line> lines;
+    std::uint32_t active;
+    std::vector<bool> retired;
+  };
+  using LineIt = std::list<Line>::iterator;
+
+  static LineIt find_block(Set& s, block_t blk) {
+    return std::find_if(s.lines.begin(), s.lines.end(),
+                        [&](const Line& l) { return l.block == blk; });
+  }
+  static LineIt find_way(Set& s, std::uint32_t way) {
+    return std::find_if(s.lines.begin(), s.lines.end(),
+                        [&](const Line& l) { return l.way == way; });
+  }
+  static bool erase(Set& s, LineIt it) {
+    if (it == s.lines.end()) return false;
+    const bool dirty = it->dirty;
+    s.lines.erase(it);
+    return dirty;
+  }
+
+  std::vector<Set> sets_;
+};
+
+// SetAssocCache against ReferenceLru under random interleavings of every
+// state-changing operation: the victim choice, dirty bits, LRU positions and
+// occupancy must agree step for step.
+class CacheOracle : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(CacheOracle, MatchesReferenceLru) {
+  const std::uint32_t ways = GetParam();
+  constexpr std::uint32_t kSets = 4;
+  Rng rng(ways * 7919 + 3);
+
+  // Short episodes on fresh caches, so retired slots never pile up into a
+  // cache that only bypasses.
+  std::uint64_t hits = 0, evictions = 0, flushes = 0, retired = 0;
+  for (int episode = 0; episode < 40; ++episode) {
+    SetAssocCache c({kSets, ways});
+    ASSERT_TRUE(c.lru_tracking());
+    ReferenceLru ref(kSets, ways);
+    std::uint64_t episode_retired = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const cycle_t now = static_cast<cycle_t>(i);
+      const std::uint64_t op = rng.below(1000);
+      const auto set = static_cast<std::uint32_t>(rng.below(kSets));
+      const auto way = static_cast<std::uint32_t>(rng.below(ways));
+      const block_t blk = rng.below(kSets * ways * 3);
+      if (op < 850) {
+        const bool store = rng.chance(0.3);
+        const AccessOutcome got = c.access(blk, store, now);
+        const AccessOutcome want = ref.access(blk, store);
+        ASSERT_EQ(got.hit, want.hit) << "episode " << episode << " iter " << i;
+        ASSERT_EQ(got.way, want.way) << "episode " << episode << " iter " << i;
+        ASSERT_EQ(got.victim, want.victim) << "episode " << episode << " iter " << i;
+        ASSERT_EQ(got.victim_dirty, want.victim_dirty)
+            << "episode " << episode << " iter " << i;
+        if (got.hit) {
+          ASSERT_EQ(got.lru_pos, want.lru_pos) << "episode " << episode << " iter " << i;
+        }
+        hits += got.hit;
+        evictions += (got.victim != kInvalidBlock);
+      } else if (op < 910) {
+        ASSERT_EQ(c.invalidate(blk, now), ref.invalidate(blk))
+            << "episode " << episode << " iter " << i;
+      } else if (op < 970) {
+        ASSERT_EQ(c.invalidate_slot(set, way, now), ref.invalidate_slot(set, way))
+            << "episode " << episode << " iter " << i;
+      } else if (op < 997) {
+        const auto active = static_cast<std::uint32_t>(1 + rng.below(ways));
+        std::vector<std::pair<block_t, bool>> got;
+        c.resize_set(set, active, now,
+                     [&](block_t b, bool dirty) { got.emplace_back(b, dirty); });
+        ASSERT_EQ(got, ref.resize_set(set, active))
+            << "episode " << episode << " iter " << i;
+        ASSERT_EQ(c.active_ways(set), active);
+        flushes += got.size();
+      } else {
+        const bool first = ref.disable_slot(set, way);
+        ASSERT_EQ(c.disable_slot(set, way, now), first)
+            << "episode " << episode << " iter " << i;
+        episode_retired += first;
+      }
+      ASSERT_EQ(c.valid_lines(), ref.valid_lines()) << "episode " << episode << " iter " << i;
+    }
+    EXPECT_EQ(c.disabled_slots(), episode_retired);
+    retired += episode_retired;
+  }
+  // Every branch of the model was reached.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(retired, 0u);
+  if (ways > 1) {
+    EXPECT_GT(flushes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Associativities, CacheOracle,
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u));
 
 // LRU stack-inclusion property: running the same stream against a cache
 // with k active ways hits exactly the accesses whose recency position in

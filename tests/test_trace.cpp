@@ -1,9 +1,14 @@
 // Unit tests for src/trace: patterns, benchmark profiles, workload lists.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
+#include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "trace/patterns.hpp"
 #include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
@@ -275,6 +280,203 @@ TEST(Profiles, GeneratorsBuildAndAreDeterministic) {
       EXPECT_EQ(ra.gap, rb.gap) << p.name;
       EXPECT_EQ(ra.is_store, rb.is_store) << p.name;
     }
+  }
+}
+
+// BlockRng must be Rng's exact sequence whatever mix of calls drains it:
+// single draws, the mapped draws, and peek/consume windows that straddle a
+// refill (a peek longer than the buffered tail forces one).
+TEST(BlockRng, MatchesRng) {
+  for (std::uint64_t seed : {0ULL, 1ULL, 42ULL, 0xDEADBEEFULL}) {
+    BlockRng b(seed);
+    Rng r(seed);
+    Rng ops(seed + 17);
+    for (int i = 0; i < 20'000; ++i) {
+      switch (ops.below(5)) {
+        case 0:
+          ASSERT_EQ(b(), r()) << "seed " << seed << " op " << i;
+          break;
+        case 1:
+          ASSERT_EQ(b.uniform(), r.uniform()) << "seed " << seed << " op " << i;
+          break;
+        case 2: {
+          const double p = ops.uniform();
+          ASSERT_EQ(b.chance(p), r.chance(p)) << "seed " << seed << " op " << i;
+          break;
+        }
+        case 3: {
+          // Bounds just above 2^63 reject about half the draws, so the
+          // retry loop runs too.
+          const std::uint64_t bound = ops.chance(0.3)
+                                          ? (std::uint64_t{1} << 63) + 1 + ops.below(1000)
+                                          : 1 + ops.below(200);
+          ASSERT_EQ(b.below(bound), r.below(bound)) << "seed " << seed << " op " << i;
+          break;
+        }
+        default: {
+          const std::size_t n = ops.below(BlockRng::kBlock + 1);
+          const std::size_t m = n == 0 ? 0 : ops.below(n + 1);
+          const std::uint64_t* w = b.peek(n);
+          Rng ahead = r;
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(w[k], ahead()) << "seed " << seed << " op " << i << " lane " << k;
+          }
+          b.consume(m);
+          for (std::size_t k = 0; k < m; ++k) r();
+        }
+      }
+    }
+  }
+}
+
+// Reference-stream pins. Each digest is an FNV-1a fold of every MemRef a
+// generator emits; the constants were computed on the generator before its
+// hot path was made branch-free, so any change to the stream (one reordered
+// RNG draw, one off-by-one span) fails here rather than as a drifted figure.
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v, std::size_t bytes) {
+  char le[8];
+  for (std::size_t i = 0; i < bytes; ++i) le[i] = static_cast<char>(v >> (8 * i));
+  return fnv1a(h, std::string_view(le, bytes));
+}
+
+std::uint64_t fold_ref(std::uint64_t h, const MemRef& r) {
+  h = fnv_fold(h, r.block, 8);
+  h = fnv_fold(h, r.gap, 4);
+  return fnv_fold(h, r.is_store ? 1 : 0, 1);
+}
+
+std::uint64_t next_digest(const BenchmarkProfile& p, std::uint64_t seed) {
+  auto g = make_generator(p, kCtx, seed);
+  std::uint64_t h = kFnv1aBasis;
+  for (int i = 0; i < 50'000; ++i) h = fold_ref(h, g->next());
+  return h;
+}
+
+// next() runs interleaved with skip(n): the skip sizes reach the Phased,
+// Mixture and TemporalReuse skip routing, and the reads after each skip
+// check the state it left behind.
+std::uint64_t skip_digest(const BenchmarkProfile& p, std::uint64_t seed) {
+  auto g = make_generator(p, kCtx, seed);
+  std::uint64_t h = kFnv1aBasis;
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t n : {1ULL, 7ULL, 150'000ULL, 1'234'567ULL}) {
+      for (int i = 0; i < 2'000; ++i) h = fold_ref(h, g->next());
+      g->skip(n);
+    }
+  }
+  for (int i = 0; i < 2'000; ++i) h = fold_ref(h, g->next());
+  return h;
+}
+
+struct StreamPin {
+  std::string_view profile;
+  std::uint64_t seed;
+  std::uint64_t next;
+  std::uint64_t skip;
+};
+
+constexpr std::array<StreamPin, 68> kStreamPins{{
+    {"astar", 42, 0x98A09F81EE5705A8ULL, 0xECADD3BAA0C12844ULL},
+    {"bwaves", 42, 0xA986678781772CA7ULL, 0x215A4120C321AFF9ULL},
+    {"bzip2", 42, 0xAB0467BE6FDD57A6ULL, 0x1D4217A91BE86A1AULL},
+    {"cactusADM", 42, 0x574F12BE89F5F0ABULL, 0x915D6A124066C67CULL},
+    {"calculix", 42, 0x20FB1E7A01A113D2ULL, 0xF35D9E1C1F8C04B0ULL},
+    {"dealII", 42, 0xAC3AF09F0844EDC4ULL, 0xA84C3EF6C8A2CA01ULL},
+    {"gamess", 42, 0x6CC3AC6516632801ULL, 0x9342567C19382EBCULL},
+    {"gcc", 42, 0x37F5031F227137D1ULL, 0xB8F9DEB1EBA0CB93ULL},
+    {"gemsFDTD", 42, 0x1E0E7D46BAFB6186ULL, 0x009081BECB8316FDULL},
+    {"gobmk", 42, 0x0079F5421404B247ULL, 0x837EF2788E4FEA1CULL},
+    {"gromacs", 42, 0x4F640D2483417C1CULL, 0x634D402A20327B94ULL},
+    {"h264ref", 42, 0x4ACCBEABC774A744ULL, 0x066FBCAC3A00E92DULL},
+    {"hmmer", 42, 0x66771A7210EAB4CBULL, 0xA435EE631FEC289BULL},
+    {"lbm", 42, 0x27CAE59BB928DF16ULL, 0x7A690ED51EEA0F2BULL},
+    {"leslie3d", 42, 0x30857E540C9B5515ULL, 0xC9E73666F8D9AF2CULL},
+    {"libquantum", 42, 0xA9DB4817E7389AB9ULL, 0x8105F8D52A4F0527ULL},
+    {"mcf", 42, 0x6ACC29EDFD2787B7ULL, 0x61DA48B489F73C34ULL},
+    {"milc", 42, 0xC6EC777A88A83542ULL, 0x1BE11F096367F380ULL},
+    {"namd", 42, 0x56993273A52D9D2DULL, 0x5BF2E66D79A78FFBULL},
+    {"omnetpp", 42, 0x7177BF494045A39AULL, 0x9EF03B760C4BD8B2ULL},
+    {"perlbench", 42, 0x331677C3A0169851ULL, 0x013AC5EEC3F0A006ULL},
+    {"povray", 42, 0x87AB9074CB1CD1BAULL, 0x394A3988FE1C97EEULL},
+    {"sjeng", 42, 0xFBC1F9E4E656907BULL, 0xE37DDA0F58A7CE67ULL},
+    {"soplex", 42, 0x11846BCD843FD3AAULL, 0x7311CC5799B9B91CULL},
+    {"sphinx", 42, 0xCBD510250BCD17FCULL, 0x418286E1EB838848ULL},
+    {"tonto", 42, 0x93D738EB851CF00EULL, 0x4786D1B0ECFD884FULL},
+    {"wrf", 42, 0x6C5EC1D0FD457FD3ULL, 0xE8761623AF652821ULL},
+    {"xalancbmk", 42, 0x73574AA193A943A0ULL, 0x897756845F4509F1ULL},
+    {"zeusmp", 42, 0x44349821F7168F15ULL, 0x8B9289F6CA23D00EULL},
+    {"amg2013", 42, 0xD563EE205BA53B52ULL, 0xE16A55AC748317ECULL},
+    {"comd", 42, 0x073CAD54A338B5CCULL, 0xC0C6568FE25BB301ULL},
+    {"lulesh", 42, 0xE398EB607663119BULL, 0xB1D3D211B5CA595FULL},
+    {"nekbone", 42, 0xFE80F643A82D8F6FULL, 0xEFEF305FF770DA7DULL},
+    {"xsbench", 42, 0x36BD9B904D98F6D5ULL, 0xC7A889D281FAB024ULL},
+    {"astar", 7, 0x10678BA0BB78BEB6ULL, 0x809E9965E3B7DDE3ULL},
+    {"bwaves", 7, 0x56817B13C5C6292BULL, 0xC6F777BDE5C3BBC1ULL},
+    {"bzip2", 7, 0x556CF24684F1694DULL, 0xAD2EA0E3A2B628A5ULL},
+    {"cactusADM", 7, 0x8694E1CCD749BAD4ULL, 0xA74E4CA20BF69419ULL},
+    {"calculix", 7, 0xB5DA36B19E61630AULL, 0xF887768339F6BF8AULL},
+    {"dealII", 7, 0xDD63B771ACC2831CULL, 0x1770C3D10F01F316ULL},
+    {"gamess", 7, 0xF495A6AAD3D46F77ULL, 0xAD342D198EDA1044ULL},
+    {"gcc", 7, 0x830B5C69C9210DFBULL, 0xC66F327DA30F30A7ULL},
+    {"gemsFDTD", 7, 0x243A8804E1AD7651ULL, 0xBC192F9D513CD567ULL},
+    {"gobmk", 7, 0xE93348DB1AB298DCULL, 0x85B1CB6BD8D9F210ULL},
+    {"gromacs", 7, 0x841C3323C52DB660ULL, 0x1E4758A38FDF9D23ULL},
+    {"h264ref", 7, 0x5F4F794E83A48844ULL, 0x90C3365E8B4CBB8FULL},
+    {"hmmer", 7, 0xA3A80B41C4998815ULL, 0xE5853015D13403EBULL},
+    {"lbm", 7, 0xFA9D9BF5514E93F8ULL, 0x5B24E5301EB5F577ULL},
+    {"leslie3d", 7, 0xBEF5D8513BC76583ULL, 0xC908F5EC3F749EB1ULL},
+    {"libquantum", 7, 0x5030EE01D8D72BC7ULL, 0x0687C031A13C06F4ULL},
+    {"mcf", 7, 0x5D8B9D869BF18F18ULL, 0x2A0370F0982FE194ULL},
+    {"milc", 7, 0x70447631826709A4ULL, 0x819BA9930B8A7FF4ULL},
+    {"namd", 7, 0xD65022E1CCA67E0EULL, 0xD86D1CAD724E4767ULL},
+    {"omnetpp", 7, 0x4F245A22DC909B38ULL, 0x95DC6B1BCDAFA091ULL},
+    {"perlbench", 7, 0xBD5E1BF581F28C38ULL, 0x28887B64AB949796ULL},
+    {"povray", 7, 0x7570744DF3AD1DDAULL, 0x0F99EC30637F3781ULL},
+    {"sjeng", 7, 0xE872D577241479EEULL, 0x7EB882A366128562ULL},
+    {"soplex", 7, 0xD180B36B122F021FULL, 0xB7DBB152E40D5AC8ULL},
+    {"sphinx", 7, 0x301D8FFB9C9E3486ULL, 0xC800ACB83EC1177EULL},
+    {"tonto", 7, 0x5A7EF71D6E9FF7A6ULL, 0x0A317307595FADC5ULL},
+    {"wrf", 7, 0xA26402B46726853EULL, 0xBA6577D21C06C512ULL},
+    {"xalancbmk", 7, 0x17E293D37A3FA87CULL, 0x2B6F339C084B3BC8ULL},
+    {"zeusmp", 7, 0x2C99EA1E24DF8736ULL, 0xFDC3EE2738424F75ULL},
+    {"amg2013", 7, 0x1088CB0089D5EED8ULL, 0xD5489D1C9FD3FB8BULL},
+    {"comd", 7, 0xBFFC05E24FA4A724ULL, 0xCA8C1641FC2679CDULL},
+    {"lulesh", 7, 0x00E237747AF5D87BULL, 0x96219F1B98F031EBULL},
+    {"nekbone", 7, 0xBEA34D74B86DC3A2ULL, 0x659CBAB5477B9CCFULL},
+    {"xsbench", 7, 0xCB5D3B97DE4EC935ULL, 0xA341CFF61B33AD26ULL},
+}};
+
+TEST(GeneratorStream, PinnedDigests) {
+  std::size_t checked = 0;
+  for (const StreamPin& pin : kStreamPins) {
+    const BenchmarkProfile& p = profile_by_name(pin.profile);
+    EXPECT_EQ(next_digest(p, pin.seed), pin.next) << p.name << " seed " << pin.seed;
+    EXPECT_EQ(skip_digest(p, pin.seed), pin.skip) << p.name << " seed " << pin.seed;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2 * all_profiles().size());
+}
+
+// TemporalReuse windows from 1 line up to ones needing many more halvings
+// than the profiles' 96-entry ring: the recency lookahead must resolve every
+// coin flip a window allows, never a truncated prefix of them.
+TEST(GeneratorStream, RecencyWindowsPinned) {
+  constexpr std::array<std::pair<std::uint32_t, std::uint64_t>, 8> kPins{{
+      {1u, 0xB3E6372D15D34D20ULL},
+      {2u, 0xD49D449AB613B7A3ULL},
+      {3u, 0x4ABA982E61A118EEULL},
+      {8u, 0x79AE4E9625A8576DULL},
+      {96u, 0x77BD564E6C6875A0ULL},
+      {129u, 0x2B650ADD6CDBFE26ULL},
+      {1000u, 0x2AB9D66B195F5B73ULL},
+      {70000u, 0x7AEB0FACD37B9700ULL},
+  }};
+  for (const auto& [window, digest] : kPins) {
+    TemporalReusePattern p(std::make_unique<StreamingPattern>(0, 1'000'000), 0.9, window,
+                           window * 31 + 5);
+    std::uint64_t h = kFnv1aBasis;
+    for (int i = 0; i < 200'000; ++i) h = fnv_fold(h, p.next_block(), 8);
+    EXPECT_EQ(h, digest) << "window " << window;
   }
 }
 
