@@ -49,6 +49,7 @@ void SystemConfig::validate() const {
 
   require(edram.retention_us > 0.0, "retention period must be positive");
   require(edram.rpv_phases >= 1, "RPV needs at least one phase");
+  require(edram.rpv_phases <= kMaxRpvPhases, "RPV supports at most 256 phases");
   require(retention_cycles() >= edram.rpv_phases,
           "retention must span at least one cycle per phase");
 

@@ -51,11 +51,15 @@ struct L2Config {
   double queue_pressure = 2.0;
 };
 
+/// Refrint keeps one phase tag byte per L2 slot, so at most 256 phases.
+inline constexpr std::uint32_t kMaxRpvPhases = 256;
+
 struct EdramConfig {
   /// Retention period: how long a cell holds data without refresh. The paper
   /// uses 50 us (60 C operating point) by default and 40 us in §7.3.
   double retention_us = 50.0;
-  /// Number of Refrint polyphase phases (the paper evaluates RPV with 4).
+  /// Number of Refrint polyphase phases (the paper evaluates RPV with 4),
+  /// at most kMaxRpvPhases.
   std::uint32_t rpv_phases = 4;
   /// Correctable bits per line for the EccExtended technique.
   std::uint32_t ecc_correctable = 4;

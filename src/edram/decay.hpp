@@ -16,6 +16,7 @@
 
 #include "cache/cache.hpp"
 #include "common/types.hpp"
+#include "edram/live_slots.hpp"
 #include "edram/refresh_policy.hpp"
 
 namespace esteem::edram {
@@ -54,12 +55,11 @@ class CacheDecayPolicy final : public RefreshPolicy {
   double active_fraction() const noexcept;
 
  private:
-  std::size_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
-    return static_cast<std::size_t>(set) * ways_ + way;
+  std::uint32_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
+    return set * ways_ + way;
   }
 
   cache::SetAssocCache& cache_;
-  std::uint32_t sets_;
   std::uint32_t ways_;
   cycle_t retention_;
   cycle_t decay_interval_;
@@ -67,7 +67,7 @@ class CacheDecayPolicy final : public RefreshPolicy {
   cycle_t next_check_;
   cycle_t next_refresh_;
 
-  std::vector<std::uint8_t> live_;
+  LiveSlots live_;
   std::vector<std::uint8_t> powered_;  ///< Slot gate state (off after decay).
   std::vector<cycle_t> last_touch_;
 
@@ -76,7 +76,6 @@ class CacheDecayPolicy final : public RefreshPolicy {
   std::uint64_t transitions_ = 0;
   std::uint64_t decayed_ = 0;
   std::uint64_t decay_writebacks_ = 0;
-  bool in_decay_sweep_ = false;
 };
 
 }  // namespace esteem::edram

@@ -8,18 +8,16 @@ namespace esteem::edram {
 SmartRefreshPolicy::SmartRefreshPolicy(std::uint32_t sets, std::uint32_t ways,
                                        cycle_t retention_cycles,
                                        cycle_t check_period_cycles)
-    : sets_(sets),
-      ways_(ways),
+    : ways_(ways),
       retention_(retention_cycles),
       check_period_(check_period_cycles),
-      next_check_(check_period_cycles) {
+      next_check_(check_period_cycles),
+      live_(static_cast<std::size_t>(sets) * ways) {
   if (retention_ == 0) throw std::invalid_argument("SmartRefresh: zero retention");
   if (check_period_ == 0 || check_period_ > retention_) {
     throw std::invalid_argument("SmartRefresh: check period must be in [1, retention]");
   }
-  const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
-  live_.assign(slots, 0);
-  last_touch_.assign(slots, 0);
+  last_touch_.assign(static_cast<std::size_t>(sets) * ways, 0);
   recent_.assign(std::max<cycle_t>(1, retention_ / check_period_), 0);
 }
 
@@ -30,13 +28,12 @@ std::uint64_t SmartRefreshPolicy::advance(cycle_t now) {
     // before the next check; refreshing resets its age clock.
     std::uint64_t this_check = 0;
     const cycle_t t = next_check_;
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (!live_[i]) continue;
+    live_.for_each([&](std::uint32_t i) {
       if (t + check_period_ - last_touch_[i] > retention_) {
         last_touch_[i] = t;
         ++this_check;
       }
-    }
+    });
     refreshed += this_check;
     recent_[recent_pos_] = this_check;
     recent_pos_ = (recent_pos_ + 1) % recent_.size();
@@ -52,8 +49,8 @@ double SmartRefreshPolicy::refresh_lines_per_period() const {
 
 void SmartRefreshPolicy::on_fill(std::uint32_t set, std::uint32_t way, block_t /*blk*/,
                                  cycle_t now) {
-  const std::size_t i = idx(set, way);
-  live_[i] = 1;
+  const std::uint32_t i = idx(set, way);
+  live_.insert(i);
   last_touch_[i] = now;
   ++valid_;
 }
@@ -64,7 +61,7 @@ void SmartRefreshPolicy::on_touch(std::uint32_t set, std::uint32_t way, cycle_t 
 
 void SmartRefreshPolicy::on_invalidate(std::uint32_t set, std::uint32_t way,
                                        bool /*dirty*/, cycle_t /*now*/) {
-  live_[idx(set, way)] = 0;
+  live_.erase(idx(set, way));
   --valid_;
 }
 

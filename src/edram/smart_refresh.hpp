@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "edram/live_slots.hpp"
 #include "edram/refresh_policy.hpp"
 
 namespace esteem::edram {
@@ -38,17 +39,16 @@ class SmartRefreshPolicy final : public RefreshPolicy {
   std::uint64_t valid_lines() const noexcept { return valid_; }
 
  private:
-  std::size_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
-    return static_cast<std::size_t>(set) * ways_ + way;
+  std::uint32_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
+    return set * ways_ + way;
   }
 
-  std::uint32_t sets_;
   std::uint32_t ways_;
   cycle_t retention_;
   cycle_t check_period_;
   cycle_t next_check_;
 
-  std::vector<std::uint8_t> live_;
+  LiveSlots live_;
   std::vector<cycle_t> last_touch_;  ///< Last access *or refresh* per slot.
   std::uint64_t valid_ = 0;
 

@@ -3,18 +3,21 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/config.hpp"
+
 namespace esteem::refrint {
 
 PolyphaseValidPolicy::PolyphaseValidPolicy(std::uint32_t sets, std::uint32_t ways,
                                            std::uint32_t phases, cycle_t retention_cycles)
-    : sets_(sets), ways_(ways), phases_(phases), retention_(retention_cycles) {
+    : ways_(ways), phases_(phases), retention_(retention_cycles) {
   if (phases_ == 0) throw std::invalid_argument("Polyphase: phases must be >= 1");
+  if (phases_ > kMaxRpvPhases) {
+    throw std::invalid_argument("Polyphase: phases must be <= 256 (one-byte phase tags)");
+  }
   phase_len_ = retention_cycles / phases;
   next_boundary_ = phase_len_;
   if (phase_len_ == 0) throw std::invalid_argument("Polyphase: retention shorter than phase count");
-  const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
-  tag_.assign(slots, 0);
-  live_.assign(slots, 0);
+  tag_.assign(static_cast<std::size_t>(sets) * ways, 0);
   phase_valid_.assign(phases_, 0);
   recent_.assign(phases_, 0);
 }
@@ -47,16 +50,15 @@ std::uint64_t PolyphaseValidPolicy::refresh_due(std::uint32_t p, cycle_t /*t*/) 
 
 void PolyphaseValidPolicy::on_fill(std::uint32_t set, std::uint32_t way, block_t /*blk*/,
                                    cycle_t now) {
-  const std::size_t i = idx(set, way);
+  const std::uint32_t i = idx(set, way);
   const std::uint32_t p = phase_of(now);
-  live_[i] = 1;
   tag_[i] = static_cast<std::uint8_t>(p);
   ++phase_valid_[p];
   ++valid_;
 }
 
 void PolyphaseValidPolicy::on_touch(std::uint32_t set, std::uint32_t way, cycle_t now) {
-  const std::size_t i = idx(set, way);
+  const std::uint32_t i = idx(set, way);
   const std::uint32_t p = phase_of(now);
   --phase_valid_[tag_[i]];
   tag_[i] = static_cast<std::uint8_t>(p);
@@ -65,33 +67,43 @@ void PolyphaseValidPolicy::on_touch(std::uint32_t set, std::uint32_t way, cycle_
 
 void PolyphaseValidPolicy::on_invalidate(std::uint32_t set, std::uint32_t way,
                                          bool /*dirty*/, cycle_t /*now*/) {
-  const std::size_t i = idx(set, way);
-  live_[i] = 0;
-  --phase_valid_[tag_[i]];
+  --phase_valid_[tag_[idx(set, way)]];
   --valid_;
 }
 
 PolyphaseDirtyPolicy::PolyphaseDirtyPolicy(cache::SetAssocCache& cache,
                                            std::uint32_t phases, cycle_t retention_cycles)
     : PolyphaseValidPolicy(cache.sets(), cache.ways(), phases, retention_cycles),
-      cache_(cache) {}
+      cache_(cache),
+      live_(static_cast<std::size_t>(cache.sets()) * cache.ways()) {}
+
+void PolyphaseDirtyPolicy::on_fill(std::uint32_t set, std::uint32_t way, block_t blk,
+                                   cycle_t now) {
+  PolyphaseValidPolicy::on_fill(set, way, blk, now);
+  live_.insert(idx(set, way));
+}
+
+void PolyphaseDirtyPolicy::on_invalidate(std::uint32_t set, std::uint32_t way, bool dirty,
+                                         cycle_t now) {
+  PolyphaseValidPolicy::on_invalidate(set, way, dirty, now);
+  live_.erase(idx(set, way));
+}
 
 std::uint64_t PolyphaseDirtyPolicy::refresh_due(std::uint32_t p, cycle_t t) {
   // Due dirty lines are refreshed; due clean lines are eagerly invalidated
   // so they never need refreshing again (their next use becomes a miss).
   std::uint64_t refreshed = 0;
-  for (std::uint32_t s = 0; s < sets_; ++s) {
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      const std::size_t i = idx(s, w);
-      if (!live_[i] || tag_[i] != p) continue;
-      if (cache_.slot_dirty(s, w)) {
-        ++refreshed;  // stays tagged p: due again next period
-      } else {
-        // Triggers on_invalidate back into this policy, keeping counts exact.
-        cache_.invalidate_slot(s, w, t);
-      }
+  live_.for_each([&](std::uint32_t i) {
+    if (tag_[i] != p) return;
+    const std::uint32_t s = i / ways_;
+    const std::uint32_t w = i % ways_;
+    if (cache_.slot_dirty(s, w)) {
+      ++refreshed;  // stays tagged p: due again next period
+    } else {
+      // Triggers on_invalidate back into this policy, keeping counts exact.
+      cache_.invalidate_slot(s, w, t);
     }
-  }
+  });
   return refreshed;
 }
 

@@ -23,6 +23,7 @@
 
 #include "cache/cache.hpp"
 #include "common/types.hpp"
+#include "edram/live_slots.hpp"
 #include "edram/refresh_policy.hpp"
 
 namespace esteem::refrint {
@@ -55,11 +56,10 @@ class PolyphaseValidPolicy : public edram::RefreshPolicy {
     return static_cast<std::uint32_t>((now / phase_len_) % phases_);
   }
 
-  std::size_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
-    return static_cast<std::size_t>(set) * ways_ + way;
+  std::uint32_t idx(std::uint32_t set, std::uint32_t way) const noexcept {
+    return set * ways_ + way;
   }
 
-  std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint32_t phases_;
   cycle_t retention_;
@@ -67,7 +67,6 @@ class PolyphaseValidPolicy : public edram::RefreshPolicy {
   cycle_t next_boundary_;
 
   std::vector<std::uint8_t> tag_;          ///< Last-touch phase per slot.
-  std::vector<std::uint8_t> live_;         ///< Valid bit per slot (policy view).
   std::vector<std::uint64_t> phase_valid_; ///< Valid lines per phase tag.
   std::uint64_t valid_ = 0;
 
@@ -84,11 +83,15 @@ class PolyphaseDirtyPolicy final : public PolyphaseValidPolicy {
 
   const char* name() const override { return "refrint-rpd"; }
 
+  void on_fill(std::uint32_t set, std::uint32_t way, block_t blk, cycle_t now) override;
+  void on_invalidate(std::uint32_t set, std::uint32_t way, bool dirty, cycle_t now) override;
+
  protected:
   std::uint64_t refresh_due(std::uint32_t p, cycle_t t) override;
 
  private:
   cache::SetAssocCache& cache_;
+  edram::LiveSlots live_;  ///< Only RPD scans lines; RPV counts phase tags.
 };
 
 }  // namespace esteem::refrint

@@ -196,6 +196,17 @@ TEST(Config, ValidationRejectsBadParameters) {
   }
 }
 
+TEST(Config, ValidationBoundsRpvPhases) {
+  // Refrint phase tags are one byte per slot: 256 phases fit, 257 do not.
+  auto cfg = SystemConfig::single_core();
+  cfg.edram.rpv_phases = kMaxRpvPhases;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.edram.rpv_phases = kMaxRpvPhases + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.edram.rpv_phases = 300;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(Table, AlignsAndSeparates) {
   TextTable t;
   t.set_header({"name", "value"});

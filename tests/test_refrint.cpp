@@ -81,6 +81,25 @@ TEST(RPV, ValidatesConstruction) {
   EXPECT_THROW(PolyphaseValidPolicy(4, 4, 200, 100), std::invalid_argument);
 }
 
+TEST(RPV, RejectsMorePhasesThanOneByteTagsHold) {
+  EXPECT_NO_THROW(PolyphaseValidPolicy(4, 4, 256, 256 * 10));
+  EXPECT_THROW(PolyphaseValidPolicy(4, 4, 257, 257 * 10), std::invalid_argument);
+  EXPECT_THROW(PolyphaseValidPolicy(4, 4, 300, 300 * 10), std::invalid_argument);
+}
+
+TEST(RPV, HighestPhaseTagCountedAt256Phases) {
+  // 256 phases of 10 cycles: t=2555 lies in phase 255, t=2565 wraps to 0.
+  PolyphaseValidPolicy p(4, 4, 256, 256 * 10);
+  p.on_fill(0, 0, 42, 2555);
+  EXPECT_EQ(p.phase_count(255), 1u);
+  p.on_touch(0, 0, 2565);
+  EXPECT_EQ(p.phase_count(255), 0u);
+  EXPECT_EQ(p.phase_count(0), 1u);
+  p.on_invalidate(0, 0, false, 2570);
+  EXPECT_EQ(p.phase_count(0), 0u);
+  EXPECT_EQ(p.valid_lines(), 0u);
+}
+
 TEST(RPD, RefreshesDirtyInvalidatesClean) {
   cache::SetAssocCache c({4, 2});
   auto policy = std::make_unique<PolyphaseDirtyPolicy>(c, 4, 100);
