@@ -66,10 +66,11 @@ struct EdramConfig {
   /// Residual per-line failure-probability budget for choosing the ECC
   /// refresh-interval extension.
   double ecc_target_line_failure = 1e-9;
-  /// Idle time after which the CacheDecay technique gates a line off, as a
-  /// multiple of the retention period (Kaxiras-style decay interval).
-  double decay_interval_retentions = 8.0;
 };
+
+/// Idle time after which the CacheDecay technique gates a line off, as a
+/// multiple of the retention period (Kaxiras-style decay interval).
+inline constexpr double kDecayIntervalRetentions = 8.0;
 
 struct MemoryConfig {
   std::uint32_t latency_cycles = 220;

@@ -1,5 +1,7 @@
-// Textual SystemConfig serialization: a small INI dialect so the CLI tool
-// and batch scripts can describe experiments without recompiling.
+// The SystemConfig schema and its serializations: a small INI dialect so
+// the CLI tool and batch scripts can describe experiments without
+// recompiling, and the binary codec shared by the service wire and the memo
+// key.
 //
 //   [system]
 //   ncores = 2
@@ -16,39 +18,75 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <variant>
 
+#include "common/bytes.hpp"
 #include "common/config.hpp"
 
 namespace esteem {
 
-/// One key of the INI schema. The loader, the saver, and the generated
-/// config reference (docs/CONFIG.md) all derive from this table, so the
-/// three cannot drift apart.
-struct ConfigKeySpec {
-  std::string section;  ///< INI section, e.g. "l2".
-  std::string key;      ///< Key within the section, e.g. "size_kb".
-  std::string type;     ///< "int" | "float" | "bool" | "str".
-  std::string doc;      ///< One-line meaning (used in docs/CONFIG.md).
-  std::function<void(SystemConfig&, const std::string&, const std::string&)> set;
-  std::function<std::string(const SystemConfig&)> get;  ///< Serialized value.
+/// Typed reference into a SystemConfig: the one accessor of a config field.
+template <class T>
+using FieldRef = T& (*)(SystemConfig&);
+
+/// A byte slot whose field left SystemConfig. Encoders still write `value`
+/// so memo keys and wire bytes do not move; decoders refuse any other value.
+struct RetiredSlot {
+  double value;
 };
 
-/// The full INI schema in serialization order (sections contiguous).
-const std::vector<ConfigKeySpec>& config_schema();
+using FieldAccess = std::variant<FieldRef<std::uint32_t>, FieldRef<std::uint64_t>,
+                                 FieldRef<double>, FieldRef<bool>, FieldRef<std::string>,
+                                 RetiredSlot>;
+
+/// One field of the config schema. The INI loader and saver, the generated
+/// reference (docs/CONFIG.md), the service wire codec and the memo key all
+/// derive from the table of these, so adding a key is one edit. The C++
+/// type behind `access` fixes the INI type (int|float|bool|str) and the
+/// bytes (u32, u64, f64, bool as u8, length-prefixed str).
+struct ConfigField {
+  std::string_view section;  ///< INI section, e.g. "l2".
+  std::string_view key;      ///< INI key, e.g. "size_kb"; empty = byte forms only.
+  std::string_view doc;      ///< One-line meaning (used in docs/CONFIG.md).
+  FieldAccess access;
+  /// INI value = stored value / ini_unit (sizes are KB in INI, bytes in memory).
+  std::uint64_t ini_unit = 1;
+  /// Runs after the INI sets this key (l2.line_bytes also sets L1's).
+  void (*ini_also)(SystemConfig&) = nullptr;
+};
+
+/// The schema in byte order: the order of the wire and the memo key, and
+/// of --dump-config (sections are contiguous).
+std::span<const ConfigField> config_fields();
 
 /// True when `section` is an execution-policy section: its keys govern how
 /// runs execute or are watched ([resilience], [service], [observability]),
 /// never what a run computes, so they are excluded from memo fingerprints
 /// and sweep hashes. Every other section is semantic — changing any of its
 /// keys changes result bytes and invalidates cached outcomes. The generated
-/// docs/CONFIG.md legend and the fingerprint tests both derive from this
-/// single classification.
-bool config_section_is_execution_policy(const std::string& section);
+/// docs/CONFIG.md legend, the memo key and the fingerprint tests all derive
+/// from this single classification.
+bool config_section_is_execution_policy(std::string_view section);
+
+/// Which fields a config byte encoding carries.
+enum class ConfigScope {
+  Semantic,  ///< Fields of semantic sections only: the memo-key part.
+  All,       ///< Every field: the service wire's config part.
+};
+
+/// Appends `cfg`'s fields in table order (f64-exact, unlike the INI).
+void write_config_bytes(ByteWriter& w, const SystemConfig& cfg, ConfigScope scope);
+
+/// Inverse of write_config_bytes(ConfigScope::All); false on truncation, a
+/// bool byte above 1, or a retired slot holding another value. Does not
+/// validate.
+bool read_config_bytes(ByteReader& r, SystemConfig& cfg);
 
 /// Structured INI parse failure: what() always carries the 1-based line
 /// number (and the offending section.key when one was identified), and the

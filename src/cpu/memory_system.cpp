@@ -74,7 +74,7 @@ MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
     case Technique::CacheDecay: {
       auto decay = std::make_unique<edram::CacheDecayPolicy>(
           l2_, retention,
-          static_cast<cycle_t>(cfg.edram.decay_interval_retentions *
+          static_cast<cycle_t>(kDecayIntervalRetentions *
                                static_cast<double>(retention)),
           /*check_period=*/retention);
       decay_ = decay.get();

@@ -18,6 +18,7 @@
 
 #include "chaos/file_ops.hpp"
 #include "common/bytes.hpp"
+#include "common/config_io.hpp"
 #include "common/env.hpp"
 #include "resilience/crc32.hpp"
 #include "telemetry/telemetry.hpp"
@@ -225,58 +226,9 @@ std::string run_spec_fingerprint(const RunSpec& spec) {
   ByteWriter w;
   w.u32(kMemoFormatVersion);
 
-  const SystemConfig& cfg = spec.config;
-  w.u32(cfg.ncores);
-  w.f64(cfg.freq_ghz);
-  w.u64(cfg.l1.geom.size_bytes);
-  w.u32(cfg.l1.geom.ways);
-  w.u32(cfg.l1.geom.line_bytes);
-  w.u32(cfg.l1.latency_cycles);
-  w.u64(cfg.l2.geom.size_bytes);
-  w.u32(cfg.l2.geom.ways);
-  w.u32(cfg.l2.geom.line_bytes);
-  w.u32(cfg.l2.latency_cycles);
-  w.u32(cfg.l2.banks);
-  w.u32(cfg.l2.access_occupancy_cycles);
-  w.f64(cfg.l2.refresh_occupancy_cycles);
-  w.f64(cfg.l2.queue_pressure);
-  w.u32(cfg.mem.latency_cycles);
-  w.f64(cfg.mem.bandwidth_gbps);
-  w.f64(cfg.edram.retention_us);
-  w.u32(cfg.edram.rpv_phases);
-  w.u32(cfg.edram.ecc_correctable);
-  w.f64(cfg.edram.ecc_target_line_failure);
-  w.f64(cfg.edram.decay_interval_retentions);
-  w.f64(cfg.energy.refresh_scale);
-  w.f64(cfg.energy.dyn_scale);
-  w.f64(cfg.energy.leak_scale);
-  w.f64(cfg.esteem.alpha);
-  w.u32(cfg.esteem.a_min);
-  w.u32(cfg.esteem.modules);
-  w.u64(cfg.esteem.interval_cycles);
-  w.u32(cfg.esteem.sampling_ratio);
-  w.u8(cfg.esteem.nonlru_guard ? 1 : 0);
-  w.u64(cfg.esteem.min_leader_samples);
-  w.f64(cfg.esteem.history_weight);
-  w.u32(cfg.esteem.max_way_delta);
-  w.u32(cfg.esteem.hysteresis_intervals);
-  w.u32(cfg.esteem.shrink_confirm_intervals);
-  w.u8(cfg.faults.enabled ? 1 : 0);
-  w.u64(cfg.faults.seed);
-  w.f64(cfg.faults.median_multiple);
-  w.f64(cfg.faults.sigma);
-  w.u32(cfg.faults.correction_latency_cycles);
-  w.u32(cfg.faults.disable_threshold);
-  w.u32(cfg.faults.max_tracked_extension);
-  // [sampling] is semantic: it decides whether a run is exhaustive or
-  // estimated, and with what schedule — different bytes out.
-  w.u8(cfg.sampling.enabled ? 1 : 0);
-  w.u64(cfg.sampling.window_instr);
-  w.u64(cfg.sampling.detail_warm_instr);
-  w.u64(cfg.sampling.ff_warm_instr);
-  w.u64(cfg.sampling.cold_warm_instr);
-  w.u64(cfg.sampling.period_instr);
-
+  // Execution-policy sections ([resilience], [service], [observability])
+  // never change a run's bytes, so they never move its key.
+  write_config_bytes(w, spec.config, ConfigScope::Semantic);
   w.u32(static_cast<std::uint32_t>(spec.technique));
   w.str(spec.workload.name);
   w.u64(spec.workload.benchmarks.size());

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/config_io.hpp"
 
 namespace esteem {
@@ -216,6 +217,100 @@ TEST(ConfigIo, LineBytesAppliesToBothLevels) {
   const SystemConfig cfg = load_config(ss);
   EXPECT_EQ(cfg.l1.geom.line_bytes, 128u);
   EXPECT_EQ(cfg.l2.geom.line_bytes, 128u);
+}
+
+// save_config(SystemConfig::single_core()) in the earlier section order,
+// [edram] before [mem]. Key order is free, so such dumps still load.
+constexpr const char* kEdramBeforeMemDump = R"([system]
+ncores = 1
+freq_ghz = 2
+
+[l1]
+size_kb = 32
+ways = 4
+latency = 2
+
+[l2]
+size_kb = 4096
+ways = 16
+line_bytes = 64
+latency = 12
+banks = 4
+access_occupancy = 4
+refresh_occupancy = 4
+queue_pressure = 2
+
+[edram]
+retention_us = 50
+rpv_phases = 4
+ecc_correctable = 4
+ecc_target_line_failure = 1e-09
+
+[mem]
+latency = 220
+bandwidth_gbps = 10
+
+[energy]
+refresh_scale = 1
+dyn_scale = 1
+leak_scale = 1
+
+[esteem]
+alpha = 0.97
+a_min = 3
+modules = 8
+interval_cycles = 10000000
+sampling_ratio = 64
+nonlru_guard = true
+min_leader_samples = 0
+history_weight = 0.75
+max_way_delta = 0
+hysteresis_intervals = 0
+shrink_confirm_intervals = 0
+
+[faults]
+enabled = false
+seed = 60844
+median_multiple = 32
+sigma = 0.35
+correction_latency = 3
+disable_threshold = 3
+max_tracked_extension = 16
+
+[sampling]
+enabled = false
+window_instr = 40000
+detail_warm_instr = 10000
+ff_warm_instr = 200000
+cold_warm_instr = 2000000
+period_instr = 4000000
+
+[resilience]
+run_deadline_ms = 0
+max_retries = 0
+backoff_ms = 100
+max_consecutive_errors = 0
+
+[service]
+lease_ttl_ms = 30000
+heartbeat_ms = 5000
+poll_ms = 500
+lock_mode = append
+
+[observability]
+flush_ms = 0
+events_max = 256
+metrics_path = 
+)";
+
+TEST(ConfigIo, LoadsDumpsWithEdramBeforeMem) {
+  std::stringstream ss(kEdramBeforeMemDump);
+  const auto bytes = [](const SystemConfig& c) {
+    ByteWriter w;
+    write_config_bytes(w, c, ConfigScope::All);
+    return w.take();
+  };
+  EXPECT_EQ(bytes(load_config(ss)), bytes(SystemConfig::single_core()));
 }
 
 }  // namespace

@@ -78,7 +78,6 @@ TEST(CacheDecay, SystemRunSavesRefreshesAndLeakage) {
   cfg.l1.geom = CacheGeometry{8ULL * 1024, 4, 64};
   cfg.l2.geom = CacheGeometry{512ULL * 1024, 8, 64};
   cfg.edram.retention_us = 5.0;
-  cfg.edram.decay_interval_retentions = 4.0;
   cfg.esteem.modules = 8;
   cfg.esteem.interval_cycles = 100'000;
 
