@@ -8,12 +8,21 @@ set(sweep_args --techniques rpv --instr 30000 --warmup 5000)
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
-# 1. Reference: the uninterrupted sweep.
-execute_process(COMMAND ${CLI} --sweep gamess,gobmk ${sweep_args}
-                        --csv ${WORKDIR}/full.csv
-                RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference sweep failed (exit ${rc})")
+# 1. Reference: the uninterrupted sweep, run twice with the same --csv path.
+#    Sweep stdout is deterministic: the second run's must match the first's
+#    byte for byte.
+foreach(leg first second)
+  execute_process(COMMAND ${CLI} --sweep gamess,gobmk ${sweep_args}
+                          --csv ${WORKDIR}/full.csv
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE ${leg}_out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "reference sweep failed (exit ${rc})")
+  endif()
+endforeach()
+if(NOT first_out STREQUAL second_out)
+  message(FATAL_ERROR "two identical sweeps printed different stdout:\n"
+                      "${first_out}\n--- vs ---\n${second_out}")
 endif()
 
 # 2. "Interrupted" leg: only one workload completes. This is the state a

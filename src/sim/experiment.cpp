@@ -141,19 +141,15 @@ RunOutcome run_experiment(const RunSpec& spec,
   options.telemetry = sink.get();
 
   RunOutcome outcome;
-  {
-    telemetry::ScopedTimer t(tel.profiler(), "run.simulate");
-    if (spec.config.sampling.enabled) {
-      sampling::SampledRunResult sampled =
-          sampling::run_sampled(system, options, spec.config.sampling);
-      outcome.raw = std::move(sampled.raw);
-      outcome.estimates = std::move(sampled.estimates);
-    } else {
-      outcome.raw = system.run(options);
-    }
+  if (spec.config.sampling.enabled) {
+    sampling::SampledRunResult sampled =
+        sampling::run_sampled(system, options, spec.config.sampling);
+    outcome.raw = std::move(sampled.raw);
+    outcome.estimates = std::move(sampled.estimates);
+  } else {
+    outcome.raw = system.run(options);
   }
 
-  telemetry::ScopedTimer energy_timer(tel.profiler(), "run.energy");
   energy::EnergyModelParams params;
   params.l2 = energy::l2_energy_params(spec.config.l2.geom.size_bytes);
   params.refresh_scale = spec.config.energy.refresh_scale;
@@ -172,7 +168,6 @@ RunOutcome run_experiment(const RunSpec& spec,
     outcome.estimates.energy_j = energy_half_ci(
         params, outcome.raw.counters, outcome.estimates, spec.config.freq_ghz);
   }
-  energy_timer.stop();
 
   if (sink) {
     if (sink->trace != nullptr) {

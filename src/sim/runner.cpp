@@ -138,9 +138,6 @@ std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::stri
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {
-  // Self-profiling: the sweep's wall time lands in the phase rollup printed
-  // with the sweep summary and emitted in the esteem_bench JSON.
-  telemetry::ScopedTimer sweep_timer(telemetry::profiler(), "sweep");
   if (spec.workloads.empty()) throw std::invalid_argument("run_sweep: no workloads");
   for (Technique t : spec.techniques) {
     if (t == Technique::BaselinePeriodicAll) {

@@ -1,5 +1,5 @@
 // Process-wide telemetry hub: owns the global CounterRegistry, the optional
-// Chrome TraceEmitter, the PhaseProfiler, and per-run interval sinks.
+// Chrome TraceEmitter, and per-run interval sinks.
 //
 // Everything is gated off by default: until configure() enables a feature,
 // active() is false, trace_sink() is null, and no run sink is created — the
@@ -20,7 +20,6 @@
 
 #include "telemetry/counter_registry.hpp"
 #include "telemetry/interval_recorder.hpp"
-#include "telemetry/profile.hpp"
 #include "telemetry/trace_emitter.hpp"
 
 namespace esteem::telemetry {
@@ -81,7 +80,6 @@ class Telemetry {
   }
 
   CounterRegistry& registry() noexcept { return registry_; }
-  PhaseProfiler& profiler() noexcept { return profiler_; }
   /// Null unless a trace path is configured.
   TraceEmitter* trace() noexcept { return trace_.get(); }
 
@@ -119,7 +117,6 @@ class Telemetry {
   std::atomic<bool> interval_stats_{false};
   std::atomic<std::uint32_t> next_sim_tid_{1};
   CounterRegistry registry_;
-  PhaseProfiler profiler_;
   std::unique_ptr<TraceEmitter> trace_;
   std::vector<std::string> written_;
 };
@@ -127,7 +124,6 @@ class Telemetry {
 /// Shorthand accessors for instrumentation sites.
 inline bool active() noexcept { return Telemetry::instance().active(); }
 inline CounterRegistry& registry() noexcept { return Telemetry::instance().registry(); }
-inline PhaseProfiler& profiler() noexcept { return Telemetry::instance().profiler(); }
 inline TraceEmitter* trace_sink() noexcept { return Telemetry::instance().trace(); }
 
 /// Replaces anything outside [A-Za-z0-9._+-] with '_' (run labels become

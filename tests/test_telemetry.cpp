@@ -1,8 +1,8 @@
 // Tests for the telemetry subsystem: counter registry (sharded merge
 // exactness, duplicate-name rejection), interval recorder (row accounting,
-// JSONL round-trip), trace emitter, phase profiler, and the hub's
-// integration with the experiment layer — including the observer-effect
-// guard (telemetry on vs. off must not change simulation results).
+// JSONL round-trip), trace emitter, and the hub's integration with the
+// experiment layer — including the observer-effect guard (telemetry on vs.
+// off must not change simulation results).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,7 +20,6 @@
 #include "telemetry/counter_registry.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/interval_recorder.hpp"
-#include "telemetry/profile.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_emitter.hpp"
 
@@ -364,7 +363,7 @@ TEST(IntervalRecorder, CsvHasHeaderAndRows) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceEmitter / PhaseProfiler
+// TraceEmitter
 
 TEST(TraceEmitter, EmitsChromeTraceEvents) {
   TraceEmitter tr;
@@ -385,28 +384,6 @@ TEST(TraceEmitter, EmitsChromeTraceEvents) {
   EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
   EXPECT_NE(json.find("\"hits\":12"), std::string::npos);
   EXPECT_NE(json.find("mcf.esteem.s42"), std::string::npos);
-}
-
-TEST(PhaseProfiler, ScopedTimerAccumulates) {
-  PhaseProfiler prof;
-  for (int i = 0; i < 3; ++i) {
-    ScopedTimer t(prof, "phase.a");
-  }
-  {
-    ScopedTimer t(prof, "phase.b");
-    t.stop();
-    t.stop();  // idempotent
-  }
-  const auto rollup = prof.rollup();
-  ASSERT_EQ(rollup.size(), 2u);
-  EXPECT_EQ(rollup[0].name, "phase.a");
-  EXPECT_EQ(rollup[0].count, 3u);
-  EXPECT_GE(rollup[0].seconds, 0.0);
-  EXPECT_EQ(rollup[1].name, "phase.b");
-  EXPECT_EQ(rollup[1].count, 1u);
-  EXPECT_NE(prof.to_json().find("phase.a"), std::string::npos);
-  prof.reset();
-  EXPECT_TRUE(prof.rollup().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -188,8 +188,6 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
                                                 memo_before.disk_hits),
                 journal_dir.c_str());
   }
-  const std::string phases = telemetry::profiler().to_line();
-  if (!phases.empty()) std::printf("phases: %s\n", phases.c_str());
   if (!csv_path.empty()) {
     sim::write_csv(result, csv_path);
     std::printf("csv written to %s\n", csv_path.c_str());
