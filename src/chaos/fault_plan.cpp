@@ -23,29 +23,9 @@ std::atomic<std::uint64_t> g_injections{0};
 }  // namespace
 
 const std::vector<PointInfo>& injection_points() {
-  // One row per seam call site. Domains: "lease" = the service lease table,
-  // "sidecar" = observer per-worker telemetry journals, "memo" = the run-memo
-  // cache store path (which a resumed CLI sweep restores from),
-  // "lock" = the lock-file lease fallback, "worker" = the service worker
-  // loop. A plain JournalFile outside those subsystems uses the default
-  // "journal" domain, which is deliberately not registered (nothing durable
-  // ships with it).
+  // One row per seam call site, all in the run-memo store path (which a
+  // resumed CLI sweep restores from).
   static const std::vector<PointInfo> kPoints = {
-      {"lease.open", OpKind::kOpen, "open/create the service lease journal"},
-      {"lease.append.write", OpKind::kWrite, "append a lease-table record"},
-      {"lease.append.fsync", OpKind::kFsync, "fsync after a lease append"},
-      {"lease.crash.before_append", OpKind::kCrash,
-       "die before a lease record is written"},
-      {"lease.crash.after_append", OpKind::kCrash,
-       "die after a lease record is durable"},
-      {"sidecar.open", OpKind::kOpen, "open/create an observer sidecar"},
-      {"sidecar.append.write", OpKind::kWrite,
-       "append an observer event/snapshot"},
-      {"sidecar.append.fsync", OpKind::kFsync, "fsync after a sidecar append"},
-      {"sidecar.crash.before_append", OpKind::kCrash,
-       "die before a sidecar record is written"},
-      {"sidecar.crash.after_append", OpKind::kCrash,
-       "die after a sidecar record is durable"},
       {"memo.tmp.write", OpKind::kWrite, "write the memo-cache temp file"},
       {"memo.tmp.fsync", OpKind::kFsync, "fsync the memo temp file"},
       {"memo.rename", OpKind::kRename, "publish the memo file via rename"},
@@ -53,10 +33,6 @@ const std::vector<PointInfo>& injection_points() {
        "die with only the memo temp file on disk"},
       {"memo.crash.after_rename", OpKind::kCrash,
        "die right after the memo file is published"},
-      {"lock.open", OpKind::kOpen, "create the lease lock file (O_EXCL)"},
-      {"lock.crash.held", OpKind::kCrash, "die while holding the lock file"},
-      {"worker.crash.after_claim", OpKind::kCrash,
-       "die holding a freshly claimed service lease"},
   };
   return kPoints;
 }
@@ -204,16 +180,11 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-OpKind point_kind(const std::string& point) {
+const PointInfo* find_point(const std::string& point) {
   for (const PointInfo& info : injection_points()) {
-    if (point == info.name) return info.kind;
+    if (point == info.name) return &info;
   }
-  // Unregistered domains (plain "journal.*") behave like their suffix says.
-  if (point.find(".fsync") != std::string::npos) return OpKind::kFsync;
-  if (point.find(".rename") != std::string::npos) return OpKind::kRename;
-  if (point.find(".open") != std::string::npos) return OpKind::kOpen;
-  if (point.find(".crash.") != std::string::npos) return OpKind::kCrash;
-  return OpKind::kWrite;
+  return nullptr;
 }
 
 }  // namespace
@@ -222,7 +193,9 @@ Injection RandomFaultPlan::at(const std::string& point) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t draw = splitmix64(seed_ ^ splitmix64(sequence_++));
   if (budget_ == 0) return {};
-  const OpKind kind = point_kind(point);
+  const PointInfo* info = find_point(point);
+  if (info == nullptr) return {};  // Only registered points are faulted.
+  const OpKind kind = info->kind;
   if (kind == OpKind::kCrash) return {};  // Crashes need a forked harness.
   if (draw % 100 >= rate_percent_) return {};
   --budget_;
@@ -244,7 +217,6 @@ Injection RandomFaultPlan::at(const std::string& point) {
                                    : Injection::Action::kErrno;
       inj.err = EIO;
       break;
-    case OpKind::kOpen:
     case OpKind::kFsync:
       inj.action = Injection::Action::kErrno;
       inj.err = (pick % 2 == 0) ? ENOSPC : EIO;

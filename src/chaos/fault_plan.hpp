@@ -1,10 +1,10 @@
 // Deterministic fault-injection plans for the durable-I/O seam (DESIGN.md
-// §15). Every piece of durable I/O in the repo — journal appends, memo-cache
-// stores, lease-table writes, observer sidecar flushes, lock files — passes
-// through a named *injection point* (see file_ops.hpp). When a FaultPlan is
-// installed, each point consults the plan and may receive an Injection:
-// an errno to fake, a short (torn) write, a rename that lies about failing,
-// or an immediate SIGKILL at a named crashpoint.
+// §15). The repo's durable I/O — the run-memo store a resumed sweep
+// restores from — passes through named *injection points* (see
+// file_ops.hpp). When a FaultPlan is installed, each point consults the
+// plan and may receive an Injection: an errno to fake, a short (torn)
+// write, a rename that lies about failing, or an immediate SIGKILL at a
+// named crashpoint.
 //
 // Plans are deterministic by construction so every failure an explorer or CI
 // job finds is replayable from a single (schedule, seed) pair:
@@ -30,7 +30,7 @@
 namespace esteem::chaos {
 
 /// What a seam operation at an injection point does normally.
-enum class OpKind { kOpen, kWrite, kFsync, kRename, kCrash };
+enum class OpKind { kWrite, kFsync, kRename, kCrash };
 
 /// One registered injection point: a stable name the explorer enumerates
 /// and a one-line summary for --list-points and the DESIGN.md table.
@@ -62,8 +62,8 @@ struct Injection {
 };
 
 /// A deterministic oracle mapping (point, occurrence) -> Injection.
-/// Implementations must be thread-safe: journals append from worker and
-/// heartbeat threads concurrently.
+/// Implementations must be thread-safe: sweep worker threads store memo
+/// files concurrently.
 class FaultPlan {
  public:
   virtual ~FaultPlan();

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #if !defined(_WIN32)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -30,23 +29,6 @@ namespace {
 void chaos_crashpoint(const std::string& point) {
   const Injection inj = consult(point);
   if (inj.action == Injection::Action::kCrash) die(point);
-}
-
-int chaos_open(const std::string& point, const char* path, int flags,
-               unsigned mode) {
-  const Injection inj = consult(point);
-  switch (inj.action) {
-    case Injection::Action::kCrash:
-      die(point);
-    case Injection::Action::kErrno:
-    case Injection::Action::kShortWrite:
-    case Injection::Action::kRenameDuplicate:
-      errno = inj.err != 0 ? inj.err : EIO;
-      return -1;
-    case Injection::Action::kNone:
-      break;
-  }
-  return ::open(path, flags, static_cast<mode_t>(mode));
 }
 
 ssize_t chaos_write(const std::string& point, int fd, const void* buf,
@@ -122,12 +104,6 @@ void chaos_rename(const std::string& point, const std::filesystem::path& from,
 }
 
 }  // namespace detail
-
-int px_open(const std::string& point, const char* path, int flags,
-            unsigned mode) {
-  if (!armed()) return ::open(path, flags, static_cast<mode_t>(mode));
-  return detail::chaos_open(point, path, flags, mode);
-}
 
 #endif  // !defined(_WIN32)
 

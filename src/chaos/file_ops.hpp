@@ -1,6 +1,6 @@
 // The durable-I/O seam (DESIGN.md §15): thin wrappers around the syscalls
-// the journal/memo/service stack uses for persistence. Each wrapper names
-// its call site (an injection point from fault_plan.hpp's registry); with
+// the run-memo store uses for persistence. Each wrapper names its call
+// site (an injection point from fault_plan.hpp's registry); with
 // no fault plan installed the wrappers cost one relaxed atomic load and
 // fall straight through to the real call — chaos-off behavior is pinned
 // byte-identical by test_chaos. With a plan installed, the point consults
@@ -24,8 +24,6 @@ namespace esteem::chaos {
 #if !defined(_WIN32)
 
 namespace detail {
-int chaos_open(const std::string& point, const char* path, int flags,
-               unsigned mode);
 ssize_t chaos_write(const std::string& point, int fd, const void* buf,
                     std::size_t count);
 int chaos_fsync(const std::string& point, int fd);
@@ -33,10 +31,6 @@ void chaos_rename(const std::string& point, const std::filesystem::path& from,
                   const std::filesystem::path& to, std::error_code& ec);
 void chaos_crashpoint(const std::string& point);
 }  // namespace detail
-
-/// open(2); kErrno injections fail without touching the filesystem.
-int px_open(const std::string& point, const char* path, int flags,
-            unsigned mode);
 
 /// write(2); kShortWrite injections physically write the first N bytes and
 /// then fail with the injected errno — exactly the torn record a crash

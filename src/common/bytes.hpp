@@ -1,8 +1,6 @@
-// Canonical little-endian byte codec shared by every subsystem that
-// serializes binary records (the RunOutcome memo cache, the service wire and
-// cell codecs).
-// One encoding means a fingerprint computed by one layer and a payload
-// written by another can never disagree about field layout.
+// Canonical little-endian byte codec for binary records: the RunOutcome
+// memo file and the memo key it is filed under. One encoding means a
+// fingerprint and a payload can never disagree about field layout.
 //
 // ByteWriter appends fields to a growing buffer; ByteReader is the
 // bounds-checked inverse — every getter reports truncation instead of
@@ -13,7 +11,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -83,66 +80,6 @@ class ByteReader {
   const std::string& buf_;
   std::size_t pos_ = 0;
 };
-
-/// Lowercase hex encoding of arbitrary bytes (journal payloads are hex so a
-/// binary record survives inside a line-oriented text file).
-inline std::string to_hex(const std::string& bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xF]);
-  }
-  return out;
-}
-
-/// Fixed-width (16 digit) lowercase hex of a u64 — the journal's canonical
-/// rendering for hashes, digests, and lease ids.
-inline std::string hex_u64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Inverse of hex_u64; false unless `s` is exactly 16 lowercase hex digits.
-inline bool parse_hex_u64(const std::string& s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    std::uint64_t nib = 0;
-    if (c >= '0' && c <= '9') nib = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') nib = static_cast<std::uint64_t>(c - 'a' + 10);
-    else return false;
-    v = (v << 4) | nib;
-  }
-  out = v;
-  return true;
-}
-
-/// Inverse of to_hex; nullopt on odd length or a non-hex character.
-inline std::optional<std::string> from_hex(const std::string& hex) {
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  if (hex.size() % 2 != 0) return std::nullopt;
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
 
 /// FNV-1a offset basis: the starting `h` for fnv1a().
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;

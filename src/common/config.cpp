@@ -79,9 +79,6 @@ void SystemConfig::validate() const {
             "sampling period must exceed window + warm segments");
   }
 
-  require(service.lock_mode == "append" || service.lock_mode == "lockfile",
-          "service lock_mode must be 'append' or 'lockfile'");
-
   require(faults.median_multiple > 0.0, "fault median multiple must be positive");
   require(faults.sigma > 0.0, "fault sigma must be positive");
   require(faults.disable_threshold >= 1, "fault disable threshold must be >= 1");

@@ -167,50 +167,6 @@ struct ResilienceConfig {
   std::uint32_t max_consecutive_errors = 0;
 };
 
-/// Multi-process sweep-service knobs (src/service; DESIGN.md §12). Like
-/// [resilience], these govern how work is distributed, never what a run
-/// computes, so they are excluded from memo fingerprints and sweep hashes.
-struct ServiceConfig {
-  /// Lease time-to-live: a row whose lease has not been renewed for this
-  /// long is considered abandoned and may be re-leased by any worker. Must
-  /// comfortably exceed heartbeat_ms plus the slowest single run (or the
-  /// run_deadline_ms watchdog budget, which bounds it).
-  std::uint32_t lease_ttl_ms = 30'000;
-  /// Heartbeat period: how often a worker renews the lease of the row it is
-  /// running.
-  std::uint32_t heartbeat_ms = 5'000;
-  /// Idle poll period: how often a worker with nothing claimable (and the
-  /// waiting coordinator) re-reads the service journal.
-  std::uint32_t poll_ms = 500;
-  /// How lease-journal appends are serialized: "append" relies on O_APPEND
-  /// write atomicity (correct on local POSIX filesystems); "lockfile" takes
-  /// an advisory lock file around every append for filesystems that do not
-  /// guarantee atomic appends (NFS/SMB). Stale locks older than
-  /// lease_ttl_ms are broken and counted in service.locks_broken.
-  std::string lock_mode = "append";
-};
-
-/// Fleet observability knobs (src/telemetry/export, src/service/observer;
-/// DESIGN.md §13). Like [resilience] and [service], these govern how a sweep
-/// is *watched*, never what a run computes, so they are excluded from memo
-/// fingerprints and sweep hashes, and the pinned zero-observer-effect
-/// guarantee holds: enabling them leaves CSV/report bytes unchanged.
-struct ObservabilityConfig {
-  /// Sidecar snapshot flush period in milliseconds: each service worker
-  /// appends a full CounterRegistry snapshot to its per-worker sidecar
-  /// journal this often (piggybacked on the heartbeat thread) plus once per
-  /// resolved row. 0 = observability plane off (no sidecars, no events).
-  std::uint32_t flush_ms = 0;
-  /// Cap on structured event records a worker journals per process run;
-  /// events beyond the cap are dropped and counted under
-  /// `observer.events_dropped`.
-  std::uint32_t events_max = 256;
-  /// When non-empty, the coordinator writes the merged OpenMetrics
-  /// exposition of every worker sidecar here after a successful collect
-  /// (`esteem_workerd --metrics FILE` overrides per invocation).
-  std::string metrics_path;
-};
-
 /// Parameters of the ESTEEM energy-saving algorithm (§3, §4, §7).
 struct EsteemParams {
   /// Hit-coverage threshold: keep enough ways on to cover >= alpha * hits.
@@ -267,8 +223,6 @@ struct SystemConfig {
   FaultConfig faults;
   SamplingConfig sampling;
   ResilienceConfig resilience;
-  ServiceConfig service;
-  ObservabilityConfig observability;
 
   cycle_t retention_cycles() const noexcept {
     return static_cast<cycle_t>(edram.retention_us * 1000.0 * freq_ghz);

@@ -59,8 +59,7 @@ template <class T>
 std::string_view ini_type_of(const T&) {
   if constexpr (std::is_same_v<T, bool>) return "bool";
   else if constexpr (kIsInt<T>) return "int";
-  else if constexpr (std::is_same_v<T, double>) return "float";
-  else return "str";
+  else return "float";
 }
 
 template <class T>
@@ -69,12 +68,10 @@ std::string to_ini(const T& v, std::uint64_t unit) {
     return v ? "true" : "false";
   } else if constexpr (kIsInt<T>) {
     return std::to_string(v / unit);
-  } else if constexpr (std::is_same_v<T, double>) {
+  } else {
     std::ostringstream os;
     os << v;  // default stream formatting, matching the historical save format
     return os.str();
-  } else {
-    return v;
   }
 }
 
@@ -84,12 +81,8 @@ void from_ini(const std::string& v, const std::string& key, std::uint64_t unit, 
     out = parse_bool(v, key);
   } else if constexpr (kIsInt<T>) {
     out = static_cast<T>(parse_u64(v, key) * unit);
-  } else if constexpr (std::is_same_v<T, double>) {
-    out = parse_double(v, key);
   } else {
-    // Values arrive trimmed from the INI parser; no further validation — an
-    // empty value is the documented "off" for every string key.
-    out = v;
+    out = parse_double(v, key);
   }
 }
 
@@ -98,26 +91,7 @@ void put(ByteWriter& w, const T& v) {
   if constexpr (std::is_same_v<T, bool>) w.u8(v ? 1 : 0);
   else if constexpr (std::is_same_v<T, std::uint32_t>) w.u32(v);
   else if constexpr (std::is_same_v<T, std::uint64_t>) w.u64(v);
-  else if constexpr (std::is_same_v<T, double>) w.f64(v);
-  else w.str(v);
-}
-
-template <class T>
-bool get(ByteReader& r, T& v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    std::uint8_t b = 0;
-    if (!r.u8(b) || b > 1) return false;
-    v = b != 0;
-    return true;
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    return r.u32(v);
-  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-    return r.u64(v);
-  } else if constexpr (std::is_same_v<T, double>) {
-    return r.f64(v);
-  } else {
-    return r.str(v);
-  }
+  else w.f64(v);
 }
 
 template <class A>
@@ -155,9 +129,10 @@ void set_ini_value(const ConfigField& f, SystemConfig& c, const std::string& v,
   if (f.ini_also) f.ini_also(c);
 }
 
-// The schema, in byte order: the memo key and the wire bytes are this
-// table's fields, so entries never move or leave — a field that leaves
-// SystemConfig becomes a RetiredSlot.
+// The schema, in byte order: the memo key is this table's fields, so
+// entries never move or leave — a field that leaves SystemConfig becomes a
+// RetiredSlot. Only semantic sections reach the key, so an execution-policy
+// field may leave outright.
 constexpr ConfigField kFields[] = {
     {"system", "ncores", "Number of cores (1 or 2 in the paper)",
      [](SystemConfig& c) -> auto& { return c.ncores; }},
@@ -287,30 +262,6 @@ constexpr ConfigField kFields[] = {
     {"resilience", "max_consecutive_errors",
      "Circuit breaker: stop dispatching sweep rows after N consecutive run failures (0 = off)",
      [](SystemConfig& c) -> auto& { return c.resilience.max_consecutive_errors; }},
-
-    {"service", "lease_ttl_ms",
-     "Sweep-service lease TTL in ms; an unrenewed row lease older than this may be re-leased",
-     [](SystemConfig& c) -> auto& { return c.service.lease_ttl_ms; }},
-    {"service", "heartbeat_ms", "Worker heartbeat period in ms (lease renewal while a row runs)",
-     [](SystemConfig& c) -> auto& { return c.service.heartbeat_ms; }},
-    {"service", "poll_ms",
-     "Idle poll period in ms for workers with nothing claimable and the waiting coordinator",
-     [](SystemConfig& c) -> auto& { return c.service.poll_ms; }},
-    {"service", "lock_mode",
-     "Lease-journal append serialization: append (O_APPEND atomicity) or lockfile (advisory "
-     "lock for NFS/SMB)",
-     [](SystemConfig& c) -> auto& { return c.service.lock_mode; }},
-
-    {"observability", "flush_ms",
-     "Sidecar snapshot flush period in ms for service workers (0 = observability plane off)",
-     [](SystemConfig& c) -> auto& { return c.observability.flush_ms; }},
-    {"observability", "events_max",
-     "Cap on structured event records a worker journals per run (overflow counted, not "
-     "written)",
-     [](SystemConfig& c) -> auto& { return c.observability.events_max; }},
-    {"observability", "metrics_path",
-     "Coordinator writes the merged OpenMetrics exposition here after collect (empty = off)",
-     [](SystemConfig& c) -> auto& { return c.observability.metrics_path; }},
 };
 
 const std::map<std::string, const ConfigField*>& ini_index() {
@@ -329,15 +280,12 @@ const std::map<std::string, const ConfigField*>& ini_index() {
 std::span<const ConfigField> config_fields() { return kFields; }
 
 bool config_section_is_execution_policy(std::string_view section) {
-  return section == "resilience" || section == "service" ||
-         section == "observability";
+  return section == "resilience";
 }
 
-void write_config_bytes(ByteWriter& w, const SystemConfig& cfg, ConfigScope scope) {
+void write_config_bytes(ByteWriter& w, const SystemConfig& cfg) {
   for (const ConfigField& f : kFields) {
-    if (scope == ConfigScope::Semantic && config_section_is_execution_policy(f.section)) {
-      continue;
-    }
+    if (config_section_is_execution_policy(f.section)) continue;
     std::visit(
         [&](auto access) {
           if constexpr (kRetired<decltype(access)>) put(w, access.value);
@@ -345,23 +293,6 @@ void write_config_bytes(ByteWriter& w, const SystemConfig& cfg, ConfigScope scop
         },
         f.access);
   }
-}
-
-bool read_config_bytes(ByteReader& r, SystemConfig& cfg) {
-  for (const ConfigField& f : kFields) {
-    const bool ok = std::visit(
-        [&](auto access) {
-          if constexpr (kRetired<decltype(access)>) {
-            double v = 0.0;
-            return get(r, v) && v == access.value;
-          } else {
-            return get(r, access(cfg));
-          }
-        },
-        f.access);
-    if (!ok) return false;
-  }
-  return true;
 }
 
 SystemConfig load_config(std::istream& in) {
@@ -453,14 +384,13 @@ std::string config_doc_markdown(const SystemConfig& defaults) {
      << "and `esteem.modules` to 16.\n\n"
      << "Each section is classified as **semantic** or **execution policy**:\n"
      << "semantic keys determine what a run computes, so they are part of the\n"
-     << "memo-cache fingerprint and the sweep hash (changing one invalidates\n"
-     << "cached outcomes and service journals). Execution-policy keys only\n"
-     << "govern how runs execute or are watched — deadlines, leases, telemetry\n"
-     << "flushes — and are excluded from both: changing them never changes\n"
-     << "result bytes. The `[sampling]` section is semantic even though it\n"
-     << "only changes *accounting*: a sampled run reports estimates with\n"
-     << "confidence intervals instead of exhaustive totals (see\n"
-     << "[SAMPLING.md](SAMPLING.md)), which are different bytes.\n";
+     << "memo-cache fingerprint (changing one invalidates cached outcomes).\n"
+     << "Execution-policy keys only govern how runs execute — deadlines,\n"
+     << "retries, the circuit breaker — and are excluded from it: changing\n"
+     << "them never changes result bytes. The `[sampling]` section is\n"
+     << "semantic even though it only changes *accounting*: a sampled run\n"
+     << "reports estimates with confidence intervals instead of exhaustive\n"
+     << "totals (see [SAMPLING.md](SAMPLING.md)), which are different bytes.\n";
   std::string_view section;
   for (const ConfigField& f : kFields) {
     if (f.key.empty()) continue;
@@ -468,9 +398,8 @@ std::string config_doc_markdown(const SystemConfig& defaults) {
       section = f.section;
       os << "\n## [" << section << "]\n\n"
          << (config_section_is_execution_policy(section)
-                 ? "*Execution policy — excluded from memo fingerprints and "
-                   "sweep hashes.*\n\n"
-                 : "*Semantic — part of memo fingerprints and sweep hashes.*\n\n")
+                 ? "*Execution policy — excluded from memo fingerprints.*\n\n"
+                 : "*Semantic — part of memo fingerprints.*\n\n")
          << "| key | type | default | meaning |\n"
          << "|---|---|---|---|\n";
     }

@@ -1,7 +1,6 @@
 // The SystemConfig schema and its serializations: a small INI dialect so
 // the CLI tool and batch scripts can describe experiments without
-// recompiling, and the binary codec shared by the service wire and the memo
-// key.
+// recompiling, and the config bytes of the memo key.
 //
 //   [system]
 //   ncores = 2
@@ -35,21 +34,19 @@ namespace esteem {
 template <class T>
 using FieldRef = T& (*)(SystemConfig&);
 
-/// A byte slot whose field left SystemConfig. Encoders still write `value`
-/// so memo keys and wire bytes do not move; decoders refuse any other value.
+/// A byte slot whose field left SystemConfig. The memo key still carries
+/// `value` so its bytes do not move.
 struct RetiredSlot {
   double value;
 };
 
 using FieldAccess = std::variant<FieldRef<std::uint32_t>, FieldRef<std::uint64_t>,
-                                 FieldRef<double>, FieldRef<bool>, FieldRef<std::string>,
-                                 RetiredSlot>;
+                                 FieldRef<double>, FieldRef<bool>, RetiredSlot>;
 
 /// One field of the config schema. The INI loader and saver, the generated
-/// reference (docs/CONFIG.md), the service wire codec and the memo key all
-/// derive from the table of these, so adding a key is one edit. The C++
-/// type behind `access` fixes the INI type (int|float|bool|str) and the
-/// bytes (u32, u64, f64, bool as u8, length-prefixed str).
+/// reference (docs/CONFIG.md) and the memo key all derive from the table of
+/// these, so adding a key is one edit. The C++ type behind `access` fixes
+/// the INI type (int|float|bool) and the bytes (u32, u64, f64, bool as u8).
 struct ConfigField {
   std::string_view section;  ///< INI section, e.g. "l2".
   std::string_view key;      ///< INI key, e.g. "size_kb"; empty = byte forms only.
@@ -61,32 +58,21 @@ struct ConfigField {
   void (*ini_also)(SystemConfig&) = nullptr;
 };
 
-/// The schema in byte order: the order of the wire and the memo key, and
-/// of --dump-config (sections are contiguous).
+/// The schema in byte order: the order of the memo key and of
+/// --dump-config (sections are contiguous).
 std::span<const ConfigField> config_fields();
 
 /// True when `section` is an execution-policy section: its keys govern how
-/// runs execute or are watched ([resilience], [service], [observability]),
-/// never what a run computes, so they are excluded from memo fingerprints
-/// and sweep hashes. Every other section is semantic — changing any of its
-/// keys changes result bytes and invalidates cached outcomes. The generated
-/// docs/CONFIG.md legend, the memo key and the fingerprint tests all derive
-/// from this single classification.
+/// runs execute ([resilience]), never what a run computes, so they are
+/// excluded from memo fingerprints. Every other section is semantic —
+/// changing any of its keys changes result bytes and invalidates cached
+/// outcomes. The generated docs/CONFIG.md legend, the memo key and the
+/// fingerprint tests all derive from this single classification.
 bool config_section_is_execution_policy(std::string_view section);
 
-/// Which fields a config byte encoding carries.
-enum class ConfigScope {
-  Semantic,  ///< Fields of semantic sections only: the memo-key part.
-  All,       ///< Every field: the service wire's config part.
-};
-
-/// Appends `cfg`'s fields in table order (f64-exact, unlike the INI).
-void write_config_bytes(ByteWriter& w, const SystemConfig& cfg, ConfigScope scope);
-
-/// Inverse of write_config_bytes(ConfigScope::All); false on truncation, a
-/// bool byte above 1, or a retired slot holding another value. Does not
-/// validate.
-bool read_config_bytes(ByteReader& r, SystemConfig& cfg);
+/// Appends the fields of `cfg`'s semantic sections in table order
+/// (f64-exact, unlike the INI): the config part of the memo key.
+void write_config_bytes(ByteWriter& w, const SystemConfig& cfg);
 
 /// Structured INI parse failure: what() always carries the 1-based line
 /// number (and the offending section.key when one was identified), and the

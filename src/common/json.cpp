@@ -34,14 +34,6 @@ std::string number(double v) {
   return buf;
 }
 
-std::string scrub(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '_';
-  }
-  return out;
-}
-
 bool parse_u64(std::string_view token, std::uint64_t& out) {
   if (token.empty() || token.size() > 20) return false;
   std::uint64_t v = 0;
@@ -52,16 +44,6 @@ bool parse_u64(std::string_view token, std::uint64_t& out) {
     v = v * 10 + digit;
   }
   out = v;
-  return true;
-}
-
-bool parse_i64(std::string_view token, std::int64_t& out) {
-  const bool neg = !token.empty() && token[0] == '-';
-  std::uint64_t mag = 0;
-  if (!parse_u64(neg ? token.substr(1) : token, mag)) return false;
-  const std::uint64_t limit = neg ? std::uint64_t{1} << 63 : (std::uint64_t{1} << 63) - 1;
-  if (mag > limit) return false;
-  out = neg ? static_cast<std::int64_t>(0 - mag) : static_cast<std::int64_t>(mag);
   return true;
 }
 
@@ -96,14 +78,14 @@ bool is_number_token(std::string_view t) {
   return i == t.size();
 }
 
-}  // namespace
-
 bool parse_f64(std::string_view token, double& out) {
   if (!is_number_token(token)) return false;
   const std::string copy(token);  // strtod needs a terminator.
   out = std::strtod(copy.c_str(), nullptr);
   return true;
 }
+
+}  // namespace
 
 const Value* Value::find(std::string_view key) const noexcept {
   for (std::size_t i = 0; i < keys_.size(); ++i) {
@@ -139,14 +121,6 @@ std::uint64_t Value::as_u64() const {
   std::uint64_t v = 0;
   if (!is_number() || !parse_u64(text_, v)) {
     throw Error("json: expected an unsigned integer, got '" + text_ + "'");
-  }
-  return v;
-}
-
-std::int64_t Value::as_i64() const {
-  std::int64_t v = 0;
-  if (!is_number() || !parse_i64(text_, v)) {
-    throw Error("json: expected an integer, got '" + text_ + "'");
   }
   return v;
 }
@@ -336,13 +310,5 @@ class Parser {
 };
 
 Value parse(std::string_view text) { return Parser(text).document(); }
-
-std::optional<Value> try_parse(std::string_view text) {
-  try {
-    return parse(text);
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
 
 }  // namespace esteem::json

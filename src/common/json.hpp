@@ -1,7 +1,6 @@
-// The one JSON codec behind every file, journal line and wire record the
-// repo reads or writes (DESIGN.md §10): validation/golden.json, interval
-// JSONL, telemetry snapshots, crash-safe journal lines, fleet status and
-// Chrome traces.
+// The one JSON codec behind every JSON file the repo reads or writes
+// (DESIGN.md §10): validation/golden.json, interval JSONL, counters.json
+// and Chrome traces.
 //
 // Writers keep their own fixed layouts and call escape() for strings and
 // number() for doubles, so the bytes of a string or a double are decided
@@ -18,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,15 +31,9 @@ std::string escape(std::string_view s);
 /// `v` as "%.17g", which round-trips every double bit for bit.
 std::string number(double v);
 
-/// `s` with '"', '\' and control bytes replaced by '_', for values that
-/// must never need escaping (journal labels, snapshot names, file stems).
-std::string scrub(std::string_view s);
-
-/// Strict whole-token parsers: the entire token must be the number, with
-/// no whitespace, sign the type cannot hold, or overflow. false otherwise.
+/// Strict whole-token parser: the entire token must be the number, with
+/// no whitespace, sign, or overflow. false otherwise.
 bool parse_u64(std::string_view token, std::uint64_t& out);
-bool parse_i64(std::string_view token, std::int64_t& out);
-bool parse_f64(std::string_view token, double& out);
 
 /// A parse or type error: the message names the byte offset or the key.
 class Error : public std::runtime_error {
@@ -78,7 +70,6 @@ class Value {
   const std::string& as_string() const;
   double as_f64() const;
   std::uint64_t as_u64() const;
-  std::int64_t as_i64() const;
 
  private:
   friend class Parser;
@@ -92,8 +83,5 @@ class Value {
 /// Parses one whole document (surrounding whitespace allowed, nothing
 /// else). Throws Error on malformed input or nesting deeper than 64.
 Value parse(std::string_view text);
-
-/// parse() for callers that report failure as a value: nullopt on error.
-std::optional<Value> try_parse(std::string_view text);
 
 }  // namespace esteem::json

@@ -36,7 +36,7 @@ ModuleDecision decide_module(std::span<const std::uint64_t> hits, std::uint32_t 
     // Integer-exact form of: accumulated >= alpha * total.
     if (static_cast<double>(accumulated) >= cfg.alpha * static_cast<double>(total)) {
       d.active_ways = std::max(cfg.a_min, i + 1);
-      if (d.non_lru) d.active_ways = std::max(ways - 1, i + 1);
+      if (d.non_lru) d.active_ways = std::max({cfg.a_min, ways - 1, i + 1});
       return d;
     }
   }

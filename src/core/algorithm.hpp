@@ -9,7 +9,8 @@
 //   2. Way selection — keep the smallest X such that the accumulated hits in
 //      the X most-recent positions cover at least alpha of all hits, floored
 //      at A_min; for non-LRU modules at most one way may be turned off
-//      (floor A-1) so reconfiguration aggressiveness is reduced (§3.1).
+//      (floor max(A_min, A-1)) so reconfiguration aggressiveness is reduced
+//      (§3.1).
 //
 // Note on the paper's pseudocode: isModuleNonLRU is never reset inside the
 // module loop as printed; we reset it per module, which is clearly the

@@ -86,20 +86,9 @@ struct CircuitBreaker {
   std::atomic<bool> tripped_{false};
 };
 
-}  // namespace
-
-RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
-                       Technique technique) {
-  RunSpec rs;
-  rs.config = spec.config;
-  rs.technique = technique;
-  rs.workload = workload;
-  rs.seed = spec.seed;
-  rs.instr_per_core = spec.instr_per_core;
-  rs.warmup_instr_per_core = spec.warmup_instr_per_core;
-  return rs;
-}
-
+/// Maps the in-flight exception (rethrown here) to a structured RunError for
+/// `workload`/`technique` — phase "deadline" for watchdog overruns, "run"
+/// otherwise. Call from a catch block only.
 RunError current_exception_to_run_error(const std::string& workload,
                                         const std::string& technique) {
   try {
@@ -113,6 +102,10 @@ RunError current_exception_to_run_error(const std::string& workload,
   }
 }
 
+/// run_experiment_cached under the sweep's resilience policy: a per-attempt
+/// watchdog deadline (a late result is discarded and surfaces as
+/// resilience::DeadlineExceeded, though the memo cache keeps it) and
+/// transient failures retried with capped exponential backoff.
 std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::string& label) {
   const ResilienceConfig& rc = rs.config.resilience;
   const resilience::RetryPolicy policy{rc.max_retries, rc.backoff_ms};
@@ -135,6 +128,20 @@ std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::stri
           telemetry::registry().counter("resilience.retries").add();
         }
       });
+}
+
+}  // namespace
+
+RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
+                       Technique technique) {
+  RunSpec rs;
+  rs.config = spec.config;
+  rs.technique = technique;
+  rs.workload = workload;
+  rs.seed = spec.seed;
+  rs.instr_per_core = spec.instr_per_core;
+  rs.warmup_instr_per_core = spec.warmup_instr_per_core;
+  return rs;
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {

@@ -85,24 +85,9 @@ struct SweepResult {
 /// deterministic in the spec.
 SweepResult run_sweep(const SweepSpec& spec);
 
-/// The RunSpec a sweep cell evaluates — the single definition shared by the
-/// in-process scheduler and the multi-process service worker, so a cell
-/// computed anywhere is bit-identical to what run_sweep would produce.
+/// The RunSpec a sweep cell evaluates — the single definition of how a
+/// (workload, technique) cell expands the SweepSpec.
 RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
                        Technique technique);
-
-/// run_experiment_cached under the sweep's resilience policy: a per-attempt
-/// watchdog deadline (a late result is discarded and surfaces as
-/// resilience::DeadlineExceeded, though the memo cache keeps it) and
-/// transient failures retried with capped exponential backoff. Shared by the
-/// in-process scheduler and the service worker.
-std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& spec,
-                                              const std::string& label);
-
-/// Maps the in-flight exception (rethrown internally) to a structured
-/// RunError for `workload`/`technique` — phase "deadline" for watchdog
-/// overruns, "run" otherwise. Call from a catch block only.
-RunError current_exception_to_run_error(const std::string& workload,
-                                        const std::string& technique);
 
 }  // namespace esteem::sim

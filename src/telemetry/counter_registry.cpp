@@ -169,10 +169,7 @@ std::vector<MetricSample> CounterRegistry::snapshot() const {
     s.name = m.name;
     s.kind = m.kind;
     s.value = merged_value(m);
-    if (m.kind == MetricKind::Counter) {
-      s.raw = merged_u64(m.slot);
-    } else if (m.kind == MetricKind::Histogram) {
-      s.raw = merged_u64(m.slot + kHistBuckets + 1);
+    if (m.kind == MetricKind::Histogram) {
       s.count = merged_u64(m.slot + kHistBuckets);
       s.buckets.resize(kHistBuckets);
       for (std::size_t b = 0; b < kHistBuckets; ++b) {
@@ -199,32 +196,6 @@ double CounterRegistry::value(const std::string& name) const {
 std::size_t CounterRegistry::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return metas_.size();
-}
-
-void CounterRegistry::absorb(const MetricSample& sample) {
-  switch (sample.kind) {
-    case MetricKind::Counter: {
-      const std::uint32_t slot = register_metric(sample.name, MetricKind::Counter, 1);
-      bump(slot, sample.raw);
-      break;
-    }
-    case MetricKind::Gauge: {
-      const std::uint32_t slot = register_metric(sample.name, MetricKind::Gauge, 2);
-      gauge_store(slot, std::bit_cast<std::uint64_t>(sample.value));
-      break;
-    }
-    case MetricKind::Histogram: {
-      const std::uint32_t slot =
-          register_metric(sample.name, MetricKind::Histogram, kHistBuckets + 2);
-      const std::size_t n = std::min(sample.buckets.size(), kHistBuckets);
-      for (std::size_t b = 0; b < n; ++b) {
-        bump(slot + static_cast<std::uint32_t>(b), sample.buckets[b]);
-      }
-      bump(slot + kHistBuckets, sample.count);
-      bump(slot + kHistBuckets + 1, sample.raw);
-      break;
-    }
-  }
 }
 
 void CounterRegistry::reset() {

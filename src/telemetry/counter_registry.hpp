@@ -84,10 +84,6 @@ struct MetricSample {
   MetricKind kind = MetricKind::Counter;
   /// Counter: total. Gauge: last set value. Histogram: sum of samples.
   double value = 0.0;
-  /// Counter: exact integer total; Histogram: exact integer sum. `value` is
-  /// the double cast of this (lossy past 2^53); the snapshot codec
-  /// (telemetry/export) serializes `raw` so cross-process merges stay exact.
-  std::uint64_t raw = 0;
   /// Histogram only: number of samples.
   std::uint64_t count = 0;
   /// Histogram only: bucket b counts samples with bit_width(v) == b
@@ -127,14 +123,6 @@ class CounterRegistry {
 
   /// Zeroes every cell; handles stay valid.
   void reset();
-
-  /// Folds one decoded sample into this registry (registering the metric on
-  /// first sight): counters add `raw`, gauges set `value` (a fresh write, so
-  /// it wins the last-write-wins order), histograms add buckets/count/sum
-  /// cell-wise. This is the registry half of the snapshot codec's exact
-  /// merge semantics; a kind mismatch with an existing metric throws
-  /// std::invalid_argument like the handle accessors do.
-  void absorb(const MetricSample& sample);
 
   /// snapshot() rendered as a JSON object keyed by metric name.
   std::string to_json() const;

@@ -32,15 +32,11 @@ struct TelemetryConfig {
   std::string dir;
   /// Chrome trace output path; non-empty enables the TraceEmitter.
   std::string trace_path;
-  /// Enable counter collection alone, with no file outputs of its own — the
-  /// service observability plane uses this so workers populate the registry
-  /// for sidecar snapshots without writing counters.json or traces.
-  bool counters = false;
 
   /// A bare dir still counts: it enables counter collection and the
   /// counters.json dump even without interval stats or tracing.
   bool any() const noexcept {
-    return interval_stats || counters || !trace_path.empty() || !dir.empty();
+    return interval_stats || !trace_path.empty() || !dir.empty();
   }
 };
 

@@ -77,6 +77,21 @@ TEST(Algorithm, NonLruGuardLimitsTurnoff) {
   EXPECT_EQ(d.active_ways, 15u);
 }
 
+TEST(Algorithm, NonLruGuardKeepsAminFloor) {
+  // The same non-LRU module with A_min = A: no way may be turned off.
+  std::vector<std::uint64_t> hits(16, 0);
+  hits[3] = 1000;
+  hits[6] = 900;
+  hits[9] = 800;
+  hits[12] = 700;
+  AlgorithmConfig cfg;
+  cfg.alpha = 0.5;
+  cfg.a_min = 16;
+  const ModuleDecision d = decide_module(hits, 16, cfg);
+  EXPECT_TRUE(d.non_lru);
+  EXPECT_EQ(d.active_ways, 16u);
+}
+
 TEST(Algorithm, NonLruGuardCanBeDisabled) {
   std::vector<std::uint64_t> hits(16, 0);
   hits[3] = 1000;

@@ -1,8 +1,8 @@
 // Tests for the fault-injection layer (DESIGN.md §15): schedule parsing,
 // deterministic injection, the zero-overhead seam pin (armed-but-quiet
-// chaos leaves journal and sweep bytes untouched), memo-store fsync and
-// lost-rename regressions, observer ENOSPC degradation, random-plan
-// determinism, crashpoint death, and the [resilience] circuit breaker.
+// chaos leaves memo-file bytes untouched), memo-store fsync and
+// lost-rename regressions, random-plan determinism, crashpoint death, and
+// the [resilience] circuit breaker.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -15,9 +15,6 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "chaos/file_ops.hpp"
-#include "resilience/journal_file.hpp"
-#include "service/observer.hpp"
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
@@ -78,17 +75,20 @@ sim::RunSpec tiny_run(const std::string& workload) {
 TEST(SchedulePlan, ParsesEntriesHitsAndActions) {
   std::string error;
   auto plan = ScheduleFaultPlan::parse(
-      "lease.append.write@2=enospc;memo.rename=dup;lease.append.fsync@*=eio;"
-      "memo.tmp.write@0=short:7", error);
+      "memo.tmp.write@2=enospc;memo.rename=dup;memo.tmp.fsync@*=eio;"
+      "memo.crash.before_rename@0=crash;memo.tmp.write@3=short:7", error);
   ASSERT_NE(plan, nullptr) << error;
 
-  // hit 0 and 1 clean, hit 2 fails, hit 3 clean again.
-  EXPECT_TRUE(plan->at("lease.append.write").none());
-  EXPECT_TRUE(plan->at("lease.append.write").none());
-  const Injection inj = plan->at("lease.append.write");
+  // hit 0 and 1 clean, hit 2 fails, hit 3 tears, hit 4 clean again.
+  EXPECT_TRUE(plan->at("memo.tmp.write").none());
+  EXPECT_TRUE(plan->at("memo.tmp.write").none());
+  const Injection inj = plan->at("memo.tmp.write");
   EXPECT_EQ(inj.action, Injection::Action::kErrno);
   EXPECT_EQ(inj.err, ENOSPC);
-  EXPECT_TRUE(plan->at("lease.append.write").none());
+  const Injection torn = plan->at("memo.tmp.write");
+  EXPECT_EQ(torn.action, Injection::Action::kShortWrite);
+  EXPECT_EQ(torn.bytes, 7u);
+  EXPECT_TRUE(plan->at("memo.tmp.write").none());
 
   // No '@hit' means hit 0.
   EXPECT_EQ(plan->at("memo.rename").action, Injection::Action::kRenameDuplicate);
@@ -96,15 +96,13 @@ TEST(SchedulePlan, ParsesEntriesHitsAndActions) {
 
   // '*' fires on every occurrence.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(plan->at("lease.append.fsync").action, Injection::Action::kErrno);
+    EXPECT_EQ(plan->at("memo.tmp.fsync").action, Injection::Action::kErrno);
   }
 
-  const Injection torn = plan->at("memo.tmp.write");
-  EXPECT_EQ(torn.action, Injection::Action::kShortWrite);
-  EXPECT_EQ(torn.bytes, 7u);
+  EXPECT_EQ(plan->at("memo.crash.before_rename").action, Injection::Action::kCrash);
 
   // Unnamed points are always clean.
-  EXPECT_TRUE(plan->at("sidecar.open").none());
+  EXPECT_TRUE(plan->at("memo.crash.after_rename").none());
 }
 
 TEST(SchedulePlan, RejectsMalformedSchedules) {
@@ -122,20 +120,20 @@ TEST(SchedulePlan, RejectsMalformedSchedules) {
 TEST(SchedulePlan, InstallArmAndCountLifecycle) {
   Disarmed cleanup;
   EXPECT_FALSE(armed());
-  EXPECT_TRUE(consult("lease.append.write").none());
+  EXPECT_TRUE(consult("memo.tmp.write").none());
 
   std::string error;
-  install_plan(ScheduleFaultPlan::parse("lease.append.write@0=eio", error));
+  install_plan(ScheduleFaultPlan::parse("memo.tmp.write@0=eio", error));
   EXPECT_TRUE(armed());
   EXPECT_EQ(injection_count(), 0u);
-  EXPECT_EQ(consult("lease.append.write").action, Injection::Action::kErrno);
+  EXPECT_EQ(consult("memo.tmp.write").action, Injection::Action::kErrno);
   EXPECT_EQ(injection_count(), 1u);
-  EXPECT_TRUE(consult("lease.append.write").none());
+  EXPECT_TRUE(consult("memo.tmp.write").none());
   EXPECT_EQ(injection_count(), 1u);
 
   disarm();
   EXPECT_FALSE(armed());
-  EXPECT_TRUE(consult("lease.append.write").none());
+  EXPECT_TRUE(consult("memo.tmp.write").none());
 }
 
 TEST(SchedulePlan, InstallFromEnvironment) {
@@ -144,7 +142,7 @@ TEST(SchedulePlan, InstallFromEnvironment) {
   EXPECT_FALSE(install_from_env());
   EXPECT_FALSE(armed());
 
-  ::setenv("ESTEEM_CHAOS_SCHEDULE", "lease.append.write@0=eio", 1);
+  ::setenv("ESTEEM_CHAOS_SCHEDULE", "memo.tmp.write@0=eio", 1);
   EXPECT_TRUE(install_from_env());
   EXPECT_TRUE(armed());
   ::unsetenv("ESTEEM_CHAOS_SCHEDULE");
@@ -158,8 +156,8 @@ TEST(SchedulePlan, InstallFromEnvironment) {
 
 TEST(RandomPlan, DeterministicPerSeedAndBudgetCapped) {
   const std::vector<std::string> points = {
-      "lease.append.write", "lease.append.fsync", "memo.rename",
-      "sidecar.open",       "lease.append.write", "memo.tmp.write"};
+      "memo.tmp.write", "memo.tmp.fsync",          "memo.rename",
+      "memo.tmp.write", "memo.crash.after_rename", "memo.tmp.fsync"};
   auto run_plan = [&](std::uint64_t seed) {
     RandomFaultPlan plan(seed, /*rate_percent=*/60, /*max_injections=*/4);
     std::vector<Injection> out;
@@ -192,36 +190,40 @@ TEST(RandomPlan, DeterministicPerSeedAndBudgetCapped) {
   EXPECT_TRUE(differs);
 }
 
+TEST(RandomPlan, UnregisteredPointsAreNeverFaulted) {
+  RandomFaultPlan plan(7, /*rate_percent=*/100, /*max_injections=*/1000);
+  for (int i = 0; i < 200; ++i) EXPECT_TRUE(plan.at("journal.append.write").none());
+  EXPECT_FALSE(plan.at("memo.tmp.write").none());
+}
+
 // The acceptance pin: an armed-but-quiet plan (every consultation returns
-// kNone) must leave journal bytes exactly as the disarmed fast path writes
-// them — the seam may not perturb the data it guards.
+// kNone) must leave the memo files a --journal directory holds exactly as
+// the disarmed fast path writes them — the seam may not perturb the data it
+// guards.
 TEST(ZeroOverheadSeam, ArmedQuietPlanWritesIdenticalJournalBytes) {
   Disarmed cleanup;
   TempDir dir("seam-pin");
-  auto write_journal = [&](const std::string& name) {
-    resilience::JournalFile journal;
-    journal.set_domain("lease");
-    const std::string path = (dir.path / name).string();
-    EXPECT_TRUE(journal.open(path, /*truncate=*/true));
-    for (int i = 0; i < 5; ++i) {
-      resilience::JournalRecord rec;
-      rec.kind = "row";
-      rec.fields = {{"workload", "mcf"}, {"n", std::to_string(i)},
-                    {"data", "00ff9a3f"}};
-      EXPECT_TRUE(journal.append(rec));
-    }
-    journal.close();
-    return read_file(path);
+  const sim::RunSpec spec = tiny_run("gamess");
+  auto store = [&](const std::string& name) {
+    const fs::path sub = dir.path / name;
+    sim::RunCache cache;
+    cache.set_disk_dir(sub.string());
+    EXPECT_NE(cache.get_or_run(spec), nullptr);
+    EXPECT_EQ(cache.stats().disk_stores, 1u);
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(sub)) files.push_back(entry.path());
+    EXPECT_EQ(files.size(), 1u);
+    return files.empty() ? std::string() : read_file(files.front().string());
   };
 
   disarm();
-  const std::string baseline = write_journal("disarmed.jsonl");
+  const std::string baseline = store("disarmed");
   ASSERT_FALSE(baseline.empty());
 
   std::string error;
   install_plan(ScheduleFaultPlan::parse("unrelated.point@0=eio", error));
   ASSERT_TRUE(armed());
-  const std::string armed_bytes = write_journal("armed.jsonl");
+  const std::string armed_bytes = store("armed");
   EXPECT_EQ(injection_count(), 0u);  // quiet: nothing ever fired
   EXPECT_EQ(armed_bytes, baseline);
 }
@@ -300,56 +302,6 @@ TEST(MemoStore, DuplicatedRenameLeavesValidFile) {
   }
 }
 
-// A short write physically tears the journal line; the loader must count
-// the damage and salvage the next intact record glued onto the torn tail.
-TEST(JournalSeam, ShortWriteTearsLineAndLoaderSalvages) {
-  Disarmed cleanup;
-  TempDir dir("torn");
-  const std::string path = (dir.path / "torn.jsonl").string();
-
-  std::string error;
-  install_plan(ScheduleFaultPlan::parse("lease.append.write@0=short:5", error));
-  resilience::JournalFile journal;
-  journal.set_domain("lease");
-  ASSERT_TRUE(journal.open(path, /*truncate=*/true));
-  resilience::JournalRecord rec;
-  rec.kind = "row";
-  rec.fields = {{"workload", "mcf"}, {"data", "00ff"}};
-  EXPECT_FALSE(journal.append(rec));  // torn: 5 bytes land, append fails
-  EXPECT_EQ(fs::file_size(path), 5u);
-  EXPECT_TRUE(journal.append(rec));  // hit 1 is clean; glued after the tear
-  journal.close();
-  disarm();
-
-  const auto loaded = resilience::JournalFile::load(path);
-  EXPECT_TRUE(loaded.exists);
-  EXPECT_EQ(loaded.corrupt_lines, 1u);   // the torn fragment, counted not fatal
-  ASSERT_EQ(loaded.records.size(), 1u);  // the glued record is salvaged
-  EXPECT_EQ(loaded.records[0].field("workload"), "mcf");
-}
-
-// Satellite: observer sidecar ENOSPC degrades to a counted write error;
-// events and snapshots never throw and never fail the caller.
-TEST(Observer, WriteFailuresAreCountedNotFatal) {
-  Disarmed cleanup;
-  TempDir dir("observer");
-  ObservabilityConfig cfg;
-  cfg.flush_ms = 1;
-  cfg.events_max = 16;
-
-  std::string error;
-  install_plan(ScheduleFaultPlan::parse("sidecar.append.write@*=enospc", error));
-  service::Observer observer;
-  ASSERT_TRUE(observer.open(dir.str(), "w1", cfg));
-  for (int i = 0; i < 3; ++i) observer.event("warn", "disk is gone");
-  observer.flush_snapshot();
-  EXPECT_EQ(observer.write_errors(), 4u);  // 3 events + 1 snapshot
-  disarm();
-
-  observer.event("info", "disk is back");
-  EXPECT_EQ(observer.write_errors(), 4u);  // clean append counts nothing
-}
-
 using ChaosDeathTest = ::testing::Test;
 
 TEST(ChaosDeathTest, CrashpointKillsWithSigkill) {
@@ -357,16 +309,13 @@ TEST(ChaosDeathTest, CrashpointKillsWithSigkill) {
       {
         std::string error;
         install_plan(
-            ScheduleFaultPlan::parse("lease.crash.before_append@0=crash", error));
+            ScheduleFaultPlan::parse("memo.crash.before_rename@0=crash", error));
         TempDir dir("death");
-        resilience::JournalFile journal;
-        journal.set_domain("lease");
-        journal.open((dir.path / "j.jsonl").string(), true);
-        resilience::JournalRecord rec;
-        rec.kind = "row";
-        journal.append(rec);
+        sim::RunCache cache;
+        cache.set_disk_dir(dir.str());
+        cache.get_or_run(tiny_run("gamess"));
       },
-      ::testing::KilledBySignal(SIGKILL), "crash at lease.crash.before_append");
+      ::testing::KilledBySignal(SIGKILL), "crash at memo.crash.before_rename");
 }
 
 // ---------------------------------------------------------------------------

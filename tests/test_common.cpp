@@ -290,8 +290,6 @@ TEST(Json, NumbersRoundTripExactly) {
   EXPECT_EQ(v.text(), "9223372036854775809");
   EXPECT_EQ(v.as_u64(), big);
   EXPECT_NE(static_cast<std::uint64_t>(v.as_f64()), big);
-  EXPECT_EQ(json::parse("-9223372036854775808").as_i64(),
-            std::numeric_limits<std::int64_t>::min());
   EXPECT_THROW((void)json::parse("1.5").as_u64(), json::Error);
   EXPECT_THROW((void)json::parse("\"1\"").as_f64(), json::Error);
 }
@@ -324,7 +322,6 @@ TEST(Json, RejectsTruncatedTrailingAndBadInput) {
         "\"\\ud800\"", "\"\\udc00\"", "\"tab\there\"", "01", "1.", "+1", ".5", "0x10", "1e",
         "inf1", "tru", "nul", "[1 2]"}) {
     EXPECT_THROW((void)json::parse(bad), json::Error) << bad;
-    EXPECT_FALSE(json::try_parse(bad).has_value()) << bad;
   }
   // Deep nesting is refused instead of exhausting the stack.
   EXPECT_THROW((void)json::parse(std::string(10000, '[')), json::Error);
@@ -356,11 +353,15 @@ TEST(Json, ParseIsTotalOverMutatedBytes) {
       }
       if (m.empty()) m = "x";
     }
-    const auto v = json::try_parse(m);
-    if (!v) continue;
+    json::Value v;
+    try {
+      v = json::parse(m);
+    } catch (const json::Error&) {
+      continue;
+    }
     ++accepted;
-    if (v->is_string()) {
-      EXPECT_EQ(json::parse('"' + json::escape(v->text()) + '"').text(), v->text());
+    if (v.is_string()) {
+      EXPECT_EQ(json::parse('"' + json::escape(v.text()) + '"').text(), v.text());
     }
   }
   EXPECT_GT(accepted, 0u);  // Some mutants (e.g. changed digits) stay valid.
@@ -373,22 +374,6 @@ TEST(Json, StrictTokenParsers) {
   for (const char* bad : {"", "18446744073709551616", "-1", " 1", "1 ", "+1", "1e3", "0x1"}) {
     EXPECT_FALSE(json::parse_u64(bad, u)) << bad;
   }
-  std::int64_t i = 0;
-  EXPECT_TRUE(json::parse_i64("-42", i));
-  EXPECT_EQ(i, -42);
-  EXPECT_FALSE(json::parse_i64("9223372036854775808", i));
-  EXPECT_FALSE(json::parse_i64("-", i));
-  double d = 0.0;
-  EXPECT_TRUE(json::parse_f64("-1.000", d));
-  EXPECT_EQ(d, -1.0);
-  for (const char* bad : {"", "1e", "abc", " 1", "1 ", "0x10", "nan(1)"}) {
-    EXPECT_FALSE(json::parse_f64(bad, d)) << bad;
-  }
-}
-
-TEST(Json, ScrubReplacesUnsafeBytes) {
-  EXPECT_EQ(json::scrub("a\"b\\c\nd\x01" "e"), "a_b_c_d_e");
-  EXPECT_EQ(json::scrub("host-1:42"), "host-1:42");
 }
 
 // ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ TEST(ConfigIo, RejectsUnknownSection) {
   EXPECT_THROW(load_config(ss), std::invalid_argument);
 }
 
+// Dumps from builds that still had the sweep service carry [service] and
+// [observability] keys; the strict loader refuses them like any unknown key.
+TEST(ConfigIo, RejectsRetiredServiceSections) {
+  for (const char* ini : {"[service]\npoll_ms = 500\n",
+                          "[observability]\nevents_max = 256\n"}) {
+    std::stringstream ss(ini);
+    EXPECT_THROW(load_config(ss), ConfigParseError) << ini;
+  }
+}
+
 TEST(ConfigIo, RejectsMalformedLines) {
   {
     std::stringstream ss("[esteem\nalpha = 0.97\n");
@@ -290,24 +300,13 @@ run_deadline_ms = 0
 max_retries = 0
 backoff_ms = 100
 max_consecutive_errors = 0
-
-[service]
-lease_ttl_ms = 30000
-heartbeat_ms = 5000
-poll_ms = 500
-lock_mode = append
-
-[observability]
-flush_ms = 0
-events_max = 256
-metrics_path = 
 )";
 
 TEST(ConfigIo, LoadsDumpsWithEdramBeforeMem) {
   std::stringstream ss(kEdramBeforeMemDump);
   const auto bytes = [](const SystemConfig& c) {
     ByteWriter w;
-    write_config_bytes(w, c, ConfigScope::All);
+    write_config_bytes(w, c);
     return w.take();
   };
   EXPECT_EQ(bytes(load_config(ss)), bytes(SystemConfig::single_core()));

@@ -1,28 +1,19 @@
-// Tests for the resilience layer: CRC-32, the crash-safe journal file (and
-// totality fuzz over its codec/loader), the lock-file lease fallback, the
-// shutdown flag, the run watchdog, and the retry policy.
+// Tests for the resilience layer: CRC-32, the shutdown flag, the run
+// watchdog, and the retry policy.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "resilience/crc32.hpp"
-#include "resilience/journal_file.hpp"
-#include "resilience/lock_file.hpp"
 #include "resilience/shutdown.hpp"
 #include "resilience/watchdog.hpp"
 
 namespace esteem::resilience {
 namespace {
-
-namespace fs = std::filesystem;
 
 TEST(Crc32, KnownAnswer) {
   // The canonical IEEE 802.3 check value.
@@ -42,374 +33,6 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const std::uint32_t before = crc32(data);
   data[3] ^= 0x01;
   EXPECT_NE(crc32(data), before);
-}
-
-JournalRecord sample_record() {
-  JournalRecord rec;
-  rec.kind = "row";
-  rec.fields = {{"workload", "mcf"}, {"data", "9a3f00ff"}};
-  return rec;
-}
-
-TEST(JournalFileCodec, EncodeDecodeRoundTrip) {
-  const JournalRecord rec = sample_record();
-  const std::string line = JournalFile::encode(rec);
-  EXPECT_EQ(line.rfind("{\"v\":1,\"kind\":\"row\"", 0), 0u);
-  EXPECT_NE(line.find("\"crc\":\""), std::string::npos);
-
-  JournalRecord out;
-  ASSERT_TRUE(JournalFile::decode(line, out));
-  EXPECT_EQ(out.kind, "row");
-  EXPECT_EQ(out.field("workload"), "mcf");
-  EXPECT_EQ(out.field("data"), "9a3f00ff");
-  EXPECT_EQ(out.field("no-such-key"), "");
-}
-
-TEST(JournalFileCodec, DecodeRejectsTamperedLine) {
-  std::string line = JournalFile::encode(sample_record());
-  const std::size_t pos = line.find("mcf");
-  ASSERT_NE(pos, std::string::npos);
-  line[pos] = 'x';  // flip a payload byte; the CRC must catch it
-  JournalRecord out;
-  EXPECT_FALSE(JournalFile::decode(line, out));
-}
-
-TEST(JournalFileCodec, DecodeRejectsTornLine) {
-  const std::string line = JournalFile::encode(sample_record());
-  JournalRecord out;
-  // A crash mid-append leaves a prefix of the line; every proper prefix
-  // must be rejected (missing crc field or failed checksum).
-  EXPECT_FALSE(JournalFile::decode(line.substr(0, line.size() / 2), out));
-  EXPECT_FALSE(JournalFile::decode(line.substr(0, line.size() - 1), out));
-  EXPECT_FALSE(JournalFile::decode("", out));
-  EXPECT_FALSE(JournalFile::decode("not json at all", out));
-}
-
-TEST(JournalFile, AppendLoadRoundTripAndTornTail) {
-  const fs::path path = fs::temp_directory_path() / "esteem-journal-test.jsonl";
-  fs::remove(path);
-
-  JournalFile journal;
-  ASSERT_TRUE(journal.open(path.string(), /*truncate=*/true));
-  ASSERT_TRUE(journal.is_open());
-  for (int i = 0; i < 3; ++i) {
-    JournalRecord rec = sample_record();
-    rec.fields[0].second = "wl" + std::to_string(i);
-    ASSERT_TRUE(journal.append(rec));
-  }
-  journal.close();
-  EXPECT_FALSE(journal.is_open());
-
-  // Simulate a crash mid-append: a torn, newline-less tail.
-  {
-    std::ofstream tail(path, std::ios::app | std::ios::binary);
-    tail << "{\"v\":1,\"kind\":\"row\",\"workload\":\"torn";
-  }
-
-  const JournalLoadResult loaded = JournalFile::load(path.string());
-  EXPECT_TRUE(loaded.exists);
-  ASSERT_EQ(loaded.records.size(), 3u);
-  EXPECT_EQ(loaded.records[0].field("workload"), "wl0");
-  EXPECT_EQ(loaded.records[2].field("workload"), "wl2");
-  EXPECT_EQ(loaded.corrupt_lines, 1u);
-  fs::remove(path);
-}
-
-TEST(JournalFile, DamagedInteriorLinesAreSkippedAndCounted) {
-  const fs::path path = fs::temp_directory_path() / "esteem-journal-interior.jsonl";
-  fs::remove(path);
-
-  // Hand-build a file where damage sits *between* good records — the
-  // multi-writer case where one process died mid-append and others kept
-  // going. The loader must keep everything after the damage.
-  JournalRecord good = sample_record();
-  {
-    std::ofstream out(path, std::ios::binary);
-    good.fields[0].second = "wl0";
-    out << JournalFile::encode(good) << "\n";
-    out << "{\"v\":1,\"kind\":\"row\",\"workload\":\"torn\n";  // torn, CRC-less
-    out << "complete garbage, not even json\n";
-    good.fields[0].second = "wl1";
-    out << JournalFile::encode(good) << "\n";
-  }
-
-  const JournalLoadResult loaded = JournalFile::load(path.string());
-  EXPECT_TRUE(loaded.exists);
-  ASSERT_EQ(loaded.records.size(), 2u);
-  EXPECT_EQ(loaded.records[0].field("workload"), "wl0");
-  EXPECT_EQ(loaded.records[1].field("workload"), "wl1");
-  EXPECT_EQ(loaded.corrupt_lines, 2u);
-  fs::remove(path);
-}
-
-TEST(JournalFile, GluedRecordAfterTornFragmentIsSalvaged) {
-  const fs::path path = fs::temp_directory_path() / "esteem-journal-glued.jsonl";
-  fs::remove(path);
-
-  // A writer crashed before its newline, so the next writer's intact record
-  // landed on the *same* line. The fragment is lost (counted), but the
-  // intact suffix record must be recovered — dropping it would turn one
-  // crash into data loss for an innocent process.
-  JournalRecord good = sample_record();
-  good.fields[0].second = "glued";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"v\":1,\"kind\":\"row\",\"workload\":\"torn"
-        << JournalFile::encode(good) << "\n";
-  }
-
-  const JournalLoadResult loaded = JournalFile::load(path.string());
-  EXPECT_TRUE(loaded.exists);
-  ASSERT_EQ(loaded.records.size(), 1u);
-  EXPECT_EQ(loaded.records[0].field("workload"), "glued");
-  EXPECT_EQ(loaded.corrupt_lines, 1u);
-  fs::remove(path);
-}
-
-TEST(JournalFile, LoadMissingFileReportsNotExists) {
-  const JournalLoadResult loaded = JournalFile::load("/nonexistent/dir/journal");
-  EXPECT_FALSE(loaded.exists);
-  EXPECT_TRUE(loaded.records.empty());
-}
-
-TEST(JournalFile, OpenExtendsUnlessTruncated) {
-  const fs::path path = fs::temp_directory_path() / "esteem-journal-extend.jsonl";
-  fs::remove(path);
-
-  JournalFile journal;
-  ASSERT_TRUE(journal.open(path.string(), /*truncate=*/true));
-  ASSERT_TRUE(journal.append(sample_record()));
-  journal.close();
-
-  ASSERT_TRUE(journal.open(path.string(), /*truncate=*/false));
-  ASSERT_TRUE(journal.append(sample_record()));
-  journal.close();
-  EXPECT_EQ(JournalFile::load(path.string()).records.size(), 2u);
-
-  ASSERT_TRUE(journal.open(path.string(), /*truncate=*/true));
-  ASSERT_TRUE(journal.append(sample_record()));
-  journal.close();
-  EXPECT_EQ(JournalFile::load(path.string()).records.size(), 1u);
-  fs::remove(path);
-}
-
-TEST(JournalFile, AppendOnClosedJournalFails) {
-  JournalFile journal;
-  EXPECT_FALSE(journal.append(sample_record()));
-  EXPECT_FALSE(journal.open("/nonexistent/dir/journal", true));
-  EXPECT_FALSE(journal.last_error().empty());
-}
-
-TEST(EventRecordCodec, JournalRoundTripIsTotal) {
-  EventRecord ev;
-  ev.t_ms = 1722988800123;
-  ev.sim_us = 42.5;
-  ev.severity = "warn";
-  ev.source = "worker-1";
-  // Hex-wrapped payload: newlines and quotes must survive the line format.
-  ev.message = "claimed \"mcf/esteem\"\nsecond line";
-  ev.lease_id = 0xDEADBEEFCAFEF00DULL;
-  ev.row = 3;
-
-  const JournalRecord rec = ev.to_journal();
-  EXPECT_EQ(rec.kind, "evt");
-  // Through the full checksummed line codec, the way sidecars carry it.
-  JournalRecord decoded;
-  ASSERT_TRUE(JournalFile::decode(JournalFile::encode(rec), decoded));
-  EventRecord out;
-  ASSERT_TRUE(EventRecord::from_journal(decoded, out));
-  EXPECT_EQ(out.t_ms, ev.t_ms);
-  EXPECT_EQ(out.sim_us, 42.5);
-  EXPECT_EQ(out.severity, ev.severity);
-  EXPECT_EQ(out.source, ev.source);
-  EXPECT_EQ(out.message, ev.message);
-  EXPECT_EQ(out.lease_id, ev.lease_id);
-  EXPECT_EQ(out.row, 3u);
-
-  // Defaults (no row, no lease, no sim time) round-trip too.
-  EventRecord bare;
-  bare.severity = "info";
-  bare.source = "w";
-  ASSERT_TRUE(EventRecord::from_journal(bare.to_journal(), out));
-  EXPECT_EQ(out.row, EventRecord::kNoRow);
-  EXPECT_EQ(out.lease_id, 0u);
-  EXPECT_LT(out.sim_us, 0.0);
-  EXPECT_TRUE(out.message.empty());
-
-  // Foreign kinds and mangled fields are rejected, not misread.
-  EXPECT_FALSE(EventRecord::from_journal(sample_record(), out));
-  JournalRecord torn = ev.to_journal();
-  for (auto& [key, value] : torn.fields) {
-    if (key == "lease") value = "not-hex";
-  }
-  EXPECT_FALSE(EventRecord::from_journal(torn, out));
-}
-
-// Totality fuzz over the line codec: decode() must never crash and never
-// mis-accept. Deterministic xorshift mutations over real encoded lines —
-// an accepted mutant must re-encode to the exact bytes it decoded from
-// (i.e. the only accepted inputs are genuine encodings).
-TEST(JournalFileFuzz, DecodeIsTotalOverMutatedLines) {
-  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-
-  JournalRecord rec = sample_record();
-  for (int variant = 0; variant < 4; ++variant) {
-    rec.fields[1].second = std::string(static_cast<std::size_t>(variant) * 7, 'a');
-    const std::string line = JournalFile::encode(rec);
-
-    // Every prefix and suffix (torn writes from either end).
-    for (std::size_t n = 0; n <= line.size(); ++n) {
-      JournalRecord out;
-      if (JournalFile::decode(line.substr(0, n), out)) EXPECT_EQ(n, line.size());
-      JournalRecord out2;
-      if (JournalFile::decode(line.substr(n), out2)) EXPECT_EQ(n, 0u);
-    }
-
-    for (int i = 0; i < 500; ++i) {
-      std::string mutated = line;
-      switch (next() % 3) {
-        case 0:  // flip a byte
-          mutated[next() % mutated.size()] =
-              static_cast<char>(next() & 0xFF);
-          break;
-        case 1:  // truncate
-          mutated.resize(next() % (mutated.size() + 1));
-          break;
-        default:  // insert a byte
-          mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(
-                             next() % (mutated.size() + 1)),
-                         static_cast<char>(next() & 0xFF));
-          break;
-      }
-      JournalRecord out;
-      if (JournalFile::decode(mutated, out)) {
-        EXPECT_EQ(JournalFile::encode(out), mutated)
-            << "decode accepted bytes it cannot re-encode";
-      }
-    }
-  }
-}
-
-// Totality fuzz over whole files: load() never crashes, and every record it
-// returns is one of the lines actually written (CRC gates out mutants).
-TEST(JournalFileFuzz, LoadOnlyReturnsGenuineRecords) {
-  const fs::path path = fs::temp_directory_path() / "esteem-journal-fuzz.jsonl";
-  std::string pristine;
-  std::vector<std::string> genuine_lines;
-  {
-    JournalRecord rec = sample_record();
-    std::ostringstream file;
-    for (int i = 0; i < 6; ++i) {
-      rec.fields[0].second = "wl" + std::to_string(i);
-      genuine_lines.push_back(JournalFile::encode(rec));
-      file << genuine_lines.back() << "\n";
-    }
-    pristine = file.str();
-  }
-
-  std::uint64_t rng = 0xdeadbeefcafef00dULL;
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  for (int i = 0; i < 200; ++i) {
-    std::string mutated = pristine;
-    const int edits = 1 + static_cast<int>(next() % 3);
-    for (int e = 0; e < edits; ++e) {
-      switch (next() % 3) {
-        case 0:
-          mutated[next() % mutated.size()] = static_cast<char>(next() & 0xFF);
-          break;
-        case 1:
-          mutated.resize(next() % (mutated.size() + 1));
-          if (mutated.empty()) mutated = "x";
-          break;
-        default:
-          mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(
-                             next() % (mutated.size() + 1)),
-                         static_cast<char>(next() & 0xFF));
-          break;
-      }
-    }
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << mutated;
-    }
-    const JournalLoadResult loaded = JournalFile::load(path.string());
-    EXPECT_TRUE(loaded.exists);
-    for (const JournalRecord& rec : loaded.records) {
-      const std::string line = JournalFile::encode(rec);
-      bool known = false;
-      for (const std::string& g : genuine_lines) known = known || g == line;
-      EXPECT_TRUE(known) << "loader surfaced a record nobody wrote: " << line;
-    }
-  }
-  fs::remove(path);
-}
-
-TEST(LockFileTest, SecondAcquireFailsUntilReleased) {
-  const fs::path path = fs::temp_directory_path() / "esteem-lock-excl.lock";
-  fs::remove(path);
-
-  LockFile a;
-  ASSERT_TRUE(a.acquire(path.string(), "owner-a", /*stale_ms=*/60'000,
-                        /*timeout_ms=*/1'000));
-  EXPECT_TRUE(a.held());
-
-  LockFile b;
-  EXPECT_FALSE(b.acquire(path.string(), "owner-b", 60'000, /*timeout_ms=*/60));
-  EXPECT_FALSE(b.held());
-  EXPECT_FALSE(b.last_error().empty());
-
-  a.release();
-  EXPECT_FALSE(a.held());
-  EXPECT_TRUE(b.acquire(path.string(), "owner-b", 60'000, 1'000));
-  b.release();
-  fs::remove(path);
-}
-
-TEST(LockFileTest, StaleLockFromDeadHolderIsBroken) {
-  const fs::path path = fs::temp_directory_path() / "esteem-lock-stale.lock";
-  fs::remove(path);
-  {
-    std::ofstream out(path);
-    out << "dead-holder";
-  }
-  // Age the file past the stale horizon the way a crashed holder's lock
-  // looks after its TTL elapsed.
-  fs::last_write_time(path,
-                      fs::file_time_type::clock::now() - std::chrono::seconds(30));
-
-  LockFile lock;
-  ASSERT_TRUE(lock.acquire(path.string(), "thief", /*stale_ms=*/1'000,
-                           /*timeout_ms=*/2'000));
-  EXPECT_TRUE(lock.held());
-  lock.release();
-  EXPECT_FALSE(fs::exists(path));
-}
-
-TEST(LockFileTest, FreshForeignLockIsRespected) {
-  const fs::path path = fs::temp_directory_path() / "esteem-lock-fresh.lock";
-  fs::remove(path);
-  {
-    std::ofstream out(path);
-    out << "live-holder";
-  }
-  LockFile lock;
-  // A just-written lock is NOT stale: the acquire must time out rather
-  // than steal from a live holder.
-  EXPECT_FALSE(lock.acquire(path.string(), "thief", /*stale_ms=*/60'000,
-                            /*timeout_ms=*/80));
-  EXPECT_TRUE(fs::exists(path));
-  fs::remove(path);
 }
 
 TEST(Shutdown, RequestAndClear) {

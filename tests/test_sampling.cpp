@@ -337,10 +337,8 @@ TEST(SamplingFingerprint, ExecutionPolicySectionsStayExcluded) {
   RunSpec s = sampled_spec();
   s.config.resilience.run_deadline_ms = 12'345;
   s.config.resilience.max_retries = 3;
-  EXPECT_EQ(run_spec_fingerprint(s), base);
-
-  s = sampled_spec();
-  s.config.observability.flush_ms = 777;
+  s.config.resilience.backoff_ms = 7;
+  s.config.resilience.max_consecutive_errors = 5;
   EXPECT_EQ(run_spec_fingerprint(s), base);
 }
 

@@ -18,7 +18,6 @@
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
 #include "telemetry/counter_registry.hpp"
-#include "telemetry/export.hpp"
 #include "telemetry/interval_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_emitter.hpp"
@@ -143,165 +142,6 @@ TEST(CounterRegistry, GaugeLastWriteWinsAcrossThreads) {
   std::thread([&] { g.set(5.0); }).join();
   g.set(7.0);  // main thread last: its shard's write has the newest sequence
   EXPECT_EQ(reg.value("fleet.phase"), 7.0);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot export codec (telemetry/export)
-
-TEST(SnapshotExport, JsonlRoundTripIsByteIdentical) {
-  CounterRegistry reg;
-  // A counter total past 2^53 would be mangled by a double round-trip — the
-  // codec must carry the exact integer (MetricSample::raw).
-  reg.counter("svc.rows").add(0x8000000000000001ULL);
-  reg.gauge("worker.rows_completed").set(1.0 / 3.0);
-  Histogram h = reg.histogram("row.duration_ms");
-  h.observe(0);
-  h.observe(7);
-  h.observe(123456);
-
-  const Snapshot snap = take_snapshot(reg, 1722988800123, "w-1");
-  EXPECT_EQ(snap.source, "w-1");
-  ASSERT_EQ(snap.metrics.size(), 3u);
-
-  const std::string text = encode_snapshot_jsonl(snap);
-  Snapshot back;
-  ASSERT_TRUE(decode_snapshot_jsonl(text, back));
-  EXPECT_EQ(back.t_ms, snap.t_ms);
-  EXPECT_EQ(back.source, snap.source);
-  ASSERT_EQ(back.metrics.size(), snap.metrics.size());
-  for (std::size_t i = 0; i < snap.metrics.size(); ++i) {
-    EXPECT_EQ(back.metrics[i].name, snap.metrics[i].name);
-    EXPECT_EQ(back.metrics[i].kind, snap.metrics[i].kind);
-    EXPECT_EQ(back.metrics[i].raw, snap.metrics[i].raw);       // exact u64
-    EXPECT_EQ(back.metrics[i].value, snap.metrics[i].value);   // %.17g exact
-    EXPECT_EQ(back.metrics[i].count, snap.metrics[i].count);
-    EXPECT_EQ(back.metrics[i].buckets, snap.metrics[i].buckets);
-  }
-  // The byte-identity pin: decode followed by encode reproduces the wire.
-  EXPECT_EQ(encode_snapshot_jsonl(back), text);
-}
-
-TEST(SnapshotExport, DecodeRejectsMalformedInput) {
-  CounterRegistry reg;
-  reg.counter("a").add(1);
-  reg.counter("b").add(2);
-  const std::string text = encode_snapshot_jsonl(take_snapshot(reg, 50, "w"));
-  Snapshot out;
-  ASSERT_TRUE(decode_snapshot_jsonl(text, out));
-
-  EXPECT_FALSE(decode_snapshot_jsonl("", out));
-  // Drop the last metric line: header count no longer matches.
-  const std::size_t cut = text.rfind("{\"name\"");
-  ASSERT_NE(cut, std::string::npos);
-  EXPECT_FALSE(decode_snapshot_jsonl(text.substr(0, cut), out));
-  // Trailing garbage after the declared metric count.
-  EXPECT_FALSE(decode_snapshot_jsonl(text + "{\"name\":\"x\"}\n", out));
-  // Foreign header kind.
-  std::string wrong = text;
-  wrong.replace(wrong.find("snapshot"), 8, "snapshut");
-  EXPECT_FALSE(decode_snapshot_jsonl(wrong, out));
-}
-
-TEST(SnapshotExport, MergeSumsCountersAddsHistogramsLwwGauges) {
-  CounterRegistry r1, r2;
-  r1.counter("hits").add(5);
-  r2.counter("hits").add(7);
-  r1.gauge("ways").set(4.0);
-  r2.gauge("ways").set(9.0);
-  Histogram h1 = r1.histogram("lat");
-  Histogram h2 = r2.histogram("lat");
-  h1.observe(1);
-  h2.observe(300);
-  r2.counter("only.in.two").add(1);
-
-  const Snapshot s1 = take_snapshot(r1, 100, "w1");
-  const Snapshot s2 = take_snapshot(r2, 200, "w2");
-
-  auto metric = [](const Snapshot& s, const std::string& name) {
-    for (const MetricSample& m : s.metrics) {
-      if (m.name == name) return m;
-    }
-    ADD_FAILURE() << "missing metric " << name;
-    return MetricSample{};
-  };
-
-  const Snapshot m = merge_snapshots({s1, s2});
-  EXPECT_EQ(m.source, "merged");
-  EXPECT_EQ(m.t_ms, 200);
-  EXPECT_EQ(metric(m, "hits").raw, 12u);                // counters sum
-  EXPECT_EQ(metric(m, "ways").value, 9.0);              // newer snapshot wins
-  EXPECT_EQ(metric(m, "lat").count, 2u);                // histograms add
-  EXPECT_EQ(metric(m, "lat").raw, 301u);
-  EXPECT_EQ(metric(m, "only.in.two").raw, 1u);          // union of names
-
-  // LWW is by timestamp, not operand order: reversing the merge changes
-  // nothing except nothing.
-  const Snapshot rev = merge_snapshots({s2, s1});
-  EXPECT_EQ(metric(rev, "ways").value, 9.0);
-  EXPECT_EQ(encode_snapshot_jsonl(rev), encode_snapshot_jsonl(m));
-
-  // Equal timestamps: the later operand wins (mirrors file order).
-  CounterRegistry r3;
-  r3.gauge("ways").set(1.5);
-  const Snapshot s3 = take_snapshot(r3, 200, "w3");
-  EXPECT_EQ(metric(merge_snapshots({s2, s3}), "ways").value, 1.5);
-  EXPECT_EQ(metric(merge_snapshots({s3, s2}), "ways").value, 9.0);
-}
-
-TEST(SnapshotExport, MergeKindMismatchThrows) {
-  CounterRegistry r1, r2;
-  r1.counter("hits").add(1);
-  r2.gauge("hits").set(2.0);
-  const Snapshot s1 = take_snapshot(r1, 100, "w1");
-  const Snapshot s2 = take_snapshot(r2, 200, "w2");
-  EXPECT_THROW((void)merge_snapshots({s1, s2}), std::invalid_argument);
-}
-
-TEST(SnapshotExport, OpenMetricsExpositionPassesChecker) {
-  CounterRegistry reg;
-  reg.counter("memo.hits").add(12);
-  reg.gauge("worker.rows_completed").set(3.0);
-  Histogram h = reg.histogram("row.duration_ms");
-  h.observe(0);
-  h.observe(900);
-
-  const std::string text = to_openmetrics(take_snapshot(reg, 77, "w"));
-  std::string error;
-  EXPECT_TRUE(check_openmetrics(text, error)) << error;
-
-  // Name mangling and the mandated shapes.
-  EXPECT_NE(text.find("# TYPE esteem_memo_hits counter"), std::string::npos);
-  EXPECT_NE(text.find("esteem_memo_hits_total 12"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE esteem_worker_rows_completed gauge"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(text.find("esteem_row_duration_ms_count 2"), std::string::npos);
-  EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
-}
-
-TEST(SnapshotExport, OpenMetricsCheckerRejectsMalformed) {
-  CounterRegistry reg;
-  reg.counter("a").add(1);
-  Histogram h = reg.histogram("lat");
-  h.observe(1);
-  h.observe(2);
-  const std::string good = to_openmetrics(take_snapshot(reg, 1, "w"));
-  std::string error;
-  ASSERT_TRUE(check_openmetrics(good, error)) << error;
-
-  // Missing terminal # EOF.
-  EXPECT_FALSE(check_openmetrics(good.substr(0, good.size() - 6), error));
-  EXPECT_FALSE(error.empty());
-
-  // Re-declared family: duplicate TYPE blocks are an error.
-  const std::string body = good.substr(0, good.size() - 6);
-  EXPECT_FALSE(check_openmetrics(body + body + "# EOF\n", error));
-
-  // _count disagreeing with the +Inf bucket breaks the histogram invariant.
-  std::string torn = good;
-  const std::size_t pos = torn.find("esteem_lat_count 2");
-  ASSERT_NE(pos, std::string::npos);
-  torn.replace(pos, 18, "esteem_lat_count 3");
-  EXPECT_FALSE(check_openmetrics(torn, error));
 }
 
 // ---------------------------------------------------------------------------
@@ -473,13 +313,14 @@ TEST(TelemetryHub, IntervalSeriesIntegratesToRunActiveRatio) {
 }
 
 // The esteem.moduleM.active_ways gauges come from the run itself, not from
-// an optional timeline: with counter collection alone, an ESTEEM run
+// an optional timeline: with counter collection alone (a bare
+// --telemetry-dir, which writes nothing before flush), an ESTEEM run
 // publishes its final allocation (the last row of its interval series) and
 // a non-ESTEEM run publishes none.
 TEST(TelemetryHub, ModuleGaugesNeedOnlyCounters) {
   TelemetryGuard guard;
   TelemetryConfig cfg;
-  cfg.counters = true;
+  cfg.dir = "test_telemetry_gauges";
   Telemetry::instance().configure(cfg);
   registry().reset();
 

@@ -1,27 +1,18 @@
 // Systematic crashpoint/fault exploration for the durable-I/O stack
 // (DESIGN.md §15): enumerates one-fault schedules for every registered
 // injection point (plus seeded random multi-fault plans), runs each through
-// a forked scenario process, then re-runs recovery in a clean process and
-// checks the pinned invariants:
+// a forked scenario process — a CLI-style sweep over a memo directory, the
+// resume format — then re-runs recovery in a clean process and checks the
+// pinned invariants:
 //
 //   - a resumed sweep's CSV is byte-identical to an uninterrupted run,
 //   - no (workload x technique) row is lost or duplicated,
-//   - the lease-table replay is conflict-free and fully resolved,
-//   - damaged journal lines are counted, never fatal,
 //   - and every one-fault schedule actually reached its point (a schedule
 //     that never fires is vacuous coverage, reported as a failure).
 //
 // Every leg is replayable: a failing schedule prints the exact
-// `esteem_chaos --replay "<schedule>" --mode <m>` (or --random-replay SEED)
-// command that reproduces it deterministically.
-//
-// Scenarios by point domain: memo.* run a CLI-style sweep over a memo
-// directory (the resume format); lease.* / sidecar.* run the multi-process
-// service path in BOTH
-// lock modes ([service] lock_mode=append and =lockfile); lock.* points only
-// exist in lockfile mode. The service CSV is compared against the sweep
-// reference CSV on purpose — the coordinator documents byte-equality with
-// run_sweep, so chaos exploration re-checks that contract too.
+// `esteem_chaos --replay "<schedule>"` (or --random-replay SEED) command
+// that reproduces it deterministically.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -39,9 +30,6 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "service/coordinator.hpp"
-#include "service/lease_table.hpp"
-#include "service/worker.hpp"
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
@@ -57,8 +45,7 @@ namespace fs = std::filesystem;
                "usage: esteem_chaos --list-points\n"
                "       esteem_chaos --explore [--random N] [--rate PCT] "
                "[--root DIR] [--keep]\n"
-               "       esteem_chaos --replay SCHEDULE [--mode append|lockfile] "
-               "[--root DIR] [--keep]\n"
+               "       esteem_chaos --replay SCHEDULE [--root DIR] [--keep]\n"
                "       esteem_chaos --random-replay SEED [--rate PCT] "
                "[--root DIR] [--keep]\n"
                "\n"
@@ -69,8 +56,7 @@ namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // The shared scenario spec: tiny enough that a full leg is sub-second, big
-// enough that every seam point is on the path (memo stores, leases,
-// heartbeats, sidecar snapshots).
+// enough that every seam point is on the path (one memo store per run).
 
 SystemConfig tiny_config() {
   SystemConfig cfg = SystemConfig::single_core();
@@ -81,20 +67,12 @@ SystemConfig tiny_config() {
   cfg.esteem.interval_cycles = 100'000;
   cfg.esteem.sampling_ratio = 32;
   cfg.esteem.a_min = 2;
-  // Tight service timings so a crashed worker's lease expires (and a stale
-  // lock file ages out) within one leg instead of the production 30 s.
-  cfg.service.lease_ttl_ms = 400;
-  cfg.service.heartbeat_ms = 100;
-  cfg.service.poll_ms = 25;
-  // Arm the observer sidecars so sidecar.* points are on the path.
-  cfg.observability.flush_ms = 10;
   return cfg;
 }
 
-sim::SweepSpec base_spec(const std::string& lock_mode) {
+sim::SweepSpec base_spec() {
   sim::SweepSpec spec;
   spec.config = tiny_config();
-  spec.config.service.lock_mode = lock_mode;
   for (const char* w : {"gamess", "gobmk"}) {
     spec.workloads.push_back(trace::Workload{w, {w}});
   }
@@ -123,7 +101,7 @@ constexpr unsigned kLegTimeoutSec = 120;
 /// Failures here are expected and fine — recovery is what gets judged.
 void sweep_chaos_leg(const std::string& memo_dir) {
   sim::RunCache::instance().set_disk_dir(memo_dir);
-  sim::run_sweep(base_spec("append"));
+  sim::run_sweep(base_spec());
 }
 
 /// Sweep recovery leg: no faults; rerun over whatever memo directory the
@@ -131,7 +109,7 @@ void sweep_chaos_leg(const std::string& memo_dir) {
 /// codes name the broken invariant for the parent's failure message.
 int sweep_recover_leg(const std::string& memo_dir, const std::string& csv_out) {
   sim::RunCache::instance().set_disk_dir(memo_dir);
-  const sim::SweepSpec spec = base_spec("append");
+  const sim::SweepSpec spec = base_spec();
   const sim::SweepResult result = sim::run_sweep(spec);
 
   if (!result.ok()) {
@@ -148,72 +126,6 @@ int sweep_recover_leg(const std::string& memo_dir, const std::string& csv_out) {
     }
   }
   sim::write_csv(result, csv_out);
-  return 0;
-}
-
-/// Service chaos leg: plan + one worker with faults armed.
-void service_chaos_leg(const std::string& dir, const std::string& lock_mode) {
-  const std::string svc = (fs::path(dir) / "svc").string();
-  std::string error;
-  if (!service::plan_service(svc, base_spec(lock_mode), error)) return;
-  service::WorkerOptions opts;
-  opts.dir = svc;
-  opts.quiet = true;
-  service::run_worker(opts);
-}
-
-/// Service recovery leg: re-plan (idempotent; repairs a torn/missing
-/// header), run a clean worker to resolution, then check the lease-table
-/// replay and collect the CSV.
-int service_recover_leg(const std::string& dir, const std::string& lock_mode,
-                        const std::string& csv_out) {
-  const std::string svc = (fs::path(dir) / "svc").string();
-  std::string error;
-  if (!service::plan_service(svc, base_spec(lock_mode), error)) {
-    std::fprintf(stderr, "re-plan failed: %s\n", error.c_str());
-    return 2;
-  }
-  service::WorkerOptions opts;
-  opts.dir = svc;
-  opts.quiet = true;
-  const service::WorkerReport report = service::run_worker(opts);
-  if (!report.ok()) {
-    std::fprintf(stderr, "recovery worker failed: %s\n", report.error.c_str());
-    return 3;
-  }
-
-  service::LeaseTable table;
-  if (!table.open(svc, "chaos-check")) {
-    std::fprintf(stderr, "table open failed: %s\n", table.last_error().c_str());
-    return 2;
-  }
-  const service::TableState state = table.load_state();
-  if (!state.ok) {
-    std::fprintf(stderr, "load_state failed: %s\n", state.error.c_str());
-    return 4;
-  }
-  if (state.conflict) {
-    std::fprintf(stderr, "lease replay CONFLICT (differing cell digests)\n");
-    return 4;
-  }
-  if (state.completed != table.n_rows() || state.failed != 0) {
-    std::fprintf(stderr, "rows not fully resolved: %zu/%zu done, %zu failed\n",
-                 state.completed, table.n_rows(), state.failed);
-    return 4;
-  }
-  std::fprintf(stderr, "replay ok: %zu rows, %zu damaged line(s) skipped\n",
-               state.completed, state.damaged_lines);
-
-  service::CoordinatorOptions copts;
-  copts.dir = svc;
-  copts.csv_path = csv_out;
-  copts.timeout_ms = 60'000;
-  copts.quiet = true;
-  const service::CollectResult collected = service::wait_and_collect(copts);
-  if (!collected.ok) {
-    std::fprintf(stderr, "collect failed: %s\n", collected.error.c_str());
-    return 5;
-  }
   return 0;
 }
 
@@ -276,33 +188,24 @@ struct Leg {
   std::string schedule;       ///< "" = random plan.
   std::uint64_t seed = 0;     ///< Random legs only.
   unsigned rate = 3;          ///< Random injection probability (percent).
-  bool sweep_scenario = true;
-  std::string lock_mode = "append";  ///< Service scenario only.
   bool is_crash = false;      ///< Schedule contains a crash action.
   bool require_fire = false;  ///< One-fault legs must reach their point.
 
   std::string label() const {
-    std::string s = schedule.empty()
-                        ? "random seed " + std::to_string(seed)
-                        : schedule;
-    s += sweep_scenario ? " [sweep]" : " [service/" + lock_mode + "]";
-    return s;
+    return schedule.empty() ? "random seed " + std::to_string(seed) : schedule;
   }
   std::string replay_command() const {
     if (schedule.empty()) {
       return "esteem_chaos --random-replay " + std::to_string(seed) +
              " --rate " + std::to_string(rate);
     }
-    std::string cmd = "esteem_chaos --replay \"" + schedule + "\"";
-    if (!sweep_scenario) cmd += " --mode " + lock_mode;
-    return cmd;
+    return "esteem_chaos --replay \"" + schedule + "\"";
   }
 };
 
 /// One-fault actions appropriate to what the point's operation does.
 std::vector<std::string> actions_for(chaos::OpKind kind) {
   switch (kind) {
-    case chaos::OpKind::kOpen:   return {"eio"};
     case chaos::OpKind::kWrite:  return {"enospc", "short:5"};
     case chaos::OpKind::kFsync:  return {"eio"};
     case chaos::OpKind::kRename: return {"fail", "dup"};
@@ -311,16 +214,8 @@ std::vector<std::string> actions_for(chaos::OpKind kind) {
   return {};
 }
 
-bool point_is_sweep_scenario(const std::string& point) {
-  return point.rfind("memo.", 0) == 0;
-}
-
-bool point_is_lock(const std::string& point) {
-  return point.rfind("lock.", 0) == 0;
-}
-
 /// The full one-fault-per-point plan plus `n_random` seeded multi-fault
-/// legs (each random seed runs both scenarios).
+/// legs.
 std::vector<Leg> build_plan(unsigned n_random, unsigned rate) {
   std::vector<Leg> legs;
   for (const chaos::PointInfo& point : chaos::injection_points()) {
@@ -329,20 +224,6 @@ std::vector<Leg> build_plan(unsigned n_random, unsigned rate) {
       leg.schedule = std::string(point.name) + "@0=" + action;
       leg.is_crash = point.kind == chaos::OpKind::kCrash;
       leg.require_fire = true;
-      if (point_is_sweep_scenario(point.name)) {
-        legs.push_back(leg);
-        continue;
-      }
-      leg.sweep_scenario = false;
-      if (point_is_lock(point.name)) {
-        leg.lock_mode = "lockfile";  // lock.* points exist only here
-        legs.push_back(leg);
-        continue;
-      }
-      // lease.* / sidecar.* faults must recover under both serializations.
-      leg.lock_mode = "append";
-      legs.push_back(leg);
-      leg.lock_mode = "lockfile";
       legs.push_back(leg);
     }
   }
@@ -350,10 +231,6 @@ std::vector<Leg> build_plan(unsigned n_random, unsigned rate) {
     Leg leg;
     leg.seed = i;
     leg.rate = rate;
-    leg.sweep_scenario = true;
-    legs.push_back(leg);
-    leg.sweep_scenario = false;
-    leg.lock_mode = (i % 2 == 0) ? "lockfile" : "append";
     legs.push_back(leg);
   }
   return legs;
@@ -379,16 +256,10 @@ void install_leg_plan(const Leg& leg) {
 /// Runs one leg end to end under `dir`. Returns the failure reason, or
 /// nullopt on success. `ref_csv` holds the no-fault reference bytes.
 std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
-                                   const std::string& shared_memo,
                                    const std::string& ref_csv) {
   fs::create_directories(dir);
-  // memo.* faults (and random plans, which may draw them) tear real memo
-  // files; give those legs a private memo dir so the shared warm cache
-  // stays pristine for everyone else.
-  const bool private_memo =
-      leg.schedule.empty() || leg.schedule.rfind("memo.", 0) == 0;
-  const std::string memo_dir =
-      private_memo ? (fs::path(dir) / "memo").string() : shared_memo;
+  // Faults tear real memo files, so every leg gets a private memo dir.
+  const std::string memo_dir = (fs::path(dir) / "memo").string();
   const std::string fired_path = (fs::path(dir) / "fired").string();
 
   // Leg 1: chaos. Allowed to fail operations, forbidden to die by anything
@@ -396,11 +267,7 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
   const ChildResult chaos_leg =
       run_child((fs::path(dir) / "chaos.log").string(), [&]() {
         install_leg_plan(leg);
-        if (leg.sweep_scenario) {
-          sweep_chaos_leg(memo_dir);
-        } else {
-          service_chaos_leg(dir, leg.lock_mode);
-        }
+        sweep_chaos_leg(memo_dir);
         std::ofstream(fired_path) << chaos::injection_count();
         return 0;
       });
@@ -431,22 +298,16 @@ std::optional<std::string> run_leg(const Leg& leg, const std::string& dir,
   // Leg 2: recovery in a clean process; this is what the invariants judge.
   const std::string csv_out = (fs::path(dir) / "out.csv").string();
   const ChildResult recover =
-      run_child((fs::path(dir) / "recover.log").string(), [&]() {
-        return leg.sweep_scenario
-                   ? sweep_recover_leg(memo_dir, csv_out)
-                   : service_recover_leg(dir, leg.lock_mode, csv_out);
-      });
+      run_child((fs::path(dir) / "recover.log").string(),
+                [&]() { return sweep_recover_leg(memo_dir, csv_out); });
   if (!recover.exited) {
     return "recovery leg died by signal " + std::to_string(recover.signal) +
            " (see " + dir + "/recover.log)";
   }
   if (recover.exit_code != 0) {
-    static const char* const kReasons[] = {
-        "", "", "plan/table reopen failed", "recovery run errored",
-        "rows lost, duplicated, conflicted or unresolved", "collect failed"};
-    const char* why = recover.exit_code >= 2 && recover.exit_code <= 5
-                          ? kReasons[recover.exit_code]
-                          : "recovery failed";
+    const char* why = recover.exit_code == 3   ? "recovery run errored"
+                      : recover.exit_code == 4 ? "rows lost, duplicated or incomplete"
+                                               : "recovery failed";
     return std::string(why) + " (exit " + std::to_string(recover.exit_code) +
            ", see " + dir + "/recover.log)";
   }
@@ -465,7 +326,6 @@ int list_points() {
   for (const chaos::PointInfo& p : chaos::injection_points()) {
     const char* op = "?";
     switch (p.kind) {
-      case chaos::OpKind::kOpen:   op = "open";   break;
       case chaos::OpKind::kWrite:  op = "write";  break;
       case chaos::OpKind::kFsync:  op = "fsync";  break;
       case chaos::OpKind::kRename: op = "rename"; break;
@@ -481,7 +341,6 @@ int list_points() {
 int main(int argc, char** argv) {
   std::string mode;
   std::string schedule;
-  std::string lock_mode;
   std::string root;
   std::uint64_t seed = 0;
   unsigned n_random = 0;
@@ -504,11 +363,6 @@ int main(int argc, char** argv) {
       n_random = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (arg == "--rate") {
       rate = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
-    } else if (arg == "--mode") {
-      lock_mode = value();
-      if (lock_mode != "append" && lock_mode != "lockfile") {
-        usage("--mode must be append or lockfile");
-      }
     } else if (arg == "--root") root = value();
     else if (arg == "--keep") keep = true;
     else if (arg == "--help" || arg == "-h") usage();
@@ -532,36 +386,24 @@ int main(int argc, char** argv) {
     leg.schedule = schedule;
     leg.is_crash = schedule.find("=crash") != std::string::npos;
     leg.require_fire = true;
-    const std::string first_point = schedule.substr(0, schedule.find_first_of("@="));
-    leg.sweep_scenario = point_is_sweep_scenario(first_point);
-    if (!leg.sweep_scenario) {
-      leg.lock_mode = lock_mode.empty()
-                          ? (point_is_lock(first_point) ? "lockfile" : "append")
-                          : lock_mode;
-    }
     legs.push_back(leg);
   } else {  // random-replay
     Leg leg;
     leg.seed = seed;
     leg.rate = rate;
-    leg.sweep_scenario = true;
-    legs.push_back(leg);
-    leg.sweep_scenario = false;
-    leg.lock_mode = (seed % 2 == 0) ? "lockfile" : "append";
     legs.push_back(leg);
   }
 
   // Reference leg: the no-fault sweep, whose CSV every recovery must match
-  // byte for byte. Runs through the same recovery code path (and warms the
-  // shared memo dir, so later legs mostly replay memoized outcomes).
-  const std::string shared_memo = (fs::path(root) / "memo").string();
+  // byte for byte. Runs through the same recovery code path.
+  const std::string ref_memo = (fs::path(root) / "memo").string();
   const std::string ref_csv_path = (fs::path(root) / "reference.csv").string();
   {
     const std::string ref_dir = (fs::path(root) / "ref").string();
     fs::create_directories(ref_dir);
     const ChildResult ref =
         run_child((fs::path(ref_dir) / "ref.log").string(), [&]() {
-          return sweep_recover_leg(shared_memo, ref_csv_path);
+          return sweep_recover_leg(ref_memo, ref_csv_path);
         });
     if (!ref.exited || ref.exit_code != 0) {
       std::fprintf(stderr,
@@ -577,7 +419,7 @@ int main(int argc, char** argv) {
     const Leg& leg = legs[i];
     const std::string dir = (fs::path(root) / ("leg-" + std::to_string(i))).string();
     const std::optional<std::string> failure =
-        run_leg(leg, dir, shared_memo, ref_csv);
+        run_leg(leg, dir, ref_csv);
     if (failure) {
       ++failures;
       std::printf("FAIL  %s\n      %s\n      replay: %s\n", leg.label().c_str(),

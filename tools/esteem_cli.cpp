@@ -15,13 +15,6 @@
 //                              drain the sweep gracefully (finished runs
 //                              are kept, queued work is skipped) and exit
 //                              with code 5.
-//     --serve DIR              sweep-as-a-service: plan the --sweep into DIR
-//                              and wait for `esteem_workerd --worker DIR`
-//                              processes to resolve the rows instead of
-//                              running them here; the report/CSV are
-//                              byte-identical to the in-process sweep. Exit
-//                              codes add 6 (integrity conflict) to the sweep
-//                              protocol.
 //     --journal DIR            crash-safe sweep: use DIR as the run-memo
 //                              directory (overrides ESTEEM_MEMO_DIR), so
 //                              every finished run is published there
@@ -74,7 +67,6 @@
 #include "common/config_io.hpp"
 #include "common/table.hpp"
 #include "resilience/shutdown.hpp"
-#include "service/coordinator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
@@ -95,7 +87,7 @@ using esteem::tools::split_csv;
   std::fprintf(stderr,
                "usage: esteem_cli [--workload A[,B]] [--technique NAME]\n"
                "                  [--sweep WL[,WL]] [--techniques A[,B]]\n"
-               "                  [--serve DIR] [--journal DIR]\n"
+               "                  [--journal DIR]\n"
                "                  [--jobs N] [--csv FILE] [--config FILE]\n"
                "                  [--instr N] [--warmup N] [--seed N]\n"
                "                  [--compare] [--timeline FILE]\n"
@@ -257,7 +249,6 @@ int main(int argc, char** argv) {
   std::string workload = "h264ref";
   std::string technique = "esteem";
   std::string sweep_arg;
-  std::string serve_dir;
   bool sweep_mode = false;
   std::string techniques_arg;
   std::string csv_path;
@@ -283,7 +274,6 @@ int main(int argc, char** argv) {
     if (arg == "--workload") workload = value();
     else if (arg == "--technique") technique = value();
     else if (arg == "--sweep") { sweep_mode = true; sweep_arg = value(); }
-    else if (arg == "--serve") serve_dir = value();
     else if (arg == "--techniques") techniques_arg = value();
     else if (arg == "--csv") csv_path = value();
     else if (arg == "--config") config_path = value();
@@ -342,42 +332,12 @@ int main(int argc, char** argv) {
         save_config(cfg, std::cout);
         return 0;
       }
-      if (!serve_dir.empty()) {
-        // Sweep-as-a-service: plan the rows, let esteem_workerd processes
-        // resolve them, aggregate — never simulate in this process. The
-        // stderr progress heartbeat is the shared fleet line of
-        // service::progress_line (the same view `esteem_workerd --status
-        // --json` serializes), so the two surfaces cannot skew.
-        if (!journal_dir.empty()) {
-          usage("--serve uses DIR/service.journal; drop --journal");
-        }
-        const sim::SweepSpec spec = tools::build_sweep_spec(cfg, sweep_arg, techniques_arg,
-                                                            instr, warmup, seed, jobs);
-        std::string plan_error;
-        if (!service::plan_service(serve_dir, spec, plan_error)) {
-          std::fprintf(stderr, "error: %s\n", plan_error.c_str());
-          return 2;
-        }
-        resilience::install_signal_handlers();
-        std::printf("serving %zu row(s) from %s; run: esteem_workerd --worker %s\n",
-                    spec.workloads.size() * spec.techniques.size(), serve_dir.c_str(),
-                    serve_dir.c_str());
-        service::CoordinatorOptions copts;
-        copts.dir = serve_dir;
-        copts.csv_path = csv_path;
-        const service::CollectResult collected = service::wait_and_collect(copts);
-        const int code = service::report_collect(collected, copts);
-        flush_telemetry();
-        return code;
-      }
       const int code = run_sweep_mode(cfg, sweep_arg, techniques_arg, csv_path, instr,
                                       warmup, seed, jobs, journal_dir);
       flush_telemetry();
       return code;
     }
-    if (!journal_dir.empty() || !serve_dir.empty()) {
-      usage("--journal/--serve require --sweep");
-    }
+    if (!journal_dir.empty()) usage("--journal requires --sweep");
 
     const std::vector<std::string> benchmarks = split_csv(workload);
     if (benchmarks.empty()) usage("empty workload list");

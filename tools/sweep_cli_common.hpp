@@ -1,12 +1,8 @@
-// Sweep helpers shared by the tools: SweepSpec construction (esteem_cli and
-// esteem_workerd), comma-list splitting, and the --journal directory setup
-// (esteem_cli and esteem_validate).
-//
-// The multi-process service promises byte-identical output to a
-// single-process `esteem_cli --sweep` of the same flags, which only holds if
-// both tools derive the *same* SweepSpec — same workload parsing, same
-// paper-default config policy (core count, interval scaling, hysteresis; see
-// DESIGN.md §5). This header is that single definition.
+// Sweep helpers for the tools: comma-list splitting (esteem_cli,
+// esteem_validate, esteem_bench), and esteem_cli's SweepSpec construction
+// (workload parsing and the paper-default config policy: core count,
+// interval scaling, hysteresis; see DESIGN.md §5) and --journal directory
+// setup.
 #pragma once
 
 #include <algorithm>
