@@ -1,0 +1,43 @@
+# Argument and config errors are usage errors: every tool exits exactly 2
+# on them (README's exit-code table), never 1 and never a silent run with a
+# truncated number. Invoked by the cli_exit_codes ctest with -DCLI=,
+# -DVALIDATE=, -DBENCH=, -DCHAOS=<binaries> -DWORKDIR=<scratch dir>.
+file(REMOVE_RECURSE ${WORKDIR})
+file(MAKE_DIRECTORY ${WORKDIR})
+file(WRITE ${WORKDIR}/bad_value.ini "[esteem]\nalpha = zero\n")
+file(WRITE ${WORKDIR}/retired.ini "[resilience]\nmax_retries = 0\n")
+
+# Each case is one command line with its arguments separated by '|'. The
+# budgets are tiny, so a tool that wrongly accepted a value still returns
+# quickly and the check fails on its exit code instead of timing out.
+set(cases
+  "${CLI}|--config|${WORKDIR}/no-such-file.ini"
+  "${CLI}|--config|${WORKDIR}/bad_value.ini"
+  "${CLI}|--config|${WORKDIR}/retired.ini"
+  "${CLI}|--sweep|gamess|--techniques|nosuch"
+  "${CLI}|--sweep|gamess|--techniques|baseline"
+  "${CLI}|--workload|gamess|--technique|nosuch"
+  "${CLI}|--workload|gamess|--warmup|0|--instr|1e6"
+  "${CLI}|--workload|gamess|--warmup|0|--instr|abc"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--seed|4x2"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|5k"
+  "${CLI}|--sweep|gamess|--instr|1000|--warmup|0|--jobs|2.5"
+  "${VALIDATE}|--list|--instr|1e6"
+  "${VALIDATE}|--list|--seed|3.5"
+  "${VALIDATE}|--list|--perturb-refresh-energy|2x"
+  "${BENCH}|--instr|1e6"
+  "${BENCH}|--workloads|two"
+  "${CHAOS}|--explore|--random|4x"
+  "${CHAOS}|--random-replay|0x10")
+
+foreach(args IN LISTS cases)
+  string(REPLACE "|" ";" args "${args}")
+  execute_process(COMMAND ${args}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "2")
+    string(REPLACE ";" " " shown "${args}")
+    message(FATAL_ERROR "'${shown}' exited ${rc}, expected 2:\n${out}${err}")
+  endif()
+endforeach()
+file(REMOVE_RECURSE ${WORKDIR})

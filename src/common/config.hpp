@@ -122,9 +122,9 @@ struct FaultConfig {
 /// measured (one per `period_instr` instructions per core) and every flow
 /// metric becomes a point estimate with a confidence interval; the gaps are
 /// crossed with an analytic fast-forward plus a functional-warming segment
-/// that keeps cache tag/LRU, refresh, fault and profiler state hot. Unlike
-/// the execution-policy sections below, these knobs change *what a run
-/// computes*, so they are part of memo fingerprints and sweep hashes.
+/// that keeps cache tag/LRU, refresh, fault and profiler state hot. Like
+/// every config section, these knobs change *what a run computes*, so they
+/// are part of memo fingerprints and sweep hashes.
 struct SamplingConfig {
   bool enabled = false;
   /// Detailed, measured window length in instructions per core.
@@ -143,28 +143,6 @@ struct SamplingConfig {
   /// core. Choose it coprime-ish to the retention period and the
   /// reconfiguration interval (see docs/SAMPLING.md on aliasing).
   instr_t period_instr = 4'000'000;
-};
-
-/// Sweep-runner resilience knobs (src/resilience; DESIGN.md §11). These
-/// govern *how* runs execute, not what they compute, so they are excluded
-/// from the memo-cache fingerprint: changing a deadline never invalidates
-/// cached outcomes.
-struct ResilienceConfig {
-  /// Wall-clock budget per (workload, technique) run in milliseconds. A run
-  /// past its deadline is reported as RunError{phase="deadline"} and its
-  /// late result is discarded. 0 = no deadline.
-  std::uint32_t run_deadline_ms = 0;
-  /// Extra attempts after a transient run failure (deadline overruns are
-  /// never retried). 0 = fail on first error.
-  std::uint32_t max_retries = 0;
-  /// Base delay before the first retry; doubles per attempt (capped).
-  std::uint32_t backoff_ms = 100;
-  /// Circuit breaker: after this many *consecutive* run failures (across
-  /// workloads, counted after retries are exhausted) the sweep runner stops
-  /// dispatching new rows and reports the remainder as skipped, so a
-  /// systemically broken config exits with code 3 early instead of burning
-  /// the whole matrix through per-row watchdog retries. 0 = off.
-  std::uint32_t max_consecutive_errors = 0;
 };
 
 /// Parameters of the ESTEEM energy-saving algorithm (§3, §4, §7).
@@ -222,7 +200,6 @@ struct SystemConfig {
   EsteemParams esteem;
   FaultConfig faults;
   SamplingConfig sampling;
-  ResilienceConfig resilience;
 
   cycle_t retention_cycles() const noexcept {
     return static_cast<cycle_t>(edram.retention_us * 1000.0 * freq_ghz);

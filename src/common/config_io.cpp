@@ -131,8 +131,7 @@ void set_ini_value(const ConfigField& f, SystemConfig& c, const std::string& v,
 
 // The schema, in byte order: the memo key is this table's fields, so
 // entries never move or leave — a field that leaves SystemConfig becomes a
-// RetiredSlot. Only semantic sections reach the key, so an execution-policy
-// field may leave outright.
+// RetiredSlot.
 constexpr ConfigField kFields[] = {
     {"system", "ncores", "Number of cores (1 or 2 in the paper)",
      [](SystemConfig& c) -> auto& { return c.ncores; }},
@@ -250,18 +249,6 @@ constexpr ConfigField kFields[] = {
     {"sampling", "period_instr",
      "Sampling period: one measured window per this many instructions per core",
      [](SystemConfig& c) -> auto& { return c.sampling.period_instr; }},
-
-    {"resilience", "run_deadline_ms",
-     "Wall-clock budget per run in ms; overruns become RunError{phase=deadline} (0 = off)",
-     [](SystemConfig& c) -> auto& { return c.resilience.run_deadline_ms; }},
-    {"resilience", "max_retries",
-     "Extra attempts after a transient run failure (deadline overruns never retry)",
-     [](SystemConfig& c) -> auto& { return c.resilience.max_retries; }},
-    {"resilience", "backoff_ms", "Base retry delay in ms; doubles per attempt (capped at 2^16x)",
-     [](SystemConfig& c) -> auto& { return c.resilience.backoff_ms; }},
-    {"resilience", "max_consecutive_errors",
-     "Circuit breaker: stop dispatching sweep rows after N consecutive run failures (0 = off)",
-     [](SystemConfig& c) -> auto& { return c.resilience.max_consecutive_errors; }},
 };
 
 const std::map<std::string, const ConfigField*>& ini_index() {
@@ -279,13 +266,8 @@ const std::map<std::string, const ConfigField*>& ini_index() {
 
 std::span<const ConfigField> config_fields() { return kFields; }
 
-bool config_section_is_execution_policy(std::string_view section) {
-  return section == "resilience";
-}
-
 void write_config_bytes(ByteWriter& w, const SystemConfig& cfg) {
   for (const ConfigField& f : kFields) {
-    if (config_section_is_execution_policy(f.section)) continue;
     std::visit(
         [&](auto access) {
           if constexpr (kRetired<decltype(access)>) put(w, access.value);
@@ -382,14 +364,10 @@ std::string config_doc_markdown(const SystemConfig& defaults) {
      << "(`SystemConfig::single_core()`); `SystemConfig::dual_core()` changes\n"
      << "`system.ncores` to 2, `l2.size_kb` to 8192, `mem.bandwidth_gbps` to 15\n"
      << "and `esteem.modules` to 16.\n\n"
-     << "Each section is classified as **semantic** or **execution policy**:\n"
-     << "semantic keys determine what a run computes, so they are part of the\n"
-     << "memo-cache fingerprint (changing one invalidates cached outcomes).\n"
-     << "Execution-policy keys only govern how runs execute — deadlines,\n"
-     << "retries, the circuit breaker — and are excluded from it: changing\n"
-     << "them never changes result bytes. The `[sampling]` section is\n"
-     << "semantic even though it only changes *accounting*: a sampled run\n"
-     << "reports estimates with confidence intervals instead of exhaustive\n"
+     << "Every key is part of the memo-cache fingerprint: changing one changes\n"
+     << "what a run computes and invalidates cached outcomes. That holds for\n"
+     << "`[sampling]` too, even though it only changes *accounting*: a sampled\n"
+     << "run reports estimates with confidence intervals instead of exhaustive\n"
      << "totals (see [SAMPLING.md](SAMPLING.md)), which are different bytes.\n";
   std::string_view section;
   for (const ConfigField& f : kFields) {
@@ -397,9 +375,6 @@ std::string config_doc_markdown(const SystemConfig& defaults) {
     if (f.section != section) {
       section = f.section;
       os << "\n## [" << section << "]\n\n"
-         << (config_section_is_execution_policy(section)
-                 ? "*Execution policy — excluded from memo fingerprints.*\n\n"
-                 : "*Semantic — part of memo fingerprints.*\n\n")
          << "| key | type | default | meaning |\n"
          << "|---|---|---|---|\n";
     }

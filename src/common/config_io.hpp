@@ -1,6 +1,7 @@
 // The SystemConfig schema and its serializations: a small INI dialect so
 // the CLI tool and batch scripts can describe experiments without
-// recompiling, and the config bytes of the memo key.
+// recompiling, and the config bytes of the memo key. Every field is part
+// of what a run computes, so every field is in the memo key.
 //
 //   [system]
 //   ncores = 2
@@ -62,16 +63,8 @@ struct ConfigField {
 /// --dump-config (sections are contiguous).
 std::span<const ConfigField> config_fields();
 
-/// True when `section` is an execution-policy section: its keys govern how
-/// runs execute ([resilience]), never what a run computes, so they are
-/// excluded from memo fingerprints. Every other section is semantic —
-/// changing any of its keys changes result bytes and invalidates cached
-/// outcomes. The generated docs/CONFIG.md legend, the memo key and the
-/// fingerprint tests all derive from this single classification.
-bool config_section_is_execution_policy(std::string_view section);
-
-/// Appends the fields of `cfg`'s semantic sections in table order
-/// (f64-exact, unlike the INI): the config part of the memo key.
+/// Appends every field of `cfg` in table order (f64-exact, unlike the
+/// INI): the config part of the memo key.
 void write_config_bytes(ByteWriter& w, const SystemConfig& cfg);
 
 /// Structured INI parse failure: what() always carries the 1-based line

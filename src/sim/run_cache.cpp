@@ -226,8 +226,6 @@ std::string run_spec_fingerprint(const RunSpec& spec) {
   ByteWriter w;
   w.u32(kMemoFormatVersion);
 
-  // The execution-policy section ([resilience]) never changes a run's
-  // bytes, so it never moves its key.
   write_config_bytes(w, spec.config);
   w.u32(static_cast<std::uint32_t>(spec.technique));
   w.str(spec.workload.name);

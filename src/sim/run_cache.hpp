@@ -2,8 +2,8 @@
 // bench binary in the process.
 //
 // Key: a canonical byte-level fingerprint of everything that determines a
-// run's result — the semantic fields of the SystemConfig (the config field
-// table in common/config_io), the workload spec, the technique, the seed,
+// run's result — every field of the SystemConfig (the config field table
+// in common/config_io), the workload spec, the technique, the seed,
 // the instruction/warm-up budgets, and the retired timeline flag. The
 // simulator is deterministic in these inputs, so a fingerprint match means
 // the cached RunOutcome is bit-identical to what a fresh run would produce.

@@ -9,7 +9,6 @@
 
 #include "common/stats.hpp"
 #include "resilience/shutdown.hpp"
-#include "resilience/watchdog.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/task_pool.hpp"
 #include "telemetry/telemetry.hpp"
@@ -52,82 +51,19 @@ struct WorkloadTaskState {
   /// Set when any of this workload's tasks was drained without running
   /// because shutdown was requested.
   std::atomic<bool> skipped{false};
-  /// Set when the consecutive-error circuit breaker drained a task instead.
-  std::atomic<bool> breaker_skipped{false};
-};
-
-/// [resilience] max_consecutive_errors: N run failures in a row (counted
-/// after run_guarded exhausted its retries, reset by any success) trip the
-/// breaker, and every task dispatched afterwards drains as breaker-skipped.
-/// "Consecutive" is in task-completion order, which under threading is a
-/// best-effort interleaving — good enough to tell "this config fails every
-/// run" from "one workload is flaky", which is all the breaker is for.
-struct CircuitBreaker {
-  explicit CircuitBreaker(std::uint32_t threshold) : threshold_(threshold) {}
-
-  bool tripped() const noexcept {
-    return threshold_ != 0 && tripped_.load(std::memory_order_relaxed);
-  }
-  void note_success() noexcept {
-    if (threshold_ != 0) consecutive_.store(0, std::memory_order_relaxed);
-  }
-  void note_error() noexcept {
-    if (threshold_ == 0) return;
-    if (consecutive_.fetch_add(1, std::memory_order_acq_rel) + 1 >= threshold_ &&
-        !tripped_.exchange(true, std::memory_order_acq_rel) &&
-        telemetry::active()) {
-      telemetry::registry().counter("resilience.circuit_tripped").add();
-    }
-  }
-
- private:
-  const std::uint32_t threshold_;
-  std::atomic<std::uint32_t> consecutive_{0};
-  std::atomic<bool> tripped_{false};
 };
 
 /// Maps the in-flight exception (rethrown here) to a structured RunError for
-/// `workload`/`technique` — phase "deadline" for watchdog overruns, "run"
-/// otherwise. Call from a catch block only.
+/// `workload`/`technique`. Call from a catch block only.
 RunError current_exception_to_run_error(const std::string& workload,
                                         const std::string& technique) {
   try {
     throw;
-  } catch (const resilience::DeadlineExceeded& e) {
-    return RunError{workload, technique, e.what(), "deadline"};
   } catch (const std::exception& e) {
-    return RunError{workload, technique, e.what(), "run"};
+    return RunError{workload, technique, e.what()};
   } catch (...) {
-    return RunError{workload, technique, "unknown exception", "run"};
+    return RunError{workload, technique, "unknown exception"};
   }
-}
-
-/// run_experiment_cached under the sweep's resilience policy: a per-attempt
-/// watchdog deadline (a late result is discarded and surfaces as
-/// resilience::DeadlineExceeded, though the memo cache keeps it) and
-/// transient failures retried with capped exponential backoff.
-std::shared_ptr<const RunOutcome> run_guarded(const RunSpec& rs, const std::string& label) {
-  const ResilienceConfig& rc = rs.config.resilience;
-  const resilience::RetryPolicy policy{rc.max_retries, rc.backoff_ms};
-  return resilience::with_retries(
-      policy,
-      [&]() -> std::shared_ptr<const RunOutcome> {
-        resilience::WatchdogGuard guard(label, rc.run_deadline_ms);
-        auto out = run_experiment_cached(rs);
-        if (guard.expired()) {
-          // The outcome exists (and stays memoized, on disk too, for a
-          // future more generous attempt or a resume) but arrived past the
-          // budget: discard it so a hung run fails the same way whether or
-          // not it ever returns.
-          throw resilience::DeadlineExceeded(label, rc.run_deadline_ms);
-        }
-        return out;
-      },
-      [](std::uint32_t, std::uint64_t) {
-        if (telemetry::active()) {
-          telemetry::registry().counter("resilience.retries").add();
-        }
-      });
 }
 
 }  // namespace
@@ -183,26 +119,16 @@ SweepResult run_sweep(const SweepSpec& spec) {
   const unsigned resolved = TaskPool::resolve_threads(spec.threads);
   TaskPool pool(std::min<unsigned>(resolved, static_cast<unsigned>(n_tasks)));
 
-  CircuitBreaker breaker(spec.config.resilience.max_consecutive_errors);
-
   for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-    pool.submit([&spec, &result, &states, &pool, &done, &breaker, wi,
-                 n_techniques] {
+    pool.submit([&spec, &result, &states, &pool, &done, wi, n_techniques] {
       const trace::Workload& workload = spec.workloads[wi];
       WorkloadTaskState& state = *states[wi];
 
       // Graceful shutdown: queued tasks drain without executing, so the
       // pool empties, finished runs stay in the memo cache, and the caller
-      // reports the sweep as interrupted. A tripped circuit breaker drains
-      // the same way but marks the row breaker-skipped.
+      // reports the sweep as interrupted.
       if (resilience::shutdown_requested()) {
         state.skipped.store(true, std::memory_order_relaxed);
-        state.baseline_promise.set_value(nullptr);
-        done.count_down(static_cast<std::ptrdiff_t>(1 + n_techniques));
-        return;
-      }
-      if (breaker.tripped()) {
-        state.breaker_skipped.store(true, std::memory_order_relaxed);
         state.baseline_promise.set_value(nullptr);
         done.count_down(static_cast<std::ptrdiff_t>(1 + n_techniques));
         return;
@@ -211,14 +137,11 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
       std::shared_ptr<const RunOutcome> base;
       try {
-        base = run_guarded(
-            sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll),
-            "baseline:" + workload.name);
-        breaker.note_success();
+        base = run_experiment_cached(
+            sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll));
       } catch (...) {
         state.baseline_error =
             current_exception_to_run_error(workload.name, "baseline");
-        breaker.note_error();
       }
       state.baseline_promise.set_value(base);  // null signals baseline failure
       if (base == nullptr) {
@@ -227,7 +150,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
       }
 
       for (std::size_t ti = 0; ti < n_techniques; ++ti) {
-        pool.submit([&spec, &result, &states, &done, &breaker, wi, ti] {
+        pool.submit([&spec, &result, &states, &done, wi, ti] {
           const trace::Workload& wl = spec.workloads[wi];
           const Technique technique = spec.techniques[ti];
           WorkloadTaskState& st = *states[wi];
@@ -236,23 +159,15 @@ SweepResult run_sweep(const SweepSpec& spec) {
             done.count_down();
             return;
           }
-          if (breaker.tripped()) {
-            st.breaker_skipped.store(true, std::memory_order_relaxed);
-            done.count_down();
-            return;
-          }
           const TaskSpan span(std::string(to_string(technique)) + ":" + wl.name);
           try {
             const std::shared_ptr<const RunOutcome> baseline = st.baseline.get();
-            const std::shared_ptr<const RunOutcome> tech = run_guarded(
-                sweep_run_spec(spec, wl, technique),
-                std::string(to_string(technique)) + ":" + wl.name);
+            const std::shared_ptr<const RunOutcome> tech =
+                run_experiment_cached(sweep_run_spec(spec, wl, technique));
             result.rows[wi].comparisons[ti] = compare(wl.name, technique, *baseline, *tech);
-            breaker.note_success();
           } catch (...) {
             st.technique_errors[ti] = current_exception_to_run_error(
                 wl.name, std::string(to_string(technique)));
-            breaker.note_error();
           }
           done.count_down();
         });
@@ -262,7 +177,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
   }
   done.wait();
 
-  // Deterministic error report: workload order, first failing phase per
+  // Deterministic error report: workload order, first failing run per
   // workload (baseline outranks techniques, techniques in spec order).
   // Shutdown-skipped workloads carry no error — their missing runs simply
   // execute on resume.
@@ -276,17 +191,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
     std::optional<RunError> first = std::move(state.baseline_error);
     for (std::size_t ti = 0; !first && ti < n_techniques; ++ti) {
       first = std::move(state.technique_errors[ti]);
-    }
-    if (state.breaker_skipped.load(std::memory_order_relaxed)) {
-      // Breaker-skipped rows are not "interrupted": the errors that tripped
-      // the breaker make the sweep exit 3, and a rerun over the same memo
-      // directory restores every run that did finish. A workload that
-      // errored *and* was then breaker-skipped still reports its error —
-      // the trip must never swallow the failures that caused it.
-      result.rows[wi].skipped = true;
-      result.circuit_broken = true;
-      if (first) result.errors.push_back(std::move(*first));
-      continue;
     }
     if (first) {
       result.errors.push_back(std::move(*first));

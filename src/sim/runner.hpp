@@ -9,6 +9,8 @@
 // an identical experiment. With a memo directory set, that cache is also how
 // a killed sweep resumes: every finished run is already on disk, and a rerun
 // over the same directory restores it instead of simulating (DESIGN.md §11).
+// A run that throws becomes one RunError for its workload; the rest of the
+// sweep still runs.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,7 @@ struct WorkloadRow {
   /// meaningful when `completed` is true.
   std::vector<TechniqueComparison> comparisons;
   /// False when any of this workload's runs threw (see SweepResult::errors
-  /// for the first failing phase).
+  /// for the first failing run).
   bool completed = false;
   /// True when the row was never evaluated because shutdown was requested
   /// mid-sweep; such rows carry no error and re-run on resume.
@@ -51,9 +53,6 @@ struct RunError {
   std::string workload;
   std::string technique;  ///< Technique running when the exception escaped.
   std::string what;       ///< exception::what().
-  /// Failure class: "run" for an exception escaping the simulation,
-  /// "deadline" for a watchdog wall-clock overrun.
-  std::string phase = "run";
 };
 
 struct SweepResult {
@@ -63,12 +62,6 @@ struct SweepResult {
   /// True when a shutdown request (SIGINT/SIGTERM or request_shutdown())
   /// cut the sweep short; skipped rows mark the unevaluated workloads.
   bool interrupted = false;
-  /// True when the [resilience] max_consecutive_errors circuit breaker
-  /// tripped: the errors list holds the failures that tripped it and
-  /// skipped rows mark the workloads never dispatched. Unlike
-  /// `interrupted` this always comes with a non-empty errors list, so
-  /// ok() is already false and the CLI exits 3 (workload errored).
-  bool circuit_broken = false;
 
   bool ok() const noexcept { return errors.empty() && !interrupted; }
 

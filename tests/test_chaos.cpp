@@ -1,8 +1,7 @@
 // Tests for the fault-injection layer (DESIGN.md §15): schedule parsing,
 // deterministic injection, the zero-overhead seam pin (armed-but-quiet
 // chaos leaves memo-file bytes untouched), memo-store fsync and
-// lost-rename regressions, random-plan determinism, crashpoint death, and
-// the [resilience] circuit breaker.
+// lost-rename regressions, random-plan determinism, and crashpoint death.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -316,61 +315,6 @@ TEST(ChaosDeathTest, CrashpointKillsWithSigkill) {
         cache.get_or_run(tiny_run("gamess"));
       },
       ::testing::KilledBySignal(SIGKILL), "crash at memo.crash.before_rename");
-}
-
-// ---------------------------------------------------------------------------
-// [resilience] max_consecutive_errors circuit breaker.
-
-sim::SweepSpec breaker_sweep(std::vector<std::string> workloads,
-                             std::uint32_t threshold) {
-  sim::SweepSpec spec;
-  spec.config = tiny();
-  spec.config.resilience.max_consecutive_errors = threshold;
-  for (const std::string& w : workloads) spec.workloads.push_back({w, {w}});
-  spec.techniques = {sim::Technique::Esteem};
-  spec.instr_per_core = 50'000;
-  spec.warmup_instr_per_core = 10'000;
-  spec.threads = 1;
-  return spec;
-}
-
-TEST(CircuitBreaker, TripsAfterConsecutiveFailuresAndSkipsTheRest) {
-  const std::vector<std::string> bad = {"no-such-1", "no-such-2", "no-such-3",
-                                        "no-such-4"};
-  const sim::SweepResult result = sim::run_sweep(breaker_sweep(bad, 2));
-  EXPECT_TRUE(result.circuit_broken);
-  EXPECT_FALSE(result.interrupted);
-  EXPECT_FALSE(result.ok());
-  EXPECT_FALSE(result.errors.empty());  // exit-3 guarantee: errors survive
-  std::size_t skipped = 0;
-  for (const sim::WorkloadRow& row : result.rows) {
-    EXPECT_FALSE(row.completed);
-    if (row.skipped) ++skipped;
-  }
-  EXPECT_GE(skipped, 2u);  // at least the post-trip workloads were drained
-}
-
-TEST(CircuitBreaker, OffByDefaultRunsTheWholeMatrix) {
-  const std::vector<std::string> bad = {"no-such-1", "no-such-2", "no-such-3"};
-  const sim::SweepResult result = sim::run_sweep(breaker_sweep(bad, 0));
-  EXPECT_FALSE(result.circuit_broken);
-  EXPECT_EQ(result.errors.size(), 3u);  // every workload ran and failed
-  for (const sim::WorkloadRow& row : result.rows) EXPECT_FALSE(row.skipped);
-}
-
-TEST(CircuitBreaker, SuccessResetsTheConsecutiveCount) {
-  // bad, good, bad, bad with threshold 2: the good run resets the streak,
-  // so only the final two failures count — exactly at the threshold, the
-  // breaker trips only after the last row and drains nothing.
-  const std::vector<std::string> mix = {"no-such-1", "gamess", "no-such-2",
-                                        "no-such-3"};
-  const sim::SweepResult result = sim::run_sweep(breaker_sweep(mix, 2));
-  EXPECT_EQ(result.errors.size(), 3u);
-  bool good_completed = false;
-  for (const sim::WorkloadRow& row : result.rows) {
-    if (row.workload == "gamess") good_completed = row.completed;
-  }
-  EXPECT_TRUE(good_completed);
 }
 
 }  // namespace

@@ -67,10 +67,6 @@ SystemConfig distinct_config() {
   c.sampling.ff_warm_instr = 200'005;
   c.sampling.cold_warm_instr = 2'000'007;
   c.sampling.period_instr = 5'000'011;
-  c.resilience.run_deadline_ms = 37;
-  c.resilience.max_retries = 39;
-  c.resilience.backoff_ms = 41;
-  c.resilience.max_consecutive_errors = 43;
   return c;
 }
 
@@ -166,10 +162,10 @@ Perturbed perturb(const SystemConfig& base, const ConfigField& f) {
   return {tries.front(), false};
 }
 
-// Walks the field table: exactly the semantic fields are in the memo key,
-// and every field with a key survives the INI exactly. This is what makes
-// docs/CONFIG.md's "semantic keys are part of the memo fingerprint" true by
-// construction.
+// Walks the field table: every live field is in the memo key, and every
+// field with a key survives the INI exactly. This is what makes
+// docs/CONFIG.md's "every key is part of the memo-cache fingerprint" true
+// by construction.
 TEST(ConfigBytes, EveryFieldIsClassifiedAndRoundTrips) {
   const SystemConfig base = valid_distinct_config();
   ASSERT_TRUE(is_valid(base));
@@ -187,8 +183,7 @@ TEST(ConfigBytes, EveryFieldIsClassifiedAndRoundTrips) {
       EXPECT_TRUE(p.valid);
     }
 
-    const bool semantic = !config_section_is_execution_policy(f.section);
-    EXPECT_EQ(sim::run_spec_fingerprint(distinct_run(p.cfg)) != base_key, semantic);
+    EXPECT_NE(sim::run_spec_fingerprint(distinct_run(p.cfg)), base_key);
 
     if (p.valid && !f.key.empty()) {
       std::stringstream ini;

@@ -99,11 +99,14 @@ TEST(ConfigIo, RejectsUnknownSection) {
   EXPECT_THROW(load_config(ss), std::invalid_argument);
 }
 
-// Dumps from builds that still had the sweep service carry [service] and
-// [observability] keys; the strict loader refuses them like any unknown key.
-TEST(ConfigIo, RejectsRetiredServiceSections) {
+// Dumps from older builds carry retired sections: [service] and
+// [observability] from the sweep service, [resilience] from the run
+// watchdog and retry policy. The strict loader refuses them like any
+// unknown key.
+TEST(ConfigIo, RejectsRetiredSections) {
   for (const char* ini : {"[service]\npoll_ms = 500\n",
-                          "[observability]\nevents_max = 256\n"}) {
+                          "[observability]\nevents_max = 256\n",
+                          "[resilience]\nmax_retries = 0\n"}) {
     std::stringstream ss(ini);
     EXPECT_THROW(load_config(ss), ConfigParseError) << ini;
   }
@@ -197,27 +200,6 @@ TEST(ConfigIo, ParseErrorIsAnInvalidArgument) {
   EXPECT_THROW(load_config(ss), std::invalid_argument);
 }
 
-TEST(ConfigIo, RoundTripsResilienceSection) {
-  SystemConfig original;
-  original.resilience.run_deadline_ms = 120'000;
-  original.resilience.max_retries = 3;
-  original.resilience.backoff_ms = 250;
-
-  std::stringstream ss;
-  save_config(original, ss);
-  EXPECT_NE(ss.str().find("[resilience]"), std::string::npos);
-  const SystemConfig loaded = load_config(ss);
-  EXPECT_EQ(loaded.resilience.run_deadline_ms, 120'000u);
-  EXPECT_EQ(loaded.resilience.max_retries, 3u);
-  EXPECT_EQ(loaded.resilience.backoff_ms, 250u);
-
-  // Defaults: watchdog and retries off, sane backoff base.
-  const SystemConfig defaults;
-  EXPECT_EQ(defaults.resilience.run_deadline_ms, 0u);
-  EXPECT_EQ(defaults.resilience.max_retries, 0u);
-  EXPECT_EQ(defaults.resilience.backoff_ms, 100u);
-}
-
 TEST(ConfigIo, MissingFileThrows) {
   EXPECT_THROW(load_config_file("/nonexistent/esteem.ini"), std::invalid_argument);
 }
@@ -294,12 +276,6 @@ detail_warm_instr = 10000
 ff_warm_instr = 200000
 cold_warm_instr = 2000000
 period_instr = 4000000
-
-[resilience]
-run_deadline_ms = 0
-max_retries = 0
-backoff_ms = 100
-max_consecutive_errors = 0
 )";
 
 TEST(ConfigIo, LoadsDumpsWithEdramBeforeMem) {

@@ -293,7 +293,7 @@ TEST(SampledRun, MulticoreClocksStayAligned) {
 
 // --- Memoisation: [sampling] is semantic (it decides whether a run is
 // exhaustive or sampled and shapes every estimate), so every knob must be
-// keyed; execution-policy sections must stay excluded.
+// keyed.
 
 TEST(SamplingFingerprint, EveryKnobIsKeyed) {
   RunSpec base_spec = sampled_spec();
@@ -329,17 +329,6 @@ TEST(SamplingFingerprint, EveryKnobIsKeyed) {
   s.config.sampling.enabled = true;
   s.config.sampling.period_instr += 1;
   EXPECT_NE(run_spec_fingerprint(s), enabled);
-}
-
-TEST(SamplingFingerprint, ExecutionPolicySectionsStayExcluded) {
-  const std::string base = run_spec_fingerprint(sampled_spec());
-
-  RunSpec s = sampled_spec();
-  s.config.resilience.run_deadline_ms = 12'345;
-  s.config.resilience.max_retries = 3;
-  s.config.resilience.backoff_ms = 7;
-  s.config.resilience.max_consecutive_errors = 5;
-  EXPECT_EQ(run_spec_fingerprint(s), base);
 }
 
 // --- Exhaustive-mode regression pin: with [sampling] disabled (the default)

@@ -2,8 +2,8 @@
 // sweep run over a memo directory leaves every finished run there, and a
 // rerun over the same directory restores those runs as disk hits. These
 // tests pin subset -> superset resume, kill-and-resume, runs written under a
-// different seed or energy scale restoring nothing, damaged memo files, and
-// the deadline-on-resume rule, each against the CSV bytes of a fresh sweep.
+// different seed or energy scale restoring nothing, and damaged memo files,
+// each against the CSV bytes of a fresh sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -254,31 +254,6 @@ TEST(SweepJournal, TruncatedMemoFileIsQuarantinedAndRecomputed) {
   EXPECT_EQ(stats.disk_stores, 1u);  // the damaged run, recomputed
   EXPECT_EQ(dir.csv(healed, "healed"), dir.csv(first, "first"));
   EXPECT_FALSE(fs::is_empty(dir.path() / "corrupt"));
-}
-
-// run_guarded discards a result that arrives past [resilience]
-// run_deadline_ms, but the memo cache has already published it. A rerun
-// over the same directory therefore completes that row from disk, and the
-// deadline (a scheduling policy, outside the fingerprint) never changes
-// what the row contains.
-TEST(SweepJournal, DeadlineErrorRowCompletesFromDiskOnRerun) {
-  const MemoDir dir("deadline");
-  const SweepSpec relaxed = tiny_sweep({"gamess", "gobmk"});
-  const std::string reference = fresh_csv(relaxed, dir);
-
-  SweepSpec strict = relaxed;
-  strict.config.resilience.run_deadline_ms = 1;  // every run overshoots
-  const SweepResult late = run_sweep(strict);
-  ASSERT_FALSE(late.errors.empty());
-  for (const RunError& e : late.errors) EXPECT_EQ(e.phase, "deadline");
-  const std::uint64_t stored = RunCache::instance().stats().disk_stores;
-  EXPECT_GE(stored, 1u);
-
-  RunCache::instance().clear();
-  const SweepResult rerun = run_sweep(relaxed);
-  ASSERT_TRUE(rerun.ok());
-  EXPECT_EQ(RunCache::instance().stats().disk_hits, stored);
-  EXPECT_EQ(dir.csv(rerun, "rerun"), reference);
 }
 
 }  // namespace

@@ -75,13 +75,15 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
-    if (arg == "--workloads")
-      n_workloads = static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+    auto count = [&](auto& out) {
+      const std::string v = value();
+      if (!tools::parse_count(v, out)) usage(("bad number '" + v + "' for " + arg).c_str());
+    };
+    if (arg == "--workloads") count(n_workloads);
     else if (arg == "--techniques") techniques_arg = value();
-    else if (arg == "--instr") instr = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--warmup") warmup = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--jobs")
-      jobs = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+    else if (arg == "--instr") count(instr);
+    else if (arg == "--warmup") count(warmup);
+    else if (arg == "--jobs") count(jobs);
     else if (arg == "--json") json_path = value();
     else if (arg == "--help" || arg == "-h") usage();
     else usage(("unknown option " + arg).c_str());

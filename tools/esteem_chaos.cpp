@@ -33,6 +33,7 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
+#include "sweep_cli_common.hpp"
 
 namespace {
 
@@ -353,16 +354,20 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    auto count = [&](auto& out) {
+      const std::string v = value();
+      if (!tools::parse_count(v, out)) usage(("bad number '" + v + "' for " + arg).c_str());
+    };
     if (arg == "--list-points") mode = "list";
     else if (arg == "--explore") mode = "explore";
     else if (arg == "--replay") { mode = "replay"; schedule = value(); }
     else if (arg == "--random-replay") {
       mode = "random-replay";
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      count(seed);
     } else if (arg == "--random") {
-      n_random = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      count(n_random);
     } else if (arg == "--rate") {
-      rate = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      count(rate);
     } else if (arg == "--root") root = value();
     else if (arg == "--keep") keep = true;
     else if (arg == "--help" || arg == "-h") usage();

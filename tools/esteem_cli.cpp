@@ -136,8 +136,12 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
                    const std::string& techniques_arg, const std::string& csv_path,
                    instr_t instr, instr_t warmup, std::uint64_t seed,
                    unsigned jobs, const std::string& journal_dir) {
-  const sim::SweepSpec spec =
-      tools::build_sweep_spec(cfg, sweep_arg, techniques_arg, instr, warmup, seed, jobs);
+  sim::SweepSpec spec;
+  try {
+    spec = tools::build_sweep_spec(cfg, sweep_arg, techniques_arg, instr, warmup, seed, jobs);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
   if (spec.workloads.empty()) usage("empty sweep workload list");
 
   if (!journal_dir.empty()) {
@@ -189,14 +193,8 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
     std::fprintf(stderr, "\nsweep errors (%zu of %zu workloads failed):\n",
                  result.errors.size(), spec.workloads.size());
     for (const sim::RunError& e : result.errors) {
-      if (e.phase == "run") {
-        std::fprintf(stderr, "  workload %-16s technique %-14s %s\n",
-                     e.workload.c_str(), e.technique.c_str(), e.what.c_str());
-      } else {
-        std::fprintf(stderr, "  workload %-16s technique %-14s [%s] %s\n",
-                     e.workload.c_str(), e.technique.c_str(), e.phase.c_str(),
-                     e.what.c_str());
-      }
+      std::fprintf(stderr, "  workload %-16s technique %-14s %s\n",
+                   e.workload.c_str(), e.technique.c_str(), e.what.c_str());
     }
   }
   // With ESTEEM_MEMO_DIR alone the runs are just as durable; --journal
@@ -204,15 +202,6 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
   const std::string memo_dir = sim::RunCache::instance().disk_dir();
   const std::string rerun =
       memo_dir.empty() ? "" : "rerun with the same --journal " + memo_dir;
-  if (result.circuit_broken) {
-    std::size_t skipped = 0;
-    for (const sim::WorkloadRow& row : result.rows) skipped += row.skipped ? 1 : 0;
-    std::fprintf(stderr,
-                 "circuit breaker tripped after %u consecutive errors: "
-                 "%zu workload(s) skipped%s\n",
-                 spec.config.resilience.max_consecutive_errors, skipped,
-                 rerun.empty() ? "" : ("; fix the config and " + rerun).c_str());
-  }
   if (result.interrupted) {
     // Partial summary above is already on stdout; the dedicated exit code
     // lets wrappers distinguish "interrupted, resumable" from failure.
@@ -271,6 +260,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    auto count = [&](auto& out) {
+      const std::string v = value();
+      if (!tools::parse_count(v, out)) usage(("bad number '" + v + "' for " + arg).c_str());
+    };
     if (arg == "--workload") workload = value();
     else if (arg == "--technique") technique = value();
     else if (arg == "--sweep") { sweep_mode = true; sweep_arg = value(); }
@@ -278,11 +271,10 @@ int main(int argc, char** argv) {
     else if (arg == "--csv") csv_path = value();
     else if (arg == "--config") config_path = value();
     else if (arg == "--journal") journal_dir = value();
-    else if (arg == "--instr") instr = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--warmup") warmup = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--jobs")
-      jobs = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+    else if (arg == "--instr") count(instr);
+    else if (arg == "--warmup") count(warmup);
+    else if (arg == "--seed") count(seed);
+    else if (arg == "--jobs") count(jobs);
     else if (arg == "--compare") compare = true;
     else if (arg == "--timeline") timeline_path = value();
     else if (arg == "--telemetry-dir") telemetry_dir = value();
@@ -317,8 +309,14 @@ int main(int argc, char** argv) {
       if (tc.any()) telemetry::Telemetry::instance().configure(tc);
     }
 
-    SystemConfig cfg =
-        config_path.empty() ? SystemConfig::single_core() : load_config_file(config_path);
+    SystemConfig cfg = SystemConfig::single_core();
+    if (!config_path.empty()) {
+      try {
+        cfg = load_config_file(config_path);
+      } catch (const std::invalid_argument& e) {
+        usage(e.what());
+      }
+    }
 
     if (sweep_mode) {
       const std::vector<std::string> sweep_items = split_csv(sweep_arg);
@@ -361,7 +359,11 @@ int main(int argc, char** argv) {
 
     sim::RunSpec spec;
     spec.config = cfg;
-    spec.technique = sim::parse_technique(technique);
+    try {
+      spec.technique = sim::parse_technique(technique);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
     spec.workload = {workload, benchmarks};
     spec.instr_per_core = instr;
     spec.warmup_instr_per_core = warmup;

@@ -40,6 +40,7 @@
 //
 // Exit codes: 0 pass, 1 check failed, 2 usage error, 4 runtime error,
 // 5 interrupted.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -130,15 +131,22 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.journal_dir = argv[++i];
     } else if (a == "--perturb-refresh-energy") {
       if (!need_value(i)) return false;
-      opt.perturb_refresh = std::atof(argv[++i]);
-      if (opt.perturb_refresh <= 0.0) {
-        std::fprintf(stderr, "--perturb-refresh-energy must be > 0\n");
+      const char* v = argv[++i];
+      char* end = nullptr;
+      opt.perturb_refresh = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(opt.perturb_refresh) ||
+          opt.perturb_refresh <= 0.0) {
+        std::fprintf(stderr, "--perturb-refresh-energy must be a number > 0, not '%s'\n", v);
         return false;
       }
     } else if (a == "--instr" || a == "--warmup" || a == "--seed" || a == "--jobs") {
       if (!need_value(i)) return false;
-      const long long v = std::atoll(argv[++i]);
-      if (v < 0 || (v == 0 && a != "--jobs" && a != "--seed")) {
+      long long v = 0;
+      if (!tools::parse_count(argv[++i], v)) {
+        std::fprintf(stderr, "bad number '%s' for %s\n", argv[i], a.c_str());
+        return false;
+      }
+      if (v == 0 && a != "--jobs" && a != "--seed") {
         std::fprintf(stderr, "%s must be positive\n", a.c_str());
         return false;
       }

@@ -1,5 +1,6 @@
-// Sweep helpers for the tools: comma-list splitting (esteem_cli,
-// esteem_validate, esteem_bench), and esteem_cli's SweepSpec construction
+// Shared argument helpers for the tools: strict numeric flag values and
+// comma-list splitting (esteem_cli, esteem_validate, esteem_bench,
+// esteem_chaos), and esteem_cli's SweepSpec construction
 // (workload parsing and the paper-default config policy: core count,
 // interval scaling, hysteresis; see DESIGN.md §5) and --journal directory
 // setup.
@@ -8,18 +9,36 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
 #include "sim/technique.hpp"
 #include "trace/workloads.hpp"
 
 namespace esteem::tools {
+
+/// A numeric flag's value: the whole token must be a decimal count that
+/// fits in T (json::parse_u64 — no sign, space, exponent or suffix, so
+/// "1e6", "abc" and "4x2" are all rejected). false otherwise; every tool
+/// reports that as a usage error (exit 2).
+template <class T>
+bool parse_count(const std::string& token, T& out) {
+  std::uint64_t v = 0;
+  if (!json::parse_u64(token, v) ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
 
 inline std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -58,7 +77,8 @@ inline SystemConfig default_sweep_config(const trace::Workload& first, instr_t i
 
 /// CLI args -> SweepSpec (workloads from --sweep, techniques from
 /// --techniques or the spec default). Throws std::invalid_argument on an
-/// unknown technique name; leaves workloads empty when `sweep_arg` is.
+/// unknown technique name or a listed baseline; leaves workloads empty when
+/// `sweep_arg` is.
 inline sim::SweepSpec build_sweep_spec(const SystemConfig& cfg, const std::string& sweep_arg,
                                        const std::string& techniques_arg, instr_t instr,
                                        instr_t warmup, std::uint64_t seed, unsigned jobs) {
@@ -75,6 +95,9 @@ inline sim::SweepSpec build_sweep_spec(const SystemConfig& cfg, const std::strin
     spec.techniques.clear();
     for (const std::string& name : split_csv(techniques_arg)) {
       spec.techniques.push_back(sim::parse_technique(name));
+      if (spec.techniques.back() == sim::Technique::BaselinePeriodicAll) {
+        throw std::invalid_argument("the baseline is implicit; do not list it in --techniques");
+      }
     }
   }
   return spec;
