@@ -6,6 +6,7 @@ file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 file(WRITE ${WORKDIR}/bad_value.ini "[esteem]\nalpha = zero\n")
 file(WRITE ${WORKDIR}/retired.ini "[resilience]\nmax_retries = 0\n")
+file(WRITE ${WORKDIR}/wide_l2.ini "[l2]\nsize_kb = 8192\nways = 512\n")
 
 # Each case is one command line with its arguments separated by '|'. The
 # budgets are tiny, so a tool that wrongly accepted a value still returns
@@ -14,6 +15,7 @@ set(cases
   "${CLI}|--config|${WORKDIR}/no-such-file.ini"
   "${CLI}|--config|${WORKDIR}/bad_value.ini"
   "${CLI}|--config|${WORKDIR}/retired.ini"
+  "${CLI}|--config|${WORKDIR}/wide_l2.ini|--workload|gamess|--instr|1000|--warmup|0"
   "${CLI}|--sweep|gamess|--techniques|nosuch"
   "${CLI}|--sweep|gamess|--techniques|baseline"
   "${CLI}|--workload|gamess|--technique|nosuch"

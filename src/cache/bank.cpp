@@ -12,8 +12,9 @@ BankTimer::BankTimer(double refresh_occupancy_cycles,
       refresh_occ_eff_(refresh_occupancy_cycles),
       access_occ_(access_occupancy_cycles),
       queue_pressure_(queue_pressure) {
-  if (!(refresh_occupancy_cycles > 0.0) || access_occupancy_cycles == 0) {
-    throw std::invalid_argument("BankTimer: occupancies must be positive");
+  if (!(refresh_occupancy_cycles >= 0.0) || access_occupancy_cycles == 0) {
+    throw std::invalid_argument(
+        "BankTimer: refresh occupancy must be >= 0 and access occupancy >= 1");
   }
   if (queue_pressure < 0.0) {
     throw std::invalid_argument("BankTimer: queue pressure must be >= 0");

@@ -26,7 +26,8 @@ class BankTimer {
   /// wait. The explicit window is deterministic (evenly spaced refresh), so
   /// by itself it underestimates the queueing of real, jittery arrivals at
   /// mid utilizations; the analytic term restores that cost smoothly.
-  /// 0 disables the term (pure busy-window model).
+  /// 0 disables the term (pure busy-window model). A refresh occupancy of
+  /// 0 makes refresh invisible to demand timing.
   BankTimer(double refresh_occupancy_cycles, std::uint32_t access_occupancy_cycles,
             double queue_pressure = 0.0);
 

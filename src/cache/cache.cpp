@@ -1,5 +1,8 @@
 #include "cache/cache.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <stdexcept>
 
 namespace esteem::cache {
@@ -9,115 +12,135 @@ SetAssocCache::SetAssocCache(const CacheParams& params, std::string name)
   if (sets_ == 0 || ways_ == 0) {
     throw std::invalid_argument("SetAssocCache: sets and ways must be >= 1");
   }
+  if (ways_ > kMaxWays) {
+    throw std::invalid_argument("SetAssocCache: at most " + std::to_string(kMaxWays) +
+                                " ways");
+  }
   if (!is_pow2(sets_)) {
     throw std::invalid_argument("SetAssocCache: set count must be a power of two");
   }
   const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
   blocks_.assign(slots, kInvalidBlock);
-  valid_.assign(slots, 0);
-  dirty_.assign(slots, 0);
-  disabled_.assign(slots, 0);
+  flags_.assign(slots, 0);
   stamp_.assign(slots, 0);
-  active_.assign(sets_, ways_);
+  set_state_.assign(sets_, SetState{static_cast<std::uint16_t>(ways_), 0});
 }
 
 AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
+  assert(blk != kInvalidBlock);
   AccessOutcome out;
   const std::uint32_t set = set_index_of(blk);
-  const std::uint32_t active = active_[set];
+  const std::uint32_t active = set_state_[set].active;
   const std::size_t base = idx(set, 0);
+  const block_t* tags = &blocks_[base];
+  std::uint16_t* stamps = &stamp_[base];
 
-  // Fused lookup + victim selection: one pass over the active ways finds the
-  // hit way and, in the same sweep, the miss victim (first invalid usable
-  // slot, else the LRU valid line — disabled slots are never allocated; a
-  // valid line can never sit in a disabled slot, so only invalid slots need
-  // the check). A hit abandons the victim scan early; a miss never rescans.
-  std::uint32_t hit_way = kNoWay;
-  std::uint32_t victim_way = kNoWay;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  bool found_invalid = false;
-  for (std::uint32_t w = 0; w < active; ++w) {
-    const std::size_t i = base + w;
-    if (valid_[i]) {
-      if (blocks_[i] == blk) {
-        hit_way = w;
-        break;
-      }
-      if (!found_invalid && stamp_[i] < oldest) {
-        oldest = stamp_[i];
-        victim_way = w;
-      }
-    } else if (!found_invalid && !disabled_[i]) {
-      found_invalid = true;
-      victim_way = w;
-    }
-  }
+  // Hit check over the tags alone: an invalid slot holds kInvalidBlock,
+  // which no access carries.
+  std::uint32_t way = 0;
+  while (way < active && tags[way] != blk) ++way;
 
-  if (hit_way != kNoWay) {
+  if (way < active) {
     out.hit = true;
-    out.way = hit_way;
+    out.way = way;
     if (track_lru_) {
       // Recency position: count valid lines touched more recently. Computed
       // only when a consumer (the ESTEEM leader-set profiler) asked for it.
+      const std::uint16_t mine = stamps[way];
       std::uint32_t pos = 0;
-      const std::uint64_t my_stamp = stamp_[base + hit_way];
       for (std::uint32_t v = 0; v < active; ++v) {
-        if (v != hit_way && valid_[base + v] && stamp_[base + v] > my_stamp) ++pos;
+        pos += (tags[v] != kInvalidBlock && stamps[v] > mine) ? 1 : 0;
       }
       out.lru_pos = pos;
     }
-    stamp_[base + hit_way] = ++stamp_counter_;
-    if (is_store) dirty_[base + hit_way] = 1;
+    stamps[way] = next_stamp(set);
+    if (is_store) flags_[base + way] |= kDirty;
     ++stats_.hits;
-    if (touch_listener_ != nullptr) touch_listener_->on_touch(set, hit_way, now);
+    if (touch_listener_ != nullptr) touch_listener_->on_touch(set, way, now);
     return out;
   }
 
   ++stats_.misses;
-  if (victim_way == kNoWay) return out;  // every usable way disabled: bypass
+  // Victim selection: the first invalid usable slot, else the LRU valid
+  // line. Disabled slots are never allocated; a valid line never sits in a
+  // disabled slot, so only invalid slots check the flag.
+  std::uint32_t victim = kNoWay;
+  std::uint32_t oldest = UINT32_MAX;
+  for (std::uint32_t w = 0; w < active; ++w) {
+    if (tags[w] == kInvalidBlock) {
+      if ((flags_[base + w] & kDisabled) == 0) {
+        victim = w;
+        break;
+      }
+    } else if (stamps[w] < oldest) {
+      oldest = stamps[w];
+      victim = w;
+    }
+  }
+  if (victim == kNoWay) return out;  // every usable way disabled: bypass
 
-  if (valid_[base + victim_way]) {
-    out.victim = blocks_[base + victim_way];
-    out.victim_dirty = dirty_[base + victim_way] != 0;
+  if (tags[victim] != kInvalidBlock) {
+    out.victim = tags[victim];
+    out.victim_dirty = (flags_[base + victim] & kDirty) != 0;
     ++stats_.evictions;
     if (out.victim_dirty) ++stats_.dirty_evictions;
     --valid_count_;
     if (listener_ != nullptr) {
-      listener_->on_invalidate(set, victim_way, out.victim_dirty, now);
+      listener_->on_invalidate(set, victim, out.victim_dirty, now);
     }
   }
 
-  blocks_[base + victim_way] = blk;
-  valid_[base + victim_way] = 1;
-  dirty_[base + victim_way] = is_store ? 1 : 0;
-  stamp_[base + victim_way] = ++stamp_counter_;
+  stamps[victim] = next_stamp(set);
+  blocks_[base + victim] = blk;
+  flags_[base + victim] = is_store ? kDirty : 0;
   ++valid_count_;
-  out.way = victim_way;
-  if (listener_ != nullptr) listener_->on_fill(set, victim_way, blk, now);
+  out.way = victim;
+  if (listener_ != nullptr) listener_->on_fill(set, victim, blk, now);
   return out;
 }
 
+void SetAssocCache::renormalize(std::uint32_t set) {
+  const std::size_t base = idx(set, 0);
+  std::array<std::uint8_t, kMaxWays> order;  // valid ways, oldest first
+  std::uint32_t n = 0;
+  for (std::uint32_t w = 0; w < set_state_[set].active; ++w) {
+    if (blocks_[base + w] != kInvalidBlock) order[n++] = static_cast<std::uint8_t>(w);
+  }
+  std::sort(order.begin(), order.begin() + n, [&](std::uint8_t a, std::uint8_t b) {
+    return stamp_[base + a] < stamp_[base + b];
+  });
+  for (std::uint32_t r = 0; r < n; ++r) {
+    stamp_[base + order[r]] = static_cast<std::uint16_t>(r + 1);
+  }
+  set_state_[set].clock = static_cast<std::uint16_t>(n);
+}
+
+bool SetAssocCache::drop(std::uint32_t set, std::uint32_t way, cycle_t now) {
+  const std::size_t i = idx(set, way);
+  const bool was_dirty = (flags_[i] & kDirty) != 0;
+  blocks_[i] = kInvalidBlock;
+  flags_[i] &= ~kDirty;
+  --valid_count_;
+  if (listener_ != nullptr) listener_->on_invalidate(set, way, was_dirty, now);
+  return was_dirty;
+}
+
 bool SetAssocCache::contains(block_t blk) const noexcept {
+  assert(blk != kInvalidBlock);
   const std::uint32_t set = set_index_of(blk);
   const std::size_t base = idx(set, 0);
-  for (std::uint32_t w = 0; w < active_[set]; ++w) {
-    if (valid_[base + w] && blocks_[base + w] == blk) return true;
+  for (std::uint32_t w = 0; w < set_state_[set].active; ++w) {
+    if (blocks_[base + w] == blk) return true;
   }
   return false;
 }
 
 bool SetAssocCache::invalidate(block_t blk, cycle_t now) {
+  assert(blk != kInvalidBlock);
   const std::uint32_t set = set_index_of(blk);
   const std::size_t base = idx(set, 0);
-  for (std::uint32_t w = 0; w < active_[set]; ++w) {
-    if (valid_[base + w] && blocks_[base + w] == blk) {
-      const bool was_dirty = dirty_[base + w] != 0;
-      valid_[base + w] = 0;
-      dirty_[base + w] = 0;
-      --valid_count_;
-      if (listener_ != nullptr) listener_->on_invalidate(set, w, was_dirty, now);
-      return was_dirty;
-    }
+  for (std::uint32_t w = 0; w < set_state_[set].active; ++w) {
+    if (blocks_[base + w] == blk) return drop(set, w, now);
   }
   return false;
 }
@@ -126,24 +149,17 @@ bool SetAssocCache::invalidate_slot(std::uint32_t set, std::uint32_t way, cycle_
   if (set >= sets_ || way >= ways_) {
     throw std::out_of_range("invalidate_slot: bad slot");
   }
-  const std::size_t i = idx(set, way);
-  if (!valid_[i]) return false;
-  const bool was_dirty = dirty_[i] != 0;
-  valid_[i] = 0;
-  dirty_[i] = 0;
-  --valid_count_;
-  if (listener_ != nullptr) listener_->on_invalidate(set, way, was_dirty, now);
-  return was_dirty;
+  if (!slot_valid(set, way)) return false;
+  return drop(set, way, now);
 }
 
 bool SetAssocCache::disable_slot(std::uint32_t set, std::uint32_t way, cycle_t now) {
   if (set >= sets_ || way >= ways_) {
     throw std::out_of_range("disable_slot: bad slot");
   }
-  const std::size_t i = idx(set, way);
-  if (disabled_[i]) return false;
+  if (slot_disabled(set, way)) return false;
   invalidate_slot(set, way, now);
-  disabled_[i] = 1;
+  flags_[idx(set, way)] |= kDisabled;
   ++disabled_count_;
   return true;
 }
@@ -154,24 +170,19 @@ void SetAssocCache::resize_set(std::uint32_t set, std::uint32_t new_active, cycl
   if (new_active == 0 || new_active > ways_) {
     throw std::invalid_argument("resize_set: active count must be in [1, ways]");
   }
-  const std::size_t base = idx(set, 0);
   // Shrinking: flush lines in the deactivated ways. The reconfiguration
   // happens off the critical access path (paper §5), but the listener still
   // sees the true reconfiguration cycle so timestamp-keeping refresh
   // policies stay consistent.
-  for (std::uint32_t w = new_active; w < active_[set]; ++w) {
-    if (valid_[base + w]) {
-      const bool was_dirty = dirty_[base + w] != 0;
-      if (on_evict) on_evict(blocks_[base + w], was_dirty);
-      valid_[base + w] = 0;
-      dirty_[base + w] = 0;
-      --valid_count_;
-      ++stats_.evictions;
-      if (was_dirty) ++stats_.dirty_evictions;
-      if (listener_ != nullptr) listener_->on_invalidate(set, w, was_dirty, now);
-    }
+  for (std::uint32_t w = new_active; w < set_state_[set].active; ++w) {
+    if (!slot_valid(set, w)) continue;
+    const bool was_dirty = slot_dirty(set, w);
+    if (on_evict) on_evict(slot_block(set, w), was_dirty);
+    drop(set, w, now);
+    ++stats_.evictions;
+    if (was_dirty) ++stats_.dirty_evictions;
   }
-  active_[set] = new_active;
+  set_state_[set].active = static_cast<std::uint16_t>(new_active);
 }
 
 }  // namespace esteem::cache

@@ -64,9 +64,13 @@ struct CacheStats {
 /// The storage/replacement core shared by L1, L2, and (implicitly, via the
 /// never-reconfigured leader sets) the embedded ATD.
 ///
-/// Invariant: valid lines live only in physical ways [0, active_ways(set)).
+/// Invariants: valid lines live only in physical ways [0, active_ways(set));
+/// a slot is invalid exactly when its tag is kInvalidBlock, so no access,
+/// probe or invalidation may name kInvalidBlock itself.
 class SetAssocCache {
  public:
+  /// Throws std::invalid_argument unless sets is a power of two and
+  /// 1 <= ways <= kMaxWays.
   SetAssocCache(const CacheParams& params, std::string name = "cache");
 
   std::uint32_t sets() const noexcept { return sets_; }
@@ -96,7 +100,9 @@ class SetAssocCache {
   void resize_set(std::uint32_t set, std::uint32_t new_active, cycle_t now,
                   const std::function<void(block_t, bool)>& on_evict);
 
-  std::uint32_t active_ways(std::uint32_t set) const noexcept { return active_[set]; }
+  std::uint32_t active_ways(std::uint32_t set) const noexcept {
+    return set_state_[set].active;
+  }
 
   /// Permanently retires a slot (fault-induced capacity degradation): any
   /// resident line is invalidated (listener notified) and the slot is never
@@ -104,7 +110,7 @@ class SetAssocCache {
   bool disable_slot(std::uint32_t set, std::uint32_t way, cycle_t now);
 
   bool slot_disabled(std::uint32_t set, std::uint32_t way) const noexcept {
-    return disabled_[idx(set, way)] != 0;
+    return (flags_[idx(set, way)] & kDisabled) != 0;
   }
 
   /// Number of slots retired by disable_slot().
@@ -129,7 +135,7 @@ class SetAssocCache {
   }
 
   /// Enables/disables hit LRU-position computation (AccessOutcome::lru_pos).
-  /// The position costs an O(ways) stamp scan per hit; the memory system
+  /// The position costs an O(ways) tag-and-stamp scan per hit; the memory system
   /// turns it on only when a consumer (the ESTEEM leader-set profiler) reads
   /// it. On by default for API compatibility.
   void set_lru_tracking(bool enabled) noexcept { track_lru_ = enabled; }
@@ -137,10 +143,10 @@ class SetAssocCache {
 
   /// True if the slot currently holds a valid line.
   bool slot_valid(std::uint32_t set, std::uint32_t way) const noexcept {
-    return valid_[idx(set, way)] != 0;
+    return blocks_[idx(set, way)] != kInvalidBlock;
   }
   bool slot_dirty(std::uint32_t set, std::uint32_t way) const noexcept {
-    return dirty_[idx(set, way)] != 0;
+    return (flags_[idx(set, way)] & kDirty) != 0;
   }
   block_t slot_block(std::uint32_t set, std::uint32_t way) const noexcept {
     return blocks_[idx(set, way)];
@@ -151,19 +157,39 @@ class SetAssocCache {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
 
+  /// Per-set state in one 4-byte record, so a hit reads and writes a single
+  /// host cache line of it.
+  struct SetState {
+    std::uint16_t active;  ///< active way count
+    std::uint16_t clock;   ///< last recency stamp handed out in this set
+  };
+
+  static constexpr std::uint8_t kDirty = 1;
+  static constexpr std::uint8_t kDisabled = 2;
+
+  /// The set's next recency stamp. When the 16-bit clock is about to wrap,
+  /// the set's valid stamps are first replaced by their ranks 1..n, which
+  /// keeps every recency comparison (victims and lru_pos) unchanged.
+  std::uint16_t next_stamp(std::uint32_t set) {
+    SetState& s = set_state_[set];
+    if (s.clock == UINT16_MAX) renormalize(set);
+    return ++s.clock;
+  }
+  void renormalize(std::uint32_t set);
+
+  /// Clears a valid slot and notifies the listener; returns its dirty bit.
+  bool drop(std::uint32_t set, std::uint32_t way, cycle_t now);
+
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::string name_;
 
-  // Struct-of-arrays layout: one entry per (set, way) slot.
-  std::vector<block_t> blocks_;
-  std::vector<std::uint8_t> valid_;
-  std::vector<std::uint8_t> dirty_;
-  std::vector<std::uint8_t> disabled_;
-  std::vector<std::uint64_t> stamp_;   // recency: larger = more recent
-  std::vector<std::uint32_t> active_;  // active way count per set
+  // Struct-of-arrays layout: one entry per (set, way) slot, 11 bytes in all.
+  std::vector<block_t> blocks_;       // tag; kInvalidBlock = invalid slot
+  std::vector<std::uint8_t> flags_;   // kDirty | kDisabled
+  std::vector<std::uint16_t> stamp_;  // recency within the set: larger = newer
+  std::vector<SetState> set_state_;
 
-  std::uint64_t stamp_counter_ = 0;
   std::uint64_t valid_count_ = 0;
   std::uint64_t disabled_count_ = 0;
   CacheStats stats_;

@@ -35,6 +35,8 @@ void SystemConfig::validate() const {
   for (const CacheGeometry& g : {l1.geom, l2.geom}) {
     require(g.line_bytes > 0 && is_pow2(g.line_bytes), "line size must be a power of two");
     require(g.ways >= 1, "associativity must be >= 1");
+    require(g.ways <= kMaxWays,
+            "associativity must be <= " + std::to_string(kMaxWays) + " ways");
     require(g.size_bytes % (static_cast<std::uint64_t>(g.ways) * g.line_bytes) == 0,
             "cache size must be a multiple of ways*line");
     require(g.sets() >= 1, "cache must have at least one set");
@@ -44,7 +46,7 @@ void SystemConfig::validate() const {
   require(l2.banks >= 1 && is_pow2(l2.banks), "bank count must be a power of two >= 1");
   require(l2.geom.sets() >= l2.banks, "more banks than sets");
   require(l2.access_occupancy_cycles >= 1, "access occupancy must be >= 1");
-  require(l2.refresh_occupancy_cycles > 0.0, "refresh occupancy must be positive");
+  require(l2.refresh_occupancy_cycles >= 0.0, "refresh occupancy must be >= 0");
   require(l2.queue_pressure >= 0.0, "queue pressure must be >= 0");
 
   require(edram.retention_us > 0.0, "retention period must be positive");

@@ -140,7 +140,7 @@ constexpr ConfigField kFields[] = {
 
     {"l1", "size_kb", "Private L1 size per core in KB",
      [](SystemConfig& c) -> auto& { return c.l1.geom.size_bytes; }, 1024},
-    {"l1", "ways", "L1 associativity",
+    {"l1", "ways", "L1 associativity (1 to 256)",
      [](SystemConfig& c) -> auto& { return c.l1.geom.ways; }},
     {"l1", "", "L1 line size in bytes; the INI sets it through l2.line_bytes",
      [](SystemConfig& c) -> auto& { return c.l1.geom.line_bytes; }},
@@ -149,7 +149,7 @@ constexpr ConfigField kFields[] = {
 
     {"l2", "size_kb", "Shared eDRAM L2 size in KB",
      [](SystemConfig& c) -> auto& { return c.l2.geom.size_bytes; }, 1024},
-    {"l2", "ways", "L2 associativity",
+    {"l2", "ways", "L2 associativity (1 to 256)",
      [](SystemConfig& c) -> auto& { return c.l2.geom.ways; }},
     {"l2", "line_bytes", "Cache line size in bytes (applies to L1 and L2)",
      [](SystemConfig& c) -> auto& { return c.l2.geom.line_bytes; }, 1,
@@ -161,7 +161,8 @@ constexpr ConfigField kFields[] = {
     {"l2", "access_occupancy", "Cycles a demand access occupies its bank",
      [](SystemConfig& c) -> auto& { return c.l2.access_occupancy_cycles; }},
     {"l2", "refresh_occupancy",
-     "Effective bank-interference cycles per refreshed line (calibration knob)",
+     "Effective bank-interference cycles per refreshed line (calibration knob; 0 "
+     "makes refresh invisible to timing)",
      [](SystemConfig& c) -> auto& { return c.l2.refresh_occupancy_cycles; }},
     {"l2", "queue_pressure", "Scale of the analytic bank queueing-delay term (0 disables)",
      [](SystemConfig& c) -> auto& { return c.l2.queue_pressure; }},

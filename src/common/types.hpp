@@ -20,6 +20,11 @@ using instr_t = std::uint64_t;
 /// Sentinel for "no block".
 inline constexpr block_t kInvalidBlock = ~block_t{0};
 
+/// Largest supported cache associativity: SetAssocCache keeps 16-bit
+/// per-set LRU clocks and renumbers a set's stamps in a buffer of this many
+/// ways. SystemConfig::validate() rejects larger L1/L2 geometries.
+inline constexpr std::uint32_t kMaxWays = 256;
+
 /// Returns true iff `v` is a power of two (and nonzero).
 constexpr bool is_pow2(std::uint64_t v) noexcept {
   return v != 0 && (v & (v - 1)) == 0;

@@ -31,7 +31,7 @@ System::System(const SystemConfig& cfg, Technique technique,
       gen = trace::make_generator(profile, ctx, splitmix64(seed_state));
     }
     // Disjoint per-core address spaces for multiprogrammed workloads.
-    cores_.emplace_back(c, std::move(gen), static_cast<block_t>(c) << 44);
+    cores_.emplace_back(c, std::move(gen), static_cast<block_t>(c) << trace::kCoreSpanBits);
   }
 }
 

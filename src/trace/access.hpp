@@ -7,6 +7,11 @@
 
 namespace esteem::trace {
 
+/// Width of one core's block-address space: cpu::System offsets core c's
+/// blocks by `c << kCoreSpanBits`, so every stream must stay below
+/// 2^kCoreSpanBits or it would alias another core's lines.
+inline constexpr unsigned kCoreSpanBits = 44;
+
 /// One memory operation, preceded by `gap` non-memory instructions.
 /// Batching the non-memory instructions into a single count keeps the
 /// simulator's cost proportional to memory operations only.

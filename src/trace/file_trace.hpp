@@ -8,7 +8,8 @@
 //   <gap> <L|S> <block-hex>
 // where gap is the number of non-memory instructions preceding the memory
 // operation, L/S marks a load/store, and block-hex is the cache-block
-// number in hexadecimal.
+// number in hexadecimal. The gap must fit in 32 bits and the block must be
+// below 2^kCoreSpanBits; neither may carry a sign.
 #pragma once
 
 #include <cstdint>

@@ -73,11 +73,29 @@ TEST(BankTimer, SpacingChangeTakesEffect) {
 }
 
 TEST(BankTimer, RejectsBadParameters) {
-  EXPECT_THROW(BankTimer(0, 1), std::invalid_argument);
+  EXPECT_THROW(BankTimer(-1, 1), std::invalid_argument);
+  EXPECT_THROW(BankTimer(std::nan(""), 1), std::invalid_argument);
   EXPECT_THROW(BankTimer(1, 0), std::invalid_argument);
   BankTimer t(1, 1);
   EXPECT_THROW(t.set_refresh_spacing(0.0, 0), std::invalid_argument);
   EXPECT_THROW(t.set_refresh_spacing(-1.0, 0), std::invalid_argument);
+}
+
+// Zero refresh occupancy keeps the refresh schedule (slots are still
+// counted) but makes it invisible to demand timing: every wait equals that
+// of a bank with no refresh at all, queue-pressure term included.
+TEST(BankTimer, ZeroRefreshOccupancyLeavesTimingUnchanged) {
+  BankTimer refreshed(0, 3, 2.0);
+  BankTimer idle(0, 3, 2.0);
+  refreshed.set_refresh_spacing(7.0, 0);
+  Rng rng(5);
+  cycle_t now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += rng.below(6);
+    ASSERT_EQ(refreshed.access(now), idle.access(now)) << "access " << i;
+  }
+  EXPECT_GT(refreshed.refresh_slots(), 0u);
+  EXPECT_EQ(idle.refresh_slots(), 0u);
 }
 
 // Naive reference: serve refresh slots one by one, mirroring the production

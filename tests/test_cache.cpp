@@ -375,69 +375,103 @@ class ReferenceLru {
   std::vector<Set> sets_;
 };
 
+// Drives a SetAssocCache and a ReferenceLru through the same random
+// operations, asserting after each one that the victim choice, dirty bits,
+// LRU positions and occupancy agree.
+class OracleRun {
+ public:
+  OracleRun(std::uint32_t sets, std::uint32_t ways, int episode)
+      : c_({sets, ways}), ref_(sets, ways), sets_(sets), ways_(ways), episode_(episode),
+        stamps_(sets, 0) {}
+
+  const SetAssocCache& cache() const { return c_; }
+
+  /// One random operation at step `i`; the disable_slot draw is skipped
+  /// unless `may_retire`.
+  void step(Rng& rng, std::uint64_t i, bool may_retire) {
+    const cycle_t now = i;
+    const std::uint64_t op = rng.below(1000);
+    const auto set = static_cast<std::uint32_t>(rng.below(sets_));
+    const auto way = static_cast<std::uint32_t>(rng.below(ways_));
+    const block_t blk = rng.below(sets_ * ways_ * 3);
+    if (op < 850) {
+      const bool store = rng.chance(0.3);
+      const AccessOutcome got = c_.access(blk, store, now);
+      const AccessOutcome want = ref_.access(blk, store);
+      ASSERT_EQ(got.hit, want.hit) << "episode " << episode_ << " iter " << i;
+      ASSERT_EQ(got.way, want.way) << "episode " << episode_ << " iter " << i;
+      ASSERT_EQ(got.victim, want.victim) << "episode " << episode_ << " iter " << i;
+      ASSERT_EQ(got.victim_dirty, want.victim_dirty)
+          << "episode " << episode_ << " iter " << i;
+      if (got.hit) {
+        ASSERT_EQ(got.lru_pos, want.lru_pos) << "episode " << episode_ << " iter " << i;
+      }
+      hits += got.hit;
+      evictions += (got.victim != kInvalidBlock);
+      // A hit or a fill takes one recency stamp from the block's set.
+      if (got.way != kNoWay) ++stamps_[c_.set_index_of(blk)];
+    } else if (op < 910) {
+      ASSERT_EQ(c_.invalidate(blk, now), ref_.invalidate(blk))
+          << "episode " << episode_ << " iter " << i;
+    } else if (op < 970) {
+      ASSERT_EQ(c_.invalidate_slot(set, way, now), ref_.invalidate_slot(set, way))
+          << "episode " << episode_ << " iter " << i;
+    } else if (op < 997) {
+      const auto active = static_cast<std::uint32_t>(1 + rng.below(ways_));
+      std::vector<std::pair<block_t, bool>> got;
+      c_.resize_set(set, active, now,
+                    [&](block_t b, bool dirty) { got.emplace_back(b, dirty); });
+      ASSERT_EQ(got, ref_.resize_set(set, active))
+          << "episode " << episode_ << " iter " << i;
+      ASSERT_EQ(c_.active_ways(set), active);
+      flushes += got.size();
+    } else if (may_retire) {
+      const bool first = ref_.disable_slot(set, way);
+      ASSERT_EQ(c_.disable_slot(set, way, now), first)
+          << "episode " << episode_ << " iter " << i;
+      retired += first;
+    }
+    ASSERT_EQ(c_.valid_lines(), ref_.valid_lines())
+        << "episode " << episode_ << " iter " << i;
+  }
+
+  /// Recency stamps set `set` has handed out (hits plus fills).
+  std::uint64_t stamps(std::uint32_t set) const { return stamps_[set]; }
+
+  std::uint64_t hits = 0, evictions = 0, flushes = 0, retired = 0;
+
+ private:
+  SetAssocCache c_;
+  ReferenceLru ref_;
+  std::uint32_t sets_;
+  std::uint32_t ways_;
+  int episode_;
+  std::vector<std::uint64_t> stamps_;
+};
+
 // SetAssocCache against ReferenceLru under random interleavings of every
-// state-changing operation: the victim choice, dirty bits, LRU positions and
-// occupancy must agree step for step.
+// state-changing operation.
 class CacheOracle : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CacheOracle, MatchesReferenceLru) {
   const std::uint32_t ways = GetParam();
-  constexpr std::uint32_t kSets = 4;
   Rng rng(ways * 7919 + 3);
 
   // Short episodes on fresh caches, so retired slots never pile up into a
   // cache that only bypasses.
   std::uint64_t hits = 0, evictions = 0, flushes = 0, retired = 0;
   for (int episode = 0; episode < 40; ++episode) {
-    SetAssocCache c({kSets, ways});
-    ASSERT_TRUE(c.lru_tracking());
-    ReferenceLru ref(kSets, ways);
-    std::uint64_t episode_retired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      const cycle_t now = static_cast<cycle_t>(i);
-      const std::uint64_t op = rng.below(1000);
-      const auto set = static_cast<std::uint32_t>(rng.below(kSets));
-      const auto way = static_cast<std::uint32_t>(rng.below(ways));
-      const block_t blk = rng.below(kSets * ways * 3);
-      if (op < 850) {
-        const bool store = rng.chance(0.3);
-        const AccessOutcome got = c.access(blk, store, now);
-        const AccessOutcome want = ref.access(blk, store);
-        ASSERT_EQ(got.hit, want.hit) << "episode " << episode << " iter " << i;
-        ASSERT_EQ(got.way, want.way) << "episode " << episode << " iter " << i;
-        ASSERT_EQ(got.victim, want.victim) << "episode " << episode << " iter " << i;
-        ASSERT_EQ(got.victim_dirty, want.victim_dirty)
-            << "episode " << episode << " iter " << i;
-        if (got.hit) {
-          ASSERT_EQ(got.lru_pos, want.lru_pos) << "episode " << episode << " iter " << i;
-        }
-        hits += got.hit;
-        evictions += (got.victim != kInvalidBlock);
-      } else if (op < 910) {
-        ASSERT_EQ(c.invalidate(blk, now), ref.invalidate(blk))
-            << "episode " << episode << " iter " << i;
-      } else if (op < 970) {
-        ASSERT_EQ(c.invalidate_slot(set, way, now), ref.invalidate_slot(set, way))
-            << "episode " << episode << " iter " << i;
-      } else if (op < 997) {
-        const auto active = static_cast<std::uint32_t>(1 + rng.below(ways));
-        std::vector<std::pair<block_t, bool>> got;
-        c.resize_set(set, active, now,
-                     [&](block_t b, bool dirty) { got.emplace_back(b, dirty); });
-        ASSERT_EQ(got, ref.resize_set(set, active))
-            << "episode " << episode << " iter " << i;
-        ASSERT_EQ(c.active_ways(set), active);
-        flushes += got.size();
-      } else {
-        const bool first = ref.disable_slot(set, way);
-        ASSERT_EQ(c.disable_slot(set, way, now), first)
-            << "episode " << episode << " iter " << i;
-        episode_retired += first;
-      }
-      ASSERT_EQ(c.valid_lines(), ref.valid_lines()) << "episode " << episode << " iter " << i;
+    OracleRun run(4, ways, episode);
+    ASSERT_TRUE(run.cache().lru_tracking());
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      run.step(rng, i, true);
+      if (HasFatalFailure()) return;
     }
-    EXPECT_EQ(c.disabled_slots(), episode_retired);
-    retired += episode_retired;
+    EXPECT_EQ(run.cache().disabled_slots(), run.retired);
+    hits += run.hits;
+    evictions += run.evictions;
+    flushes += run.flushes;
+    retired += run.retired;
   }
   // Every branch of the model was reached.
   EXPECT_GT(hits, 0u);
@@ -446,10 +480,30 @@ TEST_P(CacheOracle, MatchesReferenceLru) {
   if (ways > 1) {
     EXPECT_GT(flushes, 0u);
   }
+
+  // One long episode on two sets: each set's 16-bit LRU clock wraps at
+  // least six times, so stamp renumbering runs amid every other operation.
+  // Slots retire only in the last tenth: retired slots soon leave a set
+  // one usable way, whose recency order nothing can get wrong.
+  constexpr std::uint64_t kLiveOps = 1'080'000;
+  constexpr std::uint64_t kRetireOps = 120'000;
+  OracleRun run(2, ways, 40);
+  for (std::uint64_t i = 0; i < kLiveOps + kRetireOps; ++i) {
+    if (i == kLiveOps) {
+      for (std::uint32_t set = 0; set < 2; ++set) {
+        EXPECT_GE(run.stamps(set), 6u * 65536u) << "set " << set;
+      }
+    }
+    run.step(rng, i, i >= kLiveOps);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(run.hits, 0u);
+  EXPECT_GT(run.evictions, 0u);
+  EXPECT_EQ(run.cache().disabled_slots(), run.retired);
 }
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheOracle,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u, 32u));
 
 // LRU stack-inclusion property: running the same stream against a cache
 // with k active ways hits exactly the accesses whose recency position in

@@ -1,6 +1,7 @@
 // Tests for trace file recording and replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -26,6 +27,28 @@ std::string per_test_trace_path() {
 class FileTraceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
+
+  /// Writes a one-record trace and parses it.
+  FileTraceGenerator parse(const std::string& record) {
+    {
+      std::ofstream out(path_);
+      out << "ESTEEM-TRACE v1\n" << record << "\n";
+    }
+    return FileTraceGenerator(path_);
+  }
+
+  /// A refused record must fail with the path:line error rather than alias
+  /// another line.
+  void expect_rejected(const std::string& record) {
+    try {
+      parse(record);
+      ADD_FAILURE() << "accepted '" << record << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path_ + ":2"), std::string::npos)
+          << "'" << record << "': " << e.what();
+    }
+  }
+
   const std::string path_ = per_test_trace_path();
 };
 
@@ -100,6 +123,36 @@ TEST_F(FileTraceTest, CommentsAndBadInputs) {
   }
   EXPECT_THROW(FileTraceGenerator{path_}, std::runtime_error);
   EXPECT_THROW(FileTraceGenerator{"/nonexistent.etr"}, std::runtime_error);
+}
+
+TEST_F(FileTraceTest, RejectsGapPast32Bits) {
+  expect_rejected("4294967296 L ff");  // 2^32 would wrap to 0
+  EXPECT_EQ(parse("4294967295 L ff").next().gap, 4294967295u);
+}
+
+TEST_F(FileTraceTest, RejectsSignedFields) {
+  expect_rejected("-1 L ff");  // would wrap to 2^64-1, then to 2^32-1
+  expect_rejected("0 L -1");
+}
+
+TEST_F(FileTraceTest, RejectsBlocksPastTheCoreSpan) {
+  expect_rejected("0 L 100000000000");  // 2^44: core 1's first line
+  expect_rejected("0 S ffffffffffffffff");  // would read as an empty slot
+  EXPECT_EQ(parse("0 S fffffffffff").next().block, (block_t{1} << kCoreSpanBits) - 1);
+}
+
+// The synthetic generators must stay inside one core's address span, or
+// cpu::System's per-core offset would alias two cores' lines.
+TEST(CoreSpan, EveryProfileStaysBelowTheCoreSpan) {
+  for (const BenchmarkProfile& profile : all_profiles()) {
+    for (const std::uint64_t seed : {42u, 7u}) {
+      auto gen = make_generator(profile, GeneratorContext{}, seed);
+      block_t highest = 0;
+      for (int i = 0; i < 50'000; ++i) highest = std::max(highest, gen->next().block);
+      EXPECT_LT(highest, block_t{1} << kCoreSpanBits)
+          << profile.name << " seed " << seed;
+    }
+  }
 }
 
 TEST_F(FileTraceTest, SystemReplaysTraceWorkload) {

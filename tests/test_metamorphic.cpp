@@ -3,6 +3,7 @@
 // without a golden.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,34 @@ TEST(Metamorphic, RefreshEnergyScalesExactlyWithRefreshScale) {
     EXPECT_EQ(scaled.ecc_l2_j, base.ecc_l2_j);
     EXPECT_EQ(scaled.mm_j, base.mm_j);
     EXPECT_EQ(scaled.algo_j, base.algo_j);
+  }
+}
+
+// The baseline refreshes all L lines once per retention period, so halving
+// the retention doubles the refresh count, up to one period's worth at each
+// end of the measured window. With zero refresh occupancy, refresh cannot
+// perturb timing, so the two runs must otherwise be the same run.
+TEST(Metamorphic, PeriodicAllRefreshCountIsInverseInRetention) {
+  SystemConfig cfg = tiny();
+  cfg.l2.refresh_occupancy_cycles = 0.0;
+  SystemConfig halved = cfg;
+  halved.edram.retention_us = cfg.edram.retention_us / 2.0;
+  ASSERT_EQ(2 * halved.retention_cycles(), cfg.retention_cycles());
+  const auto lines = static_cast<std::int64_t>(cfg.l2.geom.lines());
+  for (const std::string& wl : kWorkloads) {
+    SCOPED_TRACE(wl);
+    const cpu::RawRunResult r = run(cfg, Technique::BaselinePeriodicAll, wl).raw;
+    const cpu::RawRunResult h = run(halved, Technique::BaselinePeriodicAll, wl).raw;
+    EXPECT_EQ(r.wall_cycles, h.wall_cycles);
+    EXPECT_EQ(r.demand_misses, h.demand_misses);
+    const auto n_r = static_cast<std::int64_t>(r.refreshes);
+    const auto n_h = static_cast<std::int64_t>(h.refreshes);
+    EXPECT_GT(n_r, 0);
+    EXPECT_EQ(n_r % lines, 0);
+    EXPECT_EQ(n_h % lines, 0);
+    const std::int64_t excess = n_h - 2 * n_r;
+    EXPECT_TRUE(excess == -lines || excess == 0 || excess == lines)
+        << "N_R(r/2) - 2 N_R(r) = " << excess << " with L = " << lines;
   }
 }
 
