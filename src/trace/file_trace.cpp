@@ -42,16 +42,11 @@ FileTraceGenerator::FileTraceGenerator(const std::string& path) {
     MemRef ref;
     char kind = 0;
     std::uint64_t gap = 0;
-    // Stream extraction into an unsigned type accepts "-1" and wraps it, so
-    // a sign is refused before each number is read.
-    const auto unsigned_field = [&is](std::uint64_t& value,
-                                      std::ios_base& (*base)(std::ios_base&)) {
-      is >> std::ws;
-      return is.peek() != '-' && static_cast<bool>(is >> base >> value);
-    };
-    if (!unsigned_field(gap, std::dec) || !(is >> kind) || (kind != 'L' && kind != 'S') ||
-        !unsigned_field(ref.block, std::hex) || gap > UINT32_MAX ||
-        ref.block >= (block_t{1} << kCoreSpanBits)) {
+    // Extraction into an unsigned type accepts "-1" and wraps it, so no
+    // record may carry a sign.
+    if (line.find('-') != std::string::npos ||
+        !(is >> gap >> kind >> std::hex >> ref.block) || (kind != 'L' && kind != 'S') ||
+        gap > UINT32_MAX || ref.block >= (block_t{1} << kCoreSpanBits)) {
       throw std::runtime_error("FileTraceGenerator: parse error at " + path + ":" +
                                std::to_string(line_no));
     }
