@@ -120,6 +120,30 @@ TEST(CounterRegistry, SnapshotIsNameSortedAndUnknownIsZero) {
   EXPECT_EQ(reg.value("no.such.metric"), 0.0);
 }
 
+// counters.json is a published artefact: pin its exact bytes — name order,
+// integer and fractional values, and a histogram whose trimmed bucket list
+// keeps an inner empty bucket but drops the trailing ones.
+TEST(CounterRegistry, ToJsonBytesArePinned) {
+  CounterRegistry reg;
+  reg.counter("sweep.tasks").add(3);
+  reg.gauge("run.last_active_ratio").set(0.375);
+  reg.histogram("run.wall_cycles").observe(0);
+  reg.histogram("run.wall_cycles").observe(5);
+  reg.histogram("run.wall_cycles").observe(6);
+  reg.counter("l2.demand_misses").add(1234567890123ULL);
+  reg.gauge("esteem.module0.active_ways").set(16.0);
+  reg.counter("memo.hits");  // registered, never bumped
+  EXPECT_EQ(reg.to_json(),
+            "{\"esteem.module0.active_ways\":{\"kind\":\"gauge\",\"value\":16},"
+            "\"l2.demand_misses\":{\"kind\":\"counter\",\"value\":1234567890123},"
+            "\"memo.hits\":{\"kind\":\"counter\",\"value\":0},"
+            "\"run.last_active_ratio\":{\"kind\":\"gauge\",\"value\":0.375},"
+            "\"run.wall_cycles\":{\"kind\":\"histogram\",\"value\":11,"
+            "\"count\":3,\"buckets\":[1,0,0,2]},"
+            "\"sweep.tasks\":{\"kind\":\"counter\",\"value\":3}}");
+  EXPECT_EQ(CounterRegistry().to_json(), "{}");
+}
+
 TEST(CounterRegistry, DefaultHandlesAreInert) {
   Counter c;
   Gauge g;
