@@ -1,6 +1,7 @@
 # Argument and config errors are usage errors: every tool exits exactly 2
 # on them (README's exit-code table), never 1 and never a silent run with a
-# truncated number. Invoked by the cli_exit_codes ctest with -DCLI=,
+# truncated number. That covers malformed ESTEEM_* scale variables and
+# telemetry outputs (--trace, --telemetry-dir) that cannot be opened. Invoked by the cli_exit_codes ctest with -DCLI=,
 # -DVALIDATE=, -DBENCH=, -DCHAOS=<binaries> -DWORKDIR=<scratch dir>.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -30,7 +31,11 @@ set(cases
   "${BENCH}|--instr|1e6"
   "${BENCH}|--workloads|two"
   "${CHAOS}|--explore|--random|4x"
-  "${CHAOS}|--random-replay|0x10")
+  "${CHAOS}|--random-replay|0x10"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--interval-stats|--trace|${WORKDIR}/no-such-dir/t.json"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/bad_value.ini/sub"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${VALIDATE}|--check|--scale|bench|--figures|fig3|--jobs|1"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_THREADS=4x2|${VALIDATE}|--check|--scale|bench|--figures|fig3|--instr|10000|--warmup|1")
 
 foreach(args IN LISTS cases)
   string(REPLACE "|" ";" args "${args}")

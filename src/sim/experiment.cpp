@@ -26,29 +26,26 @@ void publish_run_counters(const RunOutcome& outcome,
                           const std::vector<std::uint32_t>& module_ways) {
   telemetry::CounterRegistry& reg = telemetry::registry();
   const cpu::RawRunResult& r = outcome.raw;
-  reg.counter("runs.completed").add();
-  reg.counter("l2.demand_hits").add(r.mem_stats.demand_l2_hits);
-  reg.counter("l2.demand_misses").add(r.mem_stats.demand_l2_misses);
-  reg.counter("l2.refreshes").add(r.refreshes);
-  reg.counter("l2.reconfig_transitions").add(r.mem_stats.reconfig_transitions);
-  reg.counter("l2.reconfig_writebacks").add(r.mem_stats.reconfig_writebacks);
-  reg.counter("mm.writebacks").add(r.mem_stats.mm_writebacks);
-  reg.counter("faults.corrected_reads").add(r.faults.corrected_reads);
-  reg.counter("faults.uncorrectable").add(r.faults.uncorrectable());
-  reg.histogram("run.wall_cycles").observe(r.wall_cycles);
-  reg.gauge("run.last_active_ratio").set(r.avg_active_ratio);
+  reg.add("runs.completed");
+  reg.add("l2.demand_hits", r.mem_stats.demand_l2_hits);
+  reg.add("l2.demand_misses", r.mem_stats.demand_l2_misses);
+  reg.add("l2.refreshes", r.refreshes);
+  reg.add("l2.reconfig_transitions", r.mem_stats.reconfig_transitions);
+  reg.add("l2.reconfig_writebacks", r.mem_stats.reconfig_writebacks);
+  reg.add("mm.writebacks", r.mem_stats.mm_writebacks);
+  reg.add("faults.corrected_reads", r.faults.corrected_reads);
+  reg.add("faults.uncorrectable", r.faults.uncorrectable());
+  reg.observe("run.wall_cycles", r.wall_cycles);
+  reg.set("run.last_active_ratio", r.avg_active_ratio);
   for (std::size_t m = 0; m < module_ways.size(); ++m) {
-    reg.gauge("esteem.module" + std::to_string(m) + ".active_ways")
-        .set(static_cast<double>(module_ways[m]));
+    reg.set("esteem.module" + std::to_string(m) + ".active_ways",
+            static_cast<double>(module_ways[m]));
   }
   if (outcome.estimates.enabled) {
-    reg.counter("sampling.runs").add();
-    reg.gauge("sampling.last_windows")
-        .set(static_cast<double>(outcome.estimates.windows));
-    reg.gauge("sampling.last_energy_rel_ci")
-        .set(outcome.estimates.energy_j.relative());
-    reg.gauge("sampling.last_wall_rel_ci")
-        .set(outcome.estimates.wall_cycles.relative());
+    reg.add("sampling.runs");
+    reg.set("sampling.last_windows", static_cast<double>(outcome.estimates.windows));
+    reg.set("sampling.last_energy_rel_ci", outcome.estimates.energy_j.relative());
+    reg.set("sampling.last_wall_rel_ci", outcome.estimates.wall_cycles.relative());
   }
 }
 

@@ -32,7 +32,7 @@ namespace {
 /// No-op (one relaxed load) when telemetry is off.
 void note_lookup(bool hit, std::uint64_t hash) {
   if (!telemetry::active()) return;
-  telemetry::registry().counter(hit ? "memo.hits" : "memo.misses").add();
+  telemetry::registry().add(hit ? "memo.hits" : "memo.misses");
   if (telemetry::TraceEmitter* tr = telemetry::trace_sink()) {
     char args[64];
     std::snprintf(args, sizeof args, "{\"key\":\"%016llx\"}",
@@ -413,7 +413,7 @@ void RunCache::quarantine_file(const std::string& dir, std::uint64_t hash,
     ++stats_.quarantined;
   }
   if (telemetry::active()) {
-    telemetry::registry().counter("memo.quarantined").add();
+    telemetry::registry().add("memo.quarantined");
   }
   std::fprintf(stderr, "memo: quarantined %s (%s); recomputing\n",
                bad.filename().string().c_str(), reason);
@@ -498,7 +498,7 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
         ++stats_.store_fsync_errors;
       }
       if (telemetry::active()) {
-        telemetry::registry().counter("memo.store_fsync_errors").add();
+        telemetry::registry().add("memo.store_fsync_errors");
       }
       std::fprintf(stderr,
                    "memo: fsync failed (%s); outcome kept in memory only\n",
@@ -529,7 +529,7 @@ void RunCache::note_store_error(const char* reason) {
     ++stats_.store_errors;
   }
   if (telemetry::active()) {
-    telemetry::registry().counter("memo.store_errors").add();
+    telemetry::registry().add("memo.store_errors");
   }
   std::fprintf(stderr, "memo: store failed (%s); outcome kept in memory only\n",
                reason);

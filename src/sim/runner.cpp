@@ -1,31 +1,30 @@
 #include "sim/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <future>
-#include <latch>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "common/stats.hpp"
 #include "resilience/shutdown.hpp"
 #include "sim/run_cache.hpp"
-#include "sim/task_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace esteem::sim {
 
 namespace {
 
-/// RAII wall-clock span for one sweep task (no-op when tracing is off):
-/// pid kWallPid, one row per pool worker thread, so the task-pool schedule
-/// is visible next to the simulated-time lanes in Perfetto.
+/// RAII wall-clock span for one sweep cell (no-op when tracing is off):
+/// pid kWallPid, one row per sweep worker thread, so the sweep schedule is
+/// visible next to the simulated-time lanes in Perfetto.
 class TaskSpan {
  public:
   explicit TaskSpan(std::string name)
       : trace_(telemetry::trace_sink()), name_(std::move(name)),
         t0_(trace_ != nullptr ? telemetry::TraceEmitter::wall_now_us() : 0.0) {
-    if (telemetry::active()) telemetry::registry().counter("sweep.tasks").add();
+    if (telemetry::active()) telemetry::registry().add("sweep.tasks");
   }
   ~TaskSpan() {
     if (trace_ == nullptr) return;
@@ -40,25 +39,23 @@ class TaskSpan {
   double t0_;
 };
 
-/// Per-workload scheduling state. The baseline future is fulfilled exactly
-/// once by the workload's baseline task; technique tasks are only submitted
-/// after that, so their .get() never blocks a pool worker.
-struct WorkloadTaskState {
-  std::promise<std::shared_ptr<const RunOutcome>> baseline_promise;
-  std::shared_future<std::shared_ptr<const RunOutcome>> baseline;
-  std::optional<RunError> baseline_error;
-  std::vector<std::optional<RunError>> technique_errors;
-  /// Set when any of this workload's tasks was drained without running
-  /// because shutdown was requested.
-  std::atomic<bool> skipped{false};
+/// One (workload, technique) run of the sweep, written only by the thread
+/// that claimed it.
+struct Cell {
+  std::shared_ptr<const RunOutcome> outcome;
+  std::optional<RunError> error;
+  /// Never run because shutdown was requested before the cell started.
+  bool skipped = false;
 };
 
-/// Maps the in-flight exception (rethrown here) to a structured RunError for
-/// `workload`/`technique`. Call from a catch block only.
-RunError current_exception_to_run_error(const std::string& workload,
-                                        const std::string& technique) {
+/// Runs `fn`; an exception escaping it becomes the returned RunError for
+/// `workload`/`technique`.
+template <typename F>
+std::optional<RunError> capture_error(const std::string& workload,
+                                      const std::string& technique, F&& fn) {
   try {
-    throw;
+    fn();
+    return std::nullopt;
   } catch (const std::exception& e) {
     return RunError{workload, technique, e.what()};
   } catch (...) {
@@ -67,6 +64,12 @@ RunError current_exception_to_run_error(const std::string& workload,
 }
 
 }  // namespace
+
+unsigned resolve_threads(unsigned requested) noexcept {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
                        Technique technique) {
@@ -88,114 +91,90 @@ SweepResult run_sweep(const SweepSpec& spec) {
     }
   }
 
-  const std::size_t n_workloads = spec.workloads.size();
+  // Cells in workload-major order: w0 baseline, w0 t1, w0 t2, w1 baseline,
+  // ... A technique run never reads its baseline (only compare() does, after
+  // the join), so every cell is independent and each thread simply claims
+  // the next index. One thread claims them in exactly this order, which is
+  // the serial schedule the memo store order and the resume tests rely on.
   const std::size_t n_techniques = spec.techniques.size();
+  const std::size_t stride = 1 + n_techniques;
+  std::vector<Cell> cells(spec.workloads.size() * stride);
+  std::atomic<std::size_t> next{0};
 
+  auto work = [&] {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < cells.size();) {
+      Cell& cell = cells[i];
+      // Graceful shutdown: unclaimed cells drain without running, finished
+      // runs stay in the memo cache, and the sweep reports as interrupted.
+      if (resilience::shutdown_requested()) {
+        cell.skipped = true;
+        continue;
+      }
+      const trace::Workload& workload = spec.workloads[i / stride];
+      const std::size_t ti = i % stride;
+      const Technique technique =
+          ti == 0 ? Technique::BaselinePeriodicAll : spec.techniques[ti - 1];
+      const std::string label = ti == 0 ? "baseline" : std::string(to_string(technique));
+      cell.error = capture_error(workload.name, label, [&] {
+        const TaskSpan span(label + ":" + workload.name);
+        cell.outcome = run_experiment_cached(sweep_run_spec(spec, workload, technique));
+      });
+    }
+  };
+
+  const std::size_t n_threads =
+      std::min<std::size_t>(resolve_threads(spec.threads), cells.size());
+  if (n_threads <= 1) {
+    work();
+  } else {
+    std::vector<std::jthread> workers;
+    workers.reserve(n_threads);
+    for (std::size_t w = 0; w < n_threads; ++w) {
+      workers.emplace_back([&work, w] {
+        if (telemetry::TraceEmitter* tr = telemetry::trace_sink()) {
+          // Name this worker's wall-clock trace row after its index.
+          tr->set_thread_name(telemetry::TraceEmitter::kWallPid,
+                              telemetry::TraceEmitter::wall_tid(),
+                              "pool worker " + std::to_string(w));
+        }
+        work();
+      });
+    }
+  }  // jthreads join here
+
+  // Serial post-pass in workload order. A row reports its first failing run
+  // (baseline outranks techniques, techniques in spec order). A row with a
+  // shutdown-skipped cell carries no error unless its baseline failed — its
+  // missing runs simply execute on resume.
   SweepResult result;
   result.techniques = spec.techniques;
-  result.rows.resize(n_workloads);
-
-  // Every (workload, technique) cell has a preallocated slot written by
-  // exactly one task, so the threaded schedule produces bit-identical rows
-  // to the inline (threads = 1) schedule regardless of completion order.
-  std::vector<std::unique_ptr<WorkloadTaskState>> states;
-  states.reserve(n_workloads);
-  for (std::size_t i = 0; i < n_workloads; ++i) {
-    WorkloadRow& row = result.rows[i];
-    row.workload = spec.workloads[i].name;
+  result.rows.resize(spec.workloads.size());
+  for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+    WorkloadRow& row = result.rows[wi];
+    row.workload = spec.workloads[wi].name;
     row.comparisons.assign(n_techniques, TechniqueComparison{});
-    auto state = std::make_unique<WorkloadTaskState>();
-    state->baseline = state->baseline_promise.get_future().share();
-    state->technique_errors.resize(n_techniques);
-    states.push_back(std::move(state));
-  }
-
-  // One unit per task: baseline + every technique of the workload. A failed
-  // (or shutdown-skipped) baseline retires its techniques' units without
-  // scheduling them.
-  const std::size_t n_tasks = n_workloads * (1 + n_techniques);
-  std::latch done(static_cast<std::ptrdiff_t>(n_tasks));
-
-  const unsigned resolved = TaskPool::resolve_threads(spec.threads);
-  TaskPool pool(std::min<unsigned>(resolved, static_cast<unsigned>(n_tasks)));
-
-  for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-    pool.submit([&spec, &result, &states, &pool, &done, wi, n_techniques] {
-      const trace::Workload& workload = spec.workloads[wi];
-      WorkloadTaskState& state = *states[wi];
-
-      // Graceful shutdown: queued tasks drain without executing, so the
-      // pool empties, finished runs stay in the memo cache, and the caller
-      // reports the sweep as interrupted.
-      if (resilience::shutdown_requested()) {
-        state.skipped.store(true, std::memory_order_relaxed);
-        state.baseline_promise.set_value(nullptr);
-        done.count_down(static_cast<std::ptrdiff_t>(1 + n_techniques));
-        return;
-      }
-      const TaskSpan span("baseline:" + workload.name);
-
-      std::shared_ptr<const RunOutcome> base;
-      try {
-        base = run_experiment_cached(
-            sweep_run_spec(spec, workload, Technique::BaselinePeriodicAll));
-      } catch (...) {
-        state.baseline_error =
-            current_exception_to_run_error(workload.name, "baseline");
-      }
-      state.baseline_promise.set_value(base);  // null signals baseline failure
-      if (base == nullptr) {
-        done.count_down(static_cast<std::ptrdiff_t>(1 + n_techniques));
-        return;
-      }
-
-      for (std::size_t ti = 0; ti < n_techniques; ++ti) {
-        pool.submit([&spec, &result, &states, &done, wi, ti] {
-          const trace::Workload& wl = spec.workloads[wi];
-          const Technique technique = spec.techniques[ti];
-          WorkloadTaskState& st = *states[wi];
-          if (resilience::shutdown_requested()) {
-            st.skipped.store(true, std::memory_order_relaxed);
-            done.count_down();
-            return;
-          }
-          const TaskSpan span(std::string(to_string(technique)) + ":" + wl.name);
-          try {
-            const std::shared_ptr<const RunOutcome> baseline = st.baseline.get();
-            const std::shared_ptr<const RunOutcome> tech =
-                run_experiment_cached(sweep_run_spec(spec, wl, technique));
-            result.rows[wi].comparisons[ti] = compare(wl.name, technique, *baseline, *tech);
-          } catch (...) {
-            st.technique_errors[ti] = current_exception_to_run_error(
-                wl.name, std::string(to_string(technique)));
-          }
-          done.count_down();
-        });
-      }
-      done.count_down();
-    });
-  }
-  done.wait();
-
-  // Deterministic error report: workload order, first failing run per
-  // workload (baseline outranks techniques, techniques in spec order).
-  // Shutdown-skipped workloads carry no error — their missing runs simply
-  // execute on resume.
-  for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-    WorkloadTaskState& state = *states[wi];
-    if (state.skipped.load(std::memory_order_relaxed)) {
-      result.rows[wi].skipped = true;
+    Cell* const row_cells = &cells[wi * stride];
+    const Cell& base = row_cells[0];
+    if (!base.error && std::any_of(row_cells, row_cells + stride,
+                                   [](const Cell& c) { return c.skipped; })) {
+      row.skipped = true;
       result.interrupted = true;
       continue;
     }
-    std::optional<RunError> first = std::move(state.baseline_error);
-    for (std::size_t ti = 0; !first && ti < n_techniques; ++ti) {
-      first = std::move(state.technique_errors[ti]);
+    for (std::size_t ti = 0; base.outcome && ti < n_techniques; ++ti) {
+      Cell& cell = row_cells[1 + ti];
+      if (!cell.outcome) continue;
+      const Technique technique = spec.techniques[ti];
+      cell.error = capture_error(row.workload, std::string(to_string(technique)), [&] {
+        row.comparisons[ti] = compare(row.workload, technique, *base.outcome, *cell.outcome);
+      });
     }
-    if (first) {
-      result.errors.push_back(std::move(*first));
+    const Cell* failed = std::find_if(row_cells, row_cells + stride,
+                                      [](const Cell& c) { return c.error.has_value(); });
+    if (failed != row_cells + stride) {
+      result.errors.push_back(*failed->error);
     } else {
-      result.rows[wi].completed = true;
+      row.completed = true;
     }
   }
   if (resilience::shutdown_requested()) result.interrupted = true;

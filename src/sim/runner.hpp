@@ -1,16 +1,16 @@
-// Sweep runner: evaluates a set of techniques over a set of workloads on a
-// shared work-stealing task pool (sim/task_pool.hpp), scheduling at
-// (workload x technique) granularity. Each technique task depends on its
-// workload's baseline task through a future fulfilled by the baseline, so
-// with enough cores the sweep's wall clock approaches the slowest single
-// run instead of slowest_workload x (1 + |techniques|). Every run goes
-// through the process-wide RunOutcome memo cache (sim/run_cache.hpp), so
-// repeated sweeps — and other benches in the same process — never recompute
-// an identical experiment. With a memo directory set, that cache is also how
-// a killed sweep resumes: every finished run is already on disk, and a rerun
-// over the same directory restores it instead of simulating (DESIGN.md §11).
-// A run that throws becomes one RunError for its workload; the rest of the
-// sweep still runs.
+// Sweep runner: evaluates a set of techniques over a set of workloads. The
+// sweep is a flat list of independent (workload x technique) cells, baseline
+// included — a technique run never reads its baseline; only compare() does,
+// in a serial pass after every cell has run. N threads claim cells from one
+// atomic index (N <= 1 runs the same loop on the calling thread), so with
+// enough cores the sweep's wall clock approaches the slowest single run.
+// Every run goes through the process-wide RunOutcome memo cache
+// (sim/run_cache.hpp), so repeated sweeps — and other benches in the same
+// process — never recompute an identical experiment. With a memo directory
+// set, that cache is also how a killed sweep resumes: every finished run is
+// already on disk, and a rerun over the same directory restores it instead
+// of simulating (DESIGN.md §11). A run that throws becomes one RunError for
+// its workload; the rest of the sweep still runs.
 #pragma once
 
 #include <cstdint>
@@ -74,9 +74,13 @@ struct SweepResult {
 
 /// Runs the sweep. Serial (threads = 1) and threaded schedules produce
 /// bit-identical rows: every (workload, technique) cell is written by
-/// exactly one task into a preallocated slot, and the simulation itself is
+/// exactly one thread into a preallocated slot, and the simulation itself is
 /// deterministic in the spec.
 SweepResult run_sweep(const SweepSpec& spec);
+
+/// Sweep worker count for a `--jobs`/`threads` request: 0 -> hardware
+/// concurrency (>= 1), anything else as given.
+unsigned resolve_threads(unsigned requested) noexcept;
 
 /// The RunSpec a sweep cell evaluates — the single definition of how a
 /// (workload, technique) cell expands the SweepSpec.

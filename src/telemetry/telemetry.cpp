@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -70,13 +71,13 @@ std::string Telemetry::end_run(RunSink& sink) {
     const std::lock_guard<std::mutex> lock(mutex_);
     dir = config_.dir;
   }
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) return {};
-  }
   const std::string path = interval_series_path(sink.label);
-  if (!sink.recorder->write_jsonl_file(path)) return {};
+  std::error_code ec;
+  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
+  if (ec || !sink.recorder->write_jsonl_file(path)) {
+    std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
+    return {};
+  }
   const std::lock_guard<std::mutex> lock(mutex_);
   written_.push_back(path);
   return path;
@@ -94,19 +95,23 @@ Telemetry::FlushResult Telemetry::flush() {
   TelemetryConfig cfg = config();
   if (trace_ != nullptr && !cfg.trace_path.empty()) {
     r.trace_events = trace_->events();
-    if (trace_->write_file(cfg.trace_path)) r.trace_path = cfg.trace_path;
+    if (trace_->write_file(cfg.trace_path)) {
+      r.trace_path = cfg.trace_path;
+    } else {
+      std::fprintf(stderr, "telemetry: cannot write %s\n", cfg.trace_path.c_str());
+    }
   }
   if (active() && !cfg.dir.empty()) {
+    const std::string path = (std::filesystem::path(cfg.dir) / "counters.json").string();
     std::error_code ec;
     std::filesystem::create_directories(cfg.dir, ec);
-    if (!ec) {
-      const std::string path =
-          (std::filesystem::path(cfg.dir) / "counters.json").string();
-      std::ofstream out(path, std::ios::trunc);
-      if (out.good()) {
-        out << registry_.to_json() << '\n';
-        if (out.good()) r.counters_path = path;
-      }
+    std::ofstream out;
+    if (!ec) out.open(path, std::ios::trunc);
+    out << registry_.to_json() << '\n';  // fails on a stream that did not open
+    if (out.good()) {
+      r.counters_path = path;
+    } else {
+      std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
     }
   }
   return r;

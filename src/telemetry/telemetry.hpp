@@ -12,6 +12,7 @@
 // SweepSpec; run labels and column sets are built by the caller.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>

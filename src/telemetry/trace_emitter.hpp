@@ -7,12 +7,13 @@
 //                  reconfiguration spans ("ways=N"), refresh/fault instants
 //                  and active-ratio counter tracks.
 //   pid kWallPid — wall-clock time. ts is microseconds of std::steady_clock
-//                  since process start; rows are OS threads (sweep task-pool
-//                  workers), carrying task begin/end spans, memo-cache
-//                  hit/miss instants and run-phase spans.
+//                  since process start; rows are OS threads (one per sweep
+//                  worker, named "pool worker N"), carrying one span per
+//                  sweep cell, memo-cache hit/miss instants and run-phase
+//                  spans.
 //
 // Events are buffered in memory under a mutex (emission happens at interval /
-// task granularity, so contention is negligible) and serialized once by
+// sweep-cell granularity, so contention is negligible) and serialized once by
 // write_json(); the output is the standard {"traceEvents":[...]} envelope
 // with process/thread-name metadata events.
 #pragma once

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "common/env.hpp"
-#include "sim/task_pool.hpp"
+#include "sim/runner.hpp"
 
 namespace esteem::validation {
 
@@ -97,7 +97,7 @@ std::string scale_banner(const std::string& what, const SystemConfig& cfg,
       cfg.edram.retention_us, cfg.ncores,
       static_cast<double>(cfg.l2.geom.size_bytes) / (1024.0 * 1024.0),
       cfg.l2.geom.ways, cfg.esteem.modules,
-      sim::TaskPool::resolve_threads(threads));
+      sim::resolve_threads(threads));
   return buf;
 }
 

@@ -96,6 +96,12 @@ TEST(Experiment, EsteemSavesEnergyOnCacheFriendlyWorkload) {
   EXPECT_GE(c.weighted_speedup, 0.7);
 }
 
+TEST(Sweep, ResolveThreads) {
+  EXPECT_GE(resolve_threads(0), 1u);
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(3), 3u);
+}
+
 TEST(Sweep, RunsAllWorkloadsAndTechniques) {
   SweepSpec spec;
   spec.config = tiny();

@@ -3,11 +3,16 @@
 // without a golden.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "edram/ecc.hpp"
+#include "energy/cacti_table.hpp"
 #include "sim/experiment.hpp"
+#include "sim/run_cache.hpp"
+#include "sim/runner.hpp"
 
 namespace esteem::sim {
 namespace {
@@ -112,6 +117,91 @@ TEST(Metamorphic, PeriodicAllRefreshCountIsInverseInRetention) {
     EXPECT_TRUE(excess == -lines || excess == 0 || excess == lines)
         << "N_R(r/2) - 2 N_R(r) = " << excess << " with L = " << lines;
   }
+}
+
+// Energy oracle: recompute Eq. 4-8 from each run's raw counters and the
+// Table 2 / §6.3 constants, independently of energy::compute_energy, for
+// every cell of a small sweep. A [faults] row with ecc-extended makes the
+// ECC correction term (one dynamic access per corrected read) non-zero and
+// exercises the ECC storage-overhead scaling of leakage and access energy.
+TEST(Metamorphic, EnergyComponentsMatchEquations) {
+  constexpr double kNj = 1e-9;
+  auto rel_eq = [](double got, double want) {
+    return std::abs(got - want) <= 1e-12 * std::abs(want);
+  };
+
+  SweepSpec plain;
+  plain.config = tiny();
+  plain.workloads = {{"bzip2", {"bzip2"}}, {"mcf", {"mcf"}}};
+  plain.techniques = {Technique::Esteem, Technique::RefrintRPV};
+  plain.instr_per_core = 300'000;
+  plain.warmup_instr_per_core = 60'000;
+  plain.threads = 1;
+  SweepSpec faulty = plain;
+  faulty.config.faults.enabled = true;
+  faulty.config.faults.sigma = 0.5;  // weak tail live at the chosen extension
+  faulty.workloads = {{"gamess", {"gamess"}}};
+  faulty.techniques = {Technique::EccExtended};
+
+  std::uint64_t ecc_corrections = 0;
+  for (const SweepSpec& spec : {plain, faulty}) {
+    const SweepResult result = run_sweep(spec);
+    ASSERT_TRUE(result.ok());
+    const energy::L2EnergyParams table2 = energy::l2_energy_params(spec.config.l2.geom.size_bytes);
+    for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+      double e_base = 0.0;
+      for (std::size_t ti = 0; ti <= spec.techniques.size(); ++ti) {
+        const Technique t =
+            ti == 0 ? Technique::BaselinePeriodicAll : spec.techniques[ti - 1];
+        SCOPED_TRACE(spec.workloads[wi].name + " " + std::string(to_string(t)));
+        const RunOutcome& out =
+            *run_experiment_cached(sweep_run_spec(spec, spec.workloads[wi], t));
+        const energy::EnergyCounters& c = out.raw.counters;
+        const EnergyScaleConfig& scale = spec.config.energy;
+
+        double leak_w = table2.p_leak_watts * scale.leak_scale;
+        double e_dyn_j = table2.e_dyn_nj_per_access * kNj;
+        if (t == Technique::EccExtended) {
+          const double overhead = edram::ecc_storage_overhead(
+              spec.config.l2.geom.line_bytes * 8, spec.config.edram.ecc_correctable);
+          leak_w *= 1.0 + overhead;
+          e_dyn_j *= 1.0 + overhead;
+        }
+        const double leak = leak_w * c.fa_seconds;                              // (4)
+        const double dyn = scale.dyn_scale * e_dyn_j *
+                           (2.0 * static_cast<double>(c.l2_misses) +
+                            static_cast<double>(c.l2_hits));                     // (5)
+        const double refresh =
+            static_cast<double>(c.refreshes) * scale.refresh_scale * e_dyn_j;   // (6)
+        const double ecc = static_cast<double>(c.ecc_corrections) * e_dyn_j;
+        const double mm = energy::kMmLeakWatts * c.seconds +
+                          energy::kMmDynNjPerAccess * kNj *
+                              static_cast<double>(c.mm_accesses);               // (7)
+        const double algo =
+            energy::kEChiNj * kNj * static_cast<double>(c.transitions);         // (8)
+        const double total = leak + dyn + refresh + ecc + mm + algo;
+
+        EXPECT_GT(leak, 0.0);
+        EXPECT_GT(refresh, 0.0);
+        EXPECT_PRED2(rel_eq, out.energy.leak_l2_j, leak);
+        EXPECT_PRED2(rel_eq, out.energy.dyn_l2_j, dyn);
+        EXPECT_PRED2(rel_eq, out.energy.refresh_l2_j, refresh);
+        EXPECT_PRED2(rel_eq, out.energy.ecc_l2_j, ecc);
+        EXPECT_PRED2(rel_eq, out.energy.mm_j, mm);
+        EXPECT_PRED2(rel_eq, out.energy.algo_j, algo);
+        EXPECT_PRED2(rel_eq, out.energy.total_j(), total);
+        ecc_corrections += c.ecc_corrections;
+
+        if (ti == 0) {
+          e_base = total;
+        } else {
+          EXPECT_NEAR(result.rows[wi].comparisons[ti - 1].energy_saving_pct,
+                      100.0 * (1.0 - total / e_base), 1e-9);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ecc_corrections, 0u);
 }
 
 }  // namespace

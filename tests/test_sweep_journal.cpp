@@ -173,7 +173,7 @@ TEST(SweepJournal, InterruptedThenResumedCsvIsByteIdentical) {
   const SweepSpec spec = tiny_sweep({"gamess", "gobmk", "libquantum"});
   const std::string reference = fresh_csv(spec, dir);
 
-  // Inline schedule: gamess baseline, gamess esteem, then the shutdown.
+  // Serial schedule: gamess baseline, gamess esteem, then the shutdown.
   chaos::install_plan(std::make_unique<ShutdownAfterStore>(1));
   const SweepResult cut = run_sweep(spec);
   chaos::disarm();

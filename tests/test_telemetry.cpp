@@ -1,6 +1,7 @@
-// Tests for the telemetry subsystem: counter registry (sharded merge
-// exactness, duplicate-name rejection), interval recorder (row accounting,
-// JSONL round-trip), trace emitter, and the hub's integration with the
+// Tests for the telemetry subsystem: counter registry (exact totals under
+// concurrent updates, duplicate-name rejection, pinned JSON bytes), interval
+// recorder (row accounting, JSONL round-trip), trace emitter, and the hub's
+// integration with the
 // experiment layer — including the observer-effect guard (telemetry on vs.
 // off must not change simulation results).
 #include <gtest/gtest.h>
@@ -28,10 +29,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // CounterRegistry
 
-TEST(CounterRegistry, ConcurrentShardMergeIsExact) {
+TEST(CounterRegistry, ConcurrentUpdatesAreExact) {
   CounterRegistry reg;
-  Counter hits = reg.counter("merge.hits");
-  Histogram lat = reg.histogram("merge.latency");
   constexpr int kThreads = 8;
   constexpr std::uint64_t kIters = 20'000;
 
@@ -39,15 +38,13 @@ TEST(CounterRegistry, ConcurrentShardMergeIsExact) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
       for (std::uint64_t i = 0; i < kIters; ++i) {
-        hits.add();
-        lat.observe(i % 1000);
+        reg.add("merge.hits");
+        reg.observe("merge.latency", i % 1000);
       }
     });
   }
   for (std::thread& w : workers) w.join();
 
-  // Addition commutes, so the merged totals are exact regardless of how the
-  // threads' updates were striped over the shards.
   EXPECT_EQ(reg.value("merge.hits"), static_cast<double>(kThreads * kIters));
   double expect_sum = 0;
   for (std::uint64_t i = 0; i < kIters; ++i) expect_sum += static_cast<double>(i % 1000);
@@ -61,39 +58,38 @@ TEST(CounterRegistry, ConcurrentShardMergeIsExact) {
 
 TEST(CounterRegistry, DuplicateNameKindMismatchThrows) {
   CounterRegistry reg;
-  Counter a = reg.counter("l2.miss");
-  EXPECT_TRUE(a.bound());
-  // Same name, same kind: idempotent — the second handle hits the same cell.
-  Counter b = reg.counter("l2.miss");
-  a.add(2);
-  b.add(3);
+  // Same name, same kind: both updates land on one metric.
+  reg.add("l2.miss", 2);
+  reg.add("l2.miss", 3);
   EXPECT_EQ(reg.value("l2.miss"), 5.0);
   EXPECT_EQ(reg.size(), 1u);
   // Same name, different kind: rejected.
-  EXPECT_THROW((void)reg.gauge("l2.miss"), std::invalid_argument);
-  EXPECT_THROW((void)reg.histogram("l2.miss"), std::invalid_argument);
+  EXPECT_THROW(reg.set("l2.miss", 1.0), std::invalid_argument);
+  EXPECT_THROW(reg.observe("l2.miss", 1), std::invalid_argument);
+  EXPECT_THROW(reg.add(""), std::invalid_argument);
+  EXPECT_EQ(reg.value("l2.miss"), 5.0);
 }
 
 TEST(CounterRegistry, GaugeLastWriteWinsAndReset) {
   CounterRegistry reg;
-  Gauge g = reg.gauge("esteem.module0.active_ways");
-  g.set(16.0);
-  g.set(3.0);
+  reg.set("esteem.module0.active_ways", 16.0);
+  reg.set("esteem.module0.active_ways", 3.0);
   EXPECT_EQ(reg.value("esteem.module0.active_ways"), 3.0);
   reg.reset();
   EXPECT_EQ(reg.value("esteem.module0.active_ways"), 0.0);
-  g.set(7.5);  // handles survive reset
+  EXPECT_EQ(reg.size(), 1u);  // names survive reset
+  EXPECT_THROW(reg.add("esteem.module0.active_ways"), std::invalid_argument);
+  reg.set("esteem.module0.active_ways", 7.5);
   EXPECT_EQ(reg.value("esteem.module0.active_ways"), 7.5);
 }
 
 TEST(CounterRegistry, HistogramBucketsByBitWidth) {
   CounterRegistry reg;
-  Histogram h = reg.histogram("run.cycles");
-  h.observe(0);     // bucket 0
-  h.observe(1);     // bucket 1
-  h.observe(2);     // bucket 2
-  h.observe(3);     // bucket 2
-  h.observe(1024);  // bit_width = 11
+  reg.observe("run.cycles", 0);     // bucket 0
+  reg.observe("run.cycles", 1);     // bucket 1
+  reg.observe("run.cycles", 2);     // bucket 2
+  reg.observe("run.cycles", 3);     // bucket 2
+  reg.observe("run.cycles", 1024);  // bit_width = 11
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 1u);
   const MetricSample& s = snap[0];
@@ -109,9 +105,9 @@ TEST(CounterRegistry, HistogramBucketsByBitWidth) {
 
 TEST(CounterRegistry, SnapshotIsNameSortedAndUnknownIsZero) {
   CounterRegistry reg;
-  reg.counter("b.second").add(1);
-  reg.counter("a.first").add(1);
-  reg.counter("c.third").add(1);
+  reg.add("b.second");
+  reg.add("a.first");
+  reg.add("c.third");
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "a.first");
@@ -125,14 +121,14 @@ TEST(CounterRegistry, SnapshotIsNameSortedAndUnknownIsZero) {
 // keeps an inner empty bucket but drops the trailing ones.
 TEST(CounterRegistry, ToJsonBytesArePinned) {
   CounterRegistry reg;
-  reg.counter("sweep.tasks").add(3);
-  reg.gauge("run.last_active_ratio").set(0.375);
-  reg.histogram("run.wall_cycles").observe(0);
-  reg.histogram("run.wall_cycles").observe(5);
-  reg.histogram("run.wall_cycles").observe(6);
-  reg.counter("l2.demand_misses").add(1234567890123ULL);
-  reg.gauge("esteem.module0.active_ways").set(16.0);
-  reg.counter("memo.hits");  // registered, never bumped
+  reg.add("sweep.tasks", 3);
+  reg.set("run.last_active_ratio", 0.375);
+  reg.observe("run.wall_cycles", 0);
+  reg.observe("run.wall_cycles", 5);
+  reg.observe("run.wall_cycles", 6);
+  reg.add("l2.demand_misses", 1234567890123ULL);
+  reg.set("esteem.module0.active_ways", 16.0);
+  reg.add("memo.hits", 0);  // present, never bumped
   EXPECT_EQ(reg.to_json(),
             "{\"esteem.module0.active_ways\":{\"kind\":\"gauge\",\"value\":16},"
             "\"l2.demand_misses\":{\"kind\":\"counter\",\"value\":1234567890123},"
@@ -144,27 +140,15 @@ TEST(CounterRegistry, ToJsonBytesArePinned) {
   EXPECT_EQ(CounterRegistry().to_json(), "{}");
 }
 
-TEST(CounterRegistry, DefaultHandlesAreInert) {
-  Counter c;
-  Gauge g;
-  Histogram h;
-  EXPECT_FALSE(c.bound());
-  c.add(5);     // must not crash
-  g.set(1.0);   // must not crash
-  h.observe(9); // must not crash
-}
-
 TEST(CounterRegistry, GaugeLastWriteWinsAcrossThreads) {
-  // Threads stripe over different shards, so "latest" cannot be read off any
-  // single shard: the registry-wide write sequence decides. Writes are
-  // serialized by join() here — only the shard placement varies.
+  // Writes are serialized by join(): whichever thread issues the latest
+  // set() wins, regardless of which thread it runs on.
   CounterRegistry reg;
-  Gauge g = reg.gauge("fleet.phase");
-  std::thread([&] { g.set(10.0); }).join();
-  std::thread([&] { g.set(20.0); }).join();
+  std::thread([&] { reg.set("fleet.phase", 10.0); }).join();
+  std::thread([&] { reg.set("fleet.phase", 20.0); }).join();
   EXPECT_EQ(reg.value("fleet.phase"), 20.0);
-  std::thread([&] { g.set(5.0); }).join();
-  g.set(7.0);  // main thread last: its shard's write has the newest sequence
+  std::thread([&] { reg.set("fleet.phase", 5.0); }).join();
+  reg.set("fleet.phase", 7.0);  // main thread last
   EXPECT_EQ(reg.value("fleet.phase"), 7.0);
 }
 

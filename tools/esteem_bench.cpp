@@ -27,7 +27,6 @@
 #include "common/json.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/task_pool.hpp"
 #include "sweep_cli_common.hpp"
 #include "trace/workloads.hpp"
 
@@ -111,7 +110,7 @@ int main(int argc, char** argv) {
               .c_str());
   }
 
-  const unsigned threads = sim::TaskPool::resolve_threads(jobs);
+  const unsigned threads = sim::resolve_threads(jobs);
   const double instr_per_sweep =
       static_cast<double>(spec.workloads.size() * (1 + spec.techniques.size())) *
       spec.config.ncores * static_cast<double>(instr + warmup);

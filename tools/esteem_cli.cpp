@@ -42,7 +42,7 @@
 //     --trace FILE.json        emit a Chrome trace_event timeline (open in
 //                              chrome://tracing or Perfetto): simulated-time
 //                              reconfiguration/refresh/fault lanes plus
-//                              wall-clock task-pool and memo-cache rows
+//                              wall-clock sweep-worker and memo-cache rows
 //     --interval-stats         record the per-interval counter time-series
 //                              (written as <label>.intervals.jsonl)
 //     --dump-config            print the effective configuration and exit
@@ -54,8 +54,10 @@
 // Telemetry is off by default and observer-free: with none of the three
 // flags given, output (including sweep CSV) is byte-identical to a build
 // without the subsystem.
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -71,7 +73,6 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "sim/task_pool.hpp"
 #include "sweep_cli_common.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/spec_profiles.hpp"
@@ -157,7 +158,7 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
 
   std::printf("sweep: %zu workload(s) x %zu technique(s) + baseline, %u worker thread(s)\n",
               spec.workloads.size(), spec.techniques.size(),
-              sim::TaskPool::resolve_threads(jobs));
+              sim::resolve_threads(jobs));
   const sim::RunCacheStats memo_before = sim::RunCache::instance().stats();
   const sim::SweepResult result = sim::run_sweep(spec);
   const sim::RunCacheStats memo_after = sim::RunCache::instance().stats();
@@ -167,7 +168,7 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
   // appends when it happened, keeping the common line stable.
   std::printf("parallelism: %u worker thread(s), memo-cache %llu hit / %llu miss "
               "(%llu disk hit)",
-              sim::TaskPool::resolve_threads(jobs),
+              sim::resolve_threads(jobs),
               static_cast<unsigned long long>(memo_after.hits - memo_before.hits),
               static_cast<unsigned long long>(memo_after.misses - memo_before.misses),
               static_cast<unsigned long long>(memo_after.disk_hits -
@@ -211,6 +212,24 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
     return resilience::kExitInterrupted;
   }
   return result.errors.empty() ? 0 : 3;
+}
+
+/// Checks the telemetry outputs before any run: creates the telemetry dir
+/// and opens the trace file, so a bad path fails up front instead of
+/// silently dropping the run's telemetry at flush. Returns "" or an error
+/// naming the path.
+std::string check_telemetry_paths(const std::string& dir, const std::string& trace) {
+  std::string error;
+  if (!dir.empty() && !tools::make_output_dir(dir, "telemetry", error)) return error;
+  if (!trace.empty()) {
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(trace, ec);
+    if (!std::ofstream(trace, std::ios::app).good()) {
+      return "cannot open trace file " + trace + ": " + std::strerror(errno);
+    }
+    if (!existed) std::filesystem::remove(trace, ec);  // the real write happens at flush
+  }
+  return {};
 }
 
 /// Writes pending telemetry artefacts (interval series were written per run;
@@ -306,6 +325,11 @@ int main(int argc, char** argv) {
       tc.interval_stats = interval_stats;
       tc.dir = telemetry_dir;
       tc.trace_path = trace_path;
+      const std::string error = check_telemetry_paths(telemetry_dir, trace_path);
+      if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 2;
+      }
       if (tc.any()) telemetry::Telemetry::instance().configure(tc);
     }
 

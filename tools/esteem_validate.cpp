@@ -342,8 +342,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
+    ScaleSpec scale;
+    try {
+      scale = resolve_scale(opt);  // reads the ESTEEM_* scale variables
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "esteem_validate: %s\n", e.what());
+      return 2;
+    }
     esteem::resilience::install_signal_handlers();
-    const ScaleSpec scale = resolve_scale(opt);
     switch (opt.mode) {
       case Mode::Check: return do_check(opt, scale);
       case Mode::UpdateGolden: return do_update_golden(opt, scale);

@@ -103,21 +103,28 @@ inline sim::SweepSpec build_sweep_spec(const SystemConfig& cfg, const std::strin
   return spec;
 }
 
-/// --journal DIR: makes DIR the run-memo directory (overriding
-/// ESTEEM_MEMO_DIR), so every finished run is published there durably and
-/// rerunning the same command restores it (DESIGN.md §11). DIR is created
-/// up front; false with `error` set when it cannot be (e.g. DIR names a
+/// Creates output directory `dir` (and its parents) up front; false with
+/// `error` naming the `what` directory when it cannot be (e.g. `dir` names a
 /// regular file).
-inline bool use_journal_dir(const std::string& dir, std::string& error) {
+inline bool make_output_dir(const std::string& dir, const char* what, std::string& error) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (!ec && !std::filesystem::is_directory(dir, ec)) {
     ec = std::make_error_code(std::errc::not_a_directory);
   }
   if (ec) {
-    error = "cannot use journal directory " + dir + ": " + ec.message();
+    error = std::string("cannot use ") + what + " directory " + dir + ": " + ec.message();
     return false;
   }
+  return true;
+}
+
+/// --journal DIR: makes DIR the run-memo directory (overriding
+/// ESTEEM_MEMO_DIR), so every finished run is published there durably and
+/// rerunning the same command restores it (DESIGN.md §11). DIR is created
+/// up front; false with `error` set when it cannot be.
+inline bool use_journal_dir(const std::string& dir, std::string& error) {
+  if (!make_output_dir(dir, "journal", error)) return false;
   sim::RunCache::instance().set_disk_dir(dir);
   return true;
 }
