@@ -33,7 +33,11 @@ int main() {
   TextTable t;
   std::vector<std::string> header{"interval", "Mcycle", "active%"};
   for (std::uint32_t m = 0; m < cfg.esteem.modules; ++m) {
-    header.push_back("m" + std::to_string(m));
+    // Appended rather than "m" + std::to_string(m): GCC 12 Release builds
+    // flag that operator+ overload with a false -Wrestrict.
+    std::string column = "m";
+    column += std::to_string(m);
+    header.push_back(std::move(column));
   }
   t.set_header(std::move(header));
 

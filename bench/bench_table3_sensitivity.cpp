@@ -103,9 +103,10 @@ void run_section(bool dual, instr_t instr, std::uint64_t stride) {
 }  // namespace
 
 int main() {
-  const instr_t instr =
-      env_u64("ESTEEM_TABLE3_INSTR", bench::instr_per_core() / 2);
-  const std::uint64_t stride = env_u64("ESTEEM_TABLE3_STRIDE", 1);
+  const instr_t instr = bench::read_setting(
+      [] { return env_u64("ESTEEM_TABLE3_INSTR", bench::instr_per_core() / 2); });
+  const std::uint64_t stride =
+      bench::read_setting([] { return env_u64("ESTEEM_TABLE3_STRIDE", 1); });
   const std::string section = env_str("ESTEEM_TABLE3_SECTION", "both");
 
   std::printf("Table 3: ESTEEM parameter sensitivity (50us retention).\n"

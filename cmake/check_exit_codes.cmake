@@ -1,8 +1,11 @@
 # Argument and config errors are usage errors: every tool exits exactly 2
 # on them (README's exit-code table), never 1 and never a silent run with a
-# truncated number. That covers malformed ESTEEM_* scale variables and
-# telemetry outputs (--trace, --telemetry-dir) that cannot be opened. Invoked by the cli_exit_codes ctest with -DCLI=,
-# -DVALIDATE=, -DBENCH=, -DCHAOS=<binaries> -DWORKDIR=<scratch dir>.
+# truncated number. That covers malformed ESTEEM_* scale variables (in the
+# bench binaries too), telemetry outputs (--trace, --telemetry-dir) that
+# cannot be opened, and an esteem_validate --check whose golden file cannot
+# be read. Invoked by the cli_exit_codes ctest with -DCLI=, -DVALIDATE=,
+# -DBENCH=, -DCHAOS=, -DFIG2=, -DFIG3=, -DTABLE3=<binaries>
+# -DWORKDIR=<scratch dir>.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 file(WRITE ${WORKDIR}/bad_value.ini "[esteem]\nalpha = zero\n")
@@ -35,7 +38,11 @@ set(cases
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--interval-stats|--trace|${WORKDIR}/no-such-dir/t.json"
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/bad_value.ini/sub"
   "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${VALIDATE}|--check|--scale|bench|--figures|fig3|--jobs|1"
-  "${CMAKE_COMMAND}|-E|env|ESTEEM_THREADS=4x2|${VALIDATE}|--check|--scale|bench|--figures|fig3|--instr|10000|--warmup|1")
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_THREADS=4x2|${VALIDATE}|--check|--scale|bench|--figures|fig3|--instr|10000|--warmup|1"
+  "${VALIDATE}|--check|--golden|${WORKDIR}/no-such-golden.json|--figures|fig3|--instr|10000|--warmup|1|--jobs|1"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${FIG2}"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${FIG3}"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1000|ESTEEM_TABLE3_STRIDE=2x|${TABLE3}")
 
 foreach(args IN LISTS cases)
   string(REPLACE "|" ";" args "${args}")

@@ -35,21 +35,20 @@ AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
   const block_t* tags = &blocks_[base];
   std::uint16_t* stamps = &stamp_[base];
 
-  // Hit check over the tags alone: an invalid slot holds kInvalidBlock,
-  // which no access carries.
-  std::uint32_t way = 0;
-  while (way < active && tags[way] != blk) ++way;
-
-  if (way < active) {
+  const std::uint32_t way = find_way(tags, active, blk);
+  if (way != kNoWay) {
     out.hit = true;
     out.way = way;
     if (track_lru_) {
       // Recency position: count valid lines touched more recently. Computed
       // only when a consumer (the ESTEEM leader-set profiler) asked for it.
+      // The two tests are combined with & rather than && so the count, like
+      // the match, has no branch per way.
       const std::uint16_t mine = stamps[way];
       std::uint32_t pos = 0;
       for (std::uint32_t v = 0; v < active; ++v) {
-        pos += (tags[v] != kInvalidBlock && stamps[v] > mine) ? 1 : 0;
+        pos += static_cast<std::uint32_t>(tags[v] != kInvalidBlock) &
+               static_cast<std::uint32_t>(stamps[v] > mine);
       }
       out.lru_pos = pos;
     }
@@ -128,21 +127,14 @@ bool SetAssocCache::drop(std::uint32_t set, std::uint32_t way, cycle_t now) {
 bool SetAssocCache::contains(block_t blk) const noexcept {
   assert(blk != kInvalidBlock);
   const std::uint32_t set = set_index_of(blk);
-  const std::size_t base = idx(set, 0);
-  for (std::uint32_t w = 0; w < set_state_[set].active; ++w) {
-    if (blocks_[base + w] == blk) return true;
-  }
-  return false;
+  return find_way(&blocks_[idx(set, 0)], set_state_[set].active, blk) != kNoWay;
 }
 
 bool SetAssocCache::invalidate(block_t blk, cycle_t now) {
   assert(blk != kInvalidBlock);
   const std::uint32_t set = set_index_of(blk);
-  const std::size_t base = idx(set, 0);
-  for (std::uint32_t w = 0; w < set_state_[set].active; ++w) {
-    if (blocks_[base + w] == blk) return drop(set, w, now);
-  }
-  return false;
+  const std::uint32_t way = find_way(&blocks_[idx(set, 0)], set_state_[set].active, blk);
+  return way != kNoWay && drop(set, way, now);
 }
 
 bool SetAssocCache::invalidate_slot(std::uint32_t set, std::uint32_t way, cycle_t now) {

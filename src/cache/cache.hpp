@@ -157,6 +157,21 @@ class SetAssocCache {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
 
+  /// Way of `blk` among a set's first `active` tags, or kNoWay. An invalid
+  /// slot holds kInvalidBlock, which no lookup carries, and a block occupies
+  /// at most one way of its set, so the last match is the only one. Every
+  /// way is compared, and a conditional move keeps the match: no branch
+  /// depends on which way a hit lands in, so none mispredicts on it.
+  /// Unrolled by four, the 4-way L1 scan runs its loop branch once and the
+  /// 16-way L2 scan four times (DESIGN.md §7).
+  static std::uint32_t find_way(const block_t* tags, std::uint32_t active,
+                                block_t blk) noexcept {
+    std::uint32_t match = 0;  // way + 1 of the match, 0 while none
+#pragma GCC unroll 4
+    for (std::uint32_t w = 0; w < active; ++w) match = tags[w] == blk ? w + 1 : match;
+    return match - 1;  // no match: 0 - 1 wraps to kNoWay
+  }
+
   /// Per-set state in one 4-byte record, so a hit reads and writes a single
   /// host cache line of it.
   struct SetState {

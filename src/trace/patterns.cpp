@@ -38,6 +38,9 @@ std::size_t pick(const std::vector<double>& cumulative, double u) {
   return idx;
 }
 
+// Floor on the gap draw: keeps log(u) finite.
+constexpr double kMinUniform = 1e-12;
+
 }  // namespace
 
 StreamingPattern::StreamingPattern(block_t base, std::uint64_t region_blocks,
@@ -354,20 +357,45 @@ InstructionMixer::InstructionMixer(std::unique_ptr<BlockPattern> pattern, double
   if (store_ratio_ < 0.0 || store_ratio_ > 1.0) {
     throw std::invalid_argument("InstructionMixer: store_ratio must be in [0,1]");
   }
+  // log_gap is a non-increasing step function of u, so each threshold is
+  // the lowest double at which the step below g starts. (1 - p)^g lands
+  // within a few ulps of it; walk from there with the log expression
+  // itself as the judge. DESIGN.md §16 shows why the table then agrees
+  // with the log expression on every draw.
+  for (std::size_t i = 0; i < kGapSteps; ++i) {
+    const auto g = static_cast<std::uint32_t>(i + 1);
+    double t = std::max(std::exp(g * log_q_), kMinUniform);
+    if (log_gap(t) < g) {
+      while (t > kMinUniform && log_gap(std::nextafter(t, 0.0)) < g) {
+        t = std::nextafter(t, 0.0);
+      }
+    } else {
+      while (log_gap(t) >= g) t = std::nextafter(t, 1.0);
+    }
+    gap_below_[i] = t;
+  }
+}
+
+std::uint32_t InstructionMixer::log_gap(double u) const noexcept {
+  // Geometric gap with mean 1/mem_ratio - 1 (inversion method). Capped so a
+  // single op can never skip more than a few intervals' worth of work. q is
+  // never negative, so truncation is the floor the inversion asks for.
+  const double q = std::log(u) / log_q_;
+  return q >= 1e6 ? 1'000'000u : static_cast<std::uint32_t>(q);
+}
+
+std::uint32_t InstructionMixer::gap_for(double u) const noexcept {
+  u = std::max(u, kMinUniform);
+  std::uint32_t gap = 0;
+  for (double t : gap_below_) gap += u < t ? 1 : 0;
+  return gap < kGapSteps ? gap : log_gap(u);
 }
 
 MemRef InstructionMixer::next() {
   MemRef ref;
   ref.block = pattern_->next_block();
   ref.is_store = rng_.chance(store_ratio_);
-  // Geometric gap with mean 1/mem_ratio - 1 (inversion method). Capped so a
-  // single op can never skip more than a few intervals' worth of work. q is
-  // never negative, so truncation is the floor the inversion asks for.
-  if (mem_ratio_ < 1.0) {
-    const double u = std::max(rng_.uniform(), 1e-12);
-    const double q = std::log(u) / log_q_;
-    ref.gap = q >= 1e6 ? 1'000'000u : static_cast<std::uint32_t>(q);
-  }
+  if (mem_ratio_ < 1.0) ref.gap = gap_for(rng_.uniform());
   return ref;
 }
 

@@ -222,6 +222,10 @@ class TemporalReusePattern final : public BlockPattern {
 /// flags (Bernoulli store_ratio) onto a block pattern.
 class InstructionMixer final : public AccessGenerator {
  public:
+  /// Gaps below this are read from a threshold table; longer ones take the
+  /// log (DESIGN.md §16).
+  static constexpr std::size_t kGapSteps = 8;
+
   InstructionMixer(std::unique_ptr<BlockPattern> pattern, double mem_ratio,
                    double store_ratio, std::uint64_t seed);
   MemRef next() override;
@@ -230,11 +234,26 @@ class InstructionMixer final : public AccessGenerator {
   /// RNG is untouched.
   void skip(std::uint64_t n_instr) override;
 
+  /// The gap next() assigns to the uniform draw `u` in [0, 1) when
+  /// mem_ratio < 1: floor(log(max(u, 1e-12)) / log(1 - mem_ratio)), capped
+  /// at 1e6.
+  std::uint32_t gap_for(double u) const noexcept;
+
+  /// gap_thresholds()[g - 1] is the smallest clamped draw whose gap is
+  /// below g, so gap_for(u) >= g exactly when max(u, 1e-12) is below it.
+  const std::array<double, kGapSteps>& gap_thresholds() const noexcept {
+    return gap_below_;
+  }
+
  private:
+  /// The inversion itself, on an already clamped draw.
+  std::uint32_t log_gap(double u) const noexcept;
+
   std::unique_ptr<BlockPattern> pattern_;
   double mem_ratio_;
   double store_ratio_;
   double log_q_;  ///< log(1 - mem_ratio), the geometric gap's denominator.
+  std::array<double, kGapSteps> gap_below_{};
   double skip_carry_ = 0.0;
   Rng rng_;
 };

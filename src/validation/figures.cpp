@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
@@ -168,7 +169,14 @@ int figure_bench_main(const std::string& id) {
     std::fprintf(stderr, "unknown figure id '%s'\n", id.c_str());
     return 2;
   }
-  const FigureResult result = run_figure(*spec, bench_scale());
+  ScaleSpec scale;
+  try {
+    scale = bench_scale();  // reads the ESTEEM_* scale variables
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  const FigureResult result = run_figure(*spec, scale);
   std::fputs(figure_text(result).c_str(), stdout);
   return result.sweep.ok() ? 0 : 3;
 }

@@ -77,7 +77,8 @@ FigureResult run_figure(const FigureSpec& spec, const ScaleSpec& scale,
 std::string figure_text(const FigureResult& result);
 
 /// Bench entry point: run `id` at the bench (env) scale, print
-/// figure_text, return the process exit code.
+/// figure_text, return the process exit code (2 on a malformed ESTEEM_*
+/// scale variable, before any run).
 int figure_bench_main(const std::string& id);
 
 /// Figure 2's two illustrated properties plus the run-average active ratio,

@@ -308,6 +308,11 @@ class ReferenceLru {
     return out;
   }
 
+  bool contains(block_t blk) {
+    Set& s = sets_[blk % sets_.size()];
+    return find_block(s, blk) != s.lines.end();
+  }
+
   bool invalidate(block_t blk) {
     Set& s = sets_[blk % sets_.size()];
     return erase(s, find_block(s, blk));
@@ -395,6 +400,7 @@ class OracleRun {
     const auto way = static_cast<std::uint32_t>(rng.below(ways_));
     const block_t blk = rng.below(sets_ * ways_ * 3);
     if (op < 850) {
+      ASSERT_EQ(c_.contains(blk), ref_.contains(blk)) << "episode " << episode_ << " iter " << i;
       const bool store = rng.chance(0.3);
       const AccessOutcome got = c_.access(blk, store, now);
       const AccessOutcome want = ref_.access(blk, store);
@@ -482,19 +488,22 @@ TEST_P(CacheOracle, MatchesReferenceLru) {
   }
 
   // One long episode on two sets: each set's 16-bit LRU clock wraps at
-  // least six times, so stamp renumbering runs amid every other operation.
-  // Slots retire only in the last tenth: retired slots soon leave a set
-  // one usable way, whose recency order nothing can get wrong.
-  constexpr std::uint64_t kLiveOps = 1'080'000;
-  constexpr std::uint64_t kRetireOps = 120'000;
+  // least six times (twice above 64 ways, where the list-based reference
+  // makes each operation several times slower), so stamp renumbering runs
+  // amid every other operation. Slots retire only in the last tenth:
+  // retired slots soon leave a set one usable way, whose recency order
+  // nothing can get wrong.
+  const std::uint64_t wraps = ways > 64 ? 2 : 6;
+  const std::uint64_t live_ops = wraps * 180'000;
+  const std::uint64_t retire_ops = wraps * 20'000;
   OracleRun run(2, ways, 40);
-  for (std::uint64_t i = 0; i < kLiveOps + kRetireOps; ++i) {
-    if (i == kLiveOps) {
+  for (std::uint64_t i = 0; i < live_ops + retire_ops; ++i) {
+    if (i == live_ops) {
       for (std::uint32_t set = 0; set < 2; ++set) {
-        EXPECT_GE(run.stamps(set), 6u * 65536u) << "set " << set;
+        EXPECT_GE(run.stamps(set), wraps * 65536u) << "set " << set;
       }
     }
-    run.step(rng, i, i >= kLiveOps);
+    run.step(rng, i, i >= live_ops);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(run.hits, 0u);
@@ -503,7 +512,7 @@ TEST_P(CacheOracle, MatchesReferenceLru) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheOracle,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u, 32u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u, 32u, 33u, 64u, 256u));
 
 // LRU stack-inclusion property: running the same stream against a cache
 // with k active ways hits exactly the accesses whose recency position in

@@ -1,7 +1,10 @@
 // Unit tests for src/trace: patterns, benchmark profiles, workload lists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <string_view>
 #include <unordered_set>
@@ -224,6 +227,88 @@ TEST(InstructionMixer, FullMemRatioHasZeroGaps) {
     const MemRef r = mixer.next();
     EXPECT_EQ(r.gap, 0u);
     EXPECT_FALSE(r.is_store);
+  }
+}
+
+// The gap the inversion method gives a uniform draw u, written out here
+// independently of InstructionMixer: floor(log(u) / log(1 - p)) with u
+// clamped to 1e-12 and the gap capped at 1e6.
+std::uint32_t log_inversion_gap(double u, double mem_ratio) {
+  const double q = std::log(std::max(u, 1e-12)) / std::log(1.0 - mem_ratio);
+  return q >= 1e6 ? 1'000'000u : static_cast<std::uint32_t>(q);
+}
+
+// The threshold table must give the log inversion's gap for every draw the
+// generator can make. Draws are k * 2^-53. glibc's log is within 1 ulp, so
+// only the few hundred grid points nearest a threshold could round across
+// it; this test checks thousands either side of each threshold, plus
+// millions of random draws, for every profile's mem_ratio and three edge
+// ratios.
+TEST(InstructionMixer, GapTableMatchesLogInversion) {
+  constexpr double kGrid = 0x1.0p-53;  // spacing of Rng::uniform's outputs
+  constexpr std::int64_t kLastStep = (std::int64_t{1} << 53) - 1;
+  constexpr std::int64_t kNearSteps = 4096;
+  constexpr int kRandomDraws = 10'000'000;
+
+  std::set<double> ratios{0.999, 1e-6};
+  for (const BenchmarkProfile& p : all_profiles()) ratios.insert(p.mem_ratio);
+  ASSERT_GE(ratios.size(), 5u);
+  for (const double ratio : ratios) {
+    InstructionMixer mixer(std::make_unique<StreamingPattern>(0, 1), ratio, 0.0, 1);
+    const auto& table = mixer.gap_thresholds();
+    ASSERT_TRUE(std::is_sorted(table.rbegin(), table.rend())) << "ratio " << ratio;
+    EXPECT_GE(table.back(), 1e-12) << "ratio " << ratio;
+    EXPECT_LE(table.front(), 1.0) << "ratio " << ratio;
+
+    std::uint64_t checked = 0;
+    std::uint64_t mismatches = 0;
+    double first_bad = -1.0;
+    const auto check = [&](double u) {
+      ++checked;
+      if (mixer.gap_for(u) != log_inversion_gap(u, ratio)) {
+        if (mismatches++ == 0) first_bad = u;
+      }
+    };
+    for (const double t : table) {
+      const auto k0 = static_cast<std::int64_t>(t / kGrid);
+      const std::int64_t lo = std::max<std::int64_t>(0, k0 - kNearSteps);
+      const std::int64_t hi = std::min(kLastStep, k0 + kNearSteps);
+      for (std::int64_t k = lo; k <= hi; ++k) check(static_cast<double>(k) * kGrid);
+    }
+    Rng rng(0x5EED0000u + static_cast<std::uint64_t>(ratio * 1000));
+    std::uint64_t fallbacks = 0;
+    for (int i = 0; i < kRandomDraws; ++i) {
+      const double u = rng.uniform();
+      check(u);
+      fallbacks += mixer.gap_for(u) >= InstructionMixer::kGapSteps;
+    }
+    EXPECT_EQ(mismatches, 0u) << "ratio " << ratio << ": first mismatch at u = " << first_bad
+                              << " of " << checked << " draws";
+
+    if (ratio == 0.999) {
+      // log(1e-12) / log(0.001) = 4: gaps of 5 and more are unreachable,
+      // so their thresholds sit at the clamp.
+      EXPECT_EQ(table.back(), 1e-12);
+      EXPECT_GT(table[3], 1e-12);
+    }
+    if (ratio == 1e-6) {
+      EXPECT_GT(fallbacks, kRandomDraws * 99 / 100);  // mean gap is 1e6 - 1
+    }
+  }
+}
+
+// next() draws the store flag, then the gap draw, which it maps through the
+// table; at mem_ratio 1 it draws no gap at all.
+TEST(InstructionMixer, NextDrawsStoreThenGap) {
+  for (const double ratio : {0.3, 1.0}) {
+    InstructionMixer mixer(std::make_unique<StreamingPattern>(0, 64), ratio, 0.5, 99);
+    Rng ref(99);
+    for (int i = 0; i < 100'000; ++i) {
+      const MemRef r = mixer.next();
+      ASSERT_EQ(r.is_store, ref.chance(0.5)) << "ratio " << ratio << " ref " << i;
+      const std::uint32_t want = ratio < 1.0 ? log_inversion_gap(ref.uniform(), ratio) : 0;
+      ASSERT_EQ(r.gap, want) << "ratio " << ratio << " ref " << i;
+    }
   }
 }
 

@@ -213,13 +213,14 @@ std::vector<FigureResult> run_matrix(const Options& opt, const ScaleSpec& scale,
 }
 
 int do_check(const Options& opt, const ScaleSpec& scale) {
+  // Without a golden the scorecard cannot pass, so a missing or unreadable
+  // one is a usage error found before the matrix runs, not after.
   GoldenFile golden;
-  bool have_golden = false;
   try {
     golden = load_golden(opt.golden_path);
-    have_golden = true;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "warning: %s\n", e.what());
+    std::fprintf(stderr, "esteem_validate: %s\n", e.what());
+    return 2;
   }
 
   bool interrupted = false;
@@ -230,12 +231,11 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
     return resilience::kExitInterrupted;
   }
   const bool paper_checks = scale.label == "bench" || scale.label == "paper";
-  const Scorecard card = build_scorecard(results, have_golden ? &golden : nullptr,
-                                         paper_checks);
+  const Scorecard card = build_scorecard(results, &golden, paper_checks);
   std::fputs(scorecard_text(card).c_str(), stdout);
   if (!card.pass()) {
     std::fprintf(stdout,
-                 "\nDrift detected (or golden missing). If the change is "
+                 "\nDrift detected (or no golden entry for this scale). If the change is "
                  "intentional, re-record with:\n  esteem_validate "
                  "--update-golden --scale %s --golden %s\n",
                  opt.scale_name.c_str(), opt.golden_path.c_str());
