@@ -2,8 +2,9 @@
 # on them (README's exit-code table), never 1 and never a silent run with a
 # truncated number. That covers malformed ESTEEM_* scale variables (in the
 # bench binaries too), telemetry outputs (--trace, --telemetry-dir) that
-# cannot be opened, and an esteem_validate --check whose golden file cannot
-# be read. Invoked by the cli_exit_codes ctest with -DCLI=, -DVALIDATE=,
+# cannot be opened, an esteem_validate --check whose golden file cannot be
+# read, a [faults] max_tracked_extension past its cap, and an ecc-extended
+# fault run whose extension the weak-cell map does not track. Invoked by the cli_exit_codes ctest with -DCLI=, -DVALIDATE=,
 # -DBENCH=, -DCHAOS=, -DFIG2=, -DFIG3=, -DTABLE3=<binaries>
 # -DWORKDIR=<scratch dir>.
 file(REMOVE_RECURSE ${WORKDIR})
@@ -11,6 +12,9 @@ file(MAKE_DIRECTORY ${WORKDIR})
 file(WRITE ${WORKDIR}/bad_value.ini "[esteem]\nalpha = zero\n")
 file(WRITE ${WORKDIR}/retired.ini "[resilience]\nmax_retries = 0\n")
 file(WRITE ${WORKDIR}/wide_l2.ini "[l2]\nsize_kb = 8192\nways = 512\n")
+file(WRITE ${WORKDIR}/huge_tracking.ini "[faults]\nmax_tracked_extension = 4000000000\n")
+file(WRITE ${WORKDIR}/short_tracking.ini
+     "[faults]\nenabled = true\nmax_tracked_extension = 2\n")
 
 # Each case is one command line with its arguments separated by '|'. The
 # budgets are tiny, so a tool that wrongly accepted a value still returns
@@ -20,6 +24,8 @@ set(cases
   "${CLI}|--config|${WORKDIR}/bad_value.ini"
   "${CLI}|--config|${WORKDIR}/retired.ini"
   "${CLI}|--config|${WORKDIR}/wide_l2.ini|--workload|gamess|--instr|1000|--warmup|0"
+  "${CLI}|--config|${WORKDIR}/huge_tracking.ini|--workload|gamess|--instr|1000|--warmup|0"
+  "${CLI}|--config|${WORKDIR}/short_tracking.ini|--workload|h264ref|--technique|ecc-extended|--instr|1000|--warmup|0"
   "${CLI}|--sweep|gamess|--techniques|nosuch"
   "${CLI}|--sweep|gamess|--techniques|baseline"
   "${CLI}|--workload|gamess|--technique|nosuch"

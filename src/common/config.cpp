@@ -68,7 +68,6 @@ void SystemConfig::validate() const {
   require(esteem.modules >= 1, "module count must be >= 1");
   require(l2.geom.sets() % esteem.modules == 0,
           "module count must divide the set count");
-  require(esteem.interval_cycles > 0, "interval must be positive");
   require(esteem.sampling_ratio >= 1, "sampling ratio must be >= 1");
   require(esteem.history_weight >= 0.0 && esteem.history_weight < 1.0,
           "history weight must be in [0,1)");
@@ -84,8 +83,10 @@ void SystemConfig::validate() const {
   require(faults.median_multiple > 0.0, "fault median multiple must be positive");
   require(faults.sigma > 0.0, "fault sigma must be positive");
   require(faults.disable_threshold >= 1, "fault disable threshold must be >= 1");
-  require(faults.max_tracked_extension >= 1,
-          "fault max tracked extension must be >= 1");
+  require(faults.max_tracked_extension >= 1 &&
+              faults.max_tracked_extension <= kMaxTrackedExtension,
+          "fault max tracked extension must be in [1, " +
+              std::to_string(kMaxTrackedExtension) + "]");
 }
 
 cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr, double env_factor,
@@ -98,9 +99,20 @@ cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr, double env_facto
 
 void apply_scaled_interval(SystemConfig& cfg, instr_t instr, double env_factor,
                            double interval_factor) {
+  apply_paper_scaled_interval(cfg);
   cfg.esteem.interval_cycles = scaled_interval(cfg, instr, env_factor, interval_factor);
+}
+
+void apply_paper_scaled_interval(SystemConfig& cfg) {
+  cfg.esteem.interval_cycles = kPaperScaledInterval;
   cfg.esteem.hysteresis_intervals = kScaledHysteresis;
   cfg.esteem.shrink_confirm_intervals = kScaledShrinkConfirm;
+}
+
+void resolve_interval(SystemConfig& cfg, instr_t instr) {
+  if (cfg.esteem.interval_cycles == kPaperScaledInterval) {
+    cfg.esteem.interval_cycles = scaled_interval(cfg, instr);
+  }
 }
 
 }  // namespace esteem

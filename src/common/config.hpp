@@ -112,9 +112,20 @@ struct FaultConfig {
   std::uint32_t correction_latency_cycles = 3;
   /// Uncorrectable events on the same line before it is disabled.
   std::uint32_t disable_threshold = 3;
-  /// Largest refresh-interval extension the weak-cell map resolves.
+  /// Largest refresh-interval extension the weak-cell map resolves, in
+  /// [1, kMaxTrackedExtension].
   std::uint32_t max_tracked_extension = 16;
 };
+
+/// Cap on FaultConfig::max_tracked_extension. A run reads the weak-cell map
+/// at extension 1 or at its ECC-extended policy's extension, which
+/// edram::max_safe_extension never sets above its limit of 16; the cap
+/// leaves 4x headroom over that. The map samples its weak tail out to the
+/// tracked extension, so the cost of each column pass grows with it (under
+/// the default model a cell fails within 64 periods with p ~ 0.98, so a
+/// pass at the cap draws nearly every cell), and its per-extension tables
+/// grow linearly.
+inline constexpr std::uint32_t kMaxTrackedExtension = 64;
 
 /// SMARTS-style systematic sampling (src/sampling; docs/SAMPLING.md). Off by
 /// default: an exhaustive run walks its whole trace and is bit-identical to
@@ -154,7 +165,8 @@ struct EsteemParams {
   std::uint32_t a_min = 3;
   /// Number of logical set modules the cache is divided into.
   std::uint32_t modules = 8;
-  /// Reconfiguration interval in cycles.
+  /// Reconfiguration interval in cycles, or kPaperScaledInterval (INI
+  /// `paper-scaled`): the scaling rule, resolved per run by resolve_interval.
   cycle_t interval_cycles = 10'000'000;
   /// Set-sampling ratio R_s: one leader set per R_s sets feeds the profiler.
   std::uint32_t sampling_ratio = 64;
@@ -248,5 +260,21 @@ cycle_t scaled_interval(const SystemConfig& cfg, instr_t instr,
 void apply_scaled_interval(SystemConfig& cfg, instr_t instr,
                            double env_factor = kIntervalEnvFactor,
                            double interval_factor = 1.0);
+
+/// `esteem.interval_cycles` value that stores the scaling rule instead of a
+/// number (INI `paper-scaled`): a run's interval is scaled_interval(cfg,
+/// instr) for its own instruction count, so one config file means the same
+/// at every --instr. Only a config validate()s with it; a System refuses it
+/// until resolve_interval() has replaced it.
+inline constexpr cycle_t kPaperScaledInterval = 0;
+
+/// apply_scaled_interval() with the run length left open: stores
+/// kPaperScaledInterval and the scaled-run hysteresis and shrink-confirm
+/// defaults.
+void apply_paper_scaled_interval(SystemConfig& cfg);
+
+/// Replaces a kPaperScaledInterval interval with scaled_interval(cfg,
+/// instr); leaves a cycle count as it is.
+void resolve_interval(SystemConfig& cfg, instr_t instr);
 
 }  // namespace esteem

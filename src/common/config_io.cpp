@@ -111,21 +111,30 @@ std::string_view ini_type(const ConfigField& f, const SystemConfig& c) {
 }
 
 std::string ini_value(const ConfigField& f, const SystemConfig& c) {
-  return std::visit(
+  const std::string v = std::visit(
       [&](auto access) -> std::string {
         if constexpr (kRetired<decltype(access)>) return "";
         else return to_ini(access(readable(c)), f.ini_unit);
       },
       f.access);
+  return !f.zero_word.empty() && v == "0" ? std::string(f.zero_word) : v;
 }
 
 void set_ini_value(const ConfigField& f, SystemConfig& c, const std::string& v,
                    const std::string& key) {
+  const bool word = !f.zero_word.empty() && v == f.zero_word;
   std::visit(
       [&](auto access) {
-        if constexpr (!kRetired<decltype(access)>) from_ini(v, key, f.ini_unit, access(c));
+        if constexpr (!kRetired<decltype(access)>) {
+          from_ini(word ? "0" : v, key, f.ini_unit, access(c));
+        }
       },
       f.access);
+  // A number that stores the word's value must be spelled as the word.
+  if (!word && !f.zero_word.empty() && ini_value(f, c) == f.zero_word) {
+    throw std::invalid_argument("config: " + key + " must be positive or '" +
+                                std::string(f.zero_word) + "'");
+  }
   if (f.ini_also) f.ini_also(c);
 }
 
@@ -198,8 +207,12 @@ constexpr ConfigField kFields[] = {
      [](SystemConfig& c) -> auto& { return c.esteem.a_min; }},
     {"esteem", "modules", "Number of logical set modules M",
      [](SystemConfig& c) -> auto& { return c.esteem.modules; }},
-    {"esteem", "interval_cycles", "Reconfiguration interval in cycles",
-     [](SystemConfig& c) -> auto& { return c.esteem.interval_cycles; }},
+    {"esteem", "interval_cycles",
+     "Reconfiguration interval in cycles, or `paper-scaled`: the paper's 10M cycles "
+     "scaled to each run's instruction count (what --dump-config writes for the "
+     "defaults)",
+     [](SystemConfig& c) -> auto& { return c.esteem.interval_cycles; }, 1, nullptr,
+     "paper-scaled"},
     {"esteem", "sampling_ratio", "Set-sampling ratio R_s (one leader set per R_s sets)",
      [](SystemConfig& c) -> auto& { return c.esteem.sampling_ratio; }},
     {"esteem", "nonlru_guard", "Limit turn-off to one way for modules with non-LRU hit patterns",
@@ -231,7 +244,8 @@ constexpr ConfigField kFields[] = {
     {"faults", "disable_threshold", "Uncorrectable events on a line before it is disabled",
      [](SystemConfig& c) -> auto& { return c.faults.disable_threshold; }},
     {"faults", "max_tracked_extension",
-     "Largest refresh-interval extension the weak-cell map resolves",
+     "Largest refresh-interval extension the weak-cell map resolves (1 to 64); an "
+     "ecc-extended run with faults enabled needs at least its extension",
      [](SystemConfig& c) -> auto& { return c.faults.max_tracked_extension; }},
 
     {"sampling", "enabled",

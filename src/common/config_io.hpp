@@ -57,6 +57,9 @@ struct ConfigField {
   std::uint64_t ini_unit = 1;
   /// Runs after the INI sets this key (l2.line_bytes also sets L1's).
   void (*ini_also)(SystemConfig&) = nullptr;
+  /// INI word for the stored value 0, which then has no numeric spelling
+  /// (esteem.interval_cycles: `paper-scaled`, kPaperScaledInterval).
+  std::string_view zero_word = {};
 };
 
 /// The schema in byte order: the order of the memo key and of

@@ -113,6 +113,15 @@ MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
       auto* ecc = static_cast<edram::EccRefreshPolicy*>(policy_.get());
       fault_extension_ = ecc->extension();
       fault_correctable_ = cfg_.edram.ecc_correctable;
+      // The map clamps extensions past its range, which would under-count
+      // the decayed cells of every epoch.
+      if (fault_extension_ > cfg_.faults.max_tracked_extension) {
+        throw std::invalid_argument(
+            "ecc-extended refresh at extension " + std::to_string(fault_extension_) +
+            " needs [faults] max_tracked_extension >= " +
+            std::to_string(fault_extension_) + " (it is " +
+            std::to_string(cfg_.faults.max_tracked_extension) + ")");
+      }
     }
     faults_ = std::make_unique<edram::FaultInjector>(
         cfg_.faults,

@@ -60,6 +60,9 @@ struct FlowSnapshot {
 
 class MemorySystem {
  public:
+  /// Throws std::invalid_argument on an invalid config, and when fault
+  /// injection is on and the ecc-extended technique's extension lies beyond
+  /// [faults] max_tracked_extension.
   MemorySystem(const SystemConfig& cfg, Technique technique);
 
   /// One load/store by `core`; returns its latency in cycles.

@@ -16,6 +16,11 @@ System::System(const SystemConfig& cfg, Technique technique,
   if (benchmarks.size() != cfg.ncores) {
     throw std::invalid_argument("System: need one benchmark per core");
   }
+  if (cfg.esteem.interval_cycles == kPaperScaledInterval) {
+    throw std::invalid_argument(
+        "System: esteem.interval_cycles is paper-scaled; resolve_interval() it "
+        "for the run's instruction count first");
+  }
   const trace::GeneratorContext ctx{cfg.l2.geom.sets(), cfg.l2.geom.line_bytes};
   std::uint64_t seed_state = seed;
   cores_.reserve(cfg.ncores);

@@ -51,6 +51,8 @@ struct RunOptions {
 class System {
  public:
   /// `benchmarks` has one benchmark name per core (cfg.ncores entries).
+  /// Throws std::invalid_argument when cfg's interval is still
+  /// kPaperScaledInterval (see resolve_interval).
   System(const SystemConfig& cfg, Technique technique,
          const std::vector<std::string>& benchmarks, std::uint64_t seed);
 

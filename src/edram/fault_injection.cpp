@@ -1,12 +1,15 @@
 #include "edram/fault_injection.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <compare>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -31,63 +34,74 @@ struct MapKey {
   auto operator<=>(const MapKey&) const = default;
 };
 
-struct InternEntry {
-  std::mutex build;  ///< Serialises the first sampling of this key.
-  std::weak_ptr<const WeakCellMap> map;
-};
-
 }  // namespace
 
 WeakCellMap::WeakCellMap(const FaultConfig& cfg, std::uint32_t sets,
                          std::uint32_t ways, std::uint32_t bits_per_line,
                          const CellRetentionModel& model)
-    : sets_(sets), ways_(ways), max_ext_(cfg.max_tracked_extension) {
+    : seed_(cfg.seed),
+      sets_(sets),
+      ways_(ways),
+      bits_per_line_(bits_per_line),
+      max_ext_(cfg.max_tracked_extension) {
   if (sets_ == 0 || ways_ == 0) {
     throw std::invalid_argument("fault injector: empty cache");
   }
   if (bits_per_line == 0 || bits_per_line > 0xFFFF) {
     throw std::invalid_argument("fault injector: bits per line must be in [1, 65535]");
   }
-  if (max_ext_ == 0) {
-    throw std::invalid_argument("fault injector: zero tracked extension");
+  if (max_ext_ == 0 || max_ext_ > kMaxTrackedExtension) {
+    throw std::invalid_argument("fault injector: tracked extension must be in [1, " +
+                                std::to_string(kMaxTrackedExtension) + "]");
   }
+  reach_.assign(max_ext_ + 1, 0.0);
+  for (std::uint32_t k = 1; k <= max_ext_; ++k) {
+    const double p = cell_failure_probability(static_cast<double>(k), model);
+    reach_[k] = std::max(reach_[k - 1], p);
+    if (k == max_ext_) p_cap_ = p;
+  }
+  log1mp_ = std::log1p(-std::min(p_cap_, 1.0 - 1e-15));
+  columns_ = std::vector<Column>(max_ext_ + 1);
+}
+
+const std::uint16_t* WeakCellMap::column(std::uint32_t extension) const {
+  const std::uint32_t k = std::min(extension, max_ext_);
+  Column& c = columns_[k];
+  std::call_once(c.sampled, [&] { sample(k, c.fails); });
+  return c.fails.data();
+}
+
+void WeakCellMap::sample(std::uint32_t extension, std::vector<std::uint16_t>& out) const {
+  const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
+  out.assign(slots, 0);
+  // Cells above p_cap_ never decay within the tracked range, and a cell
+  // whose quantile is drawn from [0, p_cap_) counts here only below reach.
+  const double reach = reach_[extension];
+  if (p_cap_ <= 0.0 || reach <= 0.0) return;
   g_sampled.fetch_add(1, std::memory_order_relaxed);
 
-  const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
-  fail_at_.assign(slots * max_ext_, 0);
-
-  // Per-extension cell-failure probabilities; p_k[max_ext_-1] caps the weak
-  // tail we materialise (cells above it never decay within tracked range).
-  std::vector<double> p_k(max_ext_);
-  for (std::uint32_t k = 1; k <= max_ext_; ++k) {
-    p_k[k - 1] = cell_failure_probability(static_cast<double>(k), model);
-  }
-  const double p_cap = p_k[max_ext_ - 1];
-  if (p_cap <= 0.0) return;  // no cell is weak within the tracked range
-
-  const double log1mp = std::log1p(-std::min(p_cap, 1.0 - 1e-15));
   for (std::size_t s = 0; s < slots; ++s) {
     // Independent deterministic stream per slot: the map depends only on
-    // (seed, slot), not on sampling order or workload.
-    std::uint64_t seed_state = cfg.seed + 0x9E3779B97F4A7C15ULL * (s + 1);
+    // (seed, slot), not on sampling order, extension or workload.
+    std::uint64_t seed_state = seed_ + 0x9E3779B97F4A7C15ULL * (s + 1);
     Rng rng(splitmix64(seed_state));
 
     // Weak-cell positions via geometric skips: E[iterations] = bits * p_cap.
+    // Positions strictly increase, so the count never exceeds
+    // bits_per_line_ <= 65535.
+    std::uint32_t failed = 0;
     double pos = -1.0;
     for (;;) {
       const double u = rng.uniform();
-      pos += 1.0 + std::floor(std::log1p(-u) / log1mp);
-      if (pos >= static_cast<double>(bits_per_line)) break;
+      pos += 1.0 + std::floor(std::log1p(-u) / log1mp_);
+      if (pos >= static_cast<double>(bits_per_line_)) break;
       // This cell's retention quantile, uniform within the weak tail: it
-      // starts failing at the smallest k with p_k >= u2.
-      const double u2 = p_cap * rng.uniform();
-      std::uint32_t fail_from = 1;
-      while (fail_from <= max_ext_ && p_k[fail_from - 1] <= u2) ++fail_from;
-      for (std::uint32_t k = fail_from; k <= max_ext_; ++k) {
-        std::uint16_t& c = fail_at_[s * max_ext_ + (k - 1)];
-        if (c < 0xFFFF) ++c;
-      }
+      // starts failing at the smallest k with p_k > u2, which is at most
+      // `extension` exactly when u2 < max(p_1..p_extension).
+      const double u2 = p_cap_ * rng.uniform();
+      failed += u2 < reach ? 1 : 0;
     }
+    out[s] = static_cast<std::uint16_t>(failed);
   }
 }
 
@@ -97,9 +111,10 @@ std::shared_ptr<const WeakCellMap> WeakCellMap::interned(
   // Entries hold weak references, so a map dies with its last run; `recent`
   // keeps the latest one alive across the gap between consecutive runs.
   // Entries whose map has died are pruned, so at most one idle map and a
-  // handful of small entries outlive their users.
+  // handful of small entries outlive their users. Building a map samples
+  // nothing, so it happens under the lock.
   static std::mutex mu;
-  static std::map<MapKey, std::shared_ptr<InternEntry>> table;
+  static std::map<MapKey, std::weak_ptr<const WeakCellMap>> table;
   static std::shared_ptr<const WeakCellMap> recent;
 
   const MapKey key{cfg.seed,
@@ -109,31 +124,18 @@ std::shared_ptr<const WeakCellMap> WeakCellMap::interned(
                    sets,
                    ways,
                    bits_per_line};
-  std::shared_ptr<InternEntry> entry;
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    std::shared_ptr<InternEntry>& slot = table[key];
-    if (!slot) slot = std::make_shared<InternEntry>();
-    entry = slot;
-  }
   std::shared_ptr<const WeakCellMap> map;
-  {
-    const std::lock_guard<std::mutex> lock(entry->build);
-    map = entry->map.lock();
-    if (!map) {
-      map = std::make_shared<const WeakCellMap>(cfg, sets, ways, bits_per_line, model);
-      entry->map = map;
-    }
-  }
   std::shared_ptr<const WeakCellMap> retired;  // freed outside the lock
   {
     const std::lock_guard<std::mutex> lock(mu);
+    std::weak_ptr<const WeakCellMap>& slot = table[key];
+    map = slot.lock();
+    if (!map) {
+      map = std::make_shared<const WeakCellMap>(cfg, sets, ways, bits_per_line, model);
+      slot = map;
+    }
     retired = std::exchange(recent, map);
-    // An entry only this table references has no sampling in flight, so
-    // its weak pointer can be read here without the build lock.
-    std::erase_if(table, [](const auto& kv) {
-      return kv.second.use_count() == 1 && kv.second->map.expired();
-    });
+    std::erase_if(table, [](const auto& kv) { return kv.second.expired(); });
   }
   return map;
 }
@@ -164,16 +166,17 @@ void FaultInjector::on_refresh_epoch(cache::SetAssocCache& l2,
                                      std::uint32_t correctable, cycle_t now,
                                      const DropHook& on_drop) {
   ++counters_.scans;
+  const std::uint16_t* fails = map_->column(extension);
   if (listed_ext_ == extension) {
     for (const std::uint32_t i : live_) {
-      (void)visit(l2, i / ways_, i % ways_, extension, correctable, now, on_drop);
+      (void)visit(l2, i / ways_, i % ways_, fails[i], correctable, now, on_drop);
     }
     return;
   }
   live_.clear();
   for (std::uint32_t set = 0; set < sets_; ++set) {
     for (std::uint32_t way = 0; way < ways_; ++way) {
-      if (visit(l2, set, way, extension, correctable, now, on_drop)) {
+      if (visit(l2, set, way, fails[slot(set, way)], correctable, now, on_drop)) {
         live_.push_back(static_cast<std::uint32_t>(slot(set, way)));
       }
     }
@@ -182,11 +185,10 @@ void FaultInjector::on_refresh_epoch(cache::SetAssocCache& l2,
 }
 
 bool FaultInjector::visit(cache::SetAssocCache& l2, std::uint32_t set,
-                          std::uint32_t way, std::uint32_t extension,
+                          std::uint32_t way, std::uint32_t failed,
                           std::uint32_t correctable, cycle_t now,
                           const DropHook& on_drop) {
   const std::size_t i = slot(set, way);
-  const std::uint32_t failed = failed_bits(set, way, extension);
   if (l2.slot_disabled(set, way) || !l2.slot_valid(set, way)) {
     corrected_[i] = 0;
     return failed > 0 || streak_[i] != 0;
@@ -232,13 +234,9 @@ void FaultInjector::on_fill_slot(std::uint32_t set, std::uint32_t way) {
 }
 
 std::uint64_t FaultInjector::total_weak_cells(std::uint32_t extension) const {
-  std::uint64_t total = 0;
-  for (std::uint32_t set = 0; set < sets_; ++set) {
-    for (std::uint32_t way = 0; way < ways_; ++way) {
-      total += failed_bits(set, way, extension);
-    }
-  }
-  return total;
+  const std::uint16_t* fails = map_->column(extension);
+  return std::accumulate(fails, fails + static_cast<std::size_t>(sets_) * ways_,
+                         std::uint64_t{0});
 }
 
 }  // namespace esteem::edram

@@ -5,14 +5,15 @@
 // ECC-extended refresh and graceful degradation can be stress-tested
 // end-to-end (the evaluation style of Wilkerson et al. and Agrawal et al.).
 //
-// A deterministic per-line weak-cell map (WeakCellMap) is sampled once from
-// the lognormal CellRetentionModel (seeded, reproducible): for every (set,
-// way) slot we record how many of its cells lose charge when the line goes k
-// nominal retention periods without refresh, for k = 1..max_tracked_extension.
-// The map is immutable and depends on no workload or technique, so one
-// process interns it per key and every run shares it; a FaultInjector holds
-// only the per-run state on top. At every refresh-interval expiry the
-// injector classifies each valid line:
+// A deterministic per-line weak-cell map (WeakCellMap) is sampled from the
+// lognormal CellRetentionModel (seeded, reproducible): for every (set, way)
+// slot it records how many of its cells lose charge when the line goes k
+// nominal retention periods without refresh, k = 1..max_tracked_extension.
+// Each extension's column is sampled the first time it is asked for, so a
+// run pays only for the extensions it reads. The map's contents depend on
+// no workload or technique, so one process interns it per key and every
+// run shares it; a FaultInjector holds only the per-run state on top. At
+// every refresh-interval expiry the injector classifies each valid line:
 //
 //   failed bits == 0           -> clean
 //   0 < failed <= correctable  -> corrected   (reads pay an ECC penalty)
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -56,33 +58,40 @@ struct FaultCounters {
   }
 };
 
-/// The sampled weak cells of one physical L2 array. Immutable once built.
+/// The sampled weak cells of one physical L2 array. Its contents never
+/// change; each extension's column is sampled on first use.
 class WeakCellMap {
  public:
-  /// Samples a fresh map. `bits_per_line` must be in [1, 65535].
+  /// Prepares a map; samples no column yet. `bits_per_line` must be in
+  /// [1, 65535] and cfg.max_tracked_extension in [1, kMaxTrackedExtension].
   WeakCellMap(const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
               std::uint32_t bits_per_line, const CellRetentionModel& model);
 
-  /// The process-wide shared map for these parameters, sampled on first use.
-  /// The key is exactly what the sample depends on: cfg.seed, the bit
-  /// patterns of model.median_multiple and model.sigma,
-  /// cfg.max_tracked_extension, sets, ways and bits_per_line. Thread-safe:
-  /// concurrent first uses of one key sample it once. The cache keeps the
-  /// most recently interned map alive; any other map lives only while a
-  /// caller still holds it.
+  /// The process-wide shared map for these parameters. The key is exactly
+  /// what the sample depends on: cfg.seed, the bit patterns of
+  /// model.median_multiple and model.sigma, cfg.max_tracked_extension, sets,
+  /// ways and bits_per_line. Thread-safe: concurrent first uses of one key
+  /// get one map. The cache keeps the most recently interned map alive; any
+  /// other map lives only while a caller still holds it.
   static std::shared_ptr<const WeakCellMap> interned(
       const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
       std::uint32_t bits_per_line, const CellRetentionModel& model);
 
-  /// Maps sampled by this process so far (interned or not); diagnostic.
+  /// Column sampling passes made by this process so far (each walks every
+  /// slot's stream once); diagnostic.
   static std::uint64_t sampled_count() noexcept;
+
+  /// Per-slot counts (indexed set * ways + way) of cells that decay within
+  /// `extension` nominal retention periods, clamped to the tracked range;
+  /// extension 0 gives all zeros. Samples the column on its first use, once
+  /// even under concurrent first uses; the pointer stays valid for the
+  /// map's lifetime.
+  const std::uint16_t* column(std::uint32_t extension) const;
 
   /// Cells of `slot` (set * ways + way) that decay within `extension`
   /// nominal retention periods (clamped to the tracked range).
   std::uint32_t failed_bits(std::size_t slot, std::uint32_t extension) const {
-    if (extension == 0) return 0;
-    const std::uint32_t k = extension < max_ext_ ? extension : max_ext_;
-    return fail_at_[slot * max_ext_ + (k - 1)];
+    return column(extension)[slot];
   }
 
   std::uint32_t sets() const noexcept { return sets_; }
@@ -90,19 +99,34 @@ class WeakCellMap {
   std::uint32_t max_tracked_extension() const noexcept { return max_ext_; }
 
  private:
+  struct Column {
+    std::once_flag sampled;
+    std::vector<std::uint16_t> fails;
+  };
+
+  void sample(std::uint32_t extension, std::vector<std::uint16_t>& out) const;
+
+  std::uint64_t seed_;
   std::uint32_t sets_;
   std::uint32_t ways_;
+  std::uint32_t bits_per_line_;
   std::uint32_t max_ext_;
-  /// fail_at_[slot * max_ext_ + (k-1)] = cells failing within k periods
-  /// (cumulative in k).
-  std::vector<std::uint16_t> fail_at_;
+  /// P(cell fails within max_ext_ periods): the weak tail each slot's
+  /// stream draws from, and log1p(-p_cap_) for its geometric skips.
+  double p_cap_ = 0.0;
+  double log1mp_ = 0.0;
+  /// reach_[k] = max(p_1..p_k), p_j = P(cell fails within j periods): a
+  /// drawn cell counts in column k iff its quantile lies below reach_[k].
+  std::vector<double> reach_;
+  /// columns_[k] for k = 0..max_ext_, each filled once.
+  mutable std::vector<Column> columns_;
 };
 
 /// Per-run fault state (failure streaks, corrected flags, event counters)
 /// over a shared WeakCellMap.
 class FaultInjector {
  public:
-  /// Samples a fresh, un-interned weak-cell map for this injector alone.
+  /// Runs on a fresh, un-interned weak-cell map of its own.
   FaultInjector(const FaultConfig& cfg, std::uint32_t sets, std::uint32_t ways,
                 std::uint32_t bits_per_line, const CellRetentionModel& model);
 
@@ -176,10 +200,11 @@ class FaultInjector {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
 
-  /// One slot's full-scan action; returns true when the slot may still need
-  /// a visit at this extension (it can fail, or it carries a streak).
+  /// One slot's full-scan action given its `failed` bit count at this
+  /// epoch's extension; returns true when the slot may still need a visit
+  /// at this extension (it can fail, or it carries a streak).
   bool visit(cache::SetAssocCache& l2, std::uint32_t set, std::uint32_t way,
-             std::uint32_t extension, std::uint32_t correctable, cycle_t now,
+             std::uint32_t failed, std::uint32_t correctable, cycle_t now,
              const DropHook& on_drop);
 
   std::shared_ptr<const WeakCellMap> map_;

@@ -401,6 +401,23 @@ TEST(ScaledInterval, MatchesTheCliFormulaForEveryInstr) {
   EXPECT_EQ(scaled_interval(base, 1'011'000), 101'100u);
 }
 
+TEST(ScaledInterval, PaperScaledResolvesPerRunLength) {
+  for (const instr_t instr : {instr_t{1}, instr_t{200'000}, instr_t{4'000'000}}) {
+    SystemConfig rule = SystemConfig::single_core();
+    apply_paper_scaled_interval(rule);
+    EXPECT_EQ(rule.esteem.interval_cycles, kPaperScaledInterval);
+    resolve_interval(rule, instr);
+    SystemConfig scaled = SystemConfig::single_core();
+    apply_scaled_interval(scaled, instr);
+    EXPECT_EQ(rule.esteem.interval_cycles, scaled.esteem.interval_cycles) << instr;
+    EXPECT_EQ(rule.esteem.hysteresis_intervals, scaled.esteem.hysteresis_intervals);
+    EXPECT_EQ(rule.esteem.shrink_confirm_intervals, scaled.esteem.shrink_confirm_intervals);
+    // A resolved (or explicit) cycle count is left alone.
+    resolve_interval(rule, instr + 1'000'000);
+    EXPECT_EQ(rule.esteem.interval_cycles, scaled.esteem.interval_cycles);
+  }
+}
+
 TEST(ScaledInterval, MatchesTheGoldenScalesDivideFirstForm) {
   SystemConfig retention40 = SystemConfig::single_core();
   retention40.edram.retention_us = 40.0;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/bytes.hpp"
 #include "common/config_io.hpp"
@@ -29,6 +30,27 @@ TEST(ConfigIo, RoundTripsDefaults) {
   EXPECT_EQ(loaded.esteem.interval_cycles, original.esteem.interval_cycles);
   EXPECT_EQ(loaded.esteem.nonlru_guard, original.esteem.nonlru_guard);
   EXPECT_DOUBLE_EQ(loaded.esteem.history_weight, original.esteem.history_weight);
+}
+
+TEST(ConfigIo, PaperScaledIntervalStoresTheRule) {
+  SystemConfig rule = SystemConfig::single_core();
+  apply_paper_scaled_interval(rule);
+  std::stringstream out;
+  save_config(rule, out);
+  EXPECT_NE(out.str().find("\ninterval_cycles = paper-scaled\n"), std::string::npos);
+  const SystemConfig loaded = load_config(out);
+  EXPECT_EQ(loaded.esteem.interval_cycles, kPaperScaledInterval);
+  EXPECT_EQ(loaded.esteem.hysteresis_intervals, kScaledHysteresis);
+
+  // 0 has only the word as its spelling, and only this key takes the word.
+  for (const char* ini : {"[esteem]\ninterval_cycles = 0\n",
+                          "[esteem]\ninterval_cycles = 00\n",
+                          "[esteem]\na_min = paper-scaled\n"}) {
+    std::stringstream ss(ini);
+    EXPECT_THROW(load_config(ss), std::invalid_argument) << ini;
+  }
+  std::stringstream number("[esteem]\ninterval_cycles = 100000\n");
+  EXPECT_EQ(load_config(number).esteem.interval_cycles, 100'000u);
 }
 
 TEST(ConfigIo, PartialConfigKeepsDefaults) {

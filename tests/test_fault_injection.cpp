@@ -1,18 +1,22 @@
 // Tests for the retention-fault injection subsystem: deterministic weak-cell
-// map, its process-wide interning, per-epoch line classification (checked
-// against a reference full scan), graceful slot retirement, and the
+// map (its lazily sampled columns checked against the eager reference
+// sampler), its process-wide interning, per-epoch line classification
+// (checked against a reference full scan), graceful slot retirement, and the
 // end-to-end guarantees (bit-identical baseline at nominal refresh, seeded
 // reproducibility of corrections under ECC-extended refresh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <latch>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
+#include "cpu/memory_system.hpp"
 #include "edram/fault_injection.hpp"
 #include "sim/experiment.hpp"
 #include "sim/run_cache.hpp"
@@ -250,15 +254,19 @@ TEST(WeakCellMap, KeepsOnlyTheMostRecentIdleMap) {
   b.seed = 0xB0B;
   const std::uint64_t before = WeakCellMap::sampled_count();
 
-  // With no caller holding it, the latest map survives for the next run...
+  // With no caller holding it, the latest map survives for the next run,
+  // with the columns it has sampled...
   const std::weak_ptr<const WeakCellMap> first = intern(a, 16, 4, 512);
   EXPECT_FALSE(first.expired());
+  (void)first.lock()->column(16);
   EXPECT_EQ(intern(a, 16, 4, 512).get(), first.lock().get());
+  (void)intern(a, 16, 4, 512)->column(16);
   EXPECT_EQ(WeakCellMap::sampled_count() - before, 1u);
 
   // ...until another key is interned: then nothing keeps it alive.
   const auto other = intern(b, 16, 4, 512);
   EXPECT_TRUE(first.expired());
+  (void)other->column(16);
   EXPECT_EQ(WeakCellMap::sampled_count() - before, 2u);
 }
 
@@ -280,17 +288,115 @@ TEST(WeakCellMap, ConcurrentFirstUseSamplesOnce) {
   constexpr int kThreads = 8;
   const std::uint64_t before = WeakCellMap::sampled_count();
   std::latch start(kThreads);
-  std::vector<std::future<std::shared_ptr<const WeakCellMap>>> got;
+  // Every thread interns the key and reads one of two columns at once, as
+  // `--jobs N` runs of a nominal-interval and an ECC-extended technique do.
+  struct Use {
+    std::shared_ptr<const WeakCellMap> map;
+    const std::uint16_t* column;
+  };
+  const auto extension_of = [](int t) { return t % 2 == 0 ? 16u : 4u; };
+  std::vector<std::future<Use>> got;
   for (int t = 0; t < kThreads; ++t) {
-    got.push_back(std::async(std::launch::async, [&] {
+    got.push_back(std::async(std::launch::async, [&, t] {
       start.arrive_and_wait();
-      return intern(cfg, 64, 8, 512);
+      auto map = intern(cfg, 64, 8, 512);
+      const std::uint16_t* column = map->column(extension_of(t));
+      return Use{std::move(map), column};
     }));
   }
-  std::vector<std::shared_ptr<const WeakCellMap>> maps;
-  for (auto& f : got) maps.push_back(f.get());
-  EXPECT_EQ(WeakCellMap::sampled_count() - before, 1u);
-  for (const auto& m : maps) EXPECT_EQ(m.get(), maps[0].get());
+  std::vector<Use> uses;
+  for (auto& f : got) uses.push_back(f.get());
+  // One map, and one sampling pass per column.
+  EXPECT_EQ(WeakCellMap::sampled_count() - before, 2u);
+  const WeakCellMap fresh(cfg, 64, 8, 512, model_of(cfg));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(uses[t].map.get(), uses[0].map.get());
+    EXPECT_EQ(uses[t].column, uses[t % 2].column);
+    for (std::size_t slot = 0; slot < 64 * 8; ++slot) {
+      ASSERT_EQ(uses[t].column[slot], fresh.failed_bits(slot, extension_of(t)));
+    }
+  }
+}
+
+/// The eager sampler the per-extension columns replaced, kept as the
+/// reference: one pass fills every extension's cumulative count,
+/// fail_at[slot * max_ext + (k - 1)], walking each weak cell up to the first
+/// extension at which it fails.
+std::vector<std::uint16_t> eager_fail_at(const FaultConfig& cfg, std::uint32_t sets,
+                                         std::uint32_t ways, std::uint32_t bits_per_line,
+                                         const CellRetentionModel& model) {
+  const std::uint32_t max_ext = cfg.max_tracked_extension;
+  const std::size_t slots = static_cast<std::size_t>(sets) * ways;
+  std::vector<std::uint16_t> fail_at(slots * max_ext, 0);
+  std::vector<double> p_k(max_ext);
+  for (std::uint32_t k = 1; k <= max_ext; ++k) {
+    p_k[k - 1] = edram::cell_failure_probability(static_cast<double>(k), model);
+  }
+  const double p_cap = p_k[max_ext - 1];
+  if (p_cap <= 0.0) return fail_at;
+  const double log1mp = std::log1p(-std::min(p_cap, 1.0 - 1e-15));
+  for (std::size_t s = 0; s < slots; ++s) {
+    std::uint64_t seed_state = cfg.seed + 0x9E3779B97F4A7C15ULL * (s + 1);
+    Rng rng(splitmix64(seed_state));
+    double pos = -1.0;
+    for (;;) {
+      const double u = rng.uniform();
+      pos += 1.0 + std::floor(std::log1p(-u) / log1mp);
+      if (pos >= static_cast<double>(bits_per_line)) break;
+      const double u2 = p_cap * rng.uniform();
+      std::uint32_t fail_from = 1;
+      while (fail_from <= max_ext && p_k[fail_from - 1] <= u2) ++fail_from;
+      for (std::uint32_t k = fail_from; k <= max_ext; ++k) {
+        std::uint16_t& c = fail_at[s * max_ext + (k - 1)];
+        if (c < 0xFFFF) ++c;
+      }
+    }
+  }
+  return fail_at;
+}
+
+TEST(WeakCellMap, ColumnsMatchEagerReference) {
+  struct Geometry {
+    std::uint32_t sets, ways, bits, max_ext;
+  };
+  const Geometry geometries[] = {
+      {16, 4, 512, 16}, {64, 8, 64, kMaxTrackedExtension}, {8, 2, 4096, 5}};
+  std::uint64_t cells = 0;
+  std::uint64_t partial = 0;  // slot-columns strictly between 0 and the top count
+  for (const Geometry& g : geometries) {
+    for (const double sigma : {0.35, 1.0}) {
+      for (const std::uint64_t seed : {0xEDACULL, 0x5EED'0002ULL}) {
+        SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways << "x" << g.bits
+                                        << " ext " << g.max_ext << " sigma " << sigma
+                                        << " seed " << seed);
+        FaultConfig cfg;
+        cfg.seed = seed;
+        cfg.sigma = sigma;
+        cfg.max_tracked_extension = g.max_ext;
+        const std::vector<std::uint16_t> want =
+            eager_fail_at(cfg, g.sets, g.ways, g.bits, model_of(cfg));
+        const WeakCellMap map(cfg, g.sets, g.ways, g.bits, model_of(cfg));
+        const std::size_t slots = static_cast<std::size_t>(g.sets) * g.ways;
+        for (std::uint32_t k = 1; k <= g.max_ext; ++k) {
+          const std::uint16_t* column = map.column(k);
+          for (std::size_t s = 0; s < slots; ++s) {
+            const std::uint16_t top = want[s * g.max_ext + (g.max_ext - 1)];
+            ASSERT_EQ(column[s], want[s * g.max_ext + (k - 1)]) << "k " << k << " slot " << s;
+            partial += column[s] > 0 && column[s] < top;
+          }
+        }
+        for (std::size_t s = 0; s < slots; ++s) {
+          ASSERT_EQ(map.failed_bits(s, 0), 0u);
+          ASSERT_EQ(map.failed_bits(s, g.max_ext + 7), want[s * g.max_ext + g.max_ext - 1]);
+          cells += want[s * g.max_ext + g.max_ext - 1];
+        }
+      }
+    }
+  }
+  // Guards against a vacuous comparison: many weak cells, and counts that
+  // grow across extensions rather than jumping from 0 to the top.
+  EXPECT_GT(cells, 10'000u);
+  EXPECT_GT(partial, 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -670,6 +776,22 @@ TEST(FaultIntegration, EccExtendedCorrectionsAreSeededAndReproducible) {
   EXPECT_GT(a.energy.ecc_l2_j, 0.0);
 }
 
+TEST(FaultIntegration, EccExtensionBeyondTrackedRangeIsRefused) {
+  SystemConfig cfg = tiny();
+  cfg.faults.enabled = true;
+  cfg.faults.sigma = 0.5;  // max_safe_extension picks 4
+  cfg.faults.max_tracked_extension = 3;
+  EXPECT_THROW(cpu::MemorySystem(cfg, cpu::Technique::EccExtended), std::invalid_argument);
+  // Techniques at the nominal interval read extension 1 only.
+  EXPECT_NO_THROW(cpu::MemorySystem(cfg, cpu::Technique::BaselinePeriodicAll));
+  cfg.faults.max_tracked_extension = 4;
+  EXPECT_NO_THROW(cpu::MemorySystem(cfg, cpu::Technique::EccExtended));
+  // Without fault injection there is no map to outrun.
+  cfg.faults.enabled = false;
+  cfg.faults.max_tracked_extension = 1;
+  EXPECT_NO_THROW(cpu::MemorySystem(cfg, cpu::Technique::EccExtended));
+}
+
 TEST(FaultIntegration, ConcurrentRunsShareOneMapAndMatchSerialRuns) {
   SystemConfig cfg = tiny();
   cfg.faults.enabled = true;
@@ -696,8 +818,9 @@ TEST(FaultIntegration, ConcurrentRunsShareOneMapAndMatchSerialRuns) {
   for (auto& f : pending) threaded.push_back(f.get());
 
   EXPECT_EQ(serial, threaded);
-  // One fault configuration, one sample for the whole process.
-  EXPECT_EQ(edram::WeakCellMap::sampled_count() - before, 1u);
+  // One fault configuration, one map for the whole process, and one
+  // sampling pass for each extension the runs read: 1, and the ECC one.
+  EXPECT_EQ(edram::WeakCellMap::sampled_count() - before, 2u);
 }
 
 }  // namespace

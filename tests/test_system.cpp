@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,15 @@ TEST(System, BaselineRunsToTarget) {
   EXPECT_DOUBLE_EQ(r.avg_active_ratio, 1.0);
   EXPECT_DOUBLE_EQ(r.counters.fa_seconds, r.counters.seconds);
   EXPECT_EQ(r.counters.transitions, 0u);
+}
+
+TEST(System, RefusesAnUnresolvedPaperScaledInterval) {
+  SystemConfig cfg = tiny();
+  apply_paper_scaled_interval(cfg);
+  EXPECT_THROW(System(cfg, Technique::Esteem, {"gamess"}, 42), std::invalid_argument);
+  resolve_interval(cfg, 200'000);
+  EXPECT_EQ(cfg.esteem.interval_cycles, scaled_interval(cfg, 200'000));
+  EXPECT_NO_THROW(System(cfg, Technique::Esteem, {"gamess"}, 42));
 }
 
 TEST(System, BaselineRefreshCountMatchesGeometry) {

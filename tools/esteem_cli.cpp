@@ -348,12 +348,13 @@ int main(int argc, char** argv) {
       if (config_path.empty()) {
         // Paper defaults for the core count of the first sweep workload;
         // a mismatched workload later fails as a recorded sweep error.
-        cfg = tools::default_sweep_config(parse_sweep_workload(sweep_items.front()), instr);
+        cfg = tools::default_sweep_config(parse_sweep_workload(sweep_items.front()));
       }
       if (dump_config) {
         save_config(cfg, std::cout);
         return 0;
       }
+      resolve_interval(cfg, instr);
       const int code = run_sweep_mode(cfg, sweep_arg, techniques_arg, csv_path, instr,
                                       warmup, seed, jobs, journal_dir);
       flush_telemetry();
@@ -366,11 +367,12 @@ int main(int argc, char** argv) {
     if (config_path.empty()) {
       // No explicit config: adopt the paper defaults for the requested core
       // count and scale the 10M-cycle interval to the shortened run (the
-      // same policy the bench harness uses; see DESIGN.md §5).
+      // same policy the bench harness uses; see DESIGN.md §5). The rule, not
+      // its result for this --instr, is what --dump-config writes.
       cfg = benchmarks.size() >= 2 ? SystemConfig::dual_core()
                                    : SystemConfig::single_core();
       cfg.ncores = static_cast<std::uint32_t>(benchmarks.size());
-      apply_scaled_interval(cfg, instr);
+      apply_paper_scaled_interval(cfg);
     }
     if (benchmarks.size() != cfg.ncores) {
       usage("workload count must match the configured core count");
@@ -380,6 +382,7 @@ int main(int argc, char** argv) {
       save_config(cfg, std::cout);
       return 0;
     }
+    resolve_interval(cfg, instr);
 
     sim::RunSpec spec;
     spec.config = cfg;
@@ -399,8 +402,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(warmup));
 
     telemetry::IntervalRecorder intervals;
-    const sim::RunOutcome out =
-        sim::run_experiment(spec, timeline_path.empty() ? nullptr : &intervals);
+    sim::RunOutcome out;
+    try {
+      out = sim::run_experiment(spec, timeline_path.empty() ? nullptr : &intervals);
+    } catch (const std::invalid_argument& e) {
+      // A config the run refuses for this technique or budget (an ECC
+      // extension past [faults] max_tracked_extension, a sampled run
+      // shorter than two periods) is a usage error.
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
     print_run(out, cfg.faults.enabled);
 
     if (!timeline_path.empty()) {

@@ -63,15 +63,15 @@ inline trace::Workload parse_sweep_workload(const std::string& item) {
 }
 
 /// Paper defaults for the core count of the sweep's first workload, with the
-/// 10M-cycle interval scaled to the shortened run (the same policy the bench
-/// harness uses; a mismatched workload later fails as a recorded sweep
-/// error).
-inline SystemConfig default_sweep_config(const trace::Workload& first, instr_t instr) {
+/// 10M-cycle interval to be scaled to the run (kPaperScaledInterval, the
+/// same policy the bench harness uses; resolve_interval() before running).
+/// A mismatched workload later fails as a recorded sweep error.
+inline SystemConfig default_sweep_config(const trace::Workload& first) {
   SystemConfig cfg = first.benchmarks.size() >= 2 ? SystemConfig::dual_core()
                                                   : SystemConfig::single_core();
   cfg.ncores =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, first.benchmarks.size()));
-  apply_scaled_interval(cfg, instr);
+  apply_paper_scaled_interval(cfg);
   return cfg;
 }
 
