@@ -1,11 +1,12 @@
 # Argument and config errors are usage errors: every tool exits exactly 2
 # on them (README's exit-code table), never 1 and never a silent run with a
-# truncated number. That covers malformed ESTEEM_* scale variables (in the
-# bench binaries too), telemetry outputs (--trace, --telemetry-dir) that
-# cannot be opened, an esteem_validate --check whose golden file cannot be
-# read, a [faults] max_tracked_extension past its cap, and an ecc-extended
-# fault run whose extension the weak-cell map does not track. Invoked by the cli_exit_codes ctest with -DCLI=, -DVALIDATE=,
-# -DBENCH=, -DCHAOS=, -DFIG2=, -DFIG3=, -DTABLE3=<binaries>
+# truncated number. That covers the retired ESTEEM_* scale variables (which
+# esteem_validate refuses whatever their value), an unknown --print report
+# id, telemetry outputs (--trace, --telemetry-dir) that cannot be opened, an
+# esteem_validate --check whose golden file cannot be read, a [faults]
+# max_tracked_extension past its cap, and an ecc-extended fault run whose
+# extension the weak-cell map does not track. Invoked by the cli_exit_codes
+# ctest with -DCLI=, -DVALIDATE=, -DBENCH=, -DCHAOS=<binaries>
 # -DWORKDIR=<scratch dir>.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -46,9 +47,8 @@ set(cases
   "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${VALIDATE}|--check|--scale|bench|--figures|fig3|--jobs|1"
   "${CMAKE_COMMAND}|-E|env|ESTEEM_THREADS=4x2|${VALIDATE}|--check|--scale|bench|--figures|fig3|--instr|10000|--warmup|1"
   "${VALIDATE}|--check|--golden|${WORKDIR}/no-such-golden.json|--figures|fig3|--instr|10000|--warmup|1|--jobs|1"
-  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${FIG2}"
-  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${FIG3}"
-  "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1000|ESTEEM_TABLE3_STRIDE=2x|${TABLE3}")
+  "${VALIDATE}|--print|nosuch"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_TABLE3_STRIDE=2|${VALIDATE}|--print|table3|--instr|1000|--warmup|0|--jobs|1")
 
 foreach(args IN LISTS cases)
   string(REPLACE "|" ";" args "${args}")

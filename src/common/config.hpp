@@ -238,7 +238,7 @@ struct SystemConfig {
 inline constexpr instr_t kPaperInstrPerCore = 400'000'000;
 inline constexpr double kPaperIntervalCycles = 10'000'000.0;
 /// Default interval lengthening for the synthetic workloads' lower IPC
-/// (ESTEEM_INTERVAL_FACTOR; DESIGN.md §5).
+/// (`ScaleSpec::interval_env_factor`; DESIGN.md §5).
 inline constexpr double kIntervalEnvFactor = 4.0;
 /// Reconfiguration-churn damping used by all scaled runs: the paper's
 /// proposed hysteresis extension (§7.2) with a 2-interval window, because at

@@ -1,5 +1,5 @@
 // RunOutcome memoization shared by the sweep runner, the CLI, and every
-// bench binary in the process.
+// printed report in the process.
 //
 // Key: a canonical byte-level fingerprint of everything that determines a
 // run's result — every field of the SystemConfig (the config field table

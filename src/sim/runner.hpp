@@ -5,7 +5,7 @@
 // atomic index (N <= 1 runs the same loop on the calling thread), so with
 // enough cores the sweep's wall clock approaches the slowest single run.
 // Every run goes through the process-wide RunOutcome memo cache
-// (sim/run_cache.hpp), so repeated sweeps — and other benches in the same
+// (sim/run_cache.hpp), so repeated sweeps — and other reports in the same
 // process — never recompute an identical experiment. With a memo directory
 // set, that cache is also how a killed sweep resumes: every finished run is
 // already on disk, and a rerun over the same directory restores it instead

@@ -1,10 +1,8 @@
 #include "validation/figures.hpp"
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
@@ -163,27 +161,11 @@ std::string figure_text(const FigureResult& result) {
   return os.str();
 }
 
-int figure_bench_main(const std::string& id) {
-  const FigureSpec* spec = find_figure(id);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown figure id '%s'\n", id.c_str());
-    return 2;
-  }
-  ScaleSpec scale;
-  try {
-    scale = bench_scale();  // reads the ESTEEM_* scale variables
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  const FigureResult result = run_figure(*spec, scale);
-  std::fputs(figure_text(result).c_str(), stdout);
-  return result.sweep.ok() ? 0 : 3;
-}
-
 Fig2Result fig2_check(const telemetry::IntervalRecorder& intervals,
                       std::uint32_t modules, double avg_active_ratio) {
-  Fig2Result result{.avg_active_ratio = avg_active_ratio, .intervals = intervals.rows()};
+  Fig2Result result;
+  result.avg_active_ratio = avg_active_ratio;
+  result.intervals = intervals.rows();
   const std::vector<double>& ratio = intervals.series("active_ratio");
   for (double r : ratio) result.ratio_changes |= (r != ratio.front());
   for (std::uint32_t m = 1; m < modules; ++m) {
@@ -204,8 +186,46 @@ Fig2Result run_fig2(const ScaleSpec& scale) {
 
   telemetry::IntervalRecorder intervals;
   const sim::RunOutcome out = sim::run_experiment(spec, &intervals);
-  return fig2_check(intervals, spec.config.esteem.modules,
-                    out.raw.avg_active_ratio);
+  const std::uint32_t modules = spec.config.esteem.modules;
+  Fig2Result result = fig2_check(intervals, modules, out.raw.avg_active_ratio);
+
+  TextTable t;
+  std::vector<std::string> header{"interval", "Mcycle", "active%"};
+  for (std::uint32_t m = 0; m < modules; ++m) {
+    // Appended rather than "m" + std::to_string(m): GCC 12 Release builds
+    // flag that operator+ overload with a false -Wrestrict.
+    std::string column = "m";
+    column += std::to_string(m);
+    header.push_back(std::move(column));
+  }
+  t.set_header(std::move(header));
+
+  // Print at most ~40 evenly spaced samples so the table stays readable.
+  const std::size_t rows = intervals.rows();
+  const std::size_t stride = rows == 0 ? 1 : (rows + 39) / 40;
+  for (std::size_t i = 0; i < rows; i += stride) {
+    std::vector<std::string> row{std::to_string(i + 1),
+                                 fmt(static_cast<double>(intervals.cycle(i)) / 1e6, 2),
+                                 fmt(100.0 * intervals.series("active_ratio")[i], 1)};
+    for (std::uint32_t m = 0; m < modules; ++m) {
+      const double w = intervals.series("module" + std::to_string(m) + "_active_ways")[i];
+      row.push_back(std::to_string(static_cast<std::uint32_t>(w)));
+    }
+    t.add_row(std::move(row));
+  }
+
+  std::ostringstream os;
+  os << scale_banner("Figure 2: ESTEEM reconfiguration timeline (h264ref)",
+                     spec.config, scale.instr_per_core, scale.threads)
+     << t.to_string() << '\n'
+     << "modules reconfigured independently : "
+     << (result.module_diversity ? "yes" : "no") << '\n'
+     << "active ratio varies over intervals : "
+     << (result.ratio_changes ? "yes" : "no") << '\n'
+     << "run-average active ratio           : "
+     << fmt(100.0 * result.avg_active_ratio, 1) << "%\n";
+  result.text = os.str();
+  return result;
 }
 
 }  // namespace esteem::validation

@@ -1,8 +1,8 @@
 // The paper's figure matrix as data: one FigureSpec per evaluation figure
-// (Figures 3-6), with the §7.2 reported averages attached. The fig3-fig6
-// bench binaries, the esteem_validate scorecard, and the generated results
-// book all run the same specs through the memoized sweep scheduler, so
-// "what the paper measured" lives in exactly one place.
+// (Figures 3-6), with the §7.2 reported averages attached. The printed
+// figures (`esteem_validate --print figN`), the scorecard, and the generated
+// results book all run the same specs through the memoized sweep scheduler,
+// so "what the paper measured" lives in exactly one place.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@ struct PaperAverages {
 
 struct FigureSpec {
   std::string id;     ///< "fig3" .. "fig6".
-  std::string title;  ///< Exact bench-binary title line.
+  std::string title;  ///< Exact title line of the printed figure.
   bool dual = false;
   double retention_us = 50.0;
   PaperAverages paper{};
@@ -58,9 +58,8 @@ struct FigureResult {
   std::vector<double> rpv_energy_savings() const;
 };
 
-/// The system configuration a figure runs at the given scale (exactly the
-/// construction the bench binaries historically used, including the
-/// recompute-interval-after-retention-change order).
+/// The system configuration a figure runs at the given scale (including the
+/// historical recompute-interval-after-retention-change order).
 SystemConfig figure_config(const FigureSpec& spec, const ScaleSpec& scale);
 
 /// Runs one figure through the memoized sweep scheduler. Summary averages
@@ -71,15 +70,10 @@ SystemConfig figure_config(const FigureSpec& spec, const ScaleSpec& scale);
 FigureResult run_figure(const FigureSpec& spec, const ScaleSpec& scale,
                         const std::function<void(SystemConfig&)>& mutate_config = {});
 
-/// The full text a fig3-fig6 bench binary prints for this result: scale
-/// banner, per-workload figure report, and the paper-vs-measured summary
-/// table (byte-identical to the pre-validation-layer bench output).
+/// The full text `esteem_validate --print figN` prints for this result:
+/// scale banner, per-workload figure report, and the paper-vs-measured
+/// summary table.
 std::string figure_text(const FigureResult& result);
-
-/// Bench entry point: run `id` at the bench (env) scale, print
-/// figure_text, return the process exit code (2 on a malformed ESTEEM_*
-/// scale variable, before any run).
-int figure_bench_main(const std::string& id);
 
 /// Figure 2's two illustrated properties plus the run-average active ratio,
 /// checked on the h264ref interval series.
@@ -88,6 +82,9 @@ struct Fig2Result {
   bool ratio_changes = false;     ///< Active ratio varies over intervals.
   double avg_active_ratio = 0.0;
   std::size_t intervals = 0;
+  /// The `esteem_validate --print fig2` report (scale banner, timeline
+  /// table, these properties) rendered from the same run; run_fig2 only.
+  std::string text;
 };
 
 /// Checks Figure 2's properties on an ESTEEM run's interval series, read by
@@ -96,7 +93,7 @@ Fig2Result fig2_check(const telemetry::IntervalRecorder& intervals,
                       std::uint32_t modules, double avg_active_ratio);
 
 /// Runs ESTEEM on h264ref at `scale` (uncached: the series is not part of
-/// the memoized outcome) and checks it with fig2_check.
+/// the memoized outcome), checks it with fig2_check and renders its report.
 Fig2Result run_fig2(const ScaleSpec& scale);
 
 }  // namespace esteem::validation

@@ -1,5 +1,6 @@
 #include "validation/golden.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -53,10 +54,18 @@ const GoldenScale* GoldenFile::find_scale(const std::string& fingerprint) const 
 
 void GoldenFile::upsert_scale(GoldenScale scale) {
   for (GoldenScale& s : scales) {
-    if (s.fingerprint == scale.fingerprint) {
-      s = std::move(scale);
-      return;
+    if (s.fingerprint != scale.fingerprint) continue;
+    s.label = std::move(scale.label);
+    for (GoldenFigure& fresh : scale.figures) {
+      auto old = std::find_if(s.figures.begin(), s.figures.end(),
+                              [&](const GoldenFigure& f) { return f.id == fresh.id; });
+      if (old != s.figures.end()) {
+        *old = std::move(fresh);
+      } else {
+        s.figures.push_back(std::move(fresh));
+      }
     }
+    return;
   }
   scales.push_back(std::move(scale));
 }

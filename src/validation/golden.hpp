@@ -53,7 +53,9 @@ struct GoldenFile {
   std::vector<GoldenScale> scales;
 
   const GoldenScale* find_scale(const std::string& fingerprint) const;
-  /// Inserts or replaces the entry for `scale.fingerprint`.
+  /// Inserts the entry for `scale.fingerprint`, or merges it into the
+  /// existing one figure by figure: figures in `scale` replace their old
+  /// records, and figures it does not carry keep theirs.
   void upsert_scale(GoldenScale scale);
 };
 

@@ -94,9 +94,8 @@ void render_figure(std::ostringstream& os, const FigureResult& r) {
   }
   os << "```\n\n";
 
-  os << "Regenerate: `./build/bench/bench_" << spec.id << "_"
-     << (spec.dual ? "dual" : "single") << "_"
-     << (spec.retention_us == 50.0 ? "50us" : "40us") << "`\n\n";
+  os << "Regenerate: `./build/tools/esteem_validate --print " << spec.id
+     << " --scale bench`\n\n";
 }
 
 }  // namespace
@@ -167,7 +166,7 @@ std::string results_book_markdown(const std::vector<FigureResult>& results,
   os << "\nFigure 2 run-average active ratio: "
      << f(100.0 * checks.fig2.avg_active_ratio, 1) << "% over "
      << checks.fig2.intervals << " intervals "
-     << "(regenerate: `./build/bench/bench_fig2_timeline`).\n\n";
+     << "(regenerate: `./build/tools/esteem_validate --print fig2 --scale bench`).\n\n";
 
   os << "## Figures\n\n";
   for (const FigureResult& r : results) render_figure(os, r);
@@ -179,10 +178,11 @@ std::string results_book_markdown(const std::vector<FigureResult>& results,
   os << "./build/tools/esteem_validate --results --scale bench > RESULTS.md\n";
   os << "```\n\n";
   os << "The simulator is deterministic in (scale, seed, config), so the\n"
-        "regenerated file is byte-identical on the same code. Individual\n"
-        "figures: `./build/bench/bench_fig3_single_50us` etc.; the whole\n"
-        "matrix shares one memoized run cache, so `--jobs`/repeat runs never\n"
-        "recompute an experiment (set `ESTEEM_MEMO_DIR` to persist it).\n";
+        "regenerated file is byte-identical on the same code. Print one table\n"
+        "or figure with `./build/tools/esteem_validate --print ID --scale bench`\n"
+        "(`--list` names the ids); the whole matrix shares one memoized run\n"
+        "cache, so `--jobs`/repeat runs never recompute an experiment (set\n"
+        "`ESTEEM_MEMO_DIR` to persist it).\n";
   return os.str();
 }
 

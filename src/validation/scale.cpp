@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/env.hpp"
 #include "sim/runner.hpp"
 
 namespace esteem::validation {
@@ -11,11 +10,11 @@ namespace esteem::validation {
 ScaleSpec bench_scale() {
   ScaleSpec s;
   s.label = "bench";
-  s.instr_per_core = env_u64("ESTEEM_INSTR", 8'000'000);
-  s.warmup_per_core = env_u64("ESTEEM_WARMUP", s.instr_per_core / 5);
-  s.seed = env_u64("ESTEEM_SEED", 42);
-  s.interval_env_factor = static_cast<double>(env_u64("ESTEEM_INTERVAL_FACTOR", 4));
-  s.threads = static_cast<unsigned>(env_u64("ESTEEM_THREADS", 0));
+  s.instr_per_core = 8'000'000;
+  s.warmup_per_core = 1'600'000;
+  s.seed = 42;
+  s.interval_env_factor = kIntervalEnvFactor;
+  s.threads = 0;
   return s;
 }
 
@@ -39,7 +38,7 @@ ScaleSpec paper_scale() {
   // The interval is already the paper's 10M cycles at this instruction count;
   // no synthetic-IPC compensation is layered on top.
   s.interval_env_factor = 1.0;
-  s.threads = static_cast<unsigned>(env_u64("ESTEEM_THREADS", 0));
+  s.threads = 0;
   s.sampling.enabled = true;
   s.sampling.window_instr = 40'000;
   s.sampling.detail_warm_instr = 10'000;

@@ -1,5 +1,5 @@
-// Run-scale policy shared by the bench harness and the paper-fidelity
-// validator.
+// Run-scale policy of the paper-fidelity validator and the printed reports
+// (`esteem_validate --scale smoke|bench|paper`).
 //
 // The paper fast-forwards 10B instructions and measures 400M per benchmark
 // with 10M-cycle reconfiguration intervals. Scaled runs shrink the measured
@@ -25,8 +25,8 @@ struct ScaleSpec {
   instr_t instr_per_core = 8'000'000;
   instr_t warmup_per_core = 1'600'000;
   std::uint64_t seed = 42;
-  /// ESTEEM_INTERVAL_FACTOR: lengthens the proportionally-scaled interval
-  /// (see DESIGN.md §5).
+  /// Lengthens the proportionally-scaled interval for the synthetic
+  /// workloads' lower IPC (see DESIGN.md §5).
   double interval_env_factor = kIntervalEnvFactor;
   /// Sweep worker threads (0 = hardware concurrency). Not part of the
   /// fingerprint: serial and threaded sweeps are bit-identical.
@@ -37,19 +37,17 @@ struct ScaleSpec {
   SamplingConfig sampling;
 };
 
-/// The bench harness scale: ESTEEM_INSTR / ESTEEM_WARMUP / ESTEEM_SEED /
-/// ESTEEM_INTERVAL_FACTOR / ESTEEM_THREADS with the historical defaults.
+/// Pinned bench scale (8M instructions per core, a fifth of that as warm-up,
+/// seed 42): the scale RESULTS.md is rendered at.
 ScaleSpec bench_scale();
 
 /// Pinned reduced scale for fast validation smokes (~300k instructions per
-/// core). Deliberately ignores the ESTEEM_* environment so "smoke" always
-/// means the same runs everywhere (CI and local).
+/// core).
 ScaleSpec smoke_scale();
 
 /// The paper's full measurement scale (400M instructions per core, 10M-cycle
 /// intervals) made tractable by SMARTS sampling: 100 detailed 40k-instruction
 /// windows per 4M-instruction period, functionally warmed in between.
-/// Deliberately ignores the ESTEEM_* environment except ESTEEM_THREADS.
 ScaleSpec paper_scale();
 
 /// Canonical identity of a scale, e.g.
@@ -62,8 +60,8 @@ std::string scale_fingerprint(const ScaleSpec& scale);
 SystemConfig scaled_single(const ScaleSpec& scale, double interval_factor = 1.0);
 SystemConfig scaled_dual(const ScaleSpec& scale, double interval_factor = 1.0);
 
-/// The scale banner every figure run prints (exact bench-binary format,
-/// including the trailing blank line).
+/// The scale banner every printed report that simulates starts with
+/// (including the trailing blank line).
 std::string scale_banner(const std::string& what, const SystemConfig& cfg,
                          instr_t instr, unsigned threads);
 

@@ -184,6 +184,27 @@ TEST(Golden, FindAndUpsertScale) {
   fresh.fingerprint = "v1;other";
   file.upsert_scale(fresh);
   EXPECT_EQ(file.scales.size(), 2u);
+
+  // Re-recording a subset of figures (--update-golden --figures fig3) merges
+  // into the scale entry: fig3 is replaced, fig4 is kept, fig5 is added.
+  GoldenScale both = file.scales[0];
+  both.figures.push_back(both.figures[0]);
+  both.figures[1].id = "fig4";
+  both.figures[1].esteem_energy_pct = 44.0;
+  file.upsert_scale(both);
+  GoldenScale partial;
+  partial.fingerprint = both.fingerprint;
+  partial.label = both.label;
+  partial.figures = {both.figures[0], both.figures[0]};
+  partial.figures[0].esteem_energy_pct = 33.0;
+  partial.figures[1].id = "fig5";
+  file.upsert_scale(partial);
+  ASSERT_EQ(file.scales[0].figures.size(), 3u);
+  EXPECT_EQ(file.scales[0].figures[0].id, "fig3");
+  EXPECT_DOUBLE_EQ(file.scales[0].find_figure("fig3")->esteem_energy_pct, 33.0);
+  ASSERT_NE(file.scales[0].find_figure("fig4"), nullptr);
+  EXPECT_DOUBLE_EQ(file.scales[0].find_figure("fig4")->esteem_energy_pct, 44.0);
+  EXPECT_NE(file.scales[0].find_figure("fig5"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
     if (config_path.empty()) {
       // No explicit config: adopt the paper defaults for the requested core
       // count and scale the 10M-cycle interval to the shortened run (the
-      // same policy the bench harness uses; see DESIGN.md §5). The rule, not
+      // same policy the validation scales use; see DESIGN.md §5). The rule, not
       // its result for this --instr, is what --dump-config writes.
       cfg = benchmarks.size() >= 2 ? SystemConfig::dual_core()
                                    : SystemConfig::single_core();

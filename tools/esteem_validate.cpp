@@ -8,13 +8,18 @@
 //                                           diff it is about to commit)
 //   esteem_validate --results               render the results book
 //                                           (RESULTS.md) to stdout
-//   esteem_validate --list                  show the figure matrix
+//   esteem_validate --print ID              print one of the paper's tables
+//                                           or figures (table1 table2 eq1
+//                                           fig2-fig6 table3 ablation
+//                                           motivation faults); exit 3 when a
+//                                           sweep row failed
+//   esteem_validate --list                  list the report ids
 //
 // Options:
 //   --golden PATH       golden file (default validation/golden.json)
 //   --scale smoke|bench|paper
-//                       pinned 300k-instr smoke scale (default), the
-//                       env-driven bench scale (ESTEEM_INSTR etc.), or the
+//                       pinned 300k-instr smoke scale (default), the 8M-instr
+//                       bench scale RESULTS.md is rendered at, or the
 //                       paper's 400M-instr scale made tractable by SMARTS
 //                       sampling (docs/SAMPLING.md)
 //   --instr N --warmup N --seed N   override the chosen scale
@@ -31,22 +36,27 @@
 //
 // SIGINT/SIGTERM drain the figure matrix gracefully: finished runs stay in
 // the memo directory and the process exits with code 5 instead of scoring
-// partial data.
+// (or printing) partial data.
+//
+// The scale is named by these flags only. The retired ESTEEM_INSTR-style
+// scale variables are refused (exit 2) rather than silently ignored.
 //
 // Paper-shape checks (signs, §7.2 bands) are gated at the bench and paper
 // scales: at tiny instruction budgets the reconfiguration machinery barely
 // engages and the paper's ordering inverts (see EXPERIMENTS.md).
 // Drift-vs-golden is gated at every scale.
 //
-// Exit codes: 0 pass, 1 check failed, 2 usage error, 4 runtime error,
-// 5 interrupted.
+// Exit codes: 0 pass, 1 check failed, 2 usage error, 3 --print sweep
+// errors, 4 runtime error, 5 interrupted.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "resilience/shutdown.hpp"
@@ -54,6 +64,7 @@
 #include "sweep_cli_common.hpp"
 #include "validation/figures.hpp"
 #include "validation/golden.hpp"
+#include "validation/reports.hpp"
 #include "validation/results_book.hpp"
 #include "validation/scorecard.hpp"
 
@@ -62,13 +73,15 @@ namespace {
 using namespace esteem;
 using namespace esteem::validation;
 
-enum class Mode { Check, UpdateGolden, Results, List };
+enum class Mode { Check, UpdateGolden, Results, Print, List };
 
 struct Options {
   Mode mode = Mode::Check;
   std::string golden_path = "validation/golden.json";
   std::string scale_name = "smoke";
   std::vector<std::string> figure_ids{"fig3", "fig4", "fig5", "fig6"};
+  bool figures_given = false;
+  std::string report_id;  // --print
   double perturb_refresh = 1.0;
   std::string journal_dir;
   // Scale overrides (<0 = keep the scale's own value).
@@ -80,7 +93,7 @@ struct Options {
 
 void usage(std::FILE* to) {
   std::fprintf(to,
-               "usage: esteem_validate [--check|--update-golden|--results|--list]\n"
+               "usage: esteem_validate [--check|--update-golden|--results|--print ID|--list]\n"
                "                       [--golden PATH] [--scale smoke|bench|paper]\n"
                "                       [--instr N] [--warmup N] [--seed N] [--jobs N]\n"
                "                       [--figures fig3,fig4,...]\n"
@@ -104,6 +117,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.mode = Mode::UpdateGolden;
     } else if (a == "--results") {
       opt.mode = Mode::Results;
+    } else if (a == "--print") {
+      if (!need_value(i)) return false;
+      opt.mode = Mode::Print;
+      opt.report_id = argv[++i];
+      if (find_report(opt.report_id) == nullptr) {
+        std::fprintf(stderr, "unknown report id '%s' (see --list)\n",
+                     opt.report_id.c_str());
+        return false;
+      }
     } else if (a == "--list") {
       opt.mode = Mode::List;
     } else if (a == "--golden") {
@@ -120,6 +142,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--figures") {
       if (!need_value(i)) return false;
       opt.figure_ids = tools::split_csv(argv[++i]);
+      opt.figures_given = true;
       for (const std::string& id : opt.figure_ids) {
         if (find_figure(id) == nullptr) {
           std::fprintf(stderr, "unknown figure id '%s'\n", id.c_str());
@@ -163,6 +186,30 @@ bool parse_args(int argc, char** argv, Options& opt) {
     }
   }
   return true;
+}
+
+/// The retired scale variables and the flag that replaces each. A user who
+/// still exports one must not get a silent run at a different scale.
+bool refuse_retired_scale_variables() {
+  static const char* const kRetired[][2] = {
+      {"ESTEEM_INSTR", "--instr N"},
+      {"ESTEEM_WARMUP", "--warmup N"},
+      {"ESTEEM_SEED", "--seed N"},
+      {"ESTEEM_THREADS", "--jobs N"},
+      {"ESTEEM_INTERVAL_FACTOR", "--scale (each scale pins its interval factor)"},
+      {"ESTEEM_TABLE3_INSTR", "--instr N (Table 3 runs at half of it)"},
+      {"ESTEEM_TABLE3_STRIDE", "a smaller --instr N (Table 3 runs every workload)"},
+      {"ESTEEM_TABLE3_SECTION", "a smaller --instr N (Table 3 runs both sections)"},
+  };
+  bool refused = false;
+  for (const auto& [name, flag] : kRetired) {
+    const char* v = std::getenv(name);
+    if (v == nullptr || *v == '\0') continue;
+    std::fprintf(stderr, "esteem_validate: %s is no longer read; use %s and unset %s\n",
+                 name, flag, name);
+    refused = true;
+  }
+  return refused;
 }
 
 ScaleSpec resolve_scale(const Options& opt) {
@@ -234,11 +281,26 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
   const Scorecard card = build_scorecard(results, &golden, paper_checks);
   std::fputs(scorecard_text(card).c_str(), stdout);
   if (!card.pass()) {
+    // Echo every override, so the suggested command records the scale and
+    // figures that were just checked.
+    std::string overrides;
+    if (opt.figures_given) {
+      overrides += " --figures";
+      for (std::size_t i = 0; i < opt.figure_ids.size(); ++i) {
+        overrides += (i == 0 ? " " : ",") + opt.figure_ids[i];
+      }
+    }
+    const std::pair<const char*, long long> counts[] = {
+        {"--instr", opt.instr}, {"--warmup", opt.warmup},
+        {"--seed", opt.seed}, {"--jobs", opt.jobs}};
+    for (const auto& [flag, value] : counts) {
+      if (value >= 0) overrides += std::string(" ") + flag + " " + std::to_string(value);
+    }
     std::fprintf(stdout,
                  "\nDrift detected (or no golden entry for this scale). If the change is "
                  "intentional, re-record with:\n  esteem_validate "
-                 "--update-golden --scale %s --golden %s\n",
-                 opt.scale_name.c_str(), opt.golden_path.c_str());
+                 "--update-golden --scale %s%s --golden %s\n",
+                 opt.scale_name.c_str(), overrides.c_str(), opt.golden_path.c_str());
     return 1;
   }
   return 0;
@@ -273,21 +335,27 @@ int do_update_golden(const Options& opt, const ScaleSpec& scale) {
   golden.generator = "esteem_validate --update-golden (scale " +
                      scale_fingerprint(scale) + ")";
 
+  // upsert_scale merges figure by figure, so the diff compares the old entry
+  // with the merged one: figures that were not rerun are kept, not removed.
   GoldenScale fresh = to_golden(results);
-  const GoldenScale* old = golden.find_scale(fresh.fingerprint);
-  if (old != nullptr) {
-    const std::string diff = golden_diff_text(*old, fresh);
+  const std::string fingerprint = fresh.fingerprint;
+  const GoldenScale* old = golden.find_scale(fingerprint);
+  const std::optional<GoldenScale> before =
+      old != nullptr ? std::optional<GoldenScale>(*old) : std::nullopt;
+  golden.upsert_scale(std::move(fresh));
+  const GoldenScale& after = *golden.find_scale(fingerprint);
+  if (before) {
+    const std::string diff = golden_diff_text(*before, after);
     if (diff.empty()) {
-      std::printf("golden entry for %s unchanged\n", fresh.fingerprint.c_str());
+      std::printf("golden entry for %s unchanged\n", fingerprint.c_str());
     } else {
-      std::printf("updating golden entry for %s:\n%s", fresh.fingerprint.c_str(),
+      std::printf("updating golden entry for %s:\n%s", fingerprint.c_str(),
                   diff.c_str());
     }
   } else {
     std::printf("recording new golden entry for %s (%zu figures)\n",
-                fresh.fingerprint.c_str(), fresh.figures.size());
+                fingerprint.c_str(), after.figures.size());
   }
-  golden.upsert_scale(std::move(fresh));
   save_golden(opt.golden_path, golden);
   std::printf("wrote %s\n", opt.golden_path.c_str());
   return 0;
@@ -317,10 +385,25 @@ int do_results(const Options& opt, const ScaleSpec& scale) {
   return 0;
 }
 
+int do_print(const Options& opt, const ScaleSpec& scale) {
+  ReportOutput out;
+  try {
+    out = find_report(opt.report_id)->run(scale);
+  } catch (const std::exception&) {
+    // An interrupted sweep may leave nothing to summarize; that is exit 5.
+    if (!resilience::shutdown_requested()) throw;
+  }
+  if (resilience::shutdown_requested()) {
+    std::fprintf(stderr, "report interrupted; not printing partial output\n");
+    return resilience::kExitInterrupted;
+  }
+  std::fputs(out.text.c_str(), stdout);
+  return out.ok ? 0 : 3;
+}
+
 int do_list() {
-  for (const FigureSpec& f : figure_matrix()) {
-    std::printf("%-5s %s\n      %s\n", f.id.c_str(), f.title.c_str(),
-                f.claim.c_str());
+  for (const Report& r : reports()) {
+    std::printf("%-10s %s\n", r.id.c_str(), r.summary.c_str());
   }
   return 0;
 }
@@ -333,6 +416,7 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
+  if (refuse_retired_scale_variables()) return 2;
   try {
     if (opt.mode == Mode::List) return do_list();
     if (!opt.journal_dir.empty()) {
@@ -342,18 +426,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    ScaleSpec scale;
-    try {
-      scale = resolve_scale(opt);  // reads the ESTEEM_* scale variables
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "esteem_validate: %s\n", e.what());
-      return 2;
-    }
+    const ScaleSpec scale = resolve_scale(opt);
     esteem::resilience::install_signal_handlers();
     switch (opt.mode) {
       case Mode::Check: return do_check(opt, scale);
       case Mode::UpdateGolden: return do_update_golden(opt, scale);
       case Mode::Results: return do_results(opt, scale);
+      case Mode::Print: return do_print(opt, scale);
       case Mode::List: break;
     }
   } catch (const std::exception& e) {

@@ -64,7 +64,7 @@ inline trace::Workload parse_sweep_workload(const std::string& item) {
 
 /// Paper defaults for the core count of the sweep's first workload, with the
 /// 10M-cycle interval to be scaled to the run (kPaperScaledInterval, the
-/// same policy the bench harness uses; resolve_interval() before running).
+/// same policy the validation scales use; resolve_interval() before running).
 /// A mismatched workload later fails as a recorded sweep error.
 inline SystemConfig default_sweep_config(const trace::Workload& first) {
   SystemConfig cfg = first.benchmarks.size() >= 2 ? SystemConfig::dual_core()
