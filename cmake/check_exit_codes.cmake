@@ -1,7 +1,9 @@
 # Argument and config errors are usage errors: every tool exits exactly 2
 # on them (README's exit-code table), never 1 and never a silent run with a
-# truncated number. That covers the retired ESTEEM_* scale variables (which
-# esteem_validate refuses whatever their value), an unknown --print report
+# truncated number. That covers the retired ESTEEM_* variables (scale, memo
+# directory and fault schedule; every tool refuses them whatever their
+# value, so each case below would exit 0 without the refusal), a --print
+# given a flag it would ignore, an unknown --print report
 # id, telemetry outputs (--trace, --telemetry-dir) that cannot be opened, an
 # esteem_validate --check whose golden file cannot be read, a [faults]
 # max_tracked_extension past its cap, and an ecc-extended fault run whose
@@ -48,7 +50,15 @@ set(cases
   "${CMAKE_COMMAND}|-E|env|ESTEEM_THREADS=4x2|${VALIDATE}|--check|--scale|bench|--figures|fig3|--instr|10000|--warmup|1"
   "${VALIDATE}|--check|--golden|${WORKDIR}/no-such-golden.json|--figures|fig3|--instr|10000|--warmup|1|--jobs|1"
   "${VALIDATE}|--print|nosuch"
-  "${CMAKE_COMMAND}|-E|env|ESTEEM_TABLE3_STRIDE=2|${VALIDATE}|--print|table3|--instr|1000|--warmup|0|--jobs|1")
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_TABLE3_STRIDE=2|${VALIDATE}|--print|table3|--instr|1000|--warmup|1|--jobs|1"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_MEMO_DIR=x|${CLI}|--workload|gamess|--instr|1000|--warmup|0"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_MEMO_DIR=x|${VALIDATE}|--list"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_MEMO_DIR=x|${BENCH}|--help"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_CHAOS_SCHEDULE=memo.rename=fail|${CLI}|--workload|gamess|--instr|1000|--warmup|0"
+  "${CMAKE_COMMAND}|-E|env|ESTEEM_CHAOS_RATE=5|${CHAOS}|--list-points"
+  "${VALIDATE}|--print|fig3|--perturb-refresh-energy|2|--instr|1000|--warmup|1|--jobs|1"
+  "${VALIDATE}|--print|fig3|--figures|fig3|--instr|1000|--warmup|1|--jobs|1"
+  "${VALIDATE}|--golden|${WORKDIR}/no-such-golden.json|--print|fig3|--instr|1000|--warmup|1|--jobs|1")
 
 foreach(args IN LISTS cases)
   string(REPLACE "|" ";" args "${args}")

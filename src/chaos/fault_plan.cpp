@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -225,42 +224,6 @@ Injection RandomFaultPlan::at(const std::string& point) {
       break;
   }
   return inj;
-}
-
-bool install_from_env() {
-  const char* schedule = std::getenv("ESTEEM_CHAOS_SCHEDULE");
-  if (schedule != nullptr && *schedule != '\0') {
-    std::string error;
-    auto plan = ScheduleFaultPlan::parse(schedule, error);
-    if (plan == nullptr) {
-      std::fprintf(stderr, "chaos: bad ESTEEM_CHAOS_SCHEDULE: %s\n",
-                   error.c_str());
-      return false;
-    }
-    install_plan(std::move(plan));
-    return true;
-  }
-  const char* seed_text = std::getenv("ESTEEM_CHAOS_RANDOM_SEED");
-  if (seed_text != nullptr && *seed_text != '\0') {
-    char* end = nullptr;
-    const std::uint64_t seed = std::strtoull(seed_text, &end, 10);
-    if (end == seed_text || *end != '\0') {
-      std::fprintf(stderr, "chaos: bad ESTEEM_CHAOS_RANDOM_SEED '%s'\n",
-                   seed_text);
-      return false;
-    }
-    unsigned rate = 3;
-    unsigned max_inj = 6;
-    if (const char* r = std::getenv("ESTEEM_CHAOS_RATE")) {
-      rate = static_cast<unsigned>(std::strtoul(r, nullptr, 10));
-    }
-    if (const char* m = std::getenv("ESTEEM_CHAOS_MAX")) {
-      max_inj = static_cast<unsigned>(std::strtoul(m, nullptr, 10));
-    }
-    install_plan(std::make_unique<RandomFaultPlan>(seed, rate, max_inj));
-    return true;
-  }
-  return false;
 }
 
 }  // namespace esteem::chaos

@@ -14,6 +14,9 @@
 //   - RandomFaultPlan: a seeded counter-based RNG decides per consultation,
 //     capped at a fixed injection budget so a run can always finish.
 //
+// Only esteem_chaos (--explore, --replay, --random-replay) and the tests
+// install plans; no tool arms the seam from its environment.
+//
 // When no plan is installed the seam is disarmed: armed() is a single
 // relaxed atomic load and every px_* wrapper falls straight through to the
 // real syscall (pinned byte-identical by test_chaos).
@@ -136,13 +139,5 @@ class RandomFaultPlan final : public FaultPlan {
   std::uint64_t sequence_ = 0;
   unsigned budget_;
 };
-
-/// Installs a plan from the environment, for injecting into unmodified CLI
-/// runs: ESTEEM_CHAOS_SCHEDULE takes a schedule string; otherwise
-/// ESTEEM_CHAOS_RANDOM_SEED (with optional ESTEEM_CHAOS_RATE percent,
-/// default 3, and ESTEEM_CHAOS_MAX, default 6) arms a RandomFaultPlan.
-/// Returns true when a plan was installed; prints to stderr and returns
-/// false on a malformed schedule.
-bool install_from_env();
 
 }  // namespace esteem::chaos

@@ -5,13 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#if !defined(_WIN32)
 #include <unistd.h>
-#endif
 
 namespace esteem::chaos {
-
-#if !defined(_WIN32)
 
 namespace detail {
 
@@ -104,7 +100,5 @@ void chaos_rename(const std::string& point, const std::filesystem::path& from,
 }
 
 }  // namespace detail
-
-#endif  // !defined(_WIN32)
 
 }  // namespace esteem::chaos

@@ -14,14 +14,10 @@
 
 #include "chaos/fault_plan.hpp"
 
-#if !defined(_WIN32)
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 namespace esteem::chaos {
-
-#if !defined(_WIN32)
 
 namespace detail {
 ssize_t chaos_write(const std::string& point, int fd, const void* buf,
@@ -68,18 +64,5 @@ inline void crashpoint(const std::string& point) {
   if (!armed()) return;
   detail::chaos_crashpoint(point);
 }
-
-#else  // defined(_WIN32)
-
-// Non-POSIX fallbacks: the chaos layer targets the POSIX builds CI runs;
-// elsewhere the filesystem-level wrappers pass straight through.
-inline void px_rename(const std::string&, const std::filesystem::path& from,
-                      const std::filesystem::path& to, std::error_code& ec) {
-  std::filesystem::rename(from, to, ec);
-}
-
-inline void crashpoint(const std::string&) {}
-
-#endif  // !defined(_WIN32)
 
 }  // namespace esteem::chaos

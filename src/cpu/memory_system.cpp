@@ -346,7 +346,6 @@ void MemorySystem::reset_measurement(cycle_t now) {
   mm_.reset_stats();
   stats_ = {};
   refresh_baseline_ = engine_->total_refreshes();
-  engine_->reset_window();
   fa_cycles_ = 0.0;
   fa_last_update_ = now;
   measure_start_ = now;

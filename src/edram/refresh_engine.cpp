@@ -13,9 +13,7 @@ RefreshEngine::RefreshEngine(RefreshPolicy& policy, cache::BankGroup* banks,
 }
 
 void RefreshEngine::advance(cycle_t now) {
-  const std::uint64_t n = policy_.advance(now);
-  window_ += n;
-  total_ += n;
+  total_ += policy_.advance(now);
 }
 
 void RefreshEngine::sync_bank_load(cycle_t now) {

@@ -23,20 +23,14 @@ class RefreshEngine {
   /// load tracks the valid/active footprint at interval granularity.
   void sync_bank_load(cycle_t now);
 
-  /// N_R accumulated since the last reset_window() (per-interval counter in
-  /// the energy model, Eq. 6).
-  std::uint64_t window_refreshes() const noexcept { return window_; }
-  void reset_window() noexcept { window_ = 0; }
-
+  /// N_R since construction; callers measure a window as the difference
+  /// of two readings.
   std::uint64_t total_refreshes() const noexcept { return total_; }
-
-  RefreshPolicy& policy() noexcept { return policy_; }
 
  private:
   RefreshPolicy& policy_;
   cache::BankGroup* banks_;
   double retention_cycles_;
-  std::uint64_t window_ = 0;
   std::uint64_t total_ = 0;
 };
 

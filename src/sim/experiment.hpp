@@ -53,8 +53,8 @@ RunOutcome run_experiment(const RunSpec& spec,
                           telemetry::IntervalRecorder* intervals = nullptr);
 
 /// run_experiment through the process-wide RunCache (sim/run_cache.hpp):
-/// identical specs are simulated once per process (or once ever, with
-/// ESTEEM_MEMO_DIR persistence) and shared by pointer thereafter. The
+/// identical specs are simulated once per process (or once ever, with a
+/// `--journal DIR` memo directory) and shared by pointer thereafter. The
 /// simulator is deterministic in the spec, so a cached outcome is
 /// bit-identical to a fresh run.
 std::shared_ptr<const RunOutcome> run_experiment_cached(const RunSpec& spec);

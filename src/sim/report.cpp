@@ -91,8 +91,6 @@ std::string figure_report(const SweepResult& result, const std::string& title) {
   return os.str();
 }
 
-std::string table3_row_label(const std::string& label) { return label; }
-
 void write_csv(const SweepResult& result, const std::string& path) {
   // CI columns appear only when at least one row came from a sampled run, so
   // exhaustive sweeps keep the exact pre-sampling byte layout (the goldens

@@ -12,9 +12,6 @@ namespace esteem::sim {
 /// active ratio for ESTEEM. Ends with the average row.
 std::string figure_report(const SweepResult& result, const std::string& title);
 
-/// One Table 3 row: the technique summary for a given configuration label.
-std::string table3_row_label(const std::string& label);
-
 /// Writes the sweep to CSV (one row per workload x technique).
 void write_csv(const SweepResult& result, const std::string& path);
 

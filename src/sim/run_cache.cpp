@@ -10,16 +10,14 @@
 #include <fstream>
 #include <future>
 #include <utility>
+#include <vector>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "chaos/file_ops.hpp"
 #include "common/bytes.hpp"
 #include "common/config_io.hpp"
-#include "common/env.hpp"
 #include "resilience/crc32.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -43,10 +41,6 @@ void note_lookup(bool hit, std::uint64_t hash) {
   }
 }
 
-}  // namespace
-
-namespace {
-
 constexpr std::uint64_t kMemoMagic = 0x314F4D454D534525ULL;  // "%ESMEMO1"
 // Bump whenever the fingerprint layout, the serialized RunOutcome layout, or
 // simulator behaviour changes: stale memo files then read as misses.
@@ -60,151 +54,108 @@ constexpr std::uint32_t kMemoFormatVersion = 4;
 // CRC-protected payload (fingerprint string + serialized outcome).
 constexpr std::size_t kMemoHeaderBytes = 24;
 
-void write_estimate(ByteWriter& w, const sampling::Estimate& e) {
-  w.f64(e.value);
-  w.f64(e.half_ci);
+// The serialized RunOutcome is spelled once, in outcome_fields(), over one
+// of two adapters: OutcomeWriter appends each field (every visit succeeds),
+// OutcomeReader fills it back and reports truncation. The digest, the memo
+// payload and the loader therefore cannot disagree about the layout.
+struct OutcomeWriter {
+  ByteWriter& w;
+  bool u64(std::uint64_t v) { w.u64(v); return true; }
+  bool f64(double v) { w.f64(v); return true; }
+  bool flag(bool v) { w.u8(v ? 1 : 0); return true; }
+  template <class T>
+  bool count(const std::vector<T>& v) { w.u64(v.size()); return true; }
+  // Retired timeline count: keeps outcome digests and memo files byte-stable.
+  bool retired_zero() { w.u64(0); return true; }
+};
+
+struct OutcomeReader {
+  ByteReader& rd;
+  bool u64(std::uint64_t& v) { return rd.u64(v); }
+  bool f64(double& v) { return rd.f64(v); }
+  bool flag(bool& v) {
+    std::uint8_t b = 0;
+    if (!rd.u8(b)) return false;
+    v = b != 0;
+    return true;
+  }
+  template <class T>
+  bool count(std::vector<T>& v) {
+    std::uint64_t n = 0;
+    if (!rd.u64(n)) return false;
+    v.resize(n);
+    return true;
+  }
+  // Retired timeline count: only the constant 0 is valid.
+  bool retired_zero() {
+    std::uint64_t n = 0;
+    return rd.u64(n) && n == 0;
+  }
+};
+
+template <class IO, class Est>
+bool estimate_fields(IO& io, Est& e) {
+  return io.f64(e.value) && io.f64(e.half_ci);
 }
 
-bool read_estimate(ByteReader& rd, sampling::Estimate& e) {
-  return rd.f64(e.value) && rd.f64(e.half_ci);
+/// The one field list of a serialized RunOutcome, in file order. `Outcome`
+/// is const for an OutcomeWriter and mutable for an OutcomeReader.
+template <class IO, class Outcome>
+bool outcome_fields(IO& io, Outcome& o) {
+  auto& r = o.raw;
+  if (!io.count(r.ipc)) return false;
+  for (auto& v : r.ipc) {
+    if (!io.f64(v)) return false;
+  }
+  auto& c = r.counters;
+  auto& m = r.mem_stats;
+  auto& f = r.faults;
+  auto& e = o.energy;
+  auto& est = o.estimates;
+  const bool ok =
+      io.u64(r.instr_per_core) && io.u64(r.total_instructions) &&
+      io.u64(r.wall_cycles) &&
+      io.f64(c.seconds) && io.f64(c.fa_seconds) && io.u64(c.l2_hits) &&
+      io.u64(c.l2_misses) && io.u64(c.refreshes) && io.u64(c.mm_accesses) &&
+      io.u64(c.transitions) && io.u64(c.ecc_corrections) &&
+      io.u64(m.demand_l2_hits) && io.u64(m.demand_l2_misses) &&
+      io.u64(m.l2_writeback_accesses) && io.u64(m.mm_writebacks) &&
+      io.u64(m.reconfig_transitions) && io.u64(m.reconfig_writebacks) &&
+      io.u64(r.refreshes) && io.u64(r.demand_misses) && io.f64(r.avg_active_ratio) &&
+      io.u64(f.scans) && io.u64(f.corrected_lines) && io.u64(f.corrected_reads) &&
+      io.u64(f.refetches) && io.u64(f.data_loss_events) && io.u64(f.disabled_lines) &&
+      io.u64(r.disabled_slots) &&
+      io.retired_zero() &&
+      io.f64(e.leak_l2_j) && io.f64(e.dyn_l2_j) && io.f64(e.refresh_l2_j) &&
+      io.f64(e.ecc_l2_j) && io.f64(e.mm_j) && io.f64(e.algo_j) &&
+      io.flag(est.enabled);
+  if (!ok) return false;
+  if (!est.enabled) return true;
+
+  if (!(io.u64(est.windows) && io.u64(est.window_instr) &&
+        io.u64(est.detailed_instr) && estimate_fields(io, est.wall_cycles) &&
+        io.count(est.ipc))) {
+    return false;
+  }
+  for (auto& v : est.ipc) {
+    if (!estimate_fields(io, v)) return false;
+  }
+  return estimate_fields(io, est.l2_hits) && estimate_fields(io, est.l2_misses) &&
+         estimate_fields(io, est.demand_hits) && estimate_fields(io, est.demand_misses) &&
+         estimate_fields(io, est.l2_writeback_accesses) &&
+         estimate_fields(io, est.mm_accesses) && estimate_fields(io, est.mm_writebacks) &&
+         estimate_fields(io, est.corrected_reads) && estimate_fields(io, est.refreshes) &&
+         io.f64(est.fa_fraction) && estimate_fields(io, est.energy_j);
 }
 
 void write_outcome(ByteWriter& w, const RunOutcome& o) {
-  const cpu::RawRunResult& r = o.raw;
-  w.u64(r.ipc.size());
-  for (double v : r.ipc) w.f64(v);
-  w.u64(r.instr_per_core);
-  w.u64(r.total_instructions);
-  w.u64(r.wall_cycles);
-
-  const energy::EnergyCounters& c = r.counters;
-  w.f64(c.seconds);
-  w.f64(c.fa_seconds);
-  w.u64(c.l2_hits);
-  w.u64(c.l2_misses);
-  w.u64(c.refreshes);
-  w.u64(c.mm_accesses);
-  w.u64(c.transitions);
-  w.u64(c.ecc_corrections);
-
-  const cpu::MemorySystemStats& m = r.mem_stats;
-  w.u64(m.demand_l2_hits);
-  w.u64(m.demand_l2_misses);
-  w.u64(m.l2_writeback_accesses);
-  w.u64(m.mm_writebacks);
-  w.u64(m.reconfig_transitions);
-  w.u64(m.reconfig_writebacks);
-
-  w.u64(r.refreshes);
-  w.u64(r.demand_misses);
-  w.f64(r.avg_active_ratio);
-
-  const edram::FaultCounters& f = r.faults;
-  w.u64(f.scans);
-  w.u64(f.corrected_lines);
-  w.u64(f.corrected_reads);
-  w.u64(f.refetches);
-  w.u64(f.data_loss_events);
-  w.u64(f.disabled_lines);
-  w.u64(r.disabled_slots);
-
-  // Retired timeline count: keeps outcome digests and memo files byte-stable.
-  w.u64(0);
-
-  const energy::EnergyBreakdown& e = o.energy;
-  w.f64(e.leak_l2_j);
-  w.f64(e.dyn_l2_j);
-  w.f64(e.refresh_l2_j);
-  w.f64(e.ecc_l2_j);
-  w.f64(e.mm_j);
-  w.f64(e.algo_j);
-
-  const sampling::SamplingEstimates& est = o.estimates;
-  w.u8(est.enabled ? 1 : 0);
-  if (est.enabled) {
-    w.u64(est.windows);
-    w.u64(est.window_instr);
-    w.u64(est.detailed_instr);
-    write_estimate(w, est.wall_cycles);
-    w.u64(est.ipc.size());
-    for (const sampling::Estimate& v : est.ipc) write_estimate(w, v);
-    write_estimate(w, est.l2_hits);
-    write_estimate(w, est.l2_misses);
-    write_estimate(w, est.demand_hits);
-    write_estimate(w, est.demand_misses);
-    write_estimate(w, est.l2_writeback_accesses);
-    write_estimate(w, est.mm_accesses);
-    write_estimate(w, est.mm_writebacks);
-    write_estimate(w, est.corrected_reads);
-    write_estimate(w, est.refreshes);
-    w.f64(est.fa_fraction);
-    write_estimate(w, est.energy_j);
-  }
+  OutcomeWriter io{w};
+  outcome_fields(io, o);
 }
 
 bool read_outcome(ByteReader& rd, RunOutcome& o) {
-  cpu::RawRunResult& r = o.raw;
-  std::uint64_t n = 0;
-  if (!rd.u64(n)) return false;
-  r.ipc.resize(n);
-  for (double& v : r.ipc) {
-    if (!rd.f64(v)) return false;
-  }
-  bool ok = rd.u64(r.instr_per_core) && rd.u64(r.total_instructions) &&
-            rd.u64(r.wall_cycles);
-
-  energy::EnergyCounters& c = r.counters;
-  ok = ok && rd.f64(c.seconds) && rd.f64(c.fa_seconds) && rd.u64(c.l2_hits) &&
-       rd.u64(c.l2_misses) && rd.u64(c.refreshes) && rd.u64(c.mm_accesses) &&
-       rd.u64(c.transitions) && rd.u64(c.ecc_corrections);
-
-  cpu::MemorySystemStats& m = r.mem_stats;
-  ok = ok && rd.u64(m.demand_l2_hits) && rd.u64(m.demand_l2_misses) &&
-       rd.u64(m.l2_writeback_accesses) && rd.u64(m.mm_writebacks) &&
-       rd.u64(m.reconfig_transitions) && rd.u64(m.reconfig_writebacks);
-
-  ok = ok && rd.u64(r.refreshes) && rd.u64(r.demand_misses) &&
-       rd.f64(r.avg_active_ratio);
-
-  edram::FaultCounters& f = r.faults;
-  ok = ok && rd.u64(f.scans) && rd.u64(f.corrected_lines) &&
-       rd.u64(f.corrected_reads) && rd.u64(f.refetches) &&
-       rd.u64(f.data_loss_events) && rd.u64(f.disabled_lines) &&
-       rd.u64(r.disabled_slots);
-  if (!ok) return false;
-
-  // Retired timeline count: only the constant 0 is valid.
-  if (!rd.u64(n) || n != 0) return false;
-
-  energy::EnergyBreakdown& e = o.energy;
-  ok = rd.f64(e.leak_l2_j) && rd.f64(e.dyn_l2_j) && rd.f64(e.refresh_l2_j) &&
-       rd.f64(e.ecc_l2_j) && rd.f64(e.mm_j) && rd.f64(e.algo_j);
-  if (!ok) return false;
-
-  sampling::SamplingEstimates& est = o.estimates;
-  std::uint8_t sampled = 0;
-  if (!rd.u8(sampled)) return false;
-  est.enabled = sampled != 0;
-  if (est.enabled) {
-    ok = rd.u64(est.windows) && rd.u64(est.window_instr) &&
-         rd.u64(est.detailed_instr) && read_estimate(rd, est.wall_cycles);
-    if (!ok || !rd.u64(n)) return false;
-    est.ipc.resize(n);
-    for (sampling::Estimate& v : est.ipc) {
-      if (!read_estimate(rd, v)) return false;
-    }
-    ok = read_estimate(rd, est.l2_hits) && read_estimate(rd, est.l2_misses) &&
-         read_estimate(rd, est.demand_hits) &&
-         read_estimate(rd, est.demand_misses) &&
-         read_estimate(rd, est.l2_writeback_accesses) &&
-         read_estimate(rd, est.mm_accesses) &&
-         read_estimate(rd, est.mm_writebacks) &&
-         read_estimate(rd, est.corrected_reads) &&
-         read_estimate(rd, est.refreshes) && rd.f64(est.fa_fraction) &&
-         read_estimate(rd, est.energy_j);
-    if (!ok) return false;
-  }
-  return rd.done();
+  OutcomeReader io{rd};
+  return outcome_fields(io, o) && rd.done();
 }
 
 std::filesystem::path memo_path(const std::string& dir, std::uint64_t hash) {
@@ -248,11 +199,7 @@ std::shared_ptr<const RunOutcome> run_experiment_cached(const RunSpec& spec) {
 }
 
 RunCache& RunCache::instance() {
-  static RunCache* cache = [] {
-    auto* c = new RunCache();
-    c->set_disk_dir(env_str("ESTEEM_MEMO_DIR", ""));
-    return c;
-  }();
+  static RunCache* cache = new RunCache();
   return *cache;
 }
 
@@ -397,11 +344,7 @@ void RunCache::quarantine_file(const std::string& dir, std::uint64_t hash,
     // collision into two distinct files instead of an overwrite or an error.
     static std::atomic<std::uint64_t> quarantine_seq{0};
     const std::uint64_t seq = quarantine_seq.fetch_add(1, std::memory_order_relaxed);
-#if defined(_WIN32)
-    const long pid = 0;
-#else
     const long pid = static_cast<long>(::getpid());
-#endif
     char suffix[48];
     std::snprintf(suffix, sizeof suffix, ".%ld-%llu", pid,
                   static_cast<unsigned long long>(seq));
@@ -452,22 +395,6 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
   const std::filesystem::path final_path = memo_path(dir, hash);
   std::filesystem::path tmp = final_path;
   tmp += ".tmp";
-#if defined(_WIN32)
-  {
-    std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
-    if (!outf.good()) {
-      note_store_error("cannot open temp file");
-      return;
-    }
-    outf.write(file.data(), static_cast<std::streamsize>(file.size()));
-    if (!outf.good()) {
-      outf.close();
-      std::filesystem::remove(tmp, ec);
-      note_store_error("short write");
-      return;
-    }
-  }
-#else
   {
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
@@ -507,7 +434,6 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
     }
     ::close(fd);
   }
-#endif
   chaos::crashpoint("memo.crash.before_rename");
   chaos::px_rename("memo.rename", tmp, final_path, ec);
   if (ec) {

@@ -12,8 +12,8 @@
 // requesters of the same key block on a shared_future instead of
 // recomputing. Distinct keys never contend beyond the map lookup.
 //
-// Persistence (optional): pointing `ESTEEM_MEMO_DIR` at a directory (or
-// calling set_disk_dir) spills every computed outcome to
+// Persistence (optional): set_disk_dir, which `--journal DIR` calls (the
+// cache reads no environment), spills every computed outcome to
 // `esteem-memo-<hash>.bin` and reloads it in later processes, so
 // regenerating a figure after the first run costs file reads, not
 // simulation. Files carry a magic, a format version, and a CRC32 over the
@@ -69,7 +69,7 @@ struct RunCacheStats {
 
 class RunCache {
  public:
-  /// Process-wide instance; adopts ESTEEM_MEMO_DIR on first use.
+  /// Process-wide instance; memory-only until set_disk_dir names a directory.
   static RunCache& instance();
 
   RunCache() = default;

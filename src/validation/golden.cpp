@@ -70,6 +70,11 @@ void GoldenFile::upsert_scale(GoldenScale scale) {
   scales.push_back(std::move(scale));
 }
 
+void GoldenFile::record(GoldenScale scale) {
+  generator = kGoldenGenerator;
+  upsert_scale(std::move(scale));
+}
+
 std::string golden_to_json(const GoldenFile& file) {
   std::ostringstream os;
   os << "{\n";

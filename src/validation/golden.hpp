@@ -45,10 +45,14 @@ struct GoldenScale {
 
 inline constexpr int kGoldenVersion = 1;
 
+/// The provenance line record() stamps. A constant, not the last scale
+/// recorded: each scale entry carries its own fingerprint, so re-recording
+/// an unchanged entry leaves the file byte-identical.
+inline constexpr const char* kGoldenGenerator = "esteem_validate --update-golden";
+
 struct GoldenFile {
   int version = kGoldenVersion;
-  /// Free-form provenance line ("generated by esteem_validate ...");
-  /// informational only.
+  /// Free-form provenance line; informational only.
   std::string generator;
   std::vector<GoldenScale> scales;
 
@@ -57,6 +61,9 @@ struct GoldenFile {
   /// existing one figure by figure: figures in `scale` replace their old
   /// records, and figures it does not carry keep theirs.
   void upsert_scale(GoldenScale scale);
+  /// `esteem_validate --update-golden`'s write: upsert_scale(scale), and the
+  /// generator line set to kGoldenGenerator.
+  void record(GoldenScale scale);
 };
 
 /// Serializes with stable key order and %.17g doubles (round-trip exact).

@@ -250,8 +250,8 @@ std::string ablation(const ScaleSpec& scale) {
     spec.warmup_instr_per_core = half.instr_per_core / 5;
     spec.seed = scale.seed;
     // Cached: the per-benchmark baseline is shared with any figure that
-    // already ran in this process (and with repeat invocations when
-    // ESTEEM_MEMO_DIR is set).
+    // already ran in this process (and with repeat invocations that pass
+    // the same --journal DIR).
     const std::shared_ptr<const sim::RunOutcome> base =
         sim::run_experiment_cached(spec);
 

@@ -181,8 +181,8 @@ std::string results_book_markdown(const std::vector<FigureResult>& results,
         "regenerated file is byte-identical on the same code. Print one table\n"
         "or figure with `./build/tools/esteem_validate --print ID --scale bench`\n"
         "(`--list` names the ids); the whole matrix shares one memoized run\n"
-        "cache, so `--jobs`/repeat runs never recompute an experiment (set\n"
-        "`ESTEEM_MEMO_DIR` to persist it).\n";
+        "cache, so `--jobs`/repeat runs never recompute an experiment (pass\n"
+        "`--journal DIR` to persist it).\n";
   return os.str();
 }
 

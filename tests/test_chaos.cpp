@@ -135,24 +135,6 @@ TEST(SchedulePlan, InstallArmAndCountLifecycle) {
   EXPECT_TRUE(consult("memo.tmp.write").none());
 }
 
-TEST(SchedulePlan, InstallFromEnvironment) {
-  Disarmed cleanup;
-  ::setenv("ESTEEM_CHAOS_SCHEDULE", "p@0=explode", 1);
-  EXPECT_FALSE(install_from_env());
-  EXPECT_FALSE(armed());
-
-  ::setenv("ESTEEM_CHAOS_SCHEDULE", "memo.tmp.write@0=eio", 1);
-  EXPECT_TRUE(install_from_env());
-  EXPECT_TRUE(armed());
-  ::unsetenv("ESTEEM_CHAOS_SCHEDULE");
-
-  disarm();
-  ::setenv("ESTEEM_CHAOS_RANDOM_SEED", "17", 1);
-  EXPECT_TRUE(install_from_env());
-  EXPECT_TRUE(armed());
-  ::unsetenv("ESTEEM_CHAOS_RANDOM_SEED");
-}
-
 TEST(RandomPlan, DeterministicPerSeedAndBudgetCapped) {
   const std::vector<std::string> points = {
       "memo.tmp.write", "memo.tmp.fsync",          "memo.rename",

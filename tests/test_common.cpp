@@ -15,7 +15,6 @@
 #include "common/bytes.hpp"
 #include "common/config.hpp"
 #include "common/csv.hpp"
-#include "common/env.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -243,15 +242,6 @@ TEST(Csv, EscapesSpecialCells) {
   std::getline(in, line);
   EXPECT_EQ(line, "\"a,b\",plain,\"with \"\"quote\"\"\"");
   std::filesystem::remove(path);
-}
-
-TEST(Env, ReadsAndFallsBack) {
-  ::setenv("ESTEEM_TEST_ENV_STR", "dir", 1);
-  EXPECT_EQ(env_str("ESTEEM_TEST_ENV_STR", "dflt"), "dir");
-  ::setenv("ESTEEM_TEST_ENV_STR", "", 1);
-  EXPECT_EQ(env_str("ESTEEM_TEST_ENV_STR", "dflt"), "dflt");
-  ::unsetenv("ESTEEM_TEST_ENV_STR");
-  EXPECT_EQ(env_str("ESTEEM_TEST_ENV_STR", "dflt"), "dflt");
 }
 
 // ---------------------------------------------------------------------------

@@ -331,6 +331,31 @@ TEST(SamplingFingerprint, EveryKnobIsKeyed) {
   EXPECT_NE(run_spec_fingerprint(s), enabled);
 }
 
+// The memo file carries the estimates too: a sampled outcome restored from
+// disk has the digest (every serialized field) of the one that was stored.
+TEST(SamplingMemo, SampledOutcomeRoundTripsThroughDisk) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "esteem-memo-sampled-test";
+  fs::remove_all(dir);
+  RunCache& cache = RunCache::instance();
+  cache.clear();
+  cache.set_disk_dir(dir.string());
+
+  const RunSpec spec = sampled_spec();
+  const std::shared_ptr<const RunOutcome> stored = run_experiment_cached(spec);
+  ASSERT_TRUE(stored->estimates.enabled);
+  cache.clear();  // the next lookup must come from the memo file
+  const std::shared_ptr<const RunOutcome> restored = run_experiment_cached(spec);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  ASSERT_TRUE(restored->estimates.enabled);
+  EXPECT_EQ(restored->estimates.ipc.size(), stored->estimates.ipc.size());
+  EXPECT_EQ(outcome_digest(*restored), outcome_digest(*stored));
+
+  cache.set_disk_dir("");
+  cache.clear();
+  fs::remove_all(dir);
+}
+
 // --- Exhaustive-mode regression pin: with [sampling] disabled (the default)
 // the sweep CSV must stay byte-identical to the pre-sampling output. The
 // expected text below was produced by `esteem_cli --sweep gamess,gobmk

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "validation/fidelity.hpp"
 #include "validation/figures.hpp"
@@ -152,6 +153,27 @@ TEST(Golden, CommittedFileReserializesByteIdentical) {
   std::ostringstream bytes;
   bytes << in.rdbuf();
   EXPECT_EQ(golden_to_json(load_golden(path)), bytes.str());
+}
+
+TEST(Golden, ReRecordingAnUnchangedEntryIsByteIdentical) {
+  // What `--update-golden` does on an unchanged tree: re-record a whole
+  // entry, or one figure of it (--figures fig3). Neither may touch the file.
+  const std::string path = std::string(ESTEEM_SOURCE_DIR) + "/validation/golden.json";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  GoldenFile file = golden_from_json(text.str());
+  ASSERT_FALSE(file.scales.empty());
+  const std::vector<GoldenScale> entries = file.scales;
+  for (const GoldenScale& entry : entries) {
+    file.record(entry);
+    EXPECT_EQ(golden_to_json(file), text.str()) << entry.fingerprint;
+    GoldenScale one = entry;
+    one.figures.resize(1);
+    file.record(one);
+    EXPECT_EQ(golden_to_json(file), text.str()) << entry.fingerprint << " one figure";
+  }
 }
 
 TEST(Golden, VersionMismatchIsRejected) {

@@ -15,8 +15,9 @@
 //     --jobs N                   worker threads (0 = hardware concurrency)
 //     --json FILE                also write the JSON line to FILE
 //
-// The memo cache is cleared before each leg, so both measure simulation,
-// not memoization.
+// The memo cache is memory-only (this tool takes no --journal, and no tool
+// reads a memo directory from the environment) and is cleared before each
+// leg, so both legs always time simulation, never memoization.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -61,6 +62,7 @@ int emit_json(const std::string& line, const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (tools::refuse_retired_variables("esteem_bench")) return 2;
   std::size_t n_workloads = 8;
   std::string techniques_arg = "esteem,rpv";
   std::string json_path;

@@ -12,7 +12,8 @@
 //
 // Every leg is replayable: a failing schedule prints the exact
 // `esteem_chaos --replay "<schedule>"` (or --random-replay SEED) command
-// that reproduces it deterministically.
+// that reproduces it deterministically. These modes are the only way to
+// arm the seam on a sweep: no tool reads a fault plan from its environment.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -340,6 +341,7 @@ int list_points() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (tools::refuse_retired_variables("esteem_chaos")) return 2;
   std::string mode;
   std::string schedule;
   std::string root;

@@ -16,7 +16,7 @@
 //                              are kept, queued work is skipped) and exit
 //                              with code 5.
 //     --journal DIR            crash-safe sweep: use DIR as the run-memo
-//                              directory (overrides ESTEEM_MEMO_DIR), so
+//                              directory (the only way to name one), so
 //                              every finished run is published there
 //                              (fsync'd, CRC'd) as it completes. Rerunning
 //                              with the same --journal DIR is the resume:
@@ -54,6 +54,9 @@
 // Telemetry is off by default and observer-free: with none of the three
 // flags given, output (including sweep CSV) is byte-identical to a build
 // without the subsystem.
+//
+// The CLI reads no environment: a retired ESTEEM_* variable (memo
+// directory, fault schedule, scale) that is still set exits 2.
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -65,7 +68,6 @@
 #include <string>
 #include <vector>
 
-#include "chaos/fault_plan.hpp"
 #include "common/config_io.hpp"
 #include "common/table.hpp"
 #include "resilience/shutdown.hpp"
@@ -198,17 +200,14 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
                    e.workload.c_str(), e.technique.c_str(), e.what.c_str());
     }
   }
-  // With ESTEEM_MEMO_DIR alone the runs are just as durable; --journal
-  // names the same directory explicitly.
-  const std::string memo_dir = sim::RunCache::instance().disk_dir();
-  const std::string rerun =
-      memo_dir.empty() ? "" : "rerun with the same --journal " + memo_dir;
   if (result.interrupted) {
     // Partial summary above is already on stdout; the dedicated exit code
     // lets wrappers distinguish "interrupted, resumable" from failure.
     std::fprintf(stderr, "sweep interrupted: finished runs kept%s\n",
-                 rerun.empty() ? " in memory only (use --journal DIR to persist)"
-                               : ("; " + rerun + " to resume").c_str());
+                 journal_dir.empty()
+                     ? " in memory only (use --journal DIR to persist)"
+                     : ("; rerun with the same --journal " + journal_dir + " to resume")
+                           .c_str());
     return resilience::kExitInterrupted;
   }
   return result.errors.empty() ? 0 : 3;
@@ -253,7 +252,7 @@ void flush_telemetry() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  chaos::install_from_env();
+  if (tools::refuse_retired_variables("esteem_cli")) return 2;
   std::string workload = "h264ref";
   std::string technique = "esteem";
   std::string sweep_arg;
@@ -346,9 +345,7 @@ int main(int argc, char** argv) {
       const std::vector<std::string> sweep_items = split_csv(sweep_arg);
       if (sweep_items.empty()) usage("empty sweep workload list");
       if (config_path.empty()) {
-        // Paper defaults for the core count of the first sweep workload;
-        // a mismatched workload later fails as a recorded sweep error.
-        cfg = tools::default_sweep_config(parse_sweep_workload(sweep_items.front()));
+        cfg = tools::paper_default_config(parse_sweep_workload(sweep_items.front()));
       }
       if (dump_config) {
         save_config(cfg, std::cout);
@@ -364,16 +361,9 @@ int main(int argc, char** argv) {
 
     const std::vector<std::string> benchmarks = split_csv(workload);
     if (benchmarks.empty()) usage("empty workload list");
-    if (config_path.empty()) {
-      // No explicit config: adopt the paper defaults for the requested core
-      // count and scale the 10M-cycle interval to the shortened run (the
-      // same policy the validation scales use; see DESIGN.md §5). The rule, not
-      // its result for this --instr, is what --dump-config writes.
-      cfg = benchmarks.size() >= 2 ? SystemConfig::dual_core()
-                                   : SystemConfig::single_core();
-      cfg.ncores = static_cast<std::uint32_t>(benchmarks.size());
-      apply_paper_scaled_interval(cfg);
-    }
+    // The scaling rule, not its result for this --instr, is what
+    // --dump-config writes.
+    if (config_path.empty()) cfg = tools::paper_default_config({workload, benchmarks});
     if (benchmarks.size() != cfg.ncores) {
       usage("workload count must match the configured core count");
     }

@@ -28,18 +28,21 @@
 //   --perturb-refresh-energy X      scale eDRAM refresh energy by X before
 //                       running — a deliberate-drift hook for testing that
 //                       the gate actually fails when the model moves
-//   --journal-dir DIR   crash safety: use DIR as the run-memo directory
-//                       (overrides ESTEEM_MEMO_DIR), so every finished run
-//                       is published there; rerunning with the same
-//                       --journal-dir DIR restores those runs instead of
-//                       simulating them again
+//   --journal DIR       crash safety: use DIR as the run-memo directory,
+//                       so every finished run is published there; rerunning
+//                       with the same --journal DIR restores those runs
+//                       instead of simulating them again
+//
+// --print takes the scale flags and --journal only: --figures, --golden and
+// --perturb-refresh-energy have no effect on a printed report, so they are
+// refused (exit 2) there rather than silently ignored.
 //
 // SIGINT/SIGTERM drain the figure matrix gracefully: finished runs stay in
 // the memo directory and the process exits with code 5 instead of scoring
 // (or printing) partial data.
 //
-// The scale is named by these flags only. The retired ESTEEM_INSTR-style
-// scale variables are refused (exit 2) rather than silently ignored.
+// The tool reads no environment: the retired ESTEEM_* variables are refused
+// (exit 2) rather than silently ignored.
 //
 // Paper-shape checks (signs, §7.2 bands) are gated at the bench and paper
 // scales: at tiny instruction budgets the reconfiguration machinery barely
@@ -81,8 +84,10 @@ struct Options {
   std::string scale_name = "smoke";
   std::vector<std::string> figure_ids{"fig3", "fig4", "fig5", "fig6"};
   bool figures_given = false;
+  bool golden_given = false;
   std::string report_id;  // --print
   double perturb_refresh = 1.0;
+  bool perturb_given = false;
   std::string journal_dir;
   // Scale overrides (<0 = keep the scale's own value).
   long long instr = -1;
@@ -98,7 +103,7 @@ void usage(std::FILE* to) {
                "                       [--instr N] [--warmup N] [--seed N] [--jobs N]\n"
                "                       [--figures fig3,fig4,...]\n"
                "                       [--perturb-refresh-energy X]\n"
-               "                       [--journal-dir DIR]\n");
+               "                       [--journal DIR]\n");
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -131,6 +136,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--golden") {
       if (!need_value(i)) return false;
       opt.golden_path = argv[++i];
+      opt.golden_given = true;
     } else if (a == "--scale") {
       if (!need_value(i)) return false;
       opt.scale_name = argv[++i];
@@ -149,7 +155,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
           return false;
         }
       }
-    } else if (a == "--journal-dir") {
+    } else if (a == "--journal") {
       if (!need_value(i)) return false;
       opt.journal_dir = argv[++i];
     } else if (a == "--perturb-refresh-energy") {
@@ -157,6 +163,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = argv[++i];
       char* end = nullptr;
       opt.perturb_refresh = std::strtod(v, &end);
+      opt.perturb_given = true;
       if (end == v || *end != '\0' || !std::isfinite(opt.perturb_refresh) ||
           opt.perturb_refresh <= 0.0) {
         std::fprintf(stderr, "--perturb-refresh-energy must be a number > 0, not '%s'\n", v);
@@ -185,31 +192,18 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  return true;
-}
-
-/// The retired scale variables and the flag that replaces each. A user who
-/// still exports one must not get a silent run at a different scale.
-bool refuse_retired_scale_variables() {
-  static const char* const kRetired[][2] = {
-      {"ESTEEM_INSTR", "--instr N"},
-      {"ESTEEM_WARMUP", "--warmup N"},
-      {"ESTEEM_SEED", "--seed N"},
-      {"ESTEEM_THREADS", "--jobs N"},
-      {"ESTEEM_INTERVAL_FACTOR", "--scale (each scale pins its interval factor)"},
-      {"ESTEEM_TABLE3_INSTR", "--instr N (Table 3 runs at half of it)"},
-      {"ESTEEM_TABLE3_STRIDE", "a smaller --instr N (Table 3 runs every workload)"},
-      {"ESTEEM_TABLE3_SECTION", "a smaller --instr N (Table 3 runs both sections)"},
-  };
-  bool refused = false;
-  for (const auto& [name, flag] : kRetired) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') continue;
-    std::fprintf(stderr, "esteem_validate: %s is no longer read; use %s and unset %s\n",
-                 name, flag, name);
-    refused = true;
+  if (opt.mode == Mode::Print) {
+    const std::pair<bool, const char*> ignored[] = {
+        {opt.figures_given, "--figures"},
+        {opt.golden_given, "--golden"},
+        {opt.perturb_given, "--perturb-refresh-energy"}};
+    for (const auto& [given, flag] : ignored) {
+      if (!given) continue;
+      std::fprintf(stderr, "%s has no effect on --print; drop it\n", flag);
+      return false;
+    }
   }
-  return refused;
+  return true;
 }
 
 ScaleSpec resolve_scale(const Options& opt) {
@@ -224,6 +218,17 @@ ScaleSpec resolve_scale(const Options& opt) {
   if (opt.seed >= 0) s.seed = static_cast<std::uint64_t>(opt.seed);
   if (opt.jobs >= 0) s.threads = static_cast<unsigned>(opt.jobs);
   return s;
+}
+
+/// With --journal, reports how many runs came back from the memo directory
+/// since `disk_hits_before` (every mode prints it, so a memoized run is
+/// never mistaken for a fresh one).
+void report_resume(const Options& opt, std::uint64_t disk_hits_before) {
+  if (opt.journal_dir.empty()) return;
+  std::fprintf(stderr, "resume: %llu run(s) restored from %s\n",
+               static_cast<unsigned long long>(
+                   sim::RunCache::instance().stats().disk_hits - disk_hits_before),
+               opt.journal_dir.c_str());
 }
 
 /// Runs the figure matrix; `interrupted` reports whether a shutdown request
@@ -250,12 +255,7 @@ std::vector<FigureResult> run_matrix(const Options& opt, const ScaleSpec& scale,
     results.push_back(run_figure(*spec, scale, mutate));
     interrupted |= results.back().sweep.interrupted;
   }
-  if (!opt.journal_dir.empty()) {
-    std::fprintf(stderr, "resume: %llu run(s) restored from %s\n",
-                 static_cast<unsigned long long>(
-                     sim::RunCache::instance().stats().disk_hits - disk_hits_before),
-                 opt.journal_dir.c_str());
-  }
+  report_resume(opt, disk_hits_before);
   return results;
 }
 
@@ -274,7 +274,7 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
   const std::vector<FigureResult> results = run_matrix(opt, scale, interrupted);
   if (interrupted) {
     std::fprintf(stderr, "validation interrupted; not scoring partial data "
-                         "(rerun with the same --journal-dir DIR to continue)\n");
+                         "(rerun with the same --journal DIR to continue)\n");
     return resilience::kExitInterrupted;
   }
   const bool paper_checks = scale.label == "bench" || scale.label == "paper";
@@ -332,17 +332,14 @@ int do_update_golden(const Options& opt, const ScaleSpec& scale) {
     std::fprintf(stderr, "starting a fresh golden file at %s\n",
                  opt.golden_path.c_str());
   }
-  golden.generator = "esteem_validate --update-golden (scale " +
-                     scale_fingerprint(scale) + ")";
-
-  // upsert_scale merges figure by figure, so the diff compares the old entry
+  // record() merges figure by figure, so the diff compares the old entry
   // with the merged one: figures that were not rerun are kept, not removed.
   GoldenScale fresh = to_golden(results);
   const std::string fingerprint = fresh.fingerprint;
   const GoldenScale* old = golden.find_scale(fingerprint);
   const std::optional<GoldenScale> before =
       old != nullptr ? std::optional<GoldenScale>(*old) : std::nullopt;
-  golden.upsert_scale(std::move(fresh));
+  golden.record(std::move(fresh));
   const GoldenScale& after = *golden.find_scale(fingerprint);
   if (before) {
     const std::string diff = golden_diff_text(*before, after);
@@ -386,6 +383,7 @@ int do_results(const Options& opt, const ScaleSpec& scale) {
 }
 
 int do_print(const Options& opt, const ScaleSpec& scale) {
+  const std::uint64_t disk_hits_before = sim::RunCache::instance().stats().disk_hits;
   ReportOutput out;
   try {
     out = find_report(opt.report_id)->run(scale);
@@ -393,6 +391,7 @@ int do_print(const Options& opt, const ScaleSpec& scale) {
     // An interrupted sweep may leave nothing to summarize; that is exit 5.
     if (!resilience::shutdown_requested()) throw;
   }
+  report_resume(opt, disk_hits_before);
   if (resilience::shutdown_requested()) {
     std::fprintf(stderr, "report interrupted; not printing partial output\n");
     return resilience::kExitInterrupted;
@@ -411,12 +410,12 @@ int do_list() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (tools::refuse_retired_variables("esteem_validate")) return 2;
   Options opt;
   if (!parse_args(argc, argv, opt)) {
     usage(stderr);
     return 2;
   }
-  if (refuse_retired_scale_variables()) return 2;
   try {
     if (opt.mode == Mode::List) return do_list();
     if (!opt.journal_dir.empty()) {

@@ -1,13 +1,15 @@
-// Shared argument helpers for the tools: strict numeric flag values and
-// comma-list splitting (esteem_cli, esteem_validate, esteem_bench,
-// esteem_chaos), and esteem_cli's SweepSpec construction
-// (workload parsing and the paper-default config policy: core count,
-// interval scaling, hysteresis; see DESIGN.md §5) and --journal directory
-// setup.
+// Shared argument helpers for the tools: the retired-variable refusal,
+// strict numeric flag values and comma-list splitting (esteem_cli,
+// esteem_validate, esteem_bench, esteem_chaos), esteem_cli's SweepSpec
+// construction (workload parsing and the paper-default config policy: core
+// count, interval scaling, hysteresis; see DESIGN.md §5) and --journal
+// directory setup.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -24,6 +26,37 @@
 #include "trace/workloads.hpp"
 
 namespace esteem::tools {
+
+/// The tools read no environment. Each variable an earlier version read is
+/// refused with the flag that replaces it, so a user who still exports one
+/// gets exit 2 instead of a run that silently ignores it. Every tool calls
+/// this before any other work; true when at least one is set non-empty.
+inline bool refuse_retired_variables(const char* tool) {
+  static const char* const kRetired[][2] = {
+      {"ESTEEM_INSTR", "--instr N"},
+      {"ESTEEM_WARMUP", "--warmup N"},
+      {"ESTEEM_SEED", "--seed N"},
+      {"ESTEEM_THREADS", "--jobs N"},
+      {"ESTEEM_INTERVAL_FACTOR", "esteem_validate --scale (each scale pins its interval factor)"},
+      {"ESTEEM_TABLE3_INSTR", "--instr N (Table 3 runs at half of it)"},
+      {"ESTEEM_TABLE3_STRIDE", "a smaller --instr N (Table 3 runs every workload)"},
+      {"ESTEEM_TABLE3_SECTION", "a smaller --instr N (Table 3 runs both sections)"},
+      {"ESTEEM_MEMO_DIR", "--journal DIR (esteem_cli --sweep, esteem_validate)"},
+      {"ESTEEM_CHAOS_SCHEDULE", "esteem_chaos --replay SCHEDULE"},
+      {"ESTEEM_CHAOS_RANDOM_SEED", "esteem_chaos --random-replay SEED"},
+      {"ESTEEM_CHAOS_RATE", "esteem_chaos --rate PCT"},
+      {"ESTEEM_CHAOS_MAX", "esteem_chaos --random-replay SEED (6 faults at most per plan)"},
+  };
+  bool refused = false;
+  for (const auto& [name, flag] : kRetired) {
+    const char* v = std::getenv(name);
+    if (v == nullptr || *v == '\0') continue;
+    std::fprintf(stderr, "%s: %s is no longer read; use %s and unset %s\n", tool, name,
+                 flag, name);
+    refused = true;
+  }
+  return refused;
+}
 
 /// A numeric flag's value: the whole token must be a decimal count that
 /// fits in T (json::parse_u64 — no sign, space, exponent or suffix, so
@@ -62,11 +95,12 @@ inline trace::Workload parse_sweep_workload(const std::string& item) {
   return wl;
 }
 
-/// Paper defaults for the core count of the sweep's first workload, with the
-/// 10M-cycle interval to be scaled to the run (kPaperScaledInterval, the
+/// esteem_cli's configuration without --config: paper defaults for the core
+/// count of `first` (the single run's workload, or the sweep's first), with
+/// the 10M-cycle interval to be scaled to the run (kPaperScaledInterval, the
 /// same policy the validation scales use; resolve_interval() before running).
-/// A mismatched workload later fails as a recorded sweep error.
-inline SystemConfig default_sweep_config(const trace::Workload& first) {
+/// A mismatched sweep workload later fails as a recorded sweep error.
+inline SystemConfig paper_default_config(const trace::Workload& first) {
   SystemConfig cfg = first.benchmarks.size() >= 2 ? SystemConfig::dual_core()
                                                   : SystemConfig::single_core();
   cfg.ncores =
@@ -119,9 +153,9 @@ inline bool make_output_dir(const std::string& dir, const char* what, std::strin
   return true;
 }
 
-/// --journal DIR: makes DIR the run-memo directory (overriding
-/// ESTEEM_MEMO_DIR), so every finished run is published there durably and
-/// rerunning the same command restores it (DESIGN.md §11). DIR is created
+/// --journal DIR: makes DIR the run-memo directory (the only way to name
+/// one), so every finished run is published there durably and rerunning the
+/// same command restores it (DESIGN.md §11). DIR is created
 /// up front; false with `error` set when it cannot be.
 inline bool use_journal_dir(const std::string& dir, std::string& error) {
   if (!make_output_dir(dir, "journal", error)) return false;
