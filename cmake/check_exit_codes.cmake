@@ -6,8 +6,9 @@
 # given a flag it would ignore, an unknown --print report
 # id, telemetry outputs (--trace, --telemetry-dir) that cannot be opened, an
 # esteem_validate --check whose golden file cannot be read, a [faults]
-# max_tracked_extension past its cap, and an ecc-extended fault run whose
-# extension the weak-cell map does not track. Invoked by the cli_exit_codes
+# max_tracked_extension past its cap, an ecc-extended fault run whose
+# extension the weak-cell map does not track, a zero --instr budget (single
+# run and sweep), and a technique listed twice in --techniques. Invoked by the cli_exit_codes
 # ctest with -DCLI=, -DVALIDATE=, -DBENCH=, -DCHAOS=<binaries>
 # -DWORKDIR=<scratch dir>.
 file(REMOVE_RECURSE ${WORKDIR})
@@ -31,6 +32,9 @@ set(cases
   "${CLI}|--config|${WORKDIR}/short_tracking.ini|--workload|h264ref|--technique|ecc-extended|--instr|1000|--warmup|0"
   "${CLI}|--sweep|gamess|--techniques|nosuch"
   "${CLI}|--sweep|gamess|--techniques|baseline"
+  "${CLI}|--sweep|gamess|--techniques|rpv,rpv|--instr|1000|--warmup|0"
+  "${CLI}|--workload|gamess|--technique|esteem|--instr|0|--warmup|0"
+  "${CLI}|--sweep|gamess|--techniques|rpv|--instr|0|--warmup|0"
   "${CLI}|--workload|gamess|--technique|nosuch"
   "${CLI}|--workload|gamess|--warmup|0|--instr|1e6"
   "${CLI}|--workload|gamess|--warmup|0|--instr|abc"

@@ -12,34 +12,21 @@ Core::Core(std::uint32_t id, std::unique_ptr<trace::AccessGenerator> generator,
 
 void Core::step(MemorySystem& mem) {
   const trace::MemRef ref = generator_->next();
-  cycles_ += ref.gap;  // one cycle per non-memory instruction
-  instret_ += ref.gap;
-  const cycle_t latency = mem.access(id_, ref.block + block_offset_, ref.is_store, cycles_);
-  cycles_ += latency;
-  ++instret_;
+  instret_ += static_cast<instr_t>(ref.gap) + 1;
+  mem.step(id_, ref.gap, ref.block + block_offset_, ref.is_store);
 }
 
-void Core::advance_clock(instr_t n, double cpi) {
-  const double due = static_cast<double>(n) * cpi + clock_carry_;
-  const auto whole = static_cast<cycle_t>(due);
-  clock_carry_ = due - static_cast<double>(whole);
-  cycles_ += whole;
-}
-
-void Core::skip(instr_t n, double cpi) {
+void Core::skip(MemorySystem& mem, instr_t n, double cpi) {
   generator_->skip(n);
   instret_ += n;
-  advance_clock(n, cpi);
+  mem.advance_clock(id_, n, cpi);
 }
 
 void Core::step_warm(MemorySystem& mem, double cpi) {
   const trace::MemRef ref = generator_->next();
   const instr_t retired = static_cast<instr_t>(ref.gap) + 1;
   instret_ += retired;
-  advance_clock(retired, cpi);
-  // The access mutates cache/refresh/profiler state; its latency is a
-  // warming-mode nominal value and deliberately not charged to the clock.
-  (void)mem.access(id_, ref.block + block_offset_, ref.is_store, cycles_);
+  mem.step_warm(id_, retired, ref.block + block_offset_, ref.is_store, cpi);
 }
 
 }  // namespace esteem::cpu

@@ -3,7 +3,9 @@
 // Every non-memory instruction retires in one cycle; memory operations pay
 // the hierarchy latency returned by MemorySystem. Trace generators emit
 // (gap, memory-op) pairs, so the simulator's cost per retired instruction is
-// amortized to O(1) over the gap.
+// amortized to O(1) over the gap. A core is its reference stream and its
+// instruction count; its clock lives in each refresh lane of the memory
+// system, so one stream can drive several lanes' timing.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +24,16 @@ class Core {
   Core(std::uint32_t id, std::unique_ptr<trace::AccessGenerator> generator,
        block_t block_offset);
 
-  /// Executes the next (gap, memory-op) batch; advances the local clock.
+  /// Executes the next (gap, memory-op) batch on every lane of `mem`; each
+  /// lane advances its own clock for this core (MemorySystem::step).
   void step(MemorySystem& mem);
 
   /// Sampling fast-forward: advances the generator past `n` instructions
   /// analytically (no memory accesses reach the hierarchy) and moves the
-  /// local clock at `cpi` cycles per instruction — the executor's running
+  /// core's clock at `cpi` cycles per instruction — the executor's running
   /// CPI estimate, so interval-based machinery downstream of the clock
   /// (refresh epochs, ESTEEM intervals) stays aligned with real time.
-  void skip(instr_t n, double cpi);
+  void skip(MemorySystem& mem, instr_t n, double cpi);
 
   /// Sampling functional warming: executes the next batch against the
   /// hierarchy so cache/refresh/profiler state updates, but charges the
@@ -38,29 +41,14 @@ class Core {
   /// measured in this segment, and warming-mode latencies are nominal).
   void step_warm(MemorySystem& mem, double cpi);
 
-  /// Sampling clock re-alignment: idles the core forward to `t` without
-  /// retiring instructions or consuming references. Multicore sampling
-  /// aligns core clocks at segment boundaries — per-core CPI estimates
-  /// differ, so analytic advances skew the cores apart in time, and the
-  /// shared bank/channel model would charge that skew to the lagging
-  /// core's next access as queueing delay.
-  void idle_until(cycle_t t) noexcept {
-    if (t > cycles_) cycles_ = t;
-  }
-
   std::uint32_t id() const noexcept { return id_; }
-  cycle_t cycles() const noexcept { return cycles_; }
   instr_t instret() const noexcept { return instret_; }
 
  private:
-  void advance_clock(instr_t n, double cpi);
-
   std::uint32_t id_;
   std::unique_ptr<trace::AccessGenerator> generator_;
   block_t block_offset_;
-  cycle_t cycles_ = 0;
   instr_t instret_ = 0;
-  double clock_carry_ = 0.0;  ///< Fractional cycles owed by CPI-scaled advances.
 };
 
 }  // namespace esteem::cpu

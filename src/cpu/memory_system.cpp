@@ -1,5 +1,7 @@
 #include "cpu/memory_system.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -19,44 +21,28 @@ cache::CacheParams l2_params(const SystemConfig& cfg) {
   return {cfg.l2.geom.sets(), cfg.l2.geom.ways};
 }
 
-}  // namespace
-
-MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
-    : cfg_(cfg),
-      technique_(technique),
-      l2_(l2_params(cfg), "L2"),
-      banks_(cfg.l2.banks, cfg.l2.geom.sets(), cfg.l2.refresh_occupancy_cycles,
-             cfg.l2.access_occupancy_cycles, cfg.l2.queue_pressure),
-      modules_(cfg.l2.geom.sets(), cfg.esteem.modules),
-      mm_({cfg.mem.latency_cycles, cfg.mem_service_cycles()}) {
-  cfg_.validate();
-
-  l1_.reserve(cfg.ncores);
-  for (std::uint32_t c = 0; c < cfg.ncores; ++c) {
-    l1_.emplace_back(l1_params(cfg), "L1-" + std::to_string(c));
-  }
-
+/// The refresh policy a lane runs for `technique`. RPD and Cache Decay act
+/// on `l2` itself; ESTEEM refreshes like periodic-valid, and its controller
+/// lives on the hierarchy side.
+std::unique_ptr<edram::RefreshPolicy> make_policy(const SystemConfig& cfg,
+                                                  Technique technique,
+                                                  cache::SetAssocCache& l2) {
   const cycle_t retention = cfg.retention_cycles();
-  switch (technique_) {
+  switch (technique) {
     case Technique::BaselinePeriodicAll:
-      policy_ = std::make_unique<edram::PeriodicAllPolicy>(cfg.l2.geom.lines(), retention);
-      break;
+      return std::make_unique<edram::PeriodicAllPolicy>(cfg.l2.geom.lines(), retention);
     case Technique::PeriodicValid:
-      policy_ = std::make_unique<edram::PeriodicValidPolicy>(retention);
-      break;
+      return std::make_unique<edram::PeriodicValidPolicy>(retention);
     case Technique::RefrintRPV:
-      policy_ = std::make_unique<refrint::PolyphaseValidPolicy>(
-          l2_.sets(), l2_.ways(), cfg.edram.rpv_phases, retention);
-      break;
+      return std::make_unique<refrint::PolyphaseValidPolicy>(
+          l2.sets(), l2.ways(), cfg.edram.rpv_phases, retention);
     case Technique::RefrintRPD:
-      policy_ = std::make_unique<refrint::PolyphaseDirtyPolicy>(
-          l2_, cfg.edram.rpv_phases, retention);
-      break;
+      return std::make_unique<refrint::PolyphaseDirtyPolicy>(l2, cfg.edram.rpv_phases,
+                                                             retention);
     case Technique::SmartRefresh:
-      policy_ = std::make_unique<edram::SmartRefreshPolicy>(
-          l2_.sets(), l2_.ways(), retention,
+      return std::make_unique<edram::SmartRefreshPolicy>(
+          l2.sets(), l2.ways(), retention,
           std::max<cycle_t>(1, retention / cfg.edram.rpv_phases));
-      break;
     case Technique::EccExtended: {
       edram::CellRetentionModel model;
       if (cfg.faults.enabled) {
@@ -68,49 +54,120 @@ MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
       const std::uint32_t ext = edram::max_safe_extension(
           /*bits_per_line=*/cfg.l2.geom.line_bytes * 8, cfg.edram.ecc_correctable,
           cfg.edram.ecc_target_line_failure, model);
-      policy_ = std::make_unique<edram::EccRefreshPolicy>(retention, ext);
-      break;
+      return std::make_unique<edram::EccRefreshPolicy>(retention, ext);
     }
-    case Technique::CacheDecay: {
-      auto decay = std::make_unique<edram::CacheDecayPolicy>(
-          l2_, retention,
-          static_cast<cycle_t>(kDecayIntervalRetentions *
-                               static_cast<double>(retention)),
+    case Technique::CacheDecay:
+      return std::make_unique<edram::CacheDecayPolicy>(
+          l2, retention,
+          static_cast<cycle_t>(kDecayIntervalRetentions * static_cast<double>(retention)),
           /*check_period=*/retention);
-      decay_ = decay.get();
-      policy_ = std::move(decay);
-      break;
-    }
     case Technique::Esteem:
       // ESTEEM refreshes only the valid blocks of the active portion (§3.1);
       // valid lines exist only in active ways, so periodic-valid counting is
       // exact. The saving beyond that comes from the controller shrinking
       // the valid footprint and F_A.
-      policy_ = std::make_unique<edram::PeriodicValidPolicy>(retention);
-      leaders_ = std::make_unique<profiler::LeaderSets>(
-          l2_.sets(), cfg.esteem.sampling_ratio, modules_);
-      profiler_ = std::make_unique<profiler::ModuleProfiler>(modules_, l2_.ways(),
-                                                             *leaders_);
-      controller_ = std::make_unique<core::EsteemController>(
-          l2_, modules_, *leaders_, *profiler_, cfg.esteem);
-      break;
+      return std::make_unique<edram::PeriodicValidPolicy>(retention);
   }
-  l2_.set_listener(policy_.get());
+  throw std::invalid_argument("MemorySystem: unknown technique");
+}
+
+}  // namespace
+
+RefreshLane::RefreshLane(const SystemConfig& cfg, Technique t,
+                         std::unique_ptr<edram::RefreshPolicy> p)
+    : technique(t),
+      policy(std::move(p)),
+      banks(cfg.l2.banks, cfg.l2.geom.sets(), cfg.l2.refresh_occupancy_cycles,
+            cfg.l2.access_occupancy_cycles, cfg.l2.queue_pressure),
+      mm({cfg.mem.latency_cycles, cfg.mem_service_cycles()}),
+      clocks(cfg.ncores) {}
+
+MemorySystem::LaneFanout::LaneFanout(std::vector<RefreshLane>& lanes) : lanes_(lanes) {
+  for (RefreshLane& ln : lanes_) {
+    if (ln.policy->wants_touch()) touch_.push_back(&ln);
+  }
+}
+
+// The L2 stamps each event with one cycle; every lane reads its own instead.
+void MemorySystem::LaneFanout::on_fill(std::uint32_t set, std::uint32_t way,
+                                       block_t blk, cycle_t) {
+  for (RefreshLane& ln : lanes_) ln.policy->on_fill(set, way, blk, ln.at);
+}
+
+void MemorySystem::LaneFanout::on_touch(std::uint32_t set, std::uint32_t way, cycle_t) {
+  for (RefreshLane* ln : touch_) ln->policy->on_touch(set, way, ln->at);
+}
+
+void MemorySystem::LaneFanout::on_invalidate(std::uint32_t set, std::uint32_t way,
+                                             bool dirty, cycle_t) {
+  for (RefreshLane& ln : lanes_) ln.policy->on_invalidate(set, way, dirty, ln.at);
+}
+
+MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
+    : MemorySystem(cfg, std::vector<Technique>{technique}) {}
+
+MemorySystem::MemorySystem(const SystemConfig& cfg,
+                           const std::vector<Technique>& techniques)
+    : cfg_(cfg),
+      l2_(l2_params(cfg), "L2"),
+      modules_(cfg.l2.geom.sets(), cfg.esteem.modules) {
+  cfg_.validate();
+  if (techniques.empty()) {
+    throw std::invalid_argument("MemorySystem: need at least one technique");
+  }
+  if (techniques.size() > 1) {
+    for (Technique t : techniques) {
+      if (!fusable(cfg_, t)) {
+        throw std::invalid_argument(
+            "MemorySystem: " + std::string(to_string(t)) +
+            " cannot share the hierarchy with other lanes under this config");
+      }
+    }
+  }
+
+  l1_.reserve(cfg.ncores);
+  for (std::uint32_t c = 0; c < cfg.ncores; ++c) {
+    l1_.emplace_back(l1_params(cfg), "L1-" + std::to_string(c));
+  }
+
+  lanes_.reserve(techniques.size());
+  for (Technique t : techniques) lanes_.emplace_back(cfg_, t, make_policy(cfg_, t, l2_));
+  // The lanes have their final addresses now: the engines point into them.
+  for (RefreshLane& ln : lanes_) {
+    ln.engine = std::make_unique<edram::RefreshEngine>(
+        *ln.policy, &ln.banks, static_cast<double>(cfg.retention_cycles()));
+    ln.engine->sync_bank_load(0);
+  }
+
+  RefreshLane& lane0 = lanes_[0];
+  if (lane0.technique == Technique::CacheDecay) {
+    decay_ = static_cast<edram::CacheDecayPolicy*>(lane0.policy.get());
+  } else if (lane0.technique == Technique::Esteem) {
+    leaders_ = std::make_unique<profiler::LeaderSets>(
+        l2_.sets(), cfg.esteem.sampling_ratio, modules_);
+    profiler_ = std::make_unique<profiler::ModuleProfiler>(modules_, l2_.ways(),
+                                                           *leaders_);
+    controller_ = std::make_unique<core::EsteemController>(
+        l2_, modules_, *leaders_, *profiler_, cfg.esteem);
+  }
+  if (lanes_.size() == 1) {
+    l2_.set_listener(lane0.policy.get());
+  } else {
+    fanout_ = std::make_unique<LaneFanout>(lanes_);
+    l2_.set_listener(fanout_.get());
+  }
   // Fast lane: the O(ways) per-hit LRU-position scan feeds only the ESTEEM
   // leader-set profiler; every other configuration skips it. The L1s have
   // no consumer ever.
   l2_.set_lru_tracking(profiler_ != nullptr);
   for (auto& l1 : l1_) l1.set_lru_tracking(false);
-  engine_ = std::make_unique<edram::RefreshEngine>(
-      *policy_, &banks_, static_cast<double>(cfg.retention_cycles()));
-  engine_->sync_bank_load(0);
 
   if (cfg_.faults.enabled) {
     edram::CellRetentionModel model;
     model.median_multiple = cfg_.faults.median_multiple;
     model.sigma = cfg_.faults.sigma;
-    if (technique_ == Technique::EccExtended) {
-      auto* ecc = static_cast<edram::EccRefreshPolicy*>(policy_.get());
+    if (lane0.technique == Technique::EccExtended) {
+      auto* ecc = static_cast<edram::EccRefreshPolicy*>(lane0.policy.get());
       fault_extension_ = ecc->extension();
       fault_correctable_ = cfg_.edram.ecc_correctable;
       // The map clamps extensions past its range, which would under-count
@@ -127,7 +184,7 @@ MemorySystem::MemorySystem(const SystemConfig& cfg, Technique technique)
         cfg_.faults,
         edram::WeakCellMap::interned(cfg_.faults, l2_.sets(), l2_.ways(),
                                      cfg_.l2.geom.line_bytes * 8, model));
-    fault_epoch_cycles_ = retention * fault_extension_;
+    fault_epoch_cycles_ = cfg.retention_cycles() * fault_extension_;
     fault_next_epoch_ = fault_epoch_cycles_;
   }
 }
@@ -149,15 +206,20 @@ void MemorySystem::pump_faults(cycle_t now) {
   }
 }
 
-cycle_t MemorySystem::l2_access(block_t block, bool is_store, cycle_t now, bool demand) {
-  engine_->advance(now);
-  pump_faults(now);
+// Everything that decides the outcome runs once; everything timed runs per
+// lane. Faults, the profiler and the controller exist only on a single
+// lane, so lane 0's cycle is the run's cycle wherever they need one.
+void MemorySystem::l2_access(block_t block, bool is_store, bool demand) {
+  const std::span<RefreshLane> lanes(lanes_);
+  for (RefreshLane& ln : lanes) ln.engine->advance(ln.at);
+  pump_faults(lanes[0].at);
   const std::uint32_t set = l2_.set_index_of(block);
   if (profiler_) profiler_->record_access(set);
-  const cycle_t bank_wait = warming_ ? 0 : banks_.access(set, now);
+  for (RefreshLane& ln : lanes) {
+    ln.l2_latency = cfg_.l2.latency_cycles + (warming_ ? 0 : ln.banks.access(set, ln.at));
+  }
 
-  const cache::AccessOutcome out = l2_.access(block, is_store, now);
-  cycle_t latency = cfg_.l2.latency_cycles + bank_wait;
+  const cache::AccessOutcome out = l2_.access(block, is_store, lanes[0].at);
 
   if (out.hit) {
     // Leader-set hits feed the ATD histograms. Writeback accesses are
@@ -168,7 +230,7 @@ cycle_t MemorySystem::l2_access(block_t block, bool is_store, cycle_t now, bool 
     if (faults_ && faults_->corrected_hit(set, out.way)) {
       // Reading a line with decayed-but-correctable bits goes through the
       // ECC decoder's correction path.
-      latency += cfg_.faults.correction_latency_cycles;
+      lanes[0].l2_latency += cfg_.faults.correction_latency_cycles;
     }
   } else {
     if (demand) {
@@ -177,7 +239,10 @@ cycle_t MemorySystem::l2_access(block_t block, bool is_store, cycle_t now, bool 
       // Warming mode charges the unloaded latency without occupying the
       // channel: the fill still happens functionally (the allocate above),
       // but its timing must not leak into the next measured window.
-      latency += warming_ ? cfg_.mem.latency_cycles : mm_.read(now + latency);
+      for (RefreshLane& ln : lanes) {
+        ln.l2_latency += warming_ ? cfg_.mem.latency_cycles
+                                  : ln.mm.read(ln.at + ln.l2_latency);
+      }
     }
     // A writeback that misses L2 allocates without a memory fetch: the whole
     // line is being written.
@@ -188,40 +253,99 @@ cycle_t MemorySystem::l2_access(block_t block, bool is_store, cycle_t now, bool 
     // Evicted L2 lines: dirty ones are written back to memory; all are
     // back-invalidated from the L1s to preserve inclusion.
     if (out.victim_dirty) {
-      if (!warming_) mm_.write(now + latency);
+      if (!warming_) {
+        for (RefreshLane& ln : lanes) ln.mm.write(ln.at + ln.l2_latency);
+      }
       ++stats_.mm_writebacks;
     }
-    for (auto& l1 : l1_) l1.invalidate(out.victim, now);
+    for (auto& l1 : l1_) l1.invalidate(out.victim, lanes[0].at);
   }
-  return latency;
+}
+
+template <class IssueFn>
+bool MemorySystem::access_lanes(std::uint32_t core, block_t block, bool is_store,
+                                IssueFn&& issue) {
+  ++accesses_since_tick_;
+  const std::span<RefreshLane> lanes(lanes_);
+  // The L1s have no listener, so the cycle handed to them is never read.
+  const cache::AccessOutcome out = l1_[core].access(block, is_store, issue(lanes[0]));
+  if (out.hit) return true;
+  // Demand fill from L2 (loads and store-allocates alike read the line;
+  // dirtiness lives in L1 until the line is evicted).
+  const cycle_t l1_latency = cfg_.l1.latency_cycles;
+  for (RefreshLane& ln : lanes) {
+    ln.issue = issue(ln);
+    ln.at = ln.issue + l1_latency;
+  }
+  l2_access(block, /*is_store=*/false, /*demand=*/true);
+  for (RefreshLane& ln : lanes) ln.latency = l1_latency + ln.l2_latency;
+  if (out.victim != kInvalidBlock && out.victim_dirty) {
+    // Posted writeback of the L1 victim into L2; does not stall the core.
+    ++stats_.l2_writeback_accesses;
+    for (RefreshLane& ln : lanes) ln.at = ln.issue + ln.latency;
+    l2_access(out.victim, /*is_store=*/true, /*demand=*/false);
+  }
+  return false;
 }
 
 cycle_t MemorySystem::access(std::uint32_t core, block_t block, bool is_store,
                              cycle_t now) {
-  ++accesses_since_tick_;
-  cache::SetAssocCache& l1 = l1_[core];
-  const cache::AccessOutcome out = l1.access(block, is_store, now);
-  cycle_t latency = cfg_.l1.latency_cycles;
-  if (!out.hit) {
-    // Demand fill from L2 (loads and store-allocates alike read the line;
-    // dirtiness lives in L1 until the line is evicted).
-    latency += l2_access(block, /*is_store=*/false, now + latency, /*demand=*/true);
-    if (out.victim != kInvalidBlock && out.victim_dirty) {
-      // Posted writeback of the L1 victim into L2; does not stall the core.
-      ++stats_.l2_writeback_accesses;
-      (void)l2_access(out.victim, /*is_store=*/true, now + latency, /*demand=*/false);
-    }
+  if (access_lanes(core, block, is_store, [now](const RefreshLane&) { return now; })) {
+    return cfg_.l1.latency_cycles;
   }
-  return latency;
+  return lanes_[0].latency;
+}
+
+void MemorySystem::step(std::uint32_t core, std::uint32_t gap, block_t block,
+                        bool is_store) {
+  // One cycle per non-memory instruction, then the access.
+  const auto issue = [core, gap](const RefreshLane& ln) {
+    return ln.clocks[core].cycles + gap;
+  };
+  if (access_lanes(core, block, is_store, issue)) {
+    for (RefreshLane& ln : lanes_) ln.clocks[core].cycles += gap + cfg_.l1.latency_cycles;
+    return;
+  }
+  for (RefreshLane& ln : lanes_) ln.clocks[core].cycles = ln.issue + ln.latency;
+}
+
+void MemorySystem::advance_clock(std::uint32_t core, instr_t n, double cpi) {
+  for (RefreshLane& ln : lanes_) {
+    CoreClock& clk = ln.clocks[core];
+    const double due = static_cast<double>(n) * cpi + clk.carry;
+    const auto whole = static_cast<cycle_t>(due);
+    clk.carry = due - static_cast<double>(whole);
+    clk.cycles += whole;
+  }
+}
+
+void MemorySystem::step_warm(std::uint32_t core, instr_t retired, block_t block,
+                             bool is_store, double cpi) {
+  advance_clock(core, retired, cpi);
+  (void)access_lanes(core, block, is_store,
+                     [core](const RefreshLane& ln) { return ln.clocks[core].cycles; });
+}
+
+void MemorySystem::idle_until(std::uint32_t core, cycle_t t) noexcept {
+  for (RefreshLane& ln : lanes_) {
+    if (t > ln.clocks[core].cycles) ln.clocks[core].cycles = t;
+  }
+}
+
+void MemorySystem::arm_intervals() {
+  for (RefreshLane& ln : lanes_) ln.next_tick = ln.wall() + cfg_.esteem.interval_cycles;
 }
 
 void MemorySystem::tick_interval(cycle_t now) {
-  engine_->advance(now);
+  for (RefreshLane& ln : lanes_) tick(ln, now);
+}
+
+void MemorySystem::tick(RefreshLane& ln, cycle_t now) {
+  ln.engine->advance(now);
   pump_faults(now);
 
   // Close the F_A integral over the elapsed window at the old value.
-  fa_cycles_ += fa_current_ * static_cast<double>(now - fa_last_update_);
-  fa_last_update_ = now;
+  ln.close_fa(now);
 
   // In a sampled run, an interval that saw no hierarchy accesses at all fell
   // entirely inside a fast-forward skip: the controller must not read that
@@ -233,50 +357,53 @@ void MemorySystem::tick_interval(cycle_t now) {
 
   if (controller_ && !skip_gap) {
     const core::ReconfigResult r =
-        controller_->run_interval(now, [&](block_t) { mm_.write(now); });
+        controller_->run_interval(now, [&](block_t) { ln.mm.write(now); });
     stats_.reconfig_transitions += r.transitions;
     stats_.reconfig_writebacks += r.writebacks;
     stats_.mm_writebacks += r.writebacks;
-    fa_current_ = controller_->active_fraction();
+    ln.fa_current = controller_->active_fraction();
   } else if (decay_ != nullptr) {
     // Reconcile decay's power gating with the energy counters: dirty lines
     // it flushed become posted memory writes, its gate toggles are N_L, and
     // F_A follows the powered fraction of the array.
     const std::uint64_t wb = decay_->decay_writebacks();
-    for (std::uint64_t i = decay_wb_seen_; i < wb; ++i) mm_.write(now);
+    for (std::uint64_t i = decay_wb_seen_; i < wb; ++i) ln.mm.write(now);
     stats_.mm_writebacks += wb - decay_wb_seen_;
     stats_.reconfig_writebacks += wb - decay_wb_seen_;
     decay_wb_seen_ = wb;
     const std::uint64_t trans = decay_->transitions();
     stats_.reconfig_transitions += trans - decay_trans_seen_;
     decay_trans_seen_ = trans;
-    fa_current_ = decay_->active_fraction();
+    ln.fa_current = decay_->active_fraction();
   }
 
   // Valid/active footprint changed: re-derive the bank refresh load.
-  engine_->sync_bank_load(now);
+  ln.engine->sync_bank_load(now);
 
-  if (telemetry_ != nullptr) sample_interval(now);
+  if (ln.telemetry != nullptr) sample_interval(ln, now);
 }
 
-void MemorySystem::set_telemetry(telemetry::RunSink* sink, cycle_t now) {
-  telemetry_ = sink;
-  tel_last_ = {};  // measurement counters were just reset
-  tel_last_cycle_ = now;
-  tel_last_ways_ = module_active_ways();
+void MemorySystem::set_telemetry(telemetry::RunSink* sink, cycle_t now,
+                                 std::size_t lane) {
+  RefreshLane& ln = lanes_[lane];
+  ln.telemetry = sink;
+  ln.tel_last = {};  // measurement counters were just reset
+  ln.tel_last_cycle = now;
+  ln.tel_last_ways = module_active_ways();
 }
 
-void MemorySystem::sample_interval(cycle_t now) {
-  telemetry::RunSink& sink = *telemetry_;
+void MemorySystem::sample_interval(RefreshLane& ln, cycle_t now) {
+  telemetry::RunSink& sink = *ln.telemetry;
   const std::uint64_t hits = stats_.demand_l2_hits;
   const std::uint64_t misses = stats_.demand_l2_misses;
-  const std::uint64_t refr = refreshes();
+  const std::uint64_t refr = ln.refreshes();
   const std::uint64_t trans = stats_.reconfig_transitions;
   const std::uint64_t rwb = stats_.reconfig_writebacks;
   const edram::FaultCounters fc = fault_counters();
   const std::uint64_t corrected = fc.corrected_reads;
   const std::uint64_t uncorrectable = fc.uncorrectable();
   const std::vector<std::uint32_t> ways = module_active_ways();
+  const RefreshLane::TelemetryBaseline& last = ln.tel_last;
 
   if (sink.recorder) {
     // Count columns are per-interval deltas; active_ratio and the per-module
@@ -284,118 +411,135 @@ void MemorySystem::sample_interval(cycle_t now) {
     // Figure 2 timeline records). Order must match telemetry::interval_columns.
     std::vector<double> row{
         active_fraction(),
-        static_cast<double>(hits - tel_last_.demand_hits),
-        static_cast<double>(misses - tel_last_.demand_misses),
-        static_cast<double>(refr - tel_last_.refreshes),
-        static_cast<double>(trans - tel_last_.transitions),
-        static_cast<double>(rwb - tel_last_.reconfig_writebacks),
-        static_cast<double>(corrected - tel_last_.corrected_reads),
-        static_cast<double>(uncorrectable - tel_last_.uncorrectable)};
+        static_cast<double>(hits - last.demand_hits),
+        static_cast<double>(misses - last.demand_misses),
+        static_cast<double>(refr - last.refreshes),
+        static_cast<double>(trans - last.transitions),
+        static_cast<double>(rwb - last.reconfig_writebacks),
+        static_cast<double>(corrected - last.corrected_reads),
+        static_cast<double>(uncorrectable - last.uncorrectable)};
     for (std::uint32_t w : ways) row.push_back(static_cast<double>(w));
     sink.recorder->record(now, row);
   }
 
   if (sink.trace != nullptr) {
     using telemetry::TraceEmitter;
-    const double t0 = sink.sim_us(tel_last_cycle_);
+    const double t0 = sink.sim_us(ln.tel_last_cycle);
     const double t1 = sink.sim_us(now);
     // Run lane: one span per interval with the headline deltas.
     sink.trace->complete(
         TraceEmitter::kSimPid, sink.sim_tid, "interval", t0, t1 - t0,
-        "{\"hits\":" + std::to_string(hits - tel_last_.demand_hits) +
-            ",\"misses\":" + std::to_string(misses - tel_last_.demand_misses) +
-            ",\"refreshes\":" + std::to_string(refr - tel_last_.refreshes) + "}");
+        "{\"hits\":" + std::to_string(hits - last.demand_hits) +
+            ",\"misses\":" + std::to_string(misses - last.demand_misses) +
+            ",\"refreshes\":" + std::to_string(refr - last.refreshes) + "}");
     // Module lanes: the way decision *in effect* during the elapsed window
     // (the decision taken at `now` governs the next span).
-    for (std::size_t m = 0; m < tel_last_ways_.size(); ++m) {
+    for (std::size_t m = 0; m < ln.tel_last_ways.size(); ++m) {
       sink.trace->complete(
           TraceEmitter::kSimPid, sink.sim_tid + 1 + static_cast<std::uint32_t>(m),
-          "ways=" + std::to_string(tel_last_ways_[m]), t0, t1 - t0,
-          "{\"ways\":" + std::to_string(tel_last_ways_[m]) + "}");
+          "ways=" + std::to_string(ln.tel_last_ways[m]), t0, t1 - t0,
+          "{\"ways\":" + std::to_string(ln.tel_last_ways[m]) + "}");
     }
-    if (trans > tel_last_.transitions) {
+    if (trans > last.transitions) {
       sink.trace->instant(
           TraceEmitter::kSimPid, sink.sim_tid, "reconfig", t1,
-          "{\"transitions\":" + std::to_string(trans - tel_last_.transitions) +
-              ",\"writebacks\":" +
-              std::to_string(rwb - tel_last_.reconfig_writebacks) + "}");
+          "{\"transitions\":" + std::to_string(trans - last.transitions) +
+              ",\"writebacks\":" + std::to_string(rwb - last.reconfig_writebacks) +
+              "}");
     }
-    if (uncorrectable > tel_last_.uncorrectable) {
+    if (uncorrectable > last.uncorrectable) {
       sink.trace->instant(
           TraceEmitter::kSimPid, sink.sim_tid, "fault.uncorrectable", t1,
-          "{\"events\":" + std::to_string(uncorrectable - tel_last_.uncorrectable) +
-              "}");
+          "{\"events\":" + std::to_string(uncorrectable - last.uncorrectable) + "}");
     }
     sink.trace->counter(TraceEmitter::kSimPid, sink.label + ".active_ratio", t1,
                         active_fraction());
     sink.trace->counter(TraceEmitter::kSimPid, sink.label + ".refreshes_per_interval",
-                        t1, static_cast<double>(refr - tel_last_.refreshes));
+                        t1, static_cast<double>(refr - last.refreshes));
   }
 
-  tel_last_ = {hits, misses, refr, trans, rwb, corrected, uncorrectable};
-  tel_last_cycle_ = now;
-  tel_last_ways_ = ways;
+  ln.tel_last = {hits, misses, refr, trans, rwb, corrected, uncorrectable};
+  ln.tel_last_cycle = now;
+  ln.tel_last_ways = ways;
 }
 
-void MemorySystem::reset_measurement(cycle_t now) {
-  engine_->advance(now);
-  pump_faults(now);
+void MemorySystem::reset_hierarchy() {
   if (faults_) faults_->reset_counters();
   l2_.reset_stats();
   for (auto& l1 : l1_) l1.reset_stats();
-  mm_.reset_stats();
   stats_ = {};
-  refresh_baseline_ = engine_->total_refreshes();
-  fa_cycles_ = 0.0;
-  fa_last_update_ = now;
-  measure_start_ = now;
   if (profiler_) profiler_->clear();
   if (decay_ != nullptr) {
     // Consume warm-up decay events so they are not charged to measurement.
     decay_wb_seen_ = decay_->decay_writebacks();
     decay_trans_seen_ = decay_->transitions();
-    fa_current_ = decay_->active_fraction();
+    lanes_[0].fa_current = decay_->active_fraction();
   }
 }
 
-void MemorySystem::finish(cycle_t now) {
-  engine_->advance(now);
-  pump_faults(now);
-  fa_cycles_ += fa_current_ * static_cast<double>(now - fa_last_update_);
-  fa_last_update_ = now;
+void MemorySystem::reset_lane(RefreshLane& ln, cycle_t now) {
+  ln.mm.reset_stats();
+  ln.refresh_baseline = ln.engine->total_refreshes();
+  ln.fa_cycles = 0.0;
+  ln.fa_last_update = now;
+  ln.measure_start = now;
 }
 
-energy::EnergyCounters MemorySystem::energy_counters(cycle_t now) const {
+void MemorySystem::reset_measurement(cycle_t now) {
+  for (RefreshLane& ln : lanes_) ln.engine->advance(now);
+  pump_faults(now);
+  reset_hierarchy();
+  for (RefreshLane& ln : lanes_) reset_lane(ln, now);
+}
+
+void MemorySystem::start_measurement() {
+  for (RefreshLane& ln : lanes_) ln.engine->advance(ln.wall());
+  pump_faults(lanes_[0].wall());
+  reset_hierarchy();
+  for (RefreshLane& ln : lanes_) reset_lane(ln, ln.wall());
+}
+
+void MemorySystem::finish(cycle_t now, std::size_t lane) {
+  RefreshLane& ln = lanes_[lane];
+  ln.engine->advance(now);
+  pump_faults(now);
+  ln.close_fa(now);
+}
+
+energy::EnergyCounters MemorySystem::energy_counters(cycle_t now, std::size_t lane) const {
+  const RefreshLane& ln = lanes_[lane];
   const double to_seconds = 1.0 / (cfg_.freq_ghz * 1e9);
   energy::EnergyCounters c;
-  c.seconds = static_cast<double>(now - measure_start_) * to_seconds;
+  c.seconds = static_cast<double>(now - ln.measure_start) * to_seconds;
   // F_A integral: closed portion plus the still-open window at the current value.
-  c.fa_seconds = (fa_cycles_ + fa_current_ * static_cast<double>(now - fa_last_update_)) *
-                 to_seconds;
+  c.fa_seconds =
+      (ln.fa_cycles + ln.fa_current * static_cast<double>(now - ln.fa_last_update)) *
+      to_seconds;
   c.l2_hits = l2_.stats().hits;
   c.l2_misses = l2_.stats().misses;
-  c.refreshes = refreshes();
-  c.mm_accesses = mm_.stats().reads + mm_.stats().writes;
+  c.refreshes = ln.refreshes();
+  c.mm_accesses = ln.mm.stats().reads + ln.mm.stats().writes;
   c.transitions = stats_.reconfig_transitions;
   if (faults_) c.ecc_corrections = faults_->counters().corrected_reads;
   return c;
 }
 
 FlowSnapshot MemorySystem::flow_snapshot(cycle_t now) const {
+  const RefreshLane& ln = lanes_[0];
   FlowSnapshot s;
   s.l2_hits = l2_.stats().hits;
   s.l2_misses = l2_.stats().misses;
   s.demand_hits = stats_.demand_l2_hits;
   s.demand_misses = stats_.demand_l2_misses;
   s.l2_writeback_accesses = stats_.l2_writeback_accesses;
-  s.mm_reads = mm_.stats().reads;
-  s.mm_writes = mm_.stats().writes;
+  s.mm_reads = ln.mm.stats().reads;
+  s.mm_writes = ln.mm.stats().writes;
   s.mm_writebacks = stats_.mm_writebacks;
   s.reconfig_writebacks = stats_.reconfig_writebacks;
   s.corrected_reads = faults_ ? faults_->counters().corrected_reads : 0;
-  s.refreshes = refreshes();
+  s.refreshes = ln.refreshes();
   s.fa_cycles =
-      fa_cycles_ + fa_current_ * static_cast<double>(now - fa_last_update_);
+      ln.fa_cycles + ln.fa_current * static_cast<double>(now - ln.fa_last_update);
   return s;
 }
 

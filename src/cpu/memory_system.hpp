@@ -1,6 +1,9 @@
 // The full memory hierarchy: private L1s, the shared banked eDRAM L2 with a
 // pluggable refresh technique, and main memory. This is the component the
-// in-order cores issue loads/stores against.
+// in-order cores issue loads/stores against. It is one functional hierarchy
+// (L1s, L2 tags) driven for one or more refresh lanes (cpu/refresh_lane.hpp):
+// runs of refresh-only techniques share the L1/L2 pass and differ only in
+// their lanes' timing.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "core/controller.hpp"
+#include "cpu/refresh_lane.hpp"
 #include "cpu/technique.hpp"
 #include "edram/decay.hpp"
 #include "edram/fault_injection.hpp"
@@ -60,31 +64,83 @@ struct FlowSnapshot {
 
 class MemorySystem {
  public:
-  /// Throws std::invalid_argument on an invalid config, and when fault
-  /// injection is on and the ecc-extended technique's extension lies beyond
-  /// [faults] max_tracked_extension.
+  /// One lane running `technique`. Throws std::invalid_argument on an
+  /// invalid config, and when fault injection is on and the ecc-extended
+  /// technique's extension lies beyond [faults] max_tracked_extension.
   MemorySystem(const SystemConfig& cfg, Technique technique);
 
-  /// One load/store by `core`; returns its latency in cycles.
+  /// One lane per technique over one shared hierarchy. More than one lane
+  /// needs every technique fusable under `cfg` (cpu/technique.hpp); throws
+  /// std::invalid_argument otherwise, or when `techniques` is empty.
+  MemorySystem(const SystemConfig& cfg, const std::vector<Technique>& techniques);
+
+  /// One load/store by `core` issued at `now` on every lane; returns its
+  /// latency on lane 0. Leaves the lane clocks alone.
   cycle_t access(std::uint32_t core, block_t block, bool is_store, cycle_t now);
 
-  /// Interval boundary: pump refresh, run ESTEEM's algorithm, re-derive the
-  /// bank refresh load, and integrate F_A over the elapsed window.
+  /// One (gap, memory-op) batch of `core` on every lane: each lane's clock
+  /// for `core` moves past the `gap` non-memory instructions, issues the
+  /// access and waits out that lane's latency. One L1/L2 pass serves all.
+  void step(std::uint32_t core, std::uint32_t gap, block_t block, bool is_store);
+
+  /// Sampling functional warming: moves each lane's clock for `core` past
+  /// `retired` instructions at `cpi`, then issues the access there. The
+  /// access mutates cache/refresh/profiler state; its latency is a
+  /// warming-mode nominal value and is not charged to the clock.
+  void step_warm(std::uint32_t core, instr_t retired, block_t block, bool is_store,
+                 double cpi);
+
+  /// Moves each lane's clock for `core` by `n` instructions at `cpi` cycles
+  /// per instruction (sampling fast-forward).
+  void advance_clock(std::uint32_t core, instr_t n, double cpi);
+
+  /// Idles `core` forward to `t` on every lane (sampling clock alignment).
+  void idle_until(std::uint32_t core, cycle_t t) noexcept;
+
+  /// Lane `lane`'s clock for `core`, and its wall clock (slowest core).
+  cycle_t cycles(std::uint32_t core, std::size_t lane = 0) const noexcept {
+    return lanes_[lane].clocks[core].cycles;
+  }
+  cycle_t wall(std::size_t lane = 0) const noexcept { return lanes_[lane].wall(); }
+
+  /// Arms every lane's interval boundary one interval past its wall clock.
+  /// Disarmed until then, so warm-up never ticks.
+  void arm_intervals();
+
+  /// Fires every interval boundary each lane's wall clock has passed.
+  /// Called once per simulated reference, hence defined here to be inlined.
+  void pump_intervals() {
+    for (RefreshLane& ln : lanes_) {
+      if (ln.next_tick == RefreshLane::kNever) continue;
+      const cycle_t w = ln.wall();
+      while (w >= ln.next_tick) {
+        tick(ln, ln.next_tick);
+        ln.next_tick += cfg_.esteem.interval_cycles;
+      }
+    }
+  }
+
+  /// Interval boundary at `now` on every lane: pump refresh, run ESTEEM's
+  /// algorithm, re-derive the bank refresh load, and integrate F_A over the
+  /// elapsed window.
   void tick_interval(cycle_t now);
 
   /// Final bookkeeping at end of simulation (closes the F_A integral and
-  /// pumps refresh events up to `now`).
-  void finish(cycle_t now);
+  /// pumps refresh events up to `now`) on lane `lane`.
+  void finish(cycle_t now, std::size_t lane = 0);
 
   /// Ends the warm-up phase: zeroes every measurement counter (cache/memory
   /// stats, refresh totals, F_A integral, reconfiguration counts) while
   /// keeping the warmed cache contents and timing state. Mirrors the
-  /// paper's fast-forward-then-measure methodology (§6.4).
+  /// paper's fast-forward-then-measure methodology (§6.4). Every lane
+  /// starts measuring at `now`.
   void reset_measurement(cycle_t now);
 
-  /// Energy counters accumulated so far (Eq. 2-8 inputs). `freq_ghz` is
-  /// needed to convert cycles to seconds.
-  energy::EnergyCounters energy_counters(cycle_t now) const;
+  /// reset_measurement with each lane at its own wall clock.
+  void start_measurement();
+
+  /// Energy counters accumulated so far on lane `lane` (Eq. 2-8 inputs).
+  energy::EnergyCounters energy_counters(cycle_t now, std::size_t lane = 0) const;
 
   /// Sampling warming mode. While on, accesses update all functional state
   /// (cache tags/LRU/dirty bits, refresh and fault epochs, ESTEEM profiler
@@ -107,18 +163,21 @@ class MemorySystem {
   /// on. Off by default; exhaustive runs are bit-identical.
   void set_sampled_mode(bool on) noexcept { sampled_mode_ = on; }
 
-  /// Flow counters since reset_measurement (see FlowSnapshot).
+  /// Flow counters since reset_measurement on lane 0 (see FlowSnapshot).
   FlowSnapshot flow_snapshot(cycle_t now) const;
 
+  /// Hierarchy counters: the same on every lane.
   const MemorySystemStats& stats() const noexcept { return stats_; }
-  const mem::MainMemoryStats& mm_stats() const noexcept { return mm_.stats(); }
   const cache::CacheStats& l2_stats() const noexcept { return l2_.stats(); }
 
-  std::uint64_t refreshes() const noexcept {
-    return engine_->total_refreshes() - refresh_baseline_;
+  const mem::MainMemoryStats& mm_stats(std::size_t lane = 0) const noexcept {
+    return lanes_[lane].mm.stats();
+  }
+  std::uint64_t refreshes(std::size_t lane = 0) const noexcept {
+    return lanes_[lane].refreshes();
   }
 
-  /// Current F_A (1.0 for non-ESTEEM techniques).
+  /// Current F_A (1.0 for techniques that never power ways down).
   double active_fraction() const noexcept;
 
   /// Fault-injection event counters for the measurement window (all zero
@@ -134,35 +193,71 @@ class MemorySystem {
   /// non-ESTEEM techniques.
   std::vector<std::uint32_t> module_active_ways() const;
 
-  Technique technique() const noexcept { return technique_; }
+  std::size_t lanes() const noexcept { return lanes_.size(); }
+  Technique technique(std::size_t lane = 0) const noexcept {
+    return lanes_[lane].technique;
+  }
   cache::SetAssocCache& l2() noexcept { return l2_; }
 
-  /// Attaches a per-run telemetry sink (null detaches). Interval rows and
-  /// simulated-time trace events are emitted at every tick_interval from
-  /// `now` on; delta baselines start at the current (just-reset) counters.
-  /// The sink must outlive the run. No-op cost when never attached.
-  void set_telemetry(telemetry::RunSink* sink, cycle_t now);
+  /// Attaches a per-run telemetry sink to lane `lane` (null detaches).
+  /// Interval rows and simulated-time trace events are emitted at every
+  /// interval boundary from `now` on; delta baselines start at the current
+  /// (just-reset) counters. The sink must outlive the run. No-op cost when
+  /// never attached.
+  void set_telemetry(telemetry::RunSink* sink, cycle_t now, std::size_t lane = 0);
 
  private:
-  cycle_t l2_access(block_t block, bool is_store, cycle_t now, bool demand);
+  /// Hands the L2's line events to every lane's policy, each at that lane's
+  /// own cycle (RefreshLane::at). Installed only with two or more lanes; a
+  /// single lane's policy listens to the L2 directly.
+  class LaneFanout final : public cache::LineListener {
+   public:
+    explicit LaneFanout(std::vector<RefreshLane>& lanes);
+    void on_fill(std::uint32_t set, std::uint32_t way, block_t blk, cycle_t) override;
+    void on_touch(std::uint32_t set, std::uint32_t way, cycle_t) override;
+    void on_invalidate(std::uint32_t set, std::uint32_t way, bool dirty,
+                       cycle_t) override;
+    bool wants_touch() const noexcept override { return !touch_.empty(); }
+
+   private:
+    std::vector<RefreshLane>& lanes_;
+    std::vector<RefreshLane*> touch_;  ///< Lanes whose policy wants_touch().
+  };
+
+  /// Serves one access issued on each lane at `issue(lane)`. An L1 hit
+  /// returns true and touches no lane: every lane's latency is the L1's.
+  /// Otherwise each lane is left holding its issue cycle in `issue` and the
+  /// access's latency in `latency`.
+  template <class IssueFn>
+  bool access_lanes(std::uint32_t core, block_t block, bool is_store, IssueFn&& issue);
+
+  /// One L2 operation at each lane's `at`; leaves its latency in
+  /// `l2_latency`.
+  void l2_access(block_t block, bool is_store, bool demand);
+
+  /// Interval boundary on one lane.
+  void tick(RefreshLane& ln, cycle_t now);
+
+  /// Zeroes the hierarchy's measurement counters.
+  void reset_hierarchy();
+
+  /// Restarts one lane's measured window at `now`.
+  void reset_lane(RefreshLane& ln, cycle_t now);
 
   /// Emits one interval telemetry sample (recorder row + trace events).
-  void sample_interval(cycle_t now);
+  void sample_interval(RefreshLane& ln, cycle_t now);
 
   /// Processes fault-injection refresh epochs scheduled up to `now`.
   void pump_faults(cycle_t now);
 
   SystemConfig cfg_;
-  Technique technique_;
 
+  // The functional hierarchy: everything that decides hits, misses and
+  // victims. Fault injection, RPD, Cache Decay and ESTEEM mutate it on their
+  // run's clock, so they only ever run on a single lane.
   std::vector<cache::SetAssocCache> l1_;
   cache::SetAssocCache l2_;
-  cache::BankGroup banks_;
   cache::ModuleMap modules_;
-  mem::MainMemory mm_;
-
-  std::unique_ptr<edram::RefreshPolicy> policy_;
-  std::unique_ptr<edram::RefreshEngine> engine_;
 
   // Fault injection (null when [faults] is disabled).
   std::unique_ptr<edram::FaultInjector> faults_;
@@ -171,7 +266,7 @@ class MemorySystem {
   cycle_t fault_epoch_cycles_ = 0;
   cycle_t fault_next_epoch_ = 0;
 
-  // CacheDecay-only bookkeeping (view into policy_ when active).
+  // CacheDecay-only bookkeeping (view into the lane's policy when active).
   edram::CacheDecayPolicy* decay_ = nullptr;
   std::uint64_t decay_wb_seen_ = 0;
   std::uint64_t decay_trans_seen_ = 0;
@@ -186,27 +281,8 @@ class MemorySystem {
   bool sampled_mode_ = false;  ///< Sampled run (see set_sampled_mode).
   std::uint64_t accesses_since_tick_ = 0;  ///< Detects skip-only intervals.
 
-  // Per-run telemetry sink (null = telemetry off, the default). Baselines
-  // hold the previous interval's cumulative counters so samples are deltas.
-  telemetry::RunSink* telemetry_ = nullptr;
-  struct TelemetryBaseline {
-    std::uint64_t demand_hits = 0;
-    std::uint64_t demand_misses = 0;
-    std::uint64_t refreshes = 0;
-    std::uint64_t transitions = 0;
-    std::uint64_t reconfig_writebacks = 0;
-    std::uint64_t corrected_reads = 0;
-    std::uint64_t uncorrectable = 0;
-  } tel_last_;
-  cycle_t tel_last_cycle_ = 0;
-  std::vector<std::uint32_t> tel_last_ways_;  ///< Ways in effect last window.
-
-  // Time-weighted F_A integral (in cycles).
-  double fa_cycles_ = 0.0;
-  cycle_t fa_last_update_ = 0;
-  double fa_current_ = 1.0;
-  cycle_t measure_start_ = 0;  ///< Cycle at which measurement began.
-  std::uint64_t refresh_baseline_ = 0;  ///< Refreshes before measurement.
+  std::vector<RefreshLane> lanes_;
+  std::unique_ptr<LaneFanout> fanout_;  ///< Null with a single lane.
 };
 
 }  // namespace esteem::cpu

@@ -1,0 +1,103 @@
+// One refresh technique's timing view of the shared cache hierarchy.
+//
+// The memory system splits into a functional hierarchy (the L1s and the L2
+// tags, which decide hits, misses and victims) and one or more refresh
+// lanes. A lane owns everything a refresh technique changes about time and
+// energy: its refresh policy and engine, the L2 bank timers, the memory
+// channel, the core clocks, the interval boundary, the F_A window and the
+// telemetry sink. It owns nothing that decides which lines hit. The memory
+// system hands every lane the same stream of L1/L2 events, each at that
+// lane's own cycle (DESIGN.md §7, "Hierarchy and lanes").
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <vector>
+
+#include "cache/bank.hpp"
+#include "common/config.hpp"
+#include "common/types.hpp"
+#include "cpu/technique.hpp"
+#include "edram/refresh_engine.hpp"
+#include "edram/refresh_policy.hpp"
+#include "mem/main_memory.hpp"
+#include "telemetry/telemetry.hpp"
+
+namespace esteem::cpu {
+
+/// A core's position on one lane's time axis.
+struct CoreClock {
+  cycle_t cycles = 0;
+  double carry = 0.0;  ///< Fractional cycles owed by CPI-scaled advances.
+};
+
+struct RefreshLane {
+  static constexpr cycle_t kNever = std::numeric_limits<cycle_t>::max();
+
+  RefreshLane(const SystemConfig& cfg, Technique technique,
+              std::unique_ptr<edram::RefreshPolicy> policy);
+
+  /// N_R since the lane's measurement began.
+  std::uint64_t refreshes() const noexcept {
+    return engine->total_refreshes() - refresh_baseline;
+  }
+
+  /// The lane's wall clock: its slowest core.
+  cycle_t wall() const noexcept {
+    cycle_t w = clocks[0].cycles;
+    for (std::size_t c = 1; c < clocks.size(); ++c) w = std::min(w, clocks[c].cycles);
+    return w;
+  }
+
+  /// Closes the F_A integral up to `now` at the current value.
+  void close_fa(cycle_t now) noexcept {
+    fa_cycles += fa_current * static_cast<double>(now - fa_last_update);
+    fa_last_update = now;
+  }
+
+  Technique technique;
+  std::unique_ptr<edram::RefreshPolicy> policy;
+  cache::BankGroup banks;
+  mem::MainMemory mm;
+  /// Pumps `policy` and drives `banks`; points into this lane, so the
+  /// memory system builds it once the lane has its final address.
+  std::unique_ptr<edram::RefreshEngine> engine;
+
+  std::vector<CoreClock> clocks;  ///< One per core.
+  cycle_t next_tick = kNever;     ///< Next interval boundary (kNever: disarmed).
+
+  // One memory access that missed the L1, in flight: its issue cycle and
+  // latency on this lane. `at` and `l2_latency` are the cycle and the
+  // latency of the L2 operation being served; `at` is the `now` the lane's
+  // policy sees for the L2's line events.
+  cycle_t issue = 0;
+  cycle_t latency = 0;
+  cycle_t at = 0;
+  cycle_t l2_latency = 0;
+
+  // Time-weighted F_A integral (in cycles) and the measured window.
+  double fa_cycles = 0.0;
+  cycle_t fa_last_update = 0;
+  double fa_current = 1.0;
+  cycle_t measure_start = 0;
+  std::uint64_t refresh_baseline = 0;  ///< Refreshes before measurement.
+
+  // Per-run telemetry sink (null = telemetry off, the default). Baselines
+  // hold the previous interval's cumulative counters so samples are deltas.
+  telemetry::RunSink* telemetry = nullptr;
+  struct TelemetryBaseline {
+    std::uint64_t demand_hits = 0;
+    std::uint64_t demand_misses = 0;
+    std::uint64_t refreshes = 0;
+    std::uint64_t transitions = 0;
+    std::uint64_t reconfig_writebacks = 0;
+    std::uint64_t corrected_reads = 0;
+    std::uint64_t uncorrectable = 0;
+  } tel_last;
+  cycle_t tel_last_cycle = 0;
+  std::vector<std::uint32_t> tel_last_ways;  ///< Ways in effect last window.
+};
+
+}  // namespace esteem::cpu

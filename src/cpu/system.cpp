@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "cpu/interval_clock.hpp"
 #include "trace/file_trace.hpp"
 #include "trace/spec_profiles.hpp"
 
@@ -12,7 +11,11 @@ namespace esteem::cpu {
 
 System::System(const SystemConfig& cfg, Technique technique,
                const std::vector<std::string>& benchmarks, std::uint64_t seed)
-    : cfg_(cfg), mem_(cfg, technique) {
+    : System(cfg, std::vector<Technique>{technique}, benchmarks, seed) {}
+
+System::System(const SystemConfig& cfg, const std::vector<Technique>& techniques,
+               const std::vector<std::string>& benchmarks, std::uint64_t seed)
+    : cfg_(cfg), mem_(cfg, techniques) {
   if (benchmarks.size() != cfg.ncores) {
     throw std::invalid_argument("System: need one benchmark per core");
   }
@@ -41,6 +44,22 @@ System::System(const SystemConfig& cfg, Technique technique,
 }
 
 RawRunResult System::run(const RunOptions& options) {
+  return run_group(options, {options.telemetry}).front();
+}
+
+std::vector<RawRunResult> System::run_group(
+    const RunOptions& options, const std::vector<telemetry::RunSink*>& sinks) {
+  if (options.instr_per_core == 0) {
+    throw std::invalid_argument("System: instr_per_core must be positive");
+  }
+  const std::size_t nlanes = mem_.lanes();
+  // The core with the smallest local clock steps next, for causal
+  // consistency. Only a single-core System has more than one lane, so lane
+  // 0's clocks order every lane's steps.
+  const auto cycles = [this](std::size_t c) {
+    return mem_.cycles(static_cast<std::uint32_t>(c));
+  };
+
   // Warm-up: fill the caches at full associativity, then zero all counters
   // (the paper fast-forwards before measuring, §6.4).
   const instr_t warmup = options.warmup_instr_per_core;
@@ -50,9 +69,7 @@ RawRunResult System::run(const RunOptions& options) {
     while (cold > 0) {
       std::size_t next = 0;
       for (std::size_t c = 1; c < cores_.size(); ++c) {
-        if (!warm[c] && (warm[next] || cores_[c].cycles() < cores_[next].cycles())) {
-          next = c;
-        }
+        if (!warm[c] && (warm[next] || cycles(c) < cycles(next))) next = c;
       }
       cores_[next].step(mem_);
       if (!warm[next] && cores_[next].instret() >= warmup) {
@@ -61,65 +78,75 @@ RawRunResult System::run(const RunOptions& options) {
       }
     }
   }
-  IntervalClock clock{mem_, cores_, cfg_.esteem.interval_cycles};
-  const cycle_t measure_start = clock.wall();
-  mem_.reset_measurement(measure_start);
-  if (options.telemetry != nullptr) {
+  mem_.start_measurement();
+  for (std::size_t l = 0; l < nlanes && l < sinks.size(); ++l) {
     // Attached after the measurement reset so interval deltas and trace
     // timestamps cover exactly the measured window.
-    mem_.set_telemetry(options.telemetry, measure_start);
+    if (sinks[l] != nullptr) mem_.set_telemetry(sinks[l], mem_.wall(l), l);
   }
 
   const instr_t target = warmup + options.instr_per_core;
   std::vector<instr_t> base_instr(cores_.size());
-  std::vector<cycle_t> base_cycles(cores_.size());
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    base_instr[c] = cores_[c].instret();
-    base_cycles[c] = cores_[c].cycles();
+  std::vector<std::vector<cycle_t>> base_cycles(nlanes,
+                                                std::vector<cycle_t>(cores_.size()));
+  std::vector<cycle_t> measure_start(nlanes);
+  for (std::size_t l = 0; l < nlanes; ++l) {
+    measure_start[l] = mem_.wall(l);
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+      base_cycles[l][c] = mem_.cycles(static_cast<std::uint32_t>(c), l);
+    }
   }
+  for (std::size_t c = 0; c < cores_.size(); ++c) base_instr[c] = cores_[c].instret();
 
-  RawRunResult result;
-  result.instr_per_core = options.instr_per_core;
-  result.ipc.assign(cores_.size(), 0.0);
+  std::vector<RawRunResult> results(nlanes);
+  for (RawRunResult& result : results) result.ipc.assign(cores_.size(), 0.0);
   std::vector<bool> recorded(cores_.size(), false);
   std::size_t unfinished = cores_.size();
 
-  clock.arm(measure_start);
+  mem_.arm_intervals();
   while (unfinished > 0) {
-    // Step the core with the smallest local clock for causal consistency.
     std::size_t next = 0;
     for (std::size_t c = 1; c < cores_.size(); ++c) {
-      if (cores_[c].cycles() < cores_[next].cycles()) next = c;
+      if (cycles(c) < cycles(next)) next = c;
     }
     Core& core = cores_[next];
     core.step(mem_);
 
     if (!recorded[next] && core.instret() >= target) {
       recorded[next] = true;
-      result.ipc[next] =
-          static_cast<double>(core.instret() - base_instr[next]) /
-          static_cast<double>(core.cycles() - base_cycles[next]);
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        const cycle_t cycles = mem_.cycles(static_cast<std::uint32_t>(next), l);
+        results[l].ipc[next] = static_cast<double>(core.instret() - base_instr[next]) /
+                               static_cast<double>(cycles - base_cycles[l][next]);
+      }
       --unfinished;
     }
-    clock.pump();
+    mem_.pump_intervals();
   }
 
-  cycle_t wall_end = 0;
-  for (const Core& core : cores_) wall_end = std::max(wall_end, core.cycles());
-  mem_.finish(wall_end);
+  for (std::size_t l = 0; l < nlanes; ++l) {
+    cycle_t wall_end = 0;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+      wall_end = std::max(wall_end, mem_.cycles(static_cast<std::uint32_t>(c), l));
+    }
+    mem_.finish(wall_end, l);
 
-  result.wall_cycles = wall_end - measure_start;
-  result.total_instructions = options.instr_per_core * cores_.size();
-  result.counters = mem_.energy_counters(wall_end);
-  result.mem_stats = mem_.stats();
-  result.refreshes = mem_.refreshes();
-  result.demand_misses = mem_.stats().demand_l2_misses;
-  result.faults = mem_.fault_counters();
-  result.disabled_slots = mem_.disabled_slots();
-  result.avg_active_ratio =
-      result.counters.seconds > 0.0 ? result.counters.fa_seconds / result.counters.seconds
-                                    : 1.0;
-  return result;
+    RawRunResult& result = results[l];
+    result.instr_per_core = options.instr_per_core;
+    result.wall_cycles = wall_end - measure_start[l];
+    result.total_instructions = options.instr_per_core * cores_.size();
+    result.counters = mem_.energy_counters(wall_end, l);
+    result.mem_stats = mem_.stats();
+    result.refreshes = mem_.refreshes(l);
+    result.demand_misses = mem_.stats().demand_l2_misses;
+    result.faults = mem_.fault_counters();
+    result.disabled_slots = mem_.disabled_slots();
+    result.avg_active_ratio =
+        result.counters.seconds > 0.0
+            ? result.counters.fa_seconds / result.counters.seconds
+            : 1.0;
+  }
+  return results;
 }
 
 }  // namespace esteem::cpu

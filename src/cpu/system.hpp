@@ -1,4 +1,6 @@
 // Multi-core system: cores + shared memory hierarchy + the interval clock.
+// A single-core System may run several refresh-only techniques at once, one
+// refresh lane each, over one reference stream and one L1/L2 pass.
 //
 // Cores advance in lockstep order of their local clocks (the core with the
 // smallest cycle count steps next), so contention on the shared L2 banks and
@@ -56,7 +58,21 @@ class System {
   System(const SystemConfig& cfg, Technique technique,
          const std::vector<std::string>& benchmarks, std::uint64_t seed);
 
+  /// One lane per technique: the runs share one reference stream and one
+  /// L1/L2 pass (MemorySystem's lane constructor says when that is allowed).
+  System(const SystemConfig& cfg, const std::vector<Technique>& techniques,
+         const std::vector<std::string>& benchmarks, std::uint64_t seed);
+
+  /// Runs lane 0 (the only lane of a single-technique System). Throws
+  /// std::invalid_argument when options.instr_per_core is 0.
   RawRunResult run(const RunOptions& options);
+
+  /// Runs every lane at once; one result per lane, in lane order, each
+  /// bit-identical to a single-technique System's run. `sinks` is empty or
+  /// holds one telemetry sink (null = off) per lane; options.telemetry is
+  /// not read.
+  std::vector<RawRunResult> run_group(const RunOptions& options,
+                                      const std::vector<telemetry::RunSink*>& sinks);
 
   MemorySystem& memory() noexcept { return mem_; }
   std::vector<Core>& cores() noexcept { return cores_; }

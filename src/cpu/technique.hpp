@@ -3,6 +3,8 @@
 
 #include <string_view>
 
+#include "common/config.hpp"
+
 namespace esteem::cpu {
 
 enum class Technique {
@@ -41,6 +43,37 @@ constexpr std::string_view to_string(Technique t) {
     case Technique::Esteem: return "esteem";
   }
   return "?";
+}
+
+/// True for the techniques that only schedule refreshes: they never
+/// invalidate, resize or otherwise mutate the L2, so which lines hit, miss
+/// and get evicted does not depend on them. Their runs differ only in
+/// cycles, refreshes and energy (DESIGN.md §7, "Hierarchy and lanes").
+constexpr bool refresh_only(Technique t) {
+  switch (t) {
+    case Technique::BaselinePeriodicAll:
+    case Technique::PeriodicValid:
+    case Technique::RefrintRPV:
+    case Technique::SmartRefresh:
+    case Technique::EccExtended:
+      return true;
+    case Technique::RefrintRPD:
+    case Technique::CacheDecay:
+    case Technique::Esteem:
+      return false;
+  }
+  return false;
+}
+
+/// The fusion predicate: a run of `t` under `cfg` may share one L1/L2 pass
+/// with other runs of the same config, workload, seed and budgets. It needs
+/// a refresh-only technique and one core (with two, the interleaving of the
+/// cores follows each run's own timing), and neither sampling (its segment
+/// schedule follows timing estimates) nor fault injection (its epochs
+/// mutate the L2 on the run's own clock).
+constexpr bool fusable(const SystemConfig& cfg, Technique t) {
+  return refresh_only(t) && cfg.ncores == 1 && !cfg.sampling.enabled &&
+         !cfg.faults.enabled;
 }
 
 }  // namespace esteem::cpu

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/interval_clock.hpp"
 
 namespace esteem::sampling {
 
@@ -18,9 +17,8 @@ namespace {
 /// instruction-space segment schedule stays aligned across cores — the
 /// resulting loss of tail contention inside windows is a documented bias.
 template <typename StepFn>
-void run_segment(std::vector<cpu::Core>& cores,
-                 const std::vector<instr_t>& targets, cpu::IntervalClock& clock,
-                 StepFn&& step) {
+void run_segment(cpu::MemorySystem& mem, std::vector<cpu::Core>& cores,
+                 const std::vector<instr_t>& targets, StepFn&& step) {
   std::vector<bool> done(cores.size());
   std::size_t remaining = 0;
   for (std::size_t c = 0; c < cores.size(); ++c) {
@@ -31,7 +29,7 @@ void run_segment(std::vector<cpu::Core>& cores,
     std::size_t next = cores.size();
     for (std::size_t c = 0; c < cores.size(); ++c) {
       if (done[c]) continue;
-      if (next == cores.size() || cores[c].cycles() < cores[next].cycles()) {
+      if (next == cores.size() || mem.cycles(c) < mem.cycles(next)) {
         next = c;
       }
     }
@@ -40,7 +38,7 @@ void run_segment(std::vector<cpu::Core>& cores,
       done[next] = true;
       --remaining;
     }
-    clock.pump();
+    mem.pump_intervals();
   }
 }
 
@@ -52,11 +50,11 @@ void run_segment(std::vector<cpu::Core>& cores,
 /// its window CPI, which widens the next skip's skew — a divergent feedback
 /// loop. Idling the fast core at the boundary is the time-domain face of the
 /// instruction-space schedule bias documented in docs/SAMPLING.md §5.
-void align_clocks(std::vector<cpu::Core>& cores) {
-  if (cores.size() < 2) return;
+void align_clocks(cpu::MemorySystem& mem, std::size_t ncores) {
+  if (ncores < 2) return;
   cycle_t m = 0;
-  for (const cpu::Core& core : cores) m = std::max(m, core.cycles());
-  for (cpu::Core& core : cores) core.idle_until(m);
+  for (std::uint32_t c = 0; c < ncores; ++c) m = std::max(m, mem.cycles(c));
+  for (std::uint32_t c = 0; c < ncores; ++c) mem.idle_until(c, m);
 }
 
 std::uint64_t rounded(double v) {
@@ -88,9 +86,10 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   cpu::RawRunResult& result = out.raw;
   result.instr_per_core = options.instr_per_core;
   result.ipc.assign(ncores, 0.0);
+  if (mem.lanes() != 1) {
+    throw std::invalid_argument("sampling: a sampled run drives exactly one lane");
+  }
   mem.set_sampled_mode(true);
-
-  cpu::IntervalClock clock{mem, cores, sys.config().esteem.interval_cycles};
 
   // --- Warm-up: analytic skip, then a functional-warming tail that rebuilds
   // cache/refresh/profiler state before measurement (the refresh engine
@@ -101,23 +100,23 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
       std::min(options.warmup_instr_per_core, sc.cold_warm_instr);
   const instr_t warm_skip = options.warmup_instr_per_core - warm_tail;
   if (warm_skip > 0) {
-    for (cpu::Core& core : cores) core.skip(warm_skip, 1.0);
+    for (cpu::Core& core : cores) core.skip(mem, warm_skip, 1.0);
   }
   if (warm_tail > 0) {
     mem.set_warming(true);
     std::vector<instr_t> warm_target(ncores, options.warmup_instr_per_core);
-    run_segment(cores, warm_target, clock,
+    run_segment(mem, cores, warm_target,
                 [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
     mem.set_warming(false);
   }
-  align_clocks(cores);
+  align_clocks(mem, ncores);
 
-  const cycle_t measure_start = clock.wall();
+  const cycle_t measure_start = mem.wall();
   mem.reset_measurement(measure_start);
   if (options.telemetry != nullptr) {
     mem.set_telemetry(options.telemetry, measure_start);
   }
-  clock.arm(measure_start);
+  mem.arm_intervals();
 
   std::vector<instr_t> base_instr(ncores);
   for (std::size_t c = 0; c < ncores; ++c) base_instr[c] = cores[c].instret();
@@ -137,42 +136,42 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
     for (std::size_t c = 0; c < ncores; ++c) {
       seg_target[c] = base_instr[c] + k * period + pre_skip;
       if (cores[c].instret() < seg_target[c]) {
-        cores[c].skip(seg_target[c] - cores[c].instret(), cpi[c]);
+        cores[c].skip(mem, seg_target[c] - cores[c].instret(), cpi[c]);
       }
     }
-    align_clocks(cores);
-    clock.pump();
+    align_clocks(mem, ncores);
+    mem.pump_intervals();
 
     // FF_WARM: functional warming re-establishes microarchitectural state.
     mem.set_warming(true);
     for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += ffwarm;
-    run_segment(cores, seg_target, clock,
+    run_segment(mem, cores, seg_target,
                 [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
     mem.set_warming(false);
-    align_clocks(cores);
+    align_clocks(mem, ncores);
 
     // DETAIL_WARM: detailed execution, unmeasured — drains the warming-mode
     // timing transient (cold banks, unloaded memory channel) before the
     // window opens.
     for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += dwarm;
-    run_segment(cores, seg_target, clock,
+    run_segment(mem, cores, seg_target,
                 [&](std::size_t c) { cores[c].step(mem); });
 
     // WINDOW: detailed and measured.
-    const cpu::FlowSnapshot before = mem.flow_snapshot(clock.wall());
+    const cpu::FlowSnapshot before = mem.flow_snapshot(mem.wall());
     for (std::size_t c = 0; c < ncores; ++c) {
       w_i0[c] = cores[c].instret();
-      w_c0[c] = cores[c].cycles();
+      w_c0[c] = mem.cycles(c);
       seg_target[c] += window;
     }
-    run_segment(cores, seg_target, clock,
+    run_segment(mem, cores, seg_target,
                 [&](std::size_t c) { cores[c].step(mem); });
-    const cpu::FlowSnapshot after = mem.flow_snapshot(clock.wall());
+    const cpu::FlowSnapshot after = mem.flow_snapshot(mem.wall());
 
     double w_instr = 0.0;
     for (std::size_t c = 0; c < ncores; ++c) {
       const double di = static_cast<double>(cores[c].instret() - w_i0[c]);
-      const double dc = static_cast<double>(cores[c].cycles() - w_c0[c]);
+      const double dc = static_cast<double>(mem.cycles(c) - w_c0[c]);
       ipc_series[c].add(di / dc);
       cpi_series[c].add(dc / di);
       cpi[c] = cpi_series[c].mean();  // refine the fast-forward clock rate
@@ -205,14 +204,14 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   for (std::size_t c = 0; c < ncores; ++c) {
     const instr_t final_target = base_instr[c] + options.instr_per_core;
     if (cores[c].instret() < final_target) {
-      cores[c].skip(final_target - cores[c].instret(), cpi[c]);
+      cores[c].skip(mem, final_target - cores[c].instret(), cpi[c]);
     }
   }
-  clock.pump();
+  mem.pump_intervals();
 
   cycle_t wall_end = 0;
-  for (const cpu::Core& core : cores) {
-    wall_end = std::max(wall_end, core.cycles());
+  for (std::uint32_t c = 0; c < ncores; ++c) {
+    wall_end = std::max(wall_end, mem.cycles(c));
   }
   mem.finish(wall_end);
 

@@ -1,7 +1,10 @@
 #include "sim/experiment.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
+#include "common/bytes.hpp"
+#include "common/config_io.hpp"
 #include "edram/ecc.hpp"
 #include "energy/cacti_table.hpp"
 #include "sampling/sampled_run.hpp"
@@ -103,50 +106,16 @@ sampling::Estimate ipc_estimate(const RunOutcome& o, std::size_t core) {
 
 }  // namespace
 
-RunOutcome run_experiment(const RunSpec& spec,
-                          telemetry::IntervalRecorder* intervals) {
-  telemetry::Telemetry& tel = telemetry::Telemetry::instance();
+namespace {
 
-  // Per-run sink (null when telemetry is off): interval time-series columns
-  // plus one simulated-time trace lane per ESTEEM module.
-  const std::uint32_t modules =
-      spec.technique == Technique::Esteem ? spec.config.esteem.modules : 0;
-  std::unique_ptr<telemetry::RunSink> sink;
-  std::string label;
-  if (tel.active()) {
-    label = run_label(spec);
-    sink = tel.begin_run(label, spec.config.freq_ghz,
-                         telemetry::interval_columns(modules), 1 + modules);
-  }
-  // A caller's series is the hub's recorder, or a private one when interval
-  // stats are off (end_run writes only the hub's).
-  if (intervals != nullptr && !(sink && sink->recorder)) {
-    if (!sink) sink = std::make_unique<telemetry::RunSink>();
-    sink->recorder = std::make_unique<telemetry::IntervalRecorder>(
-        telemetry::interval_columns(modules));
-  }
+std::string config_bytes(const SystemConfig& cfg) {
+  ByteWriter w;
+  write_config_bytes(w, cfg);
+  return w.take();
+}
 
-  const double wall_t0 =
-      sink && sink->trace ? telemetry::TraceEmitter::wall_now_us() : 0.0;
-
-  cpu::System system(spec.config, spec.technique, spec.workload.benchmarks, spec.seed);
-
-  cpu::RunOptions options;
-  options.instr_per_core = spec.instr_per_core;
-  options.warmup_instr_per_core = spec.warmup_instr_per_core;
-  options.seed = spec.seed;
-  options.telemetry = sink.get();
-
-  RunOutcome outcome;
-  if (spec.config.sampling.enabled) {
-    sampling::SampledRunResult sampled =
-        sampling::run_sampled(system, options, spec.config.sampling);
-    outcome.raw = std::move(sampled.raw);
-    outcome.estimates = std::move(sampled.estimates);
-  } else {
-    outcome.raw = system.run(options);
-  }
-
+/// The energy-model parameters of a run.
+energy::EnergyModelParams energy_params(const RunSpec& spec) {
   energy::EnergyModelParams params;
   params.l2 = energy::l2_energy_params(spec.config.l2.geom.size_bytes);
   params.refresh_scale = spec.config.energy.refresh_scale;
@@ -160,26 +129,120 @@ RunOutcome run_experiment(const RunSpec& spec,
     params.l2.p_leak_watts *= 1.0 + overhead;
     params.l2.e_dyn_nj_per_access *= 1.0 + overhead;
   }
-  outcome.energy = energy::compute_energy(params, outcome.raw.counters);
-  if (outcome.estimates.enabled) {
-    outcome.estimates.energy_j = energy_half_ci(
-        params, outcome.raw.counters, outcome.estimates, spec.config.freq_ghz);
+  return params;
+}
+
+}  // namespace
+
+bool can_fuse(const RunSpec& a, const RunSpec& b) {
+  return cpu::fusable(a.config, a.technique) && cpu::fusable(b.config, b.technique) &&
+         a.workload.name == b.workload.name &&
+         a.workload.benchmarks == b.workload.benchmarks && a.seed == b.seed &&
+         a.instr_per_core == b.instr_per_core &&
+         a.warmup_instr_per_core == b.warmup_instr_per_core &&
+         config_bytes(a.config) == config_bytes(b.config);
+}
+
+RunOutcome run_experiment(const RunSpec& spec,
+                          telemetry::IntervalRecorder* intervals) {
+  return std::move(run_experiment(std::vector<RunSpec>{spec}, {intervals}).front());
+}
+
+std::vector<RunOutcome> run_experiment(
+    const std::vector<RunSpec>& group,
+    const std::vector<telemetry::IntervalRecorder*>& intervals) {
+  if (group.empty()) throw std::invalid_argument("run_experiment: empty group");
+  if (!intervals.empty() && intervals.size() != group.size()) {
+    throw std::invalid_argument("run_experiment: one interval recorder per spec");
+  }
+  const RunSpec& first = group.front();
+  for (std::size_t i = 1; i < group.size(); ++i) {
+    if (!can_fuse(first, group[i])) {
+      throw std::invalid_argument("run_experiment: " + run_label(group[i]) +
+                                  " cannot share a pass with " + run_label(first));
+    }
+  }
+  telemetry::Telemetry& tel = telemetry::Telemetry::instance();
+
+  // Per-run sinks (null when telemetry is off): interval time-series columns
+  // plus one simulated-time trace lane per ESTEEM module.
+  const std::size_t n = group.size();
+  std::vector<std::unique_ptr<telemetry::RunSink>> sinks(n);
+  std::vector<std::string> labels(n);
+  std::vector<telemetry::RunSink*> lane_sinks(n, nullptr);
+  std::vector<Technique> techniques(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const RunSpec& spec = group[i];
+    techniques[i] = spec.technique;
+    const std::uint32_t modules =
+        spec.technique == Technique::Esteem ? spec.config.esteem.modules : 0;
+    std::unique_ptr<telemetry::RunSink>& sink = sinks[i];
+    if (tel.active()) {
+      labels[i] = run_label(spec);
+      sink = tel.begin_run(labels[i], spec.config.freq_ghz,
+                           telemetry::interval_columns(modules), 1 + modules);
+    }
+    // A caller's series is the hub's recorder, or a private one when
+    // interval stats are off (end_run writes only the hub's).
+    if (!intervals.empty() && intervals[i] != nullptr && !(sink && sink->recorder)) {
+      if (!sink) sink = std::make_unique<telemetry::RunSink>();
+      sink->recorder = std::make_unique<telemetry::IntervalRecorder>(
+          telemetry::interval_columns(modules));
+    }
+    lane_sinks[i] = sink.get();
   }
 
-  if (sink) {
-    if (sink->trace != nullptr) {
-      sink->trace->complete(telemetry::TraceEmitter::kWallPid,
-                            telemetry::TraceEmitter::wall_tid(), "simulate " + label,
-                            wall_t0,
-                            telemetry::TraceEmitter::wall_now_us() - wall_t0);
+  const double wall_t0 =
+      sinks[0] && sinks[0]->trace ? telemetry::TraceEmitter::wall_now_us() : 0.0;
+
+  cpu::System system(first.config, techniques, first.workload.benchmarks, first.seed);
+
+  cpu::RunOptions options;
+  options.instr_per_core = first.instr_per_core;
+  options.warmup_instr_per_core = first.warmup_instr_per_core;
+  options.seed = first.seed;
+
+  std::vector<RunOutcome> outcomes(n);
+  if (first.config.sampling.enabled) {
+    // Sampled runs never fuse: this is a group of one.
+    options.telemetry = lane_sinks[0];
+    sampling::SampledRunResult sampled =
+        sampling::run_sampled(system, options, first.config.sampling);
+    outcomes[0].raw = std::move(sampled.raw);
+    outcomes[0].estimates = std::move(sampled.estimates);
+  } else {
+    std::vector<cpu::RawRunResult> raw = system.run_group(options, lane_sinks);
+    for (std::size_t i = 0; i < n; ++i) outcomes[i].raw = std::move(raw[i]);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const RunSpec& spec = group[i];
+    RunOutcome& outcome = outcomes[i];
+    const energy::EnergyModelParams params = energy_params(spec);
+    outcome.energy = energy::compute_energy(params, outcome.raw.counters);
+    if (outcome.estimates.enabled) {
+      outcome.estimates.energy_j = energy_half_ci(
+          params, outcome.raw.counters, outcome.estimates, spec.config.freq_ghz);
     }
-    tel.end_run(*sink);
+
+    std::unique_ptr<telemetry::RunSink>& sink = sinks[i];
+    if (sink) {
+      if (sink->trace != nullptr) {
+        sink->trace->complete(telemetry::TraceEmitter::kWallPid,
+                              telemetry::TraceEmitter::wall_tid(),
+                              "simulate " + labels[i], wall_t0,
+                              telemetry::TraceEmitter::wall_now_us() - wall_t0);
+      }
+      tel.end_run(*sink);
+    }
+    if (!intervals.empty() && intervals[i] != nullptr) {
+      *intervals[i] = std::move(*sink->recorder);
+    }
+    if (tel.active()) {
+      publish_run_counters(outcome, system.memory().module_active_ways());
+    }
   }
-  if (intervals != nullptr) *intervals = std::move(*sink->recorder);
-  if (tel.active()) {
-    publish_run_counters(outcome, system.memory().module_active_ways());
-  }
-  return outcome;
+  return outcomes;
 }
 
 TechniqueComparison compare(const std::string& workload, Technique technique,

@@ -52,6 +52,21 @@ std::string run_label(const RunSpec& spec);
 RunOutcome run_experiment(const RunSpec& spec,
                           telemetry::IntervalRecorder* intervals = nullptr);
 
+/// True when `a` and `b` may run as one group: the same config, workload,
+/// seed and budgets, and both techniques fusable under that config
+/// (cpu::fusable).
+bool can_fuse(const RunSpec& a, const RunSpec& b);
+
+/// The group form: runs every spec of `group` over one reference stream and
+/// one L1/L2 pass, one refresh lane each, and returns one outcome per spec,
+/// in order, each bit-identical to run_experiment(spec). A group of one is
+/// run_experiment itself. Throws std::invalid_argument unless every spec
+/// can_fuse with the first. `intervals` is empty or holds one (possibly
+/// null) recorder per spec.
+std::vector<RunOutcome> run_experiment(
+    const std::vector<RunSpec>& group,
+    const std::vector<telemetry::IntervalRecorder*>& intervals = {});
+
 /// run_experiment through the process-wide RunCache (sim/run_cache.hpp):
 /// identical specs are simulated once per process (or once ever, with a
 /// `--journal DIR` memo directory) and shared by pointer thereafter. The

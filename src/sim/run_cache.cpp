@@ -1,5 +1,6 @@
 #include "sim/run_cache.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -204,44 +205,83 @@ RunCache& RunCache::instance() {
 }
 
 std::shared_ptr<const RunOutcome> RunCache::get_or_run(const RunSpec& spec) {
-  const std::string fp = run_spec_fingerprint(spec);
-  std::promise<OutcomePtr> promise;
-  std::shared_future<OutcomePtr> future;
-  bool owner = false;
+  return get_or_run_group({spec}).front();
+}
+
+std::vector<std::shared_ptr<const RunOutcome>> RunCache::get_or_run_group(
+    const std::vector<RunSpec>& group) {
+  const std::size_t n = group.size();
+  std::vector<std::string> fps(n);
+  std::vector<std::promise<OutcomePtr>> promises(n);
+  std::vector<std::shared_future<OutcomePtr>> futures(n);
+  std::vector<std::size_t> owned;  // indices whose keys this call claimed
+  for (std::size_t i = 0; i < n; ++i) fps[i] = run_spec_fingerprint(group[i]);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(fp);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      future = it->second;
-    } else {
-      ++stats_.misses;
-      owner = true;
-      future = promise.get_future().share();
-      map_.emplace(fp, future);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto it = map_.find(fps[i]);
+      if (it != map_.end()) {
+        ++stats_.hits;
+        futures[i] = it->second;
+      } else {
+        ++stats_.misses;
+        owned.push_back(i);
+        futures[i] = promises[i].get_future().share();
+        map_.emplace(fps[i], futures[i]);
+      }
     }
   }
-  if (telemetry::active()) note_lookup(/*hit=*/!owner, fingerprint_hash(fp));
-  if (!owner) return future.get();  // blocks only while the owner computes
-
-  try {
-    const std::uint64_t hash = fingerprint_hash(fp);
-    OutcomePtr outcome;
-    if (!load_from_disk(hash, fp, outcome)) {
-      outcome = std::make_shared<const RunOutcome>(run_experiment(spec));
-      store_to_disk(hash, fp, *outcome);
+  if (telemetry::active()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool hit = std::find(owned.begin(), owned.end(), i) == owned.end();
+      note_lookup(hit, fingerprint_hash(fps[i]));
     }
-    promise.set_value(outcome);
-    return outcome;
+  }
+
+  // Publish every claimed key before waiting on any other owner's.
+  std::vector<bool> published(n, false);
+  const auto publish = [&](std::size_t i, OutcomePtr outcome) {
+    promises[i].set_value(std::move(outcome));
+    published[i] = true;
+  };
+  try {
+    std::vector<std::size_t> to_run;
+    std::vector<RunSpec> specs;
+    for (const std::size_t i : owned) {
+      OutcomePtr outcome;
+      if (load_from_disk(fingerprint_hash(fps[i]), fps[i], outcome)) {
+        publish(i, std::move(outcome));
+      } else {
+        to_run.push_back(i);
+        specs.push_back(group[i]);
+      }
+    }
+    if (!to_run.empty()) {
+      std::vector<RunOutcome> outcomes = run_experiment(specs);
+      for (std::size_t j = 0; j < to_run.size(); ++j) {
+        const std::size_t i = to_run[j];
+        auto outcome = std::make_shared<const RunOutcome>(std::move(outcomes[j]));
+        store_to_disk(fingerprint_hash(fps[i]), fps[i], *outcome);
+        publish(i, std::move(outcome));
+      }
+    }
   } catch (...) {
     // Leave failures uncached: a retry recomputes instead of replaying the
-    // stored exception forever. Waiters already holding the future still
+    // stored exception forever. Waiters already holding a future still
     // observe this failure.
-    promise.set_exception(std::current_exception());
+    const std::exception_ptr error = std::current_exception();
     const std::lock_guard<std::mutex> lock(mutex_);
-    map_.erase(fp);
+    for (const std::size_t i : owned) {
+      if (published[i]) continue;
+      promises[i].set_exception(error);
+      map_.erase(fps[i]);
+    }
     throw;
   }
+
+  std::vector<OutcomePtr> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = futures[i].get();
+  return out;
 }
 
 void RunCache::clear() {

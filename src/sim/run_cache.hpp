@@ -10,7 +10,10 @@
 //
 // Concurrency: the first requester of a key computes the run; concurrent
 // requesters of the same key block on a shared_future instead of
-// recomputing. Distinct keys never contend beyond the map lookup.
+// recomputing. Distinct keys never contend beyond the map lookup. A group
+// request (get_or_run_group) claims its keys under one lock, publishes
+// each key it computes before it waits on any key another thread owns, and
+// so never deadlocks against another group.
 //
 // Persistence (optional): set_disk_dir, which `--journal DIR` calls (the
 // cache reads no environment), spills every computed outcome to
@@ -38,6 +41,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/experiment.hpp"
 
@@ -80,6 +84,17 @@ class RunCache {
   /// key, even under concurrency) on a miss. Propagates the run's exception
   /// and leaves the key uncached so a later call can retry.
   std::shared_ptr<const RunOutcome> get_or_run(const RunSpec& spec);
+
+  /// get_or_run for a group that run_experiment can run in one pass (its
+  /// group form): every key is claimed and published on its own. A key
+  /// already claimed is a hit and waits for its owner, exactly as in
+  /// get_or_run. Each key this call claims counts one miss, is restored
+  /// from its memo file if there is one, and the rest run together, each
+  /// writing its own memo file. Returns one outcome per spec, in order.
+  /// On a throw, every key this call claimed and had not published is left
+  /// uncached.
+  std::vector<std::shared_ptr<const RunOutcome>> get_or_run_group(
+      const std::vector<RunSpec>& group);
 
   /// Drops every in-memory entry and zeroes the stats. Disk files survive.
   void clear();

@@ -85,45 +85,90 @@ RunSpec sweep_run_spec(const SweepSpec& spec, const trace::Workload& workload,
 
 SweepResult run_sweep(const SweepSpec& spec) {
   if (spec.workloads.empty()) throw std::invalid_argument("run_sweep: no workloads");
-  for (Technique t : spec.techniques) {
+  for (std::size_t i = 0; i < spec.techniques.size(); ++i) {
+    const Technique t = spec.techniques[i];
     if (t == Technique::BaselinePeriodicAll) {
       throw std::invalid_argument("run_sweep: baseline is implicit; do not list it");
+    }
+    if (std::find(spec.techniques.begin(), spec.techniques.begin() + i, t) !=
+        spec.techniques.begin() + i) {
+      throw std::invalid_argument("run_sweep: technique " + std::string(to_string(t)) +
+                                  " listed twice");
     }
   }
 
   // Cells in workload-major order: w0 baseline, w0 t1, w0 t2, w1 baseline,
   // ... A technique run never reads its baseline (only compare() does, after
-  // the join), so every cell is independent and each thread simply claims
-  // the next index. One thread claims them in exactly this order, which is
-  // the serial schedule the memo store order and the resume tests rely on.
+  // the join), so every cell is independent. A row's fusable cells
+  // (cpu::fusable) form one task that runs them in one pass; every other
+  // cell is a task of its own. Tasks keep the order of their first cells,
+  // and each thread simply claims the next task. One thread claims them in
+  // exactly this order, which is the serial schedule the memo store order
+  // and the resume tests rely on.
   const std::size_t n_techniques = spec.techniques.size();
   const std::size_t stride = 1 + n_techniques;
+  const auto technique_of = [&](std::size_t ti) {
+    return ti == 0 ? Technique::BaselinePeriodicAll : spec.techniques[ti - 1];
+  };
+  const auto label_of = [&](std::size_t cell) {
+    const std::size_t ti = cell % stride;
+    return ti == 0 ? std::string("baseline") : std::string(to_string(technique_of(ti)));
+  };
   std::vector<Cell> cells(spec.workloads.size() * stride);
+  std::vector<std::vector<std::size_t>> tasks;  // cell indices, in order
+  for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+    std::optional<std::size_t> fused;  // this row's fused task, once made
+    for (std::size_t ti = 0; ti < stride; ++ti) {
+      const std::size_t i = wi * stride + ti;
+      if (!cpu::fusable(spec.config, technique_of(ti))) {
+        tasks.push_back({i});
+      } else if (fused) {
+        tasks[*fused].push_back(i);
+      } else {
+        fused = tasks.size();
+        tasks.push_back({i});
+      }
+    }
+  }
   std::atomic<std::size_t> next{0};
 
   auto work = [&] {
-    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < cells.size();) {
-      Cell& cell = cells[i];
-      // Graceful shutdown: unclaimed cells drain without running, finished
+    for (std::size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < tasks.size();) {
+      const std::vector<std::size_t>& task = tasks[k];
+      // Graceful shutdown: unclaimed tasks drain without running, finished
       // runs stay in the memo cache, and the sweep reports as interrupted.
       if (resilience::shutdown_requested()) {
-        cell.skipped = true;
+        for (std::size_t i : task) cells[i].skipped = true;
         continue;
       }
-      const trace::Workload& workload = spec.workloads[i / stride];
-      const std::size_t ti = i % stride;
-      const Technique technique =
-          ti == 0 ? Technique::BaselinePeriodicAll : spec.techniques[ti - 1];
-      const std::string label = ti == 0 ? "baseline" : std::string(to_string(technique));
-      cell.error = capture_error(workload.name, label, [&] {
-        const TaskSpan span(label + ":" + workload.name);
-        cell.outcome = run_experiment_cached(sweep_run_spec(spec, workload, technique));
+      const trace::Workload& workload = spec.workloads[task.front() / stride];
+      std::vector<RunSpec> specs;
+      std::string labels;
+      for (std::size_t i : task) {
+        const Technique technique = technique_of(i % stride);
+        specs.push_back(sweep_run_spec(spec, workload, technique));
+        if (!labels.empty()) labels += '+';
+        labels += label_of(i);
+      }
+      std::vector<std::shared_ptr<const RunOutcome>> outcomes;
+      const std::optional<RunError> error = capture_error(workload.name, labels, [&] {
+        const TaskSpan span(labels + ":" + workload.name);
+        outcomes = RunCache::instance().get_or_run_group(specs);
       });
+      for (std::size_t j = 0; j < task.size(); ++j) {
+        Cell& cell = cells[task[j]];
+        if (!error) {
+          cell.outcome = outcomes[j];
+          continue;
+        }
+        cell.error = *error;
+        cell.error->technique = label_of(task[j]);
+      }
     }
   };
 
   const std::size_t n_threads =
-      std::min<std::size_t>(resolve_threads(spec.threads), cells.size());
+      std::min<std::size_t>(resolve_threads(spec.threads), tasks.size());
   if (n_threads <= 1) {
     work();
   } else {

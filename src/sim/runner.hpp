@@ -1,9 +1,12 @@
 // Sweep runner: evaluates a set of techniques over a set of workloads. The
-// sweep is a flat list of independent (workload x technique) cells, baseline
+// sweep is a list of independent (workload x technique) cells, baseline
 // included — a technique run never reads its baseline; only compare() does,
-// in a serial pass after every cell has run. N threads claim cells from one
-// atomic index (N <= 1 runs the same loop on the calling thread), so with
-// enough cores the sweep's wall clock approaches the slowest single run.
+// in a serial pass after every cell has run. A row's fusable cells
+// (cpu::fusable) make one task that runs them in one pass over a shared
+// cache hierarchy; every other cell is a task of its own. N threads claim
+// tasks from one atomic index (N <= 1 runs the same loop on the calling
+// thread), so with enough cores the sweep's wall clock approaches the
+// slowest single task.
 // Every run goes through the process-wide RunOutcome memo cache
 // (sim/run_cache.hpp), so repeated sweeps — and other reports in the same
 // process — never recompute an identical experiment. With a memo directory
@@ -75,7 +78,8 @@ struct SweepResult {
 /// Runs the sweep. Serial (threads = 1) and threaded schedules produce
 /// bit-identical rows: every (workload, technique) cell is written by
 /// exactly one thread into a preallocated slot, and the simulation itself is
-/// deterministic in the spec.
+/// deterministic in the spec. Throws std::invalid_argument when there are
+/// no workloads, or a technique is the baseline or is listed twice.
 SweepResult run_sweep(const SweepSpec& spec);
 
 /// Sweep worker count for a `--jobs`/`threads` request: 0 -> hardware

@@ -340,6 +340,38 @@ TEST(Sweep, Validation) {
   spec.workloads = {wl("gamess")};
   spec.techniques = {Technique::BaselinePeriodicAll};
   EXPECT_THROW(run_sweep(spec), std::invalid_argument);  // explicit baseline
+  spec.techniques = {Technique::RefrintRPV, Technique::Esteem, Technique::RefrintRPV};
+  EXPECT_THROW(run_sweep(spec), std::invalid_argument);  // technique listed twice
+}
+
+// Rows whose baseline, RPV, periodic-valid and Smart-Refresh cells fuse into
+// one task, claimed by four threads next to ESTEEM's own tasks: every cell
+// must equal its run alone. ThreadSanitizer runs this binary whole.
+TEST(Sweep, ThreadedFusedRowsEqualRunsAlone) {
+  SweepSpec spec;
+  spec.config = tiny();
+  spec.workloads = {wl("gamess"), wl("libquantum"), wl("mcf"), wl("omnetpp")};
+  spec.techniques = {Technique::Esteem, Technique::RefrintRPV, Technique::PeriodicValid,
+                     Technique::SmartRefresh};
+  spec.instr_per_core = 80'000;
+  spec.warmup_instr_per_core = 20'000;
+  spec.threads = 4;
+  RunCache::instance().clear();
+  ASSERT_TRUE(run_sweep(spec).ok());
+  EXPECT_EQ(RunCache::instance().stats().misses, 20u);
+  EXPECT_EQ(RunCache::instance().stats().hits, 0u);
+
+  for (const trace::Workload& w : spec.workloads) {
+    for (Technique t : {Technique::BaselinePeriodicAll, Technique::Esteem,
+                        Technique::RefrintRPV, Technique::PeriodicValid,
+                        Technique::SmartRefresh}) {
+      const RunSpec rs = sweep_run_spec(spec, w, t);
+      EXPECT_EQ(outcome_digest(*RunCache::instance().get_or_run(rs)),
+                outcome_digest(run_experiment(rs)))
+          << w.name << " " << to_string(t);
+    }
+  }
+  RunCache::instance().clear();
 }
 
 TEST(Report, FigureReportMentionsWorkloadsAndAverage) {

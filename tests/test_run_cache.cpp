@@ -9,6 +9,8 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "resilience/crc32.hpp"
 #include "sim/experiment.hpp"
@@ -130,6 +132,33 @@ TEST(RunCache, ExceptionsAreNotCached) {
   EXPECT_ANY_THROW(run_experiment_cached(spec));  // retried, not poisoned
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.entries(), 0u);
+}
+
+// Two groups that share a key, claimed from two threads: each publishes the
+// keys it claimed before it waits on the other's, so neither deadlocks, the
+// shared key runs once, and every outcome equals its run alone.
+TEST(RunCache, OverlappingGroupsOnTwoThreadsShareTheCommonKey) {
+  auto& cache = RunCache::instance();
+  cache.set_disk_dir("");
+  cache.clear();
+  const RunSpec base = tiny_spec("gamess", Technique::BaselinePeriodicAll);
+  const RunSpec rpv = tiny_spec("gamess", Technique::RefrintRPV);
+  const RunSpec valid = tiny_spec("gamess", Technique::PeriodicValid);
+
+  std::vector<std::shared_ptr<const RunOutcome>> a, b;
+  {
+    std::jthread ta([&] { a = cache.get_or_run_group({base, rpv}); });
+    std::jthread tb([&] { b = cache.get_or_run_group({rpv, valid}); });
+  }
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(a[1].get(), b[0].get());  // the shared key: one outcome object
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  expect_same_outcome(*a[0], run_experiment(base));
+  expect_same_outcome(*a[1], run_experiment(rpv));
+  expect_same_outcome(*b[1], run_experiment(valid));
+  cache.clear();
 }
 
 TEST(RunCacheDigest, StableAndSensitive) {

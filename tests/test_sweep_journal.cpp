@@ -146,6 +146,33 @@ TEST(SweepJournal, JournaledSweepRestoresRowsBitExactly) {
   EXPECT_EQ(dir.csv(again, "again"), dir.csv(first, "first"));
 }
 
+// A fused task (baseline, RPV and Smart-Refresh share one pass) still
+// claims, counts and publishes every run on its own: one miss and one memo
+// file per cell, no hits.
+TEST(SweepJournal, FusedRowsCountOneMissAndOneStorePerCell) {
+  const MemoDir dir("fused");
+  SweepSpec spec = tiny_sweep({"gamess", "gobmk"});
+  spec.techniques = {Technique::Esteem, Technique::RefrintRPV, Technique::SmartRefresh};
+  ASSERT_TRUE(run_sweep(spec).ok());
+  const RunCacheStats stats = RunCache::instance().stats();
+  EXPECT_EQ(stats.misses, 8u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.disk_hits, 0u);
+  EXPECT_EQ(stats.disk_stores, 8u);
+  EXPECT_EQ(dir.memo_files().size(), 8u);
+
+  // A memo file lost from a fused group is recomputed alone and the rest
+  // restore: the resumed sweep matches the first bit for bit.
+  const SweepResult first = run_sweep(spec);
+  fs::remove(dir.memo_files().front());
+  RunCache::instance().clear();
+  const SweepResult again = run_sweep(spec);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(RunCache::instance().stats().disk_hits, 7u);
+  EXPECT_EQ(RunCache::instance().stats().disk_stores, 1u);
+  EXPECT_EQ(dir.csv(again, "again"), dir.csv(first, "first"));
+}
+
 // Subset -> superset: the runs of a sweep over some workloads seed a later
 // sweep over more of them, because a run's identity is its RunSpec, not the
 // sweep it belonged to.
@@ -173,7 +200,8 @@ TEST(SweepJournal, InterruptedThenResumedCsvIsByteIdentical) {
   const SweepSpec spec = tiny_sweep({"gamess", "gobmk", "libquantum"});
   const std::string reference = fresh_csv(spec, dir);
 
-  // Serial schedule: gamess baseline, gamess esteem, then the shutdown.
+  // Serial schedule: gamess baseline and gamess rpv (one fused task, two
+  // stores), then the shutdown.
   chaos::install_plan(std::make_unique<ShutdownAfterStore>(1));
   const SweepResult cut = run_sweep(spec);
   chaos::disarm();

@@ -53,6 +53,19 @@ TEST(System, BaselineRunsToTarget) {
   EXPECT_EQ(r.counters.transitions, 0u);
 }
 
+// A zero budget would report the one reference the run loop always steps
+// as a measurement; one instruction is the smallest legal run.
+TEST(System, RefusesAnEmptyBudgetButNotOneInstruction) {
+  System system(tiny(), Technique::BaselinePeriodicAll, {"gamess"}, 42);
+  RunOptions options;
+  options.instr_per_core = 0;
+  EXPECT_THROW((void)system.run(options), std::invalid_argument);
+  options.instr_per_core = 1;
+  const RawRunResult r = system.run(options);
+  EXPECT_EQ(r.instr_per_core, 1u);
+  EXPECT_GT(r.wall_cycles, 0u);
+}
+
 TEST(System, RefusesAnUnresolvedPaperScaledInterval) {
   SystemConfig cfg = tiny();
   apply_paper_scaled_interval(cfg);

@@ -317,6 +317,9 @@ int main(int argc, char** argv) {
       usage(("unknown option " + arg).c_str());
     }
   }
+  // A zero budget would "measure" the single reference the run loop always
+  // steps; esteem_validate refuses it the same way.
+  if (instr == 0) usage("--instr must be positive");
 
   try {
     {

@@ -111,8 +111,8 @@ inline SystemConfig paper_default_config(const trace::Workload& first) {
 
 /// CLI args -> SweepSpec (workloads from --sweep, techniques from
 /// --techniques or the spec default). Throws std::invalid_argument on an
-/// unknown technique name or a listed baseline; leaves workloads empty when
-/// `sweep_arg` is.
+/// unknown technique name, a listed baseline or a technique listed twice;
+/// leaves workloads empty when `sweep_arg` is.
 inline sim::SweepSpec build_sweep_spec(const SystemConfig& cfg, const std::string& sweep_arg,
                                        const std::string& techniques_arg, instr_t instr,
                                        instr_t warmup, std::uint64_t seed, unsigned jobs) {
@@ -131,6 +131,10 @@ inline sim::SweepSpec build_sweep_spec(const SystemConfig& cfg, const std::strin
       spec.techniques.push_back(sim::parse_technique(name));
       if (spec.techniques.back() == sim::Technique::BaselinePeriodicAll) {
         throw std::invalid_argument("the baseline is implicit; do not list it in --techniques");
+      }
+      if (std::count(spec.techniques.begin(), spec.techniques.end(),
+                     spec.techniques.back()) > 1) {
+        throw std::invalid_argument("technique " + name + " is listed twice in --techniques");
       }
     }
   }
