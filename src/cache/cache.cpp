@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+#include <bit>
 #include <stdexcept>
 
 namespace esteem::cache {
@@ -19,23 +19,19 @@ SetAssocCache::SetAssocCache(const CacheParams& params, std::string name)
   if (!is_pow2(sets_)) {
     throw std::invalid_argument("SetAssocCache: set count must be a power of two");
   }
-  const std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
-  blocks_.assign(slots, kInvalidBlock);
-  flags_.assign(slots, 0);
-  stamp_.assign(slots, 0);
+  set_bits_ = static_cast<unsigned>(std::countr_zero(sets_));
+  slots_ = PageArray<std::uint64_t>(static_cast<std::size_t>(sets_) * ways_);
   set_state_.assign(sets_, SetState{static_cast<std::uint16_t>(ways_), 0});
 }
 
 AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
-  assert(blk != kInvalidBlock);
+  const std::uint64_t tag = tag_of(blk);
   AccessOutcome out;
   const std::uint32_t set = set_index_of(blk);
   const std::uint32_t active = set_state_[set].active;
-  const std::size_t base = idx(set, 0);
-  const block_t* tags = &blocks_[base];
-  std::uint16_t* stamps = &stamp_[base];
+  std::uint64_t* slots = &slots_[idx(set, 0)];
 
-  const std::uint32_t way = find_way(tags, active, blk);
+  const std::uint32_t way = find_way(slots, active, tag);
   if (way != kNoWay) {
     out.hit = true;
     out.way = way;
@@ -44,43 +40,42 @@ AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
       // only when a consumer (the ESTEEM leader-set profiler) asked for it.
       // The two tests are combined with & rather than && so the count, like
       // the match, has no branch per way.
-      const std::uint16_t mine = stamps[way];
+      const std::uint16_t mine = stamp_of(slots[way]);
       std::uint32_t pos = 0;
       for (std::uint32_t v = 0; v < active; ++v) {
-        pos += static_cast<std::uint32_t>(tags[v] != kInvalidBlock) &
-               static_cast<std::uint32_t>(stamps[v] > mine);
+        pos += static_cast<std::uint32_t>((slots[v] & kValid) != 0) &
+               static_cast<std::uint32_t>(stamp_of(slots[v]) > mine);
       }
       out.lru_pos = pos;
     }
-    stamps[way] = next_stamp(set);
-    if (is_store) flags_[base + way] |= kDirty;
+    set_stamp(slots[way], next_stamp(set));
+    if (is_store) slots[way] |= kDirty;
     ++stats_.hits;
     if (touch_listener_ != nullptr) touch_listener_->on_touch(set, way, now);
     return out;
   }
 
   ++stats_.misses;
-  // Victim selection: the first invalid usable slot, else the LRU valid
-  // line. Disabled slots are never allocated; a valid line never sits in a
-  // disabled slot, so only invalid slots check the flag.
+  // Victim selection: the first empty usable slot, else the LRU valid line.
+  // Retired slots are never allocated.
   std::uint32_t victim = kNoWay;
   std::uint32_t oldest = UINT32_MAX;
   for (std::uint32_t w = 0; w < active; ++w) {
-    if (tags[w] == kInvalidBlock) {
-      if ((flags_[base + w] & kDisabled) == 0) {
+    if ((slots[w] & kValid) == 0) {
+      if ((slots[w] & kRetired) == 0) {
         victim = w;
         break;
       }
-    } else if (stamps[w] < oldest) {
-      oldest = stamps[w];
+    } else if (stamp_of(slots[w]) < oldest) {
+      oldest = stamp_of(slots[w]);
       victim = w;
     }
   }
   if (victim == kNoWay) return out;  // every usable way disabled: bypass
 
-  if (tags[victim] != kInvalidBlock) {
-    out.victim = tags[victim];
-    out.victim_dirty = (flags_[base + victim] & kDirty) != 0;
+  if ((slots[victim] & kValid) != 0) {
+    out.victim = block_of(slots[victim], set);
+    out.victim_dirty = (slots[victim] & kDirty) != 0;
     ++stats_.evictions;
     if (out.victim_dirty) ++stats_.dirty_evictions;
     --valid_count_;
@@ -89,9 +84,8 @@ AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
     }
   }
 
-  stamps[victim] = next_stamp(set);
-  blocks_[base + victim] = blk;
-  flags_[base + victim] = is_store ? kDirty : 0;
+  slots[victim] = tag | kValid | (is_store ? kDirty : 0);
+  set_stamp(slots[victim], next_stamp(set));
   ++valid_count_;
   out.way = victim;
   if (listener_ != nullptr) listener_->on_fill(set, victim, blk, now);
@@ -99,41 +93,39 @@ AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
 }
 
 void SetAssocCache::renormalize(std::uint32_t set) {
-  const std::size_t base = idx(set, 0);
+  std::uint64_t* slots = &slots_[idx(set, 0)];
   std::array<std::uint8_t, kMaxWays> order;  // valid ways, oldest first
   std::uint32_t n = 0;
   for (std::uint32_t w = 0; w < set_state_[set].active; ++w) {
-    if (blocks_[base + w] != kInvalidBlock) order[n++] = static_cast<std::uint8_t>(w);
+    if ((slots[w] & kValid) != 0) order[n++] = static_cast<std::uint8_t>(w);
   }
   std::sort(order.begin(), order.begin() + n, [&](std::uint8_t a, std::uint8_t b) {
-    return stamp_[base + a] < stamp_[base + b];
+    return stamp_of(slots[a]) < stamp_of(slots[b]);
   });
   for (std::uint32_t r = 0; r < n; ++r) {
-    stamp_[base + order[r]] = static_cast<std::uint16_t>(r + 1);
+    set_stamp(slots[order[r]], static_cast<std::uint16_t>(r + 1));
   }
   set_state_[set].clock = static_cast<std::uint16_t>(n);
 }
 
 bool SetAssocCache::drop(std::uint32_t set, std::uint32_t way, cycle_t now) {
-  const std::size_t i = idx(set, way);
-  const bool was_dirty = (flags_[i] & kDirty) != 0;
-  blocks_[i] = kInvalidBlock;
-  flags_[i] &= ~kDirty;
+  std::uint64_t& slot = slots_[idx(set, way)];
+  const bool was_dirty = (slot & kDirty) != 0;
+  slot &= ~kState;
   --valid_count_;
   if (listener_ != nullptr) listener_->on_invalidate(set, way, was_dirty, now);
   return was_dirty;
 }
 
 bool SetAssocCache::contains(block_t blk) const noexcept {
-  assert(blk != kInvalidBlock);
   const std::uint32_t set = set_index_of(blk);
-  return find_way(&blocks_[idx(set, 0)], set_state_[set].active, blk) != kNoWay;
+  return find_way(&slots_[idx(set, 0)], set_state_[set].active, tag_of(blk)) != kNoWay;
 }
 
 bool SetAssocCache::invalidate(block_t blk, cycle_t now) {
-  assert(blk != kInvalidBlock);
   const std::uint32_t set = set_index_of(blk);
-  const std::uint32_t way = find_way(&blocks_[idx(set, 0)], set_state_[set].active, blk);
+  const std::uint32_t way =
+      find_way(&slots_[idx(set, 0)], set_state_[set].active, tag_of(blk));
   return way != kNoWay && drop(set, way, now);
 }
 
@@ -151,7 +143,7 @@ bool SetAssocCache::disable_slot(std::uint32_t set, std::uint32_t way, cycle_t n
   }
   if (slot_disabled(set, way)) return false;
   invalidate_slot(set, way, now);
-  flags_[idx(set, way)] |= kDisabled;
+  slots_[idx(set, way)] |= kRetired;
   ++disabled_count_;
   return true;
 }

@@ -3,11 +3,14 @@
 // line-lifecycle listener hook that the eDRAM refresh policies subscribe to.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/page_array.hpp"
 #include "common/types.hpp"
 
 namespace esteem::cache {
@@ -64,11 +67,14 @@ struct CacheStats {
 /// The storage/replacement core shared by L1, L2, and (implicitly, via the
 /// never-reconfigured leader sets) the embedded ATD.
 ///
-/// Invariants: valid lines live only in physical ways [0, active_ways(set));
-/// a slot is invalid exactly when its tag is kInvalidBlock, so no access,
-/// probe or invalidation may name kInvalidBlock itself.
+/// Invariants: valid lines live only in physical ways [0, active_ways(set)).
+/// A slot stores its block's tag without the set-index bits, in kTagBits
+/// bits, so every block named must be below sets() << kTagBits.
 class SetAssocCache {
  public:
+  /// Tag bits a slot holds above the set index.
+  static constexpr unsigned kTagBits = 46;
+
   /// Throws std::invalid_argument unless sets is a power of two and
   /// 1 <= ways <= kMaxWays.
   SetAssocCache(const CacheParams& params, std::string name = "cache");
@@ -110,7 +116,7 @@ class SetAssocCache {
   bool disable_slot(std::uint32_t set, std::uint32_t way, cycle_t now);
 
   bool slot_disabled(std::uint32_t set, std::uint32_t way) const noexcept {
-    return (flags_[idx(set, way)] & kDisabled) != 0;
+    return (slots_[idx(set, way)] & kState) == kRetired;
   }
 
   /// Number of slots retired by disable_slot().
@@ -121,6 +127,12 @@ class SetAssocCache {
 
   std::uint32_t set_index_of(block_t blk) const noexcept {
     return static_cast<std::uint32_t>(blk & (sets_ - 1));
+  }
+
+  /// Host bytes of per-slot and per-set state.
+  std::size_t state_bytes() const noexcept {
+    return slots_.size() * sizeof(std::uint64_t) +
+           set_state_.capacity() * sizeof(SetState);
   }
 
   const CacheStats& stats() const noexcept { return stats_; }
@@ -143,13 +155,15 @@ class SetAssocCache {
 
   /// True if the slot currently holds a valid line.
   bool slot_valid(std::uint32_t set, std::uint32_t way) const noexcept {
-    return blocks_[idx(set, way)] != kInvalidBlock;
+    return (slots_[idx(set, way)] & kValid) != 0;
   }
   bool slot_dirty(std::uint32_t set, std::uint32_t way) const noexcept {
-    return (flags_[idx(set, way)] & kDirty) != 0;
+    return (slots_[idx(set, way)] & kState) == kState;
   }
+  /// The slot's block, or kInvalidBlock when it holds no line.
   block_t slot_block(std::uint32_t set, std::uint32_t way) const noexcept {
-    return blocks_[idx(set, way)];
+    const std::uint64_t s = slots_[idx(set, way)];
+    return (s & kValid) != 0 ? block_of(s, set) : kInvalidBlock;
   }
 
  private:
@@ -157,18 +171,50 @@ class SetAssocCache {
     return static_cast<std::size_t>(set) * ways_ + way;
   }
 
-  /// Way of `blk` among a set's first `active` tags, or kNoWay. An invalid
-  /// slot holds kInvalidBlock, which no lookup carries, and a block occupies
-  /// at most one way of its set, so the last match is the only one. Every
-  /// way is compared, and a conditional move keeps the match: no branch
-  /// depends on which way a hit lands in, so none mispredicts on it.
-  /// Unrolled by four, the 4-way L1 scan runs its loop branch once and the
-  /// 16-way L2 scan four times (DESIGN.md §7).
-  static std::uint32_t find_way(const block_t* tags, std::uint32_t active,
-                                block_t blk) noexcept {
+  // One slot is one 64-bit word: bits 0-45 hold the tag, bits 46-47 the
+  // slot's state and bits 48-63 the recency stamp within the set (larger =
+  // newer). The state is empty (0, so a fresh array is all zeros), retired
+  // by disable_slot() (kDirty alone), a clean line (kValid) or a dirty line
+  // (kValid | kDirty).
+  static constexpr std::uint64_t kTagMask = (std::uint64_t{1} << kTagBits) - 1;
+  static constexpr std::uint64_t kDirty = std::uint64_t{1} << kTagBits;
+  static constexpr std::uint64_t kValid = std::uint64_t{1} << (kTagBits + 1);
+  static constexpr std::uint64_t kState = kValid | kDirty;
+  static constexpr std::uint64_t kRetired = kDirty;
+  static constexpr unsigned kStampShift = 48;
+  static constexpr std::uint64_t kLineMask = (std::uint64_t{1} << kStampShift) - 1;
+  /// The bits a hit compares against `tag | kValid`: the tag and the valid
+  /// bit, so a slot without a line never matches.
+  static constexpr std::uint64_t kMatchMask = kTagMask | kValid;
+
+  std::uint64_t tag_of(block_t blk) const noexcept {
+    assert((blk >> set_bits_) <= kTagMask);
+    return blk >> set_bits_;
+  }
+  block_t block_of(std::uint64_t slot, std::uint32_t set) const noexcept {
+    return ((slot & kTagMask) << set_bits_) | set;
+  }
+  static std::uint16_t stamp_of(std::uint64_t slot) noexcept {
+    return static_cast<std::uint16_t>(slot >> kStampShift);
+  }
+  static void set_stamp(std::uint64_t& slot, std::uint16_t stamp) noexcept {
+    slot = (slot & kLineMask) | (std::uint64_t{stamp} << kStampShift);
+  }
+
+  /// Way of the line with tag `tag` among a set's first `active` slots, or
+  /// kNoWay. A tag occupies at most one way of its set, so the last match is
+  /// the only one. Every way is compared, and a conditional move keeps the
+  /// match: no branch depends on which way a hit lands in, so none
+  /// mispredicts on it. Unrolled by four, the 4-way L1 scan runs its loop
+  /// branch once and the 16-way L2 scan four times (DESIGN.md §7).
+  static std::uint32_t find_way(const std::uint64_t* slots, std::uint32_t active,
+                                std::uint64_t tag) noexcept {
+    const std::uint64_t key = tag | kValid;
     std::uint32_t match = 0;  // way + 1 of the match, 0 while none
 #pragma GCC unroll 4
-    for (std::uint32_t w = 0; w < active; ++w) match = tags[w] == blk ? w + 1 : match;
+    for (std::uint32_t w = 0; w < active; ++w) {
+      match = ((slots[w] ^ key) & kMatchMask) == 0 ? w + 1 : match;
+    }
     return match - 1;  // no match: 0 - 1 wraps to kNoWay
   }
 
@@ -178,9 +224,6 @@ class SetAssocCache {
     std::uint16_t active;  ///< active way count
     std::uint16_t clock;   ///< last recency stamp handed out in this set
   };
-
-  static constexpr std::uint8_t kDirty = 1;
-  static constexpr std::uint8_t kDisabled = 2;
 
   /// The set's next recency stamp. When the 16-bit clock is about to wrap,
   /// the set's valid stamps are first replaced by their ranks 1..n, which
@@ -197,12 +240,10 @@ class SetAssocCache {
 
   std::uint32_t sets_;
   std::uint32_t ways_;
+  unsigned set_bits_;  ///< log2(sets_): the set-index bits a tag drops.
   std::string name_;
 
-  // Struct-of-arrays layout: one entry per (set, way) slot, 11 bytes in all.
-  std::vector<block_t> blocks_;       // tag; kInvalidBlock = invalid slot
-  std::vector<std::uint8_t> flags_;   // kDirty | kDisabled
-  std::vector<std::uint16_t> stamp_;  // recency within the set: larger = newer
+  PageArray<std::uint64_t> slots_;  // one word per (set, way) slot, set-major
   std::vector<SetState> set_state_;
 
   std::uint64_t valid_count_ = 0;

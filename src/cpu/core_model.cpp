@@ -16,6 +16,15 @@ void Core::step(MemorySystem& mem) {
   mem.step(id_, ref.gap, ref.block + block_offset_, ref.is_store);
 }
 
+void Core::step(std::span<const std::unique_ptr<MemorySystem>> mems) {
+  const trace::MemRef ref = generator_->next();
+  instret_ += static_cast<instr_t>(ref.gap) + 1;
+  const block_t block = ref.block + block_offset_;
+  for (const std::unique_ptr<MemorySystem>& mem : mems) {
+    mem->step(id_, ref.gap, block, ref.is_store);
+  }
+}
+
 void Core::skip(MemorySystem& mem, instr_t n, double cpi) {
   generator_->skip(n);
   instret_ += n;

@@ -4,12 +4,13 @@
 // the hierarchy latency returned by MemorySystem. Trace generators emit
 // (gap, memory-op) pairs, so the simulator's cost per retired instruction is
 // amortized to O(1) over the gap. A core is its reference stream and its
-// instruction count; its clock lives in each refresh lane of the memory
-// system, so one stream can drive several lanes' timing.
+// instruction count; its clock lives in each refresh lane of each memory
+// system it drives, so one stream can drive several hierarchies and lanes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/types.hpp"
 #include "cpu/memory_system.hpp"
@@ -27,6 +28,10 @@ class Core {
   /// Executes the next (gap, memory-op) batch on every lane of `mem`; each
   /// lane advances its own clock for this core (MemorySystem::step).
   void step(MemorySystem& mem);
+
+  /// Draws the next batch once and executes it on every hierarchy of
+  /// `mems`, in order.
+  void step(std::span<const std::unique_ptr<MemorySystem>> mems);
 
   /// Sampling fast-forward: advances the generator past `n` instructions
   /// analytically (no memory accesses reach the hierarchy) and moves the

@@ -8,6 +8,7 @@
 #include "edram/ecc.hpp"
 #include "edram/smart_refresh.hpp"
 #include "refrint/rpv.hpp"
+#include "trace/access.hpp"
 
 namespace esteem::cpu {
 
@@ -112,6 +113,20 @@ MemorySystem::MemorySystem(const SystemConfig& cfg,
       l2_(l2_params(cfg), "L2"),
       modules_(cfg.l2.geom.sets(), cfg.esteem.modules) {
   cfg_.validate();
+  // cpu::System offsets core c's blocks by c << kCoreSpanBits, so blocks are
+  // below ncores << kCoreSpanBits; a cache slot holds kTagBits of tag above
+  // the set index.
+  for (const CacheGeometry* geom : {&cfg_.l1.geom, &cfg_.l2.geom}) {
+    if (std::uint64_t{cfg_.ncores} >
+        (std::uint64_t{geom->sets()}
+         << (cache::SetAssocCache::kTagBits - trace::kCoreSpanBits))) {
+      throw std::invalid_argument(
+          "MemorySystem: " + std::to_string(cfg_.ncores) + " cores need at least " +
+          std::to_string((cfg_.ncores + 3) / 4) + " sets per cache (a " +
+          std::to_string(geom->size_bytes) + "-byte cache has " +
+          std::to_string(geom->sets()) + ")");
+    }
+  }
   if (techniques.empty()) {
     throw std::invalid_argument("MemorySystem: need at least one technique");
   }

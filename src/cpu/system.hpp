@@ -1,6 +1,7 @@
 // Multi-core system: cores + shared memory hierarchy + the interval clock.
-// A single-core System may run several refresh-only techniques at once, one
-// refresh lane each, over one reference stream and one L1/L2 pass.
+// A single-core System may run several techniques at once over one
+// reference stream: the refresh-only ones share one L1/L2 pass, one refresh
+// lane each, and every other one runs on a hierarchy of its own.
 //
 // Cores advance in lockstep order of their local clocks (the core with the
 // smallest cycle count steps next), so contention on the shared L2 banks and
@@ -12,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,29 +60,40 @@ class System {
   System(const SystemConfig& cfg, Technique technique,
          const std::vector<std::string>& benchmarks, std::uint64_t seed);
 
-  /// One lane per technique: the runs share one reference stream and one
-  /// L1/L2 pass (MemorySystem's lane constructor says when that is allowed).
+  /// One run per technique over one reference stream. The refresh-only
+  /// techniques (cpu::fusable) share one hierarchy, one refresh lane each;
+  /// every other technique gets a hierarchy of its own. More than one
+  /// technique needs shares_stream(cfg); throws std::invalid_argument
+  /// otherwise.
   System(const SystemConfig& cfg, const std::vector<Technique>& techniques,
          const std::vector<std::string>& benchmarks, std::uint64_t seed);
 
-  /// Runs lane 0 (the only lane of a single-technique System). Throws
+  /// Runs run 0 (the only run of a single-technique System). Throws
   /// std::invalid_argument when options.instr_per_core is 0.
   RawRunResult run(const RunOptions& options);
 
-  /// Runs every lane at once; one result per lane, in lane order, each
+  /// Runs every run at once; one result per technique, in order, each
   /// bit-identical to a single-technique System's run. `sinks` is empty or
-  /// holds one telemetry sink (null = off) per lane; options.telemetry is
+  /// holds one telemetry sink (null = off) per run; options.telemetry is
   /// not read.
   std::vector<RawRunResult> run_group(const RunOptions& options,
                                       const std::vector<telemetry::RunSink*>& sinks);
 
-  MemorySystem& memory() noexcept { return mem_; }
+  /// The hierarchy that serves run `run` (hierarchy 0 serves run 0).
+  MemorySystem& memory(std::size_t run = 0) noexcept { return *runs_[run].mem; }
   std::vector<Core>& cores() noexcept { return cores_; }
   const SystemConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// Where a run lives: its hierarchy and its lane there.
+  struct RunSlot {
+    MemorySystem* mem;
+    std::size_t lane;
+  };
+
   SystemConfig cfg_;
-  MemorySystem mem_;
+  std::vector<std::unique_ptr<MemorySystem>> hierarchies_;  ///< In order of first run.
+  std::vector<RunSlot> runs_;                               ///< One per technique.
   std::vector<Core> cores_;
 };
 

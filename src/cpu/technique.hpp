@@ -65,15 +65,23 @@ constexpr bool refresh_only(Technique t) {
   return false;
 }
 
-/// The fusion predicate: a run of `t` under `cfg` may share one L1/L2 pass
-/// with other runs of the same config, workload, seed and budgets. It needs
-/// a refresh-only technique and one core (with two, the interleaving of the
-/// cores follows each run's own timing), and neither sampling (its segment
-/// schedule follows timing estimates) nor fault injection (its epochs
-/// mutate the L2 on the run's own clock).
+/// The stream predicate: runs under `cfg` of the same workload, seed and
+/// budgets may share one reference stream, whatever their techniques. Each
+/// reference is drawn once and handed to every run's hierarchy. It needs
+/// one core (with two, the interleaving of the cores follows each run's own
+/// timing), and neither sampling (its segment schedule follows timing
+/// estimates) nor fault injection (a fault-on hierarchy holds a weak-cell
+/// map of 1.0-1.5 MB, so several in one pass would multiply peak memory).
+constexpr bool shares_stream(const SystemConfig& cfg) {
+  return cfg.ncores == 1 && !cfg.sampling.enabled && !cfg.faults.enabled;
+}
+
+/// The fusion predicate: a run of `t` under `cfg` may also share one L1/L2
+/// pass with the other refresh-only runs of its stream, one refresh lane
+/// each. Every other technique mutates the L2 on its run's own clock, so
+/// it needs a hierarchy of its own.
 constexpr bool fusable(const SystemConfig& cfg, Technique t) {
-  return refresh_only(t) && cfg.ncores == 1 && !cfg.sampling.enabled &&
-         !cfg.faults.enabled;
+  return refresh_only(t) && shares_stream(cfg);
 }
 
 }  // namespace esteem::cpu

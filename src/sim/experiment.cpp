@@ -135,8 +135,7 @@ energy::EnergyModelParams energy_params(const RunSpec& spec) {
 }  // namespace
 
 bool can_fuse(const RunSpec& a, const RunSpec& b) {
-  return cpu::fusable(a.config, a.technique) && cpu::fusable(b.config, b.technique) &&
-         a.workload.name == b.workload.name &&
+  return cpu::shares_stream(a.config) && a.workload.name == b.workload.name &&
          a.workload.benchmarks == b.workload.benchmarks && a.seed == b.seed &&
          a.instr_per_core == b.instr_per_core &&
          a.warmup_instr_per_core == b.warmup_instr_per_core &&
@@ -169,7 +168,7 @@ std::vector<RunOutcome> run_experiment(
   const std::size_t n = group.size();
   std::vector<std::unique_ptr<telemetry::RunSink>> sinks(n);
   std::vector<std::string> labels(n);
-  std::vector<telemetry::RunSink*> lane_sinks(n, nullptr);
+  std::vector<telemetry::RunSink*> run_sinks(n, nullptr);
   std::vector<Technique> techniques(n);
   for (std::size_t i = 0; i < n; ++i) {
     const RunSpec& spec = group[i];
@@ -189,7 +188,7 @@ std::vector<RunOutcome> run_experiment(
       sink->recorder = std::make_unique<telemetry::IntervalRecorder>(
           telemetry::interval_columns(modules));
     }
-    lane_sinks[i] = sink.get();
+    run_sinks[i] = sink.get();
   }
 
   const double wall_t0 =
@@ -205,13 +204,13 @@ std::vector<RunOutcome> run_experiment(
   std::vector<RunOutcome> outcomes(n);
   if (first.config.sampling.enabled) {
     // Sampled runs never fuse: this is a group of one.
-    options.telemetry = lane_sinks[0];
+    options.telemetry = run_sinks[0];
     sampling::SampledRunResult sampled =
         sampling::run_sampled(system, options, first.config.sampling);
     outcomes[0].raw = std::move(sampled.raw);
     outcomes[0].estimates = std::move(sampled.estimates);
   } else {
-    std::vector<cpu::RawRunResult> raw = system.run_group(options, lane_sinks);
+    std::vector<cpu::RawRunResult> raw = system.run_group(options, run_sinks);
     for (std::size_t i = 0; i < n; ++i) outcomes[i].raw = std::move(raw[i]);
   }
 
@@ -239,7 +238,7 @@ std::vector<RunOutcome> run_experiment(
       *intervals[i] = std::move(*sink->recorder);
     }
     if (tel.active()) {
-      publish_run_counters(outcome, system.memory().module_active_ways());
+      publish_run_counters(outcome, system.memory(i).module_active_ways());
     }
   }
   return outcomes;

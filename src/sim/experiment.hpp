@@ -53,16 +53,17 @@ RunOutcome run_experiment(const RunSpec& spec,
                           telemetry::IntervalRecorder* intervals = nullptr);
 
 /// True when `a` and `b` may run as one group: the same config, workload,
-/// seed and budgets, and both techniques fusable under that config
-/// (cpu::fusable).
+/// seed and budgets, under a config whose runs share a reference stream
+/// (cpu::shares_stream). Their techniques do not matter.
 bool can_fuse(const RunSpec& a, const RunSpec& b);
 
-/// The group form: runs every spec of `group` over one reference stream and
-/// one L1/L2 pass, one refresh lane each, and returns one outcome per spec,
-/// in order, each bit-identical to run_experiment(spec). A group of one is
-/// run_experiment itself. Throws std::invalid_argument unless every spec
-/// can_fuse with the first. `intervals` is empty or holds one (possibly
-/// null) recorder per spec.
+/// The group form: runs every spec of `group` over one reference stream
+/// (one cpu::System): the refresh-only specs share one L1/L2 pass, one
+/// refresh lane each, and every other spec has a hierarchy of its own. It
+/// returns one outcome per spec, in order, each bit-identical to
+/// run_experiment(spec). A group of one is run_experiment itself. Throws
+/// std::invalid_argument unless every spec can_fuse with the first.
+/// `intervals` is empty or holds one (possibly null) recorder per spec.
 std::vector<RunOutcome> run_experiment(
     const std::vector<RunSpec>& group,
     const std::vector<telemetry::IntervalRecorder*>& intervals = {});

@@ -99,11 +99,11 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
   // Cells in workload-major order: w0 baseline, w0 t1, w0 t2, w1 baseline,
   // ... A technique run never reads its baseline (only compare() does, after
-  // the join), so every cell is independent. A row's fusable cells
-  // (cpu::fusable) form one task that runs them in one pass; every other
-  // cell is a task of its own. Tasks keep the order of their first cells,
-  // and each thread simply claims the next task. One thread claims them in
-  // exactly this order, which is the serial schedule the memo store order
+  // the join), so every cell is independent. When the config's runs share a
+  // reference stream (cpu::shares_stream), a row is one task that runs all
+  // its cells over one stream; otherwise every cell is a task of its own.
+  // Each thread simply claims the next task. One thread claims them in
+  // exactly cell order, which is the serial schedule the memo store order
   // and the resume tests rely on.
   const std::size_t n_techniques = spec.techniques.size();
   const std::size_t stride = 1 + n_techniques;
@@ -116,18 +116,12 @@ SweepResult run_sweep(const SweepSpec& spec) {
   };
   std::vector<Cell> cells(spec.workloads.size() * stride);
   std::vector<std::vector<std::size_t>> tasks;  // cell indices, in order
-  for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
-    std::optional<std::size_t> fused;  // this row's fused task, once made
-    for (std::size_t ti = 0; ti < stride; ++ti) {
-      const std::size_t i = wi * stride + ti;
-      if (!cpu::fusable(spec.config, technique_of(ti))) {
-        tasks.push_back({i});
-      } else if (fused) {
-        tasks[*fused].push_back(i);
-      } else {
-        fused = tasks.size();
-        tasks.push_back({i});
-      }
+  const bool rows_share = cpu::shares_stream(spec.config);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (rows_share && i % stride != 0) {
+      tasks.back().push_back(i);
+    } else {
+      tasks.push_back({i});
     }
   }
   std::atomic<std::size_t> next{0};

@@ -1,12 +1,12 @@
 // Sweep runner: evaluates a set of techniques over a set of workloads. The
 // sweep is a list of independent (workload x technique) cells, baseline
 // included — a technique run never reads its baseline; only compare() does,
-// in a serial pass after every cell has run. A row's fusable cells
-// (cpu::fusable) make one task that runs them in one pass over a shared
-// cache hierarchy; every other cell is a task of its own. N threads claim
-// tasks from one atomic index (N <= 1 runs the same loop on the calling
-// thread), so with enough cores the sweep's wall clock approaches the
-// slowest single task.
+// in a serial pass after every cell has run. When the config's runs share
+// a reference stream (cpu::shares_stream), a row is one task that runs all
+// its cells over one stream; otherwise every cell is a task of its own.
+// N threads claim tasks from one atomic index (N <= 1 runs the same loop on
+// the calling thread), so with enough cores the sweep's wall clock
+// approaches the slowest single task.
 // Every run goes through the process-wide RunOutcome memo cache
 // (sim/run_cache.hpp), so repeated sweeps — and other reports in the same
 // process — never recompute an identical experiment. With a memo directory

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <iterator>
 #include <list>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "cache/cache.hpp"
 #include "cache/module_map.hpp"
 #include "common/rng.hpp"
+#include "cpu/memory_system.hpp"
 
 namespace esteem::cache {
 namespace {
@@ -238,6 +240,87 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(SetAssocCache({3, 4}), std::invalid_argument);  // non-pow2 sets
 }
 
+// A slot keeps its tag without the set-index bits, split at bit 32 of the
+// tag: two blocks of one set whose tags differ only above bit 32 share the
+// low word and must still never alias.
+TEST(Cache, TagsDifferingOnlyAboveBit32DoNotAlias) {
+  SetAssocCache c({4, 2});
+  const block_t a = 5;
+  const block_t b = a + (block_t{4} << 32);  // tag + 2^32, same set
+  const block_t d = a + (block_t{4} << 45);  // tag + 2^45, the top tag bit
+  ASSERT_EQ(c.set_index_of(a), c.set_index_of(b));
+  ASSERT_EQ(c.set_index_of(a), c.set_index_of(d));
+  EXPECT_FALSE(c.access(a, true, 0).hit);
+  EXPECT_FALSE(c.contains(b));
+  EXPECT_FALSE(c.access(b, false, 1).hit);
+  EXPECT_TRUE(c.access(a, false, 2).hit);
+  EXPECT_TRUE(c.access(b, false, 3).hit);
+  EXPECT_EQ(c.slot_block(1, 0), a);
+  EXPECT_EQ(c.slot_block(1, 1), b);
+  // d evicts the LRU line, a, whose block and dirty bit come back intact.
+  const AccessOutcome out = c.access(d, false, 4);
+  EXPECT_FALSE(out.hit);
+  EXPECT_EQ(out.victim, a);
+  EXPECT_TRUE(out.victim_dirty);
+  EXPECT_TRUE(c.contains(d));
+  EXPECT_FALSE(c.contains(a));
+}
+
+// The top of the legal range: with one set, a slot's 46 tag bits hold every
+// block of four 2^44-block core spans, up to (3 << 44) | (2^44 - 1).
+TEST(Cache, HoldsTheTopOfTheLegalBlockRange) {
+  SetAssocCache c({1, 2});
+  const block_t top = (block_t{1} << SetAssocCache::kTagBits) - 1;
+  const block_t span_end = (block_t{1} << 44) - 1;
+  EXPECT_FALSE(c.access(top, true, 0).hit);
+  EXPECT_FALSE(c.access(span_end, false, 1).hit);
+  EXPECT_TRUE(c.contains(top));
+  EXPECT_EQ(c.slot_block(0, 0), top);
+  EXPECT_EQ(c.slot_block(0, 1), span_end);
+  EXPECT_TRUE(c.slot_dirty(0, 0));
+  EXPECT_FALSE(c.slot_dirty(0, 1));
+  EXPECT_TRUE(c.invalidate(top, 2));
+  EXPECT_FALSE(c.slot_valid(0, 0));
+  EXPECT_EQ(c.slot_block(0, 0), kInvalidBlock);
+  EXPECT_TRUE(c.access(span_end, false, 3).hit);
+}
+
+// Slot state is one 8-byte word per slot plus 4 bytes per set: 516 KB for
+// the Fig. 3 4 MB L2 (4096 sets x 16 ways).
+TEST(Cache, SlotStateIsEightBytesPerSlot) {
+  const SetAssocCache l2({4096, 16});
+  const std::size_t slots = 4096 * 16;
+  EXPECT_LE(l2.state_bytes(), 8 * slots + 4 * 4096);
+  const SetAssocCache l1({64, 4});
+  EXPECT_LE(l1.state_bytes(), 8 * 64 * 4 + 4 * 64);
+  // A copy holds its own slots.
+  SetAssocCache copy = l1;
+  copy.access(3, false, 0);
+  EXPECT_TRUE(copy.contains(3));
+  EXPECT_FALSE(l1.contains(3));
+}
+
+// Blocks are below ncores << kCoreSpanBits, so a slot's 46 tag bits need
+// ncores <= 4 * sets in every cache: the memory system refuses any other
+// geometry instead of aliasing tags.
+TEST(Cache, MemorySystemRefusesGeometryWhoseTagsCannotFit) {
+  SystemConfig cfg = SystemConfig::single_core();
+  cfg.l2.geom = CacheGeometry{1024, 16, 64};  // one set
+  cfg.l1.geom = CacheGeometry{256, 4, 64};    // one set
+  cfg.esteem.modules = 1;
+  cfg.l2.banks = 1;
+  cfg.ncores = 4;
+  EXPECT_NO_THROW(cpu::MemorySystem(cfg, cpu::Technique::BaselinePeriodicAll));
+  cfg.ncores = 5;
+  EXPECT_THROW(cpu::MemorySystem(cfg, cpu::Technique::BaselinePeriodicAll),
+               std::invalid_argument);
+  cfg.l2.geom = CacheGeometry{2048, 16, 64};  // two sets: the L2 fits, the L1 not
+  EXPECT_THROW(cpu::MemorySystem(cfg, cpu::Technique::BaselinePeriodicAll),
+               std::invalid_argument);
+  cfg.l1.geom = CacheGeometry{512, 4, 64};
+  EXPECT_NO_THROW(cpu::MemorySystem(cfg, cpu::Technique::BaselinePeriodicAll));
+}
+
 // Property test: the cache agrees with a reference model (map from block to
 // dirty bit with capacity bookkeeping) under random traffic.
 class CacheProperty : public ::testing::TestWithParam<std::uint32_t> {};
@@ -385,9 +468,14 @@ class ReferenceLru {
 // LRU positions and occupancy agree.
 class OracleRun {
  public:
-  OracleRun(std::uint32_t sets, std::uint32_t ways, int episode)
+  /// Blocks are drawn just above one of `bases`, picked at random.
+  OracleRun(std::uint32_t sets, std::uint32_t ways, int episode,
+            std::vector<block_t> bases = {0})
       : c_({sets, ways}), ref_(sets, ways), sets_(sets), ways_(ways), episode_(episode),
-        stamps_(sets, 0) {}
+        bases_(std::move(bases)), stamps_(sets, 0) {}
+
+  /// Blocks drawn from this many consecutive values above each base.
+  std::uint64_t span() const { return std::uint64_t{sets_} * ways_ * 3; }
 
   const SetAssocCache& cache() const { return c_; }
 
@@ -398,7 +486,7 @@ class OracleRun {
     const std::uint64_t op = rng.below(1000);
     const auto set = static_cast<std::uint32_t>(rng.below(sets_));
     const auto way = static_cast<std::uint32_t>(rng.below(ways_));
-    const block_t blk = rng.below(sets_ * ways_ * 3);
+    const block_t blk = bases_[rng.below(bases_.size())] + rng.below(span());
     if (op < 850) {
       ASSERT_EQ(c_.contains(blk), ref_.contains(blk)) << "episode " << episode_ << " iter " << i;
       const bool store = rng.chance(0.3);
@@ -452,6 +540,7 @@ class OracleRun {
   std::uint32_t sets_;
   std::uint32_t ways_;
   int episode_;
+  std::vector<block_t> bases_;
   std::vector<std::uint64_t> stamps_;
 };
 
@@ -509,6 +598,37 @@ TEST_P(CacheOracle, MatchesReferenceLru) {
   EXPECT_GT(run.hits, 0u);
   EXPECT_GT(run.evictions, 0u);
   EXPECT_EQ(run.cache().disabled_slots(), run.retired);
+}
+
+// The same oracle over blocks spanning the whole legal range of a 4-set
+// cache: core spans 1-3 (c << 44), the top of a span (2^44 - 1) and of the
+// range, and bases whose blocks share a set and a low tag word with the
+// base-0 blocks, their tags differing only at bit 32 or 40.
+TEST_P(CacheOracle, MatchesReferenceLruAcrossTheTagRange) {
+  const std::uint32_t ways = GetParam();
+  const std::uint64_t span = std::uint64_t{4} * ways * 3;
+  const std::vector<block_t> bases{
+      0,
+      block_t{4} << 32,
+      block_t{4} << 40,
+      block_t{1} << 44,
+      block_t{2} << 44,
+      block_t{3} << 44,
+      (block_t{1} << 44) - span,
+      (block_t{4} << SetAssocCache::kTagBits) - span};
+  Rng rng(ways * 104'729 + 11);
+  std::uint64_t hits = 0, evictions = 0;
+  for (int episode = 0; episode < 20; ++episode) {
+    OracleRun run(4, ways, episode, bases);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      run.step(rng, i, true);
+      if (HasFatalFailure()) return;
+    }
+    hits += run.hits;
+    evictions += run.evictions;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(evictions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheOracle,

@@ -344,9 +344,10 @@ TEST(Sweep, Validation) {
   EXPECT_THROW(run_sweep(spec), std::invalid_argument);  // technique listed twice
 }
 
-// Rows whose baseline, RPV, periodic-valid and Smart-Refresh cells fuse into
-// one task, claimed by four threads next to ESTEEM's own tasks: every cell
-// must equal its run alone. ThreadSanitizer runs this binary whole.
+// Four rows, each one task over one reference stream (baseline, RPV,
+// periodic-valid and Smart-Refresh on one hierarchy, ESTEEM on its own),
+// claimed by four threads: every cell must equal its run alone.
+// ThreadSanitizer runs this binary whole.
 TEST(Sweep, ThreadedFusedRowsEqualRunsAlone) {
   SweepSpec spec;
   spec.config = tiny();

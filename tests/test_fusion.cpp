@@ -1,8 +1,10 @@
-// Fused runs against runs alone. Techniques that only schedule refreshes
-// share one reference stream and one L1/L2 pass, one refresh lane each
-// (DESIGN.md §7, "Hierarchy and lanes"). Every fused outcome and interval
-// series must equal the run of that spec on its own, and only the runs the
-// fusion predicate admits may share a pass.
+// Fused runs against runs alone. Runs of one single-core, exhaustive,
+// fault-free workload share one reference stream: techniques that only
+// schedule refreshes share one L1/L2 pass, one refresh lane each, and every
+// other technique runs on a hierarchy of its own (DESIGN.md §7, "Hierarchy
+// and lanes"). Every fused outcome and interval series must equal the run
+// of that spec on its own, and only the runs the predicates admit may
+// share a stream or a pass.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "cpu/memory_system.hpp"
+#include "cpu/system.hpp"
 #include "sim/experiment.hpp"
 #include "sim/run_cache.hpp"
 #include "telemetry/interval_recorder.hpp"
@@ -98,22 +101,70 @@ INSTANTIATE_TEST_SUITE_P(ProfileClasses, FusedEqualsAlone,
                          ::testing::Values("gamess", "libquantum", "h264ref", "omnetpp",
                                            "mcf"));
 
-TEST(Fusion, OnlyRefreshOnlySingleCoreExhaustiveFaultFreeRunsFuse) {
+// Every technique in one pass: the five refresh-only lanes on one
+// hierarchy, ESTEEM, RPD and Cache Decay on one each. Seed 42 lists a lane
+// first, seed 7 lists ESTEEM first, so each layout of hierarchies is run.
+class SharedStreamEqualsAlone : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SharedStreamEqualsAlone, OutcomesAndIntervalSeriesMatch) {
+  for (const std::uint64_t seed : {42u, 7u}) {
+    const std::vector<Technique> order =
+        seed == 42
+            ? std::vector<Technique>{Technique::BaselinePeriodicAll, Technique::Esteem,
+                                     Technique::PeriodicValid,       Technique::RefrintRPD,
+                                     Technique::RefrintRPV,          Technique::CacheDecay,
+                                     Technique::SmartRefresh,        Technique::EccExtended}
+            : std::vector<Technique>{Technique::Esteem,       Technique::EccExtended,
+                                     Technique::SmartRefresh, Technique::CacheDecay,
+                                     Technique::RefrintRPV,   Technique::RefrintRPD,
+                                     Technique::PeriodicValid, Technique::BaselinePeriodicAll};
+    std::vector<RunSpec> group;
+    for (Technique t : order) group.push_back(spec_for(GetParam(), t, seed));
+    std::vector<telemetry::IntervalRecorder> series(group.size());
+    std::vector<telemetry::IntervalRecorder*> series_ptrs;
+    for (auto& s : series) series_ptrs.push_back(&s);
+
+    const std::vector<RunOutcome> fused = run_experiment(group, series_ptrs);
+    ASSERT_EQ(fused.size(), group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      SCOPED_TRACE(std::string(to_string(group[i].technique)) + " seed " +
+                   std::to_string(seed));
+      telemetry::IntervalRecorder alone_series;
+      const RunOutcome alone = run_experiment(group[i], &alone_series);
+      EXPECT_EQ(outcome_digest(fused[i]), outcome_digest(alone));
+      EXPECT_EQ(fused[i].raw.wall_cycles, alone.raw.wall_cycles);
+      EXPECT_EQ(fused[i].raw.mem_stats.demand_l2_misses,
+                alone.raw.mem_stats.demand_l2_misses);
+      EXPECT_GT(alone_series.rows(), 2u);
+      expect_same_series(series[i], alone_series);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ProfileClasses, SharedStreamEqualsAlone,
+                         ::testing::Values("gamess", "libquantum", "h264ref", "omnetpp",
+                                           "mcf"));
+
+TEST(Fusion, PredicatesAdmitOnlySingleCoreExhaustiveFaultFreeRuns) {
   const RunSpec base = spec_for("gamess", Technique::BaselinePeriodicAll, 42);
+  EXPECT_TRUE(cpu::shares_stream(base.config));
   for (Technique t : kRefreshOnly) {
     EXPECT_TRUE(cpu::fusable(base.config, t)) << to_string(t);
     EXPECT_TRUE(can_fuse(base, spec_for("gamess", t, 42))) << to_string(t);
   }
-  // Techniques that mutate the L2 on their own clock.
+  // Techniques that mutate the L2 on their own clock share the stream, but
+  // not a hierarchy.
   for (Technique t : {Technique::Esteem, Technique::RefrintRPD, Technique::CacheDecay}) {
     EXPECT_FALSE(cpu::fusable(base.config, t)) << to_string(t);
-    EXPECT_FALSE(can_fuse(base, spec_for("gamess", t, 42))) << to_string(t);
-    EXPECT_THROW(run_experiment(std::vector<RunSpec>{base, spec_for("gamess", t, 42)}),
-                 std::invalid_argument);
+    EXPECT_TRUE(can_fuse(base, spec_for("gamess", t, 42))) << to_string(t);
+    EXPECT_THROW(cpu::MemorySystem(base.config, std::vector<Technique>{
+                                                    Technique::BaselinePeriodicAll, t}),
+                 std::invalid_argument)
+        << to_string(t);
   }
 
-  // Dual-core, faults-on and sampled configs never fuse, whatever the
-  // technique.
+  // Dual-core, faults-on and sampled configs share neither a stream nor a
+  // pass, whatever the technique.
   SystemConfig dual = tiny();
   dual.ncores = 2;
   SystemConfig faults = tiny();
@@ -121,36 +172,53 @@ TEST(Fusion, OnlyRefreshOnlySingleCoreExhaustiveFaultFreeRunsFuse) {
   SystemConfig sampled = tiny();
   sampled.sampling.enabled = true;
   for (const SystemConfig& cfg : {dual, faults, sampled}) {
+    EXPECT_FALSE(cpu::shares_stream(cfg));
     for (Technique t : kRefreshOnly) EXPECT_FALSE(cpu::fusable(cfg, t)) << to_string(t);
+    EXPECT_THROW(cpu::System(cfg, {Technique::BaselinePeriodicAll, Technique::Esteem},
+                             std::vector<std::string>(cfg.ncores, "gamess"), 42),
+                 std::invalid_argument);
   }
   RunSpec dual_base = spec_for("gamess", Technique::BaselinePeriodicAll, 42, dual);
   dual_base.workload = {"gamess+mcf", {"gamess", "mcf"}};
-  RunSpec dual_rpv = dual_base;
-  dual_rpv.technique = Technique::RefrintRPV;
-  EXPECT_FALSE(can_fuse(dual_base, dual_rpv));
-  EXPECT_THROW(run_experiment(std::vector<RunSpec>{dual_base, dual_rpv}),
-               std::invalid_argument);
+  for (Technique t : {Technique::RefrintRPV, Technique::Esteem}) {
+    RunSpec dual_other = dual_base;
+    dual_other.technique = t;
+    EXPECT_FALSE(can_fuse(dual_base, dual_other)) << to_string(t);
+    EXPECT_THROW(run_experiment(std::vector<RunSpec>{dual_base, dual_other}),
+                 std::invalid_argument);
+  }
   EXPECT_THROW(cpu::MemorySystem(dual, std::vector<Technique>{
                                            Technique::BaselinePeriodicAll,
                                            Technique::RefrintRPV}),
                std::invalid_argument);
-  const RunSpec faulty = spec_for("gamess", Technique::RefrintRPV, 42, faults);
-  EXPECT_FALSE(can_fuse(spec_for("gamess", Technique::BaselinePeriodicAll, 42, faults),
-                        faulty));
+  for (const SystemConfig& cfg : {faults, sampled}) {
+    const RunSpec b = spec_for("gamess", Technique::BaselinePeriodicAll, 42, cfg);
+    for (Technique t : {Technique::RefrintRPV, Technique::Esteem}) {
+      EXPECT_FALSE(can_fuse(b, spec_for("gamess", t, 42, cfg))) << to_string(t);
+      EXPECT_THROW(run_experiment(std::vector<RunSpec>{b, spec_for("gamess", t, 42, cfg)}),
+                   std::invalid_argument);
+    }
+  }
 
-  // Fusable techniques, but not the same run otherwise.
-  RunSpec other = spec_for("gamess", Technique::RefrintRPV, 42);
-  other.seed = 7;
-  EXPECT_FALSE(can_fuse(base, other));
-  other = spec_for("mcf", Technique::RefrintRPV, 42);
-  EXPECT_FALSE(can_fuse(base, other));
-  other = spec_for("gamess", Technique::RefrintRPV, 42);
-  other.instr_per_core += 1;
-  EXPECT_FALSE(can_fuse(base, other));
-  other = spec_for("gamess", Technique::RefrintRPV, 42);
-  other.config.energy.refresh_scale = 2.0;
-  EXPECT_FALSE(can_fuse(base, other));
-  EXPECT_THROW(run_experiment(std::vector<RunSpec>{base, other}), std::invalid_argument);
+  // Any technique, but not the same stream otherwise: another seed,
+  // workload, budget or config.
+  for (Technique t : {Technique::RefrintRPV, Technique::Esteem}) {
+    RunSpec other = spec_for("gamess", t, 42);
+    other.seed = 7;
+    EXPECT_FALSE(can_fuse(base, other));
+    other = spec_for("mcf", t, 42);
+    EXPECT_FALSE(can_fuse(base, other));
+    other = spec_for("gamess", t, 42);
+    other.instr_per_core += 1;
+    EXPECT_FALSE(can_fuse(base, other));
+    other = spec_for("gamess", t, 42);
+    other.warmup_instr_per_core += 1;
+    EXPECT_FALSE(can_fuse(base, other));
+    other = spec_for("gamess", t, 42);
+    other.config.energy.refresh_scale = 2.0;
+    EXPECT_FALSE(can_fuse(base, other));
+    EXPECT_THROW(run_experiment(std::vector<RunSpec>{base, other}), std::invalid_argument);
+  }
 }
 
 }  // namespace

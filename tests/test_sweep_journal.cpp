@@ -146,7 +146,7 @@ TEST(SweepJournal, JournaledSweepRestoresRowsBitExactly) {
   EXPECT_EQ(dir.csv(again, "again"), dir.csv(first, "first"));
 }
 
-// A fused task (baseline, RPV and Smart-Refresh share one pass) still
+// A row task (baseline, ESTEEM, RPV and Smart-Refresh over one stream) still
 // claims, counts and publishes every run on its own: one miss and one memo
 // file per cell, no hits.
 TEST(SweepJournal, FusedRowsCountOneMissAndOneStorePerCell) {
@@ -161,7 +161,7 @@ TEST(SweepJournal, FusedRowsCountOneMissAndOneStorePerCell) {
   EXPECT_EQ(stats.disk_stores, 8u);
   EXPECT_EQ(dir.memo_files().size(), 8u);
 
-  // A memo file lost from a fused group is recomputed alone and the rest
+  // A memo file lost from a row task is recomputed alone and the rest
   // restore: the resumed sweep matches the first bit for bit.
   const SweepResult first = run_sweep(spec);
   fs::remove(dir.memo_files().front());
@@ -200,24 +200,28 @@ TEST(SweepJournal, InterruptedThenResumedCsvIsByteIdentical) {
   const SweepSpec spec = tiny_sweep({"gamess", "gobmk", "libquantum"});
   const std::string reference = fresh_csv(spec, dir);
 
-  // Serial schedule: gamess baseline and gamess rpv (one fused task, two
-  // stores), then the shutdown.
+  // Serial schedule: a row is one task over one reference stream, which
+  // stores its runs in cell order (gamess baseline, esteem, rpv). The
+  // shutdown lands after the second store; the task still stores its third
+  // run, and the two remaining rows drain.
   chaos::install_plan(std::make_unique<ShutdownAfterStore>(1));
   const SweepResult cut = run_sweep(spec);
   chaos::disarm();
   resilience::clear_shutdown();
   ASSERT_TRUE(cut.interrupted);
   EXPECT_TRUE(cut.errors.empty());
-  for (const WorkloadRow& row : cut.rows) {
-    EXPECT_TRUE(row.skipped) << row.workload;
-    EXPECT_FALSE(row.completed) << row.workload;
+  ASSERT_EQ(cut.rows.size(), 3u);
+  EXPECT_TRUE(cut.rows[0].completed);
+  for (std::size_t i = 1; i < cut.rows.size(); ++i) {
+    EXPECT_TRUE(cut.rows[i].skipped) << cut.rows[i].workload;
+    EXPECT_FALSE(cut.rows[i].completed) << cut.rows[i].workload;
   }
-  EXPECT_EQ(RunCache::instance().stats().disk_stores, 2u);
+  EXPECT_EQ(RunCache::instance().stats().disk_stores, 3u);
 
   RunCache::instance().clear();
   const SweepResult resumed = run_sweep(spec);
   ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(RunCache::instance().stats().disk_hits, 2u);
+  EXPECT_EQ(RunCache::instance().stats().disk_hits, 3u);
   EXPECT_EQ(dir.csv(resumed, "resumed"), reference);
 }
 

@@ -359,6 +359,56 @@ TEST(TelemetryHub, ModuleGaugesNeedOnlyCounters) {
   }
 }
 
+// In a shared pass the ESTEEM cell runs on a hierarchy of its own, not
+// hierarchy 0 (the refresh-only lanes'): its gauges and interval series
+// must still be its own, equal to those of the ESTEEM run alone.
+TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
+  TelemetryGuard guard;
+  TelemetryConfig cfg;
+  cfg.dir = "test_telemetry_shared";
+  Telemetry::instance().configure(cfg);
+
+  sim::RunSpec spec;
+  spec.config = tiny();
+  spec.workload = wl("h264ref");
+  spec.instr_per_core = 300'000;
+  spec.warmup_instr_per_core = 50'000;
+  std::vector<sim::RunSpec> group(3, spec);
+  group[0].technique = sim::Technique::BaselinePeriodicAll;
+  group[1].technique = sim::Technique::Esteem;
+  group[2].technique = sim::Technique::RefrintRPV;
+
+  const auto gauges = [&] {
+    std::vector<double> out;
+    for (std::uint32_t m = 0; m < spec.config.esteem.modules; ++m) {
+      out.push_back(registry().value("esteem.module" + std::to_string(m) + ".active_ways"));
+    }
+    return out;
+  };
+
+  registry().reset();
+  IntervalRecorder alone;
+  spec.technique = sim::Technique::Esteem;
+  (void)sim::run_experiment(spec, &alone);
+  const std::vector<double> alone_gauges = gauges();
+  ASSERT_GT(alone.rows(), 0u);
+  ASSERT_GT(alone_gauges.front(), 0.0);
+
+  registry().reset();
+  IntervalRecorder shared;
+  (void)sim::run_experiment(group, {nullptr, &shared, nullptr});
+  EXPECT_EQ(gauges(), alone_gauges);
+  ASSERT_EQ(shared.rows(), alone.rows());
+  ASSERT_EQ(shared.columns(), alone.columns());
+  for (std::size_t r = 0; r < alone.rows(); ++r) {
+    EXPECT_EQ(shared.cycle(r), alone.cycle(r)) << "row " << r;
+    for (std::size_t c = 0; c < alone.columns().size(); ++c) {
+      EXPECT_EQ(shared.value(r, c), alone.value(r, c)) << alone.columns()[c] << " row " << r;
+    }
+  }
+  registry().reset();
+}
+
 // Observer-effect guard: running the same sweep with full telemetry enabled
 // must produce a byte-identical CSV. Telemetry reads simulator state; it
 // never perturbs it.
