@@ -6,6 +6,7 @@
 // off must not change simulation results).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
@@ -407,6 +410,73 @@ TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
     }
   }
   registry().reset();
+}
+
+// The simulated-time trace (pid 1) of a tiny ESTEEM run plus a fused
+// baseline+esteem+rpv group, pinned by event count and an FNV-1a of its
+// canonical form: one line per event (phase, tid relative to the first run
+// lane, name, raw ts/dur tokens, args), sorted. Run lanes are numbered
+// process-wide, so rebasing the tids keeps the pin independent of earlier
+// tests; sorting keeps it independent of the order lanes were emitted in.
+TEST(TelemetryHub, SimulatedTimeTraceIsPinned) {
+  TelemetryGuard guard;
+  const std::string dir = "test_telemetry_trace_pin";
+  std::filesystem::remove_all(dir);
+  TelemetryConfig cfg;
+  cfg.interval_stats = true;
+  cfg.dir = dir;
+  cfg.trace_path = dir + "/trace.json";
+  Telemetry::instance().configure(cfg);
+
+  sim::RunSpec spec;
+  spec.config = tiny();
+  spec.workload = wl("h264ref");
+  spec.instr_per_core = 200'000;
+  spec.warmup_instr_per_core = 20'000;
+  spec.technique = sim::Technique::Esteem;
+  (void)sim::run_experiment(spec);
+  std::vector<sim::RunSpec> group(3, spec);
+  group[0].technique = sim::Technique::BaselinePeriodicAll;
+  group[2].technique = sim::Technique::RefrintRPV;
+  (void)sim::run_experiment(group);
+  (void)Telemetry::instance().flush();
+
+  std::ifstream in(dir + "/trace.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const json::Value trace = json::parse(text.str());
+  std::vector<const json::Value*> events;
+  std::uint64_t first_lane = ~0ULL;
+  for (const json::Value& e : trace.at("traceEvents").as_array()) {
+    if (e.at("pid").as_u64() != 1) continue;
+    events.push_back(&e);
+    const std::uint64_t tid = e.at("tid").as_u64();
+    if (tid > 0) first_lane = std::min(first_lane, tid);
+  }
+  std::vector<std::string> lines;
+  for (const json::Value* e : events) {
+    const std::uint64_t tid = e->at("tid").as_u64();
+    std::string line = e->at("ph").as_string() + "|" +
+                       std::to_string(tid > 0 ? tid - first_lane + 1 : 0) + "|" +
+                       e->at("name").as_string();
+    for (const char* key : {"ts", "dur"}) {
+      const json::Value* v = e->find(key);
+      line += "|" + (v != nullptr ? v->text() : std::string());
+    }
+    if (const json::Value* args = e->find("args")) {
+      for (std::size_t i = 0; i < args->size(); ++i) {
+        line += "|" + args->key(i) + "=" + args->item(i).text();
+      }
+    }
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::uint64_t h = kFnv1aBasis;
+  for (const std::string& line : lines) h = fnv1a(h, line + "\n");
+
+  EXPECT_EQ(lines.size(), 369u);
+  EXPECT_EQ(h, 8300730266439617222ULL);
+  std::filesystem::remove_all(dir);
 }
 
 // Observer-effect guard: running the same sweep with full telemetry enabled
