@@ -4,7 +4,9 @@
 # directory and fault schedule; every tool refuses them whatever their
 # value, so each case below would exit 0 without the refusal), a --print
 # given a flag it would ignore, an unknown --print report
-# id, telemetry outputs (--trace, --telemetry-dir) that cannot be opened, an
+# id, a --telemetry-dir that cannot be made or whose trace.json cannot be
+# opened, the retired telemetry flags (--timeline, --interval-stats, --trace;
+# --telemetry-dir replaced all three), an
 # esteem_validate --check whose golden file cannot be read, a [faults]
 # max_tracked_extension past its cap, an ecc-extended fault run whose
 # extension the weak-cell map does not track, a zero --instr budget (single
@@ -19,6 +21,7 @@ file(WRITE ${WORKDIR}/wide_l2.ini "[l2]\nsize_kb = 8192\nways = 512\n")
 file(WRITE ${WORKDIR}/huge_tracking.ini "[faults]\nmax_tracked_extension = 4000000000\n")
 file(WRITE ${WORKDIR}/short_tracking.ini
      "[faults]\nenabled = true\nmax_tracked_extension = 2\n")
+file(MAKE_DIRECTORY ${WORKDIR}/trace_is_dir/trace.json)
 
 # Each case is one command line with its arguments separated by '|'. The
 # budgets are tiny, so a tool that wrongly accepted a value still returns
@@ -48,7 +51,10 @@ set(cases
   "${BENCH}|--workloads|two"
   "${CHAOS}|--explore|--random|4x"
   "${CHAOS}|--random-replay|0x10"
-  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--interval-stats|--trace|${WORKDIR}/no-such-dir/t.json"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/trace_is_dir"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--timeline|${WORKDIR}/t.csv"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--interval-stats"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--trace|${WORKDIR}/t.json"
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/bad_value.ini/sub"
   "${CMAKE_COMMAND}|-E|env|ESTEEM_INSTR=1e6|${VALIDATE}|--check|--scale|bench|--figures|fig3|--jobs|1"
   "${CMAKE_COMMAND}|-E|env|ESTEEM_THREADS=4x2|${VALIDATE}|--check|--scale|bench|--figures|fig3|--instr|10000|--warmup|1"

@@ -2,6 +2,8 @@
 # leaves its finished runs in DIR, and a sweep over the full workload list
 # with the same --journal DIR, in a *separate process*, restores exactly
 # those runs; its CSV must be byte-identical to an uninterrupted run's.
+# With --telemetry-dir, a resume that restores runs says on stderr how many
+# carry no telemetry.
 # Invoked by the cli_resume_bitwise ctest with -DCLI=<binary>
 # -DWORKDIR=<scratch dir>.
 set(sweep_args --techniques rpv --instr 30000 --warmup 5000)
@@ -60,7 +62,22 @@ if(NOT same EQUAL 0)
   message(FATAL_ERROR "resumed CSV differs from the uninterrupted sweep's")
 endif()
 
-# 5. --journal naming a regular file is a usage error (exit 2), not a
+# 5. Restored runs are not simulated, so they carry no telemetry: with
+#    --telemetry-dir, the fully journaled sweep says so on stderr with the
+#    count instead of silently writing counters alone.
+execute_process(COMMAND ${CLI} --sweep gamess,gobmk ${sweep_args}
+                        --journal ${WORKDIR}/journal
+                        --telemetry-dir ${WORKDIR}/telemetry
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "journaled telemetry sweep failed (exit ${rc}): ${out}${err}")
+endif()
+if(NOT err MATCHES "telemetry: 4 restored run\\(s\\) were not simulated and carry no interval series, trace lanes or run counters")
+  message(FATAL_ERROR "no restored-runs telemetry line on stderr: ${out}${err}")
+endif()
+
+# 6. --journal naming a regular file is a usage error (exit 2), not a
 #    silently unjournaled sweep.
 file(WRITE ${WORKDIR}/not-a-dir "")
 execute_process(COMMAND ${CLI} --sweep gamess ${sweep_args}

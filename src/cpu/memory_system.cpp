@@ -403,12 +403,13 @@ void MemorySystem::set_telemetry(telemetry::RunSink* sink, cycle_t now,
   RefreshLane& ln = lanes_[lane];
   ln.telemetry = sink;
   ln.tel_last = {};  // measurement counters were just reset
-  ln.tel_last_cycle = now;
-  ln.tel_last_ways = module_active_ways();
+  if (sink != nullptr) {
+    sink->start_cycle = now;
+    sink->start_ways = module_active_ways();
+  }
 }
 
 void MemorySystem::sample_interval(RefreshLane& ln, cycle_t now) {
-  telemetry::RunSink& sink = *ln.telemetry;
   const std::uint64_t hits = stats_.demand_l2_hits;
   const std::uint64_t misses = stats_.demand_l2_misses;
   const std::uint64_t refr = ln.refreshes();
@@ -417,65 +418,23 @@ void MemorySystem::sample_interval(RefreshLane& ln, cycle_t now) {
   const edram::FaultCounters fc = fault_counters();
   const std::uint64_t corrected = fc.corrected_reads;
   const std::uint64_t uncorrectable = fc.uncorrectable();
-  const std::vector<std::uint32_t> ways = module_active_ways();
   const RefreshLane::TelemetryBaseline& last = ln.tel_last;
 
-  if (sink.recorder) {
-    // Count columns are per-interval deltas; active_ratio and the per-module
-    // way counts are the state applied at this boundary (the same value the
-    // Figure 2 timeline records). Order must match telemetry::interval_columns.
-    std::vector<double> row{
-        active_fraction(),
-        static_cast<double>(hits - last.demand_hits),
-        static_cast<double>(misses - last.demand_misses),
-        static_cast<double>(refr - last.refreshes),
-        static_cast<double>(trans - last.transitions),
-        static_cast<double>(rwb - last.reconfig_writebacks),
-        static_cast<double>(corrected - last.corrected_reads),
-        static_cast<double>(uncorrectable - last.uncorrectable)};
-    for (std::uint32_t w : ways) row.push_back(static_cast<double>(w));
-    sink.recorder->record(now, row);
-  }
-
-  if (sink.trace != nullptr) {
-    using telemetry::TraceEmitter;
-    const double t0 = sink.sim_us(ln.tel_last_cycle);
-    const double t1 = sink.sim_us(now);
-    // Run lane: one span per interval with the headline deltas.
-    sink.trace->complete(
-        TraceEmitter::kSimPid, sink.sim_tid, "interval", t0, t1 - t0,
-        "{\"hits\":" + std::to_string(hits - last.demand_hits) +
-            ",\"misses\":" + std::to_string(misses - last.demand_misses) +
-            ",\"refreshes\":" + std::to_string(refr - last.refreshes) + "}");
-    // Module lanes: the way decision *in effect* during the elapsed window
-    // (the decision taken at `now` governs the next span).
-    for (std::size_t m = 0; m < ln.tel_last_ways.size(); ++m) {
-      sink.trace->complete(
-          TraceEmitter::kSimPid, sink.sim_tid + 1 + static_cast<std::uint32_t>(m),
-          "ways=" + std::to_string(ln.tel_last_ways[m]), t0, t1 - t0,
-          "{\"ways\":" + std::to_string(ln.tel_last_ways[m]) + "}");
-    }
-    if (trans > last.transitions) {
-      sink.trace->instant(
-          TraceEmitter::kSimPid, sink.sim_tid, "reconfig", t1,
-          "{\"transitions\":" + std::to_string(trans - last.transitions) +
-              ",\"writebacks\":" + std::to_string(rwb - last.reconfig_writebacks) +
-              "}");
-    }
-    if (uncorrectable > last.uncorrectable) {
-      sink.trace->instant(
-          TraceEmitter::kSimPid, sink.sim_tid, "fault.uncorrectable", t1,
-          "{\"events\":" + std::to_string(uncorrectable - last.uncorrectable) + "}");
-    }
-    sink.trace->counter(TraceEmitter::kSimPid, sink.label + ".active_ratio", t1,
-                        active_fraction());
-    sink.trace->counter(TraceEmitter::kSimPid, sink.label + ".refreshes_per_interval",
-                        t1, static_cast<double>(refr - last.refreshes));
-  }
-
+  // Count columns are per-interval deltas; active_ratio and the per-module
+  // way counts are the state applied at this boundary (the same value the
+  // Figure 2 timeline records). Order must match telemetry::interval_columns.
+  std::vector<double> row{
+      active_fraction(),
+      static_cast<double>(hits - last.demand_hits),
+      static_cast<double>(misses - last.demand_misses),
+      static_cast<double>(refr - last.refreshes),
+      static_cast<double>(trans - last.transitions),
+      static_cast<double>(rwb - last.reconfig_writebacks),
+      static_cast<double>(corrected - last.corrected_reads),
+      static_cast<double>(uncorrectable - last.uncorrectable)};
+  for (std::uint32_t w : module_active_ways()) row.push_back(static_cast<double>(w));
+  ln.telemetry->recorder.record(now, row);
   ln.tel_last = {hits, misses, refr, trans, rwb, corrected, uncorrectable};
-  ln.tel_last_cycle = now;
-  ln.tel_last_ways = ways;
 }
 
 void MemorySystem::reset_hierarchy() {
@@ -498,13 +457,6 @@ void MemorySystem::reset_lane(RefreshLane& ln, cycle_t now) {
   ln.fa_cycles = 0.0;
   ln.fa_last_update = now;
   ln.measure_start = now;
-}
-
-void MemorySystem::reset_measurement(cycle_t now) {
-  for (RefreshLane& ln : lanes_) ln.engine->advance(now);
-  pump_faults(now);
-  reset_hierarchy();
-  for (RefreshLane& ln : lanes_) reset_lane(ln, now);
 }
 
 void MemorySystem::start_measurement() {

@@ -42,7 +42,7 @@ struct MemorySystemStats {
 
 /// Cumulative flow-counter snapshot the sampling executor takes around each
 /// measured window; per-window deltas of these become the ratio-estimator
-/// inputs (docs/SAMPLING.md). All values are since reset_measurement.
+/// inputs (docs/SAMPLING.md). All values are since start_measurement.
 struct FlowSnapshot {
   std::uint64_t l2_hits = 0;
   std::uint64_t l2_misses = 0;
@@ -132,11 +132,8 @@ class MemorySystem {
   /// Ends the warm-up phase: zeroes every measurement counter (cache/memory
   /// stats, refresh totals, F_A integral, reconfiguration counts) while
   /// keeping the warmed cache contents and timing state. Mirrors the
-  /// paper's fast-forward-then-measure methodology (§6.4). Every lane
-  /// starts measuring at `now`.
-  void reset_measurement(cycle_t now);
-
-  /// reset_measurement with each lane at its own wall clock.
+  /// paper's fast-forward-then-measure methodology (§6.4). Each lane starts
+  /// measuring at its own wall clock.
   void start_measurement();
 
   /// Energy counters accumulated so far on lane `lane` (Eq. 2-8 inputs).
@@ -163,7 +160,7 @@ class MemorySystem {
   /// on. Off by default; exhaustive runs are bit-identical.
   void set_sampled_mode(bool on) noexcept { sampled_mode_ = on; }
 
-  /// Flow counters since reset_measurement on lane 0 (see FlowSnapshot).
+  /// Flow counters since start_measurement on lane 0 (see FlowSnapshot).
   FlowSnapshot flow_snapshot(cycle_t now) const;
 
   /// Hierarchy counters: the same on every lane.
@@ -199,11 +196,11 @@ class MemorySystem {
   }
   cache::SetAssocCache& l2() noexcept { return l2_; }
 
-  /// Attaches a per-run telemetry sink to lane `lane` (null detaches).
-  /// Interval rows and simulated-time trace events are emitted at every
-  /// interval boundary from `now` on; delta baselines start at the current
-  /// (just-reset) counters. The sink must outlive the run. No-op cost when
-  /// never attached.
+  /// Attaches a per-run telemetry sink to lane `lane` (null detaches) and
+  /// records `now` and the current module allocation as its start. An
+  /// interval row is recorded at every interval boundary from `now` on;
+  /// delta baselines start at the current (just-reset) counters. The sink
+  /// must outlive the run. No-op cost when never attached.
   void set_telemetry(telemetry::RunSink* sink, cycle_t now, std::size_t lane = 0);
 
  private:
@@ -244,7 +241,7 @@ class MemorySystem {
   /// Restarts one lane's measured window at `now`.
   void reset_lane(RefreshLane& ln, cycle_t now);
 
-  /// Emits one interval telemetry sample (recorder row + trace events).
+  /// Records one interval row into the lane's telemetry sink.
   void sample_interval(RefreshLane& ln, cycle_t now);
 
   /// Processes fault-injection refresh epochs scheduled up to `now`.

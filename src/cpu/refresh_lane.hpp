@@ -96,8 +96,6 @@ struct RefreshLane {
     std::uint64_t corrected_reads = 0;
     std::uint64_t uncorrectable = 0;
   } tel_last;
-  cycle_t tel_last_cycle = 0;
-  std::vector<std::uint32_t> tel_last_ways;  ///< Ways in effect last window.
 };
 
 }  // namespace esteem::cpu

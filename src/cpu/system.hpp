@@ -47,8 +47,8 @@ struct RunOptions {
   /// accumulate during it.
   instr_t warmup_instr_per_core = 0;
   std::uint64_t seed = 42;
-  /// Optional per-run telemetry sink (interval time-series + sim-time trace
-  /// lanes); must outlive run(). Null = telemetry off.
+  /// Optional per-run telemetry sink (the interval time-series); must
+  /// outlive run(). Null = telemetry off.
   telemetry::RunSink* telemetry = nullptr;
 };
 

@@ -112,7 +112,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   align_clocks(mem, ncores);
 
   const cycle_t measure_start = mem.wall();
-  mem.reset_measurement(measure_start);
+  mem.start_measurement();
   if (options.telemetry != nullptr) {
     mem.set_telemetry(options.telemetry, measure_start);
   }

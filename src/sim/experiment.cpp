@@ -163,11 +163,11 @@ std::vector<RunOutcome> run_experiment(
   }
   telemetry::Telemetry& tel = telemetry::Telemetry::instance();
 
-  // Per-run sinks (null when telemetry is off): interval time-series columns
-  // plus one simulated-time trace lane per ESTEEM module.
+  // Per-run sinks recording the interval series: the hub's when telemetry
+  // is on, else a private one for a caller that asked for the series, else
+  // none.
   const std::size_t n = group.size();
   std::vector<std::unique_ptr<telemetry::RunSink>> sinks(n);
-  std::vector<std::string> labels(n);
   std::vector<telemetry::RunSink*> run_sinks(n, nullptr);
   std::vector<Technique> techniques(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -175,24 +175,15 @@ std::vector<RunOutcome> run_experiment(
     techniques[i] = spec.technique;
     const std::uint32_t modules =
         spec.technique == Technique::Esteem ? spec.config.esteem.modules : 0;
+    std::vector<std::string> columns = telemetry::interval_columns(modules);
     std::unique_ptr<telemetry::RunSink>& sink = sinks[i];
-    if (tel.active()) {
-      labels[i] = run_label(spec);
-      sink = tel.begin_run(labels[i], spec.config.freq_ghz,
-                           telemetry::interval_columns(modules), 1 + modules);
-    }
-    // A caller's series is the hub's recorder, or a private one when
-    // interval stats are off (end_run writes only the hub's).
-    if (!intervals.empty() && intervals[i] != nullptr && !(sink && sink->recorder)) {
-      if (!sink) sink = std::make_unique<telemetry::RunSink>();
-      sink->recorder = std::make_unique<telemetry::IntervalRecorder>(
-          telemetry::interval_columns(modules));
+    sink = tel.begin_run(run_label(spec), spec.config.freq_ghz, columns);
+    if (!sink && !intervals.empty() && intervals[i] != nullptr) {
+      sink = std::make_unique<telemetry::RunSink>(run_label(spec), spec.config.freq_ghz,
+                                                  std::move(columns));
     }
     run_sinks[i] = sink.get();
   }
-
-  const double wall_t0 =
-      sinks[0] && sinks[0]->trace ? telemetry::TraceEmitter::wall_now_us() : 0.0;
 
   cpu::System system(first.config, techniques, first.workload.benchmarks, first.seed);
 
@@ -224,18 +215,9 @@ std::vector<RunOutcome> run_experiment(
           params, outcome.raw.counters, outcome.estimates, spec.config.freq_ghz);
     }
 
-    std::unique_ptr<telemetry::RunSink>& sink = sinks[i];
-    if (sink) {
-      if (sink->trace != nullptr) {
-        sink->trace->complete(telemetry::TraceEmitter::kWallPid,
-                              telemetry::TraceEmitter::wall_tid(),
-                              "simulate " + labels[i], wall_t0,
-                              telemetry::TraceEmitter::wall_now_us() - wall_t0);
-      }
-      tel.end_run(*sink);
-    }
+    if (sinks[i]) (void)tel.end_run(*sinks[i]);
     if (!intervals.empty() && intervals[i] != nullptr) {
-      *intervals[i] = std::move(*sink->recorder);
+      *intervals[i] = std::move(sinks[i]->recorder);
     }
     if (tel.active()) {
       publish_run_counters(outcome, system.memory(i).module_active_ways());

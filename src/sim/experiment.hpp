@@ -42,10 +42,10 @@ struct RunOutcome {
 std::string run_label(const RunSpec& spec);
 
 /// Builds a System, runs it, evaluates the energy model. When the telemetry
-/// hub is active this also records the per-interval time-series, emits
-/// simulated-time trace spans, and publishes end-of-run aggregates into the
-/// counter registry; with telemetry off the run is bit-identical and pays no
-/// instrumentation cost. A non-null `intervals` receives the run's
+/// hub is active this also records the per-interval time-series (which the
+/// hub writes and renders into trace lanes) and publishes end-of-run
+/// aggregates into the counter registry; with telemetry off the run is
+/// bit-identical and pays no instrumentation cost. A non-null `intervals` receives the run's
 /// per-interval series (columns telemetry::interval_columns, with one
 /// module column per ESTEEM module) whether or not the hub is on — the
 /// Figure 2 timeline is read from it by column name.

@@ -26,22 +26,6 @@ namespace esteem::sim {
 
 namespace {
 
-/// Mirrors a memo lookup into the telemetry layer: `memo.hits`/`memo.misses`
-/// counters plus a wall-clock instant on the requesting worker's trace row.
-/// No-op (one relaxed load) when telemetry is off.
-void note_lookup(bool hit, std::uint64_t hash) {
-  if (!telemetry::active()) return;
-  telemetry::registry().add(hit ? "memo.hits" : "memo.misses");
-  if (telemetry::TraceEmitter* tr = telemetry::trace_sink()) {
-    char args[64];
-    std::snprintf(args, sizeof args, "{\"key\":\"%016llx\"}",
-                  static_cast<unsigned long long>(hash));
-    tr->instant(telemetry::TraceEmitter::kWallPid, telemetry::TraceEmitter::wall_tid(),
-                hit ? "memo hit" : "memo miss", telemetry::TraceEmitter::wall_now_us(),
-                args);
-  }
-}
-
 constexpr std::uint64_t kMemoMagic = 0x314F4D454D534525ULL;  // "%ESMEMO1"
 // Bump whenever the fingerprint layout, the serialized RunOutcome layout, or
 // simulator behaviour changes: stale memo files then read as misses.
@@ -234,7 +218,7 @@ std::vector<std::shared_ptr<const RunOutcome>> RunCache::get_or_run_group(
   if (telemetry::active()) {
     for (std::size_t i = 0; i < n; ++i) {
       const bool hit = std::find(owned.begin(), owned.end(), i) == owned.end();
-      note_lookup(hit, fingerprint_hash(fps[i]));
+      telemetry::registry().add(hit ? "memo.hits" : "memo.misses");
     }
   }
 

@@ -16,29 +16,6 @@ namespace esteem::sim {
 
 namespace {
 
-/// RAII wall-clock span for one sweep cell (no-op when tracing is off):
-/// pid kWallPid, one row per sweep worker thread, so the sweep schedule is
-/// visible next to the simulated-time lanes in Perfetto.
-class TaskSpan {
- public:
-  explicit TaskSpan(std::string name)
-      : trace_(telemetry::trace_sink()), name_(std::move(name)),
-        t0_(trace_ != nullptr ? telemetry::TraceEmitter::wall_now_us() : 0.0) {
-    if (telemetry::active()) telemetry::registry().add("sweep.tasks");
-  }
-  ~TaskSpan() {
-    if (trace_ == nullptr) return;
-    trace_->complete(telemetry::TraceEmitter::kWallPid,
-                     telemetry::TraceEmitter::wall_tid(), name_, t0_,
-                     telemetry::TraceEmitter::wall_now_us() - t0_);
-  }
-
- private:
-  telemetry::TraceEmitter* trace_;
-  std::string name_;
-  double t0_;
-};
-
 /// One (workload, technique) run of the sweep, written only by the thread
 /// that claimed it.
 struct Cell {
@@ -146,7 +123,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
       }
       std::vector<std::shared_ptr<const RunOutcome>> outcomes;
       const std::optional<RunError> error = capture_error(workload.name, labels, [&] {
-        const TaskSpan span(labels + ":" + workload.name);
+        if (telemetry::active()) telemetry::registry().add("sweep.tasks");
         outcomes = RunCache::instance().get_or_run_group(specs);
       });
       for (std::size_t j = 0; j < task.size(); ++j) {
@@ -169,15 +146,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
     std::vector<std::jthread> workers;
     workers.reserve(n_threads);
     for (std::size_t w = 0; w < n_threads; ++w) {
-      workers.emplace_back([&work, w] {
-        if (telemetry::TraceEmitter* tr = telemetry::trace_sink()) {
-          // Name this worker's wall-clock trace row after its index.
-          tr->set_thread_name(telemetry::TraceEmitter::kWallPid,
-                              telemetry::TraceEmitter::wall_tid(),
-                              "pool worker " + std::to_string(w));
-        }
-        work();
-      });
+      workers.emplace_back(work);
     }
   }  // jthreads join here
 

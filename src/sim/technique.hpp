@@ -14,8 +14,9 @@ using cpu::to_string;
 /// All techniques, baseline first.
 std::vector<Technique> all_techniques();
 
-/// Parses "baseline" / "periodic-valid" / "rpv" / "rpd" / "esteem".
-/// Throws std::invalid_argument on unknown names.
+/// Parses a technique's cpu::to_string name: "baseline" / "periodic-valid" /
+/// "rpv" / "rpd" / "smart-refresh" / "ecc-extended" / "cache-decay" /
+/// "esteem". Throws std::invalid_argument on unknown names.
 Technique parse_technique(std::string_view name);
 
 }  // namespace esteem::sim

@@ -45,23 +45,6 @@ void IntervalRecorder::write_jsonl(std::ostream& os) const {
   }
 }
 
-void IntervalRecorder::write_csv(std::ostream& os) const {
-  std::string line = "cycle";
-  for (const std::string& c : columns_) {
-    line += ',';
-    line += c;
-  }
-  os << line << '\n';
-  for (std::size_t r = 0; r < rows(); ++r) {
-    line = std::to_string(cycles_[r]);
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      line += ',';
-      line += json::number(series_[c][r]);
-    }
-    os << line << '\n';
-  }
-}
-
 bool IntervalRecorder::write_jsonl_file(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out.good()) return false;

@@ -1,10 +1,10 @@
 // Per-run interval time-series: one row per algorithm interval, one column
 // per selected metric, stored column-major so exports stream without
 // per-row allocation. The memory system records a row at every
-// tick_interval() when a run sink is attached (gated off by default);
-// exports are JSONL (one object per interval, self-describing keys) and
-// CSV. Both go through common/json (%.17g values), and read_jsonl() parses
-// write_jsonl() output back bit-exactly, keeping the column order.
+// tick_interval() when a run sink is attached (gated off by default); the
+// export is JSONL (one object per interval, self-describing keys, %.17g
+// values via common/json), and read_jsonl() parses it back bit-exactly,
+// keeping the column order.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,6 @@ class IntervalRecorder {
 
   /// One JSON object per line: {"cycle":N,"col":v,...} in column order.
   void write_jsonl(std::ostream& os) const;
-  /// "cycle,col,..." header plus one row per interval.
-  void write_csv(std::ostream& os) const;
   /// write_jsonl to `path`; returns false if the file cannot be opened.
   bool write_jsonl_file(const std::string& path) const;
 

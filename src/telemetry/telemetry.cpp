@@ -13,72 +13,93 @@ Telemetry& Telemetry::instance() {
 
 void Telemetry::configure(const TelemetryConfig& cfg) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  config_ = cfg;
-  if (!cfg.trace_path.empty()) {
-    trace_ = std::make_unique<TraceEmitter>();
-    trace_->set_process_name(TraceEmitter::kSimPid, "simulated time");
-    trace_->set_process_name(TraceEmitter::kWallPid, "wall clock");
-  } else {
-    trace_.reset();
-  }
+  dir_ = cfg.dir;
+  trace_ = TraceEmitter();
+  trace_.set_process_name("simulated time");
+  next_tid_ = 1;
   written_.clear();
-  interval_stats_.store(cfg.interval_stats, std::memory_order_relaxed);
-  active_.store(cfg.any(), std::memory_order_relaxed);
-}
-
-TelemetryConfig Telemetry::config() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return config_;
+  active_.store(!cfg.dir.empty(), std::memory_order_relaxed);
 }
 
 std::unique_ptr<RunSink> Telemetry::begin_run(const std::string& label,
                                               double freq_ghz,
-                                              std::vector<std::string> columns,
-                                              std::uint32_t sim_lanes) {
-  if (!interval_stats_enabled() && trace() == nullptr) return nullptr;
-  auto sink = std::make_unique<RunSink>();
-  sink->label = sanitize_label(label);
-  sink->cycles_per_us = freq_ghz * 1e3;
-  if (interval_stats_enabled()) {
-    sink->recorder = std::make_unique<IntervalRecorder>(std::move(columns));
+                                              std::vector<std::string> columns) {
+  if (!active()) return nullptr;
+  return std::make_unique<RunSink>(label, freq_ghz, std::move(columns));
+}
+
+namespace {
+
+/// Renders one run's simulated-time lanes from its interval series: lane
+/// `tid` carries an "interval" span per row (its hits, misses and
+/// refreshes) and the "reconfig" / "fault.uncorrectable" instants at the
+/// row's boundary; lane `tid + 1 + m` carries module m's "ways=N" span, the
+/// allocation in effect during the row's window (the previous row's, the
+/// starting one for the first). Two counter tracks follow the active ratio
+/// and the refreshes per interval.
+void render_lanes(const RunSink& sink, std::uint32_t tid, TraceEmitter& trace) {
+  const IntervalRecorder& rec = sink.recorder;
+  const std::size_t modules = sink.start_ways.size();
+  trace.set_thread_name(tid, sink.label);
+  for (std::size_t m = 0; m < modules; ++m) {
+    trace.set_thread_name(tid + 1 + static_cast<std::uint32_t>(m),
+                          sink.label + " module " + std::to_string(m));
   }
-  sink->trace = trace();
-  if (sink->trace != nullptr && sim_lanes > 0) {
-    sink->sim_tid = next_sim_tid_.fetch_add(sim_lanes, std::memory_order_relaxed);
-    sink->trace->set_thread_name(TraceEmitter::kSimPid, sink->sim_tid, sink->label);
-    for (std::uint32_t m = 1; m < sim_lanes; ++m) {
-      sink->trace->set_thread_name(TraceEmitter::kSimPid, sink->sim_tid + m,
-                                   sink->label + " module " + std::to_string(m - 1));
+  const auto count = [&rec](const char* column, std::size_t row) {
+    return static_cast<std::uint64_t>(rec.series(column)[row]);
+  };
+  const std::size_t ways_col = rec.columns().size() - modules;
+  for (std::size_t r = 0; r < rec.rows(); ++r) {
+    const double t0 = sink.sim_us(r == 0 ? sink.start_cycle : rec.cycle(r - 1));
+    const double t1 = sink.sim_us(rec.cycle(r));
+    const std::uint64_t refreshes = count("refreshes", r);
+    trace.complete(tid, "interval", t0, t1 - t0,
+                   "{\"hits\":" + std::to_string(count("demand_hits", r)) +
+                       ",\"misses\":" + std::to_string(count("demand_misses", r)) +
+                       ",\"refreshes\":" + std::to_string(refreshes) + "}");
+    for (std::size_t m = 0; m < modules; ++m) {
+      const std::uint32_t ways =
+          r == 0 ? sink.start_ways[m]
+                 : static_cast<std::uint32_t>(rec.value(r - 1, ways_col + m));
+      trace.complete(tid + 1 + static_cast<std::uint32_t>(m),
+                     "ways=" + std::to_string(ways), t0, t1 - t0,
+                     "{\"ways\":" + std::to_string(ways) + "}");
     }
+    if (const std::uint64_t transitions = count("reconfig_transitions", r)) {
+      trace.instant(tid, "reconfig", t1,
+                    "{\"transitions\":" + std::to_string(transitions) +
+                        ",\"writebacks\":" +
+                        std::to_string(count("reconfig_writebacks", r)) + "}");
+    }
+    if (const std::uint64_t events = count("fault_uncorrectable", r)) {
+      trace.instant(tid, "fault.uncorrectable", t1,
+                    "{\"events\":" + std::to_string(events) + "}");
+    }
+    trace.counter(sink.label + ".active_ratio", t1, rec.series("active_ratio")[r]);
+    trace.counter(sink.label + ".refreshes_per_interval", t1,
+                  static_cast<double>(refreshes));
   }
-  return sink;
 }
 
-std::string Telemetry::interval_series_path(const std::string& label) const {
-  std::string dir;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    dir = config_.dir;
-  }
-  const std::filesystem::path p(dir.empty() ? "." : dir);
-  return (p / (sanitize_label(label) + ".intervals.jsonl")).string();
-}
+}  // namespace
 
-std::string Telemetry::end_run(RunSink& sink) {
-  if (!sink.recorder || !interval_stats_enabled()) return {};
-  std::string dir;
+std::string Telemetry::end_run(const RunSink& sink) {
+  if (!active()) return {};
+  std::filesystem::path dir;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    dir = config_.dir;
+    dir = dir_;
   }
-  const std::string path = interval_series_path(sink.label);
+  const std::string path = (dir / (sink.label + ".intervals.jsonl")).string();
   std::error_code ec;
-  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
-  if (ec || !sink.recorder->write_jsonl_file(path)) {
-    std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
-    return {};
-  }
+  std::filesystem::create_directories(dir, ec);
+  const bool written = !ec && sink.recorder.write_jsonl_file(path);
+  if (!written) std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
+
   const std::lock_guard<std::mutex> lock(mutex_);
+  render_lanes(sink, next_tid_, trace_);
+  next_tid_ += 1 + static_cast<std::uint32_t>(sink.start_ways.size());
+  if (!written) return {};
   written_.push_back(path);
   return path;
 }
@@ -92,27 +113,26 @@ std::vector<std::string> Telemetry::drain_written() {
 
 Telemetry::FlushResult Telemetry::flush() {
   FlushResult r;
-  TelemetryConfig cfg = config();
-  if (trace_ != nullptr && !cfg.trace_path.empty()) {
-    r.trace_events = trace_->events();
-    if (trace_->write_file(cfg.trace_path)) {
-      r.trace_path = cfg.trace_path;
-    } else {
-      std::fprintf(stderr, "telemetry: cannot write %s\n", cfg.trace_path.c_str());
-    }
+  if (!active()) return r;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+
+  const std::string trace_path = (dir_ / "trace.json").string();
+  if (trace_.write_file(trace_path)) {
+    r.trace_path = trace_path;
+    r.trace_events = trace_.events();
+  } else {
+    std::fprintf(stderr, "telemetry: cannot write %s\n", trace_path.c_str());
   }
-  if (active() && !cfg.dir.empty()) {
-    const std::string path = (std::filesystem::path(cfg.dir) / "counters.json").string();
-    std::error_code ec;
-    std::filesystem::create_directories(cfg.dir, ec);
-    std::ofstream out;
-    if (!ec) out.open(path, std::ios::trunc);
-    out << registry_.to_json() << '\n';  // fails on a stream that did not open
-    if (out.good()) {
-      r.counters_path = path;
-    } else {
-      std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
-    }
+  const std::string counters_path = (dir_ / "counters.json").string();
+  std::ofstream out;
+  if (!ec) out.open(counters_path, std::ios::trunc);
+  out << registry_.to_json() << '\n';  // fails on a stream that did not open
+  if (out.good()) {
+    r.counters_path = counters_path;
+  } else {
+    std::fprintf(stderr, "telemetry: cannot write %s\n", counters_path.c_str());
   }
   return r;
 }

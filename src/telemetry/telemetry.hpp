@@ -1,11 +1,16 @@
-// Process-wide telemetry hub: owns the global CounterRegistry, the optional
-// Chrome TraceEmitter, and per-run interval sinks.
+// Process-wide telemetry hub: owns the global CounterRegistry, the Chrome
+// trace and the per-run interval series.
 //
-// Everything is gated off by default: until configure() enables a feature,
-// active() is false, trace_sink() is null, and no run sink is created — the
-// simulator's hot paths check a null pointer at most, so tier-1 output and
-// perf are untouched (the observer-effect test pins byte-identical sweep
-// CSV with telemetry on and off).
+// A run records one thing, its interval series (IntervalRecorder). end_run
+// writes the series as <dir>/<label>.intervals.jsonl and renders the run's
+// simulated-time trace lanes from it, so a column added to the series
+// reaches both outputs from one place.
+//
+// Everything is gated off by default: until configure() names a directory,
+// active() is false and no run sink is created — the simulator's hot paths
+// check a null pointer at most, so tier-1 output and perf are untouched
+// (the observer-effect test pins byte-identical sweep CSV with telemetry on
+// and off).
 //
 // Layering: telemetry sits just above esteem_common. The cpu/sim layers
 // depend on it, never the reverse — the hub knows nothing about RunSpec or
@@ -14,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,31 +31,30 @@
 
 namespace esteem::telemetry {
 
-struct TelemetryConfig {
-  /// Record per-interval counter rows into <dir>/<label>.intervals.jsonl.
-  bool interval_stats = false;
-  /// Output directory for interval series and the counters.json dump
-  /// ("" = current directory).
-  std::string dir;
-  /// Chrome trace output path; non-empty enables the TraceEmitter.
-  std::string trace_path;
+/// Replaces anything outside [A-Za-z0-9._+-] with '_' (run labels become
+/// file names).
+std::string sanitize_label(const std::string& label);
 
-  /// A bare dir still counts: it enables counter collection and the
-  /// counters.json dump even without interval stats or tracing.
-  bool any() const noexcept {
-    return interval_stats || !trace_path.empty() || !dir.empty();
-  }
+struct TelemetryConfig {
+  /// Output directory for the interval series, counters.json and trace.json
+  /// ("" = telemetry off).
+  std::string dir;
 };
 
 /// Per-run sink handed down to System/MemorySystem. Created by
-/// Telemetry::begin_run, consumed by Telemetry::end_run, which writes the
-/// interval series (if any) to disk.
+/// Telemetry::begin_run, consumed by Telemetry::end_run.
 struct RunSink {
+  RunSink(const std::string& run_label, double freq_ghz, std::vector<std::string> columns)
+      : label(sanitize_label(run_label)), cycles_per_us(freq_ghz * 1e3),
+        recorder(std::move(columns)) {}
+
   std::string label;           ///< Sanitized "<workload>.<technique>.sN".
   double cycles_per_us = 1.0;  ///< freq_ghz * 1000; converts cycles to sim us.
-  std::unique_ptr<IntervalRecorder> recorder;  ///< Null unless a series is recorded.
-  TraceEmitter* trace = nullptr;               ///< Null unless tracing.
-  std::uint32_t sim_tid = 0;  ///< First simulated-time lane of this run.
+  IntervalRecorder recorder;   ///< One row per interval boundary.
+  /// Measurement start and the per-module ways in effect from it (empty
+  /// for non-ESTEEM runs), set when the sink is attached to a lane.
+  std::uint64_t start_cycle = 0;
+  std::vector<std::uint32_t> start_ways;
 
   double sim_us(std::uint64_t cycle) const noexcept {
     return static_cast<double>(cycle) / cycles_per_us;
@@ -65,67 +70,49 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Replaces the configuration. Enabling tracing creates a fresh (empty)
-  /// TraceEmitter; configure({}) disables everything.
+  /// Replaces the configuration. A directory starts a fresh (empty)
+  /// trace; configure({}) disables everything.
   void configure(const TelemetryConfig& cfg);
-  TelemetryConfig config() const;
 
-  /// True when any telemetry feature is enabled.
+  /// True when telemetry is on.
   bool active() const noexcept { return active_.load(std::memory_order_relaxed); }
-  bool interval_stats_enabled() const noexcept {
-    return interval_stats_.load(std::memory_order_relaxed);
-  }
 
   CounterRegistry& registry() noexcept { return registry_; }
-  /// Null unless a trace path is configured.
-  TraceEmitter* trace() noexcept { return trace_.get(); }
 
-  /// Creates a per-run sink (null when nothing is enabled). `columns` is the
-  /// interval-series column set (ignored unless interval stats are on);
-  /// `sim_lanes` is the number of simulated-time trace lanes to reserve
-  /// (run lane + one per module).
+  /// Creates a per-run sink recording `columns` (null when telemetry is off).
   std::unique_ptr<RunSink> begin_run(const std::string& label, double freq_ghz,
-                                     std::vector<std::string> columns,
-                                     std::uint32_t sim_lanes);
+                                     std::vector<std::string> columns);
 
-  /// Finishes a run: writes the interval series into the configured dir
-  /// when interval stats are on. Returns the written path ("" when nothing
-  /// was written).
-  std::string end_run(RunSink& sink);
-
-  /// Interval-series file path for a run label under the current config.
-  std::string interval_series_path(const std::string& label) const;
+  /// Finishes a run: writes its interval series as
+  /// <dir>/<label>.intervals.jsonl and renders its trace lanes (a run lane
+  /// plus one per module) from it. Returns the written path ("" when
+  /// telemetry is off or the write failed).
+  std::string end_run(const RunSink& sink);
 
   /// Paths written by end_run since the last drain (for CLI reporting).
   std::vector<std::string> drain_written();
 
   struct FlushResult {
-    std::string trace_path;     ///< "" when tracing is off or the write failed.
+    std::string trace_path;     ///< "" when telemetry is off or the write failed.
     std::size_t trace_events = 0;
-    std::string counters_path;  ///< "" unless a dir is configured.
+    std::string counters_path;  ///< "" when telemetry is off or the write failed.
   };
-  /// Writes the trace file and (when a dir is configured) counters.json.
+  /// Writes trace.json and counters.json into the configured dir.
   FlushResult flush();
 
  private:
-  mutable std::mutex mutex_;
-  TelemetryConfig config_;
+  std::mutex mutex_;  ///< Guards dir_, next_tid_, trace_ and written_.
+  std::filesystem::path dir_;
   std::atomic<bool> active_{false};
-  std::atomic<bool> interval_stats_{false};
-  std::atomic<std::uint32_t> next_sim_tid_{1};
+  std::uint32_t next_tid_ = 1;  ///< First lane of the next rendered run.
   CounterRegistry registry_;
-  std::unique_ptr<TraceEmitter> trace_;
+  TraceEmitter trace_;
   std::vector<std::string> written_;
 };
 
 /// Shorthand accessors for instrumentation sites.
 inline bool active() noexcept { return Telemetry::instance().active(); }
 inline CounterRegistry& registry() noexcept { return Telemetry::instance().registry(); }
-inline TraceEmitter* trace_sink() noexcept { return Telemetry::instance().trace(); }
-
-/// Replaces anything outside [A-Za-z0-9._+-] with '_' (run labels become
-/// file names).
-std::string sanitize_label(const std::string& label);
 
 /// Canonical interval-series column set recorded by the memory system at
 /// every tick_interval. `module_ways` appends one `moduleK_active_ways`

@@ -111,7 +111,8 @@ TEST(MemorySystem, ResetMeasurementZeroesCounters) {
   EXPECT_GT(mem.refreshes(), 0u);
   EXPECT_GT(mem.l2_stats().accesses(), 0u);
 
-  mem.reset_measurement(10'000'000);
+  mem.idle_until(0, 10'000'000);
+  mem.start_measurement();
   EXPECT_EQ(mem.refreshes(), 0u);
   EXPECT_EQ(mem.l2_stats().accesses(), 0u);
   EXPECT_EQ(mem.mm_stats().accesses(), 0u);

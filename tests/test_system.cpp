@@ -157,12 +157,16 @@ TEST(System, DualCoreSharedCacheContends) {
 
 TEST(System, TimelineRecordsModuleWays) {
   const SystemConfig cfg = tiny();
-  telemetry::RunSink sink;
-  sink.recorder = std::make_unique<telemetry::IntervalRecorder>(
-      telemetry::interval_columns(cfg.esteem.modules));
+  telemetry::RunSink sink("h264ref.esteem", cfg.freq_ghz,
+                          telemetry::interval_columns(cfg.esteem.modules));
   (void)run_one(cfg, Technique::Esteem, {"h264ref"}, 400'000, 42, &sink);
-  const telemetry::IntervalRecorder& rec = *sink.recorder;
+  const telemetry::IntervalRecorder& rec = sink.recorder;
   ASSERT_GT(rec.rows(), 0u);
+  // Attaching the sink recorded where the series starts: the measured
+  // window's first cycle and the full starting allocation.
+  EXPECT_EQ(sink.start_cycle + cfg.esteem.interval_cycles, rec.cycle(0));
+  EXPECT_EQ(sink.start_ways,
+            std::vector<std::uint32_t>(cfg.esteem.modules, cfg.l2.geom.ways));
   for (const double ratio : rec.series("active_ratio")) {
     EXPECT_GT(ratio, 0.0);
     EXPECT_LE(ratio, 1.0);

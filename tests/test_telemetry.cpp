@@ -198,31 +198,16 @@ TEST(IntervalRecorder, ReadJsonlRejectsMalformedInput) {
   EXPECT_THROW((void)IntervalRecorder::read_jsonl(ragged), std::runtime_error);
 }
 
-TEST(IntervalRecorder, CsvHasHeaderAndRows) {
-  IntervalRecorder rec({"x"});
-  rec.record(10, {1.5});
-  rec.record(20, {2.5});
-  std::ostringstream out;
-  rec.write_csv(out);
-  std::istringstream in(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "cycle,x");
-  int rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 2);
-}
-
 // ---------------------------------------------------------------------------
 // TraceEmitter
 
 TEST(TraceEmitter, EmitsChromeTraceEvents) {
   TraceEmitter tr;
-  tr.set_process_name(TraceEmitter::kSimPid, "simulated time");
-  tr.set_thread_name(TraceEmitter::kSimPid, 1, "mcf.esteem.s42");
-  tr.complete(TraceEmitter::kSimPid, 1, "interval", 10.0, 5.0, "{\"hits\":12}");
-  tr.instant(TraceEmitter::kSimPid, 1, "reconfig", 12.0);
-  tr.counter(TraceEmitter::kSimPid, "active_ratio", 14.0, 0.25);
+  tr.set_process_name("simulated time");
+  tr.set_thread_name(1, "mcf.esteem.s42");
+  tr.complete(1, "interval", 10.0, 5.0, "{\"hits\":12}");
+  tr.instant(1, "reconfig", 12.0);
+  tr.counter("active_ratio", 14.0, 0.25);
   EXPECT_EQ(tr.events(), 5u);
 
   std::ostringstream out;
@@ -255,18 +240,23 @@ SystemConfig tiny() {
 trace::Workload wl(const std::string& name) { return {name, {name}}; }
 
 // RAII guard: whatever a test configures, the process-global hub is off
-// again afterwards so later tests see the default (disabled) state.
+// again afterwards so later tests see the default (disabled) state, and the
+// test's telemetry dir (if any) is gone.
 struct TelemetryGuard {
-  ~TelemetryGuard() { Telemetry::instance().configure({}); }
+  std::string dir;
+  ~TelemetryGuard() {
+    Telemetry::instance().configure({});
+    if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
 };
 
 TEST(TelemetryHub, DisabledByDefaultCreatesNoSink) {
   TelemetryGuard guard;
   Telemetry::instance().configure({});
   EXPECT_FALSE(active());
-  EXPECT_EQ(trace_sink(), nullptr);
-  auto sink = Telemetry::instance().begin_run("x", 2.0, interval_columns(0), 1);
+  auto sink = Telemetry::instance().begin_run("x", 2.0, interval_columns(0));
   EXPECT_EQ(sink, nullptr);
+  EXPECT_EQ(Telemetry::instance().flush().counters_path, "");
 }
 
 TEST(TelemetryHub, SanitizeLabelAndColumns) {
@@ -324,15 +314,12 @@ TEST(TelemetryHub, IntervalSeriesIntegratesToRunActiveRatio) {
 }
 
 // The esteem.moduleM.active_ways gauges come from the run itself, not from
-// an optional timeline: with counter collection alone (a bare
-// --telemetry-dir, which writes nothing before flush), an ESTEEM run
-// publishes its final allocation (the last row of its interval series) and
-// a non-ESTEEM run publishes none.
+// the caller's copy of the series: an ESTEEM run publishes its final
+// allocation (the last row of its interval series) and a non-ESTEEM run
+// publishes none.
 TEST(TelemetryHub, ModuleGaugesNeedOnlyCounters) {
-  TelemetryGuard guard;
-  TelemetryConfig cfg;
-  cfg.dir = "test_telemetry_gauges";
-  Telemetry::instance().configure(cfg);
+  const TelemetryGuard guard{"test_telemetry_gauges"};
+  Telemetry::instance().configure({guard.dir});
   registry().reset();
 
   sim::RunSpec spec;
@@ -366,10 +353,8 @@ TEST(TelemetryHub, ModuleGaugesNeedOnlyCounters) {
 // hierarchy 0 (the refresh-only lanes'): its gauges and interval series
 // must still be its own, equal to those of the ESTEEM run alone.
 TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
-  TelemetryGuard guard;
-  TelemetryConfig cfg;
-  cfg.dir = "test_telemetry_shared";
-  Telemetry::instance().configure(cfg);
+  const TelemetryGuard guard{"test_telemetry_shared"};
+  Telemetry::instance().configure({guard.dir});
 
   sim::RunSpec spec;
   spec.config = tiny();
@@ -422,11 +407,7 @@ TEST(TelemetryHub, SimulatedTimeTraceIsPinned) {
   TelemetryGuard guard;
   const std::string dir = "test_telemetry_trace_pin";
   std::filesystem::remove_all(dir);
-  TelemetryConfig cfg;
-  cfg.interval_stats = true;
-  cfg.dir = dir;
-  cfg.trace_path = dir + "/trace.json";
-  Telemetry::instance().configure(cfg);
+  Telemetry::instance().configure({dir});
 
   sim::RunSpec spec;
   spec.config = tiny();
@@ -512,11 +493,7 @@ TEST(TelemetryHub, SweepCsvIsByteIdenticalWithTelemetryOn) {
   Telemetry::instance().configure({});
   const std::string off = sweep_to_csv("off.csv");
 
-  TelemetryConfig cfg;
-  cfg.interval_stats = true;
-  cfg.dir = dir;
-  cfg.trace_path = dir + "/trace.json";
-  Telemetry::instance().configure(cfg);
+  Telemetry::instance().configure({dir});
   const std::string on = sweep_to_csv("on.csv");
 
   ASSERT_FALSE(off.empty());

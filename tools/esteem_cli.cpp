@@ -4,7 +4,8 @@
 //     --workload NAME[,NAME]   benchmark per core (Table 1 name/acronym, or
 //                              trace:<file> to replay a recorded trace)
 //     --technique NAME         baseline | periodic-valid | rpv | rpd |
-//                              smart-refresh | ecc-extended | esteem
+//                              smart-refresh | ecc-extended | cache-decay |
+//                              esteem
 //     --sweep WL[,WL]          sweep mode: evaluate every technique of
 //                              --techniques over these workloads (use '+'
 //                              to separate per-core benchmarks within one
@@ -34,26 +35,24 @@
 //     --seed N                 workload generator seed
 //     --compare                also run the baseline and print the paper's
 //                              comparison metrics (energy saving, WS, ...)
-//     --timeline FILE.csv      write the run's per-interval series as CSV
-//                              (the columns --interval-stats writes as JSONL)
-//     --telemetry-dir DIR      telemetry output directory: per-run interval
-//                              JSONL series plus a counters.json registry
-//                              dump land here
-//     --trace FILE.json        emit a Chrome trace_event timeline (open in
-//                              chrome://tracing or Perfetto): simulated-time
-//                              reconfiguration/refresh/fault lanes plus
-//                              wall-clock sweep-worker and memo-cache rows
-//     --interval-stats         record the per-interval counter time-series
-//                              (written as <label>.intervals.jsonl)
+//     --telemetry-dir DIR      record every simulated run's per-interval
+//                              series and write, into DIR, one
+//                              <label>.intervals.jsonl per run, a
+//                              counters.json registry dump and trace.json, a
+//                              Chrome trace_event timeline (chrome://tracing
+//                              or Perfetto) rendered from the series: one
+//                              simulated-time lane per run and per ESTEEM
+//                              module. Runs restored from --journal are not
+//                              simulated and carry none of these (stderr
+//                              says how many)
 //     --dump-config            print the effective configuration and exit
 //     --dump-config-doc        print the Markdown config-key reference
 //                              generated from the INI schema (docs/CONFIG.md)
 //                              and exit
 //     --list-workloads         print all Table 1 benchmark names and exit
 //
-// Telemetry is off by default and observer-free: with none of the three
-// flags given, output (including sweep CSV) is byte-identical to a build
-// without the subsystem.
+// Telemetry is off by default and observer-free: sweep CSV and run tables
+// are byte-identical with and without --telemetry-dir.
 //
 // The CLI reads no environment: a retired ESTEEM_* variable (memo
 // directory, fault schedule, scale) that is still set exits 2.
@@ -63,7 +62,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -93,9 +91,7 @@ using esteem::tools::split_csv;
                "                  [--journal DIR]\n"
                "                  [--jobs N] [--csv FILE] [--config FILE]\n"
                "                  [--instr N] [--warmup N] [--seed N]\n"
-               "                  [--compare] [--timeline FILE]\n"
-               "                  [--telemetry-dir DIR] [--trace FILE]\n"
-               "                  [--interval-stats]\n"
+               "                  [--compare] [--telemetry-dir DIR]\n"
                "                  [--dump-config] [--dump-config-doc]\n"
                "                  [--list-workloads]\n");
   std::exit(2);
@@ -182,10 +178,14 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
   }
   std::printf("\n");
   if (!journal_dir.empty()) {
-    std::printf("resume: %llu run(s) restored from %s\n",
-                static_cast<unsigned long long>(memo_after.disk_hits -
-                                                memo_before.disk_hits),
-                journal_dir.c_str());
+    const unsigned long long restored = memo_after.disk_hits - memo_before.disk_hits;
+    std::printf("resume: %llu run(s) restored from %s\n", restored, journal_dir.c_str());
+    if (restored > 0 && telemetry::active()) {
+      std::fprintf(stderr,
+                   "telemetry: %llu restored run(s) were not simulated and carry no "
+                   "interval series, trace lanes or run counters\n",
+                   restored);
+    }
   }
   if (!csv_path.empty()) {
     sim::write_csv(result, csv_path);
@@ -213,26 +213,26 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
   return result.errors.empty() ? 0 : 3;
 }
 
-/// Checks the telemetry outputs before any run: creates the telemetry dir
-/// and opens the trace file, so a bad path fails up front instead of
-/// silently dropping the run's telemetry at flush. Returns "" or an error
-/// naming the path.
-std::string check_telemetry_paths(const std::string& dir, const std::string& trace) {
+/// Checks the telemetry dir before any run: creates it and opens the files
+/// written at flush, so a bad path fails up front instead of silently
+/// dropping the run's telemetry. Returns "" or an error naming the path.
+std::string check_telemetry_dir(const std::string& dir) {
   std::string error;
-  if (!dir.empty() && !tools::make_output_dir(dir, "telemetry", error)) return error;
-  if (!trace.empty()) {
+  if (!tools::make_output_dir(dir, "telemetry", error)) return error;
+  for (const char* name : {"trace.json", "counters.json"}) {
+    const std::string path = (std::filesystem::path(dir) / name).string();
     std::error_code ec;
-    const bool existed = std::filesystem::exists(trace, ec);
-    if (!std::ofstream(trace, std::ios::app).good()) {
-      return "cannot open trace file " + trace + ": " + std::strerror(errno);
+    const bool existed = std::filesystem::exists(path, ec);
+    if (!std::ofstream(path, std::ios::app).good()) {
+      return "cannot open telemetry file " + path + ": " + std::strerror(errno);
     }
-    if (!existed) std::filesystem::remove(trace, ec);  // the real write happens at flush
+    if (!existed) std::filesystem::remove(path, ec);  // the real write happens at flush
   }
   return {};
 }
 
 /// Writes pending telemetry artefacts (interval series were written per run;
-/// this adds the Chrome trace and counters.json) and reports their paths.
+/// this adds trace.json and counters.json) and reports their paths.
 void flush_telemetry() {
   auto& tel = telemetry::Telemetry::instance();
   if (!tel.active()) return;
@@ -261,10 +261,7 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string config_path;
   std::string journal_dir;
-  std::string timeline_path;
   std::string telemetry_dir;
-  std::string trace_path;
-  bool interval_stats = false;
   instr_t instr = 4'000'000;
   instr_t warmup = 800'000;
   std::uint64_t seed = 42;
@@ -294,10 +291,7 @@ int main(int argc, char** argv) {
     else if (arg == "--seed") count(seed);
     else if (arg == "--jobs") count(jobs);
     else if (arg == "--compare") compare = true;
-    else if (arg == "--timeline") timeline_path = value();
     else if (arg == "--telemetry-dir") telemetry_dir = value();
-    else if (arg == "--trace") trace_path = value();
-    else if (arg == "--interval-stats") interval_stats = true;
     else if (arg == "--dump-config") dump_config = true;
     else if (arg == "--dump-config-doc") {
       // The reference documents the schema itself, so it is generated from
@@ -322,17 +316,13 @@ int main(int argc, char** argv) {
   if (instr == 0) usage("--instr must be positive");
 
   try {
-    {
-      telemetry::TelemetryConfig tc;
-      tc.interval_stats = interval_stats;
-      tc.dir = telemetry_dir;
-      tc.trace_path = trace_path;
-      const std::string error = check_telemetry_paths(telemetry_dir, trace_path);
+    if (!telemetry_dir.empty()) {
+      const std::string error = check_telemetry_dir(telemetry_dir);
       if (!error.empty()) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
       }
-      if (tc.any()) telemetry::Telemetry::instance().configure(tc);
+      telemetry::Telemetry::instance().configure({telemetry_dir});
     }
 
     SystemConfig cfg = SystemConfig::single_core();
@@ -394,10 +384,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(instr),
                 static_cast<unsigned long long>(warmup));
 
-    telemetry::IntervalRecorder intervals;
     sim::RunOutcome out;
     try {
-      out = sim::run_experiment(spec, timeline_path.empty() ? nullptr : &intervals);
+      out = sim::run_experiment(spec);
     } catch (const std::invalid_argument& e) {
       // A config the run refuses for this technique or budget (an ECC
       // extension past [faults] max_tracked_extension, a sampled run
@@ -406,14 +395,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     print_run(out, cfg.faults.enabled);
-
-    if (!timeline_path.empty()) {
-      std::ofstream csv(timeline_path, std::ios::trunc);
-      intervals.write_csv(csv);
-      if (!csv.good()) throw std::runtime_error("cannot write " + timeline_path);
-      std::printf("\ntimeline written to %s (%zu intervals)\n", timeline_path.c_str(),
-                  intervals.rows());
-    }
 
     if (compare && spec.technique != sim::Technique::BaselinePeriodicAll) {
       sim::RunSpec base_spec = spec;
