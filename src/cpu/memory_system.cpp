@@ -81,7 +81,10 @@ RefreshLane::RefreshLane(const SystemConfig& cfg, Technique t,
       banks(cfg.l2.banks, cfg.l2.geom.sets(), cfg.l2.refresh_occupancy_cycles,
             cfg.l2.access_occupancy_cycles, cfg.l2.queue_pressure),
       mm({cfg.mem.latency_cycles, cfg.mem_service_cycles()}),
-      clocks(cfg.ncores) {}
+      retention(static_cast<double>(cfg.retention_cycles())),
+      clocks(cfg.ncores) {
+  sync_bank_load(0);
+}
 
 MemorySystem::LaneFanout::LaneFanout(std::vector<RefreshLane>& lanes) : lanes_(lanes) {
   for (RefreshLane& ln : lanes_) {
@@ -147,12 +150,6 @@ MemorySystem::MemorySystem(const SystemConfig& cfg,
 
   lanes_.reserve(techniques.size());
   for (Technique t : techniques) lanes_.emplace_back(cfg_, t, make_policy(cfg_, t, l2_));
-  // The lanes have their final addresses now: the engines point into them.
-  for (RefreshLane& ln : lanes_) {
-    ln.engine = std::make_unique<edram::RefreshEngine>(
-        *ln.policy, &ln.banks, static_cast<double>(cfg.retention_cycles()));
-    ln.engine->sync_bank_load(0);
-  }
 
   RefreshLane& lane0 = lanes_[0];
   if (lane0.technique == Technique::CacheDecay) {
@@ -226,7 +223,7 @@ void MemorySystem::pump_faults(cycle_t now) {
 // lane, so lane 0's cycle is the run's cycle wherever they need one.
 void MemorySystem::l2_access(block_t block, bool is_store, bool demand) {
   const std::span<RefreshLane> lanes(lanes_);
-  for (RefreshLane& ln : lanes) ln.engine->advance(ln.at);
+  for (RefreshLane& ln : lanes) ln.advance(ln.at);
   pump_faults(lanes[0].at);
   const std::uint32_t set = l2_.set_index_of(block);
   if (profiler_) profiler_->record_access(set);
@@ -356,7 +353,7 @@ void MemorySystem::tick_interval(cycle_t now) {
 }
 
 void MemorySystem::tick(RefreshLane& ln, cycle_t now) {
-  ln.engine->advance(now);
+  ln.advance(now);
   pump_faults(now);
 
   // Close the F_A integral over the elapsed window at the old value.
@@ -393,7 +390,7 @@ void MemorySystem::tick(RefreshLane& ln, cycle_t now) {
   }
 
   // Valid/active footprint changed: re-derive the bank refresh load.
-  ln.engine->sync_bank_load(now);
+  ln.sync_bank_load(now);
 
   if (ln.telemetry != nullptr) sample_interval(ln, now);
 }
@@ -453,24 +450,39 @@ void MemorySystem::reset_hierarchy() {
 
 void MemorySystem::reset_lane(RefreshLane& ln, cycle_t now) {
   ln.mm.reset_stats();
-  ln.refresh_baseline = ln.engine->total_refreshes();
+  ln.refresh_baseline = ln.total_refreshes;
   ln.fa_cycles = 0.0;
   ln.fa_last_update = now;
   ln.measure_start = now;
+  for (CoreClock& clk : ln.clocks) clk.start = clk.cycles;
 }
 
 void MemorySystem::start_measurement() {
-  for (RefreshLane& ln : lanes_) ln.engine->advance(ln.wall());
+  for (RefreshLane& ln : lanes_) ln.advance(ln.wall());
   pump_faults(lanes_[0].wall());
   reset_hierarchy();
   for (RefreshLane& ln : lanes_) reset_lane(ln, ln.wall());
 }
 
-void MemorySystem::finish(cycle_t now, std::size_t lane) {
+RawRunResult MemorySystem::finish(std::size_t lane) {
   RefreshLane& ln = lanes_[lane];
-  ln.engine->advance(now);
-  pump_faults(now);
-  ln.close_fa(now);
+  cycle_t end = 0;
+  for (const CoreClock& clk : ln.clocks) end = std::max(end, clk.cycles);
+  ln.advance(end);
+  pump_faults(end);
+  ln.close_fa(end);
+
+  RawRunResult r;
+  r.wall_cycles = end - ln.measure_start;
+  r.counters = energy_counters(end, lane);
+  r.mem_stats = stats_;
+  r.refreshes = ln.refreshes();
+  r.demand_misses = stats_.demand_l2_misses;
+  r.faults = fault_counters();
+  r.disabled_slots = disabled_slots();
+  r.avg_active_ratio =
+      r.counters.seconds > 0.0 ? r.counters.fa_seconds / r.counters.seconds : 1.0;
+  return r;
 }
 
 energy::EnergyCounters MemorySystem::energy_counters(cycle_t now, std::size_t lane) const {

@@ -3,7 +3,8 @@
 // in-order cores issue loads/stores against. It is one functional hierarchy
 // (L1s, L2 tags) driven for one or more refresh lanes (cpu/refresh_lane.hpp):
 // runs of refresh-only techniques share the L1/L2 pass and differ only in
-// their lanes' timing.
+// their lanes' timing. Each run is closed from its lane by finish(), the one
+// place a RawRunResult is assembled.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "cpu/technique.hpp"
 #include "edram/decay.hpp"
 #include "edram/fault_injection.hpp"
-#include "edram/refresh_engine.hpp"
 #include "edram/refresh_policy.hpp"
 #include "energy/energy_model.hpp"
 #include "mem/main_memory.hpp"
@@ -38,6 +38,22 @@ struct MemorySystemStats {
   std::uint64_t mm_writebacks = 0;          ///< L2 dirty victims + flushes.
   std::uint64_t reconfig_transitions = 0;   ///< N_L
   std::uint64_t reconfig_writebacks = 0;
+};
+
+/// One run's measured result. finish() fills everything but the per-core IPC
+/// and the instruction counts, which the driver of the cores knows.
+struct RawRunResult {
+  std::vector<double> ipc;             ///< Per-core IPC at its target crossing.
+  instr_t instr_per_core = 0;
+  instr_t total_instructions = 0;      ///< Sum of per-core targets.
+  cycle_t wall_cycles = 0;             ///< Measurement start to the last core's finish.
+  energy::EnergyCounters counters;     ///< Energy-model inputs over the run.
+  MemorySystemStats mem_stats;
+  std::uint64_t refreshes = 0;         ///< N_R over the run.
+  std::uint64_t demand_misses = 0;     ///< L2 demand misses over the run.
+  double avg_active_ratio = 1.0;       ///< Time-weighted F_A.
+  edram::FaultCounters faults;         ///< Fault-injection events (zero when off).
+  std::uint64_t disabled_slots = 0;    ///< L2 slots retired by faults (state).
 };
 
 /// Cumulative flow-counter snapshot the sampling executor takes around each
@@ -103,6 +119,12 @@ class MemorySystem {
   }
   cycle_t wall(std::size_t lane = 0) const noexcept { return lanes_[lane].wall(); }
 
+  /// Cycles lane `lane`'s clock for `core` has run since measurement began.
+  cycle_t measured_cycles(std::uint32_t core, std::size_t lane = 0) const noexcept {
+    const CoreClock& clk = lanes_[lane].clocks[core];
+    return clk.cycles - clk.start;
+  }
+
   /// Arms every lane's interval boundary one interval past its wall clock.
   /// Disarmed until then, so warm-up never ticks.
   void arm_intervals();
@@ -125,9 +147,10 @@ class MemorySystem {
   /// elapsed window.
   void tick_interval(cycle_t now);
 
-  /// Final bookkeeping at end of simulation (closes the F_A integral and
-  /// pumps refresh events up to `now`) on lane `lane`.
-  void finish(cycle_t now, std::size_t lane = 0);
+  /// Closes lane `lane`'s run at its last core's clock: pumps refresh and
+  /// fault epochs up to there, closes the F_A integral and returns the
+  /// run's result, IPC and instruction counts left empty.
+  RawRunResult finish(std::size_t lane = 0);
 
   /// Ends the warm-up phase: zeroes every measurement counter (cache/memory
   /// stats, refresh totals, F_A integral, reconfiguration counts) while

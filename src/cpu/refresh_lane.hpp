@@ -2,12 +2,13 @@
 //
 // The memory system splits into a functional hierarchy (the L1s and the L2
 // tags, which decide hits, misses and victims) and one or more refresh
-// lanes. A lane owns everything a refresh technique changes about time and
-// energy: its refresh policy and engine, the L2 bank timers, the memory
-// channel, the core clocks, the interval boundary, the F_A window and the
-// telemetry sink. It owns nothing that decides which lines hit. The memory
-// system hands every lane the same stream of L1/L2 events, each at that
-// lane's own cycle (DESIGN.md §7, "Hierarchy and lanes").
+// lanes. A lane is one run's record: it owns everything a refresh technique
+// changes about time and energy, namely its refresh policy and N_R count,
+// the L2 bank timers, the memory channel, the core clocks, the interval
+// boundary, the F_A window and the telemetry sink. It owns nothing that
+// decides which lines hit. The memory system hands every lane the same
+// stream of L1/L2 events, each at that lane's own cycle, and closes each
+// run from its lane (DESIGN.md §7, "Hierarchy and lanes").
 #pragma once
 
 #include <algorithm>
@@ -20,7 +21,6 @@
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "cpu/technique.hpp"
-#include "edram/refresh_engine.hpp"
 #include "edram/refresh_policy.hpp"
 #include "mem/main_memory.hpp"
 #include "telemetry/telemetry.hpp"
@@ -31,6 +31,7 @@ namespace esteem::cpu {
 struct CoreClock {
   cycle_t cycles = 0;
   double carry = 0.0;  ///< Fractional cycles owed by CPI-scaled advances.
+  cycle_t start = 0;   ///< `cycles` when measurement began.
 };
 
 struct RefreshLane {
@@ -39,10 +40,18 @@ struct RefreshLane {
   RefreshLane(const SystemConfig& cfg, Technique technique,
               std::unique_ptr<edram::RefreshPolicy> policy);
 
-  /// N_R since the lane's measurement began.
-  std::uint64_t refreshes() const noexcept {
-    return engine->total_refreshes() - refresh_baseline;
+  /// Pumps the policy's refresh events up to `now` into N_R.
+  void advance(cycle_t now) { total_refreshes += policy->advance(now); }
+
+  /// Re-derives the banks' refresh injection rate from the policy's current
+  /// lines-per-period demand. Called at interval boundaries: the refresh
+  /// load tracks the valid/active footprint at interval granularity.
+  void sync_bank_load(cycle_t now) {
+    banks.set_refresh_load(policy->refresh_lines_per_period(), retention, now);
   }
+
+  /// N_R since the lane's measurement began.
+  std::uint64_t refreshes() const noexcept { return total_refreshes - refresh_baseline; }
 
   /// The lane's wall clock: its slowest core.
   cycle_t wall() const noexcept {
@@ -61,9 +70,7 @@ struct RefreshLane {
   std::unique_ptr<edram::RefreshPolicy> policy;
   cache::BankGroup banks;
   mem::MainMemory mm;
-  /// Pumps `policy` and drives `banks`; points into this lane, so the
-  /// memory system builds it once the lane has its final address.
-  std::unique_ptr<edram::RefreshEngine> engine;
+  double retention;  ///< Retention period in cycles: the refresh load's period.
 
   std::vector<CoreClock> clocks;  ///< One per core.
   cycle_t next_tick = kNever;     ///< Next interval boundary (kNever: disarmed).
@@ -82,7 +89,8 @@ struct RefreshLane {
   cycle_t fa_last_update = 0;
   double fa_current = 1.0;
   cycle_t measure_start = 0;
-  std::uint64_t refresh_baseline = 0;  ///< Refreshes before measurement.
+  std::uint64_t total_refreshes = 0;   ///< N_R since construction.
+  std::uint64_t refresh_baseline = 0;  ///< N_R before measurement.
 
   // Per-run telemetry sink (null = telemetry off, the default). Baselines
   // hold the previous interval's cumulative counters so samples are deltas.

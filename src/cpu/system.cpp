@@ -1,8 +1,8 @@
 #include "cpu/system.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "trace/file_trace.hpp"
@@ -119,20 +119,9 @@ std::vector<RawRunResult> System::run_group(
 
   const instr_t target = warmup + options.instr_per_core;
   std::vector<instr_t> base_instr(cores_.size());
-  std::vector<std::vector<cycle_t>> base_cycles(nruns,
-                                                std::vector<cycle_t>(cores_.size()));
-  std::vector<cycle_t> measure_start(nruns);
-  for (std::size_t r = 0; r < nruns; ++r) {
-    const RunSlot& run = runs_[r];
-    measure_start[r] = run.mem->wall(run.lane);
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      base_cycles[r][c] = run.mem->cycles(static_cast<std::uint32_t>(c), run.lane);
-    }
-  }
   for (std::size_t c = 0; c < cores_.size(); ++c) base_instr[c] = cores_[c].instret();
 
-  std::vector<RawRunResult> results(nruns);
-  for (RawRunResult& result : results) result.ipc.assign(cores_.size(), 0.0);
+  std::vector<std::vector<double>> ipc(nruns, std::vector<double>(cores_.size(), 0.0));
   std::vector<bool> recorded(cores_.size(), false);
   std::size_t unfinished = cores_.size();
 
@@ -149,38 +138,22 @@ std::vector<RawRunResult> System::run_group(
       recorded[next] = true;
       for (std::size_t r = 0; r < nruns; ++r) {
         const RunSlot& run = runs_[r];
-        const cycle_t now = run.mem->cycles(static_cast<std::uint32_t>(next), run.lane);
-        results[r].ipc[next] = static_cast<double>(core.instret() - base_instr[next]) /
-                               static_cast<double>(now - base_cycles[r][next]);
+        ipc[r][next] = static_cast<double>(core.instret() - base_instr[next]) /
+                       static_cast<double>(run.mem->measured_cycles(
+                           static_cast<std::uint32_t>(next), run.lane));
       }
       --unfinished;
     }
     for (const std::unique_ptr<MemorySystem>& mem : hierarchies_) mem->pump_intervals();
   }
 
+  std::vector<RawRunResult> results;
+  results.reserve(nruns);
   for (std::size_t r = 0; r < nruns; ++r) {
-    MemorySystem& mem = *runs_[r].mem;
-    const std::size_t lane = runs_[r].lane;
-    cycle_t wall_end = 0;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      wall_end = std::max(wall_end, mem.cycles(static_cast<std::uint32_t>(c), lane));
-    }
-    mem.finish(wall_end, lane);
-
-    RawRunResult& result = results[r];
+    RawRunResult& result = results.emplace_back(runs_[r].mem->finish(runs_[r].lane));
+    result.ipc = std::move(ipc[r]);
     result.instr_per_core = options.instr_per_core;
-    result.wall_cycles = wall_end - measure_start[r];
     result.total_instructions = options.instr_per_core * cores_.size();
-    result.counters = mem.energy_counters(wall_end, lane);
-    result.mem_stats = mem.stats();
-    result.refreshes = mem.refreshes(lane);
-    result.demand_misses = mem.stats().demand_l2_misses;
-    result.faults = mem.fault_counters();
-    result.disabled_slots = mem.disabled_slots();
-    result.avg_active_ratio =
-        result.counters.seconds > 0.0
-            ? result.counters.fa_seconds / result.counters.seconds
-            : 1.0;
   }
   return results;
 }

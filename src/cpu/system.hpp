@@ -9,7 +9,9 @@
 // by the wall clock (the minimum core cycle), matching the paper's
 // methodology: each benchmark runs a fixed instruction count, a finished
 // core keeps running (and contending) until all cores finish, but its IPC is
-// recorded at its own target crossing (§6.4).
+// recorded at its own target crossing (§6.4). Each run is closed by its
+// lane (MemorySystem::finish); the System adds only what the cores know, the
+// IPC and the instruction counts.
 #pragma once
 
 #include <cstdint>
@@ -21,23 +23,8 @@
 #include "cpu/core_model.hpp"
 #include "cpu/memory_system.hpp"
 #include "cpu/technique.hpp"
-#include "energy/energy_model.hpp"
 
 namespace esteem::cpu {
-
-struct RawRunResult {
-  std::vector<double> ipc;             ///< Per-core IPC at its target crossing.
-  instr_t instr_per_core = 0;
-  instr_t total_instructions = 0;      ///< Sum of per-core targets.
-  cycle_t wall_cycles = 0;             ///< Cycle at which the last core finished.
-  energy::EnergyCounters counters;     ///< Energy-model inputs over the run.
-  MemorySystemStats mem_stats;
-  std::uint64_t refreshes = 0;         ///< N_R over the run.
-  std::uint64_t demand_misses = 0;     ///< L2 demand misses over the run.
-  double avg_active_ratio = 1.0;       ///< Time-weighted F_A.
-  edram::FaultCounters faults;         ///< Fault-injection events (zero when off).
-  std::uint64_t disabled_slots = 0;    ///< L2 slots retired by faults (state).
-};
 
 struct RunOptions {
   instr_t instr_per_core = 8'000'000;

@@ -34,7 +34,6 @@ class CacheDecayPolicy final : public RefreshPolicy {
   double refresh_lines_per_period() const override {
     return static_cast<double>(valid_);
   }
-  const char* name() const override { return "cache-decay"; }
 
   void on_fill(std::uint32_t set, std::uint32_t way, block_t blk, cycle_t now) override;
   void on_touch(std::uint32_t set, std::uint32_t way, cycle_t now) override;

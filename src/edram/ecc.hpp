@@ -56,7 +56,6 @@ class EccRefreshPolicy final : public RefreshPolicy {
 
   std::uint64_t advance(cycle_t now) override;
   double refresh_lines_per_period() const override;
-  const char* name() const override { return "ecc-extended"; }
 
   void on_fill(std::uint32_t, std::uint32_t, block_t, cycle_t) override { ++valid_; }
   void on_touch(std::uint32_t, std::uint32_t, cycle_t) override {}

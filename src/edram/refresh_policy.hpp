@@ -2,9 +2,10 @@
 //
 // A policy is a LineListener (it tracks line lifecycle) plus a lazy clock:
 // advance(now) processes all refresh events scheduled up to `now` and
-// returns how many line refreshes they performed. The L2 system calls
-// advance() before every access and at interval boundaries, so the lazy
-// processing is exact with respect to line state.
+// returns how many line refreshes they performed. The refresh lane
+// (cpu/refresh_lane.hpp) calls advance() before every L2 access and at
+// interval boundaries, so the lazy processing is exact with respect to line
+// state, and adds the count to its N_R.
 //
 // Policies implemented here:
 //  * PeriodicAllPolicy   — the paper's baseline: every line (valid or not)
@@ -33,8 +34,6 @@ class RefreshPolicy : public cache::LineListener {
   /// Current refresh demand in lines per retention period — the timing-side
   /// load handed to the bank model.
   virtual double refresh_lines_per_period() const = 0;
-
-  virtual const char* name() const = 0;
 };
 
 /// Baseline: refresh all S*A lines every retention period (§6.4).
@@ -46,7 +45,6 @@ class PeriodicAllPolicy final : public RefreshPolicy {
   double refresh_lines_per_period() const override {
     return static_cast<double>(total_lines_);
   }
-  const char* name() const override { return "periodic-all"; }
 
   void on_fill(std::uint32_t, std::uint32_t, block_t, cycle_t) override {}
   void on_touch(std::uint32_t, std::uint32_t, cycle_t) override {}
@@ -68,7 +66,6 @@ class PeriodicValidPolicy final : public RefreshPolicy {
   double refresh_lines_per_period() const override {
     return static_cast<double>(valid_);
   }
-  const char* name() const override { return "periodic-valid"; }
 
   void on_fill(std::uint32_t, std::uint32_t, block_t, cycle_t) override { ++valid_; }
   void on_touch(std::uint32_t, std::uint32_t, cycle_t) override {}

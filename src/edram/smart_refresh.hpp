@@ -29,7 +29,6 @@ class SmartRefreshPolicy final : public RefreshPolicy {
 
   std::uint64_t advance(cycle_t now) override;
   double refresh_lines_per_period() const override;
-  const char* name() const override { return "smart-refresh"; }
 
   void on_fill(std::uint32_t set, std::uint32_t way, block_t blk, cycle_t now) override;
   void on_touch(std::uint32_t set, std::uint32_t way, cycle_t now) override;

@@ -37,7 +37,6 @@ class PolyphaseValidPolicy : public edram::RefreshPolicy {
   /// Refresh demand estimate: refreshes actually performed over the last
   /// full retention period (rolling window over the last P phase events).
   double refresh_lines_per_period() const override;
-  const char* name() const override { return "refrint-rpv"; }
 
   void on_fill(std::uint32_t set, std::uint32_t way, block_t blk, cycle_t now) override;
   void on_touch(std::uint32_t set, std::uint32_t way, cycle_t now) override;
@@ -80,8 +79,6 @@ class PolyphaseDirtyPolicy final : public PolyphaseValidPolicy {
   /// policy must be registered as that cache's listener.
   PolyphaseDirtyPolicy(cache::SetAssocCache& cache, std::uint32_t phases,
                        cycle_t retention_cycles);
-
-  const char* name() const override { return "refrint-rpd"; }
 
   void on_fill(std::uint32_t set, std::uint32_t way, block_t blk, cycle_t now) override;
   void on_invalidate(std::uint32_t set, std::uint32_t way, bool dirty, cycle_t now) override;

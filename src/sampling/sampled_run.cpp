@@ -82,17 +82,13 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
         std::to_string(period) + ")");
   }
 
-  SampledRunResult out;
-  cpu::RawRunResult& result = out.raw;
-  result.instr_per_core = options.instr_per_core;
-  result.ipc.assign(ncores, 0.0);
   if (mem.lanes() != 1) {
     throw std::invalid_argument("sampling: a sampled run drives exactly one lane");
   }
   mem.set_sampled_mode(true);
 
   // --- Warm-up: analytic skip, then a functional-warming tail that rebuilds
-  // cache/refresh/profiler state before measurement (the refresh engine
+  // cache/refresh/profiler state before measurement (the refresh lane
   // catches up to the skipped time on the first warming access). The clock
   // advances at CPI 1 here; warm-up timing is never measured.
   std::vector<double> cpi(ncores, 1.0);
@@ -111,11 +107,8 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   }
   align_clocks(mem, ncores);
 
-  const cycle_t measure_start = mem.wall();
   mem.start_measurement();
-  if (options.telemetry != nullptr) {
-    mem.set_telemetry(options.telemetry, measure_start);
-  }
+  if (options.telemetry != nullptr) mem.set_telemetry(options.telemetry, mem.wall());
   mem.arm_intervals();
 
   std::vector<instr_t> base_instr(ncores);
@@ -209,13 +202,13 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   }
   mem.pump_intervals();
 
-  cycle_t wall_end = 0;
-  for (std::uint32_t c = 0; c < ncores; ++c) {
-    wall_end = std::max(wall_end, mem.cycles(c));
-  }
-  mem.finish(wall_end);
-
-  // --- Assemble estimates and the exhaustive-shaped point result. ---
+  // --- Assemble estimates and the exhaustive-shaped point result: the
+  // lane's own result, with the flow fields replaced by their estimates.
+  SampledRunResult out;
+  out.raw = mem.finish();
+  cpu::RawRunResult& result = out.raw;
+  result.instr_per_core = options.instr_per_core;
+  result.total_instructions = options.instr_per_core * ncores;
   const double total_instr =
       static_cast<double>(options.instr_per_core) * static_cast<double>(ncores);
 
@@ -226,13 +219,12 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   est.detailed_instr = nwindows * (dwarm + window);
 
   est.ipc.resize(ncores);
+  result.ipc.resize(ncores);
   for (std::size_t c = 0; c < ncores; ++c) {
     est.ipc[c] = ipc_series[c].estimate();
     result.ipc[c] = est.ipc[c].value;
   }
 
-  result.total_instructions = options.instr_per_core * ncores;
-  result.wall_cycles = wall_end - measure_start;
   {
     // The internal clock already advanced every skip at the measured CPI, so
     // it IS the wall estimate; its CI comes from the slowest core's CPI
@@ -257,19 +249,13 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   // Demand memory traffic is window-sampled; reconfiguration/decay flush
   // writebacks are tick-driven and ran continuously, so add them globally.
   est.mm_accesses = s_mm.estimate(total_instr);
-  est.mm_accesses.value +=
-      static_cast<double>(mem.stats().reconfig_writebacks);
+  est.mm_accesses.value += static_cast<double>(result.mem_stats.reconfig_writebacks);
 
   // Refreshes accrued continuously on the estimated clock; their only
   // sampling uncertainty is the clock's.
-  const double refr = static_cast<double>(mem.refreshes());
-  const double wall_rel = est.wall_cycles.relative();
-  est.refreshes = Estimate{refr, refr * wall_rel};
-
-  result.counters = mem.energy_counters(wall_end);
-  est.fa_fraction = result.counters.seconds > 0.0
-                        ? result.counters.fa_seconds / result.counters.seconds
-                        : 1.0;
+  const double refr = static_cast<double>(result.refreshes);
+  est.refreshes = Estimate{refr, refr * est.wall_cycles.relative()};
+  est.fa_fraction = result.avg_active_ratio;
 
   // Overwrite the flow counters the hierarchy accumulated (contaminated by
   // warming, missing the skips) with the window estimates; time-accruing
@@ -279,21 +265,15 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   result.counters.mm_accesses = rounded(est.mm_accesses.value);
   result.counters.ecc_corrections = rounded(est.corrected_reads.value);
 
-  result.mem_stats = mem.stats();
   result.mem_stats.demand_l2_hits = rounded(est.demand_hits.value);
   result.mem_stats.demand_l2_misses = rounded(est.demand_misses.value);
   result.mem_stats.l2_writeback_accesses =
       rounded(est.l2_writeback_accesses.value);
   result.mem_stats.mm_writebacks =
       rounded(est.mm_writebacks.value +
-              static_cast<double>(mem.stats().reconfig_writebacks));
-
-  result.refreshes = mem.refreshes();
+              static_cast<double>(result.mem_stats.reconfig_writebacks));
   result.demand_misses = rounded(est.demand_misses.value);
-  result.avg_active_ratio = est.fa_fraction;
-  result.faults = mem.fault_counters();
   result.faults.corrected_reads = rounded(est.corrected_reads.value);
-  result.disabled_slots = mem.disabled_slots();
   return out;
 }
 

@@ -7,7 +7,7 @@
 // ramp that keeps cache tags/LRU/dirty bits, refresh and fault epochs, and
 // the ESTEEM profiler warm. Only timing/energy accounting is sampled: the
 // per-window deltas become ratio estimates with Student-t confidence
-// intervals, while time-accruing machinery (refresh engine, fault epochs,
+// intervals, while time-accruing machinery (refresh lane, fault epochs,
 // the reconfiguration controller) runs continuously on a clock advanced at
 // the measured CPI.
 #pragma once

@@ -1,8 +1,6 @@
-// Tests for retention model, baseline refresh policies, and the engine.
+// Tests for the retention model and the baseline refresh policies.
 #include <gtest/gtest.h>
 
-#include "cache/bank.hpp"
-#include "edram/refresh_engine.hpp"
 #include "edram/refresh_policy.hpp"
 #include "edram/retention.hpp"
 
@@ -62,39 +60,6 @@ TEST(PeriodicValid, EmptyCacheRefreshesNothing) {
 TEST(Policies, RejectZeroRetention) {
   EXPECT_THROW(PeriodicAllPolicy(10, 0), std::invalid_argument);
   EXPECT_THROW(PeriodicValidPolicy(0), std::invalid_argument);
-}
-
-TEST(RefreshEngine, AccumulatesWindowAndTotal) {
-  PeriodicAllPolicy p(100, 10);
-  RefreshEngine engine(p, nullptr, 10.0);
-  engine.advance(10);
-  engine.advance(20);
-  EXPECT_EQ(engine.total_refreshes(), 200u);
-  // A window is the difference of two readings (MemorySystem's baseline).
-  const std::uint64_t window_start = engine.total_refreshes();
-  engine.advance(30);
-  EXPECT_EQ(engine.total_refreshes() - window_start, 100u);
-  engine.advance(30);  // no time passed: nothing more to refresh
-  EXPECT_EQ(engine.total_refreshes() - window_start, 100u);
-  EXPECT_EQ(engine.total_refreshes(), 300u);
-}
-
-TEST(RefreshEngine, SyncsBankLoadFromPolicyDemand) {
-  PeriodicValidPolicy p(100);
-  for (std::uint32_t w = 0; w < 8; ++w) p.on_fill(0, w, w, 0);
-  cache::BankGroup banks(2, 8, 1, 1);
-  RefreshEngine engine(p, &banks, 100.0);
-  engine.sync_bank_load(0);
-  // 8 valid lines per 100 cycles over 2 banks -> one slot per 25 cycles.
-  (void)banks.access(0, 1000);
-  (void)banks.access(1, 1000);
-  EXPECT_NEAR(static_cast<double>(banks.total_refresh_slots()), 2.0 * 1000.0 / 25.0,
-              4.0);
-}
-
-TEST(RefreshEngine, RejectsNonPositiveRetention) {
-  PeriodicValidPolicy p(10);
-  EXPECT_THROW(RefreshEngine(p, nullptr, 0.0), std::invalid_argument);
 }
 
 }  // namespace

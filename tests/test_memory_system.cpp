@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/memory_system.hpp"
+#include "edram/refresh_policy.hpp"
 
 namespace esteem::cpu {
 namespace {
@@ -139,6 +140,41 @@ TEST(MemorySystem, PerCorePrivateL1s) {
   // Core 1 misses its own L1 but hits the shared L2.
   const cycle_t lat = mem.access(1, 0x10, false, 1000);
   EXPECT_EQ(lat, cfg.l1.latency_cycles + cfg.l2.latency_cycles);
+}
+
+TEST(RefreshLane, AccumulatesWindowAndTotal) {
+  RefreshLane ln(tiny(), Technique::BaselinePeriodicAll,
+                 std::make_unique<edram::PeriodicAllPolicy>(100, 10));
+  ln.advance(10);
+  ln.advance(20);
+  EXPECT_EQ(ln.total_refreshes, 200u);
+  // A window is the difference of two readings (start_measurement's baseline).
+  ln.refresh_baseline = ln.total_refreshes;
+  ln.advance(30);
+  EXPECT_EQ(ln.refreshes(), 100u);
+  ln.advance(30);  // no time passed: nothing more to refresh
+  EXPECT_EQ(ln.refreshes(), 100u);
+  EXPECT_EQ(ln.total_refreshes, 300u);
+}
+
+TEST(RefreshLane, SyncsBankLoadFromPolicyDemand) {
+  SystemConfig cfg = SystemConfig::single_core();
+  cfg.l2.banks = 2;
+  cfg.l2.geom = CacheGeometry{8ULL * 8 * 64, 8, 64};  // 8 sets
+  cfg.l2.refresh_occupancy_cycles = 1.0;
+  cfg.l2.access_occupancy_cycles = 1;
+  cfg.l2.queue_pressure = 0.0;
+  cfg.edram.retention_us = 0.05;
+  ASSERT_EQ(cfg.retention_cycles(), 100u);
+  RefreshLane ln(cfg, Technique::PeriodicValid,
+                 std::make_unique<edram::PeriodicValidPolicy>(100));
+  for (std::uint32_t w = 0; w < 8; ++w) ln.policy->on_fill(0, w, w, 0);
+  ln.sync_bank_load(0);
+  // 8 valid lines per 100 cycles over 2 banks -> one slot per 25 cycles.
+  (void)ln.banks.access(0, 1000);
+  (void)ln.banks.access(1, 1000);
+  EXPECT_NEAR(static_cast<double>(ln.banks.total_refresh_slots()), 2.0 * 1000.0 / 25.0,
+              4.0);
 }
 
 }  // namespace

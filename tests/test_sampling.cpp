@@ -134,7 +134,7 @@ TEST(Warming, FunctionalStateMatchesDetailed) {
   // Same lines present in both hierarchies, same demand behaviour. (Refresh
   // totals are clock-accruing, not functional: this driver ignores returned
   // latencies, so the detailed system's loaded memory-channel times advance
-  // the refresh engine differently. The sampled executor drives the clock
+  // the refresh lane differently. The sampled executor drives the clock
   // itself; refresh correctness is covered by the accuracy gate.)
   for (std::size_t i = blocks.size() - 5'000; i < blocks.size(); ++i) {
     ASSERT_EQ(warm.l2().contains(blocks[i]), detailed.l2().contains(blocks[i]));

@@ -1,6 +1,7 @@
 // End-to-end tests of the multi-core system simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -153,6 +154,22 @@ TEST(System, DualCoreSharedCacheContends) {
   const RawRunResult hostile =
       run_one(tiny(2), Technique::BaselinePeriodicAll, {"gobmk", "lbm"}, 150'000);
   EXPECT_LT(hostile.ipc[0], friendly.ipc[0]);
+}
+
+TEST(System, DualCoreRunClosesAtItsLastCore) {
+  // A run ends when its last core finishes: wall time and the energy window
+  // run to the furthest core clock, not to the lane's wall (slowest) clock.
+  const SystemConfig cfg = tiny(2);
+  System system(cfg, Technique::BaselinePeriodicAll, {"gobmk", "lbm"}, 42);
+  RunOptions opt;
+  opt.instr_per_core = 150'000;
+  const RawRunResult r = system.run(opt);
+  const MemorySystem& mem = system.memory();
+  ASSERT_NE(mem.cycles(0), mem.cycles(1));
+  // Without warm-up, measurement starts at cycle 0.
+  EXPECT_EQ(r.wall_cycles, std::max(mem.cycles(0), mem.cycles(1)));
+  EXPECT_DOUBLE_EQ(r.counters.seconds,
+                   static_cast<double>(r.wall_cycles) / (cfg.freq_ghz * 1e9));
 }
 
 TEST(System, TimelineRecordsModuleWays) {
