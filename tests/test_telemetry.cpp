@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -397,12 +398,47 @@ TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
   registry().reset();
 }
 
-// The simulated-time trace (pid 1) of a tiny ESTEEM run plus a fused
+/// Canonical form of a trace.json: one line per pid-1 event (phase, lane,
+/// name, raw ts/dur tokens, args), sorted. A lane is named by its
+/// thread_name metadata (run label, or "<label> module k"; "" for tid 0),
+/// so the form is independent of how tids were numbered and of the order
+/// lanes were emitted in.
+std::vector<std::string> canonical_trace(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const json::Value trace = json::parse(text.str());
+  std::map<std::uint64_t, std::string> lane_names;
+  for (const json::Value& e : trace.at("traceEvents").as_array()) {
+    if (e.at("name").as_string() == "thread_name") {
+      lane_names[e.at("tid").as_u64()] = e.at("args").at("name").as_string();
+    }
+  }
+  std::vector<std::string> lines;
+  for (const json::Value& e : trace.at("traceEvents").as_array()) {
+    if (e.at("pid").as_u64() != 1) continue;
+    const std::uint64_t tid = e.at("tid").as_u64();
+    std::string line = e.at("ph").as_string() + "|" +
+                       (tid > 0 ? lane_names.at(tid) : std::string()) + "|" +
+                       e.at("name").as_string();
+    for (const char* key : {"ts", "dur"}) {
+      const json::Value* v = e.find(key);
+      line += "|" + (v != nullptr ? v->text() : std::string());
+    }
+    if (const json::Value* args = e.find("args")) {
+      for (std::size_t i = 0; i < args->size(); ++i) {
+        line += "|" + args->key(i) + "=" + args->item(i).text();
+      }
+    }
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// The simulated-time trace of a tiny ESTEEM run plus a fused
 // baseline+esteem+rpv group, pinned by event count and an FNV-1a of its
-// canonical form: one line per event (phase, tid relative to the first run
-// lane, name, raw ts/dur tokens, args), sorted. Run lanes are numbered
-// process-wide, so rebasing the tids keeps the pin independent of earlier
-// tests; sorting keeps it independent of the order lanes were emitted in.
+// canonical form (canonical_trace).
 TEST(TelemetryHub, SimulatedTimeTraceIsPinned) {
   TelemetryGuard guard;
   const std::string dir = "test_telemetry_trace_pin";
@@ -422,41 +458,12 @@ TEST(TelemetryHub, SimulatedTimeTraceIsPinned) {
   (void)sim::run_experiment(group);
   (void)Telemetry::instance().flush();
 
-  std::ifstream in(dir + "/trace.json");
-  std::ostringstream text;
-  text << in.rdbuf();
-  const json::Value trace = json::parse(text.str());
-  std::vector<const json::Value*> events;
-  std::uint64_t first_lane = ~0ULL;
-  for (const json::Value& e : trace.at("traceEvents").as_array()) {
-    if (e.at("pid").as_u64() != 1) continue;
-    events.push_back(&e);
-    const std::uint64_t tid = e.at("tid").as_u64();
-    if (tid > 0) first_lane = std::min(first_lane, tid);
-  }
-  std::vector<std::string> lines;
-  for (const json::Value* e : events) {
-    const std::uint64_t tid = e->at("tid").as_u64();
-    std::string line = e->at("ph").as_string() + "|" +
-                       std::to_string(tid > 0 ? tid - first_lane + 1 : 0) + "|" +
-                       e->at("name").as_string();
-    for (const char* key : {"ts", "dur"}) {
-      const json::Value* v = e->find(key);
-      line += "|" + (v != nullptr ? v->text() : std::string());
-    }
-    if (const json::Value* args = e->find("args")) {
-      for (std::size_t i = 0; i < args->size(); ++i) {
-        line += "|" + args->key(i) + "=" + args->item(i).text();
-      }
-    }
-    lines.push_back(std::move(line));
-  }
-  std::sort(lines.begin(), lines.end());
+  const std::vector<std::string> lines = canonical_trace(dir + "/trace.json");
   std::uint64_t h = kFnv1aBasis;
   for (const std::string& line : lines) h = fnv1a(h, line + "\n");
 
   EXPECT_EQ(lines.size(), 369u);
-  EXPECT_EQ(h, 8300730266439617222ULL);
+  EXPECT_EQ(h, 4022211417141468650ULL);
   std::filesystem::remove_all(dir);
 }
 
