@@ -4,9 +4,11 @@
 # directory and fault schedule; every tool refuses them whatever their
 # value, so each case below would exit 0 without the refusal), a --print
 # given a flag it would ignore, an unknown --print report
-# id, a --telemetry-dir that cannot be made or whose trace.json cannot be
-# opened, the retired telemetry flags (--timeline, --interval-stats, --trace;
-# --telemetry-dir replaced all three), an
+# id, a --telemetry-dir that cannot be made, whose trace.json cannot be
+# opened or that already holds an earlier process's telemetry (any *.json
+# or *.jsonl file, e.g. counters.json or a series), the retired telemetry
+# flags (--timeline, --interval-stats, --trace; --telemetry-dir replaced
+# all three), an
 # esteem_validate --check whose golden file cannot be read, a [faults]
 # max_tracked_extension past its cap, an ecc-extended fault run whose
 # extension the weak-cell map does not track, a zero --instr budget (single
@@ -22,6 +24,8 @@ file(WRITE ${WORKDIR}/huge_tracking.ini "[faults]\nmax_tracked_extension = 40000
 file(WRITE ${WORKDIR}/short_tracking.ini
      "[faults]\nenabled = true\nmax_tracked_extension = 2\n")
 file(MAKE_DIRECTORY ${WORKDIR}/trace_is_dir/trace.json)
+file(WRITE ${WORKDIR}/used_series/gamess.esteem.s42.intervals.jsonl "")
+file(WRITE ${WORKDIR}/used_counters/counters.json "{}\n")
 
 # Each case is one command line with its arguments separated by '|'. The
 # budgets are tiny, so a tool that wrongly accepted a value still returns
@@ -52,6 +56,8 @@ set(cases
   "${CHAOS}|--explore|--random|4x"
   "${CHAOS}|--random-replay|0x10"
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/trace_is_dir"
+  "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/used_series"
+  "${CLI}|--sweep|gamess|--techniques|rpv|--instr|1000|--warmup|0|--telemetry-dir|${WORKDIR}/used_counters"
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--timeline|${WORKDIR}/t.csv"
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--interval-stats"
   "${CLI}|--workload|gamess|--instr|1000|--warmup|0|--trace|${WORKDIR}/t.json"

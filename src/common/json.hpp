@@ -1,6 +1,6 @@
 // The one JSON codec behind every JSON file the repo reads or writes
-// (DESIGN.md §10): validation/golden.json, interval JSONL, counters.json
-// and Chrome traces.
+// (DESIGN.md §10): validation/golden.json, interval JSONL and Chrome
+// traces.
 //
 // Writers keep their own fixed layouts and call escape() for strings and
 // number() for doubles, so the bytes of a string or a double are decided

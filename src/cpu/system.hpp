@@ -66,8 +66,8 @@ class System {
   std::vector<RawRunResult> run_group(const RunOptions& options,
                                       const std::vector<telemetry::RunSink*>& sinks);
 
-  /// The hierarchy that serves run `run` (hierarchy 0 serves run 0).
-  MemorySystem& memory(std::size_t run = 0) noexcept { return *runs_[run].mem; }
+  /// The hierarchy that serves run 0.
+  MemorySystem& memory() noexcept { return *runs_[0].mem; }
   std::vector<Core>& cores() noexcept { return cores_; }
   const SystemConfig& config() const noexcept { return cfg_; }
 

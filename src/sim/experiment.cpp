@@ -22,36 +22,6 @@ std::string run_label(const RunSpec& spec) {
 
 namespace {
 
-/// Publishes end-of-run aggregates into the global counter registry under
-/// the dotted hierarchy (`l2.*`, `mm.*`, `faults.*`, `esteem.*`). Counters
-/// sum across every run of the process; gauges carry the latest run.
-void publish_run_counters(const RunOutcome& outcome,
-                          const std::vector<std::uint32_t>& module_ways) {
-  telemetry::CounterRegistry& reg = telemetry::registry();
-  const cpu::RawRunResult& r = outcome.raw;
-  reg.add("runs.completed");
-  reg.add("l2.demand_hits", r.mem_stats.demand_l2_hits);
-  reg.add("l2.demand_misses", r.mem_stats.demand_l2_misses);
-  reg.add("l2.refreshes", r.refreshes);
-  reg.add("l2.reconfig_transitions", r.mem_stats.reconfig_transitions);
-  reg.add("l2.reconfig_writebacks", r.mem_stats.reconfig_writebacks);
-  reg.add("mm.writebacks", r.mem_stats.mm_writebacks);
-  reg.add("faults.corrected_reads", r.faults.corrected_reads);
-  reg.add("faults.uncorrectable", r.faults.uncorrectable());
-  reg.observe("run.wall_cycles", r.wall_cycles);
-  reg.set("run.last_active_ratio", r.avg_active_ratio);
-  for (std::size_t m = 0; m < module_ways.size(); ++m) {
-    reg.set("esteem.module" + std::to_string(m) + ".active_ways",
-            static_cast<double>(module_ways[m]));
-  }
-  if (outcome.estimates.enabled) {
-    reg.add("sampling.runs");
-    reg.set("sampling.last_windows", static_cast<double>(outcome.estimates.windows));
-    reg.set("sampling.last_energy_rel_ci", outcome.estimates.energy_j.relative());
-    reg.set("sampling.last_wall_rel_ci", outcome.estimates.wall_cycles.relative());
-  }
-}
-
 /// 95% half-interval of total energy: perturbs each sampled counter by its
 /// half-CI through the energy model and combines the deltas in quadrature
 /// (the window estimates are close enough to independent, docs/SAMPLING.md).
@@ -215,12 +185,9 @@ std::vector<RunOutcome> run_experiment(
           params, outcome.raw.counters, outcome.estimates, spec.config.freq_ghz);
     }
 
-    if (sinks[i]) (void)tel.end_run(*sinks[i]);
+    if (sinks[i]) tel.end_run(*sinks[i]);
     if (!intervals.empty() && intervals[i] != nullptr) {
       *intervals[i] = std::move(sinks[i]->recorder);
-    }
-    if (tel.active()) {
-      publish_run_counters(outcome, system.memory(i).module_active_ways());
     }
   }
   return outcomes;

@@ -43,8 +43,7 @@ std::string run_label(const RunSpec& spec);
 
 /// Builds a System, runs it, evaluates the energy model. When the telemetry
 /// hub is active this also records the per-interval time-series (which the
-/// hub writes and renders into trace lanes) and publishes end-of-run
-/// aggregates into the counter registry; with telemetry off the run is
+/// hub writes and renders into trace lanes); with telemetry off the run is
 /// bit-identical and pays no instrumentation cost. A non-null `intervals` receives the run's
 /// per-interval series (columns telemetry::interval_columns, with one
 /// module column per ESTEEM module) whether or not the hub is on — the

@@ -1,6 +1,5 @@
 #include "sim/run_cache.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -20,7 +19,6 @@
 #include "common/bytes.hpp"
 #include "common/config_io.hpp"
 #include "resilience/crc32.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace esteem::sim {
 
@@ -215,12 +213,6 @@ std::vector<std::shared_ptr<const RunOutcome>> RunCache::get_or_run_group(
       }
     }
   }
-  if (telemetry::active()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool hit = std::find(owned.begin(), owned.end(), i) == owned.end();
-      telemetry::registry().add(hit ? "memo.hits" : "memo.misses");
-    }
-  }
 
   // Publish every claimed key before waiting on any other owner's.
   std::vector<bool> published(n, false);
@@ -379,9 +371,6 @@ void RunCache::quarantine_file(const std::string& dir, std::uint64_t hash,
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.quarantined;
   }
-  if (telemetry::active()) {
-    telemetry::registry().add("memo.quarantined");
-  }
   std::fprintf(stderr, "memo: quarantined %s (%s); recomputing\n",
                bad.filename().string().c_str(), reason);
 }
@@ -448,9 +437,6 @@ void RunCache::store_to_disk(std::uint64_t hash, const std::string& fingerprint,
         const std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.store_fsync_errors;
       }
-      if (telemetry::active()) {
-        telemetry::registry().add("memo.store_fsync_errors");
-      }
       std::fprintf(stderr,
                    "memo: fsync failed (%s); outcome kept in memory only\n",
                    std::strerror(errno));
@@ -477,9 +463,6 @@ void RunCache::note_store_error(const char* reason) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.store_errors;
-  }
-  if (telemetry::active()) {
-    telemetry::registry().add("memo.store_errors");
   }
   std::fprintf(stderr, "memo: store failed (%s); outcome kept in memory only\n",
                reason);

@@ -23,16 +23,16 @@
 // payload; a hash collision or a stale format reads as a plain miss, while
 // a *damaged* file (truncated, bit-flipped, bad magic) is self-healing:
 // it is quarantined to `<dir>/corrupt/`, counted in stats().quarantined
-// and the `memo.quarantined` telemetry counter, and the outcome is
-// transparently recomputed and re-stored. Delete the directory after
+// and named on stderr, and the outcome is transparently recomputed and
+// re-stored. Delete the directory after
 // changing simulator behaviour — the fingerprint hashes inputs, not code.
 //
 // The memo directory is also the sweep resume format (DESIGN.md §11):
 // `esteem_cli --journal DIR` points it at DIR, every finished run is
 // published durably (fsync before the rename), and rerunning the same
 // command restores those runs as disk hits. A failed spill is therefore
-// never silent: it is counted in stats().store_errors, the
-// `memo.store_errors` counter and a stderr line.
+// never silent: it is counted in stats().store_errors and named in a
+// stderr line.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,6 @@
 #include "common/stats.hpp"
 #include "resilience/shutdown.hpp"
 #include "sim/run_cache.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace esteem::sim {
 
@@ -123,7 +122,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
       }
       std::vector<std::shared_ptr<const RunOutcome>> outcomes;
       const std::optional<RunError> error = capture_error(workload.name, labels, [&] {
-        if (telemetry::active()) telemetry::registry().add("sweep.tasks");
         outcomes = RunCache::instance().get_or_run_group(specs);
       });
       for (std::size_t j = 0; j < task.size(); ++j) {

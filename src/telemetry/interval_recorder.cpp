@@ -1,7 +1,8 @@
 #include "telemetry/interval_recorder.hpp"
 
-#include <fstream>
+#include <istream>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -43,13 +44,6 @@ void IntervalRecorder::write_jsonl(std::ostream& os) const {
     line += "}\n";
     os << line;
   }
-}
-
-bool IntervalRecorder::write_jsonl_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) return false;
-  write_jsonl(out);
-  return out.good();
 }
 
 IntervalRecorder IntervalRecorder::read_jsonl(std::istream& is) {

@@ -33,8 +33,6 @@ class IntervalRecorder {
 
   /// One JSON object per line: {"cycle":N,"col":v,...} in column order.
   void write_jsonl(std::ostream& os) const;
-  /// write_jsonl to `path`; returns false if the file cannot be opened.
-  bool write_jsonl_file(const std::string& path) const;
 
   /// Parses a stream produced by write_jsonl (column set taken from the
   /// first line; every line must carry the same keys). Throws

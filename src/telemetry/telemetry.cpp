@@ -1,8 +1,13 @@
 #include "telemetry/telemetry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <tuple>
+
+#include "telemetry/trace_emitter.hpp"
 
 namespace esteem::telemetry {
 
@@ -14,10 +19,7 @@ Telemetry& Telemetry::instance() {
 void Telemetry::configure(const TelemetryConfig& cfg) {
   const std::lock_guard<std::mutex> lock(mutex_);
   dir_ = cfg.dir;
-  trace_ = TraceEmitter();
-  trace_.set_process_name("simulated time");
-  next_tid_ = 1;
-  written_.clear();
+  runs_.clear();
   active_.store(!cfg.dir.empty(), std::memory_order_relaxed);
 }
 
@@ -83,56 +85,59 @@ void render_lanes(const RunSink& sink, std::uint32_t tid, TraceEmitter& trace) {
 
 }  // namespace
 
-std::string Telemetry::end_run(const RunSink& sink) {
-  if (!active()) return {};
+void Telemetry::end_run(const RunSink& sink) {
+  if (!active()) return;
+  std::ostringstream series;
+  sink.recorder.write_jsonl(series);
+  FinishedRun run{sink, series.str(), {}};
   std::filesystem::path dir;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     dir = dir_;
   }
-  const std::string path = (dir / (sink.label + ".intervals.jsonl")).string();
+  run.path = (dir / (sink.label + ".intervals.jsonl")).string();
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const bool written = !ec && sink.recorder.write_jsonl_file(path);
-  if (!written) std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
+  std::ofstream out;
+  if (!ec) out.open(run.path, std::ios::trunc);
+  out << run.series;  // fails on a stream that did not open
+  if (!out.good()) {
+    std::fprintf(stderr, "telemetry: cannot write %s\n", run.path.c_str());
+    run.path.clear();
+  }
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  render_lanes(sink, next_tid_, trace_);
-  next_tid_ += 1 + static_cast<std::uint32_t>(sink.start_ways.size());
-  if (!written) return {};
-  written_.push_back(path);
-  return path;
-}
-
-std::vector<std::string> Telemetry::drain_written() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out = std::move(written_);
-  written_.clear();
-  return out;
+  runs_.push_back(std::move(run));
 }
 
 Telemetry::FlushResult Telemetry::flush() {
   FlushResult r;
   if (!active()) return r;
   const std::lock_guard<std::mutex> lock(mutex_);
+  const auto key = [](const FinishedRun& run) {
+    return std::tie(run.sink.label, run.series, run.sink.start_cycle,
+                    run.sink.start_ways, run.sink.cycles_per_us);
+  };
+  std::sort(runs_.begin(), runs_.end(),
+            [&key](const FinishedRun& a, const FinishedRun& b) { return key(a) < key(b); });
+
+  TraceEmitter trace;
+  trace.set_process_name("simulated time");
+  std::uint32_t tid = 1;
+  for (const FinishedRun& run : runs_) {
+    render_lanes(run.sink, tid, trace);
+    tid += 1 + static_cast<std::uint32_t>(run.sink.start_ways.size());
+    if (!run.path.empty()) r.series_paths.push_back(run.path);
+  }
+
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-
   const std::string trace_path = (dir_ / "trace.json").string();
-  if (trace_.write_file(trace_path)) {
+  if (trace.write_file(trace_path)) {
     r.trace_path = trace_path;
-    r.trace_events = trace_.events();
+    r.trace_events = trace.events();
   } else {
     std::fprintf(stderr, "telemetry: cannot write %s\n", trace_path.c_str());
-  }
-  const std::string counters_path = (dir_ / "counters.json").string();
-  std::ofstream out;
-  if (!ec) out.open(counters_path, std::ios::trunc);
-  out << registry_.to_json() << '\n';  // fails on a stream that did not open
-  if (out.good()) {
-    r.counters_path = counters_path;
-  } else {
-    std::fprintf(stderr, "telemetry: cannot write %s\n", counters_path.c_str());
   }
   return r;
 }

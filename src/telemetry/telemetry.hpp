@@ -1,10 +1,11 @@
-// Process-wide telemetry hub: owns the global CounterRegistry, the Chrome
-// trace and the per-run interval series.
+// Process-wide telemetry hub: collects the per-run interval series and
+// renders the Chrome trace from them.
 //
 // A run records one thing, its interval series (IntervalRecorder). end_run
-// writes the series as <dir>/<label>.intervals.jsonl and renders the run's
-// simulated-time trace lanes from it, so a column added to the series
-// reaches both outputs from one place.
+// writes the series as <dir>/<label>.intervals.jsonl and keeps it; flush
+// renders every kept run's simulated-time trace lanes into trace.json, in
+// label order, so a column added to the series reaches both outputs from
+// one place and the trace does not depend on which run finished first.
 //
 // Everything is gated off by default: until configure() names a directory,
 // active() is false and no run sink is created — the simulator's hot paths
@@ -25,9 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/counter_registry.hpp"
 #include "telemetry/interval_recorder.hpp"
-#include "telemetry/trace_emitter.hpp"
 
 namespace esteem::telemetry {
 
@@ -36,8 +35,8 @@ namespace esteem::telemetry {
 std::string sanitize_label(const std::string& label);
 
 struct TelemetryConfig {
-  /// Output directory for the interval series, counters.json and trace.json
-  /// ("" = telemetry off).
+  /// Output directory for the interval series and trace.json ("" =
+  /// telemetry off).
   std::string dir;
 };
 
@@ -70,49 +69,47 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Replaces the configuration. A directory starts a fresh (empty)
-  /// trace; configure({}) disables everything.
+  /// Replaces the configuration and forgets every kept run;
+  /// configure({}) disables everything.
   void configure(const TelemetryConfig& cfg);
 
   /// True when telemetry is on.
   bool active() const noexcept { return active_.load(std::memory_order_relaxed); }
-
-  CounterRegistry& registry() noexcept { return registry_; }
 
   /// Creates a per-run sink recording `columns` (null when telemetry is off).
   std::unique_ptr<RunSink> begin_run(const std::string& label, double freq_ghz,
                                      std::vector<std::string> columns);
 
   /// Finishes a run: writes its interval series as
-  /// <dir>/<label>.intervals.jsonl and renders its trace lanes (a run lane
-  /// plus one per module) from it. Returns the written path ("" when
-  /// telemetry is off or the write failed).
-  std::string end_run(const RunSink& sink);
-
-  /// Paths written by end_run since the last drain (for CLI reporting).
-  std::vector<std::string> drain_written();
+  /// <dir>/<label>.intervals.jsonl and keeps a copy for flush.
+  void end_run(const RunSink& sink);
 
   struct FlushResult {
-    std::string trace_path;     ///< "" when telemetry is off or the write failed.
+    std::string trace_path;  ///< "" when telemetry is off or the write failed.
     std::size_t trace_events = 0;
-    std::string counters_path;  ///< "" when telemetry is off or the write failed.
+    /// Every interval series written since configure(), in label order.
+    std::vector<std::string> series_paths;
   };
-  /// Writes trace.json and counters.json into the configured dir.
+  /// Renders every kept run into trace.json in the configured dir: run
+  /// lanes in label order (runs of one label by their series bytes, then
+  /// start and clock), tids numbered from 1 in that order.
   FlushResult flush();
 
  private:
-  std::mutex mutex_;  ///< Guards dir_, next_tid_, trace_ and written_.
+  struct FinishedRun {
+    RunSink sink;
+    std::string series;  ///< The JSONL bytes; orders runs of one label.
+    std::string path;    ///< The written series ("" when the write failed).
+  };
+
+  std::mutex mutex_;  ///< Guards dir_ and runs_.
   std::filesystem::path dir_;
   std::atomic<bool> active_{false};
-  std::uint32_t next_tid_ = 1;  ///< First lane of the next rendered run.
-  CounterRegistry registry_;
-  TraceEmitter trace_;
-  std::vector<std::string> written_;
+  std::vector<FinishedRun> runs_;  ///< Every run ended since configure().
 };
 
-/// Shorthand accessors for instrumentation sites.
+/// Shorthand for instrumentation sites.
 inline bool active() noexcept { return Telemetry::instance().active(); }
-inline CounterRegistry& registry() noexcept { return Telemetry::instance().registry(); }
 
 /// Canonical interval-series column set recorded by the memory system at
 /// every tick_interval. `module_ways` appends one `moduleK_active_ways`

@@ -2,7 +2,7 @@
 //
 // The trace has one "process" (pid kPid), simulated time: ts is simulated
 // microseconds (cycles / freq), and rows (tids) are per-run lanes, one per
-// run plus one per ESTEEM module. Telemetry::end_run renders a finished
+// run plus one per ESTEEM module. Telemetry::flush renders every finished
 // run's interval series into it (telemetry.hpp); nothing else writes it.
 //
 // Events are buffered in memory and serialized once by write_json(); the

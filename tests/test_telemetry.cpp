@@ -1,9 +1,8 @@
-// Tests for the telemetry subsystem: counter registry (exact totals under
-// concurrent updates, duplicate-name rejection, pinned JSON bytes), interval
-// recorder (row accounting, JSONL round-trip), trace emitter, and the hub's
-// integration with the
-// experiment layer — including the observer-effect guard (telemetry on vs.
-// off must not change simulation results).
+// Tests for the telemetry subsystem: interval recorder (row accounting,
+// JSONL round-trip), trace emitter, and the hub's integration with the
+// experiment layer — the series files, the pinned and order-independent
+// trace, and the observer-effect guard (telemetry on vs. off must not
+// change simulation results).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -22,139 +20,12 @@
 #include "sim/report.hpp"
 #include "sim/run_cache.hpp"
 #include "sim/runner.hpp"
-#include "telemetry/counter_registry.hpp"
 #include "telemetry/interval_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_emitter.hpp"
 
 namespace esteem::telemetry {
 namespace {
-
-// ---------------------------------------------------------------------------
-// CounterRegistry
-
-TEST(CounterRegistry, ConcurrentUpdatesAreExact) {
-  CounterRegistry reg;
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kIters = 20'000;
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kIters; ++i) {
-        reg.add("merge.hits");
-        reg.observe("merge.latency", i % 1000);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  EXPECT_EQ(reg.value("merge.hits"), static_cast<double>(kThreads * kIters));
-  double expect_sum = 0;
-  for (std::uint64_t i = 0; i < kIters; ++i) expect_sum += static_cast<double>(i % 1000);
-  expect_sum *= kThreads;
-  for (const MetricSample& s : reg.snapshot()) {
-    if (s.name != "merge.latency") continue;
-    EXPECT_EQ(s.count, kThreads * kIters);
-    EXPECT_EQ(s.value, expect_sum);
-  }
-}
-
-TEST(CounterRegistry, DuplicateNameKindMismatchThrows) {
-  CounterRegistry reg;
-  // Same name, same kind: both updates land on one metric.
-  reg.add("l2.miss", 2);
-  reg.add("l2.miss", 3);
-  EXPECT_EQ(reg.value("l2.miss"), 5.0);
-  EXPECT_EQ(reg.size(), 1u);
-  // Same name, different kind: rejected.
-  EXPECT_THROW(reg.set("l2.miss", 1.0), std::invalid_argument);
-  EXPECT_THROW(reg.observe("l2.miss", 1), std::invalid_argument);
-  EXPECT_THROW(reg.add(""), std::invalid_argument);
-  EXPECT_EQ(reg.value("l2.miss"), 5.0);
-}
-
-TEST(CounterRegistry, GaugeLastWriteWinsAndReset) {
-  CounterRegistry reg;
-  reg.set("esteem.module0.active_ways", 16.0);
-  reg.set("esteem.module0.active_ways", 3.0);
-  EXPECT_EQ(reg.value("esteem.module0.active_ways"), 3.0);
-  reg.reset();
-  EXPECT_EQ(reg.value("esteem.module0.active_ways"), 0.0);
-  EXPECT_EQ(reg.size(), 1u);  // names survive reset
-  EXPECT_THROW(reg.add("esteem.module0.active_ways"), std::invalid_argument);
-  reg.set("esteem.module0.active_ways", 7.5);
-  EXPECT_EQ(reg.value("esteem.module0.active_ways"), 7.5);
-}
-
-TEST(CounterRegistry, HistogramBucketsByBitWidth) {
-  CounterRegistry reg;
-  reg.observe("run.cycles", 0);     // bucket 0
-  reg.observe("run.cycles", 1);     // bucket 1
-  reg.observe("run.cycles", 2);     // bucket 2
-  reg.observe("run.cycles", 3);     // bucket 2
-  reg.observe("run.cycles", 1024);  // bit_width = 11
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  const MetricSample& s = snap[0];
-  EXPECT_EQ(s.kind, MetricKind::Histogram);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_EQ(s.value, 1030.0);
-  ASSERT_EQ(s.buckets.size(), 12u);  // trailing empties trimmed
-  EXPECT_EQ(s.buckets[0], 1u);
-  EXPECT_EQ(s.buckets[1], 1u);
-  EXPECT_EQ(s.buckets[2], 2u);
-  EXPECT_EQ(s.buckets[11], 1u);
-}
-
-TEST(CounterRegistry, SnapshotIsNameSortedAndUnknownIsZero) {
-  CounterRegistry reg;
-  reg.add("b.second");
-  reg.add("a.first");
-  reg.add("c.third");
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].name, "a.first");
-  EXPECT_EQ(snap[1].name, "b.second");
-  EXPECT_EQ(snap[2].name, "c.third");
-  EXPECT_EQ(reg.value("no.such.metric"), 0.0);
-}
-
-// counters.json is a published artefact: pin its exact bytes — name order,
-// integer and fractional values, and a histogram whose trimmed bucket list
-// keeps an inner empty bucket but drops the trailing ones.
-TEST(CounterRegistry, ToJsonBytesArePinned) {
-  CounterRegistry reg;
-  reg.add("sweep.tasks", 3);
-  reg.set("run.last_active_ratio", 0.375);
-  reg.observe("run.wall_cycles", 0);
-  reg.observe("run.wall_cycles", 5);
-  reg.observe("run.wall_cycles", 6);
-  reg.add("l2.demand_misses", 1234567890123ULL);
-  reg.set("esteem.module0.active_ways", 16.0);
-  reg.add("memo.hits", 0);  // present, never bumped
-  EXPECT_EQ(reg.to_json(),
-            "{\"esteem.module0.active_ways\":{\"kind\":\"gauge\",\"value\":16},"
-            "\"l2.demand_misses\":{\"kind\":\"counter\",\"value\":1234567890123},"
-            "\"memo.hits\":{\"kind\":\"counter\",\"value\":0},"
-            "\"run.last_active_ratio\":{\"kind\":\"gauge\",\"value\":0.375},"
-            "\"run.wall_cycles\":{\"kind\":\"histogram\",\"value\":11,"
-            "\"count\":3,\"buckets\":[1,0,0,2]},"
-            "\"sweep.tasks\":{\"kind\":\"counter\",\"value\":3}}");
-  EXPECT_EQ(CounterRegistry().to_json(), "{}");
-}
-
-TEST(CounterRegistry, GaugeLastWriteWinsAcrossThreads) {
-  // Writes are serialized by join(): whichever thread issues the latest
-  // set() wins, regardless of which thread it runs on.
-  CounterRegistry reg;
-  std::thread([&] { reg.set("fleet.phase", 10.0); }).join();
-  std::thread([&] { reg.set("fleet.phase", 20.0); }).join();
-  EXPECT_EQ(reg.value("fleet.phase"), 20.0);
-  std::thread([&] { reg.set("fleet.phase", 5.0); }).join();
-  reg.set("fleet.phase", 7.0);  // main thread last
-  EXPECT_EQ(reg.value("fleet.phase"), 7.0);
-}
 
 // ---------------------------------------------------------------------------
 // IntervalRecorder
@@ -257,7 +128,7 @@ TEST(TelemetryHub, DisabledByDefaultCreatesNoSink) {
   EXPECT_FALSE(active());
   auto sink = Telemetry::instance().begin_run("x", 2.0, interval_columns(0));
   EXPECT_EQ(sink, nullptr);
-  EXPECT_EQ(Telemetry::instance().flush().counters_path, "");
+  EXPECT_EQ(Telemetry::instance().flush().trace_path, "");
 }
 
 TEST(TelemetryHub, SanitizeLabelAndColumns) {
@@ -314,14 +185,26 @@ TEST(TelemetryHub, IntervalSeriesIntegratesToRunActiveRatio) {
   }
 }
 
-// The esteem.moduleM.active_ways gauges come from the run itself, not from
-// the caller's copy of the series: an ESTEEM run publishes its final
-// allocation (the last row of its interval series) and a non-ESTEEM run
-// publishes none.
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// The interval series the hub wrote for `label` into `dir`.
+IntervalRecorder read_series(const std::string& dir, const std::string& label) {
+  std::ifstream in(dir + "/" + label + ".intervals.jsonl");
+  return IntervalRecorder::read_jsonl(in);
+}
+
+// A run's final module allocation is the last row of the series the hub
+// writes, with no caller recorder: an ESTEEM run's file ends in the module
+// columns a caller's recorder holds, and a non-ESTEEM run's file has none.
 TEST(TelemetryHub, ModuleGaugesNeedOnlyCounters) {
   const TelemetryGuard guard{"test_telemetry_gauges"};
+  std::filesystem::remove_all(guard.dir);
   Telemetry::instance().configure({guard.dir});
-  registry().reset();
 
   sim::RunSpec spec;
   spec.config = tiny();
@@ -331,32 +214,27 @@ TEST(TelemetryHub, ModuleGaugesNeedOnlyCounters) {
 
   spec.technique = sim::Technique::RefrintRPV;
   (void)sim::run_experiment(spec);
-  for (const MetricSample& s : registry().snapshot()) {
-    if (s.name.rfind("esteem.", 0) == 0) {
-      EXPECT_EQ(s.value, 0.0) << s.name << " set by an rpv run";
-    }
-  }
+  EXPECT_EQ(read_series(guard.dir, "h264ref.rpv.s42").columns(), interval_columns(0));
 
   spec.technique = sim::Technique::Esteem;
+  (void)sim::run_experiment(spec);
+  const IntervalRecorder written = read_series(guard.dir, "h264ref.esteem.s42");
+  Telemetry::instance().configure({});
   IntervalRecorder rec;
   (void)sim::run_experiment(spec, &rec);
   ASSERT_GT(rec.rows(), 0u);
+  ASSERT_EQ(written.rows(), rec.rows());
   const std::size_t last = rec.rows() - 1;
   for (std::uint32_t m = 0; m < spec.config.esteem.modules; ++m) {
-    const std::string module = "module" + std::to_string(m);
-    EXPECT_EQ(registry().value("esteem." + module + ".active_ways"),
-              rec.series(module + "_active_ways")[last])
-        << module;
+    const std::string column = "module" + std::to_string(m) + "_active_ways";
+    EXPECT_EQ(written.series(column)[last], rec.series(column)[last]) << column;
   }
 }
 
 // In a shared pass the ESTEEM cell runs on a hierarchy of its own, not
-// hierarchy 0 (the refresh-only lanes'): its gauges and interval series
-// must still be its own, equal to those of the ESTEEM run alone.
-TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
-  const TelemetryGuard guard{"test_telemetry_shared"};
-  Telemetry::instance().configure({guard.dir});
-
+// hierarchy 0 (the refresh-only lanes'): its interval series must still be
+// its own, equal to that of the ESTEEM run alone.
+TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnSeries) {
   sim::RunSpec spec;
   spec.config = tiny();
   spec.workload = wl("h264ref");
@@ -367,26 +245,13 @@ TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
   group[1].technique = sim::Technique::Esteem;
   group[2].technique = sim::Technique::RefrintRPV;
 
-  const auto gauges = [&] {
-    std::vector<double> out;
-    for (std::uint32_t m = 0; m < spec.config.esteem.modules; ++m) {
-      out.push_back(registry().value("esteem.module" + std::to_string(m) + ".active_ways"));
-    }
-    return out;
-  };
-
-  registry().reset();
   IntervalRecorder alone;
   spec.technique = sim::Technique::Esteem;
   (void)sim::run_experiment(spec, &alone);
-  const std::vector<double> alone_gauges = gauges();
   ASSERT_GT(alone.rows(), 0u);
-  ASSERT_GT(alone_gauges.front(), 0.0);
 
-  registry().reset();
   IntervalRecorder shared;
   (void)sim::run_experiment(group, {nullptr, &shared, nullptr});
-  EXPECT_EQ(gauges(), alone_gauges);
   ASSERT_EQ(shared.rows(), alone.rows());
   ASSERT_EQ(shared.columns(), alone.columns());
   for (std::size_t r = 0; r < alone.rows(); ++r) {
@@ -395,7 +260,6 @@ TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
       EXPECT_EQ(shared.value(r, c), alone.value(r, c)) << alone.columns()[c] << " row " << r;
     }
   }
-  registry().reset();
 }
 
 /// Canonical form of a trace.json: one line per pid-1 event (phase, lane,
@@ -404,10 +268,7 @@ TEST(TelemetryHub, SharedPassGivesTheEsteemCellItsOwnGaugesAndSeries) {
 /// so the form is independent of how tids were numbered and of the order
 /// lanes were emitted in.
 std::vector<std::string> canonical_trace(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  const json::Value trace = json::parse(text.str());
+  const json::Value trace = json::parse(file_bytes(path));
   std::map<std::uint64_t, std::string> lane_names;
   for (const json::Value& e : trace.at("traceEvents").as_array()) {
     if (e.at("name").as_string() == "thread_name") {
@@ -467,6 +328,42 @@ TEST(TelemetryHub, SimulatedTimeTraceIsPinned) {
   std::filesystem::remove_all(dir);
 }
 
+// Runs of a threaded sweep end in whatever order their threads finish; the
+// trace must not follow it. Two sinks ended in either order give the same
+// trace.json bytes.
+TEST(TelemetryHub, TraceBytesDoNotDependOnRunOrder) {
+  TelemetryGuard guard;
+  const auto sink = [](const std::string& label, std::uint32_t modules) {
+    RunSink s(label, 2.0, interval_columns(modules));
+    s.start_cycle = 1'000;
+    s.start_ways.assign(modules, 4);
+    for (std::uint64_t r = 1; r <= 3; ++r) {
+      std::vector<double> row{0.5, 10.0 * r, 2.0, 7.0, 1.0, 3.0, 0.0, 0.0};
+      for (std::uint32_t m = 0; m < modules; ++m) row.push_back(static_cast<double>(m + r));
+      s.recorder.record(1'000 + 500 * r, row);
+    }
+    return s;
+  };
+  const RunSink esteem = sink("mcf.esteem.s42", 2);
+  const RunSink rpv = sink("gamess.rpv.s42", 0);
+
+  std::vector<std::string> traces;
+  for (const bool esteem_first : {true, false}) {
+    const std::string dir =
+        std::string("test_telemetry_order_") + (esteem_first ? "a" : "b");
+    std::filesystem::remove_all(dir);
+    Telemetry::instance().configure({dir});
+    Telemetry::instance().end_run(esteem_first ? esteem : rpv);
+    Telemetry::instance().end_run(esteem_first ? rpv : esteem);
+    const Telemetry::FlushResult flushed = Telemetry::instance().flush();
+    ASSERT_EQ(flushed.trace_path, dir + "/trace.json");
+    traces.push_back(file_bytes(flushed.trace_path));
+    std::filesystem::remove_all(dir);
+  }
+  ASSERT_FALSE(traces[0].empty());
+  EXPECT_EQ(traces[0], traces[1]);
+}
+
 // Observer-effect guard: running the same sweep with full telemetry enabled
 // must produce a byte-identical CSV. Telemetry reads simulator state; it
 // never perturbs it.
@@ -491,10 +388,7 @@ TEST(TelemetryHub, SweepCsvIsByteIdenticalWithTelemetryOn) {
     EXPECT_TRUE(result.ok());
     const std::string path = dir + "/" + name;
     sim::write_csv(result, path);
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
+    return file_bytes(path);
   };
 
   Telemetry::instance().configure({});

@@ -37,14 +37,16 @@
 //                              comparison metrics (energy saving, WS, ...)
 //     --telemetry-dir DIR      record every simulated run's per-interval
 //                              series and write, into DIR, one
-//                              <label>.intervals.jsonl per run, a
-//                              counters.json registry dump and trace.json, a
-//                              Chrome trace_event timeline (chrome://tracing
-//                              or Perfetto) rendered from the series: one
-//                              simulated-time lane per run and per ESTEEM
-//                              module. Runs restored from --journal are not
-//                              simulated and carry none of these (stderr
-//                              says how many)
+//                              <label>.intervals.jsonl per run and
+//                              trace.json, a Chrome trace_event timeline
+//                              (chrome://tracing or Perfetto) rendered from
+//                              the series: one simulated-time lane per run
+//                              and per ESTEEM module, in label order. DIR
+//                              must not hold an earlier process's telemetry
+//                              (any *.json or *.jsonl file; exit 2). Runs
+//                              restored from --journal are not simulated and
+//                              carry none of these (stderr says how many),
+//                              so a resumed sweep names a fresh DIR
 //     --dump-config            print the effective configuration and exit
 //     --dump-config-doc        print the Markdown config-key reference
 //                              generated from the INI schema (docs/CONFIG.md)
@@ -183,7 +185,7 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
     if (restored > 0 && telemetry::active()) {
       std::fprintf(stderr,
                    "telemetry: %llu restored run(s) were not simulated and carry no "
-                   "interval series, trace lanes or run counters\n",
+                   "interval series or trace lanes\n",
                    restored);
     }
   }
@@ -213,39 +215,47 @@ int run_sweep_mode(const SystemConfig& cfg, const std::string& sweep_arg,
   return result.errors.empty() ? 0 : 3;
 }
 
-/// Checks the telemetry dir before any run: creates it and opens the files
-/// written at flush, so a bad path fails up front instead of silently
-/// dropping the run's telemetry. Returns "" or an error naming the path.
+/// Checks the telemetry dir before any run: creates it, refuses one that
+/// already holds telemetry output, any *.json or *.jsonl file (this
+/// process's trace would sit beside another's series), and opens
+/// trace.json, so a bad path fails up front instead of silently dropping
+/// the run's telemetry. Returns "" or an error naming the path.
 std::string check_telemetry_dir(const std::string& dir) {
   std::string error;
   if (!tools::make_output_dir(dir, "telemetry", error)) return error;
-  for (const char* name : {"trace.json", "counters.json"}) {
-    const std::string path = (std::filesystem::path(dir) / name).string();
-    std::error_code ec;
-    const bool existed = std::filesystem::exists(path, ec);
-    if (!std::ofstream(path, std::ios::app).good()) {
-      return "cannot open telemetry file " + path + ": " + std::strerror(errno);
+  std::error_code ec;
+  std::string used;  // the first telemetry file in name order
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    const std::string ext = entry.path().extension().string();
+    if ((ext == ".json" || ext == ".jsonl") && (used.empty() || name < used)) {
+      used = name;
     }
-    if (!existed) std::filesystem::remove(path, ec);  // the real write happens at flush
   }
+  if (!used.empty()) {
+    return "telemetry directory already holds " +
+           (std::filesystem::path(dir) / used).string() + "; name a fresh directory";
+  }
+  const std::string path = (std::filesystem::path(dir) / "trace.json").string();
+  if (!std::ofstream(path).good()) {
+    return "cannot open telemetry file " + path + ": " + std::strerror(errno);
+  }
+  std::filesystem::remove(path, ec);  // the real write happens at flush
   return {};
 }
 
-/// Writes pending telemetry artefacts (interval series were written per run;
-/// this adds trace.json and counters.json) and reports their paths.
+/// Writes trace.json (the interval series were written per run) and reports
+/// every path.
 void flush_telemetry() {
   auto& tel = telemetry::Telemetry::instance();
   if (!tel.active()) return;
-  for (const std::string& p : tel.drain_written()) {
+  const auto fr = tel.flush();
+  for (const std::string& p : fr.series_paths) {
     std::printf("interval stats written to %s\n", p.c_str());
   }
-  const auto fr = tel.flush();
   if (!fr.trace_path.empty()) {
     std::printf("trace written to %s (%zu events)\n", fr.trace_path.c_str(),
                 fr.trace_events);
-  }
-  if (!fr.counters_path.empty()) {
-    std::printf("counters written to %s\n", fr.counters_path.c_str());
   }
 }
 
