@@ -5,7 +5,7 @@
 # value, so each case below would exit 0 without the refusal), a --print
 # given a flag it would ignore, an unknown --print report
 # id, a --telemetry-dir that cannot be made, whose trace.json cannot be
-# opened or that already holds an earlier process's telemetry (any *.json
+# opened (a path past PATH_MAX) or that already holds an earlier process's telemetry (any *.json
 # or *.jsonl file, e.g. counters.json or a series), the retired telemetry
 # flags (--timeline, --interval-stats, --trace; --telemetry-dir replaced
 # all three), an
@@ -86,4 +86,30 @@ foreach(args IN LISTS cases)
     message(FATAL_ERROR "'${shown}' exited ${rc}, expected 2:\n${out}${err}")
   endif()
 endforeach()
+
+# A --telemetry-dir the CLI can make but whose trace.json it cannot open:
+# the directory path is 4090 bytes, built from components of at most 255
+# bytes, so mkdir succeeds while <dir>/trace.json exceeds PATH_MAX (4096)
+# and its open fails with ENAMETOOLONG. This is the only case that reaches
+# the up-front trace.json open check: the tests run as root, so no
+# directory is unwritable.
+set(long_dir ${WORKDIR}/long)
+string(REPEAT "d" 250 component)
+string(LENGTH "${long_dir}" len)
+while(len LESS 3834)
+  string(APPEND long_dir "/${component}")
+  math(EXPR len "${len} + 251")
+endwhile()
+math(EXPR tail_len "4089 - ${len}")  # 5..255 bytes
+string(REPEAT "t" ${tail_len} tail)
+string(APPEND long_dir "/${tail}")
+execute_process(COMMAND ${CLI} --workload gamess --instr 1000 --warmup 0
+                        --telemetry-dir ${long_dir}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc STREQUAL "2" OR NOT err MATCHES "cannot open telemetry file .*/trace\\.json"
+   OR NOT IS_DIRECTORY "${long_dir}")
+  message(FATAL_ERROR "--telemetry-dir <4090-byte path> exited ${rc}, expected 2 "
+                      "naming trace.json after making the directory:\n${out}${err}")
+endif()
+file(REMOVE_RECURSE ${WORKDIR}/long)
 file(REMOVE_RECURSE ${WORKDIR})

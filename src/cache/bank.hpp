@@ -43,8 +43,6 @@ class BankTimer {
   /// counting lives in the refresh policies).
   std::uint64_t refresh_slots() const noexcept { return slots_; }
 
-  double refresh_spacing() const noexcept { return spacing_; }
-
  private:
   void drain_refreshes(double now);
 

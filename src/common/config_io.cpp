@@ -362,12 +362,6 @@ void save_config(const SystemConfig& cfg, std::ostream& out) {
   }
 }
 
-void save_config_file(const SystemConfig& cfg, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::invalid_argument("config: cannot open " + path);
-  save_config(cfg, out);
-}
-
 std::string config_doc_markdown(const SystemConfig& defaults) {
   std::ostringstream os;
   os << "# Configuration reference\n\n"

@@ -100,6 +100,5 @@ SystemConfig load_config_file(const std::string& path);
 
 /// Writes every field in load_config's format (round-trips exactly).
 void save_config(const SystemConfig& cfg, std::ostream& out);
-void save_config_file(const SystemConfig& cfg, const std::string& path);
 
 }  // namespace esteem

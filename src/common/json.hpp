@@ -41,8 +41,9 @@ class Error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One parsed JSON value. Arrays and objects share `items()`; objects also
-/// carry `key(i)` for each member, in file order (duplicates kept).
+/// One parsed JSON value. Arrays and objects share `size()` and `item(i)`;
+/// objects also carry `key(i)` for each member, in file order (duplicates
+/// kept).
 class Value {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -57,7 +58,6 @@ class Value {
   const std::string& text() const noexcept { return text_; }
   bool boolean() const noexcept { return bool_; }
   std::size_t size() const noexcept { return items_.size(); }
-  const std::vector<Value>& items() const noexcept { return items_; }
   const Value& item(std::size_t i) const { return items_.at(i); }
   const std::string& key(std::size_t i) const { return keys_.at(i); }
 

@@ -49,7 +49,6 @@ class Histogram {
   }
   void clear() noexcept { for (auto& c : counts_) c = 0; }
 
-  std::size_t buckets() const noexcept { return counts_.size(); }
   std::uint64_t at(std::size_t bucket) const noexcept {
     return bucket < counts_.size() ? counts_[bucket] : 0;
   }

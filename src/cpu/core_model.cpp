@@ -10,12 +10,6 @@ Core::Core(std::uint32_t id, std::unique_ptr<trace::AccessGenerator> generator,
   if (!generator_) throw std::invalid_argument("Core: null generator");
 }
 
-void Core::step(MemorySystem& mem) {
-  const trace::MemRef ref = generator_->next();
-  instret_ += static_cast<instr_t>(ref.gap) + 1;
-  mem.step(id_, ref.gap, ref.block + block_offset_, ref.is_store);
-}
-
 void Core::step(std::span<const std::unique_ptr<MemorySystem>> mems) {
   const trace::MemRef ref = generator_->next();
   instret_ += static_cast<instr_t>(ref.gap) + 1;

@@ -25,12 +25,9 @@ class Core {
   Core(std::uint32_t id, std::unique_ptr<trace::AccessGenerator> generator,
        block_t block_offset);
 
-  /// Executes the next (gap, memory-op) batch on every lane of `mem`; each
-  /// lane advances its own clock for this core (MemorySystem::step).
-  void step(MemorySystem& mem);
-
-  /// Draws the next batch once and executes it on every hierarchy of
-  /// `mems`, in order.
+  /// Draws the next (gap, memory-op) batch once and executes it on every
+  /// lane of every hierarchy of `mems`, in order; each lane advances its
+  /// own clock for this core (MemorySystem::step).
   void step(std::span<const std::unique_ptr<MemorySystem>> mems);
 
   /// Sampling fast-forward: advances the generator past `n` instructions

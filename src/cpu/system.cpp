@@ -72,7 +72,7 @@ System::System(const SystemConfig& cfg, const std::vector<Technique>& techniques
 }
 
 RawRunResult System::run(const RunOptions& options) {
-  return run_group(options, {options.telemetry}).front();
+  return run_group(options, {}).front();
 }
 
 std::vector<RawRunResult> System::run_group(
@@ -81,32 +81,11 @@ std::vector<RawRunResult> System::run_group(
     throw std::invalid_argument("System: instr_per_core must be positive");
   }
   const std::size_t nruns = runs_.size();
-  // The core with the smallest local clock steps next, for causal
-  // consistency. Only a single-core System has more than one run, so run
-  // 0's clocks order every run's steps.
-  MemorySystem& mem0 = *hierarchies_.front();
-  const auto cycles = [&mem0](std::size_t c) {
-    return mem0.cycles(static_cast<std::uint32_t>(c));
-  };
 
   // Warm-up: fill the caches at full associativity, then zero all counters
   // (the paper fast-forwards before measuring, §6.4).
   const instr_t warmup = options.warmup_instr_per_core;
-  if (warmup > 0) {
-    std::size_t cold = cores_.size();
-    std::vector<bool> warm(cores_.size(), false);
-    while (cold > 0) {
-      std::size_t next = 0;
-      for (std::size_t c = 1; c < cores_.size(); ++c) {
-        if (!warm[c] && (warm[next] || cycles(c) < cycles(next))) next = c;
-      }
-      cores_[next].step(hierarchies_);
-      if (!warm[next] && cores_[next].instret() >= warmup) {
-        warm[next] = true;
-        --cold;
-      }
-    }
-  }
+  run_to(std::vector<instr_t>(cores_.size(), warmup), [this](std::size_t c) { step(c); });
   for (const std::unique_ptr<MemorySystem>& mem : hierarchies_) mem->start_measurement();
   for (std::size_t r = 0; r < nruns && r < sinks.size(); ++r) {
     // Attached after the measurement reset so interval deltas and trace
@@ -125,14 +104,17 @@ std::vector<RawRunResult> System::run_group(
   std::vector<bool> recorded(cores_.size(), false);
   std::size_t unfinished = cores_.size();
 
+  // The measured loop: the core with the smallest local clock steps next,
+  // for causal consistency, and a finished core keeps contending until
+  // every core finishes.
   for (const std::unique_ptr<MemorySystem>& mem : hierarchies_) mem->arm_intervals();
   while (unfinished > 0) {
     std::size_t next = 0;
     for (std::size_t c = 1; c < cores_.size(); ++c) {
-      if (cycles(c) < cycles(next)) next = c;
+      if (clock(c) < clock(next)) next = c;
     }
-    Core& core = cores_[next];
-    core.step(hierarchies_);
+    step(next);
+    const Core& core = cores_[next];
 
     if (!recorded[next] && core.instret() >= target) {
       recorded[next] = true;

@@ -11,37 +11,6 @@ namespace esteem::sampling {
 
 namespace {
 
-/// Lockstep-steps cores (smallest local clock first, as in System::run)
-/// until each has retired at least `targets[c]` instructions. Unlike the
-/// exhaustive end-of-run rule, a core stops at its segment boundary so the
-/// instruction-space segment schedule stays aligned across cores — the
-/// resulting loss of tail contention inside windows is a documented bias.
-template <typename StepFn>
-void run_segment(cpu::MemorySystem& mem, std::vector<cpu::Core>& cores,
-                 const std::vector<instr_t>& targets, StepFn&& step) {
-  std::vector<bool> done(cores.size());
-  std::size_t remaining = 0;
-  for (std::size_t c = 0; c < cores.size(); ++c) {
-    done[c] = cores[c].instret() >= targets[c];
-    if (!done[c]) ++remaining;
-  }
-  while (remaining > 0) {
-    std::size_t next = cores.size();
-    for (std::size_t c = 0; c < cores.size(); ++c) {
-      if (done[c]) continue;
-      if (next == cores.size() || mem.cycles(c) < mem.cycles(next)) {
-        next = c;
-      }
-    }
-    step(next);
-    if (cores[next].instret() >= targets[next]) {
-      done[next] = true;
-      --remaining;
-    }
-    mem.pump_intervals();
-  }
-}
-
 /// Re-aligns multicore clocks at segment boundaries by idling every core to
 /// the max. Analytic segments advance each core at its own CPI estimate, so
 /// the clocks skew apart in time; the shared bank/channel model would charge
@@ -64,7 +33,7 @@ std::uint64_t rounded(double v) {
 }  // namespace
 
 SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
-                             const SamplingConfig& sc) {
+                             const SamplingConfig& sc, telemetry::RunSink* sink) {
   cpu::MemorySystem& mem = sys.memory();
   std::vector<cpu::Core>& cores = sys.cores();
   const std::size_t ncores = cores.size();
@@ -92,6 +61,8 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   // catches up to the skipped time on the first warming access). The clock
   // advances at CPI 1 here; warm-up timing is never measured.
   std::vector<double> cpi(ncores, 1.0);
+  const auto warm_step = [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); };
+  const auto detailed_step = [&sys](std::size_t c) { sys.step(c); };
   const instr_t warm_tail =
       std::min(options.warmup_instr_per_core, sc.cold_warm_instr);
   const instr_t warm_skip = options.warmup_instr_per_core - warm_tail;
@@ -100,15 +71,13 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
   }
   if (warm_tail > 0) {
     mem.set_warming(true);
-    std::vector<instr_t> warm_target(ncores, options.warmup_instr_per_core);
-    run_segment(mem, cores, warm_target,
-                [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
+    sys.run_to(std::vector<instr_t>(ncores, options.warmup_instr_per_core), warm_step);
     mem.set_warming(false);
   }
   align_clocks(mem, ncores);
 
   mem.start_measurement();
-  if (options.telemetry != nullptr) mem.set_telemetry(options.telemetry, mem.wall());
+  if (sink != nullptr) mem.set_telemetry(sink, mem.wall());
   mem.arm_intervals();
 
   std::vector<instr_t> base_instr(ncores);
@@ -138,8 +107,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
     // FF_WARM: functional warming re-establishes microarchitectural state.
     mem.set_warming(true);
     for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += ffwarm;
-    run_segment(mem, cores, seg_target,
-                [&](std::size_t c) { cores[c].step_warm(mem, cpi[c]); });
+    sys.run_to(seg_target, warm_step);
     mem.set_warming(false);
     align_clocks(mem, ncores);
 
@@ -147,8 +115,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
     // timing transient (cold banks, unloaded memory channel) before the
     // window opens.
     for (std::size_t c = 0; c < ncores; ++c) seg_target[c] += dwarm;
-    run_segment(mem, cores, seg_target,
-                [&](std::size_t c) { cores[c].step(mem); });
+    sys.run_to(seg_target, detailed_step);
 
     // WINDOW: detailed and measured.
     const cpu::FlowSnapshot before = mem.flow_snapshot(mem.wall());
@@ -157,8 +124,7 @@ SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
       w_c0[c] = mem.cycles(c);
       seg_target[c] += window;
     }
-    run_segment(mem, cores, seg_target,
-                [&](std::size_t c) { cores[c].step(mem); });
+    sys.run_to(seg_target, detailed_step);
     const cpu::FlowSnapshot after = mem.flow_snapshot(mem.wall());
 
     double w_instr = 0.0;

@@ -26,8 +26,10 @@ struct SampledRunResult {
 /// Runs `sys` under systematic sampling. `options` carries the same targets
 /// as cpu::System::run; `sc.enabled` must be true and the run must cover at
 /// least two full periods (throws std::invalid_argument otherwise — one
-/// window has no variance to build a CI from).
+/// window has no variance to build a CI from). `sink`, when set, records
+/// the run's interval series and must outlive the call.
 SampledRunResult run_sampled(cpu::System& sys, const cpu::RunOptions& options,
-                             const SamplingConfig& sc);
+                             const SamplingConfig& sc,
+                             telemetry::RunSink* sink = nullptr);
 
 }  // namespace esteem::sampling

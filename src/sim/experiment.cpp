@@ -165,9 +165,8 @@ std::vector<RunOutcome> run_experiment(
   std::vector<RunOutcome> outcomes(n);
   if (first.config.sampling.enabled) {
     // Sampled runs never fuse: this is a group of one.
-    options.telemetry = run_sinks[0];
     sampling::SampledRunResult sampled =
-        sampling::run_sampled(system, options, first.config.sampling);
+        sampling::run_sampled(system, options, first.config.sampling, run_sinks[0]);
     outcomes[0].raw = std::move(sampled.raw);
     outcomes[0].estimates = std::move(sampled.estimates);
   } else {

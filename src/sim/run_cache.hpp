@@ -67,8 +67,6 @@ struct RunCacheStats {
   std::uint64_t quarantined = 0;   ///< Damaged memo files moved to corrupt/.
   std::uint64_t store_errors = 0;  ///< Failed write-then-rename spills.
   std::uint64_t store_fsync_errors = 0;  ///< Temp-file fsync failures.
-
-  std::uint64_t lookups() const noexcept { return hits + misses; }
 };
 
 class RunCache {

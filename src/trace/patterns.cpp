@@ -64,20 +64,6 @@ void StreamingPattern::skip(std::uint64_t n) {
   pos_ = idx * stride_;
 }
 
-RandomWorkingSetPattern::RandomWorkingSetPattern(block_t base, std::uint64_t ws_blocks,
-                                                 std::uint64_t hot_blocks, double hot_prob,
-                                                 std::uint64_t seed)
-    : base_(base),
-      ws_(std::max<std::uint64_t>(1, ws_blocks)),
-      hot_(std::clamp<std::uint64_t>(hot_blocks, 1, ws_)),
-      hot_prob_(hot_prob),
-      rng_(seed) {}
-
-block_t RandomWorkingSetPattern::next_block() {
-  const std::uint64_t span = rng_.chance(hot_prob_) ? hot_ : ws_;
-  return base_ + rng_.below(span);
-}
-
 NestedWorkingSetPattern::NestedWorkingSetPattern(block_t base, std::uint64_t ws_blocks,
                                                  std::uint32_t levels, double size_ratio,
                                                  double weight_ratio, std::uint64_t seed)

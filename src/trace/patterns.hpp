@@ -71,27 +71,6 @@ class StreamingPattern final : public BlockPattern {
   std::uint64_t pos_ = 0;
 };
 
-/// Uniform random accesses over a working set, with an optional hot subset
-/// accessed with higher probability. Produces the classic monotonically
-/// decaying LRU-position hit histogram.
-class RandomWorkingSetPattern final : public BlockPattern {
- public:
-  RandomWorkingSetPattern(block_t base, std::uint64_t ws_blocks,
-                          std::uint64_t hot_blocks, double hot_prob,
-                          std::uint64_t seed);
-  block_t next_block() override;
-  /// Draws are iid, so skipping them is a statistical no-op; leaving the RNG
-  /// untouched keeps sampled runs deterministic for a given seed.
-  void skip(std::uint64_t) override {}
-
- private:
-  block_t base_;
-  std::uint64_t ws_;
-  std::uint64_t hot_;
-  double hot_prob_;
-  BlockRng rng_;
-};
-
 /// Uniform random accesses over nested working-set levels: level i spans the
 /// innermost `ws * size_ratio^i` blocks and is chosen with probability
 /// proportional to `weight_ratio^i`. This produces the smooth, monotonically
@@ -103,7 +82,9 @@ class NestedWorkingSetPattern final : public BlockPattern {
   NestedWorkingSetPattern(block_t base, std::uint64_t ws_blocks, std::uint32_t levels,
                           double size_ratio, double weight_ratio, std::uint64_t seed);
   block_t next_block() override;
-  void skip(std::uint64_t) override {}  ///< iid draws — see RandomWorkingSetPattern.
+  /// Draws are iid, so skipping them is a statistical no-op; leaving the RNG
+  /// untouched keeps sampled runs deterministic for a given seed.
+  void skip(std::uint64_t) override {}
 
  private:
   block_t base_;

@@ -45,13 +45,6 @@ bool FigureScore::pass(const DriftTolerances& tol) const {
   return spearman_ok(spearman_vs_golden, tol.min_spearman);
 }
 
-bool Scorecard::golden_complete() const {
-  for (const FigureScore& f : figures) {
-    if (!f.golden_found) return false;
-  }
-  return true;
-}
-
 bool Scorecard::pass() const {
   for (const FigureScore& f : figures) {
     if (!f.pass(drift_tol)) return false;

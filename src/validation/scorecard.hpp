@@ -85,7 +85,6 @@ struct Scorecard {
   DriftTolerances drift_tol;
   PaperTolerances paper_tol;
 
-  bool golden_complete() const;  ///< Every figure had a golden entry.
   bool pass() const;
 };
 

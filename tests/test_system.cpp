@@ -37,8 +37,7 @@ RawRunResult run_one(const SystemConfig& cfg, Technique tech,
   System system(cfg, tech, benchmarks, seed);
   RunOptions opt;
   opt.instr_per_core = instr;
-  opt.telemetry = sink;
-  return system.run(opt);
+  return system.run_group(opt, {sink}).front();
 }
 
 TEST(System, BaselineRunsToTarget) {

@@ -43,24 +43,6 @@ TEST(Streaming, RejectsZeroStride) {
   EXPECT_THROW(StreamingPattern(0, 8, 0), std::invalid_argument);
 }
 
-TEST(RandomWorkingSet, StaysInBounds) {
-  RandomWorkingSetPattern p(1000, 64, 8, 0.5, 42);
-  for (int i = 0; i < 5000; ++i) {
-    const block_t b = p.next_block();
-    EXPECT_GE(b, 1000u);
-    EXPECT_LT(b, 1064u);
-  }
-}
-
-TEST(RandomWorkingSet, HotSubsetIsHot) {
-  RandomWorkingSetPattern p(0, 1000, 10, 0.8, 42);
-  int hot = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) hot += (p.next_block() < 10);
-  // P(block < 10) = 0.8 + 0.2 * 10/1000 = 0.802.
-  EXPECT_NEAR(static_cast<double>(hot) / n, 0.802, 0.02);
-}
-
 TEST(PointerChase, FullCyclePermutation) {
   PointerChasePattern p(0, 64, 7);
   std::set<block_t> seen;
