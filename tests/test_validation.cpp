@@ -1,19 +1,23 @@
 // Unit tests for the paper-fidelity validation layer: fidelity statistics
 // (Spearman with ties, sign agreement, tolerance bands), the golden-file
-// round trip, and the scale fingerprint that keys golden entries.
+// round trip, the scale fingerprint that keys golden entries, and the exact
+// text the gate renders from two hand-built figures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "validation/fidelity.hpp"
 #include "validation/figures.hpp"
 #include "validation/golden.hpp"
 #include "validation/scale.hpp"
+#include "validation/scorecard.hpp"
 
 namespace esteem::validation {
 namespace {
@@ -260,6 +264,330 @@ TEST(Figures, MatrixCoversAllFourFiguresWithDistinctConfigs) {
   // The scaled interval is floored at one retention period, so the 40 us
   // figure floors lower than the 50 us one at smoke scale.
   EXPECT_LE(f5.esteem.interval_cycles, f3.esteem.interval_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// Gate output pins: the scorecard, the golden writer, the golden diff and the
+// figure summary, rendered from two hand-built figures (fig3 and fig4, three
+// workloads each). No simulation runs; the rows are real SweepResult rows
+// and the averages come from SweepResult::summary, as in run_figure.
+// ---------------------------------------------------------------------------
+
+/// The metrics one technique reports for one workload.
+struct Cell {
+  double energy_pct, ws, rpki_dec, mpki_inc, active_pct;
+};
+
+sim::TechniqueComparison comparison(const std::string& workload,
+                                    sim::Technique technique, const Cell& c) {
+  sim::TechniqueComparison out;
+  out.workload = workload;
+  out.technique = technique;
+  out.energy_saving_pct = c.energy_pct;
+  out.weighted_speedup = c.ws;
+  out.rpki_decrease = c.rpki_dec;
+  out.mpki_increase = c.mpki_inc;
+  out.active_ratio_pct = c.active_pct;
+  return out;
+}
+
+struct Row {
+  std::string workload;
+  Cell esteem, rpv;
+};
+
+/// A FigureResult as run_figure leaves it: slot 0 ESTEEM, slot 1 RPV.
+FigureResult hand_built(const char* id, const ScaleSpec& scale,
+                        const std::vector<Row>& rows) {
+  FigureResult r;
+  r.spec = find_figure(id);
+  r.scale = scale;
+  r.config = figure_config(*r.spec, scale);
+  r.sweep.techniques = {sim::Technique::Esteem, sim::Technique::RefrintRPV};
+  for (const Row& row : rows) {
+    sim::WorkloadRow w;
+    w.workload = row.workload;
+    w.completed = true;
+    w.comparisons = {comparison(row.workload, sim::Technique::Esteem, row.esteem),
+                     comparison(row.workload, sim::Technique::RefrintRPV, row.rpv)};
+    r.sweep.rows.push_back(std::move(w));
+  }
+  r.esteem = r.sweep.summary(sim::Technique::Esteem);
+  r.rpv = r.sweep.summary(sim::Technique::RefrintRPV);
+  return r;
+}
+
+/// fig3 passes every paper-shape check; fig4's RPV energy saving sits far
+/// outside its paper band.
+std::vector<FigureResult> pinned_matrix(const ScaleSpec& scale) {
+  return {hand_built("fig3", scale,
+                     {{"As", {30.5, 1.02, 420.0, 0.25, 40.0}, {18.0, 1.01, 150.0, 0.0, 100.0}},
+                      {"Bw", {12.0, 0.99, 380.0, 0.5, 55.5}, {10.5, 1.0, 160.0, 0.0, 100.0}},
+                      {"Bz", {33.0, 1.05, 510.0, 0.125, 30.0}, {19.5, 1.03, 170.0, 0.0, 100.0}}}),
+          hand_built("fig4", scale,
+                     {{"GmDl", {40.0, 1.1, 600.0, 0.75, 25.0}, {38.0, 1.08, 590.0, 0.0, 100.0}},
+                      {"AsXb", {45.0, 1.15, 650.0, 0.5, 28.0}, {42.0, 1.1, 640.0, 0.0, 100.0}},
+                      {"GcGa", {50.0, 1.2, 700.0, 0.6, 22.0}, {46.0, 1.12, 700.0, 0.0, 100.0}}})};
+}
+
+ScaleSpec labelled(ScaleSpec scale, const char* label) {
+  scale.label = label;
+  return scale;
+}
+
+GoldenFile matching_golden(const std::vector<FigureResult>& results) {
+  GoldenFile file;
+  file.record(to_golden(results));
+  return file;
+}
+
+/// fig3: ESTEEM WS past its 0.01 band, RPV RPKI decrease 1% off (inside the
+/// 2% band), ESTEEM energy ranks reversed. fig4: workload order changed.
+GoldenFile drifted_golden(const std::vector<FigureResult>& results) {
+  GoldenFile file = matching_golden(results);
+  GoldenFigure& f3 = file.scales[0].figures[0];
+  f3.esteem_ws += 0.02;
+  f3.rpv_rpki_dec *= 1.01;
+  std::reverse(f3.esteem_energy_savings.begin(), f3.esteem_energy_savings.end());
+  GoldenFigure& f4 = file.scales[0].figures[1];
+  std::swap(f4.workloads[0], f4.workloads[1]);
+  return file;
+}
+
+Scorecard score(const std::vector<FigureResult>& results, const GoldenFile& golden) {
+  return build_scorecard(results, &golden, results.front().scale.label == "bench");
+}
+
+std::vector<FigureResult> smoke_matrix() {
+  return pinned_matrix(labelled(smoke_scale(), "smoke"));
+}
+
+std::vector<FigureResult> bench_matrix() {
+  return pinned_matrix(labelled(bench_scale(), "bench"));
+}
+
+TEST(GatePins, ScorecardTextAtSmokeSkipsPaperChecks) {
+  const std::vector<FigureResult> results = smoke_matrix();
+  EXPECT_EQ(scorecard_text(score(results, matching_golden(results))),
+            R"pin(Paper-fidelity scorecard — scale 'smoke' (v1;instr=300000;warmup=60000;seed=42;ifactor=4;hyst=2;shrink=2)
+Paper-shape checks: skipped (non-bench scale)
+
+Figure 3: single-core, 50us retention — PASS
+  [PASS] drift fig3: ESTEEM energy saving %: 25.1667 vs golden 25.1667 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig3: RPV energy saving %: 16.0000 vs golden 16.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig3: ESTEEM weighted speedup: 1.0197 vs golden 1.0197 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig3: RPV weighted speedup: 1.0133 vs golden 1.0133 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig3: ESTEEM RPKI decrease: 436.6667 vs golden 436.6667 (err 0.00%, tol 2%)
+  [PASS] drift fig3: RPV RPKI decrease: 160.0000 vs golden 160.0000 (err 0.00%, tol 2%)
+  [PASS] drift fig3: ESTEEM MPKI increase: 0.2917 vs golden 0.2917 (|err| 0.0000, tol 0.05)
+  [PASS] drift fig3: ESTEEM active ratio %: 41.8333 vs golden 41.8333 (|err| 0.0000, tol 1.00)
+  [PASS] rank  fig3: Spearman vs golden 1.000 (min 0.95)
+
+Figure 4: dual-core, 50us retention — PASS
+  [PASS] drift fig4: ESTEEM energy saving %: 45.0000 vs golden 45.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig4: RPV energy saving %: 42.0000 vs golden 42.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig4: ESTEEM weighted speedup: 1.1493 vs golden 1.1493 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig4: RPV weighted speedup: 1.0999 vs golden 1.0999 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig4: ESTEEM RPKI decrease: 650.0000 vs golden 650.0000 (err 0.00%, tol 2%)
+  [PASS] drift fig4: RPV RPKI decrease: 643.3333 vs golden 643.3333 (err 0.00%, tol 2%)
+  [PASS] drift fig4: ESTEEM MPKI increase: 0.6167 vs golden 0.6167 (|err| 0.0000, tol 0.05)
+  [PASS] drift fig4: ESTEEM active ratio %: 25.0000 vs golden 25.0000 (|err| 0.0000, tol 1.00)
+  [PASS] rank  fig4: Spearman vs golden 1.000 (min 0.95)
+
+Overall: PASS
+)pin");
+}
+
+TEST(GatePins, ScorecardTextAtBenchWithMatchingGolden) {
+  const std::vector<FigureResult> results = bench_matrix();
+  EXPECT_EQ(scorecard_text(score(results, matching_golden(results))),
+            R"pin(Paper-fidelity scorecard — scale 'bench' (v1;instr=8000000;warmup=1600000;seed=42;ifactor=4;hyst=2;shrink=2)
+Paper-shape checks: enabled
+
+Figure 3: single-core, 50us retention — PASS
+  [PASS] sign  fig3: ESTEEM saves more energy than RPV
+  [PASS] sign  fig3: ESTEEM cuts more refreshes than RPV
+  [PASS] sign  fig3: ESTEEM energy saving is positive
+  [PASS] band  fig3: ESTEEM energy saving vs paper: measured 25.17 vs paper 25.82 (err 2.5%, tol 45%)
+  [PASS] band  fig3: RPV energy saving vs paper: measured 16.00 vs paper 15.93 (err 0.4%, tol 45%)
+  [PASS] drift fig3: ESTEEM energy saving %: 25.1667 vs golden 25.1667 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig3: RPV energy saving %: 16.0000 vs golden 16.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig3: ESTEEM weighted speedup: 1.0197 vs golden 1.0197 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig3: RPV weighted speedup: 1.0133 vs golden 1.0133 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig3: ESTEEM RPKI decrease: 436.6667 vs golden 436.6667 (err 0.00%, tol 2%)
+  [PASS] drift fig3: RPV RPKI decrease: 160.0000 vs golden 160.0000 (err 0.00%, tol 2%)
+  [PASS] drift fig3: ESTEEM MPKI increase: 0.2917 vs golden 0.2917 (|err| 0.0000, tol 0.05)
+  [PASS] drift fig3: ESTEEM active ratio %: 41.8333 vs golden 41.8333 (|err| 0.0000, tol 1.00)
+  [PASS] rank  fig3: Spearman vs golden 1.000 (min 0.95)
+
+Figure 4: dual-core, 50us retention — FAIL
+  [PASS] sign  fig4: ESTEEM saves more energy than RPV
+  [PASS] sign  fig4: ESTEEM cuts more refreshes than RPV
+  [PASS] sign  fig4: ESTEEM energy saving is positive
+  [PASS] band  fig4: ESTEEM energy saving vs paper: measured 45.00 vs paper 32.63 (err 37.9%, tol 45%)
+  [FAIL] band  fig4: RPV energy saving vs paper: measured 42.00 vs paper 14.30 (err 193.7%, tol 45%)
+  [PASS] drift fig4: ESTEEM energy saving %: 45.0000 vs golden 45.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig4: RPV energy saving %: 42.0000 vs golden 42.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig4: ESTEEM weighted speedup: 1.1493 vs golden 1.1493 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig4: RPV weighted speedup: 1.0999 vs golden 1.0999 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig4: ESTEEM RPKI decrease: 650.0000 vs golden 650.0000 (err 0.00%, tol 2%)
+  [PASS] drift fig4: RPV RPKI decrease: 643.3333 vs golden 643.3333 (err 0.00%, tol 2%)
+  [PASS] drift fig4: ESTEEM MPKI increase: 0.6167 vs golden 0.6167 (|err| 0.0000, tol 0.05)
+  [PASS] drift fig4: ESTEEM active ratio %: 25.0000 vs golden 25.0000 (|err| 0.0000, tol 1.00)
+  [PASS] rank  fig4: Spearman vs golden 1.000 (min 0.95)
+
+Cross-figure claims
+  [PASS] dual-core saves more than single-core (fig4 > fig3)
+
+Overall: FAIL
+)pin");
+}
+
+TEST(GatePins, ScorecardTextAtBenchWithDriftedGolden) {
+  const std::vector<FigureResult> results = bench_matrix();
+  EXPECT_EQ(scorecard_text(score(results, drifted_golden(results))),
+            R"pin(Paper-fidelity scorecard — scale 'bench' (v1;instr=8000000;warmup=1600000;seed=42;ifactor=4;hyst=2;shrink=2)
+Paper-shape checks: enabled
+
+Figure 3: single-core, 50us retention — FAIL
+  [PASS] sign  fig3: ESTEEM saves more energy than RPV
+  [PASS] sign  fig3: ESTEEM cuts more refreshes than RPV
+  [PASS] sign  fig3: ESTEEM energy saving is positive
+  [PASS] band  fig3: ESTEEM energy saving vs paper: measured 25.17 vs paper 25.82 (err 2.5%, tol 45%)
+  [PASS] band  fig3: RPV energy saving vs paper: measured 16.00 vs paper 15.93 (err 0.4%, tol 45%)
+  [PASS] drift fig3: ESTEEM energy saving %: 25.1667 vs golden 25.1667 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig3: RPV energy saving %: 16.0000 vs golden 16.0000 (|err| 0.0000, tol 0.75)
+  [FAIL] drift fig3: ESTEEM weighted speedup: 1.0197 vs golden 1.0397 (|err| 0.0200, tol 0.01)
+  [PASS] drift fig3: RPV weighted speedup: 1.0133 vs golden 1.0133 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig3: ESTEEM RPKI decrease: 436.6667 vs golden 436.6667 (err 0.00%, tol 2%)
+  [PASS] drift fig3: RPV RPKI decrease: 160.0000 vs golden 161.6000 (err 0.99%, tol 2%)
+  [PASS] drift fig3: ESTEEM MPKI increase: 0.2917 vs golden 0.2917 (|err| 0.0000, tol 0.05)
+  [PASS] drift fig3: ESTEEM active ratio %: 41.8333 vs golden 41.8333 (|err| 0.0000, tol 1.00)
+  [FAIL] rank  fig3: Spearman vs golden 0.500 (min 0.95)
+
+Figure 4: dual-core, 50us retention — FAIL
+  [PASS] sign  fig4: ESTEEM saves more energy than RPV
+  [PASS] sign  fig4: ESTEEM cuts more refreshes than RPV
+  [PASS] sign  fig4: ESTEEM energy saving is positive
+  [PASS] band  fig4: ESTEEM energy saving vs paper: measured 45.00 vs paper 32.63 (err 37.9%, tol 45%)
+  [FAIL] band  fig4: RPV energy saving vs paper: measured 42.00 vs paper 14.30 (err 193.7%, tol 45%)
+  [PASS] drift fig4: ESTEEM energy saving %: 45.0000 vs golden 45.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig4: RPV energy saving %: 42.0000 vs golden 42.0000 (|err| 0.0000, tol 0.75)
+  [PASS] drift fig4: ESTEEM weighted speedup: 1.1493 vs golden 1.1493 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig4: RPV weighted speedup: 1.0999 vs golden 1.0999 (|err| 0.0000, tol 0.01)
+  [PASS] drift fig4: ESTEEM RPKI decrease: 650.0000 vs golden 650.0000 (err 0.00%, tol 2%)
+  [PASS] drift fig4: RPV RPKI decrease: 643.3333 vs golden 643.3333 (err 0.00%, tol 2%)
+  [PASS] drift fig4: ESTEEM MPKI increase: 0.6167 vs golden 0.6167 (|err| 0.0000, tol 0.05)
+  [PASS] drift fig4: ESTEEM active ratio %: 25.0000 vs golden 25.0000 (|err| 0.0000, tol 1.00)
+  [FAIL] rank  fig4: workload set differs from golden
+
+Cross-figure claims
+  [PASS] dual-core saves more than single-core (fig4 > fig3)
+
+Overall: FAIL
+)pin");
+}
+
+TEST(GatePins, ScorecardMarkdown) {
+  const std::vector<FigureResult> smoke = smoke_matrix();
+  EXPECT_EQ(scorecard_markdown(score(smoke, matching_golden(smoke))),
+            R"pin(| figure | sweep | paper shape | drift vs golden | rank (Spearman) | verdict |
+|---|---|---|---|---|---|
+| fig3 | ok | skipped | ok (8 bands) | 1.00 | **PASS** |
+| fig4 | ok | skipped | ok (8 bands) | 1.00 | **PASS** |
+
+Overall: **PASS**
+)pin");
+  const std::vector<FigureResult> bench = bench_matrix();
+  EXPECT_EQ(scorecard_markdown(score(bench, drifted_golden(bench))),
+            R"pin(| figure | sweep | paper shape | drift vs golden | rank (Spearman) | verdict |
+|---|---|---|---|---|---|
+| fig3 | ok | ok (3 signs, 2 bands) | 1 failed | 0.50 | **FAIL** |
+| fig4 | ok | 1 failed | ok (8 bands) | workloads differ | **FAIL** |
+
+Cross-figure claims:
+
+- ✅ dual-core saves more than single-core (fig4 > fig3)
+
+Overall: **FAIL**
+)pin");
+}
+
+TEST(GatePins, GoldenJsonOfAMeasuredMatrix) {
+  EXPECT_EQ(golden_to_json(matching_golden(smoke_matrix())),
+            R"pin({
+  "version": 1,
+  "generator": "esteem_validate --update-golden",
+  "scales": [
+    {
+      "fingerprint": "v1;instr=300000;warmup=60000;seed=42;ifactor=4;hyst=2;shrink=2",
+      "label": "smoke",
+      "figures": [
+        {
+          "id": "fig3",
+          "esteem_energy_pct": 25.166666666666668,
+          "rpv_energy_pct": 16,
+          "esteem_ws": 1.0197057975031496,
+          "rpv_ws": 1.0132568136278941,
+          "esteem_rpki_dec": 436.66666666666669,
+          "rpv_rpki_dec": 160,
+          "esteem_mpki_inc": 0.29166666666666669,
+          "esteem_active_pct": 41.833333333333336,
+          "workloads": ["As", "Bw", "Bz"],
+          "esteem_energy_savings": [30.5, 12, 33],
+          "rpv_energy_savings": [18, 10.5, 19.5]
+        },
+        {
+          "id": "fig4",
+          "esteem_energy_pct": 45,
+          "rpv_energy_pct": 42,
+          "esteem_ws": 1.1492749052302107,
+          "rpv_ws": 1.0998787745196268,
+          "esteem_rpki_dec": 650,
+          "rpv_rpki_dec": 643.33333333333337,
+          "esteem_mpki_inc": 0.6166666666666667,
+          "esteem_active_pct": 25,
+          "workloads": ["GmDl", "AsXb", "GcGa"],
+          "esteem_energy_savings": [40, 45, 50],
+          "rpv_energy_savings": [38, 42, 46]
+        }
+      ]
+    }
+  ]
+}
+)pin");
+}
+
+TEST(GatePins, GoldenDiffNamesTheChangedMetric) {
+  const GoldenScale before = to_golden(smoke_matrix());
+  GoldenScale after = before;
+  after.figures[1].rpv_rpki_dec = 650.5;
+  EXPECT_EQ(golden_diff_text(before, after),
+            R"pin(  fig4.rpv_rpki_dec                              643.3333 ->     650.5000  (+7.1667)
+)pin");
+  EXPECT_EQ(golden_diff_text(before, before), "");
+}
+
+TEST(GatePins, FigureTextSummaryTable) {
+  const std::string text = figure_text(bench_matrix()[0]);
+  const std::size_t at = text.find("Summary vs.");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(text.substr(at),
+            R"pin(Summary vs. paper-reported averages (shape, not absolutes):
++-------------------------+-------+----------+
+| average metric          | paper | measured |
++-------------------------+-------+----------+
+| ESTEEM energy saving %  | 25.82 |    25.17 |
+| RPV energy saving %     | 15.93 |    16.00 |
+| ESTEEM weighted speedup |  1.09 |    1.020 |
+| RPV weighted speedup    |  1.06 |    1.013 |
+| ESTEEM RPKI decrease    | 467.0 |    436.7 |
+| RPV RPKI decrease       | 161.0 |    160.0 |
+| ESTEEM MPKI increase    |     - |    0.292 |
+| ESTEEM active ratio %   |     - |     41.8 |
++-------------------------+-------+----------+
+
+)pin");
 }
 
 }  // namespace
