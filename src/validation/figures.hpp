@@ -7,11 +7,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "sim/runner.hpp"
 #include "telemetry/interval_recorder.hpp"
+#include "validation/golden.hpp"
 #include "validation/scale.hpp"
 
 namespace esteem::validation {
@@ -37,6 +39,33 @@ struct FigureSpec {
   bool paper_averages_are_reference_only = false;
   std::string claim;  ///< One-line paper claim, for the results book.
 };
+
+/// One pinned per-figure average. The golden file's keys, the scorecard's
+/// drift and paper bands, golden_diff_text, figure_text's summary and the
+/// RESULTS.md figure table all loop over figure_metrics(), so pinning a new
+/// average is one row.
+struct FigureMetric {
+  const char* key;      ///< Its golden.json key.
+  const char* label;    ///< Summary table and drift-band name.
+  const char* heading;  ///< RESULTS.md column heading; nullptr = the label.
+  sim::Technique technique;  ///< Esteem or RefrintRPV.
+  double sim::TechniqueComparison::*value;
+  double GoldenFigure::*golden;
+  double PaperAverages::*paper;  ///< nullptr when the paper reports none.
+  int digits;                    ///< Decimals of the printed measurement.
+  double drift_tol;     ///< Allowed distance from the golden value...
+  bool drift_relative;  ///< ...as a fraction of it, else absolute.
+  double paper_band;    ///< Allowed relative error vs `paper`; 0 = unbanded.
+
+  /// The metric from the ESTEEM or the RPV comparison, per `technique`.
+  double read(const sim::TechniqueComparison& esteem,
+              const sim::TechniqueComparison& rpv) const {
+    return (technique == sim::Technique::Esteem ? esteem : rpv).*value;
+  }
+};
+
+/// The pinned metrics, in golden-file order.
+std::span<const FigureMetric> figure_metrics();
 
 /// Figures 3-6 in paper order.
 const std::vector<FigureSpec>& figure_matrix();

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/json.hpp"
+#include "validation/figures.hpp"
 
 namespace esteem::validation {
 
@@ -93,14 +94,9 @@ std::string golden_to_json(const GoldenFile& file) {
       os << (fi == 0 ? "\n" : ",\n");
       os << "        {\n";
       os << "          \"id\": \"" << json::escape(f.id) << "\",\n";
-      os << "          \"esteem_energy_pct\": " << json::number(f.esteem_energy_pct) << ",\n";
-      os << "          \"rpv_energy_pct\": " << json::number(f.rpv_energy_pct) << ",\n";
-      os << "          \"esteem_ws\": " << json::number(f.esteem_ws) << ",\n";
-      os << "          \"rpv_ws\": " << json::number(f.rpv_ws) << ",\n";
-      os << "          \"esteem_rpki_dec\": " << json::number(f.esteem_rpki_dec) << ",\n";
-      os << "          \"rpv_rpki_dec\": " << json::number(f.rpv_rpki_dec) << ",\n";
-      os << "          \"esteem_mpki_inc\": " << json::number(f.esteem_mpki_inc) << ",\n";
-      os << "          \"esteem_active_pct\": " << json::number(f.esteem_active_pct) << ",\n";
+      for (const FigureMetric& m : figure_metrics()) {
+        os << "          \"" << m.key << "\": " << json::number(f.*m.golden) << ",\n";
+      }
       os << "          \"workloads\": [";
       for (std::size_t wi = 0; wi < f.workloads.size(); ++wi) {
         if (wi != 0) os << ", ";
@@ -124,10 +120,11 @@ std::string golden_to_json(const GoldenFile& file) {
 GoldenFile golden_from_json(const std::string& text) {
   const json::Value root = json::parse(text);
   GoldenFile file;
-  file.version = static_cast<int>(root.at("version").as_f64());
-  if (file.version != kGoldenVersion) {
+  // as_u64 refuses any token that is not a whole unsigned integer (1.7, 1e0).
+  const std::uint64_t version = root.at("version").as_u64();
+  if (version != kGoldenVersion) {
     std::ostringstream os;
-    os << "golden file version " << file.version << " does not match this "
+    os << "golden file version " << version << " does not match this "
        << "binary's golden schema version " << kGoldenVersion
        << "; regenerate with `esteem_validate --update-golden`";
     throw std::runtime_error(os.str());
@@ -141,14 +138,7 @@ GoldenFile golden_from_json(const std::string& text) {
     for (const json::Value& fv : sv.at("figures").as_array()) {
       GoldenFigure fig;
       fig.id = fv.at("id").as_string();
-      fig.esteem_energy_pct = fv.at("esteem_energy_pct").as_f64();
-      fig.rpv_energy_pct = fv.at("rpv_energy_pct").as_f64();
-      fig.esteem_ws = fv.at("esteem_ws").as_f64();
-      fig.rpv_ws = fv.at("rpv_ws").as_f64();
-      fig.esteem_rpki_dec = fv.at("esteem_rpki_dec").as_f64();
-      fig.rpv_rpki_dec = fv.at("rpv_rpki_dec").as_f64();
-      fig.esteem_mpki_inc = fv.at("esteem_mpki_inc").as_f64();
-      fig.esteem_active_pct = fv.at("esteem_active_pct").as_f64();
+      for (const FigureMetric& m : figure_metrics()) fig.*m.golden = fv.at(m.key).as_f64();
       fig.workloads = get_strings(fv, "workloads");
       fig.esteem_energy_savings = get_series(fv, "esteem_energy_savings");
       fig.rpv_energy_savings = get_series(fv, "rpv_energy_savings");

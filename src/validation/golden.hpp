@@ -5,9 +5,8 @@
 // code change moves the results — without re-deriving what "the results"
 // were supposed to be.
 //
-// The format is a small, flat JSON dialect written and parsed here with no
-// third-party dependency: objects, arrays, strings, and doubles only (no
-// null/bool literals, no unicode escapes beyond \" \\ \/ \b \f \n \r \t).
+// The writer here fixes the key order; strings and %.17g doubles go through
+// common/json, which also parses the file (so a round trip is bit-exact).
 #pragma once
 
 #include <map>
@@ -19,7 +18,7 @@ namespace esteem::validation {
 /// Golden record of one figure at one scale.
 struct GoldenFigure {
   std::string id;  ///< "fig3" .. "fig6".
-  // Sweep averages (paper §6.4 metrics).
+  // Sweep averages (paper §6.4 metrics), one per figure_metrics() row.
   double esteem_energy_pct = 0.0;
   double rpv_energy_pct = 0.0;
   double esteem_ws = 0.0;

@@ -32,31 +32,32 @@ void render_figure(std::ostringstream& os, const FigureResult& r) {
   os << "### " << spec.title << "\n\n";
   os << spec.claim << "\n\n";
 
-  // Technique slot order is fixed by run_figure: 0 = ESTEEM, 1 = RPV.
-  os << "| workload | ESTEEM energy saving % | RPV energy saving % | "
-        "ESTEEM WS | RPV WS | ESTEEM RPKI dec | RPV RPKI dec | "
-        "ESTEEM MPKI inc | ESTEEM active % |\n";
-  os << "|---|---|---|---|---|---|---|---|---|\n";
+  os << "| workload |";
+  for (const FigureMetric& m : figure_metrics()) {
+    os << ' ' << (m.heading != nullptr ? m.heading : m.label) << " |";
+  }
+  os << "\n|---|";
+  for (std::size_t i = 0; i < figure_metrics().size(); ++i) os << "---|";
+  os << '\n';
   for (const sim::WorkloadRow& row : r.sweep.rows) {
+    os << "| " << row.workload << " |";
     if (!row.completed) {
-      os << "| " << row.workload << " | error | | | | | | | |\n";
+      os << " error |";
+      for (std::size_t i = 1; i < figure_metrics().size(); ++i) os << " |";
+      os << '\n';
       continue;
     }
-    const sim::TechniqueComparison& e = row.comparisons[0];
-    const sim::TechniqueComparison& p = row.comparisons[1];
-    os << "| " << row.workload << " | " << f(e.energy_saving_pct, 2) << " | "
-       << f(p.energy_saving_pct, 2) << " | " << f(e.weighted_speedup, 3)
-       << " | " << f(p.weighted_speedup, 3) << " | " << f(e.rpki_decrease, 1)
-       << " | " << f(p.rpki_decrease, 1) << " | " << f(e.mpki_increase, 3)
-       << " | " << f(e.active_ratio_pct, 1) << " |\n";
+    // Technique slot order is fixed by run_figure: 0 = ESTEEM, 1 = RPV.
+    for (const FigureMetric& m : figure_metrics()) {
+      os << ' ' << f(m.read(row.comparisons[0], row.comparisons[1]), m.digits) << " |";
+    }
+    os << '\n';
   }
-  os << "| **average** | **" << f(r.esteem.energy_saving_pct, 2) << "** | **"
-     << f(r.rpv.energy_saving_pct, 2) << "** | **"
-     << f(r.esteem.weighted_speedup, 3) << "** | **"
-     << f(r.rpv.weighted_speedup, 3) << "** | **"
-     << f(r.esteem.rpki_decrease, 1) << "** | **" << f(r.rpv.rpki_decrease, 1)
-     << "** | **" << f(r.esteem.mpki_increase, 3) << "** | **"
-     << f(r.esteem.active_ratio_pct, 1) << "** |\n\n";
+  os << "| **average** |";
+  for (const FigureMetric& m : figure_metrics()) {
+    os << " **" << f(m.read(r.esteem, r.rpv), m.digits) << "** |";
+  }
+  os << "\n\n";
 
   if (!spec.paper_averages_are_reference_only) {
     os << "Paper-reported averages: ESTEEM " << f(spec.paper.esteem_energy_pct, 2)

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "common/table.hpp"
 
@@ -14,22 +14,25 @@ namespace {
 
 std::string f2(double v) { return fmt(v, 2); }
 
+/// Least Spearman correlation of the per-workload ESTEEM energy ranks with
+/// the golden ones.
+constexpr double kMinSpearman = 0.95;
+
 /// True when the Spearman requirement is satisfied. NaN means the
 /// correlation was not computable (fewer than two workloads, or a constant
 /// series); with matching workload sets that is a degenerate-but-consistent
 /// state, not drift, so it passes.
-bool spearman_ok(double rho, double min_rho) {
-  return std::isnan(rho) || rho >= min_rho;
-}
+bool spearman_ok(double rho) { return std::isnan(rho) || rho >= kMinSpearman; }
 
-void add_drift_band(std::vector<BandCheck>& bands, const std::string& name,
-                    double measured, double reference, double tol, bool relative) {
-  bands.push_back({name, measured, reference, tol, relative});
+/// A paper band's name: the label without its " %" unit, then " vs paper".
+std::string vs_paper(std::string_view label) {
+  if (label.ends_with(" %")) label.remove_suffix(2);
+  return std::string(label) + " vs paper";
 }
 
 }  // namespace
 
-bool FigureScore::pass(const DriftTolerances& tol) const {
+bool FigureScore::pass() const {
   if (!ran) return false;
   for (const SignClaim& c : paper_signs) {
     if (!c.agrees()) return false;
@@ -42,12 +45,12 @@ bool FigureScore::pass(const DriftTolerances& tol) const {
   for (const BandCheck& b : drift_bands) {
     if (!b.pass()) return false;
   }
-  return spearman_ok(spearman_vs_golden, tol.min_spearman);
+  return spearman_ok(spearman_vs_golden);
 }
 
 bool Scorecard::pass() const {
   for (const FigureScore& f : figures) {
-    if (!f.pass(drift_tol)) return false;
+    if (!f.pass()) return false;
   }
   for (const SignClaim& c : cross_claims) {
     if (!c.agrees()) return false;
@@ -56,16 +59,13 @@ bool Scorecard::pass() const {
 }
 
 Scorecard build_scorecard(const std::vector<FigureResult>& results,
-                          const GoldenFile* golden, bool enable_paper_checks,
-                          const DriftTolerances& drift_tol,
-                          const PaperTolerances& paper_tol) {
+                          const GoldenFile* golden) {
   Scorecard card;
-  card.drift_tol = drift_tol;
-  card.paper_tol = paper_tol;
-  card.paper_checks_enabled = enable_paper_checks;
   if (!results.empty()) {
-    card.scale_label = results.front().scale.label;
-    card.fingerprint = scale_fingerprint(results.front().scale);
+    const ScaleSpec& scale = results.front().scale;
+    card.scale_label = scale.label;
+    card.fingerprint = scale_fingerprint(scale);
+    card.paper_checks_enabled = scale.label == "bench" || scale.label == "paper";
   }
 
   const GoldenScale* gscale =
@@ -89,14 +89,9 @@ Scorecard build_scorecard(const std::vector<FigureResult>& results,
       continue;
     }
 
-    score.measured = {r.esteem.energy_saving_pct, r.rpv.energy_saving_pct,
-                      r.esteem.weighted_speedup, r.rpv.weighted_speedup,
-                      r.esteem.rpki_decrease, r.rpv.rpki_decrease};
-    score.mpki_increase = r.esteem.mpki_increase;
-    score.active_ratio_pct = r.esteem.active_ratio_pct;
     esteem_energy[spec.id] = r.esteem.energy_saving_pct;
 
-    if (enable_paper_checks) {
+    if (card.paper_checks_enabled) {
       // Directional claims. Weighted speedup is excluded: the paper's 1.09x
       // comes from contention its simulator models and ours compresses
       // (EXPERIMENTS.md note 1), so WS ~ 1.00 here carries no sign signal.
@@ -110,15 +105,11 @@ Scorecard build_scorecard(const std::vector<FigureResult>& results,
           {spec.id + ": ESTEEM energy saving is positive", true,
            r.esteem.energy_saving_pct > 0.0});
 
-      if (!spec.paper_averages_are_reference_only) {
-        score.paper_bands.push_back({spec.id + ": ESTEEM energy saving vs paper",
-                                     r.esteem.energy_saving_pct,
-                                     spec.paper.esteem_energy_pct,
-                                     paper_tol.energy_pct_rel, true});
-        score.paper_bands.push_back({spec.id + ": RPV energy saving vs paper",
-                                     r.rpv.energy_saving_pct,
-                                     spec.paper.rpv_energy_pct,
-                                     paper_tol.energy_pct_rel, true});
+      for (const FigureMetric& m : figure_metrics()) {
+        if (m.paper_band == 0.0 || spec.paper_averages_are_reference_only) continue;
+        score.paper_bands.push_back({spec.id + ": " + vs_paper(m.label),
+                                     m.read(r.esteem, r.rpv), spec.paper.*m.paper,
+                                     m.paper_band, true});
       }
     }
 
@@ -126,42 +117,21 @@ Scorecard build_scorecard(const std::vector<FigureResult>& results,
         gscale != nullptr ? gscale->find_figure(spec.id) : nullptr;
     score.golden_found = gf != nullptr;
     if (gf != nullptr) {
-      add_drift_band(score.drift_bands, spec.id + ": ESTEEM energy saving %",
-                     r.esteem.energy_saving_pct, gf->esteem_energy_pct,
-                     drift_tol.energy_pct_abs, false);
-      add_drift_band(score.drift_bands, spec.id + ": RPV energy saving %",
-                     r.rpv.energy_saving_pct, gf->rpv_energy_pct,
-                     drift_tol.energy_pct_abs, false);
-      add_drift_band(score.drift_bands, spec.id + ": ESTEEM weighted speedup",
-                     r.esteem.weighted_speedup, gf->esteem_ws, drift_tol.ws_abs,
-                     false);
-      add_drift_band(score.drift_bands, spec.id + ": RPV weighted speedup",
-                     r.rpv.weighted_speedup, gf->rpv_ws, drift_tol.ws_abs, false);
-      add_drift_band(score.drift_bands, spec.id + ": ESTEEM RPKI decrease",
-                     r.esteem.rpki_decrease, gf->esteem_rpki_dec,
-                     drift_tol.rpki_dec_rel, true);
-      add_drift_band(score.drift_bands, spec.id + ": RPV RPKI decrease",
-                     r.rpv.rpki_decrease, gf->rpv_rpki_dec,
-                     drift_tol.rpki_dec_rel, true);
-      add_drift_band(score.drift_bands, spec.id + ": ESTEEM MPKI increase",
-                     r.esteem.mpki_increase, gf->esteem_mpki_inc,
-                     drift_tol.mpki_inc_abs, false);
-      add_drift_band(score.drift_bands, spec.id + ": ESTEEM active ratio %",
-                     r.esteem.active_ratio_pct, gf->esteem_active_pct,
-                     drift_tol.active_pct_abs, false);
-
+      for (const FigureMetric& m : figure_metrics()) {
+        score.drift_bands.push_back({spec.id + ": " + m.label, m.read(r.esteem, r.rpv),
+                                     gf->*m.golden, m.drift_tol, m.drift_relative});
+      }
       score.workloads_match = r.workloads() == gf->workloads;
       score.spearman_vs_golden =
           score.workloads_match
               ? spearman(r.esteem_energy_savings(), gf->esteem_energy_savings)
-              : std::numeric_limits<double>::quiet_NaN();
-      if (!score.workloads_match) score.spearman_vs_golden = -1.0;
+              : -1.0;
     }
 
     card.figures.push_back(std::move(score));
   }
 
-  if (enable_paper_checks) {
+  if (card.paper_checks_enabled) {
     auto have = [&](const char* id) { return esteem_energy.count(id) != 0; };
     if (have("fig3") && have("fig4")) {
       card.cross_claims.push_back(
@@ -193,14 +163,7 @@ GoldenScale to_golden(const std::vector<FigureResult>& results) {
     if (!r.sweep.ok()) continue;  // never bake a partial figure into golden
     GoldenFigure f;
     f.id = r.spec->id;
-    f.esteem_energy_pct = r.esteem.energy_saving_pct;
-    f.rpv_energy_pct = r.rpv.energy_saving_pct;
-    f.esteem_ws = r.esteem.weighted_speedup;
-    f.rpv_ws = r.rpv.weighted_speedup;
-    f.esteem_rpki_dec = r.esteem.rpki_decrease;
-    f.rpv_rpki_dec = r.rpv.rpki_decrease;
-    f.esteem_mpki_inc = r.esteem.mpki_increase;
-    f.esteem_active_pct = r.esteem.active_ratio_pct;
+    for (const FigureMetric& m : figure_metrics()) f.*m.golden = m.read(r.esteem, r.rpv);
     f.workloads = r.workloads();
     f.esteem_energy_savings = r.esteem_energy_savings();
     f.rpv_energy_savings = r.rpv_energy_savings();
@@ -224,14 +187,9 @@ std::string golden_diff_text(const GoldenScale& before, const GoldenScale& after
       os << "  " << bf.id << ": removed\n";
       continue;
     }
-    diff(bf.id + ".esteem_energy_pct", bf.esteem_energy_pct, af->esteem_energy_pct);
-    diff(bf.id + ".rpv_energy_pct", bf.rpv_energy_pct, af->rpv_energy_pct);
-    diff(bf.id + ".esteem_ws", bf.esteem_ws, af->esteem_ws);
-    diff(bf.id + ".rpv_ws", bf.rpv_ws, af->rpv_ws);
-    diff(bf.id + ".esteem_rpki_dec", bf.esteem_rpki_dec, af->esteem_rpki_dec);
-    diff(bf.id + ".rpv_rpki_dec", bf.rpv_rpki_dec, af->rpv_rpki_dec);
-    diff(bf.id + ".esteem_mpki_inc", bf.esteem_mpki_inc, af->esteem_mpki_inc);
-    diff(bf.id + ".esteem_active_pct", bf.esteem_active_pct, af->esteem_active_pct);
+    for (const FigureMetric& m : figure_metrics()) {
+      diff(bf.id + "." + m.key, bf.*m.golden, af->*m.golden);
+    }
     if (bf.workloads != af->workloads) os << "  " << bf.id << ": workload set changed\n";
     if (bf.esteem_energy_savings != af->esteem_energy_savings) {
       os << "  " << bf.id << ": per-workload ESTEEM energy series changed\n";
@@ -250,8 +208,7 @@ namespace {
 
 const char* tick(bool ok) { return ok ? "PASS" : "FAIL"; }
 
-void render_figure_checks(std::ostringstream& os, const FigureScore& f,
-                          const DriftTolerances& tol) {
+void render_figure_checks(std::ostringstream& os, const FigureScore& f) {
   for (const SignClaim& c : f.paper_signs) {
     os << "  [" << tick(c.agrees()) << "] sign  " << c.name << '\n';
   }
@@ -283,8 +240,7 @@ void render_figure_checks(std::ostringstream& os, const FigureScore& f,
     os << buf;
   }
   {
-    const bool ok = f.workloads_match && spearman_ok(f.spearman_vs_golden,
-                                                     tol.min_spearman);
+    const bool ok = f.workloads_match && spearman_ok(f.spearman_vs_golden);
     char buf[200];
     if (!f.workloads_match) {
       std::snprintf(buf, sizeof buf,
@@ -293,7 +249,7 @@ void render_figure_checks(std::ostringstream& os, const FigureScore& f,
     } else {
       std::snprintf(buf, sizeof buf,
                     "  [%s] rank  %s: Spearman vs golden %.3f (min %.2f)\n",
-                    tick(ok), f.id.c_str(), f.spearman_vs_golden, tol.min_spearman);
+                    tick(ok), f.id.c_str(), f.spearman_vs_golden, kMinSpearman);
     }
     os << buf;
   }
@@ -309,12 +265,12 @@ std::string scorecard_text(const Scorecard& card) {
      << (card.paper_checks_enabled ? "enabled" : "skipped (non-bench scale)")
      << "\n\n";
   for (const FigureScore& f : card.figures) {
-    os << f.title << " — " << (f.pass(card.drift_tol) ? "PASS" : "FAIL") << '\n';
+    os << f.title << " — " << (f.pass() ? "PASS" : "FAIL") << '\n';
     if (!f.ran) {
       os << "  [FAIL] sweep error: " << f.error << '\n';
       continue;
     }
-    render_figure_checks(os, f, card.drift_tol);
+    render_figure_checks(os, f);
     os << '\n';
   }
   if (!card.cross_claims.empty()) {
@@ -365,7 +321,7 @@ std::string scorecard_markdown(const Scorecard& card) {
     } else {
       os << f2(f.spearman_vs_golden);
     }
-    os << " | " << (f.pass(card.drift_tol) ? "**PASS**" : "**FAIL**") << " |\n";
+    os << " | " << (f.pass() ? "**PASS**" : "**FAIL**") << " |\n";
   }
   if (!card.cross_claims.empty()) {
     os << "\nCross-figure claims:\n\n";

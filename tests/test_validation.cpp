@@ -193,6 +193,12 @@ TEST(Golden, MalformedInputIsRejected) {
   EXPECT_THROW(golden_from_json("[1, 2]"), std::runtime_error);
   EXPECT_THROW(golden_from_json("{\"version\": 1, \"generator\": \"g\"}"),
                std::runtime_error);
+  // The version is a whole number, not any double that casts to 1.
+  for (const char* version : {"1.7", "1e0"}) {
+    std::string json = golden_to_json(sample_golden());
+    json.replace(json.find("\"version\": 1"), 12, std::string("\"version\": ") + version);
+    EXPECT_THROW(golden_from_json(json), std::runtime_error) << version;
+  }
 }
 
 TEST(Golden, FindAndUpsertScale) {
@@ -355,7 +361,7 @@ GoldenFile drifted_golden(const std::vector<FigureResult>& results) {
 }
 
 Scorecard score(const std::vector<FigureResult>& results, const GoldenFile& golden) {
-  return build_scorecard(results, &golden, results.front().scale.label == "bench");
+  return build_scorecard(results, &golden);
 }
 
 std::vector<FigureResult> smoke_matrix() {

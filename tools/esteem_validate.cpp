@@ -277,8 +277,7 @@ int do_check(const Options& opt, const ScaleSpec& scale) {
                          "(rerun with the same --journal DIR to continue)\n");
     return resilience::kExitInterrupted;
   }
-  const bool paper_checks = scale.label == "bench" || scale.label == "paper";
-  const Scorecard card = build_scorecard(results, &golden, paper_checks);
+  const Scorecard card = build_scorecard(results, &golden);
   std::fputs(scorecard_text(card).c_str(), stdout);
   if (!card.pass()) {
     // Echo every override, so the suggested command records the scale and
@@ -374,9 +373,7 @@ int do_results(const Options& opt, const ScaleSpec& scale) {
                          "results\n");
     return resilience::kExitInterrupted;
   }
-  const Scorecard card = build_scorecard(
-      results, have_golden ? &golden : nullptr,
-      scale.label == "bench" || scale.label == "paper");
+  const Scorecard card = build_scorecard(results, have_golden ? &golden : nullptr);
   const ExactChecks checks = run_exact_checks(scale);
   std::fputs(results_book_markdown(results, card, checks).c_str(), stdout);
   return 0;
