@@ -5,8 +5,9 @@
 // code change moves the results — without re-deriving what "the results"
 // were supposed to be.
 //
-// The writer here fixes the key order; strings and %.17g doubles go through
-// common/json, which also parses the file (so a round trip is bit-exact).
+// The writer here fixes the key order (a figure's averages are keyed by
+// figure_metrics()); strings and %.17g doubles go through common/json,
+// which also parses the file, so a round trip is bit-exact.
 #pragma once
 
 #include <map>
