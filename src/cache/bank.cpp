@@ -21,14 +21,15 @@ BankTimer::BankTimer(double refresh_occupancy_cycles,
   }
 }
 
-double BankTimer::analytic_delay() const noexcept {
-  if (queue_pressure_ <= 0.0) return 0.0;
+void BankTimer::update_delay() noexcept {
+  delay_ = 0.0;
+  if (queue_pressure_ <= 0.0) return;
   const double r = refresh_share();
   const double rho = std::min(0.97, r + demand_share_);
-  if (rho <= 0.0) return 0.0;
+  if (rho <= 0.0) return;
   // Utilization-weighted mean service time of the contending traffic.
   const double s_mix = (r * refresh_occ_eff_ + demand_share_ * access_occ_) / rho;
-  return queue_pressure_ * 0.5 * s_mix * rho / (1.0 - rho);
+  delay_ = queue_pressure_ * 0.5 * s_mix * rho / (1.0 - rho);
 }
 
 void BankTimer::set_refresh_spacing(double cycles_between_refreshes, cycle_t now) {
@@ -39,6 +40,7 @@ void BankTimer::set_refresh_spacing(double cycles_between_refreshes, cycle_t now
   }
   refresh_occ_eff_ = std::min(refresh_occ_, kMaxRefreshShare * spacing_);
   next_slot_ = std::isinf(spacing_) ? kInf : static_cast<double>(now) + spacing_;
+  update_delay();
 }
 
 void BankTimer::drain_refreshes(double now) {
@@ -59,14 +61,16 @@ cycle_t BankTimer::access(cycle_t now) {
   const double t = static_cast<double>(now);
   drain_refreshes(t);
   free_at_ = std::min(free_at_, t + kMaxBacklogCycles);  // bounded saturation
-  const double wait = std::max(0.0, free_at_ - t) + analytic_delay();
+  const double wait = std::max(0.0, free_at_ - t) + delay_;
   free_at_ = std::max(free_at_, t) + access_occ_;
 
-  // Roll the demand-utilization window.
+  // Roll the demand-utilization window. The new share first applies to the
+  // next access: this one's wait is already taken.
   if (t - window_start_ >= kDemandWindowCycles) {
     demand_share_ = std::min(1.0, window_busy_ / (t - window_start_));
     window_start_ = t;
     window_busy_ = 0.0;
+    update_delay();
   }
   window_busy_ += access_occ_;
   return static_cast<cycle_t>(wait);

@@ -63,7 +63,9 @@ class BankTimer {
   double refresh_share() const noexcept {
     return std::isinf(spacing_) ? 0.0 : refresh_occ_eff_ / spacing_;
   }
-  double analytic_delay() const noexcept;
+  /// Recomputes delay_ from the refresh share and the demand share; called
+  /// wherever either changes.
+  void update_delay() noexcept;
 
   double refresh_occ_;       ///< Configured interference per refresh.
   double refresh_occ_eff_;   ///< Clamped to kMaxRefreshShare * spacing.
@@ -79,6 +81,7 @@ class BankTimer {
   double window_start_ = 0.0;
   double window_busy_ = 0.0;
   double demand_share_ = 0.0;
+  double delay_ = 0.0;  ///< The analytic delay term every access adds.
 };
 
 /// Bank group: maps a set index to one of `banks` BankTimers and spreads the

@@ -24,7 +24,7 @@ SetAssocCache::SetAssocCache(const CacheParams& params, std::string name)
   set_state_.assign(sets_, SetState{static_cast<std::uint16_t>(ways_), 0});
 }
 
-AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
+AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now, bool rank) {
   const std::uint64_t tag = tag_of(blk);
   AccessOutcome out;
   const std::uint32_t set = set_index_of(blk);
@@ -35,7 +35,7 @@ AccessOutcome SetAssocCache::access(block_t blk, bool is_store, cycle_t now) {
   if (way != kNoWay) {
     out.hit = true;
     out.way = way;
-    if (track_lru_) {
+    if (rank) {
       // Recency position: count valid lines touched more recently. Computed
       // only when a consumer (the ESTEEM leader-set profiler) asked for it.
       // The two tests are combined with & rather than && so the count, like

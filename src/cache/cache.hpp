@@ -46,9 +46,9 @@ struct AccessOutcome {
   /// Way of the slot the block occupies after the access (hit or fill);
   /// kNoWay when the access could not allocate.
   std::uint32_t way = kNoWay;
-  /// On a hit, when LRU-position tracking is enabled (the default): recency
-  /// position of the line among valid lines in its set (0 = MRU). Undefined
-  /// on a miss or with tracking disabled (set_lru_tracking(false)).
+  /// On a hit the access ranked (LRU-position tracking on, the default, or
+  /// `rank` set): recency position of the line among valid lines in its set
+  /// (0 = MRU). Undefined on a miss or an unranked hit.
   std::uint32_t lru_pos = 0;
   /// On a miss that evicted a victim: the victim block, else kInvalidBlock.
   block_t victim = kInvalidBlock;
@@ -85,7 +85,13 @@ class SetAssocCache {
 
   /// Lookup + allocate-on-miss. Victim selection prefers an invalid slot,
   /// else the LRU valid line, among the set's active ways.
-  AccessOutcome access(block_t blk, bool is_store, cycle_t now);
+  AccessOutcome access(block_t blk, bool is_store, cycle_t now) {
+    return access(blk, is_store, now, track_lru_);
+  }
+
+  /// The same access, computing a hit's lru_pos only when `rank` is set,
+  /// whatever set_lru_tracking says.
+  AccessOutcome access(block_t blk, bool is_store, cycle_t now, bool rank);
 
   /// Probe without side effects.
   bool contains(block_t blk) const noexcept;
@@ -148,8 +154,8 @@ class SetAssocCache {
 
   /// Enables/disables hit LRU-position computation (AccessOutcome::lru_pos).
   /// The position costs an O(ways) tag-and-stamp scan per hit; the memory system
-  /// turns it on only when a consumer (the ESTEEM leader-set profiler) reads
-  /// it. On by default for API compatibility.
+  /// leaves it off and asks for it per access, on ESTEEM's leader sets only.
+  /// On by default for API compatibility.
   void set_lru_tracking(bool enabled) noexcept { track_lru_ = enabled; }
   bool lru_tracking() const noexcept { return track_lru_; }
 

@@ -168,10 +168,10 @@ MemorySystem::MemorySystem(const SystemConfig& cfg,
     fanout_ = std::make_unique<LaneFanout>(lanes_);
     l2_.set_listener(fanout_.get());
   }
-  // Fast lane: the O(ways) per-hit LRU-position scan feeds only the ESTEEM
-  // leader-set profiler; every other configuration skips it. The L1s have
-  // no consumer ever.
-  l2_.set_lru_tracking(profiler_ != nullptr);
+  // The O(ways) per-hit LRU-position scan feeds only the ESTEEM profiler,
+  // which keeps leader-set hits alone: l2_access asks for it on those sets
+  // only. The L1s have no consumer ever.
+  l2_.set_lru_tracking(false);
   for (auto& l1 : l1_) l1.set_lru_tracking(false);
 
   if (cfg_.faults.enabled) {
@@ -231,7 +231,8 @@ void MemorySystem::l2_access(block_t block, bool is_store, bool demand) {
     ln.l2_latency = cfg_.l2.latency_cycles + (warming_ ? 0 : ln.banks.access(set, ln.at));
   }
 
-  const cache::AccessOutcome out = l2_.access(block, is_store, lanes[0].at);
+  const bool rank = profiler_ && leaders_->is_leader(set);
+  const cache::AccessOutcome out = l2_.access(block, is_store, lanes[0].at, rank);
 
   if (out.hit) {
     // Leader-set hits feed the ATD histograms. Writeback accesses are

@@ -7,39 +7,41 @@
 
 namespace esteem::trace {
 
-std::uint64_t BlockRng::below(std::uint64_t bound) noexcept {
-  __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      m = static_cast<__uint128_t>((*this)()) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
+std::uint64_t BlockRng::below_retry(__uint128_t m, std::uint64_t bound) noexcept {
+  const std::uint64_t threshold = -bound % bound;
+  while (static_cast<std::uint64_t>(m) < threshold) {
+    m = static_cast<__uint128_t>((*this)()) * bound;
   }
   return static_cast<std::uint64_t>(m >> 64);
 }
 
 void BlockRng::refill() noexcept {
-  const std::size_t kept = kBlock - pos_;
-  std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(pos_), buf_.end(), buf_.begin());
-  for (std::size_t i = kept; i < kBlock; ++i) buf_[i] = rng_();
+  // The tail is at most a peek window and lies after its new place, so a
+  // forward word copy is safe; the generator runs on a local copy so its
+  // state stays in registers across the loop.
+  const std::size_t from = pos_;
+  const std::size_t kept = kBlock - from;
+  for (std::size_t i = 0; i < kept; ++i) buf_[i] = buf_[from + i];
+  Rng rng = rng_;
+  for (std::size_t i = kept; i < kBlock; ++i) buf_[i] = rng();
+  rng_ = rng;
   pos_ = 0;
 }
 
 namespace {
 
-// Index of the first cumulative weight above u: the same child
-// std::upper_bound picks, counted without a data-dependent branch. The last
-// weight is 1.0 > u, so the count stays below cumulative.size().
-std::size_t pick(const std::vector<double>& cumulative, double u) {
-  std::size_t idx = 0;
-  for (double c : cumulative) idx += (c <= u);
-  return idx;
-}
-
 // Floor on the gap draw: keeps log(u) finite.
 constexpr double kMinUniform = 1e-12;
+
+// The cuts of an ascending cumulative weight list, its last cut forced to
+// kDrawSpan so every draw picks an index below cumulative.size().
+std::vector<std::uint64_t> cumulative_cuts(const std::vector<double>& cumulative) {
+  std::vector<std::uint64_t> cuts;
+  cuts.reserve(cumulative.size());
+  for (double c : cumulative) cuts.push_back(draw_cut(c));
+  cuts.back() = kDrawSpan;
+  return cuts;
+}
 
 }  // namespace
 
@@ -78,19 +80,20 @@ NestedWorkingSetPattern::NestedWorkingSetPattern(block_t base, std::uint64_t ws_
   double size = static_cast<double>(std::max<std::uint64_t>(1, ws_blocks));
   double weight = 1.0;
   double acc = 0.0;
+  std::vector<double> cumulative;
   for (std::uint32_t i = 0; i < levels; ++i) {
     level_size_.push_back(std::max<std::uint64_t>(1, static_cast<std::uint64_t>(size)));
     acc += weight;
-    cumulative_.push_back(acc);
+    cumulative.push_back(acc);
     size *= size_ratio;
     weight *= weight_ratio;
   }
-  for (double& c : cumulative_) c /= acc;
-  cumulative_.back() = 1.0;
+  for (double& c : cumulative) c /= acc;
+  level_cut_ = cumulative_cuts(cumulative);
 }
 
 block_t NestedWorkingSetPattern::next_block() {
-  const std::size_t lvl = pick(cumulative_, rng_.uniform());
+  const std::size_t lvl = pick_cut(level_cut_, draw53(rng_()));
   return base_ + rng_.below(level_size_[lvl]);
 }
 
@@ -201,24 +204,28 @@ MixturePattern::MixturePattern(std::vector<std::unique_ptr<BlockPattern>> childr
   }
   if (total <= 0.0) throw std::invalid_argument("MixturePattern: zero total weight");
   double acc = 0.0;
+  std::vector<double> cumulative;
   for (double w : weights) {
     acc += w / total;
-    cumulative_.push_back(acc);
+    cumulative.push_back(acc);
   }
-  cumulative_.back() = 1.0;  // guard against FP drift
+  cumulative.back() = 1.0;  // guard against FP drift
+  double prev = 0.0;
+  for (double c : cumulative) {
+    weight_.push_back(c - prev);
+    prev = c;
+  }
+  child_cut_ = cumulative_cuts(cumulative);
   skip_carry_.assign(children_.size(), 0.0);
 }
 
 block_t MixturePattern::next_block() {
-  return children_[pick(cumulative_, rng_.uniform())]->next_block();
+  return children_[pick_cut(child_cut_, draw53(rng_()))]->next_block();
 }
 
 void MixturePattern::skip(std::uint64_t n) {
-  double prev = 0.0;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    const double weight = cumulative_[i] - prev;
-    prev = cumulative_[i];
-    const double due = static_cast<double>(n) * weight + skip_carry_[i];
+    const double due = static_cast<double>(n) * weight_[i] + skip_carry_[i];
     const auto whole = static_cast<std::uint64_t>(due);
     skip_carry_[i] = due - static_cast<double>(whole);
     if (whole > 0) children_[i]->skip(whole);
@@ -276,7 +283,11 @@ void PhasedPattern::skip(std::uint64_t n) {
 TemporalReusePattern::TemporalReusePattern(std::unique_ptr<BlockPattern> child,
                                            double reuse_prob, std::uint32_t window,
                                            std::uint64_t seed)
-    : child_(std::move(child)), reuse_prob_(reuse_prob), ring_(window), rng_(seed) {
+    : child_(std::move(child)),
+      reuse_prob_(reuse_prob),
+      reuse_cut_(draw_cut(reuse_prob)),
+      ring_(window),
+      rng_(seed) {
   if (!child_) throw std::invalid_argument("TemporalReuse: null child");
   if (window == 0) throw std::invalid_argument("TemporalReuse: window must be >= 1");
   if (reuse_prob_ < 0.0 || reuse_prob_ >= 1.0) {
@@ -286,9 +297,9 @@ TemporalReusePattern::TemporalReusePattern(std::unique_ptr<BlockPattern> child,
 
 block_t TemporalReusePattern::next_block() {
   const auto size = static_cast<std::uint32_t>(ring_.size());
-  if (filled_ > 0 && rng_.chance(reuse_prob_)) {
+  if (filled_ > 0 && draw53(rng_()) < reuse_cut_) {
     // Geometric recency bias: each successful coin flip (a draw with bit 63
-    // clear, i.e. chance(0.5)) halves the candidate range, rounding up,
+    // clear, a fair coin) halves the candidate range, rounding up,
     // until a flip fails or the range is one line. k halvings leave
     // ceil(filled / 2^k) lines, and `halvings` flips reach 1, so the first
     // failing flip among the next `halvings` draws fixes the span. Flips
@@ -333,14 +344,14 @@ InstructionMixer::InstructionMixer(std::unique_ptr<BlockPattern> pattern, double
                                    double store_ratio, std::uint64_t seed)
     : pattern_(std::move(pattern)),
       mem_ratio_(mem_ratio),
-      store_ratio_(store_ratio),
+      store_cut_(draw_cut(store_ratio)),
       log_q_(std::log(1.0 - mem_ratio)),
       rng_(seed) {
   if (!pattern_) throw std::invalid_argument("InstructionMixer: null pattern");
   if (mem_ratio_ <= 0.0 || mem_ratio_ > 1.0) {
     throw std::invalid_argument("InstructionMixer: mem_ratio must be in (0,1]");
   }
-  if (store_ratio_ < 0.0 || store_ratio_ > 1.0) {
+  if (store_ratio < 0.0 || store_ratio > 1.0) {
     throw std::invalid_argument("InstructionMixer: store_ratio must be in [0,1]");
   }
   // log_gap is a non-increasing step function of u, so each threshold is
@@ -359,6 +370,7 @@ InstructionMixer::InstructionMixer(std::unique_ptr<BlockPattern> pattern, double
       while (log_gap(t) >= g) t = std::nextafter(t, 1.0);
     }
     gap_below_[i] = t;
+    gap_cut_[i] = t > kMinUniform ? draw_cut(t) : 0;
   }
 }
 
@@ -370,18 +382,18 @@ std::uint32_t InstructionMixer::log_gap(double u) const noexcept {
   return q >= 1e6 ? 1'000'000u : static_cast<std::uint32_t>(q);
 }
 
-std::uint32_t InstructionMixer::gap_for(double u) const noexcept {
-  u = std::max(u, kMinUniform);
+std::uint32_t InstructionMixer::gap_for(std::uint64_t k) const noexcept {
   std::uint32_t gap = 0;
-  for (double t : gap_below_) gap += u < t ? 1 : 0;
-  return gap < kGapSteps ? gap : log_gap(u);
+  for (std::uint64_t c : gap_cut_) gap += k < c ? 1 : 0;
+  if (gap < kGapSteps) return gap;
+  return log_gap(std::max(static_cast<double>(k) * 0x1.0p-53, kMinUniform));
 }
 
 MemRef InstructionMixer::next() {
   MemRef ref;
   ref.block = pattern_->next_block();
-  ref.is_store = rng_.chance(store_ratio_);
-  if (mem_ratio_ < 1.0) ref.gap = gap_for(rng_.uniform());
+  ref.is_store = draw53(rng_()) < store_cut_;
+  if (mem_ratio_ < 1.0) ref.gap = gap_for(draw53(rng_()));
   return ref;
 }
 

@@ -14,6 +14,34 @@
 
 namespace esteem::trace {
 
+/// Every generator decision compares a draw's top 53 bits, k = word >> 11,
+/// with an integer cut fixed at construction. Rng::uniform() is exactly
+/// k * 2^-53, so uniform() < p holds exactly when k < draw_cut(p), and
+/// c <= uniform() exactly when k >= draw_cut(c) (DESIGN.md §16).
+constexpr std::uint64_t draw53(std::uint64_t word) noexcept { return word >> 11; }
+
+/// One past the largest 53-bit draw: the cut of p = 1.
+constexpr std::uint64_t kDrawSpan = std::uint64_t{1} << 53;
+
+/// ceil(p * 2^53) for p in [0, 1]; 0 below that range, kDrawSpan above it.
+/// The scale by 2^53 is exact, so only the rounding up is left to do.
+constexpr std::uint64_t draw_cut(double p) noexcept {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return kDrawSpan;
+  const double scaled = p * 0x1.0p53;
+  const auto floor = static_cast<std::uint64_t>(scaled);
+  return floor + (static_cast<double>(floor) < scaled ? 1 : 0);
+}
+
+/// The pick for draw k over the cuts of an ascending cumulative weight list
+/// whose last entry is 1: the index of the first weight above k * 2^-53,
+/// counted without a data-dependent branch.
+inline std::size_t pick_cut(const std::vector<std::uint64_t>& cuts, std::uint64_t k) noexcept {
+  std::size_t idx = 0;
+  for (std::uint64_t c : cuts) idx += (c <= k);
+  return idx;
+}
+
 /// Rng's exact sequence, drawn `kBlock` words at a time into a buffer. The
 /// refill loop keeps xoshiro's state in registers, and `peek`/`consume` let
 /// a caller resolve several upcoming draws at once without branching on
@@ -39,14 +67,17 @@ class BlockRng {
   /// Consumes `n` draws. Precondition: a preceding peek(m) with m >= n.
   void consume(std::size_t n) noexcept { pos_ += n; }
 
-  /// Same mappings as Rng::uniform, Rng::chance and Rng::below.
-  double uniform() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  /// Same mapping as Rng::below. The first draw is accepted unless its low
+  /// product word falls below `bound`, which is rare for small bounds.
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    const __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] return below_retry(m, bound);
+    return static_cast<std::uint64_t>(m >> 64);
   }
-  bool chance(double p) noexcept { return uniform() < p; }
-  std::uint64_t below(std::uint64_t bound) noexcept;
 
  private:
+  /// Lemire's rejection loop, entered with the first draw's product.
+  std::uint64_t below_retry(__uint128_t m, std::uint64_t bound) noexcept;
   void refill() noexcept;  ///< Keeps the unconsumed tail, draws the rest.
 
   Rng rng_;
@@ -89,7 +120,7 @@ class NestedWorkingSetPattern final : public BlockPattern {
  private:
   block_t base_;
   std::vector<std::uint64_t> level_size_;
-  std::vector<double> cumulative_;
+  std::vector<std::uint64_t> level_cut_;  ///< draw_cut of each cumulative weight.
   BlockRng rng_;
 };
 
@@ -149,7 +180,8 @@ class MixturePattern final : public BlockPattern {
 
  private:
   std::vector<std::unique_ptr<BlockPattern>> children_;
-  std::vector<double> cumulative_;
+  std::vector<std::uint64_t> child_cut_;  ///< draw_cut of each cumulative weight.
+  std::vector<double> weight_;            ///< Normalised, for skip().
   std::vector<double> skip_carry_;
   BlockRng rng_;
 };
@@ -192,6 +224,7 @@ class TemporalReusePattern final : public BlockPattern {
  private:
   std::unique_ptr<BlockPattern> child_;
   double reuse_prob_;
+  std::uint64_t reuse_cut_;  ///< draw_cut(reuse_prob_).
   std::vector<block_t> ring_;
   std::uint32_t head_ = 0;
   std::uint32_t filled_ = 0;
@@ -215,16 +248,21 @@ class InstructionMixer final : public AccessGenerator {
   /// RNG is untouched.
   void skip(std::uint64_t n_instr) override;
 
-  /// The gap next() assigns to the uniform draw `u` in [0, 1) when
-  /// mem_ratio < 1: floor(log(max(u, 1e-12)) / log(1 - mem_ratio)), capped
-  /// at 1e6.
-  std::uint32_t gap_for(double u) const noexcept;
+  /// The gap next() assigns to the 53-bit draw `k` when mem_ratio < 1: the
+  /// inversion floor(log(max(u, 1e-12)) / log(1 - mem_ratio)) of
+  /// u = k * 2^-53, capped at 1e6.
+  std::uint32_t gap_for(std::uint64_t k) const noexcept;
 
   /// gap_thresholds()[g - 1] is the smallest clamped draw whose gap is
-  /// below g, so gap_for(u) >= g exactly when max(u, 1e-12) is below it.
+  /// below g, so gap_for(k) >= g exactly when max(u, 1e-12) is below it.
   const std::array<double, kGapSteps>& gap_thresholds() const noexcept {
     return gap_below_;
   }
+
+  /// gap_cuts()[g - 1] is the same threshold on the draw: gap_for(k) >= g
+  /// exactly when k < gap_cuts()[g - 1]. A threshold at the clamp has cut 0,
+  /// because no clamped draw is below 1e-12.
+  const std::array<std::uint64_t, kGapSteps>& gap_cuts() const noexcept { return gap_cut_; }
 
  private:
   /// The inversion itself, on an already clamped draw.
@@ -232,9 +270,10 @@ class InstructionMixer final : public AccessGenerator {
 
   std::unique_ptr<BlockPattern> pattern_;
   double mem_ratio_;
-  double store_ratio_;
+  std::uint64_t store_cut_;  ///< draw_cut(store_ratio).
   double log_q_;  ///< log(1 - mem_ratio), the geometric gap's denominator.
   std::array<double, kGapSteps> gap_below_{};
+  std::array<std::uint64_t, kGapSteps> gap_cut_{};
   double skip_carry_ = 0.0;
   Rng rng_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -215,6 +216,33 @@ TEST(BankTimer, ZeroQueuePressureDisablesAnalyticDelay) {
   for (cycle_t now = 1000; now < 20000; now += 500) {
     EXPECT_LE(t.access(now), 4u);
   }
+}
+
+// Pins every wait of a random arrival sequence with the analytic term on:
+// bursts and lulls roll the demand window at many utilizations, and the
+// refresh spacing changes mid-run, including to no refresh and to a
+// schedule that drives the clamped utilization to its 0.97 cap. The pinned
+// digest was recorded on the model that recomputed the analytic delay on
+// every access.
+TEST(BankTimer, WaitsPinnedAcrossSpacingChangesAndWindowRolls) {
+  constexpr std::array<double, 6> kSpacings{37.5, 9.0, kInf, 120.0, 4.0, 15.25};
+  BankTimer t(3.5, 2, 1.0);
+  Rng rng(2024);
+  cycle_t now = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  cycle_t total = 0;
+  std::uint64_t nonzero = 0;
+  for (int i = 0; i < 60'000; ++i) {
+    if (i % 5'000 == 0) t.set_refresh_spacing(kSpacings[(i / 5'000) % kSpacings.size()], now);
+    now += rng.chance(0.6) ? rng.below(4) : rng.below(60);
+    const cycle_t wait = t.access(now);
+    digest = (digest ^ wait) * 0x100000001b3ULL;
+    total += wait;
+    nonzero += wait != 0;
+  }
+  EXPECT_EQ(total, 8'229'891u);
+  EXPECT_EQ(nonzero, 40'320u);
+  EXPECT_EQ(digest, 9'519'519'253'804'441'302ULL);
 }
 
 TEST(BankGroup, RejectsBadShape) {

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -245,9 +246,10 @@ TEST(InstructionMixer, GapTableMatchesLogInversion) {
     std::uint64_t checked = 0;
     std::uint64_t mismatches = 0;
     double first_bad = -1.0;
-    const auto check = [&](double u) {
+    const auto check = [&](std::uint64_t k) {
       ++checked;
-      if (mixer.gap_for(u) != log_inversion_gap(u, ratio)) {
+      const double u = static_cast<double>(k) * kGrid;
+      if (mixer.gap_for(k) != log_inversion_gap(u, ratio)) {
         if (mismatches++ == 0) first_bad = u;
       }
     };
@@ -255,14 +257,14 @@ TEST(InstructionMixer, GapTableMatchesLogInversion) {
       const auto k0 = static_cast<std::int64_t>(t / kGrid);
       const std::int64_t lo = std::max<std::int64_t>(0, k0 - kNearSteps);
       const std::int64_t hi = std::min(kLastStep, k0 + kNearSteps);
-      for (std::int64_t k = lo; k <= hi; ++k) check(static_cast<double>(k) * kGrid);
+      for (std::int64_t k = lo; k <= hi; ++k) check(static_cast<std::uint64_t>(k));
     }
     Rng rng(0x5EED0000u + static_cast<std::uint64_t>(ratio * 1000));
     std::uint64_t fallbacks = 0;
     for (int i = 0; i < kRandomDraws; ++i) {
-      const double u = rng.uniform();
-      check(u);
-      fallbacks += mixer.gap_for(u) >= InstructionMixer::kGapSteps;
+      const std::uint64_t k = draw53(rng());
+      check(k);
+      fallbacks += mixer.gap_for(k) >= InstructionMixer::kGapSteps;
     }
     EXPECT_EQ(mismatches, 0u) << "ratio " << ratio << ": first mismatch at u = " << first_bad
                               << " of " << checked << " draws";
@@ -275,6 +277,42 @@ TEST(InstructionMixer, GapTableMatchesLogInversion) {
     }
     if (ratio == 1e-6) {
       EXPECT_GT(fallbacks, kRandomDraws * 99 / 100);  // mean gap is 1e6 - 1
+    }
+  }
+}
+
+// The gap cuts are the thresholds on the 53-bit draw: gap_for(k) >= g
+// exactly when k < gap_cuts()[g - 1], which must agree with the clamped
+// double compare max(u, 1e-12) < T_g on both sides of every cut. At 0.999
+// the thresholds of gaps 5-8 sit at the clamp (1e-12), whose cut is 0: no
+// clamped draw is below it, although draws up to ceil(1e-12 * 2^53) - 1 are.
+TEST(InstructionMixer, GapCutsMatchClampedThresholds) {
+  constexpr double kGrid = 0x1.0p-53;
+  for (const double ratio : {0.999, 0.3, 0.02}) {
+    InstructionMixer mixer(std::make_unique<StreamingPattern>(0, 1), ratio, 0.0, 1);
+    const auto& table = mixer.gap_thresholds();
+    const auto& cuts = mixer.gap_cuts();
+    const std::uint64_t clamp_cut = draw_cut(1e-12);
+    std::vector<std::uint64_t> probes{0, 1, clamp_cut - 1, clamp_cut};
+    int clamped = 0;
+    for (std::size_t g = 0; g < InstructionMixer::kGapSteps; ++g) {
+      if (table[g] == 1e-12) {
+        ++clamped;
+        EXPECT_EQ(cuts[g], 0u) << "ratio " << ratio << " gap " << g + 1;
+      }
+      if (cuts[g] > 0) probes.push_back(cuts[g] - 1);
+      probes.push_back(cuts[g]);
+    }
+    if (ratio == 0.999) {
+      EXPECT_EQ(clamped, 4);
+    }
+    for (const std::uint64_t k : probes) {
+      const double u = static_cast<double>(k) * kGrid;
+      for (std::size_t g = 0; g < InstructionMixer::kGapSteps; ++g) {
+        EXPECT_EQ(k < cuts[g], std::max(u, 1e-12) < table[g])
+            << "ratio " << ratio << " gap " << g + 1 << " k " << k;
+      }
+      EXPECT_EQ(mixer.gap_for(k), log_inversion_gap(u, ratio)) << "ratio " << ratio << " k " << k;
     }
   }
 }
@@ -364,11 +402,12 @@ TEST(BlockRng, MatchesRng) {
           ASSERT_EQ(b(), r()) << "seed " << seed << " op " << i;
           break;
         case 1:
-          ASSERT_EQ(b.uniform(), r.uniform()) << "seed " << seed << " op " << i;
+          ASSERT_EQ(static_cast<double>(draw53(b())) * 0x1.0p-53, r.uniform())
+              << "seed " << seed << " op " << i;
           break;
         case 2: {
           const double p = ops.uniform();
-          ASSERT_EQ(b.chance(p), r.chance(p)) << "seed " << seed << " op " << i;
+          ASSERT_EQ(draw53(b()) < draw_cut(p), r.chance(p)) << "seed " << seed << " op " << i;
           break;
         }
         case 3: {
@@ -394,6 +433,34 @@ TEST(BlockRng, MatchesRng) {
       }
     }
   }
+}
+
+// Each decision compares the 53-bit draw k with draw_cut(p) where the
+// double code compared u = k * 2^-53 with p. A random draw lands on a cut
+// with probability 2^-53, so the stream pins cannot see an off-by-one cut;
+// the draws on both sides of each cut are checked here instead, for a coin
+// (u < p) and for a pick (the first cumulative weight above u, so a weight
+// equal to u is passed over).
+TEST(DrawCut, BoundaryDrawsDecideAsTheDoubleCompare) {
+  const std::array<double, 7> probs{0.0,  0x1.0p-53, 0.25, 0.3, 0.965,
+                                    std::nextafter(1.0, 0.0), 1.0};
+  for (const double p : probs) {
+    const std::uint64_t cut = draw_cut(p);
+    ASSERT_LE(cut, kDrawSpan) << "p " << p;
+    const std::vector<std::uint64_t> cuts{cut, kDrawSpan};
+    for (const std::uint64_t k : {cut - 1, cut}) {
+      if (k >= kDrawSpan) continue;  // no such draw (cut 0 or cut 2^53)
+      const double u = static_cast<double>(k) * 0x1.0p-53;
+      EXPECT_EQ(k < cut, u < p) << "p " << p << " k " << k;
+      EXPECT_EQ(pick_cut(cuts, k), p <= u ? 1u : 0u) << "p " << p << " k " << k;
+    }
+  }
+  EXPECT_EQ(draw_cut(0.0), 0u);
+  EXPECT_EQ(draw_cut(0x1.0p-53), 1u);
+  EXPECT_EQ(draw_cut(0.25), std::uint64_t{1} << 51);
+  EXPECT_EQ(draw_cut(0.3), static_cast<std::uint64_t>(0.3 * 0x1.0p53) + 1);
+  EXPECT_EQ(draw_cut(std::nextafter(1.0, 0.0)), kDrawSpan - 1);
+  EXPECT_EQ(draw_cut(1.0), kDrawSpan);
 }
 
 // Reference-stream pins. Each digest is an FNV-1a fold of every MemRef a

@@ -22,7 +22,8 @@
 //                       bench scale RESULTS.md is rendered at, or the
 //                       paper's 400M-instr scale made tractable by SMARTS
 //                       sampling (docs/SAMPLING.md)
-//   --instr N --warmup N --seed N   override the chosen scale
+//   --instr N --warmup N --seed N   override the chosen scale; a budget
+//                       other than the scale's own is labelled 'custom'
 //   --jobs N            sweep worker threads (0 = hardware concurrency)
 //   --figures a,b,...   run a subset (default fig3,fig4,fig5,fig6)
 //   --perturb-refresh-energy X      scale eDRAM refresh energy by X before
@@ -45,7 +46,7 @@
 // (exit 2) rather than silently ignored.
 //
 // Paper-shape checks (signs, §7.2 bands) are gated at the bench and paper
-// scales: at tiny instruction budgets the reconfiguration machinery barely
+// scales, and skipped at a 'custom' budget: at tiny instruction budgets the reconfiguration machinery barely
 // engages and the paper's ordering inverts (see EXPERIMENTS.md).
 // Drift-vs-golden is gated at every scale.
 //
@@ -207,14 +208,21 @@ bool parse_args(int argc, char** argv, Options& opt) {
 }
 
 ScaleSpec resolve_scale(const Options& opt) {
-  ScaleSpec s = opt.scale_name == "bench"   ? bench_scale()
-                : opt.scale_name == "paper" ? paper_scale()
-                                            : smoke_scale();
+  const ScaleSpec named = opt.scale_name == "bench"   ? bench_scale()
+                          : opt.scale_name == "paper" ? paper_scale()
+                                                      : smoke_scale();
+  ScaleSpec s = named;
   if (opt.instr >= 0) {
     s.instr_per_core = static_cast<instr_t>(opt.instr);
     if (opt.warmup < 0) s.warmup_per_core = s.instr_per_core / 5;
   }
   if (opt.warmup >= 0) s.warmup_per_core = static_cast<instr_t>(opt.warmup);
+  // A budget the named scale does not pin is no longer that scale: its
+  // paper bands would be judged at the wrong budget (DESIGN.md §9).
+  if (s.instr_per_core != named.instr_per_core ||
+      s.warmup_per_core != named.warmup_per_core) {
+    s.label = "custom";
+  }
   if (opt.seed >= 0) s.seed = static_cast<std::uint64_t>(opt.seed);
   if (opt.jobs >= 0) s.threads = static_cast<unsigned>(opt.jobs);
   return s;
