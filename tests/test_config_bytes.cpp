@@ -14,6 +14,7 @@
 
 #include "common/config_io.hpp"
 #include "sim/run_cache.hpp"
+#include "validation/scale.hpp"
 
 namespace esteem {
 namespace {
@@ -88,6 +89,35 @@ TEST(ConfigBytes, MemoKeyIsPinned) {
   const SystemConfig cfg = distinct_config();
   const std::uint64_t key = sim::fingerprint_hash(sim::run_spec_fingerprint(distinct_run(cfg)));
   EXPECT_EQ(key, 0x280ecdb8830248b4ULL);
+}
+
+// The memo keys of ESTEEM runs under the default configurations: the keys
+// users' --journal directories hold. A change that only retires a field into
+// a RetiredSlot holding its default must leave all six in place.
+TEST(ConfigBytes, DefaultMemoKeysArePinned) {
+  const auto key = [](const SystemConfig& cfg, instr_t instr, instr_t warmup) {
+    sim::RunSpec spec;
+    spec.config = cfg;
+    spec.technique = sim::Technique::Esteem;
+    spec.workload = cfg.ncores == 1 ? trace::Workload{"gamess", {"gamess"}}
+                                    : trace::Workload{"gobmk+namd", {"gobmk", "namd"}};
+    spec.seed = 42;
+    spec.instr_per_core = instr;
+    spec.warmup_instr_per_core = warmup;
+    return sim::fingerprint_hash(sim::run_spec_fingerprint(spec));
+  };
+  const auto scaled = [&](SystemConfig (*make)(const validation::ScaleSpec&, double),
+                          const validation::ScaleSpec& s) {
+    return key(make(s, 1.0), s.instr_per_core, s.warmup_per_core);
+  };
+  const validation::ScaleSpec smoke = validation::smoke_scale();
+  const validation::ScaleSpec bench = validation::bench_scale();
+  EXPECT_EQ(key(SystemConfig::single_core(), 400'000'000, 80'000'000), 0xc4c2d76f85e567b6ULL);
+  EXPECT_EQ(key(SystemConfig::dual_core(), 400'000'000, 80'000'000), 0xbb86f2f94dcf7d20ULL);
+  EXPECT_EQ(scaled(validation::scaled_single, smoke), 0x7d30ba2dfba85688ULL);
+  EXPECT_EQ(scaled(validation::scaled_dual, smoke), 0x9cadce0b35e5ab4cULL);
+  EXPECT_EQ(scaled(validation::scaled_single, bench), 0xdae611cc34f84f53ULL);
+  EXPECT_EQ(scaled(validation::scaled_dual, bench), 0x59ff262ab939048fULL);
 }
 
 // The pin config made runnable: a valid system has one line size.
