@@ -59,8 +59,6 @@ void SystemConfig::validate() const {
   require(mem.bandwidth_gbps > 0.0, "memory bandwidth must be positive");
 
   require(energy.refresh_scale > 0.0, "energy refresh scale must be positive");
-  require(energy.dyn_scale > 0.0, "energy dyn scale must be positive");
-  require(energy.leak_scale > 0.0, "energy leak scale must be positive");
 
   require(esteem.alpha > 0.0 && esteem.alpha <= 1.0, "alpha must be in (0,1]");
   require(esteem.a_min >= 1, "A_min must be >= 1");

@@ -77,18 +77,12 @@ struct MemoryConfig {
   double bandwidth_gbps = 10.0;
 };
 
-/// Multiplicative calibration scales applied on top of the Table 2 energy
-/// values (all 1.0 = paper-exact). Primarily a calibration/what-if surface:
-/// the validation layer perturbs these to prove the golden-drift gate
-/// notices energy-model changes (see DESIGN.md §9), and they allow matching
-/// a different technology point without editing the CACTI table.
+/// Multiplicative calibration scale on the Table 2 per-line refresh energy
+/// (1.0 = paper-exact). The validation layer perturbs it to prove the
+/// golden-drift gate notices energy-model changes (see DESIGN.md §9).
 struct EnergyScaleConfig {
   /// Scales the per-line refresh energy (RE_L2, Eq. 6).
   double refresh_scale = 1.0;
-  /// Scales the dynamic access energy (DE_L2, Eq. 5).
-  double dyn_scale = 1.0;
-  /// Scales the L2 leakage power (LE_L2, Eq. 4).
-  double leak_scale = 1.0;
 };
 
 /// Retention-fault injection (off by default). When enabled, a deterministic
@@ -174,11 +168,6 @@ struct EsteemParams {
   /// patterns (Algorithm 1, lines 4-13). On by default per the paper;
   /// exposed so the ablation bench can disable it.
   bool nonlru_guard = true;
-  /// Optional sampling-noise guard: a module whose leader sets saw fewer
-  /// than this many L2 accesses (after history smoothing) keeps its current
-  /// configuration. Off by default — zero traffic legitimately decides
-  /// A_min, the paper's libquantum/gamess behaviour.
-  std::uint64_t min_leader_samples = 0;
   /// Fraction of the previous intervals' (smoothed) histogram carried into
   /// this interval's decision: hist <- hist * history_weight + new. The
   /// paper decides from the last interval alone (weight 0), which is stable

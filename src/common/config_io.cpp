@@ -196,10 +196,10 @@ constexpr ConfigField kFields[] = {
 
     {"energy", "refresh_scale", "Multiplier on per-line refresh energy (1 = Table 2 values)",
      [](SystemConfig& c) -> auto& { return c.energy.refresh_scale; }},
-    {"energy", "dyn_scale", "Multiplier on dynamic L2 access energy (1 = Table 2 values)",
-     [](SystemConfig& c) -> auto& { return c.energy.dyn_scale; }},
-    {"energy", "leak_scale", "Multiplier on L2 leakage power (1 = Table 2 values)",
-     [](SystemConfig& c) -> auto& { return c.energy.leak_scale; }},
+    {"energy", "", "Retired dynamic-energy multiplier; Table 2's value is used as is",
+     RetiredSlot{1.0}},
+    {"energy", "", "Retired leakage multiplier; Table 2's value is used as is",
+     RetiredSlot{1.0}},
 
     {"esteem", "alpha", "Hit-coverage threshold of Algorithm 1",
      [](SystemConfig& c) -> auto& { return c.esteem.alpha; }},
@@ -217,9 +217,8 @@ constexpr ConfigField kFields[] = {
      [](SystemConfig& c) -> auto& { return c.esteem.sampling_ratio; }},
     {"esteem", "nonlru_guard", "Limit turn-off to one way for modules with non-LRU hit patterns",
      [](SystemConfig& c) -> auto& { return c.esteem.nonlru_guard; }},
-    {"esteem", "min_leader_samples",
-     "Keep current configuration below this many leader-set samples (0 = off)",
-     [](SystemConfig& c) -> auto& { return c.esteem.min_leader_samples; }},
+    {"esteem", "", "Retired leader-sample guard (was a u64 0: the same bytes as f64 0)",
+     RetiredSlot{0.0}},
     {"esteem", "history_weight", "Exponential histogram smoothing across intervals (0 = paper-exact)",
      [](SystemConfig& c) -> auto& { return c.esteem.history_weight; }},
     {"esteem", "max_way_delta", "Cap on |delta active ways| per module per interval (0 = off)",

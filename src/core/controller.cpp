@@ -17,7 +17,6 @@ EsteemController::EsteemController(cache::SetAssocCache& l2,
   last_direction_.assign(modules.modules(), 0);
   last_change_.assign(modules.modules(), 0);
   smoothed_hits_.assign(modules.modules(), std::vector<double>(l2.ways(), 0.0));
-  smoothed_accesses_.assign(modules.modules(), 0.0);
   shrink_streak_.assign(modules.modules(), 0);
 }
 
@@ -54,8 +53,6 @@ ReconfigResult EsteemController::run_interval(
   std::vector<Histogram> hists;
   hists.reserve(modules_.modules());
   for (std::uint32_t m = 0; m < modules_.modules(); ++m) {
-    smoothed_accesses_[m] =
-        smoothed_accesses_[m] * hw + static_cast<double>(profiler_.accesses(m));
     Histogram h(l2_.ways());
     for (std::uint32_t i = 0; i < l2_.ways(); ++i) {
       smoothed_hits_[m][i] =
@@ -68,10 +65,6 @@ ReconfigResult EsteemController::run_interval(
       esteem_decide(hists, l2_.ways(), algo_cfg_);
 
   for (std::uint32_t m = 0; m < modules_.modules(); ++m) {
-    // Optional guard: too few leader accesses to trust a decision.
-    if (smoothed_accesses_[m] < static_cast<double>(params_.min_leader_samples)) {
-      continue;
-    }
     std::uint32_t target = clamp_extensions(m, decisions[m].active_ways);
     const std::uint32_t current = active_[m];
 

@@ -71,7 +71,6 @@ class EsteemController {
   // Exponentially smoothed profiling state (history_weight > 0); decisions
   // are made from these rather than the raw last-interval histograms.
   std::vector<std::vector<double>> smoothed_hits_;   // [module][lru position]
-  std::vector<double> smoothed_accesses_;            // [module]
 
   // Shrink debouncing (shrink_confirm_intervals > 1).
   std::vector<std::uint32_t> shrink_streak_;         // consecutive shrink asks

@@ -226,7 +226,6 @@ void MemorySystem::l2_access(block_t block, bool is_store, bool demand) {
   for (RefreshLane& ln : lanes) ln.advance(ln.at);
   pump_faults(lanes[0].at);
   const std::uint32_t set = l2_.set_index_of(block);
-  if (profiler_) profiler_->record_access(set);
   for (RefreshLane& ln : lanes) {
     ln.l2_latency = cfg_.l2.latency_cycles + (warming_ ? 0 : ln.banks.access(set, ln.at));
   }

@@ -19,7 +19,7 @@ EnergyBreakdown compute_energy(const EnergyModelParams& params,
   constexpr double kNj = 1e-9;
   EnergyBreakdown e;
   e.leak_l2_j = params.l2.p_leak_watts * c.fa_seconds;                        // (4)
-  e.dyn_l2_j = params.dyn_scale * params.l2.e_dyn_nj_per_access * kNj *
+  e.dyn_l2_j = params.l2.e_dyn_nj_per_access * kNj *
                (2.0 * static_cast<double>(c.l2_misses) + static_cast<double>(c.l2_hits));  // (5)
   e.refresh_l2_j = static_cast<double>(c.refreshes) * params.refresh_scale *
                    params.l2.e_dyn_nj_per_access * kNj;                       // (6)

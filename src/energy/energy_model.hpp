@@ -55,11 +55,9 @@ struct EnergyModelParams {
   double mm_dyn_nj = kMmDynNjPerAccess;
   double mm_leak_w = kMmLeakWatts;
   double e_chi_nj = kEChiNj;
-  /// Calibration multipliers (EnergyScaleConfig): per-line refresh energy
-  /// and dynamic access energy relative to the Table 2 values. Leakage
-  /// scaling is folded into `l2.p_leak_watts` by the caller.
+  /// Calibration multiplier (EnergyScaleConfig): per-line refresh energy
+  /// relative to the Table 2 value.
   double refresh_scale = 1.0;
-  double dyn_scale = 1.0;
 };
 
 /// Evaluates equations (2)-(8) over one counter window.

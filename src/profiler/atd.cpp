@@ -7,23 +7,15 @@ ModuleProfiler::ModuleProfiler(const cache::ModuleMap& modules, std::uint32_t wa
     : modules_(modules), leaders_(leaders), ways_(ways) {
   hist_.reserve(modules.modules());
   for (std::uint32_t m = 0; m < modules.modules(); ++m) hist_.emplace_back(ways_);
-  accesses_.assign(modules.modules(), 0);
-}
-
-void ModuleProfiler::record_access(std::uint32_t set) {
-  if (!leaders_.is_leader(set)) return;
-  ++accesses_[modules_.module_of(set)];
 }
 
 void ModuleProfiler::record_hit(std::uint32_t set, std::uint32_t lru_pos) {
   if (!leaders_.is_leader(set)) return;
   hist_[modules_.module_of(set)].add(lru_pos);
-  ++recorded_;
 }
 
 void ModuleProfiler::clear() {
   for (auto& h : hist_) h.clear();
-  for (auto& a : accesses_) a = 0;
 }
 
 }  // namespace esteem::profiler

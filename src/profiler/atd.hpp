@@ -24,14 +24,6 @@ class ModuleProfiler {
   /// a leader. Statistics from a leader count toward its module (§3.2).
   void record_hit(std::uint32_t set, std::uint32_t lru_pos);
 
-  /// Records any L2 access (hit or miss) to a leader set. The per-module
-  /// access counts let the controller distinguish "no reuse despite traffic"
-  /// (shrink confidently) from "no samples at all" (keep configuration).
-  void record_access(std::uint32_t set);
-
-  /// Leader accesses observed in `module` this interval.
-  std::uint64_t accesses(std::uint32_t module) const { return accesses_[module]; }
-
   /// nL2Hit[m][:] for the current interval.
   const Histogram& hits(std::uint32_t module) const { return hist_[module]; }
   std::uint32_t modules() const noexcept { return static_cast<std::uint32_t>(hist_.size()); }
@@ -40,15 +32,11 @@ class ModuleProfiler {
   /// Clears all histograms (called at each interval boundary).
   void clear();
 
-  std::uint64_t total_recorded() const noexcept { return recorded_; }
-
  private:
   const cache::ModuleMap& modules_;
   const LeaderSets& leaders_;
   std::uint32_t ways_;
   std::vector<Histogram> hist_;
-  std::vector<std::uint64_t> accesses_;
-  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace esteem::profiler

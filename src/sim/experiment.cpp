@@ -89,8 +89,6 @@ energy::EnergyModelParams energy_params(const RunSpec& spec) {
   energy::EnergyModelParams params;
   params.l2 = energy::l2_energy_params(spec.config.l2.geom.size_bytes);
   params.refresh_scale = spec.config.energy.refresh_scale;
-  params.dyn_scale = spec.config.energy.dyn_scale;
-  params.l2.p_leak_watts *= spec.config.energy.leak_scale;
   if (spec.technique == Technique::EccExtended) {
     // ECC check bits enlarge the array: leakage and per-access energy grow
     // by the storage overhead.

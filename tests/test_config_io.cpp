@@ -134,6 +134,25 @@ TEST(ConfigIo, RejectsRetiredSections) {
   }
 }
 
+// Keys whose fields were retired into constant memo-key slots: a dump that
+// still sets one is refused with the key and its line, like any unknown key.
+TEST(ConfigIo, RejectsRetiredKeys) {
+  for (const char* key : {"dyn_scale", "leak_scale", "min_leader_samples"}) {
+    const std::string section = std::string(key) == "min_leader_samples" ? "esteem" : "energy";
+    std::stringstream ss("# old dump\n[" + section + "]\n" + key + " = 1\n");
+    try {
+      load_config(ss);
+      ADD_FAILURE() << key << " accepted";
+    } catch (const ConfigParseError& e) {
+      EXPECT_EQ(e.line(), 3u);
+      EXPECT_EQ(e.key(), section + "." + key);
+      const std::string what = e.what();
+      EXPECT_NE(what.find(section + "." + key), std::string::npos);
+      EXPECT_NE(what.find("line 3"), std::string::npos);
+    }
+  }
+}
+
 TEST(ConfigIo, RejectsMalformedLines) {
   {
     std::stringstream ss("[esteem\nalpha = 0.97\n");
@@ -266,8 +285,6 @@ bandwidth_gbps = 10
 
 [energy]
 refresh_scale = 1
-dyn_scale = 1
-leak_scale = 1
 
 [esteem]
 alpha = 0.97
@@ -276,7 +293,6 @@ modules = 8
 interval_cycles = 10000000
 sampling_ratio = 64
 nonlru_guard = true
-min_leader_samples = 0
 history_weight = 0.75
 max_way_delta = 0
 hysteresis_intervals = 0

@@ -30,8 +30,7 @@ struct Fixture {
     params.a_min = 2;
     params.modules = kModules;
     params.sampling_ratio = kRs;
-    params.min_leader_samples = 0;  // paper-exact decisions in unit tests
-    params.history_weight = 0.0;    // last-interval-only, as in Algorithm 1
+    params.history_weight = 0.0;  // last-interval-only, as in Algorithm 1
   }
 
   std::uint32_t leader_of(std::uint32_t module) const {
@@ -180,25 +179,6 @@ TEST(Controller, HistorySmoothingDampsOscillation) {
   f.hits_at(0, kWays - 1, 5);
   ctl.run_interval(5000, nullptr);
   EXPECT_EQ(ctl.module_active_ways()[0], f.params.a_min);
-}
-
-TEST(Controller, SampleGuardKeepsCurrentConfiguration) {
-  Fixture f;
-  f.params.min_leader_samples = 50;
-  EsteemController ctl(f.l2, f.modules, f.leaders, f.prof, f.params);
-
-  // Module 0: plenty of leader accesses -> decided. Module 1: below the
-  // threshold -> keeps its current (fully on) configuration. Module 2:
-  // plenty of accesses but zero hits -> evidence of no reuse, shrinks.
-  for (int i = 0; i < 100; ++i) f.prof.record_access(f.leader_of(0));
-  f.hits_at(0, 0, /*count=*/100);
-  for (int i = 0; i < 10; ++i) f.prof.record_access(f.leader_of(1));
-  f.hits_at(1, 0, /*count=*/10);
-  for (int i = 0; i < 100; ++i) f.prof.record_access(f.leader_of(2));
-  ctl.run_interval(1000, nullptr);
-  EXPECT_EQ(ctl.module_active_ways()[0], f.params.a_min);
-  EXPECT_EQ(ctl.module_active_ways()[1], kWays);
-  EXPECT_EQ(ctl.module_active_ways()[2], f.params.a_min);
 }
 
 TEST(Controller, ProfilerClearedEachInterval) {

@@ -159,7 +159,7 @@ TEST(Metamorphic, EnergyComponentsMatchEquations) {
         const energy::EnergyCounters& c = out.raw.counters;
         const EnergyScaleConfig& scale = spec.config.energy;
 
-        double leak_w = table2.p_leak_watts * scale.leak_scale;
+        double leak_w = table2.p_leak_watts;
         double e_dyn_j = table2.e_dyn_nj_per_access * kNj;
         if (t == Technique::EccExtended) {
           const double overhead = edram::ecc_storage_overhead(
@@ -168,9 +168,8 @@ TEST(Metamorphic, EnergyComponentsMatchEquations) {
           e_dyn_j *= 1.0 + overhead;
         }
         const double leak = leak_w * c.fa_seconds;                              // (4)
-        const double dyn = scale.dyn_scale * e_dyn_j *
-                           (2.0 * static_cast<double>(c.l2_misses) +
-                            static_cast<double>(c.l2_hits));                     // (5)
+        const double dyn = e_dyn_j * (2.0 * static_cast<double>(c.l2_misses) +
+                                      static_cast<double>(c.l2_hits));          // (5)
         const double refresh =
             static_cast<double>(c.refreshes) * scale.refresh_scale * e_dyn_j;   // (6)
         const double ecc = static_cast<double>(c.ecc_corrections) * e_dyn_j;
