@@ -137,17 +137,19 @@ TEST(ConfigIo, RejectsRetiredSections) {
 // Keys whose fields were retired into constant memo-key slots: a dump that
 // still sets one is refused with the key and its line, like any unknown key.
 TEST(ConfigIo, RejectsRetiredKeys) {
-  for (const char* key : {"dyn_scale", "leak_scale", "min_leader_samples"}) {
-    const std::string section = std::string(key) == "min_leader_samples" ? "esteem" : "energy";
-    std::stringstream ss("# old dump\n[" + section + "]\n" + key + " = 1\n");
+  for (const std::string key : {"energy.dyn_scale", "energy.leak_scale",
+                                 "esteem.min_leader_samples"}) {
+    const auto dot = key.find('.');
+    std::stringstream ss("# old dump\n[" + key.substr(0, dot) + "]\n" +
+                         key.substr(dot + 1) + " = 1\n");
     try {
       load_config(ss);
       ADD_FAILURE() << key << " accepted";
     } catch (const ConfigParseError& e) {
       EXPECT_EQ(e.line(), 3u);
-      EXPECT_EQ(e.key(), section + "." + key);
+      EXPECT_EQ(e.key(), key);
       const std::string what = e.what();
-      EXPECT_NE(what.find(section + "." + key), std::string::npos);
+      EXPECT_NE(what.find(key), std::string::npos);
       EXPECT_NE(what.find("line 3"), std::string::npos);
     }
   }
